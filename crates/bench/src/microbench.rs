@@ -378,32 +378,16 @@ fn bench_memsim_step(trials: usize, warmup: usize) -> BenchEntry {
 }
 
 /// The simplex tableau: full-width dense row operations (reference) vs
-/// the sparsified per-row supports.
+/// the per-row bitset supports.
 fn bench_simplex_pivot(trials: usize, warmup: usize) -> BenchEntry {
-    use milp::{solve_lp, solve_lp_dense, ConstraintSense, LinExpr, Model};
-    use rand::Rng;
+    use milp::{solve_lp, solve_lp_dense};
 
-    // A banded sparse LP: the shape block batching emits (each block's
-    // constraints touch only its own few variables), where per-row
-    // nonzero supports stay small through the whole solve.
-    let n = 420;
-    let rows = 280;
-    let window = 5;
-    let mut rng = emb_util::seed_rng(0x5EED);
-    let mut m = Model::new();
-    let vars: Vec<_> = (0..n)
-        .map(|i| m.add_var(&format!("x{i}"), 0.0, 1.0, rng.gen_range(-1.0..1.0), false))
-        .collect();
-    for r in 0..rows {
-        let start = (r * 3) % (n - window);
-        let e =
-            LinExpr::from_terms((0..window).map(|k| (vars[start + k], rng.gen_range(0.2..1.0))));
-        if r % 4 == 0 {
-            m.add_constraint(e, ConstraintSense::Ge, rng.gen_range(0.1..0.8));
-        } else {
-            m.add_constraint(e, ConstraintSense::Le, rng.gen_range(1.0..3.0));
-        }
-    }
+    // The joint pattern LP at the size the figures solve it on an 8-GPU
+    // server (~200 hotness blocks × 9 patterns: 368 rows, 2 617 tableau
+    // columns), whose capacity and `tj` rows start dense and fill in
+    // further — an LP whose rows stay small would flatter any sparse row
+    // representation.
+    let m = milp::fixtures::placement_lp(0x5EED, 8, 200, 9);
 
     // Outside the timed region: pivot-for-pivot identical solves.
     let sparse = solve_lp(&m).expect("feasible LP");

@@ -7,9 +7,18 @@
 //! * [`Model`] — a small modelling API (variables with bounds and
 //!   integrality, linear constraints, a linear objective to minimize);
 //! * [`simplex`] — a *bounded-variable* primal simplex with a two-phase
-//!   start (so `0 ≤ x ≤ 1` binaries do not blow up the row count) and
-//!   sparsified row operations; the original dense solver survives as
-//!   [`dense::solve_lp_dense`] for differential tests and benchmarks;
+//!   start (so `0 ≤ x ≤ 1` binaries do not blow up the row count). The
+//!   tableau is dense, but each row carries a `u64`-word bitset of the
+//!   columns that may be nonzero: pricing walks set bits, and a pivot
+//!   packs the pivot row's nonzeros once, then updates every other row
+//!   with one scatter-axpy and one word-wise `OR`. The bitsets are
+//!   supersets of the true nonzeros — a listed exact zero only adds a
+//!   `±0.0` term, which changes no nonzero value and no comparison — so
+//!   the solver follows the original dense solver pivot for pivot; that
+//!   solver survives as [`dense::solve_lp_dense`], the frozen yardstick
+//!   for differential tests and benchmarks;
+//! * [`fixtures`] — the seeded placement-shaped LP those tests and
+//!   benchmarks share;
 //! * [`branch`] — best-first branch-and-bound over the LP relaxation with
 //!   most-fractional branching and node limits.
 //!
@@ -24,6 +33,7 @@
 
 pub mod branch;
 pub mod dense;
+pub mod fixtures;
 pub mod model;
 pub mod simplex;
 

@@ -7,15 +7,29 @@
 //! Anti-cycling falls back to Bland's rule after a run of degenerate
 //! pivots.
 //!
-//! Row operations are *sparsified*: each tableau row keeps a sorted index
-//! of its (potentially) nonzero columns, so pivoting and pricing touch
-//! only that support instead of all `n` columns. The placement tableaus
-//! are mostly slack/artificial columns, so this is where the solver spent
-//! its time. Skipped columns hold exact zeros, and adding/subtracting a
-//! `±0.0` term never changes a nonzero value bitwise nor any comparison
-//! the solver makes, so the sparse path produces the same pivots and the
-//! same solution as the frozen dense copy in [`crate::dense`] — which the
-//! differential tests assert.
+//! # Row supports
+//!
+//! The tableau is dense row-major storage, but every row also carries a
+//! *support*: one bit per column in `⌈n/64⌉` `u64` words, set wherever
+//! the entry may be nonzero. Pricing walks a row's set bits. A pivot
+//! packs the scaled pivot row once into contiguous `(column, value)`
+//! arrays holding exactly its nonzeros, and every other row with a
+//! nonzero in the entering column then does one scatter-axpy over that
+//! packed row and one word-wise `OR` of the pivot row's support — cost
+//! proportional to the pivot row's nonzeros, with no per-row merge. That
+//! matters because the placement LP's capacity and `tj` rows start with
+//! ~1 000 nonzeros each and fill in to two thirds of the width, where a
+//! sorted index list spends more time merging than multiplying.
+//!
+//! Supports are *supersets* of the true nonzeros: an entry that cancels
+//! to exactly zero keeps its bit until its row is next packed as a pivot
+//! row. That is safe because a listed zero only ever contributes a
+//! `±0.0` term, and adding or subtracting `±0.0` never changes a nonzero
+//! value bitwise nor any comparison the solver makes; the packed pivot
+//! row is pruned by *value*, so the set of multiply-subtracts is the
+//! dense solver's set minus its exact-zero terms. The solver therefore
+//! produces the same pivots and the same solution as the frozen dense
+//! copy in [`crate::dense`] — which the differential tests assert.
 
 use crate::model::{ConstraintSense, Model};
 
@@ -69,12 +83,34 @@ struct Tableau {
     cost: Vec<f64>,
     /// Simplex steps taken so far, accumulated across phases.
     iterations: usize,
-    /// Per-row sorted column support: every column whose tableau entry
-    /// may be nonzero is listed (entries may point at exact zeros; the
-    /// pivot merge prunes them).
-    nz: Vec<Vec<u32>>,
-    /// Reusable merge buffer for [`Tableau::pivot`].
-    scratch: Vec<u32>,
+    /// Words per row of `support`: `⌈n/64⌉`.
+    words: usize,
+    /// Row supports, row-major `m × words`: bit `j` of row `i` is set
+    /// wherever `t[i][j]` may be nonzero (a superset of the true
+    /// nonzeros; see the module docs).
+    support: Vec<u64>,
+    /// Reduced costs of the current iteration.
+    d: Vec<f64>,
+    /// The entering column `t[·][q]` of the current step.
+    col: Vec<f64>,
+    /// The scaled pivot row packed to its nonzeros: columns…
+    piv_cols: Vec<u32>,
+    /// …and values, index-aligned with `piv_cols`.
+    piv_vals: Vec<f64>,
+    /// The pivot row's support words with the entering column cleared.
+    piv_support: Vec<u64>,
+}
+
+/// Calls `f(j)` for every set bit `j` of one row's support words.
+#[inline]
+fn for_each_set(words: &[u64], mut f: impl FnMut(usize)) {
+    for (w, &word) in words.iter().enumerate() {
+        let mut rest = word;
+        while rest != 0 {
+            f(w * 64 + rest.trailing_zeros() as usize);
+            rest &= rest - 1;
+        }
+    }
 }
 
 impl Tableau {
@@ -163,14 +199,13 @@ impl Tableau {
         // Initial row supports: the structural terms plus one slack and
         // one artificial per row.
         assert!(n <= u32::MAX as usize, "tableau too wide");
-        let nz: Vec<Vec<u32>> = (0..m)
-            .map(|i| {
-                (0..n)
-                    .filter(|&j| t[i * n + j] != 0.0)
-                    .map(|j| j as u32)
-                    .collect()
-            })
-            .collect();
+        let words = n.div_ceil(64);
+        let mut support = vec![0u64; m * words];
+        for i in 0..m {
+            for j in (0..n).filter(|&j| t[i * n + j] != 0.0) {
+                support[i * words + j / 64] |= 1 << (j % 64);
+            }
+        }
 
         Tableau {
             m,
@@ -186,8 +221,13 @@ impl Tableau {
             in_basis,
             cost: vec![0.0; n],
             iterations: 0,
-            nz,
-            scratch: Vec::new(),
+            words,
+            support,
+            d: vec![0.0; n],
+            col: vec![0.0; m],
+            piv_cols: Vec::new(),
+            piv_vals: Vec::new(),
+            piv_support: Vec::new(),
         }
     }
 
@@ -210,27 +250,44 @@ impl Tableau {
         }
     }
 
-    /// Reduced costs `d = c − c_B' · (B⁻¹A)`, priced over each row's
-    /// support only (skipped columns contribute an exact-zero term).
-    fn reduced_costs(&self) -> Vec<f64> {
-        let mut d = self.cost.clone();
-        for i in 0..self.m {
-            let yb = self.cost[self.basis[i]];
+    /// Refreshes `self.d` with the reduced costs `c − c_B' · (B⁻¹A)`,
+    /// priced over each row's support only (skipped columns contribute an
+    /// exact-zero term).
+    fn price(&mut self) {
+        let Tableau {
+            n,
+            words,
+            t,
+            cost,
+            basis,
+            support,
+            d,
+            ..
+        } = self;
+        d.copy_from_slice(cost);
+        for (i, &b) in basis.iter().enumerate() {
+            let yb = cost[b];
             if yb != 0.0 {
-                for &j in &self.nz[i] {
-                    d[j as usize] -= yb * self.t[i * self.n + j as usize];
-                }
+                let row = &t[i * *n..(i + 1) * *n];
+                for_each_set(&support[i * *words..(i + 1) * *words], |j| {
+                    d[j] -= yb * row[j];
+                });
             }
         }
-        d
     }
 
-    /// Picks the entering column, or `None` at optimality. The optimality
-    /// tolerance is relative to the cost magnitude so badly scaled
-    /// objectives (tiny per-iteration times) still converge.
-    fn choose_entering(&self, d: &[f64], bland: bool) -> Option<usize> {
+    /// The optimality tolerance for the current costs: relative to the
+    /// cost magnitude so badly scaled objectives (tiny per-iteration
+    /// times) still converge.
+    fn optimality_eps(&self) -> f64 {
         let cmax = self.cost.iter().fold(0.0f64, |a, &c| a.max(c.abs()));
-        let eps = EPS * cmax.clamp(1e-9, 1.0);
+        EPS * cmax.clamp(1e-9, 1.0)
+    }
+
+    /// Picks the entering column from the priced `self.d`, or `None` at
+    /// optimality.
+    fn choose_entering(&self, eps: f64, bland: bool) -> Option<usize> {
+        let d = &self.d;
         let mut best: Option<(usize, f64)> = None;
         for j in 0..self.n {
             if self.in_basis[j] || self.lb[j] == self.ub[j] {
@@ -280,11 +337,17 @@ impl Tableau {
             self.ub[q] - self.lb[q]
         };
 
+        // Gather the entering column once; the ratio test, the value
+        // update and the pivot all read it.
+        for (i, c) in self.col.iter_mut().enumerate() {
+            *c = self.t[i * self.n + q];
+        }
+
         // Ratio test over basic variables.
         let mut t_best = span;
         let mut leave: Option<(usize, bool)> = None; // (row, leaves_at_upper)
         for i in 0..self.m {
-            let alpha = self.t[i * self.n + q] * dir;
+            let alpha = self.col[i] * dir;
             let bi = self.basis[i];
             let xb = self.x[bi];
             if alpha > PIVOT_TOL {
@@ -311,7 +374,7 @@ impl Tableau {
 
         // Move basic values.
         for i in 0..self.m {
-            let alpha = self.t[i * self.n + q] * dir;
+            let alpha = self.col[i] * dir;
             let bi = self.basis[i];
             self.x[bi] -= alpha * t_step;
         }
@@ -345,70 +408,68 @@ impl Tableau {
         Ok(t_step)
     }
 
+    /// Pivots on `t[r][q]`; `self.col` holds column `q` as gathered by
+    /// [`Tableau::step`].
     fn pivot(&mut self, r: usize, q: usize) {
-        let n = self.n;
-        let m = self.m;
-        let piv = self.t[r * n + q];
+        let Tableau {
+            m,
+            n,
+            words,
+            t,
+            support,
+            col,
+            piv_cols,
+            piv_vals,
+            piv_support,
+            ..
+        } = self;
+        let (m, n, words) = (*m, *n, *words);
+        let piv = col[r];
         debug_assert!(piv.abs() > PIVOT_TOL, "tiny pivot {piv}");
         let inv = 1.0 / piv;
-        let Tableau { t, nz, scratch, .. } = self;
-        let mut row_nz = std::mem::take(&mut nz[r]);
-        for &j in &row_nz {
-            t[r * n + j as usize] *= inv;
+        let (q_word, q_bit) = (q / 64, 1u64 << (q % 64));
+
+        // Scale the pivot row and pack its nonzeros; they become the row's
+        // support, so entries that are exactly zero lose their bit.
+        piv_cols.clear();
+        piv_vals.clear();
+        let row = &mut t[r * n..(r + 1) * n];
+        let row_support = &mut support[r * words..(r + 1) * words];
+        for_each_set(row_support, |j| {
+            // Kill round-off on the pivot column.
+            let v = if j == q { 1.0 } else { row[j] * inv };
+            row[j] = v;
+            if v != 0.0 {
+                piv_cols.push(j as u32);
+                piv_vals.push(v);
+            }
+        });
+        row_support.fill(0);
+        for &j in piv_cols.iter() {
+            row_support[j as usize / 64] |= 1 << (j % 64);
         }
-        t[r * n + q] = 1.0; // kill round-off on the pivot column
-        row_nz.retain(|&j| t[r * n + j as usize] != 0.0);
-        for i in 0..m {
-            if i == r {
-                continue;
-            }
-            let f = t[i * n + q];
-            if f.abs() <= 1e-12 {
-                t[i * n + q] = 0.0;
-                continue;
-            }
-            for &j in &row_nz {
-                t[i * n + j as usize] -= f * t[r * n + j as usize];
-            }
-            t[i * n + q] = 0.0;
-            // New support of row i = old support ∪ pivot-row support,
-            // pruning columns whose entry is exactly zero now (a pruned
-            // column can only come back through a pivot-row merge, which
-            // re-adds it).
-            scratch.clear();
-            let (a, b) = (&nz[i], &row_nz);
-            let (mut ai, mut bi) = (0usize, 0usize);
-            while ai < a.len() || bi < b.len() {
-                let j = match (a.get(ai), b.get(bi)) {
-                    (Some(&x), Some(&y)) => {
-                        if x <= y {
-                            if x == y {
-                                bi += 1;
-                            }
-                            ai += 1;
-                            x
-                        } else {
-                            bi += 1;
-                            y
-                        }
-                    }
-                    (Some(&x), None) => {
-                        ai += 1;
-                        x
-                    }
-                    (None, Some(&y)) => {
-                        bi += 1;
-                        y
-                    }
-                    (None, None) => unreachable!(),
-                };
-                if t[i * n + j as usize] != 0.0 {
-                    scratch.push(j);
+
+        // Every other row loses column `q`, so it gains the pivot row's
+        // support minus that bit.
+        piv_support.clear();
+        piv_support.extend_from_slice(row_support);
+        piv_support[q_word] &= !q_bit;
+
+        for i in (0..m).filter(|&i| i != r) {
+            let row = &mut t[i * n..(i + 1) * n];
+            let row_support = &mut support[i * words..(i + 1) * words];
+            let f = col[i];
+            row_support[q_word] &= !q_bit;
+            if f.abs() > 1e-12 {
+                for (&j, &v) in piv_cols.iter().zip(piv_vals.iter()) {
+                    row[j as usize] -= f * v;
+                }
+                for (dst, &src) in row_support.iter_mut().zip(piv_support.iter()) {
+                    *dst |= src;
                 }
             }
-            std::mem::swap(&mut nz[i], scratch);
+            row[q] = 0.0;
         }
-        nz[r] = row_nz;
     }
 
     /// Runs simplex to optimality with the current costs.
@@ -416,13 +477,16 @@ impl Tableau {
         let max_iter = 400 + 60 * (self.m + self.n);
         let mut degenerate_run = 0usize;
         let mut bland = false;
+        // Costs only change at a phase switch, so the tolerance is fixed
+        // for the whole run.
+        let eps = self.optimality_eps();
         for _ in 0..max_iter {
-            let d = self.reduced_costs();
-            let Some(q) = self.choose_entering(&d, bland) else {
+            self.price();
+            let Some(q) = self.choose_entering(eps, bland) else {
                 return Ok(());
             };
             self.iterations += 1;
-            match self.step(q, d[q]) {
+            match self.step(q, self.d[q]) {
                 Ok(t) => {
                     if t <= 1e-10 {
                         degenerate_run += 1;

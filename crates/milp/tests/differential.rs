@@ -1,15 +1,19 @@
-//! Differential tests: the sparsified simplex must follow the exact same
-//! pivot sequence as the frozen dense solver — same solutions, same
+//! Differential tests: the bitset-support simplex must follow the exact
+//! same pivot sequence as the frozen dense solver — same solutions, same
 //! objectives, same iteration counts.
 
-use milp::{solve_lp, solve_lp_dense, ConstraintSense::*, LinExpr, LpStatus, Model, VarId};
+use milp::fixtures::placement_lp;
+use milp::{
+    solve_lp, solve_lp_dense, ConstraintSense::*, LinExpr, LpResult, LpStatus, Model, VarId,
+};
 use rand::Rng;
 
 fn expr(terms: &[(VarId, f64)]) -> LinExpr {
     LinExpr::from_terms(terms.iter().copied())
 }
 
-fn assert_same(m: &Model, label: &str) {
+/// Asserts both solvers agree on `m` and returns the bitset solver's answer.
+fn assert_same(m: &Model, label: &str) -> Result<LpResult, LpStatus> {
     let sparse = solve_lp(m);
     let dense = solve_lp_dense(m);
     match (&sparse, &dense) {
@@ -35,6 +39,7 @@ fn assert_same(m: &Model, label: &str) {
         (Err(a), Err(b)) => assert_eq!(a, b, "{label}: status"),
         _ => panic!("{label}: sparse {sparse:?} vs dense {dense:?}"),
     }
+    sparse
 }
 
 #[test]
@@ -57,7 +62,7 @@ fn transportation_lp_matches_dense() {
         let e = expr(&(0..2).map(|i| (v[i][j].unwrap(), 1.0)).collect::<Vec<_>>());
         m.add_constraint(e, Ge, demand[j]);
     }
-    assert_same(&m, "transportation");
+    assert_same(&m, "transportation").expect("feasible");
 }
 
 #[test]
@@ -66,16 +71,14 @@ fn terminal_statuses_match_dense() {
     let mut inf = Model::new();
     let x = inf.add_var("x", 0.0, 1.0, 1.0, false);
     inf.add_constraint(expr(&[(x, 1.0)]), Ge, 2.0);
-    assert_same(&inf, "infeasible");
-    assert_eq!(solve_lp(&inf), Err(LpStatus::Infeasible));
+    assert_eq!(assert_same(&inf, "infeasible"), Err(LpStatus::Infeasible));
 
     // Unbounded.
     let mut unb = Model::new();
     let x = unb.add_nonneg("x", -1.0);
     let y = unb.add_nonneg("y", 0.0);
     unb.add_constraint(expr(&[(x, 1.0), (y, -1.0)]), Le, 1.0);
-    assert_same(&unb, "unbounded");
-    assert_eq!(solve_lp(&unb), Err(LpStatus::Unbounded));
+    assert_eq!(assert_same(&unb, "unbounded"), Err(LpStatus::Unbounded));
 }
 
 #[test]
@@ -105,6 +108,32 @@ fn random_lps_match_dense_pivot_for_pivot() {
                 m.add_constraint(e, Le, rng.gen_range(0.5..6.0));
             }
         }
-        assert_same(&m, &format!("random seed {seed}"));
+        assert_same(&m, &format!("random seed {seed}")).expect("feasible");
+    }
+}
+
+#[test]
+fn placement_shaped_lps_match_dense_pivot_for_pivot() {
+    // (gpus, blocks, patterns, total tableau columns): one word minus a
+    // bit, exactly one word, one word plus a bit, two words plus a bit,
+    // and a ~2 000-column case with Server-C-like 8 GPUs whose capacity
+    // and `tj` rows fill in the way the real placement LP's do.
+    for (gpus, blocks, patterns, columns) in [
+        (1, 5, 7, 63),
+        (2, 1, 17, 64),
+        (2, 4, 3, 65),
+        (2, 4, 19, 129),
+        (8, 32, 48, 2017),
+    ] {
+        for seed in [1u64, 2026] {
+            let m = placement_lp(seed, gpus, blocks, patterns);
+            assert_eq!(
+                m.num_vars() + 2 * m.num_constraints(),
+                columns,
+                "G{gpus} B{blocks} P{patterns}"
+            );
+            let label = format!("placement G{gpus} B{blocks} P{patterns} seed {seed}");
+            assert_same(&m, &label).expect("the all-host pattern keeps it feasible");
+        }
     }
 }

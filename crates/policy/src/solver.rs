@@ -16,6 +16,7 @@ use crate::patterns::{generate_patterns, Pattern};
 use crate::types::{Hotness, Placement};
 use gpu_platform::{DedicationConfig, Location, Platform, Profile};
 use milp::{ConstraintSense, LinExpr, Model};
+use std::borrow::Cow;
 
 /// Solver tunables.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -41,6 +42,20 @@ impl SolverConfig {
             entry_bytes,
             accesses_per_iter,
             dedup_adjust: false,
+        }
+    }
+
+    /// The hotness the solver optimizes for: [`Hotness::dedup_adjusted`]
+    /// when `dedup_adjust` is set, `hotness` itself otherwise. The
+    /// calibration makes ~60 passes of `exp` over every entry, so a
+    /// caller that needs the adjusted hotness for more than the solve
+    /// (the refresh trigger compares two estimates on it) takes it once
+    /// here and hands it to [`UGacheSolver::solve_adjusted`].
+    pub fn adjusted<'h>(&self, hotness: &'h Hotness) -> Cow<'h, Hotness> {
+        if self.dedup_adjust && self.accesses_per_iter > 0.0 {
+            Cow::Owned(hotness.dedup_adjusted(self.accesses_per_iter))
+        } else {
+            Cow::Borrowed(hotness)
         }
     }
 }
@@ -82,7 +97,8 @@ impl UGacheSolver {
         &self.platform
     }
 
-    /// Solves for a placement under per-GPU capacities (in entries).
+    /// Solves for a placement under per-GPU capacities (in entries),
+    /// applying `cfg`'s dedup adjustment to `hotness` first.
     ///
     /// # Errors
     ///
@@ -94,28 +110,53 @@ impl UGacheSolver {
         cap_entries: &[usize],
         cfg: &SolverConfig,
     ) -> Result<SolvedPolicy, String> {
+        self.solve_adjusted(&cfg.adjusted(hotness), cap_entries, cfg)
+    }
+
+    /// The shared front half of both solve paths: hotness blocks and
+    /// candidate patterns for already-adjusted hotness, or — as `Err` —
+    /// the all-host policy when there is nothing to place.
+    fn blocks_and_patterns(
+        &self,
+        hotness: &Hotness,
+        cap_entries: &[usize],
+        cfg: &SolverConfig,
+    ) -> Result<(Vec<Block>, Vec<Pattern>), SolvedPolicy> {
         let g = self.platform.num_gpus();
         assert_eq!(cap_entries.len(), g, "one capacity per GPU");
-        let e = hotness.len();
-        let adjusted;
-        let hotness = if cfg.dedup_adjust && cfg.accesses_per_iter > 0.0 {
-            adjusted = hotness.dedup_adjusted(cfg.accesses_per_iter);
-            &adjusted
-        } else {
-            hotness
-        };
         let mut bcfg = cfg.blocks;
         bcfg.min_splits = bcfg.min_splits.max(g);
         let blocks = build_blocks(hotness, &bcfg);
         let patterns = generate_patterns(&self.platform);
         if blocks.is_empty() {
-            return Ok(SolvedPolicy {
-                placement: Placement::all_host(g, e),
+            return Err(SolvedPolicy {
+                placement: Placement::all_host(g, hotness.len()),
                 predicted_secs: 0.0,
                 num_blocks: 0,
                 num_patterns: patterns.len(),
             });
         }
+        Ok((blocks, patterns))
+    }
+
+    /// [`UGacheSolver::solve`] on hotness that already went through
+    /// [`SolverConfig::adjusted`] (`cfg.dedup_adjust` is not consulted
+    /// again).
+    ///
+    /// # Errors
+    ///
+    /// As [`UGacheSolver::solve`].
+    pub fn solve_adjusted(
+        &self,
+        hotness: &Hotness,
+        cap_entries: &[usize],
+        cfg: &SolverConfig,
+    ) -> Result<SolvedPolicy, String> {
+        let e = hotness.len();
+        let (blocks, patterns) = match self.blocks_and_patterns(hotness, cap_entries, cfg) {
+            Ok(front) => front,
+            Err(all_host) => return Ok(all_host),
+        };
 
         let (model, y_ids, time_unit) = self.build_lp(&blocks, &patterns, cap_entries, cfg);
         let sol = milp::solve_lp(&model).map_err(|s| format!("policy LP failed: {s:?}"))?;
@@ -200,28 +241,12 @@ impl UGacheSolver {
         cap_entries: &[usize],
         cfg: &SolverConfig,
     ) -> Result<SolvedPolicy, String> {
-        let g = self.platform.num_gpus();
-        assert_eq!(cap_entries.len(), g, "one capacity per GPU");
         let e = hotness.len();
-        let adjusted;
-        let hotness = if cfg.dedup_adjust && cfg.accesses_per_iter > 0.0 {
-            adjusted = hotness.dedup_adjusted(cfg.accesses_per_iter);
-            &adjusted
-        } else {
-            hotness
+        let hotness = cfg.adjusted(hotness);
+        let (blocks, patterns) = match self.blocks_and_patterns(&hotness, cap_entries, cfg) {
+            Ok(front) => front,
+            Err(all_host) => return Ok(all_host),
         };
-        let mut bcfg = cfg.blocks;
-        bcfg.min_splits = bcfg.min_splits.max(g);
-        let blocks = build_blocks(hotness, &bcfg);
-        let patterns = generate_patterns(&self.platform);
-        if blocks.is_empty() {
-            return Ok(SolvedPolicy {
-                placement: Placement::all_host(g, e),
-                predicted_secs: 0.0,
-                num_blocks: 0,
-                num_patterns: patterns.len(),
-            });
-        }
 
         let shares = block_capacity_shares(&blocks, cap_entries);
         let solved = emb_util::pool::par_indexed(blocks.len(), |b| {
@@ -259,11 +284,11 @@ impl UGacheSolver {
         emb_telemetry::count("policy.patterns", patterns.len() as f64);
 
         let mut placement = self.realize(&blocks, &patterns, &y, cap_entries, e);
-        self.fill_spare_capacity(&mut placement, cap_entries, hotness);
+        self.fill_spare_capacity(&mut placement, cap_entries, &hotness);
         debug_assert!(placement.validate().is_ok());
         let predicted_secs = crate::estimate::estimate_extraction_time(
             &placement,
-            hotness,
+            &hotness,
             &self.profile,
             cfg.entry_bytes,
             cfg.accesses_per_iter,
@@ -362,7 +387,6 @@ impl UGacheSolver {
             for j in 0..=host {
                 let t_ij = self.profile.sec_per_byte[i][j];
                 let mut expr = LinExpr::new().plus(tj[i][j], -1.0);
-                let mut any = false;
                 for (b, blk) in blocks.iter().enumerate() {
                     for (p, pat) in patterns.iter().enumerate() {
                         let read = pat.read_frac[i][j];
@@ -372,11 +396,9 @@ impl UGacheSolver {
                                 "pattern routes GPU{i} to unreachable source {j}"
                             );
                             expr = expr.plus(y[b][p], blk.weight * scale * t_ij * read);
-                            any = true;
                         }
                     }
                 }
-                let _ = any;
                 m.add_constraint(expr, ConstraintSense::Eq, 0.0);
             }
         }
@@ -947,6 +969,57 @@ mod tests {
         let sp = s.solve_decomposed(&h, &[2000; 4], &small_cfg()).unwrap();
         let lhr = sp.placement.local_hit_rate(&h);
         assert!(lhr > 0.999, "local hit rate {lhr}");
+    }
+
+    /// FNV-1a over a placement's access and storage tables.
+    fn placement_hash(p: &Placement) -> u64 {
+        let access = p.access.iter().flatten().copied();
+        let stored = p.stored.iter().flatten().map(|&s| u8::from(s));
+        access.chain(stored).fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    #[test]
+    fn server_b_and_c_solves_match_the_values_pinned_before_bitset_supports() {
+        // Placement hash, predicted seconds and pivot count recorded at
+        // the commit before the simplex moved from sorted support lists
+        // to bitsets: a solver speed-up must not move a single row.
+        for (name, platform, hash, predicted_bits, iterations) in [
+            (
+                "server_b",
+                Platform::server_b(),
+                0xcefd_1401_3667_8725u64,
+                0x3f51_d44e_5565_7dffu64,
+                643.0,
+            ),
+            (
+                "server_c",
+                Platform::server_c(),
+                0x385f_77ef_861b_427b,
+                0x3f36_a2ca_ef87_16e2,
+                681.0,
+            ),
+        ] {
+            let s = solver(platform);
+            let h = hotness(100_000, 1.2);
+            let mut cfg = SolverConfig::new(512, 40_000.0);
+            cfg.dedup_adjust = true;
+            let (sp, report) = emb_telemetry::collect(|| s.solve(&h, &[4_000; 8], &cfg).unwrap());
+            let pivots = report
+                .metrics
+                .counters
+                .iter()
+                .find(|(k, _)| k == "policy.lp.iterations")
+                .map(|&(_, v)| v);
+            assert_eq!(placement_hash(&sp.placement), hash, "{name}: placement");
+            assert_eq!(
+                sp.predicted_secs.to_bits(),
+                predicted_bits,
+                "{name}: predicted_secs"
+            );
+            assert_eq!(pivots, Some(iterations), "{name}: policy.lp.iterations");
+        }
     }
 
     #[test]

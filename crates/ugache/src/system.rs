@@ -252,24 +252,20 @@ impl UGache {
         if self.refresher.active() {
             return Ok(false);
         }
-        let fresh = self.sampler.snapshot();
-        if fresh.total() <= 0.0 {
+        let snapshot = self.sampler.snapshot();
+        if snapshot.total() <= 0.0 {
             return Ok(false);
         }
+        // One dedup calibration serves both the re-solve and the question
+        // "how would the *current* placement fare under the new hotness?",
+        // so the two estimates are comparable.
+        let fresh = self.cfg.solver.adjusted(&snapshot);
         let solved = self
             .solver
-            .solve(&fresh, &self.cap_entries, &self.cfg.solver)?;
-        // How would the *current* placement fare under the new hotness?
-        // Apply the same dedup adjustment the solver uses so the two
-        // estimates are comparable.
-        let fresh_cmp = if self.cfg.solver.dedup_adjust {
-            fresh.dedup_adjusted(self.cfg.solver.accesses_per_iter)
-        } else {
-            fresh.clone()
-        };
+            .solve_adjusted(&fresh, &self.cap_entries, &self.cfg.solver)?;
         let current = cache_policy::estimate_extraction_time(
             self.cache.placement(),
-            &fresh_cmp,
+            &fresh,
             self.solver.profile(),
             self.cfg.solver.entry_bytes,
             self.cfg.solver.accesses_per_iter,
@@ -377,6 +373,41 @@ mod tests {
             assert!(guard < 1_000, "refresh stuck");
         }
         assert_eq!(u.refresh_history().len(), 1);
+    }
+
+    #[test]
+    fn forced_refresh_targets_what_a_separately_calibrated_solve_would() {
+        // `consider_refresh` calibrates the dedup adjustment once and
+        // shares it between the re-solve and the trigger estimate; the
+        // refresh it starts must be the one `solve` (its own calibration
+        // inside) asks for on the same snapshot.
+        let mut u = build();
+        assert!(u.cfg.solver.dedup_adjust);
+        let keys: Vec<Vec<u32>> = (0..4)
+            .map(|_| (0..300u32).map(|k| (N as u32 - 1) - (k % 1000)).collect())
+            .collect();
+        for _ in 0..3 {
+            u.process_iteration(&keys);
+        }
+        let snapshot = u.sampler.snapshot();
+        let expected = u
+            .solver
+            .solve(&snapshot, &u.cap_entries, &u.cfg.solver)
+            .unwrap();
+        assert_ne!(&expected.placement, u.placement(), "the drift moves rows");
+
+        assert!(u.consider_refresh(true).unwrap());
+        assert_eq!(
+            u.predicted_extraction_secs().to_bits(),
+            expected.predicted_secs.to_bits()
+        );
+        let mut guard = 0;
+        while u.refresh_active() {
+            u.advance_clock(1.0);
+            guard += 1;
+            assert!(guard < 1_000, "refresh stuck");
+        }
+        assert_eq!(u.placement(), &expected.placement);
     }
 
     #[test]
