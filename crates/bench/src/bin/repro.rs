@@ -25,10 +25,10 @@
 //! override the dataset scale divisors explicitly. `--jobs N` computes
 //! targets on N worker threads; output order and artifact bytes are
 //! identical to a serial run. `--threads N` sets the intra-target
-//! worker-pool width (gather passes, workload generation, per-block LP
-//! solves); artifacts, traces, and chrome traces are byte-identical at
-//! every width (defaults to 1, or the `REPRO_THREADS` env var when the
-//! flag is absent). `--json --out DIR` writes one
+//! worker-pool width (gather passes, workload generation); artifacts,
+//! traces, and chrome traces are byte-identical at every width
+//! (defaults to 1, or the `REPRO_THREADS` env var when the flag is
+//! absent). `--json --out DIR` writes one
 //! stable-schema JSON artifact per target instead of pretty-printing
 //! (each carries telemetry `metrics` and span-derived `timeline`
 //! blocks); `--trace OUT.jsonl` additionally writes the ordered
@@ -185,13 +185,7 @@ fn main() {
             }
         }
         Command::CheckTrace { path } => {
-            let text = match std::fs::read_to_string(&path) {
-                Ok(t) => t,
-                Err(e) => {
-                    eprintln!("cannot read {}: {e}", path.display());
-                    std::process::exit(2);
-                }
-            };
+            let text = read_or_exit(&path);
             let value = match json::parse(&text) {
                 Ok(v) => v,
                 Err(e) => {
@@ -240,13 +234,7 @@ fn main() {
             if md {
                 print!("{}", catalog::render_markdown(registry()));
             } else if check {
-                let committed = match std::fs::read_to_string(&file) {
-                    Ok(t) => t,
-                    Err(e) => {
-                        eprintln!("cannot read {}: {e}", file.display());
-                        std::process::exit(2);
-                    }
-                };
+                let committed = read_or_exit(&file);
                 if let Err(drift) = catalog::check(registry(), &committed) {
                     eprintln!("{drift}");
                     std::process::exit(1);
@@ -272,13 +260,7 @@ fn main() {
             if md {
                 print!("{}", metrics_catalog::render_markdown());
             } else if check {
-                let committed = match std::fs::read_to_string(&file) {
-                    Ok(t) => t,
-                    Err(e) => {
-                        eprintln!("cannot read {}: {e}", file.display());
-                        std::process::exit(2);
-                    }
-                };
+                let committed = read_or_exit(&file);
                 if let Err(drift) = metrics_catalog::check_file(&committed) {
                     eprintln!("{drift}");
                     std::process::exit(1);
@@ -471,6 +453,15 @@ fn main() {
             run(&spec);
         }
     }
+}
+
+/// Reads a text file the invocation named, or reports it unreadable and
+/// exits 2 (usage/IO error).
+fn read_or_exit(path: &std::path::Path) -> String {
+    std::fs::read_to_string(path).unwrap_or_else(|e| {
+        eprintln!("cannot read {}: {e}", path.display());
+        std::process::exit(2)
+    })
 }
 
 /// Resolves the worker-pool width from the `--threads` flag and the

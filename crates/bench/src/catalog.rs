@@ -69,22 +69,46 @@ fn catalog_row(def: &ScenarioDef) -> String {
 /// Returns the first differing line (or a length mismatch note) when
 /// the texts differ.
 pub fn check(registry: &Registry, committed: &str) -> Result<(), String> {
-    let fresh = render_markdown(registry);
+    check_generated(
+        "SCENARIOS.md",
+        "registry",
+        "repro scenarios --md",
+        &render_markdown(registry),
+        committed,
+    )
+}
+
+/// The drift check behind both generated catalogs (`SCENARIOS.md`,
+/// `METRICS.md`): `committed` must equal the `fresh` render of `source`
+/// exactly.
+///
+/// # Errors
+///
+/// Returns the first differing line (or a length mismatch note) and the
+/// `regenerate` command when the texts differ.
+pub(crate) fn check_generated(
+    file: &str,
+    source: &str,
+    regenerate: &str,
+    fresh: &str,
+    committed: &str,
+) -> Result<(), String> {
     if committed == fresh {
         return Ok(());
     }
     for (i, (a, b)) in fresh.lines().zip(committed.lines()).enumerate() {
         if a != b {
             return Err(format!(
-                "SCENARIOS.md drifted from the registry at line {}:\n  registry:  {a}\n  committed: {b}\n\
-                 regenerate with `repro scenarios --md`",
-                i + 1
+                "{file} drifted from the {source} at line {}:\n  {:<11}{a}\n  committed: {b}\n\
+                 regenerate with `{regenerate}`",
+                i + 1,
+                format!("{source}:")
             ));
         }
     }
     Err(format!(
-        "SCENARIOS.md drifted from the registry: {} committed line(s) vs {} generated; \
-         regenerate with `repro scenarios --md`",
+        "{file} drifted from the {source}: {} committed line(s) vs {} generated; \
+         regenerate with `{regenerate}`",
         committed.lines().count(),
         fresh.lines().count()
     ))

@@ -155,6 +155,48 @@ fn parse_scale(name: &str, value: &str) -> Result<usize, String> {
         .map_err(|_| format!("--{name} expects an unsigned integer, got `{value}`"))
 }
 
+/// Parses the `[--md | --check [--file PATH]]` flags the two generated-
+/// catalog subcommands (`scenarios`, `metrics`) share; `file` defaults
+/// to the committed catalog `default_file`.
+fn parse_catalog_flags(
+    rest: &[String],
+    subcommand: &str,
+    default_file: &str,
+) -> Result<(bool, bool, PathBuf), String> {
+    let mut md = false;
+    let mut check = false;
+    let mut file = PathBuf::from(default_file);
+    let mut i = 0;
+    while i < rest.len() {
+        let arg = &rest[i];
+        match arg.as_str() {
+            "--md" => md = true,
+            "--check" => check = true,
+            a if a == "--file" || a.starts_with("--file=") => {
+                let v = if let Some(v) = arg.strip_prefix("--file=") {
+                    v.to_string()
+                } else {
+                    i += 1;
+                    rest.get(i)
+                        .cloned()
+                        .ok_or_else(|| "--file expects a value".to_string())?
+                };
+                file = PathBuf::from(v);
+            }
+            a => {
+                return Err(format!("unknown argument `{a}` for `repro {subcommand}`"));
+            }
+        }
+        i += 1;
+    }
+    if md && check {
+        return Err(format!(
+            "`repro {subcommand}` takes --md or --check, not both"
+        ));
+    }
+    Ok((md, check, file))
+}
+
 /// Parses `repro` arguments (without the program name).
 ///
 /// Unknown `--flags` and unknown targets are hard errors. `fig15` is an
@@ -254,12 +296,7 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
             i += 1;
         }
         for n in &names {
-            if !crate::microbench::BENCH_NAMES.contains(&n.as_str()) {
-                return Err(format!(
-                    "unknown bench `{n}`; available: {}",
-                    crate::microbench::BENCH_NAMES.join(" ")
-                ));
-            }
+            crate::microbench::find_bench(n)?;
         }
         return Ok(Command::Bench {
             names,
@@ -278,69 +315,11 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
         });
     }
     if args.first().map(String::as_str) == Some("scenarios") {
-        let rest = &args[1..];
-        let mut md = false;
-        let mut check = false;
-        let mut file = PathBuf::from("SCENARIOS.md");
-        let mut i = 0;
-        while i < rest.len() {
-            let arg = &rest[i];
-            match arg.as_str() {
-                "--md" => md = true,
-                "--check" => check = true,
-                a if a == "--file" || a.starts_with("--file=") => {
-                    let v = if let Some(v) = arg.strip_prefix("--file=") {
-                        v.to_string()
-                    } else {
-                        i += 1;
-                        rest.get(i)
-                            .cloned()
-                            .ok_or_else(|| "--file expects a value".to_string())?
-                    };
-                    file = PathBuf::from(v);
-                }
-                a => {
-                    return Err(format!("unknown argument `{a}` for `repro scenarios`"));
-                }
-            }
-            i += 1;
-        }
-        if md && check {
-            return Err("`repro scenarios` takes --md or --check, not both".to_string());
-        }
+        let (md, check, file) = parse_catalog_flags(&args[1..], "scenarios", "SCENARIOS.md")?;
         return Ok(Command::Scenarios { md, check, file });
     }
     if args.first().map(String::as_str) == Some("metrics") {
-        let rest = &args[1..];
-        let mut md = false;
-        let mut check = false;
-        let mut file = PathBuf::from("METRICS.md");
-        let mut i = 0;
-        while i < rest.len() {
-            let arg = &rest[i];
-            match arg.as_str() {
-                "--md" => md = true,
-                "--check" => check = true,
-                a if a == "--file" || a.starts_with("--file=") => {
-                    let v = if let Some(v) = arg.strip_prefix("--file=") {
-                        v.to_string()
-                    } else {
-                        i += 1;
-                        rest.get(i)
-                            .cloned()
-                            .ok_or_else(|| "--file expects a value".to_string())?
-                    };
-                    file = PathBuf::from(v);
-                }
-                a => {
-                    return Err(format!("unknown argument `{a}` for `repro metrics`"));
-                }
-            }
-            i += 1;
-        }
-        if md && check {
-            return Err("`repro metrics` takes --md or --check, not both".to_string());
-        }
+        let (md, check, file) = parse_catalog_flags(&args[1..], "metrics", "METRICS.md")?;
         return Ok(Command::Metrics { md, check, file });
     }
     if args.first().map(String::as_str) == Some("record") {

@@ -173,11 +173,7 @@ pub const CATALOG: &[MetricDef] = &[
         Counter,
         "Simplex iterations across all LP solves",
     ),
-    def(
-        "policy.lp.solves",
-        Counter,
-        "LP solves (monolithic or per-block)",
-    ),
+    def("policy.lp.solves", Counter, "Placement LP solves"),
     def_deep(
         "policy.paper_milp.solves",
         Counter,
@@ -267,13 +263,7 @@ pub const CATALOG: &[MetricDef] = &[
         "One simulated extraction (mode, bytes, makespan)",
     ),
     def("memsim.microbench", Event, "One link-bandwidth probe"),
-    def_deep("policy.block_solve", Event, "One per-block LP solve"),
-    def("policy.solve", Event, "One monolithic placement solve"),
-    def_deep(
-        "policy.solve_decomposed",
-        Event,
-        "One decomposed (blocked) solve summary",
-    ),
+    def("policy.solve", Event, "One placement solve"),
     def(
         "serve.capacity",
         Event,
@@ -341,9 +331,9 @@ pub fn render_markdown() -> String {
          gated in both directions: a recorded name missing here fails\n  \
          `repro metrics --check`, and so does a quick-marked entry the run\n  \
          never records. Entries marked `—` are recorded only by library\n  \
-         consumers or full-scale runs (e.g. the `emb-cache` gather counters\n  \
-         and the decomposed-solver events) and are gated one way: a\n  \
-         recorded name must still match some entry of its kind.\n\
+         consumers or full-scale runs (e.g. the `emb-cache` gather\n  \
+         counters) and are gated one way: a recorded name must still match\n  \
+         some entry of its kind.\n\
          * `pool.*` names exist only in `emb-util`'s worker-pool unit tests\n  \
          and are intentionally uncatalogued.\n",
     );
@@ -357,25 +347,13 @@ pub fn render_markdown() -> String {
 /// Returns the first differing line (or a length mismatch note) when
 /// the texts differ.
 pub fn check_file(committed: &str) -> Result<(), String> {
-    let fresh = render_markdown();
-    if committed == fresh {
-        return Ok(());
-    }
-    for (i, (a, b)) in fresh.lines().zip(committed.lines()).enumerate() {
-        if a != b {
-            return Err(format!(
-                "METRICS.md drifted from the catalog at line {}:\n  catalog:   {a}\n  committed: {b}\n\
-                 regenerate with `repro metrics --md`",
-                i + 1
-            ));
-        }
-    }
-    Err(format!(
-        "METRICS.md drifted from the catalog: {} committed line(s) vs {} generated; \
-         regenerate with `repro metrics --md`",
-        committed.lines().count(),
-        fresh.lines().count()
-    ))
+    crate::catalog::check_generated(
+        "METRICS.md",
+        "catalog",
+        "repro metrics --md",
+        &render_markdown(),
+        committed,
+    )
 }
 
 /// Runs every target at quick scale (serially, in-process) and returns

@@ -33,15 +33,6 @@ pub const BENCH_SCHEMA_VERSION: u64 = 2;
 /// The `kind` discriminator of bench report files.
 pub const BENCH_KIND: &str = "ugache-bench";
 
-/// Every microbench name, in canonical execution order.
-pub const BENCH_NAMES: &[&str] = &[
-    "gather",
-    "memsim_step",
-    "simplex_pivot",
-    "gather_par",
-    "lp_block",
-];
-
 /// Worker-pool widths measured by the thread-scaling benches.
 pub const SCALING_THREADS: &[usize] = &[1, 2, 4, 8];
 
@@ -248,87 +239,6 @@ fn bench_gather_par(trials: usize, warmup: usize) -> BenchEntry {
     e
 }
 
-/// Per-block LP decomposition: the joint pattern LP over all hotness
-/// blocks (reference) vs independent per-block LPs on an 8-wide worker
-/// pool. Unlike the other benches the two paths are different
-/// *algorithms*, so instead of exact equality the fixture asserts
-/// outside the timed region that the decomposed placement is valid and
-/// its estimated makespan stays within 2× of the joint solution.
-fn bench_lp_block(trials: usize, warmup: usize) -> BenchEntry {
-    use cache_policy::{
-        estimate_extraction_time, BlockConfig, Hotness, SolverConfig, UGacheSolver,
-    };
-    use emb_util::zipf::powerlaw_hotness;
-    use gpu_platform::{DedicationConfig, Platform};
-
-    let solver = UGacheSolver::new(Platform::server_c(), DedicationConfig::default());
-    let h = Hotness::new(powerlaw_hotness(60_000, 1.2));
-    let caps = vec![1_500usize; 8];
-    let cfg = SolverConfig {
-        blocks: BlockConfig {
-            coarse_cap: 0.005,
-            min_splits: 8,
-            max_blocks: 128,
-        },
-        entry_bytes: 512,
-        accesses_per_iter: 1e5,
-        dedup_adjust: false,
-    };
-
-    // Outside the timed region: the decomposition must stay sane.
-    let joint = solver.solve(&h, &caps, &cfg).expect("joint LP solves");
-    let dec = emb_util::pool::with_threads(8, || {
-        solver
-            .solve_decomposed(&h, &caps, &cfg)
-            .expect("block LPs solve")
-    });
-    dec.placement
-        .validate()
-        .expect("decomposed placement valid");
-    let t_joint = estimate_extraction_time(
-        &joint.placement,
-        &h,
-        solver.profile(),
-        cfg.entry_bytes,
-        cfg.accesses_per_iter,
-    )
-    .makespan;
-    let t_dec = estimate_extraction_time(
-        &dec.placement,
-        &h,
-        solver.profile(),
-        cfg.entry_bytes,
-        cfg.accesses_per_iter,
-    )
-    .makespan;
-    assert!(
-        t_dec <= t_joint * 2.0,
-        "decomposed makespan {t_dec} vs joint {t_joint}"
-    );
-
-    let ref_secs = time_trials(trials, warmup, || {
-        std::hint::black_box(solver.solve(&h, &caps, &cfg).expect("joint LP solves"));
-    });
-    let opt_secs = emb_util::pool::with_threads(8, || {
-        time_trials(trials, warmup, || {
-            std::hint::black_box(
-                solver
-                    .solve_decomposed(&h, &caps, &cfg)
-                    .expect("block LPs solve"),
-            );
-        })
-    });
-    let mut e = entry("lp_block", ref_secs, opt_secs);
-    e.scaling = scale_points(trials, warmup, || {
-        std::hint::black_box(
-            solver
-                .solve_decomposed(&h, &caps, &cfg)
-                .expect("block LPs solve"),
-        );
-    });
-    e
-}
-
 /// The extraction event loop: per-step full rescans (reference) vs
 /// incremental active-set bookkeeping.
 fn bench_memsim_step(trials: usize, warmup: usize) -> BenchEntry {
@@ -411,6 +321,50 @@ fn bench_simplex_pivot(trials: usize, warmup: usize) -> BenchEntry {
     entry("simplex_pivot", ref_secs, opt_secs)
 }
 
+/// A kernel's timing function: `(trials, warmup)` to its entry.
+pub(crate) type BenchFn = fn(usize, usize) -> BenchEntry;
+
+/// Every microbench, in canonical execution order. The one place that
+/// knows the kernel list: names, validation and dispatch all read it.
+const BENCHES: &[(&str, BenchFn)] = &[
+    ("gather", bench_gather),
+    ("memsim_step", bench_memsim_step),
+    ("simplex_pivot", bench_simplex_pivot),
+    ("gather_par", bench_gather_par),
+];
+
+/// Every microbench name, in canonical execution order (the names of
+/// `BENCHES`).
+pub const BENCH_NAMES: &[&str] = &{
+    let mut names = [""; BENCHES.len()];
+    let mut i = 0;
+    while i < names.len() {
+        names[i] = BENCHES[i].0;
+        i += 1;
+    }
+    names
+};
+
+/// Looks a kernel up by name; the one unknown-name check, shared by
+/// `cli::parse` (which rejects a bad name before any kernel runs) and
+/// [`run_benches`].
+///
+/// # Errors
+///
+/// Returns the message `repro bench` prints for an unknown name.
+pub(crate) fn find_bench(name: &str) -> Result<BenchFn, String> {
+    BENCHES
+        .iter()
+        .find(|&&(n, _)| n == name)
+        .map(|&(_, run)| run)
+        .ok_or_else(|| {
+            format!(
+                "unknown bench `{name}`; available: {}",
+                BENCH_NAMES.join(" ")
+            )
+        })
+}
+
 /// Runs the named microbenches (all of [`BENCH_NAMES`] when empty).
 ///
 /// # Errors
@@ -422,36 +376,20 @@ fn bench_simplex_pivot(trials: usize, warmup: usize) -> BenchEntry {
 /// Panics if an optimized path's output diverges from its reference —
 /// a bench never silently times two implementations that disagree.
 pub fn run_benches(names: &[String], trials: usize, warmup: usize) -> Result<BenchReport, String> {
-    let selected: Vec<&str> = if names.is_empty() {
-        BENCH_NAMES.to_vec()
+    let selected: Vec<BenchFn> = if names.is_empty() {
+        BENCHES.iter().map(|&(_, run)| run).collect()
     } else {
-        for n in names {
-            if !BENCH_NAMES.contains(&n.as_str()) {
-                return Err(format!(
-                    "unknown bench `{n}`; available: {}",
-                    BENCH_NAMES.join(" ")
-                ));
-            }
-        }
-        names.iter().map(String::as_str).collect()
+        names
+            .iter()
+            .map(|n| find_bench(n))
+            .collect::<Result<_, _>>()?
     };
-    let benches = selected
-        .iter()
-        .map(|name| match *name {
-            "gather" => bench_gather(trials, warmup),
-            "memsim_step" => bench_memsim_step(trials, warmup),
-            "simplex_pivot" => bench_simplex_pivot(trials, warmup),
-            "gather_par" => bench_gather_par(trials, warmup),
-            "lp_block" => bench_lp_block(trials, warmup),
-            other => unreachable!("bench `{other}` validated above"),
-        })
-        .collect();
     Ok(BenchReport {
         schema_version: BENCH_SCHEMA_VERSION,
         kind: BENCH_KIND.to_string(),
         trials,
         warmup,
-        benches,
+        benches: selected.iter().map(|run| run(trials, warmup)).collect(),
     })
 }
 
@@ -634,6 +572,32 @@ mod tests {
     }
 
     #[test]
+    fn newest_committed_baseline_lists_exactly_the_table_kernels() {
+        // Adding or removing a kernel without regenerating the baseline
+        // CI gates against must fail here, not only in CI's bench job.
+        let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../baselines");
+        let newest = std::fs::read_dir(&dir)
+            .expect("baselines directory")
+            .filter_map(|e| {
+                let path = e.expect("directory entry").path();
+                let pr: u32 = path
+                    .file_name()?
+                    .to_str()?
+                    .strip_prefix("BENCH_")?
+                    .strip_suffix(".json")?
+                    .parse()
+                    .ok()?;
+                Some((pr, path))
+            })
+            .max()
+            .expect("a committed BENCH_<pr>.json")
+            .1;
+        let rows = load_rows(&newest).expect("baseline parses");
+        let names: Vec<&str> = rows.iter().map(|(n, _, _)| n.as_str()).collect();
+        assert_eq!(names, BENCH_NAMES, "{}", newest.display());
+    }
+
+    #[test]
     fn unknown_bench_rejected() {
         assert!(run_benches(&["nope".to_string()], 1, 0).is_err());
     }
@@ -643,7 +607,8 @@ mod tests {
         // One trial, no warmup: exercises the equality asserts inside
         // each bench and the report shape without taking bench-grade time.
         let report = run_benches(&[], 1, 0).unwrap();
-        assert_eq!(report.benches.len(), BENCH_NAMES.len());
+        let names: Vec<&str> = report.benches.iter().map(|b| b.name.as_str()).collect();
+        assert_eq!(names, BENCH_NAMES, "entries carry their table names");
         for b in &report.benches {
             assert!(b.ref_min_secs > 0.0 && b.opt_min_secs > 0.0, "{}", b.name);
             assert!(b.speedup.is_finite(), "{}", b.name);

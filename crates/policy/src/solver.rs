@@ -113,32 +113,6 @@ impl UGacheSolver {
         self.solve_adjusted(&cfg.adjusted(hotness), cap_entries, cfg)
     }
 
-    /// The shared front half of both solve paths: hotness blocks and
-    /// candidate patterns for already-adjusted hotness, or — as `Err` —
-    /// the all-host policy when there is nothing to place.
-    fn blocks_and_patterns(
-        &self,
-        hotness: &Hotness,
-        cap_entries: &[usize],
-        cfg: &SolverConfig,
-    ) -> Result<(Vec<Block>, Vec<Pattern>), SolvedPolicy> {
-        let g = self.platform.num_gpus();
-        assert_eq!(cap_entries.len(), g, "one capacity per GPU");
-        let mut bcfg = cfg.blocks;
-        bcfg.min_splits = bcfg.min_splits.max(g);
-        let blocks = build_blocks(hotness, &bcfg);
-        let patterns = generate_patterns(&self.platform);
-        if blocks.is_empty() {
-            return Err(SolvedPolicy {
-                placement: Placement::all_host(g, hotness.len()),
-                predicted_secs: 0.0,
-                num_blocks: 0,
-                num_patterns: patterns.len(),
-            });
-        }
-        Ok((blocks, patterns))
-    }
-
     /// [`UGacheSolver::solve`] on hotness that already went through
     /// [`SolverConfig::adjusted`] (`cfg.dedup_adjust` is not consulted
     /// again).
@@ -152,11 +126,21 @@ impl UGacheSolver {
         cap_entries: &[usize],
         cfg: &SolverConfig,
     ) -> Result<SolvedPolicy, String> {
+        let g = self.platform.num_gpus();
         let e = hotness.len();
-        let (blocks, patterns) = match self.blocks_and_patterns(hotness, cap_entries, cfg) {
-            Ok(front) => front,
-            Err(all_host) => return Ok(all_host),
-        };
+        assert_eq!(cap_entries.len(), g, "one capacity per GPU");
+        let mut bcfg = cfg.blocks;
+        bcfg.min_splits = bcfg.min_splits.max(g);
+        let blocks = build_blocks(hotness, &bcfg);
+        let patterns = generate_patterns(&self.platform);
+        if blocks.is_empty() {
+            return Ok(SolvedPolicy {
+                placement: Placement::all_host(g, e),
+                predicted_secs: 0.0,
+                num_blocks: 0,
+                num_patterns: patterns.len(),
+            });
+        }
 
         let (model, y_ids, time_unit) = self.build_lp(&blocks, &patterns, cap_entries, cfg);
         let sol = milp::solve_lp(&model).map_err(|s| format!("policy LP failed: {s:?}"))?;
@@ -207,112 +191,6 @@ impl UGacheSolver {
         Ok(SolvedPolicy {
             placement,
             predicted_secs: sol.objective * time_unit,
-            num_blocks: blocks.len(),
-            num_patterns: patterns.len(),
-        })
-    }
-
-    /// Solves for a placement by decomposing the pattern LP into one
-    /// small, independent LP per hotness block, solved on the
-    /// `emb_util::pool` worker pool (`--threads N`).
-    ///
-    /// Each GPU's capacity is pre-split across blocks by hotness weight
-    /// (waterfilled, largest-remainder rounded), which makes the
-    /// per-block LPs independent by construction: hot blocks get enough
-    /// room to replicate, cold blocks spill to host — the same shape the
-    /// joint LP converges to. The joint LP ([`UGacheSolver::solve`])
-    /// remains the figure-quality path; decomposition trades a small
-    /// amount of placement quality for solve time that drops with both
-    /// the block count (simplex cost is superlinear in LP size) and the
-    /// worker count.
-    ///
-    /// Per-block telemetry (`policy.lp.*`) is recorded inside each
-    /// block's pool chunk and absorbed in block order, so counters and
-    /// traces are identical at any thread count. The realized placement
-    /// is bitwise-identical across thread counts: block solves are
-    /// independent, and realization runs serially in block order.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if any per-block LP fails numerically.
-    pub fn solve_decomposed(
-        &self,
-        hotness: &Hotness,
-        cap_entries: &[usize],
-        cfg: &SolverConfig,
-    ) -> Result<SolvedPolicy, String> {
-        let e = hotness.len();
-        let hotness = cfg.adjusted(hotness);
-        let (blocks, patterns) = match self.blocks_and_patterns(&hotness, cap_entries, cfg) {
-            Ok(front) => front,
-            Err(all_host) => return Ok(all_host),
-        };
-
-        let shares = block_capacity_shares(&blocks, cap_entries);
-        let solved = emb_util::pool::par_indexed(blocks.len(), |b| {
-            let (model, y_ids) = self.build_block_lp(&blocks[b], &patterns, &shares[b], cfg);
-            let sol =
-                milp::solve_lp(&model).map_err(|s| format!("policy block {b} LP failed: {s:?}"))?;
-            emb_telemetry::count("policy.lp.solves", 1.0);
-            emb_telemetry::count("policy.lp.iterations", sol.iterations as f64);
-            emb_telemetry::observe("policy.lp.residual", sol.max_residual);
-            emb_telemetry::event("policy.block_solve", || {
-                vec![
-                    (
-                        "block".to_string(),
-                        emb_telemetry::EventValue::U64(b as u64),
-                    ),
-                    (
-                        "lp_iterations".to_string(),
-                        emb_telemetry::EventValue::U64(sol.iterations as u64),
-                    ),
-                    (
-                        "lp_residual".to_string(),
-                        emb_telemetry::EventValue::F64(sol.max_residual),
-                    ),
-                ]
-            });
-            let y_row: Vec<f64> = y_ids
-                .iter()
-                .map(|&v| sol.x[v.index()].clamp(0.0, 1.0))
-                .collect();
-            Ok(y_row)
-        });
-        let y: Vec<Vec<f64>> = solved.into_iter().collect::<Result<_, String>>()?;
-
-        emb_telemetry::count("policy.blocks", blocks.len() as f64);
-        emb_telemetry::count("policy.patterns", patterns.len() as f64);
-
-        let mut placement = self.realize(&blocks, &patterns, &y, cap_entries, e);
-        self.fill_spare_capacity(&mut placement, cap_entries, &hotness);
-        debug_assert!(placement.validate().is_ok());
-        let predicted_secs = crate::estimate::estimate_extraction_time(
-            &placement,
-            &hotness,
-            &self.profile,
-            cfg.entry_bytes,
-            cfg.accesses_per_iter,
-        )
-        .makespan;
-        emb_telemetry::event("policy.solve_decomposed", || {
-            vec![
-                (
-                    "blocks".to_string(),
-                    emb_telemetry::EventValue::U64(blocks.len() as u64),
-                ),
-                (
-                    "patterns".to_string(),
-                    emb_telemetry::EventValue::U64(patterns.len() as u64),
-                ),
-                (
-                    "predicted_secs".to_string(),
-                    emb_telemetry::EventValue::F64(predicted_secs),
-                ),
-            ]
-        });
-        Ok(SolvedPolicy {
-            placement,
-            predicted_secs,
             num_blocks: blocks.len(),
             num_patterns: patterns.len(),
         })
@@ -426,100 +304,6 @@ impl UGacheSolver {
         (m, y, time_unit)
     }
 
-    /// Builds the reduced LP for a single block. Unlike [`Self::build_lp`]
-    /// — which carries one `tj[i][j]` variable and one defining equality
-    /// per GPU/source pair — the per-source extraction times of a single
-    /// block are fixed linear functions of its `y` fractions, so they are
-    /// substituted directly into the max/padding rows. That shrinks the
-    /// model from ~90 variables and ~170 rows (mostly equalities needing
-    /// phase-1 artificials) to `P + G + 1` variables and ~`G·(G+2)`
-    /// inequalities with a trivial slack basis, which is what makes the
-    /// decomposed solve cheaper than the joint LP per block.
-    ///
-    /// Returns the model and the block's `y[p]` ids; the time unit
-    /// matches [`Self::build_lp`] (the objective is the block's makespan
-    /// in that unit, unused by the decomposed path).
-    fn build_block_lp(
-        &self,
-        block: &Block,
-        patterns: &[Pattern],
-        cap_entries: &[usize],
-        cfg: &SolverConfig,
-    ) -> (Model, Vec<milp::VarId>) {
-        let g = self.platform.num_gpus();
-        let host = g;
-        let worst_t = (0..g)
-            .map(|i| self.profile.sec_per_byte[i][host])
-            .fold(0.0f64, f64::max);
-        let time_unit = (cfg.accesses_per_iter * cfg.entry_bytes as f64 * worst_t).max(1e-300);
-        let scale = cfg.accesses_per_iter * cfg.entry_bytes as f64 / time_unit;
-        let mut m = Model::new();
-
-        let y: Vec<milp::VarId> = (0..patterns.len())
-            .map(|p| m.add_var(&format!("y_{p}"), 0.0, 1.0, 0.0, false))
-            .collect();
-        let t: Vec<milp::VarId> = (0..g)
-            .map(|i| m.add_nonneg(&format!("t_{i}"), 0.0))
-            .collect();
-        let z = m.add_nonneg("z", 1.0);
-
-        // The block fully assigned.
-        let expr = LinExpr::from_terms(y.iter().map(|&v| (v, 1.0)));
-        m.add_constraint(expr, ConstraintSense::Eq, 1.0);
-
-        // Capacity per GPU (against this block's pre-split share).
-        for j in 0..g {
-            let mut expr = LinExpr::new();
-            for (p, pat) in patterns.iter().enumerate() {
-                let c = block.size() as f64 * pat.store_frac[j];
-                if c > 0.0 {
-                    expr = expr.plus(y[p], c);
-                }
-            }
-            m.add_constraint(expr, ConstraintSense::Le, cap_entries[j] as f64);
-        }
-
-        // Substituted per-source times: coeff[j][p] is what tj[i][j]
-        // contributes per unit of y[p].
-        for i in 0..g {
-            let mut padded = LinExpr::new().plus(t[i], 1.0);
-            for j in 0..=host {
-                let t_ij = self.profile.sec_per_byte[i][j];
-                let mut row = LinExpr::new().plus(t[i], 1.0);
-                let mut any = false;
-                for (p, pat) in patterns.iter().enumerate() {
-                    let read = pat.read_frac[i][j];
-                    if read > 0.0 {
-                        assert!(
-                            t_ij.is_finite(),
-                            "pattern routes GPU{i} to unreachable source {j}"
-                        );
-                        let coeff = block.weight * scale * t_ij * read;
-                        row = row.plus(y[p], -coeff);
-                        let r = self.profile.r[i][j];
-                        if r > 0.0 {
-                            padded = padded.plus(y[p], -r * coeff);
-                        }
-                        any = true;
-                    }
-                }
-                // t_i ≥ tj[i][j]; all-zero rows reduce to t_i ≥ 0.
-                if any {
-                    m.add_constraint(row, ConstraintSense::Ge, 0.0);
-                }
-            }
-            // t_i ≥ Σ_j R[i][j]·tj[i][j].
-            m.add_constraint(padded, ConstraintSense::Ge, 0.0);
-            // z ≥ t_i.
-            m.add_constraint(
-                LinExpr::new().plus(z, 1.0).plus(t[i], -1.0),
-                ConstraintSense::Ge,
-                0.0,
-            );
-        }
-        (m, y)
-    }
-
     /// Realizes fractional pattern weights into an entry-level placement.
     fn realize(
         &self,
@@ -621,9 +405,12 @@ impl UGacheSolver {
         }
     }
 
-    /// Evicts the coldest overflow entries on any over-capacity GPU and
-    /// re-routes their readers (rounding can overshoot by ≤ one entry per
-    /// block).
+    /// Evicts the overflow on any over-capacity GPU — the stored entries
+    /// with the highest *ids*, not the coldest — and re-routes their
+    /// readers. The two coincide only when hotness falls with entry id;
+    /// the mismatch is tolerated because largest-remainder rounding
+    /// overshoots by at most one entry per block, and evicting by
+    /// hotness instead would move pinned placements.
     fn trim_overflow(&self, placement: &mut Placement, cap_entries: &[usize]) {
         let g = placement.num_gpus;
         for j in 0..g {
@@ -633,9 +420,7 @@ impl UGacheSolver {
             if held.len() <= cap_entries[j] {
                 continue;
             }
-            // Entries were laid out hottest-first, so the tail of `held`
-            // (highest entry rank order not guaranteed) — evict by count
-            // overflow from the end of the stored list.
+            // `held` is in entry-id order, so this drops the highest ids.
             let evict = held.split_off(cap_entries[j]);
             for e in evict {
                 placement.stored[j][e] = false;
@@ -652,70 +437,6 @@ impl UGacheSolver {
             }
         }
     }
-}
-
-/// Splits each GPU's capacity across hotness blocks for the decomposed
-/// solver: waterfilled proportional to block weight (hotness mass),
-/// capped at block size, largest-remainder rounded. Hot blocks — high
-/// weight per entry — reach their size cap first (full replication room)
-/// and the leftover cascades to colder blocks. Returns `[block][gpu]`
-/// shares with `Σ_b share[b][j] ≤ cap[j]`.
-fn block_capacity_shares(blocks: &[Block], cap_entries: &[usize]) -> Vec<Vec<usize>> {
-    let g = cap_entries.len();
-    let mut shares = vec![vec![0usize; g]; blocks.len()];
-    for (j, &cap) in cap_entries.iter().enumerate() {
-        let mut rem = cap.min(blocks.iter().map(Block::size).sum());
-        let mut active: Vec<usize> = (0..blocks.len()).collect();
-        while rem > 0 && !active.is_empty() {
-            let wsum: f64 = active.iter().map(|&b| blocks[b].weight).sum();
-            // Largest-remainder allocation of `rem` units by weight.
-            let quotas: Vec<f64> = active
-                .iter()
-                .map(|&b| {
-                    if wsum > 0.0 {
-                        rem as f64 * blocks[b].weight / wsum
-                    } else {
-                        rem as f64 / active.len() as f64
-                    }
-                })
-                .collect();
-            let mut alloc: Vec<usize> = quotas.iter().map(|&q| q.floor() as usize).collect();
-            let mut short = rem.saturating_sub(alloc.iter().sum::<usize>());
-            let mut order: Vec<usize> = (0..active.len()).collect();
-            order.sort_by(|&a, &b| {
-                let fa = quotas[a] - quotas[a].floor();
-                let fb = quotas[b] - quotas[b].floor();
-                fb.partial_cmp(&fa).unwrap().then(a.cmp(&b))
-            });
-            let mut oi = 0usize;
-            while short > 0 {
-                alloc[order[oi % order.len()]] += 1;
-                short -= 1;
-                oi += 1;
-            }
-            // Cap at block size; full blocks leave the active set and
-            // their unused allocation cascades to the next round.
-            let mut next_active = Vec::with_capacity(active.len());
-            let mut progressed = false;
-            for (k, &b) in active.iter().enumerate() {
-                let room = blocks[b].size() - shares[b][j];
-                let take = alloc[k].min(room);
-                shares[b][j] += take;
-                rem -= take;
-                if take > 0 {
-                    progressed = true;
-                }
-                if shares[b][j] < blocks[b].size() {
-                    next_active.push(b);
-                }
-            }
-            if !progressed {
-                break;
-            }
-            active = next_active;
-        }
-    }
-    shares
 }
 
 #[cfg(test)]
@@ -897,78 +618,6 @@ mod tests {
             sp.placement.cached_count(0) > sp.placement.cached_count(1),
             "the large GPU should hold more entries"
         );
-    }
-
-    #[test]
-    fn decomposed_solve_is_valid_and_close_to_joint() {
-        let s = solver(Platform::server_a());
-        let h = hotness(10_000, 1.2);
-        let caps = vec![500usize; 4];
-        let cfg = small_cfg();
-        let joint = s.solve(&h, &caps, &cfg).unwrap();
-        let dec = s.solve_decomposed(&h, &caps, &cfg).unwrap();
-        dec.placement.validate().unwrap();
-        for i in 0..4 {
-            assert!(dec.placement.cached_count(i) <= 500, "GPU{i}");
-        }
-        assert_eq!(dec.num_blocks, joint.num_blocks);
-        assert_eq!(dec.num_patterns, joint.num_patterns);
-        let t_joint = estimate_extraction_time(
-            &joint.placement,
-            &h,
-            s.profile(),
-            cfg.entry_bytes,
-            cfg.accesses_per_iter,
-        )
-        .makespan;
-        let t_dec = estimate_extraction_time(
-            &dec.placement,
-            &h,
-            s.profile(),
-            cfg.entry_bytes,
-            cfg.accesses_per_iter,
-        )
-        .makespan;
-        // The capacity pre-split costs some placement quality; the
-        // decomposed path must stay within 2× of the joint LP's makespan
-        // (and far below all-host, which is ~10× at this cache ratio).
-        assert!(
-            t_dec <= t_joint * 2.0,
-            "decomposed {t_dec} vs joint {t_joint}"
-        );
-    }
-
-    #[test]
-    fn decomposed_solve_is_identical_at_any_thread_count() {
-        let s = solver(Platform::server_a());
-        let h = hotness(5_000, 1.2);
-        let caps = vec![300usize; 4];
-        let cfg = small_cfg();
-        let run = |threads: usize| {
-            emb_util::pool::with_threads(threads, || {
-                emb_telemetry::collect(|| s.solve_decomposed(&h, &caps, &cfg).unwrap())
-            })
-        };
-        let (base_sp, base_report) = run(1);
-        for threads in [2, 8] {
-            let (sp, report) = run(threads);
-            assert_eq!(base_sp.placement, sp.placement, "threads {threads}");
-            assert_eq!(
-                base_sp.predicted_secs.to_bits(),
-                sp.predicted_secs.to_bits(),
-                "threads {threads}"
-            );
-            assert_eq!(base_report, report, "threads {threads}");
-        }
-    }
-
-    #[test]
-    fn decomposed_huge_capacity_replicates_everything() {
-        let s = solver(Platform::server_a());
-        let h = hotness(2000, 1.2);
-        let sp = s.solve_decomposed(&h, &[2000; 4], &small_cfg()).unwrap();
-        let lhr = sp.placement.local_hit_rate(&h);
-        assert!(lhr > 0.999, "local hit rate {lhr}");
     }
 
     /// FNV-1a over a placement's access and storage tables.

@@ -2,10 +2,10 @@
 //! pool.
 //!
 //! The repro harness already parallelizes *across* targets (`--jobs N`);
-//! this module parallelizes *inside* a target — the gather copy loops,
-//! workload trace generation, and per-block LP solves are all
-//! embarrassingly parallel — without giving up the byte-determinism the
-//! harness is built on. Three rules make that possible:
+//! this module parallelizes *inside* a target — the gather passes and
+//! workload trace generation are embarrassingly parallel — without
+//! giving up the byte-determinism the harness is built on. Three rules
+//! make that possible:
 //!
 //! 1. **Fixed chunk boundaries.** Work is cut into chunks whose
 //!    boundaries depend only on the input size (and a caller-chosen
@@ -191,29 +191,6 @@ fn execute<W: Send, R: Send>(work: Vec<W>, f: impl Fn(usize, W) -> R + Sync) -> 
         .collect()
 }
 
-/// Runs `f(0), f(1), …, f(n-1)` on the pool and returns the results in
-/// index order. Each index is one chunk.
-///
-/// # Panics
-///
-/// Propagates a panic from any invocation of `f` after all workers
-/// finish.
-pub fn par_indexed<R: Send>(n: usize, f: impl Fn(usize) -> R + Sync) -> Vec<R> {
-    execute((0..n).collect(), |_, i| f(i))
-}
-
-/// Applies `f` to every item of `items` on the pool and returns the
-/// results in item order. Each item is one chunk; use for coarse-grained
-/// items (an LP solve, a per-GPU trace draw), not per-element work.
-///
-/// # Panics
-///
-/// Propagates a panic from any invocation of `f` after all workers
-/// finish.
-pub fn par_map<T: Sync, R: Send>(items: &[T], f: impl Fn(usize, &T) -> R + Sync) -> Vec<R> {
-    execute(items.iter().collect(), f)
-}
-
 /// Cuts `data` into disjoint mutable chunks of `chunk_len` (boundaries
 /// per [`chunk_bounds`]) and runs `f(chunk_index, chunk)` for each on
 /// the pool, returning the results in chunk order. This is the writer
@@ -233,8 +210,11 @@ pub fn par_chunks_mut<T: Send, R: Send>(
     execute(data.chunks_mut(chunk_len).collect(), f)
 }
 
-/// Like [`par_map`], but each item is taken by value, so chunks can own
-/// mutable state (per-chunk RNGs, scratch buffers) without aliasing.
+/// Runs `f(i, work[i])` for every item of `work` on the pool and returns
+/// the results in item order. Each item is one chunk, taken by value so
+/// it can own mutable state (per-chunk RNGs, scratch buffers) without
+/// aliasing; use for coarse-grained items (a per-GPU trace draw), not
+/// per-element work.
 ///
 /// # Panics
 ///
@@ -250,7 +230,7 @@ mod tests {
 
     #[test]
     fn results_come_back_in_chunk_order() {
-        let out = with_threads(4, || par_indexed(64, |i| i * i));
+        let out = with_threads(4, || par_map_owned((0..64).collect(), |_, i: usize| i * i));
         assert_eq!(out, (0..64).map(|i| i * i).collect::<Vec<_>>());
     }
 
@@ -284,7 +264,7 @@ mod tests {
         let run = |threads: usize| {
             emb_telemetry::collect(|| {
                 with_threads(threads, || {
-                    par_indexed(16, |i| {
+                    par_map_owned(vec![(); 16], |i, ()| {
                         emb_telemetry::count("pool.work", 0.1 * (i + 1) as f64);
                         emb_telemetry::observe("pool.size", i as f64);
                         emb_telemetry::event("pool.chunk", || {
@@ -318,7 +298,7 @@ mod tests {
         // Recording inside a pool chunk while the caller has no scope is
         // a no-op, same as serial code.
         let out = with_threads(4, || {
-            par_indexed(8, |i| {
+            par_map_owned(vec![(); 8], |i, ()| {
                 emb_telemetry::count("pool.leak", 1.0);
                 i
             })
@@ -353,10 +333,7 @@ mod tests {
     }
 
     #[test]
-    fn par_map_and_owned_work() {
-        let items = vec![10u64, 20, 30];
-        let doubled = with_threads(2, || par_map(&items, |_, &x| x * 2));
-        assert_eq!(doubled, vec![20, 40, 60]);
+    fn par_map_owned_hands_each_item_to_its_own_index() {
         let rngs: Vec<u64> = (0..4).map(|g| crate::split_seed(7, g)).collect();
         let out = with_threads(3, || {
             par_map_owned(rngs.clone(), |i, seed| (i as u64, seed))
@@ -370,7 +347,7 @@ mod tests {
 
     #[test]
     fn empty_input_is_fine() {
-        assert!(par_indexed(0, |i| i).is_empty());
+        assert!(par_map_owned(Vec::<u8>::new(), |i, _| i).is_empty());
         let mut empty: [u8; 0] = [];
         assert!(par_chunks_mut(&mut empty, 4, |_, _| ()).is_empty());
     }
