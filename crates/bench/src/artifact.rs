@@ -29,10 +29,10 @@
 //! for `repro diff`; [`check_dir_schema`] refuses to mix schema
 //! versions within one output directory.
 
-use crate::figures::*;
+use crate::figures::TargetData;
 use crate::json;
-use crate::scenario::{Scenario, SEED};
-use serde::{Serialize, Serializer};
+use emb_scenario::{Scenario, SEED};
+use serde::Serialize;
 use std::io;
 use std::path::{Path, PathBuf};
 
@@ -49,67 +49,6 @@ use std::path::{Path, PathBuf};
 /// reconstructs tail requests from) and the per-request
 /// `serve.latency_ns` histogram.
 pub const SCHEMA_VERSION: u64 = 5;
-
-/// The computed result of one repro unit, ready for rendering or
-/// serialization.
-#[derive(Debug, Clone)]
-pub enum TargetData {
-    /// Table 1 breakdown.
-    Table1(table1::Breakdown),
-    /// Table 3 rows.
-    Table3(Vec<table3::Row>),
-    /// Figure 2 points.
-    Fig2(Vec<fig02::Point>),
-    /// Figure 4 bar groups.
-    Fig4(Vec<fig04::Bars>),
-    /// Figure 6 series.
-    Fig6(Vec<fig06::Series>),
-    /// Figure 8 dedication sweep.
-    Fig8(Vec<fig08::Dedication>),
-    /// Figure 9 block-count study.
-    Fig9(fig09::Fig09Data),
-    /// Figures 10 and 11 share one computation.
-    Fig10(fig10::Data),
-    /// Figure 12 points.
-    Fig12(Vec<fig12::Point>),
-    /// Figure 13 utilizations.
-    Fig13(Vec<fig13::Util>),
-    /// Figures 14/15 access splits.
-    Fig14(Vec<fig14::Split>),
-    /// Figure 16 gaps.
-    Fig16(Vec<fig16::Gap>),
-    /// Figure 17 refresh timeline.
-    Fig17(fig17::Fig17Data),
-    /// Hotness-source study rows.
-    Hotness(Vec<hotness_sources::SourceRow>),
-    /// Online serving sweep.
-    Serve(serve::ServeData),
-}
-
-// Untagged: the envelope's `target` field already names the variant, so
-// the payload serializes as the inner value directly. (The derive shim
-// only handles named-field structs, hence the manual impl.)
-impl Serialize for TargetData {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        match self {
-            TargetData::Table1(v) => v.serialize(serializer),
-            TargetData::Table3(v) => v.serialize(serializer),
-            TargetData::Fig2(v) => v.serialize(serializer),
-            TargetData::Fig4(v) => v.serialize(serializer),
-            TargetData::Fig6(v) => v.serialize(serializer),
-            TargetData::Fig8(v) => v.serialize(serializer),
-            TargetData::Fig9(v) => v.serialize(serializer),
-            TargetData::Fig10(v) => v.serialize(serializer),
-            TargetData::Fig12(v) => v.serialize(serializer),
-            TargetData::Fig13(v) => v.serialize(serializer),
-            TargetData::Fig14(v) => v.serialize(serializer),
-            TargetData::Fig16(v) => v.serialize(serializer),
-            TargetData::Fig17(v) => v.serialize(serializer),
-            TargetData::Hotness(v) => v.serialize(serializer),
-            TargetData::Serve(v) => v.serialize(serializer),
-        }
-    }
-}
 
 /// The artifact envelope written for each target.
 #[derive(Debug, Clone, Serialize)]

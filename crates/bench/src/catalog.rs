@@ -6,7 +6,7 @@
 //! stale. The rendering is pure string building (byte-deterministic),
 //! so the check is an exact comparison, not a fuzzy one.
 
-use crate::scenario::{Registry, ScenarioDef};
+use emb_scenario::{Registry, ScenarioDef};
 
 /// Renders the registry's catalog as the exact content of
 /// `SCENARIOS.md`.
@@ -117,7 +117,7 @@ pub(crate) fn check_generated(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::registry;
+    use emb_scenario::registry;
 
     #[test]
     fn catalog_lists_every_scenario_once() {

@@ -3,15 +3,19 @@
 //! Kept in the library (rather than the binary) so CLI semantics —
 //! alias resolution, order-independent dedup, flag validation — are
 //! unit-testable without spawning processes.
+//!
+//! [`SUBCOMMANDS`] is the one table of subcommands: [`parse`] dispatches
+//! through it and [`usage`] (`repro list`) is rendered from it, so a new
+//! subcommand is one row plus its parse function. Every parser walks its
+//! arguments with the one `Cursor`, which itself parses the flag groups
+//! several subcommands share (scale knobs, `--threads`, `--out`) for the
+//! rows that declare them. What the flags and subcommands *do* is
+//! documented in EXPERIMENTS.md.
 
-use crate::scenario::{registry, PlatformId, PolicyId, Scenario};
+use crate::figures::{canonical, TARGETS};
+use crate::microbench::{find_bench, BENCH_NAMES, DEFAULT_TRIALS, DEFAULT_WARMUP};
+use emb_scenario::{registry, PlatformId, PolicyId, Scenario};
 use std::path::PathBuf;
-
-/// Every target the `repro` CLI accepts, in canonical execution order.
-pub const TARGETS: &[&str] = &[
-    "table1", "table3", "fig2", "fig4", "fig6", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13",
-    "fig14", "fig15", "fig16", "fig17", "hotness", "serve",
-];
 
 /// A validated `repro` run request.
 #[derive(Debug, Clone, PartialEq)]
@@ -148,516 +152,493 @@ pub enum Command {
     Run(RunSpec),
 }
 
-fn parse_scale(name: &str, value: &str) -> Result<usize, String> {
-    value
-        .parse::<usize>()
-        .map(|v| v.max(1))
-        .map_err(|_| format!("--{name} expects an unsigned integer, got `{value}`"))
+/// One row of the subcommand table.
+pub struct Subcommand {
+    /// The first argument that selects this row (`""`: the default
+    /// target run, selected when no other row matches).
+    pub name: &'static str,
+    /// The row's lines of `repro list`, each following `repro `;
+    /// `{kernels}` stands for the `repro bench` kernel names.
+    pub usage: &'static str,
+    /// Which shared flag groups ([`SCALE`], [`THREADS`], [`OUT`]) the
+    /// row accepts; the [`Cursor`] parses those itself.
+    shared: u8,
+    parse: fn(&mut Cursor) -> Result<Command, String>,
 }
 
-/// Parses the `[--md | --check [--file PATH]]` flags the two generated-
-/// catalog subcommands (`scenarios`, `metrics`) share; `file` defaults
-/// to the committed catalog `default_file`.
-fn parse_catalog_flags(
-    rest: &[String],
-    subcommand: &str,
-    default_file: &str,
-) -> Result<(bool, bool, PathBuf), String> {
-    let mut md = false;
-    let mut check = false;
-    let mut file = PathBuf::from(default_file);
-    let mut i = 0;
-    while i < rest.len() {
-        let arg = &rest[i];
-        match arg.as_str() {
-            "--md" => md = true,
-            "--check" => check = true,
-            a if a == "--file" || a.starts_with("--file=") => {
-                let v = if let Some(v) = arg.strip_prefix("--file=") {
-                    v.to_string()
-                } else {
-                    i += 1;
-                    rest.get(i)
-                        .cloned()
-                        .ok_or_else(|| "--file expects a value".to_string())?
-                };
-                file = PathBuf::from(v);
-            }
-            a => {
-                return Err(format!("unknown argument `{a}` for `repro {subcommand}`"));
-            }
-        }
-        i += 1;
+/// The scenario scale knobs: `--full`, `--gnn-scale N`, `--dlr-scale N`.
+const SCALE: u8 = 1;
+/// `--threads N`, the intra-target worker-pool width.
+const THREADS: u8 = 2;
+/// `--out PATH`.
+const OUT: u8 = 4;
+
+/// Every subcommand, in `repro list` order; the default run comes first.
+pub const SUBCOMMANDS: &[Subcommand] = &[
+    Subcommand {
+        name: "",
+        usage: "[--full] [--jobs N] [--threads N] [--trace OUT.jsonl] \
+                [--chrome-trace OUT.json] [--json --out DIR] <target>... (or: repro all)",
+        shared: SCALE | THREADS | OUT,
+        parse: parse_run,
+    },
+    Subcommand {
+        name: PROFILE,
+        usage: "profile [--full] [--jobs N] [--threads N] <target>...",
+        shared: SCALE | THREADS | OUT,
+        parse: parse_run,
+    },
+    Subcommand {
+        name: "diff",
+        usage: "diff <dir-a> <dir-b>",
+        shared: 0,
+        parse: |c| {
+            let [a, b] = c.two_paths("exactly two artifact directories", "")?;
+            Ok(Command::Diff { a, b })
+        },
+    },
+    Subcommand {
+        name: "compare",
+        usage: "compare <baseline-dir> <new-dir>\ncompare <baseline-bench.json> <new-bench.json>",
+        shared: 0,
+        parse: |c| {
+            let [baseline, new] = c.two_paths("BASELINE_DIR and NEW_DIR", " arguments")?;
+            Ok(Command::Compare { baseline, new })
+        },
+    },
+    Subcommand {
+        name: "bench",
+        usage: "bench [--trials N] [--warmup N] [--out FILE] [{kernels}]",
+        shared: OUT,
+        parse: parse_bench,
+    },
+    Subcommand {
+        name: "check-trace",
+        usage: "check-trace <trace.json>",
+        shared: 0,
+        parse: |c| match c.args {
+            [path] if !path.starts_with("--") => Ok(Command::CheckTrace { path: path.into() }),
+            _ => Err(format!("`repro {}` expects exactly one trace file", c.sub)),
+        },
+    },
+    Subcommand {
+        name: "scenarios",
+        usage: "scenarios [--md | --check [--file PATH]]",
+        shared: 0,
+        parse: |c| {
+            let (md, check, file) = parse_catalog_flags(c, "SCENARIOS.md")?;
+            Ok(Command::Scenarios { md, check, file })
+        },
+    },
+    Subcommand {
+        name: "record",
+        usage: "record <scenario> --out TRACE [--iters N] [--full] [--threads N]",
+        shared: SCALE | THREADS | OUT,
+        parse: parse_record,
+    },
+    Subcommand {
+        name: "replay",
+        usage: "replay TRACE [--policy P] [--platform PL] [--out FILE] [--threads N]",
+        shared: THREADS | OUT,
+        parse: parse_replay,
+    },
+    Subcommand {
+        name: "metrics",
+        usage: "metrics [--md | --check [--file PATH]]",
+        shared: 0,
+        parse: |c| {
+            let (md, check, file) = parse_catalog_flags(c, "METRICS.md")?;
+            Ok(Command::Metrics { md, check, file })
+        },
+    },
+    Subcommand {
+        name: "explain-tail",
+        usage: "explain-tail <serve.json | scenario> [--out FILE] [--full] [--threads N]",
+        shared: SCALE | THREADS | OUT,
+        parse: parse_explain_tail,
+    },
+    Subcommand {
+        name: LIST,
+        usage: "",
+        shared: SCALE | THREADS | OUT,
+        parse: parse_run,
+    },
+];
+
+/// The target run that renders span profiles instead of figures.
+const PROFILE: &str = "profile";
+/// The word that asks for the menu: a subcommand, and (as in
+/// `repro --full list`) a pseudo-target anywhere in a target run.
+const LIST: &str = "list";
+
+/// The `repro list` text: the target menu, then every row's usage.
+pub fn usage() -> String {
+    let mut text = format!("targets: {} | all\n", TARGETS.join(" "));
+    let mut lead = "usage:";
+    let kernels = BENCH_NAMES.join("|");
+    for line in SUBCOMMANDS.iter().flat_map(|row| row.usage.lines()) {
+        let line = line.replace("{kernels}", &kernels);
+        text.push_str(&format!("{lead} repro {line}\n"));
+        lead = "      ";
     }
-    if md && check {
-        return Err(format!(
-            "`repro {subcommand}` takes --md or --check, not both"
-        ));
-    }
-    Ok((md, check, file))
+    text
 }
 
-/// Parses `repro` arguments (without the program name).
-///
-/// Unknown `--flags` and unknown targets are hard errors. `fig15` is an
-/// alias for `fig14` (one combined module); duplicate targets are
-/// removed regardless of position, keeping the first occurrence.
-/// `--trace FILE` requests the telemetry event stream (JSONL) and
-/// `--chrome-trace FILE` the Chrome trace-event span export; both work
-/// with the render and `--json` output modes. The `profile`, `compare`,
-/// `check-trace`, and `bench` subcommands map to [`Command::Run`] with
-/// `profile` set, [`Command::Compare`], [`Command::CheckTrace`], and
-/// [`Command::Bench`] (`--trials N --warmup N --out FILE [NAME...]`).
-/// The scenario-registry subcommands map to [`Command::Scenarios`]
-/// (`scenarios [--md | --check [--file PATH]]`), [`Command::Metrics`]
-/// (`metrics [--md | --check [--file PATH]]`), [`Command::Record`]
-/// (`record <scenario> --out TRACE [--iters N]` plus the scale flags;
-/// unknown scenario names are parse errors), and [`Command::Replay`]
-/// (`replay TRACE [--policy P] [--platform PL] [--out FILE]`; unknown
-/// policy/platform names are parse errors). `explain-tail` maps to
-/// [`Command::ExplainTail`]
-/// (`explain-tail <serve.json | scenario> [--out FILE]` plus the scale
-/// flags; whether the input is a registered scenario or an artifact
-/// path is resolved at run time).
+/// Parses `repro` arguments (without the program name) through the
+/// [`SUBCOMMANDS`] row the first argument names, or the default target
+/// run when it names none.
 ///
 /// # Errors
 ///
-/// Returns a human-readable message when the invocation is invalid; the
-/// binary prints it to stderr and exits non-zero.
+/// Returns a human-readable message when the invocation is invalid —
+/// unknown flags, targets, scenarios, kernels, policies and platforms
+/// are all hard errors; the binary prints it to stderr and exits 2.
 pub fn parse(args: &[String]) -> Result<Command, String> {
-    if args.first().map(String::as_str) == Some("diff") {
-        let rest = &args[1..];
-        if let Some(flag) = rest.iter().find(|a| a.starts_with("--")) {
-            return Err(format!("`repro diff` takes no flags, got `{flag}`"));
-        }
-        if rest.len() != 2 {
-            return Err(format!(
-                "`repro diff` expects exactly two artifact directories, got {}",
-                rest.len()
-            ));
-        }
-        return Ok(Command::Diff {
-            a: PathBuf::from(&rest[0]),
-            b: PathBuf::from(&rest[1]),
-        });
-    }
-    if args.first().map(String::as_str) == Some("compare") {
-        let rest = &args[1..];
-        if let Some(flag) = rest.iter().find(|a| a.starts_with("--")) {
-            return Err(format!("`repro compare` takes no flags, got `{flag}`"));
-        }
-        if rest.len() != 2 {
-            return Err(format!(
-                "`repro compare` expects BASELINE_DIR and NEW_DIR, got {} arguments",
-                rest.len()
-            ));
-        }
-        return Ok(Command::Compare {
-            baseline: PathBuf::from(&rest[0]),
-            new: PathBuf::from(&rest[1]),
-        });
-    }
-    if args.first().map(String::as_str) == Some("bench") {
-        let rest = &args[1..];
-        let mut trials = crate::microbench::DEFAULT_TRIALS;
-        let mut warmup = crate::microbench::DEFAULT_WARMUP;
-        let mut out: Option<PathBuf> = None;
-        let mut names: Vec<String> = Vec::new();
-        let mut i = 0;
-        while i < rest.len() {
-            let arg = &rest[i];
-            let mut value_of = |name: &str| -> Result<String, String> {
-                if let Some(v) = arg.strip_prefix(&format!("--{name}=")) {
-                    return Ok(v.to_string());
-                }
-                i += 1;
-                rest.get(i)
-                    .cloned()
-                    .ok_or_else(|| format!("--{name} expects a value"))
-            };
-            match arg.as_str() {
-                a if a == "--trials" || a.starts_with("--trials=") => {
-                    trials = parse_scale("trials", &value_of("trials")?)?;
-                }
-                a if a == "--warmup" || a.starts_with("--warmup=") => {
-                    let v = value_of("warmup")?;
-                    warmup = v
-                        .parse::<usize>()
-                        .map_err(|_| format!("--warmup expects an unsigned integer, got `{v}`"))?;
-                }
-                a if a == "--out" || a.starts_with("--out=") => {
-                    out = Some(PathBuf::from(value_of("out")?));
-                }
-                a if a.starts_with("--") => {
-                    return Err(format!("unknown flag `{a}` for `repro bench`"));
-                }
-                _ => names.push(arg.clone()),
-            }
-            i += 1;
-        }
-        for n in &names {
-            crate::microbench::find_bench(n)?;
-        }
-        return Ok(Command::Bench {
-            names,
-            trials,
-            warmup,
-            out,
-        });
-    }
-    if args.first().map(String::as_str) == Some("check-trace") {
-        let rest = &args[1..];
-        if rest.len() != 1 || rest[0].starts_with("--") {
-            return Err("`repro check-trace` expects exactly one trace file".to_string());
-        }
-        return Ok(Command::CheckTrace {
-            path: PathBuf::from(&rest[0]),
-        });
-    }
-    if args.first().map(String::as_str) == Some("scenarios") {
-        let (md, check, file) = parse_catalog_flags(&args[1..], "scenarios", "SCENARIOS.md")?;
-        return Ok(Command::Scenarios { md, check, file });
-    }
-    if args.first().map(String::as_str) == Some("metrics") {
-        let (md, check, file) = parse_catalog_flags(&args[1..], "metrics", "METRICS.md")?;
-        return Ok(Command::Metrics { md, check, file });
-    }
-    if args.first().map(String::as_str) == Some("record") {
-        let rest = &args[1..];
-        let mut full = false;
-        let mut gnn_scale: Option<usize> = None;
-        let mut dlr_scale: Option<usize> = None;
-        let mut iters: Option<usize> = None;
-        let mut out: Option<PathBuf> = None;
-        let mut threads: Option<usize> = None;
-        let mut names: Vec<String> = Vec::new();
-        let mut i = 0;
-        while i < rest.len() {
-            let arg = &rest[i];
-            let mut value_of = |name: &str| -> Result<String, String> {
-                if let Some(v) = arg.strip_prefix(&format!("--{name}=")) {
-                    return Ok(v.to_string());
-                }
-                i += 1;
-                rest.get(i)
-                    .cloned()
-                    .ok_or_else(|| format!("--{name} expects a value"))
-            };
-            match arg.as_str() {
-                "--full" => full = true,
-                a if a == "--out" || a.starts_with("--out=") => {
-                    out = Some(PathBuf::from(value_of("out")?));
-                }
-                a if a == "--iters" || a.starts_with("--iters=") => {
-                    iters = Some(parse_scale("iters", &value_of("iters")?)?);
-                }
-                a if a == "--threads" || a.starts_with("--threads=") => {
-                    threads = Some(parse_scale("threads", &value_of("threads")?)?);
-                }
-                a if a == "--gnn-scale" || a.starts_with("--gnn-scale=") => {
-                    gnn_scale = Some(parse_scale("gnn-scale", &value_of("gnn-scale")?)?);
-                }
-                a if a == "--dlr-scale" || a.starts_with("--dlr-scale=") => {
-                    dlr_scale = Some(parse_scale("dlr-scale", &value_of("dlr-scale")?)?);
-                }
-                a if a.starts_with("--") => {
-                    return Err(format!("unknown flag `{a}` for `repro record`"));
-                }
-                _ => names.push(arg.clone()),
-            }
-            i += 1;
-        }
-        let [scenario] = names.as_slice() else {
-            return Err(
-                "`repro record` expects exactly one scenario name; see `repro scenarios`"
-                    .to_string(),
-            );
-        };
-        if registry().get(scenario).is_none() {
-            return Err(format!(
-                "unknown scenario `{scenario}`; see `repro scenarios`"
-            ));
-        }
-        let Some(out) = out else {
-            return Err("`repro record` requires --out <trace-file>".to_string());
-        };
-        let mut knobs = if full {
-            Scenario::full()
-        } else {
-            Scenario::quick()
-        };
-        if let Some(g) = gnn_scale {
-            knobs.gnn_scale = g;
-        }
-        if let Some(d) = dlr_scale {
-            knobs.dlr_scale = d;
-        }
-        return Ok(Command::Record {
-            scenario: scenario.clone(),
-            out,
-            iters,
-            knobs,
-            threads,
-        });
-    }
-    if args.first().map(String::as_str) == Some("replay") {
-        let rest = &args[1..];
-        let mut policy = PolicyId::UGache;
-        let mut platform: Option<PlatformId> = None;
-        let mut out: Option<PathBuf> = None;
-        let mut threads: Option<usize> = None;
-        let mut paths: Vec<String> = Vec::new();
-        let mut i = 0;
-        while i < rest.len() {
-            let arg = &rest[i];
-            let mut value_of = |name: &str| -> Result<String, String> {
-                if let Some(v) = arg.strip_prefix(&format!("--{name}=")) {
-                    return Ok(v.to_string());
-                }
-                i += 1;
-                rest.get(i)
-                    .cloned()
-                    .ok_or_else(|| format!("--{name} expects a value"))
-            };
-            match arg.as_str() {
-                a if a == "--policy" || a.starts_with("--policy=") => {
-                    let v = value_of("policy")?;
-                    policy = PolicyId::parse(&v).ok_or_else(|| {
-                        format!(
-                            "unknown policy `{v}`; available: {}",
-                            PolicyId::ALL.map(|p| p.name()).join(" ")
-                        )
-                    })?;
-                }
-                a if a == "--platform" || a.starts_with("--platform=") => {
-                    let v = value_of("platform")?;
-                    platform = Some(PlatformId::parse(&v).ok_or_else(|| {
-                        format!(
-                            "unknown platform `{v}`; available: {}",
-                            PlatformId::ALL.map(|p| p.name()).join(" ")
-                        )
-                    })?);
-                }
-                a if a == "--out" || a.starts_with("--out=") => {
-                    out = Some(PathBuf::from(value_of("out")?));
-                }
-                a if a == "--threads" || a.starts_with("--threads=") => {
-                    threads = Some(parse_scale("threads", &value_of("threads")?)?);
-                }
-                a if a.starts_with("--") => {
-                    return Err(format!("unknown flag `{a}` for `repro replay`"));
-                }
-                _ => paths.push(arg.clone()),
-            }
-            i += 1;
-        }
-        let [trace] = paths.as_slice() else {
-            return Err("`repro replay` expects exactly one trace file".to_string());
-        };
-        return Ok(Command::Replay {
-            trace: PathBuf::from(trace),
-            policy,
-            platform,
-            out,
-            threads,
-        });
-    }
-    if args.first().map(String::as_str) == Some("explain-tail") {
-        let rest = &args[1..];
-        let mut full = false;
-        let mut gnn_scale: Option<usize> = None;
-        let mut dlr_scale: Option<usize> = None;
-        let mut out: Option<PathBuf> = None;
-        let mut threads: Option<usize> = None;
-        let mut inputs: Vec<String> = Vec::new();
-        let mut i = 0;
-        while i < rest.len() {
-            let arg = &rest[i];
-            let mut value_of = |name: &str| -> Result<String, String> {
-                if let Some(v) = arg.strip_prefix(&format!("--{name}=")) {
-                    return Ok(v.to_string());
-                }
-                i += 1;
-                rest.get(i)
-                    .cloned()
-                    .ok_or_else(|| format!("--{name} expects a value"))
-            };
-            match arg.as_str() {
-                "--full" => full = true,
-                a if a == "--out" || a.starts_with("--out=") => {
-                    out = Some(PathBuf::from(value_of("out")?));
-                }
-                a if a == "--threads" || a.starts_with("--threads=") => {
-                    threads = Some(parse_scale("threads", &value_of("threads")?)?);
-                }
-                a if a == "--gnn-scale" || a.starts_with("--gnn-scale=") => {
-                    gnn_scale = Some(parse_scale("gnn-scale", &value_of("gnn-scale")?)?);
-                }
-                a if a == "--dlr-scale" || a.starts_with("--dlr-scale=") => {
-                    dlr_scale = Some(parse_scale("dlr-scale", &value_of("dlr-scale")?)?);
-                }
-                a if a.starts_with("--") => {
-                    return Err(format!("unknown flag `{a}` for `repro explain-tail`"));
-                }
-                _ => inputs.push(arg.clone()),
-            }
-            i += 1;
-        }
-        let [input] = inputs.as_slice() else {
-            return Err(
-                "`repro explain-tail` expects exactly one input: a serve artifact \
-                 (serve.json) or a registered serving scenario name"
-                    .to_string(),
-            );
-        };
-        let mut knobs = if full {
-            Scenario::full()
-        } else {
-            Scenario::quick()
-        };
-        if let Some(g) = gnn_scale {
-            knobs.gnn_scale = g;
-        }
-        if let Some(d) = dlr_scale {
-            knobs.dlr_scale = d;
-        }
-        return Ok(Command::ExplainTail {
-            input: input.clone(),
-            out,
-            knobs,
-            threads,
-        });
-    }
-    let profile = args.first().map(String::as_str) == Some("profile");
-    let args = if profile { &args[1..] } else { args };
+    let named = args
+        .first()
+        .and_then(|first| SUBCOMMANDS[1..].iter().find(|row| row.name == first));
+    let (row, rest) = match named {
+        Some(row) => (row, &args[1..]),
+        None => (&SUBCOMMANDS[0], args),
+    };
+    (row.parse)(&mut Cursor {
+        sub: row.name,
+        shared: row.shared,
+        args: rest,
+        ..Cursor::default()
+    })
+}
 
-    let mut full = false;
+/// The one flag cursor: walks a subcommand's arguments, collects the
+/// positional [`words`](Cursor::words), fetches flag values — attached
+/// (`--out=d`) or as the next argument (`--out d`) — and parses the
+/// shared flag groups its row accepts.
+#[derive(Default)]
+struct Cursor<'a> {
+    /// The subcommand being parsed, as messages name it.
+    sub: &'a str,
+    /// The row's accepted shared groups.
+    shared: u8,
+    args: &'a [String],
+    next: usize,
+    /// The argument handed out last, verbatim.
+    arg: &'a str,
+    /// Its flag name (without any `=value`).
+    flag: &'a str,
+    /// Its attached value, until [`Cursor::value`] takes it.
+    inline: Option<&'a str>,
+    /// Every non-flag argument passed over so far.
+    words: Vec<&'a str>,
+    full: bool,
+    gnn_scale: Option<usize>,
+    dlr_scale: Option<usize>,
+    /// `--threads N` (>= 1), if given.
+    threads: Option<usize>,
+    /// `--out PATH`, if given.
+    out: Option<PathBuf>,
+}
+
+impl<'a> Cursor<'a> {
+    /// The next flag that is the subcommand's own to interpret.
+    fn next_flag(&mut self) -> Result<Option<&'a str>, String> {
+        loop {
+            if self.inline.is_some() {
+                // A flag that takes no value was handed one (`--full=3`).
+                return Err(self.unknown());
+            }
+            let Some(arg) = self.args.get(self.next).map(String::as_str) else {
+                return Ok(None);
+            };
+            self.next += 1;
+            self.arg = arg;
+            if !arg.starts_with("--") {
+                self.words.push(arg);
+                continue;
+            }
+            (self.flag, self.inline) = match arg.split_once('=') {
+                Some((flag, value)) => (flag, Some(value)),
+                None => (arg, None),
+            };
+            if !self.shared_flag()? {
+                return Ok(Some(self.flag));
+            }
+        }
+    }
+
+    /// Takes the current flag if it belongs to a shared group the row
+    /// accepts. Scales of 0 clamp to 1; `--threads 0` is an error —
+    /// a zero-width worker pool is a contradiction.
+    fn shared_flag(&mut self) -> Result<bool, String> {
+        match self.flag {
+            "--full" if self.shared & SCALE != 0 => self.full = true,
+            "--gnn-scale" if self.shared & SCALE != 0 => self.gnn_scale = Some(self.uint()?.max(1)),
+            "--dlr-scale" if self.shared & SCALE != 0 => self.dlr_scale = Some(self.uint()?.max(1)),
+            "--threads" if self.shared & THREADS != 0 => {
+                self.threads = Some(self.uint()?);
+                if self.threads == Some(0) {
+                    return Err(format!("{} must be >= 1, got `0`", self.flag));
+                }
+            }
+            "--out" if self.shared & OUT != 0 => self.out = Some(self.value()?.into()),
+            _ => return Ok(false),
+        }
+        Ok(true)
+    }
+
+    /// The scenario the scale knobs select; explicit scales win over
+    /// `--full`.
+    fn scenario(&self) -> Scenario {
+        let mut s = if self.full {
+            Scenario::full()
+        } else {
+            Scenario::quick()
+        };
+        s.gnn_scale = self.gnn_scale.unwrap_or(s.gnn_scale);
+        s.dlr_scale = self.dlr_scale.unwrap_or(s.dlr_scale);
+        s
+    }
+
+    /// The current flag's value.
+    fn value(&mut self) -> Result<&'a str, String> {
+        if let Some(v) = self.inline.take() {
+            return Ok(v);
+        }
+        let v = self.args.get(self.next);
+        self.next += 1;
+        v.map(String::as_str)
+            .ok_or_else(|| format!("{} expects a value", self.flag))
+    }
+
+    /// The current flag's value as an unsigned integer.
+    fn uint(&mut self) -> Result<usize, String> {
+        let v = self.value()?;
+        v.parse()
+            .map_err(|_| format!("{} expects an unsigned integer, got `{v}`", self.flag))
+    }
+
+    /// The current flag's value as a member of a named set (`kind`).
+    fn member<T>(
+        &mut self,
+        kind: &str,
+        parse: fn(&str) -> Option<T>,
+        names: &[&str],
+    ) -> Result<T, String> {
+        let v = self.value()?;
+        parse(v).ok_or_else(|| format!("unknown {kind} `{v}`; available: {}", names.join(" ")))
+    }
+
+    /// The rejection of the current argument as a flag nobody accepts.
+    fn unknown(&self) -> String {
+        if self.sub.is_empty() {
+            format!("unknown flag `{}`; see `repro list`", self.arg)
+        } else {
+            format!("unknown flag `{}` for `repro {}`", self.arg, self.sub)
+        }
+    }
+
+    /// The subcommand's one positional argument.
+    fn one_word(&self, what: &str) -> Result<&'a str, String> {
+        match self.words[..] {
+            [word] => Ok(word),
+            _ => Err(format!("`repro {}` expects exactly one {what}", self.sub)),
+        }
+    }
+
+    /// The arguments of a subcommand that takes two paths and no flags.
+    fn two_paths(&self, expects: &str, unit: &str) -> Result<[PathBuf; 2], String> {
+        if let Some(flag) = self.args.iter().find(|a| a.starts_with("--")) {
+            return Err(format!("`repro {}` takes no flags, got `{flag}`", self.sub));
+        }
+        match self.args {
+            [a, b] => Ok([a.into(), b.into()]),
+            args => Err(format!(
+                "`repro {}` expects {expects}, got {}{unit}",
+                self.sub,
+                args.len()
+            )),
+        }
+    }
+}
+
+/// The three target-run rows: `repro [flags] <target>...`, `repro
+/// profile ...` and `repro list`. Duplicate targets are removed
+/// regardless of position, keeping the first occurrence, after aliases
+/// are resolved.
+fn parse_run(c: &mut Cursor) -> Result<Command, String> {
     let mut json = false;
-    let mut out: Option<PathBuf> = None;
-    let mut trace: Option<PathBuf> = None;
-    let mut chrome_trace: Option<PathBuf> = None;
-    let mut jobs: usize = 1;
-    let mut threads: Option<usize> = None;
-    let mut gnn_scale: Option<usize> = None;
-    let mut dlr_scale: Option<usize> = None;
-    let mut targets: Vec<String> = Vec::new();
-
-    let mut i = 0;
-    while i < args.len() {
-        let arg = &args[i];
-        // A flag's value may come attached (`--out=d`) or as the next
-        // argument (`--out d`).
-        let mut value_of = |name: &str| -> Result<String, String> {
-            if let Some(v) = arg.strip_prefix(&format!("--{name}=")) {
-                return Ok(v.to_string());
-            }
-            i += 1;
-            args.get(i)
-                .cloned()
-                .ok_or_else(|| format!("--{name} expects a value"))
-        };
-        match arg.as_str() {
-            "--full" => full = true,
+    let mut trace = None;
+    let mut chrome_trace = None;
+    let mut jobs = 1;
+    while let Some(flag) = c.next_flag()? {
+        match flag {
             "--json" => json = true,
-            a if a == "--out" || a.starts_with("--out=") => {
-                out = Some(PathBuf::from(value_of("out")?));
-            }
-            a if a == "--chrome-trace" || a.starts_with("--chrome-trace=") => {
-                chrome_trace = Some(PathBuf::from(value_of("chrome-trace")?));
-            }
-            a if a == "--trace" || a.starts_with("--trace=") => {
-                trace = Some(PathBuf::from(value_of("trace")?));
-            }
-            a if a == "--jobs" || a.starts_with("--jobs=") => {
-                let v = value_of("jobs")?;
-                jobs = v
-                    .parse::<usize>()
-                    .map_err(|_| format!("--jobs expects an unsigned integer, got `{v}`"))?
-                    .max(1);
-            }
-            a if a == "--threads" || a.starts_with("--threads=") => {
-                let v = value_of("threads")?;
-                let n = v
-                    .parse::<usize>()
-                    .map_err(|_| format!("--threads expects an unsigned integer, got `{v}`"))?;
-                if n == 0 {
-                    // Unlike --jobs (which clamps), a zero-width worker
-                    // pool is a contradiction — reject it loudly.
-                    return Err("--threads must be >= 1, got `0`".to_string());
-                }
-                threads = Some(n);
-            }
-            a if a == "--gnn-scale" || a.starts_with("--gnn-scale=") => {
-                gnn_scale = Some(parse_scale("gnn-scale", &value_of("gnn-scale")?)?);
-            }
-            a if a == "--dlr-scale" || a.starts_with("--dlr-scale=") => {
-                dlr_scale = Some(parse_scale("dlr-scale", &value_of("dlr-scale")?)?);
-            }
-            a if a.starts_with("--") => {
-                return Err(format!("unknown flag `{a}`; see `repro list`"));
-            }
-            _ => targets.push(arg.clone()),
+            "--trace" => trace = Some(PathBuf::from(c.value()?)),
+            "--chrome-trace" => chrome_trace = Some(PathBuf::from(c.value()?)),
+            "--jobs" => jobs = c.uint()?.max(1),
+            _ => return Err(c.unknown()),
         }
-        i += 1;
     }
-
-    if json && out.is_none() {
+    let profile = c.sub == PROFILE;
+    if json && c.out.is_none() {
         return Err("--json requires --out <dir>".to_string());
     }
-    if out.is_some() && !json {
+    if c.out.is_some() && !json {
         return Err("--out requires --json".to_string());
     }
     if profile && (json || trace.is_some() || chrome_trace.is_some()) {
         return Err("`repro profile` renders to stdout; it takes no output flags".to_string());
     }
-    if profile && targets.is_empty() {
+    if profile && c.words.is_empty() {
         return Err("`repro profile` expects at least one target".to_string());
     }
-
-    if targets.is_empty() || targets.iter().any(|t| t == "list") {
+    if c.sub == LIST || c.words.is_empty() || c.words.contains(&LIST) {
         return Ok(Command::List);
     }
-    if targets.iter().any(|t| t == "all") {
-        targets = TARGETS.iter().map(|s| s.to_string()).collect();
+    if c.words.contains(&"all") {
+        c.words = TARGETS.to_vec();
     }
-    for t in &targets {
-        if !TARGETS.contains(&t.as_str()) {
-            return Err(format!("unknown target `{t}`; see `repro list`"));
+    let mut targets: Vec<String> = Vec::new();
+    for word in &c.words {
+        let target =
+            canonical(word).ok_or_else(|| format!("unknown target `{word}`; see `repro list`"))?;
+        if !targets.iter().any(|t| t == target) {
+            targets.push(target.to_string());
         }
     }
-    // fig14 and fig15 are one combined module; run it once.
-    for t in targets.iter_mut() {
-        if t == "fig15" {
-            *t = "fig14".to_string();
-        }
-    }
-    // Order-independent dedup, keeping the first occurrence.
-    let mut seen = std::collections::HashSet::new();
-    targets.retain(|t| seen.insert(t.clone()));
-
-    let mut scenario = if full {
-        Scenario::full()
-    } else {
-        Scenario::quick()
-    };
-    if let Some(g) = gnn_scale {
-        scenario.gnn_scale = g;
-    }
-    if let Some(d) = dlr_scale {
-        scenario.dlr_scale = d;
-    }
-
     Ok(Command::Run(RunSpec {
         targets,
-        scenario,
+        scenario: c.scenario(),
         json,
-        out,
+        out: c.out.take(),
         jobs,
-        threads,
+        threads: c.threads,
         trace,
         chrome_trace,
         profile,
     }))
+}
+
+/// `bench [--trials N] [--warmup N] [--out FILE] [NAME...]`: trials
+/// clamp to at least 1, unknown kernel names are errors.
+fn parse_bench(c: &mut Cursor) -> Result<Command, String> {
+    let mut trials = DEFAULT_TRIALS;
+    let mut warmup = DEFAULT_WARMUP;
+    while let Some(flag) = c.next_flag()? {
+        match flag {
+            "--trials" => trials = c.uint()?.max(1),
+            "--warmup" => warmup = c.uint()?,
+            _ => return Err(c.unknown()),
+        }
+    }
+    for name in &c.words {
+        find_bench(name)?;
+    }
+    Ok(Command::Bench {
+        names: c.words.iter().map(|n| n.to_string()).collect(),
+        trials,
+        warmup,
+        out: c.out.take(),
+    })
+}
+
+/// The `[--md | --check [--file PATH]]` flags the two generated-catalog
+/// subcommands share; `file` defaults to the committed `default_file`.
+fn parse_catalog_flags(
+    c: &mut Cursor,
+    default_file: &str,
+) -> Result<(bool, bool, PathBuf), String> {
+    let sub = c.sub;
+    let unknown = |arg: &str| format!("unknown argument `{arg}` for `repro {sub}`");
+    let mut md = false;
+    let mut check = false;
+    let mut file = PathBuf::from(default_file);
+    while let Some(flag) = c.next_flag()? {
+        match flag {
+            "--md" => md = true,
+            "--check" => check = true,
+            "--file" => file = PathBuf::from(c.value()?),
+            _ => return Err(unknown(c.arg)),
+        }
+    }
+    if let Some(word) = c.words.first() {
+        return Err(unknown(word));
+    }
+    if md && check {
+        return Err(format!("`repro {sub}` takes --md or --check, not both"));
+    }
+    Ok((md, check, file))
+}
+
+/// `record <scenario> --out TRACE [--iters N]` plus the scale knobs and
+/// `--threads`; the scenario must be registered.
+fn parse_record(c: &mut Cursor) -> Result<Command, String> {
+    let mut iters = None;
+    while let Some(flag) = c.next_flag()? {
+        match flag {
+            "--iters" => iters = Some(c.uint()?.max(1)),
+            _ => return Err(c.unknown()),
+        }
+    }
+    let scenario = c.one_word("scenario name; see `repro scenarios`")?;
+    if registry().get(scenario).is_none() {
+        return Err(format!(
+            "unknown scenario `{scenario}`; see `repro scenarios`"
+        ));
+    }
+    let Some(out) = c.out.take() else {
+        return Err("`repro record` requires --out <trace-file>".to_string());
+    };
+    Ok(Command::Record {
+        scenario: scenario.to_string(),
+        out,
+        iters,
+        knobs: c.scenario(),
+        threads: c.threads,
+    })
+}
+
+/// `replay TRACE [--policy P] [--platform PL]` plus `--out` and
+/// `--threads`; unknown policy and platform names are errors.
+fn parse_replay(c: &mut Cursor) -> Result<Command, String> {
+    let mut policy = PolicyId::UGache;
+    let mut platform = None;
+    while let Some(flag) = c.next_flag()? {
+        match flag {
+            "--policy" => {
+                let names = PolicyId::ALL.map(|p| p.name());
+                policy = c.member("policy", PolicyId::parse, &names)?;
+            }
+            "--platform" => {
+                let names = PlatformId::ALL.map(|p| p.name());
+                platform = Some(c.member("platform", PlatformId::parse, &names)?);
+            }
+            _ => return Err(c.unknown()),
+        }
+    }
+    Ok(Command::Replay {
+        trace: c.one_word("trace file")?.into(),
+        policy,
+        platform,
+        out: c.out.take(),
+        threads: c.threads,
+    })
+}
+
+/// `explain-tail <serve.json | scenario>` plus `--out`, the scale knobs
+/// and `--threads`; whether the input is a registered scenario or an
+/// artifact path is resolved at run time.
+fn parse_explain_tail(c: &mut Cursor) -> Result<Command, String> {
+    if c.next_flag()?.is_some() {
+        return Err(c.unknown());
+    }
+    let input =
+        c.one_word("input: a serve artifact (serve.json) or a registered serving scenario name")?;
+    Ok(Command::ExplainTail {
+        input: input.to_string(),
+        out: c.out.take(),
+        knobs: c.scenario(),
+        threads: c.threads,
+    })
 }
 
 /// Resolves the intra-target worker-pool width from the `--threads`
@@ -669,12 +650,10 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
 ///
 /// Returns a message when `REPRO_THREADS` is not a positive integer.
 pub fn resolve_threads(flag: Option<usize>, env: Option<&str>) -> Result<usize, String> {
-    if let Some(n) = flag {
-        return Ok(n.max(1));
-    }
-    match env {
-        None => Ok(1),
-        Some(v) => match v.trim().parse::<usize>() {
+    match (flag, env) {
+        (Some(n), _) => Ok(n),
+        (None, None) => Ok(1),
+        (None, Some(v)) => match v.trim().parse::<usize>() {
             Ok(n) if n >= 1 => Ok(n),
             _ => Err(format!(
                 "REPRO_THREADS must be a positive integer, got `{v}`"

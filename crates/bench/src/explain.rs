@@ -20,12 +20,16 @@
 
 use crate::artifact::SCHEMA_VERSION;
 use crate::figures::serve::MAX_BATCH;
+use crate::figures::Unit;
 use crate::json::{self, Value};
 use serde::Serialize;
 use std::collections::BTreeMap;
 
 /// Explain-tail report schema version (bump on any field change).
 pub const EXPLAIN_SCHEMA_VERSION: u32 = 1;
+
+/// The target whose runs the report explains.
+const SERVE: &str = Unit::Serve.names()[0];
 
 /// The histogram whose exemplars the report reconstructs.
 pub const TAIL_HISTOGRAM: &str = "serve.latency_ns";
@@ -248,7 +252,7 @@ fn assemble(rows: Vec<TailRequest>) -> Result<ExplainReport, String> {
     Ok(ExplainReport {
         schema_version: EXPLAIN_SCHEMA_VERSION,
         kind: "ugache-explain-tail".to_string(),
-        target: "serve".to_string(),
+        target: SERVE.to_string(),
         histogram: TAIL_HISTOGRAM.to_string(),
         max_batch: MAX_BATCH as u64,
         summary: ExplainSummary {
@@ -320,10 +324,10 @@ pub fn report_from_artifact(artifact: &Value) -> Result<ExplainReport, String> {
         _ => return Err("not an artifact envelope (no schema_version field)".to_string()),
     }
     match artifact.get("target") {
-        Some(Value::Str(t)) if t == "serve" => {}
+        Some(Value::Str(t)) if t == SERVE => {}
         Some(Value::Str(t)) => {
             return Err(format!(
-                "artifact is for target `{t}`; explain-tail reads the `serve` target"
+                "artifact is for target `{t}`; explain-tail reads the `{SERVE}` target"
             ));
         }
         _ => return Err("artifact envelope has no target field".to_string()),

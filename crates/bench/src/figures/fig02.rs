@@ -1,8 +1,9 @@
 //! Figure 2: hit rate and extraction time vs cache ratio, replication vs
 //! partition (vs UGache), supervised GraphSAGE on PA, Server C.
 
-use crate::scenario::{header, ms, registry, PlatformId, Scenario};
+use super::{header, ms};
 use cache_policy::baselines;
+use emb_scenario::{registry, PlatformId, Scenario};
 use emb_workload::{GnnDatasetId, GnnModel};
 use serde::Serialize;
 use ugache::baselines::{build_system, SystemKind};
@@ -122,11 +123,4 @@ pub fn render(points: &[Point]) {
             ms(p.ugache_ms / 1e3)
         );
     }
-}
-
-/// Computes and prints Figure 2.
-pub fn run(s: &Scenario) -> Vec<Point> {
-    let points = compute(s);
-    render(&points);
-    points
 }

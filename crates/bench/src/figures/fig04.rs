@@ -2,7 +2,8 @@
 //! UGache's factored mechanisms — DLR inference, Servers A and C,
 //! Criteo-TB and the α=1.2 synthetic dataset.
 
-use crate::scenario::{header, ms, registry, PlatformId, Scenario};
+use super::{header, ms};
+use emb_scenario::{registry, PlatformId, Scenario};
 use emb_workload::DlrDatasetId;
 use serde::Serialize;
 use ugache::apps::dlr::dlr_cache_capacity;
@@ -75,11 +76,4 @@ pub fn render(bars: &[Bars]) {
             ms(b.ugache_ms / 1e3)
         );
     }
-}
-
-/// Computes and prints Figure 4.
-pub fn run(s: &Scenario) -> Vec<Bars> {
-    let bars = compute(s);
-    render(&bars);
-    bars
 }

@@ -2,7 +2,8 @@
 //! hard-wired 4×V100 and the switch-based 8×A100 (including the
 //! NVSwitch egress-collision series).
 
-use crate::scenario::{header, Scenario};
+use super::header;
+use emb_scenario::Scenario;
 use gpu_memsim::{microbench, CongestionModel};
 use gpu_platform::{Location, Platform};
 use serde::Serialize;
@@ -92,11 +93,4 @@ pub fn render(series: &[Series]) {
     print_series(&series[..SERVER_A_SERIES]);
     header("Figure 6b: bandwidth vs cores (Server C, 8×A100, NVSwitch)");
     print_series(&series[SERVER_A_SERIES..]);
-}
-
-/// Computes and prints Figure 6.
-pub fn run(s: &Scenario) -> Vec<Series> {
-    let series = compute(s);
-    render(&series);
-    series
 }

@@ -4,7 +4,8 @@
 //! dedicates to each source and what each path tolerates — the schedule
 //! sketched in the paper's Figure 8.
 
-use crate::scenario::{header, Scenario};
+use super::header;
+use emb_scenario::Scenario;
 use gpu_platform::{DedicationConfig, Location, Platform, Profile};
 use serde::Serialize;
 
@@ -84,11 +85,4 @@ pub fn render(dedications: &[Dedication]) {
             }
         }
     }
-}
-
-/// Computes and prints the dedication tables.
-pub fn run(s: &Scenario) -> Vec<Dedication> {
-    let out = compute(s);
-    render(&out);
-    out
 }

@@ -1,7 +1,8 @@
 //! Figure 9: log-scale hotness blocking with coarse/fine size caps.
 
-use crate::scenario::{header, registry, PlatformId, Scenario};
+use super::header;
 use cache_policy::{build_blocks, BlockConfig};
+use emb_scenario::{registry, PlatformId, Scenario};
 use emb_workload::GnnDatasetId;
 use serde::Serialize;
 
@@ -98,11 +99,4 @@ pub fn render(data: &Fig09Data) {
             data.total_blocks
         );
     }
-}
-
-/// Computes and prints Figure 9, returning the per-level rows.
-pub fn run(s: &Scenario) -> Vec<LevelRow> {
-    let data = compute(s);
-    render(&data);
-    data.rows
 }

@@ -6,7 +6,8 @@
 //! DLR comparison, as the paper does). Both figures render from the same
 //! [`Data`], so one `compute` pass serves both targets.
 
-use crate::scenario::{header, registry, PlatformId, Scenario};
+use super::header;
+use emb_scenario::{registry, PlatformId, Scenario};
 use emb_workload::{DlrDatasetId, GnnDatasetId, GnnModel};
 use serde::Serialize;
 use ugache::apps::dlr::run_dlr_iterations;
@@ -271,11 +272,4 @@ pub fn render_fig11(data: &Data) {
             get("UGache")
         );
     }
-}
-
-/// Computes both halves and prints Figure 10.
-pub fn run(s: &Scenario) -> Data {
-    let data = compute(s);
-    render_fig10(&data);
-    data
 }

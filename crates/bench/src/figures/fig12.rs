@@ -2,8 +2,9 @@
 //! incrementally (RepU → PartU → +Policy → UGache), vs cache ratio,
 //! supervised GraphSAGE on PA and CF, Server C.
 
-use crate::scenario::{header, registry, PlatformId, Scenario};
+use super::header;
 use cache_policy::{SolverConfig, UGacheSolver};
+use emb_scenario::{registry, PlatformId, Scenario};
 use emb_workload::{GnnDatasetId, GnnModel};
 use extractor::{Extractor, Mechanism};
 use gpu_memsim::SimConfig;
@@ -96,11 +97,4 @@ pub fn render(points: &[Point]) {
             p.dataset, p.ratio_pct, p.repu_ms, p.partu_ms, p.policy_ms, p.ugache_ms
         );
     }
-}
-
-/// Computes and prints Figure 12.
-pub fn run(s: &Scenario) -> Vec<Point> {
-    let points = compute(s);
-    render(&points);
-    points
 }

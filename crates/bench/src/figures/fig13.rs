@@ -4,8 +4,9 @@
 //! As in the paper, locally hit keys are removed in advance so only
 //! remote-GPU and host traffic remains.
 
-use crate::scenario::{header, registry, PlatformId, Scenario};
+use super::header;
 use cache_policy::Placement;
+use emb_scenario::{registry, PlatformId, Scenario};
 use emb_workload::{DlrDatasetId, GnnDatasetId, GnnModel};
 use extractor::{Extractor, Mechanism};
 use gpu_memsim::SimConfig;
@@ -184,11 +185,4 @@ pub fn render(utils: &[Util]) {
             u.nvlink_fem * 100.0
         );
     }
-}
-
-/// Computes and prints Figure 13.
-pub fn run(s: &Scenario) -> Vec<Util> {
-    let utils = compute(s);
-    render(&utils);
-    utils
 }

@@ -5,8 +5,9 @@
 //! As in the paper's Figure 15, all three policies use UGache's factored
 //! extraction so the comparison isolates the *policy*.
 
-use crate::scenario::{header, registry, PlatformId, Scenario};
+use super::header;
 use cache_policy::Placement;
+use emb_scenario::{registry, PlatformId, Scenario};
 use emb_workload::{GnnDatasetId, GnnModel};
 use extractor::{Extractor, Mechanism};
 use gpu_memsim::SimConfig;
@@ -115,11 +116,4 @@ pub fn render(splits: &[Split]) {
             sp.extract_ms
         );
     }
-}
-
-/// Computes and prints Figures 14/15.
-pub fn run(s: &Scenario) -> Vec<Split> {
-    let splits = compute(s);
-    render(&splits);
-    splits
 }

@@ -6,8 +6,9 @@
 //! the paper shrinks instances until an exact solve is feasible. Both
 //! placements are evaluated with UGache's extraction (as in the paper).
 
-use crate::scenario::{header, registry, PlatformId, Scenario};
+use super::header;
 use cache_policy::{BlockConfig, SolverConfig, UGacheSolver};
+use emb_scenario::{registry, PlatformId, Scenario};
 use emb_workload::{DlrDatasetId, GnnDatasetId, GnnModel};
 use extractor::{Extractor, Mechanism};
 use gpu_memsim::SimConfig;
@@ -170,11 +171,4 @@ pub fn render(gaps: &[Gap]) {
     }
     let mean_gap: f64 = gaps.iter().map(Gap::rel_gap).sum::<f64>() / gaps.len().max(1) as f64;
     println!("mean gap: {:.1}%", mean_gap * 100.0);
-}
-
-/// Computes and prints Figure 16.
-pub fn run(s: &Scenario) -> Vec<Gap> {
-    let gaps = compute(s);
-    render(&gaps);
-    gaps
 }

@@ -6,8 +6,9 @@
 //! foreground impact while the refresher solves and migrates, then drop
 //! back — ideally below the pre-refresh level after the drift.
 
-use crate::scenario::{header, registry, PlatformId, Scenario};
+use super::header;
 use emb_cache::HostTable;
+use emb_scenario::{registry, PlatformId, Scenario};
 use emb_workload::DlrDatasetId;
 use serde::Serialize;
 use ugache::apps::dlr::dlr_cache_capacity;
@@ -140,11 +141,4 @@ pub fn render(data: &Fig17Data) {
     for (i, d) in data.refresh_durations.iter().enumerate() {
         println!("refresh {} took {:.2}s of virtual time", i + 1, d);
     }
-}
-
-/// Computes and prints the timeline, returning its samples.
-pub fn run(s: &Scenario) -> Vec<Sample> {
-    let data = compute(s);
-    render(&data);
-    data.samples
 }

@@ -3,8 +3,9 @@
 //! (GNNLab-style), graph degree (PaGraph-style), or online counting.
 //! This target quantifies what each source costs relative to an oracle.
 
-use crate::scenario::{header, registry, PlatformId, Scenario};
+use super::header;
 use cache_policy::Hotness;
+use emb_scenario::{registry, PlatformId, Scenario};
 use emb_workload::{GnnDatasetId, GnnModel};
 use serde::Serialize;
 use ugache::baselines::{build_system, SystemKind};
@@ -97,11 +98,4 @@ pub fn render(rows: &[SourceRow]) {
             r.oracle_overlap * 100.0
         );
     }
-}
-
-/// Computes and prints the study, returning its rows.
-pub fn run(s: &Scenario) -> Vec<SourceRow> {
-    let rows = compute(s);
-    render(&rows);
-    rows
 }

@@ -11,9 +11,10 @@
 //! through the simulated clock, so the curves are exact functions of
 //! the scenario and the global seed.
 
-use crate::scenario::{header, registry, Scenario, SEED};
+use super::header;
 use cache_policy::Hotness;
 use emb_cache::HostTable;
+use emb_scenario::{registry, Scenario, SEED};
 use emb_serve::{estimate_capacity_rps, run_load_point, ClientPopulation, LoadSample, ServeConfig};
 use emb_util::zipf::powerlaw_hotness;
 use emb_util::{split_seed, SimTime};
@@ -162,11 +163,4 @@ pub fn render(data: &ServeData) {
             s.host_frac * 100.0
         );
     }
-}
-
-/// Computes and prints the sweep, returning the data.
-pub fn run(s: &Scenario) -> ServeData {
-    let data = compute(s);
-    render(&data);
-    data
 }

@@ -3,8 +3,9 @@
 //! Unsupervised GraphSAGE training on MAG, one A100-80GB: how much of the
 //! end-to-end time the embedding layer takes with and without a cache.
 
-use crate::scenario::{header, ms, registry, PlatformId, Scenario};
+use super::{header, ms};
 use cache_policy::baselines;
+use emb_scenario::{registry, PlatformId, Scenario};
 use emb_util::fmt;
 use emb_workload::{GnnDatasetId, GnnModel};
 use extractor::{Extractor, Mechanism};
@@ -138,11 +139,4 @@ pub fn render(b: &Breakdown) {
         format!("0% ({})", fmt::pct(b.gmem_ratio)),
         format!("0% ({})", fmt::pct(b.gmem_ratio))
     );
-}
-
-/// Computes and prints Table 1.
-pub fn run(s: &Scenario) -> Breakdown {
-    let b = compute(s);
-    render(&b);
-    b
 }

@@ -1,6 +1,7 @@
 //! Table 3: dataset statistics at reproduction scale.
 
-use crate::scenario::{header, Scenario, SEED};
+use super::header;
+use emb_scenario::{Scenario, SEED};
 use emb_util::fmt;
 use emb_workload::{dlr_preset, gnn_preset, DlrDatasetId, GnnDatasetId};
 use serde::Serialize;
@@ -90,11 +91,4 @@ pub fn render(s: &Scenario, rows: &[Row]) {
             fmt::bytes(row.volume_e)
         );
     }
-}
-
-/// Computes and prints Table 3.
-pub fn run(s: &Scenario) -> Vec<Row> {
-    let rows = compute(s);
-    render(s, &rows);
-    rows
 }

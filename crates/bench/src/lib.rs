@@ -5,10 +5,7 @@
 //! serializable result structs and a separate `render` layer that
 //! pretty-prints them; the `repro` binary dispatches to both
 //! (`repro list` shows the menu) and can emit one stable-schema JSON
-//! artifact per target via [`artifact`]. Criterion benches under
-//! `benches/` measure the wall-clock cost of the implementation's own
-//! kernels (solver, extraction simulation, gathers) and the ablation
-//! sweeps called out in `DESIGN.md`; [`microbench`] (`repro bench`)
+//! artifact per target via [`artifact`]. [`microbench`] (`repro bench`)
 //! measures the optimized hot paths against their frozen reference
 //! implementations and feeds the soft wall-clock gate.
 
@@ -27,7 +24,6 @@ pub mod microbench;
 pub mod profile;
 pub mod replay;
 pub mod runner;
-pub mod scenario;
 pub mod timeline;
 
-pub use scenario::Scenario;
+pub use emb_scenario::Scenario;

@@ -16,9 +16,9 @@
 //! `memsim.link.*.*.bytes` covers `memsim.link.gpu0.host.bytes` but not
 //! `memsim.link.gpu0.bytes`.
 
-use crate::cli::TARGETS;
+use crate::figures::TARGETS;
 use crate::runner::{run_units, units_for};
-use crate::scenario::Scenario;
+use emb_scenario::Scenario;
 use std::collections::BTreeSet;
 
 /// The kind of telemetry record a name belongs to.
@@ -359,8 +359,7 @@ pub fn check_file(committed: &str) -> Result<(), String> {
 /// Runs every target at quick scale (serially, in-process) and returns
 /// the distinct `(kind, name)` pairs the run recorded.
 pub fn recorded_names() -> BTreeSet<(MetricKind, String)> {
-    let targets: Vec<String> = TARGETS.iter().map(|t| t.to_string()).collect();
-    let units = units_for(&targets);
+    let units = units_for(TARGETS);
     let results = run_units(&Scenario::quick(), &units, 1);
     let mut names = BTreeSet::new();
     for r in &results {

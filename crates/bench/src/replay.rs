@@ -10,9 +10,9 @@
 //! replays write byte-identical reports at any worker-pool width.
 
 use crate::figures::serve;
-use crate::scenario::{PlatformId, PolicyId, Scenario, ScenarioDef, WorkloadSpec};
 use cache_policy::Hotness;
 use emb_cache::GatherStats;
+use emb_scenario::{PlatformId, PolicyId, Scenario, ScenarioDef, WorkloadSpec};
 use emb_serve::{draw_request_keys, ClientPopulation};
 use emb_workload::Trace;
 use serde::Serialize;
@@ -280,7 +280,7 @@ pub fn replay_trace(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::registry;
+    use emb_scenario::registry;
 
     fn tiny_knobs() -> Scenario {
         Scenario {

@@ -1,7 +1,8 @@
 //! Parallel execution of repro targets.
 //!
-//! Targets are first folded into [`Unit`]s — fig10 and fig11 render
-//! from the same computation, so they share one unit — then each unit's
+//! Targets are first folded into [`Unit`]s (rows of the target table
+//! in [`crate::figures`]) — fig10 and fig11 render from the same
+//! computation, so they share one unit — then each unit's
 //! pure `compute` runs on a scoped worker pool ([`std::thread::scope`],
 //! no external dependencies). Computation never prints; rendering and
 //! artifact writing happen afterwards, sequentially, in the caller's
@@ -14,9 +15,8 @@
 //! counters into another's — which is what keeps artifact `metrics`
 //! blocks and `--trace` streams byte-identical across `--jobs` values.
 
-use crate::artifact::TargetData;
-use crate::figures::*;
-use crate::scenario::Scenario;
+use crate::figures::{TargetData, Unit};
+use emb_scenario::Scenario;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -30,88 +30,7 @@ pub struct UnitResult {
     pub telemetry: emb_telemetry::Report,
 }
 
-/// One unit of computation (a deduplicated repro target).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Unit {
-    /// Table 1.
-    Table1,
-    /// Table 3.
-    Table3,
-    /// Figure 2.
-    Fig2,
-    /// Figure 4.
-    Fig4,
-    /// Figure 6.
-    Fig6,
-    /// Figure 8.
-    Fig8,
-    /// Figure 9.
-    Fig9,
-    /// Figures 10 and 11 (one computation serves both).
-    Fig10And11,
-    /// Figure 12.
-    Fig12,
-    /// Figure 13.
-    Fig13,
-    /// Figures 14/15.
-    Fig14,
-    /// Figure 16.
-    Fig16,
-    /// Figure 17.
-    Fig17,
-    /// Hotness-source study.
-    Hotness,
-    /// Online serving sweep (throughput / latency tails).
-    Serve,
-}
-
 impl Unit {
-    /// The unit backing a CLI target name (aliases already resolved).
-    ///
-    /// Returns `None` for unknown names; the CLI layer validates targets
-    /// before they reach the runner.
-    pub fn for_target(target: &str) -> Option<Unit> {
-        Some(match target {
-            "table1" => Unit::Table1,
-            "table3" => Unit::Table3,
-            "fig2" => Unit::Fig2,
-            "fig4" => Unit::Fig4,
-            "fig6" => Unit::Fig6,
-            "fig8" => Unit::Fig8,
-            "fig9" => Unit::Fig9,
-            "fig10" | "fig11" => Unit::Fig10And11,
-            "fig12" => Unit::Fig12,
-            "fig13" => Unit::Fig13,
-            "fig14" | "fig15" => Unit::Fig14,
-            "fig16" => Unit::Fig16,
-            "fig17" => Unit::Fig17,
-            "hotness" => Unit::Hotness,
-            "serve" => Unit::Serve,
-            _ => return None,
-        })
-    }
-
-    /// Runs this unit's pure computation.
-    pub fn compute(self, s: &Scenario) -> TargetData {
-        match self {
-            Unit::Table1 => TargetData::Table1(table1::compute(s)),
-            Unit::Table3 => TargetData::Table3(table3::compute(s)),
-            Unit::Fig2 => TargetData::Fig2(fig02::compute(s)),
-            Unit::Fig4 => TargetData::Fig4(fig04::compute(s)),
-            Unit::Fig6 => TargetData::Fig6(fig06::compute(s)),
-            Unit::Fig8 => TargetData::Fig8(fig08::compute(s)),
-            Unit::Fig9 => TargetData::Fig9(fig09::compute(s)),
-            Unit::Fig10And11 => TargetData::Fig10(fig10::compute(s)),
-            Unit::Fig12 => TargetData::Fig12(fig12::compute(s)),
-            Unit::Fig13 => TargetData::Fig13(fig13::compute(s)),
-            Unit::Fig14 => TargetData::Fig14(fig14::compute(s)),
-            Unit::Fig16 => TargetData::Fig16(fig16::compute(s)),
-            Unit::Fig17 => TargetData::Fig17(fig17::compute(s)),
-            Unit::Hotness => TargetData::Hotness(hotness_sources::compute(s)),
-            Unit::Serve => TargetData::Serve(serve::compute(s)),
-        }
-    }
-
     /// Runs [`Unit::compute`] inside a fresh telemetry scope and returns
     /// the payload plus everything recorded while computing it.
     ///
@@ -132,13 +51,11 @@ impl Unit {
 
 /// Folds an ordered target list into the deduplicated unit list that
 /// must be computed, preserving first-occurrence order.
-pub fn units_for(targets: &[String]) -> Vec<Unit> {
+pub fn units_for(targets: &[impl AsRef<str>]) -> Vec<Unit> {
     let mut units = Vec::new();
-    for t in targets {
-        if let Some(u) = Unit::for_target(t) {
-            if !units.contains(&u) {
-                units.push(u);
-            }
+    for unit in targets.iter().filter_map(|t| Unit::for_target(t.as_ref())) {
+        if !units.contains(&unit) {
+            units.push(unit);
         }
     }
     units

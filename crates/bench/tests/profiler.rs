@@ -3,7 +3,8 @@
 //! and the `repro compare` perf-regression gate.
 
 use ugache_bench::artifact::{Artifact, SCHEMA_VERSION};
-use ugache_bench::runner::{run_units, units_for, Unit};
+use ugache_bench::figures::Unit;
+use ugache_bench::runner::{run_units, units_for};
 use ugache_bench::{chrome, compare, json, timeline, Scenario};
 
 fn tiny() -> Scenario {

@@ -4,10 +4,11 @@
 //! serial-vs-parallel determinism of the runner.
 
 use ugache_bench::artifact::{
-    check_dir_schema, diff_dirs, trace_header, trace_line, Artifact, TargetData, SCHEMA_VERSION,
+    check_dir_schema, diff_dirs, trace_header, trace_line, Artifact, SCHEMA_VERSION,
 };
 use ugache_bench::cli::{self, Command};
-use ugache_bench::runner::{run_units, units_for, Unit};
+use ugache_bench::figures::{self, TargetData, Unit, TARGETS};
+use ugache_bench::runner::{run_units, units_for};
 use ugache_bench::{json, Scenario};
 
 fn args(list: &[&str]) -> Vec<String> {
@@ -102,6 +103,45 @@ fn parse_threads_flag() {
 }
 
 #[test]
+fn threads_zero_is_rejected_by_every_subcommand_that_takes_it() {
+    // One `--threads` parser: record / replay / explain-tail used to
+    // clamp 0 to 1 silently while the target run rejected it.
+    let exe = env!("CARGO_BIN_EXE_repro");
+    let out = std::env::temp_dir().join(format!("repro-threads0-{}", std::process::id()));
+    let out = out.to_str().unwrap();
+    for invocation in [
+        &["fig2", "--threads", "0"][..],
+        &[
+            "record",
+            "serve/zipf@server_a",
+            "--out",
+            out,
+            "--threads",
+            "0",
+        ],
+        &["replay", out, "--threads=0"],
+        &["explain-tail", "serve/zipf@server_a", "--threads", "0"],
+    ] {
+        let err = cli::parse(&args(invocation)).unwrap_err();
+        assert_eq!(err, "--threads must be >= 1, got `0`", "{invocation:?}");
+        let run = std::process::Command::new(exe)
+            .args(invocation)
+            .output()
+            .expect("repro runs");
+        assert_eq!(run.status.code(), Some(2), "{invocation:?}");
+        assert_eq!(String::from_utf8_lossy(&run.stderr).trim_end(), err);
+    }
+    assert!(!std::path::Path::new(out).exists(), "nothing was recorded");
+    // The env-var spelling of the same contradiction.
+    let run = std::process::Command::new(exe)
+        .args(["replay", out])
+        .env("REPRO_THREADS", "0")
+        .output()
+        .expect("repro runs");
+    assert_eq!(run.status.code(), Some(2));
+}
+
+#[test]
 fn resolve_threads_prefers_flag_then_env_then_one() {
     assert_eq!(cli::resolve_threads(Some(4), Some("8")), Ok(4));
     assert_eq!(cli::resolve_threads(Some(1), None), Ok(1));
@@ -132,7 +172,7 @@ fn parse_all_expands_and_dedups_the_alias_pair() {
     assert!(!spec.targets.contains(&"fig15".to_string()));
     assert!(spec.targets.contains(&"fig10".to_string()));
     assert!(spec.targets.contains(&"fig11".to_string()));
-    assert_eq!(spec.targets.len(), cli::TARGETS.len() - 1);
+    assert_eq!(spec.targets.len(), TARGETS.len() - 1);
 }
 
 #[test]
@@ -249,6 +289,65 @@ fn compare_exit_codes_distinguish_unusable_inputs_from_gate_failures() {
 }
 
 #[test]
+fn every_target_name_and_alias_parses_computes_round_trips_and_renders() {
+    let s = tiny();
+    let all: Vec<String> = TARGETS.iter().map(|t| t.to_string()).collect();
+    let units = units_for(&all);
+    let results = run_units(&s, &units, 4);
+    for name in TARGETS {
+        let spec = run_spec(&[name]);
+        let [canon] = spec.targets.as_slice() else {
+            panic!("{name} parses to one target, got {:?}", spec.targets);
+        };
+        assert_eq!(figures::canonical(name), Some(canon.as_str()));
+        let unit = Unit::for_target(name).expect("listed names have a unit");
+        assert_eq!(units_for(&spec.targets), [unit], "{name}");
+        let idx = units.iter().position(|u| *u == unit).expect("computed");
+        let data = &results[idx].data;
+        let text = Artifact::new(canon, &s, data.clone(), None, None).to_json();
+        let v = json::parse(&text).expect("artifact parses");
+        assert_eq!(v.get("target"), Some(&json::Value::Str(canon.clone())));
+        // Panics if the table pairs the name with another row's payload.
+        figures::render(canon, &s, data);
+    }
+}
+
+#[test]
+fn repro_list_is_rendered_from_the_two_tables() {
+    let exe = env!("CARGO_BIN_EXE_repro");
+    let out = std::process::Command::new(exe)
+        .arg("list")
+        .output()
+        .expect("repro runs");
+    let text = String::from_utf8(out.stdout).expect("utf-8");
+    assert_eq!(text, cli::usage());
+    let committed = std::fs::read_to_string(repo_root().join("baselines/repro_list.txt"))
+        .expect("baselines/repro_list.txt");
+    assert_eq!(
+        text, committed,
+        "usage drifted; if intended: `repro list > baselines/repro_list.txt`"
+    );
+    let menu = text.lines().next().expect("target menu");
+    for t in TARGETS {
+        assert!(
+            menu.split(' ').any(|w| w == *t),
+            "{t} missing from `{menu}`"
+        );
+    }
+    let kernels = ugache_bench::microbench::BENCH_NAMES.join("|");
+    for row in cli::SUBCOMMANDS {
+        for line in row.usage.lines() {
+            let line = format!(" repro {}", line.replace("{kernels}", &kernels));
+            assert!(text.lines().any(|l| l.ends_with(&line)), "{line}");
+        }
+        // A named row is reachable: its name is not taken for a target.
+        if let (false, Err(e)) = (row.name.is_empty(), cli::parse(&args(&[row.name]))) {
+            assert!(!e.contains("unknown target"), "{}: {e}", row.name);
+        }
+    }
+}
+
+#[test]
 fn units_fold_fig10_and_fig11_into_one_computation() {
     let targets: Vec<String> = ["fig10", "fig11", "fig2"]
         .iter()
@@ -282,7 +381,7 @@ fn artifact_schema_round_trips() {
     );
     assert_eq!(
         v.get("seed").unwrap(),
-        &json::Value::Num(ugache_bench::scenario::SEED.to_string())
+        &json::Value::Num(emb_scenario::SEED.to_string())
     );
     let scenario = v.get("scenario").expect("scenario embedded");
     assert_eq!(
@@ -353,7 +452,7 @@ fn serial_and_parallel_runs_produce_identical_artifacts() {
 #[test]
 fn every_unit_reports_populated_metrics() {
     let s = tiny();
-    let targets: Vec<String> = cli::TARGETS
+    let targets: Vec<String> = TARGETS
         .iter()
         .filter(|t| **t != "fig15" && **t != "fig11") // aliases of fig14 / fig10
         .map(|t| t.to_string())
@@ -416,7 +515,7 @@ fn parse_trace_flag() {
 
 #[test]
 fn parse_scenarios_record_and_replay_subcommands() {
-    use ugache_bench::scenario::{PlatformId, PolicyId};
+    use emb_scenario::{PlatformId, PolicyId};
 
     match cli::parse(&args(&["scenarios"])).unwrap() {
         Command::Scenarios { md, check, .. } => {
@@ -508,7 +607,7 @@ fn scenarios_check_cli_gates_drift() {
     };
 
     // A freshly rendered catalog passes the gate.
-    let fresh = ugache_bench::catalog::render_markdown(ugache_bench::scenario::registry());
+    let fresh = ugache_bench::catalog::render_markdown(emb_scenario::registry());
     let ok = dir.join("SCENARIOS.md");
     std::fs::write(&ok, &fresh).unwrap();
     assert_eq!(check(&ok), Some(0));

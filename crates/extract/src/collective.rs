@@ -2,10 +2,8 @@
 //!
 //! Message-based embedding systems exchange buffers with AllToAll-style
 //! collectives (§3.2). This module models the bulk-synchronous transfer
-//! timing of the collectives those systems use, on both hard-wired and
-//! switch-based topologies, and provides a *functional* AllToAll that
-//! really moves buffers — used by tests to show the message-based data
-//! path is semantically equivalent to peer access, just slower.
+//! timing of that collective on both hard-wired and switch-based
+//! topologies.
 
 use emb_util::SimTime;
 use gpu_platform::{Interconnect, Platform};
@@ -96,47 +94,6 @@ pub fn all_to_all_time(platform: &Platform, m: &TransferMatrix) -> SimTime {
     SimTime::from_secs_f64(secs)
 }
 
-/// Time for an AllGather of `bytes_per_gpu` (every GPU ends with every
-/// shard): ring-pipelined, `(g−1)/g` of the full volume crosses each
-/// GPU's slowest link.
-pub fn all_gather_time(platform: &Platform, bytes_per_gpu: f64) -> SimTime {
-    let g = platform.num_gpus();
-    if g <= 1 {
-        return SimTime::ZERO;
-    }
-    let volume = bytes_per_gpu * (g - 1) as f64;
-    let bw = match &platform.interconnect {
-        Interconnect::Switch { outbound_bw } => *outbound_bw,
-        Interconnect::HardWired { pair_bw } => {
-            // Ring over the slowest used hop; use each GPU's best link as
-            // the ring edge (an optimistic but standard assumption).
-            (0..g)
-                .map(|i| {
-                    pair_bw[i]
-                        .iter()
-                        .enumerate()
-                        .filter(|&(j, _)| j != i)
-                        .map(|(_, &b)| b)
-                        .fold(0.0f64, f64::max)
-                })
-                .fold(f64::INFINITY, f64::min)
-        }
-    };
-    SimTime::from_secs_f64(volume / bw.max(1.0))
-}
-
-/// Functionally exchanges per-destination buffers: `send[src][dst]` is
-/// the payload `src` addresses to `dst`; the result `recv[dst][src]` is
-/// the payload `dst` received from `src`. This is the data-plane of the
-/// message-based mechanism; tests use it to prove semantic equivalence
-/// with peer access.
-pub fn all_to_all_buffers(send: &[Vec<Vec<f32>>]) -> Vec<Vec<Vec<f32>>> {
-    let g = send.len();
-    (0..g)
-        .map(|dst| (0..g).map(|src| send[src][dst].clone()).collect())
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -203,30 +160,5 @@ mod tests {
         let mut m = TransferMatrix::zeros(8);
         m.bytes[0][5] = 1.0; // 0 and 5 are unconnected on DGX-1
         let _ = all_to_all_time(&p, &m);
-    }
-
-    #[test]
-    fn all_gather_scales_with_volume_and_fleet() {
-        let p = Platform::server_c();
-        let t1 = all_gather_time(&p, 300e6);
-        let t2 = all_gather_time(&p, 600e6);
-        assert!((t2.as_secs_f64() / t1.as_secs_f64() - 2.0).abs() < 1e-9);
-        let single = Platform::single(gpu_platform::GpuSpec::a100(80), 1 << 40);
-        assert_eq!(all_gather_time(&single, 1e9), SimTime::ZERO);
-    }
-
-    #[test]
-    fn functional_exchange_round_trips() {
-        // send[src][dst] payloads become recv[dst][src].
-        let g = 3;
-        let send: Vec<Vec<Vec<f32>>> = (0..g)
-            .map(|s| (0..g).map(|d| vec![(s * 10 + d) as f32; 2]).collect())
-            .collect();
-        let recv = all_to_all_buffers(&send);
-        for dst in 0..g {
-            for src in 0..g {
-                assert_eq!(recv[dst][src], vec![(src * 10 + dst) as f32; 2]);
-            }
-        }
     }
 }

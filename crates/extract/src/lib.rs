@@ -22,5 +22,5 @@
 pub mod collective;
 pub mod mechanism;
 
-pub use collective::{all_gather_time, all_to_all_buffers, all_to_all_time, TransferMatrix};
+pub use collective::{all_to_all_time, TransferMatrix};
 pub use mechanism::{ExtractOutcome, Extractor, Mechanism};

@@ -36,9 +36,6 @@ pub struct SimConfig {
     pub congestion: CongestionModel,
     /// Fixed per-extraction kernel-launch overhead added to every GPU.
     pub launch_overhead: SimTime,
-    /// Optional cap on total host-DRAM egress (sum over all PCIe links).
-    /// `None` means only the per-GPU PCIe links limit host reads.
-    pub host_dram_bw: Option<f64>,
     /// Factored mode only: serve local chunks as low-priority padding on
     /// cores whose dedicated queue drained (§5.3). Disabling it (for the
     /// ablation) makes local extraction a barrier phase that starts only
@@ -52,7 +49,6 @@ impl Default for SimConfig {
             chunk_bytes: 256.0 * 1024.0,
             congestion: CongestionModel::default(),
             launch_overhead: SimTime::from_micros(15),
-            host_dram_bw: None,
             factored_padding: true,
         }
     }
@@ -565,13 +561,7 @@ fn run(
                 Location::Gpu(_) => switch_based,
             })
             .map(|src| {
-                let cap = match src {
-                    Location::Host => {
-                        let pcie_sum = platform.outbound_bw(Location::Host);
-                        cfg.host_dram_bw.map_or(pcie_sum, |d| d.min(pcie_sum))
-                    }
-                    Location::Gpu(_) => platform.outbound_bw(src),
-                };
+                let cap = platform.outbound_bw(src);
                 let cands = groups
                     .iter()
                     .enumerate()

@@ -193,13 +193,7 @@ fn run_reference(
             if !egress_applies {
                 continue;
             }
-            let cap = match src {
-                Location::Host => {
-                    let pcie_sum = platform.outbound_bw(Location::Host);
-                    cfg.host_dram_bw.map_or(pcie_sum, |d| d.min(pcie_sum))
-                }
-                Location::Gpu(_) => platform.outbound_bw(src),
-            };
+            let cap = platform.outbound_bw(src);
             let readers: Vec<usize> = groups
                 .iter()
                 .enumerate()
