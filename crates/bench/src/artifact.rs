@@ -177,7 +177,7 @@ fn event_value_to_json(v: &emb_telemetry::EventValue) -> json::Value {
                 json::Value::Null
             }
         }
-        EventValue::Str(s) => json::Value::Str(s.clone()),
+        EventValue::Str(s) => json::Value::Str(s.to_string()),
     }
 }
 
@@ -210,12 +210,15 @@ pub fn trace_line(target: &str, event: &emb_telemetry::Event) -> json::Value {
     let fields = event
         .fields
         .iter()
-        .map(|(k, v)| (k.clone(), event_value_to_json(v)))
+        .map(|(k, v)| (k.to_string(), event_value_to_json(v)))
         .collect();
     json::Value::Obj(vec![
         ("target".to_string(), json::Value::Str(target.to_string())),
         ("seq".to_string(), json::Value::Num(event.seq.to_string())),
-        ("event".to_string(), json::Value::Str(event.name.clone())),
+        (
+            "event".to_string(),
+            json::Value::Str(event.name.to_string()),
+        ),
         ("fields".to_string(), json::Value::Obj(fields)),
     ])
 }

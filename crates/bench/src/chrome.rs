@@ -50,7 +50,7 @@ fn event_value(v: &emb_telemetry::EventValue) -> Value {
                 Value::Null
             }
         }
-        EventValue::Str(s) => Value::Str(s.clone()),
+        EventValue::Str(s) => Value::Str(s.to_string()),
     }
 }
 
@@ -77,14 +77,14 @@ pub fn chrome_trace(per_target: &[(&str, &emb_telemetry::Report)]) -> Value {
             events.push(metadata_event("thread_name", pid, Some(k + 1), track));
         }
         for span in &report.spans {
-            let tid = tracks.iter().position(|t| *t == span.track).expect("seen") + 1;
+            let tid = tracks.iter().position(|t| span.track == *t).expect("seen") + 1;
             let args = span
                 .fields
                 .iter()
-                .map(|(k, v)| (k.clone(), event_value(v)))
+                .map(|(k, v)| (k.to_string(), event_value(v)))
                 .collect();
             events.push(Value::Obj(vec![
-                ("name".to_string(), Value::Str(span.name.clone())),
+                ("name".to_string(), Value::Str(span.name.to_string())),
                 ("ph".to_string(), Value::Str("X".to_string())),
                 ("pid".to_string(), Value::Num(pid.to_string())),
                 ("tid".to_string(), Value::Num(tid.to_string())),
@@ -191,7 +191,7 @@ pub fn validate(trace: &Value) -> Vec<String> {
 mod tests {
     use super::*;
 
-    fn report(spans: Vec<(&str, &str, u64, u64)>) -> emb_telemetry::Report {
+    fn report(spans: Vec<(&'static str, &'static str, u64, u64)>) -> emb_telemetry::Report {
         emb_telemetry::collect(|| {
             for (track, name, s, e) in spans {
                 emb_telemetry::span(track, name, s, e, Vec::new);

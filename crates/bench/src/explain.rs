@@ -288,11 +288,11 @@ pub fn report_from_snapshot(ms: &emb_telemetry::MetricsSnapshot) -> Result<Expla
             for (k, v) in &x.fields {
                 match v {
                     emb_telemetry::EventValue::U64(n) => {
-                        fields.u.insert(k.clone(), *n);
-                        fields.f.insert(k.clone(), *n as f64);
+                        fields.u.insert(k.to_string(), *n);
+                        fields.f.insert(k.to_string(), *n as f64);
                     }
                     emb_telemetry::EventValue::F64(f) => {
-                        fields.f.insert(k.clone(), *f);
+                        fields.f.insert(k.to_string(), *f);
                     }
                     emb_telemetry::EventValue::Str(_) => {}
                 }
@@ -446,44 +446,26 @@ mod tests {
             emb_telemetry::ReqId(req),
             || {
                 vec![
+                    ("point".into(), emb_telemetry::EventValue::U64(req >> 32)),
+                    ("offered_rps".into(), emb_telemetry::EventValue::F64(1000.0)),
+                    ("queue_ns".into(), emb_telemetry::EventValue::U64(queue)),
                     (
-                        "point".to_string(),
-                        emb_telemetry::EventValue::U64(req >> 32),
-                    ),
-                    (
-                        "offered_rps".to_string(),
-                        emb_telemetry::EventValue::F64(1000.0),
-                    ),
-                    (
-                        "queue_ns".to_string(),
-                        emb_telemetry::EventValue::U64(queue),
-                    ),
-                    (
-                        "batch_wait_ns".to_string(),
+                        "batch_wait_ns".into(),
                         emb_telemetry::EventValue::U64(batch_wait),
                     ),
+                    ("extract_ns".into(), emb_telemetry::EventValue::U64(extract)),
+                    ("latency_ns".into(), emb_telemetry::EventValue::U64(latency)),
+                    ("batch_requests".into(), emb_telemetry::EventValue::U64(4)),
                     (
-                        "extract_ns".to_string(),
-                        emb_telemetry::EventValue::U64(extract),
-                    ),
-                    (
-                        "latency_ns".to_string(),
-                        emb_telemetry::EventValue::U64(latency),
-                    ),
-                    (
-                        "batch_requests".to_string(),
-                        emb_telemetry::EventValue::U64(4),
-                    ),
-                    (
-                        "batch_keys_local".to_string(),
+                        "batch_keys_local".into(),
                         emb_telemetry::EventValue::F64(keys[0]),
                     ),
                     (
-                        "batch_keys_remote".to_string(),
+                        "batch_keys_remote".into(),
                         emb_telemetry::EventValue::F64(keys[1]),
                     ),
                     (
-                        "batch_keys_host".to_string(),
+                        "batch_keys_host".into(),
                         emb_telemetry::EventValue::F64(keys[2]),
                     ),
                 ]
@@ -558,35 +540,23 @@ mod tests {
                 emb_telemetry::ReqId(1),
                 || {
                     vec![
-                        ("point".to_string(), emb_telemetry::EventValue::U64(0)),
+                        ("point".into(), emb_telemetry::EventValue::U64(0)),
+                        ("offered_rps".into(), emb_telemetry::EventValue::F64(1.0)),
+                        ("queue_ns".into(), emb_telemetry::EventValue::U64(90)),
+                        ("batch_wait_ns".into(), emb_telemetry::EventValue::U64(0)),
+                        ("extract_ns".into(), emb_telemetry::EventValue::U64(5)),
+                        ("latency_ns".into(), emb_telemetry::EventValue::U64(100)),
+                        ("batch_requests".into(), emb_telemetry::EventValue::U64(1)),
                         (
-                            "offered_rps".to_string(),
-                            emb_telemetry::EventValue::F64(1.0),
-                        ),
-                        ("queue_ns".to_string(), emb_telemetry::EventValue::U64(90)),
-                        (
-                            "batch_wait_ns".to_string(),
-                            emb_telemetry::EventValue::U64(0),
-                        ),
-                        ("extract_ns".to_string(), emb_telemetry::EventValue::U64(5)),
-                        (
-                            "latency_ns".to_string(),
-                            emb_telemetry::EventValue::U64(100),
-                        ),
-                        (
-                            "batch_requests".to_string(),
-                            emb_telemetry::EventValue::U64(1),
-                        ),
-                        (
-                            "batch_keys_local".to_string(),
+                            "batch_keys_local".into(),
                             emb_telemetry::EventValue::F64(1.0),
                         ),
                         (
-                            "batch_keys_remote".to_string(),
+                            "batch_keys_remote".into(),
                             emb_telemetry::EventValue::F64(0.0),
                         ),
                         (
-                            "batch_keys_host".to_string(),
+                            "batch_keys_host".into(),
                             emb_telemetry::EventValue::F64(0.0),
                         ),
                     ]

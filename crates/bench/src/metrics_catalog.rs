@@ -374,7 +374,7 @@ pub fn recorded_names() -> BTreeSet<(MetricKind, String)> {
             names.insert((MetricKind::Histogram, n.clone()));
         }
         for e in &r.telemetry.events {
-            names.insert((MetricKind::Event, e.name.clone()));
+            names.insert((MetricKind::Event, e.name.to_string()));
         }
     }
     names

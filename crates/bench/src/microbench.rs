@@ -287,6 +287,64 @@ fn bench_memsim_step(trials: usize, warmup: usize) -> BenchEntry {
     entry("memsim_step", ref_secs, opt_secs)
 }
 
+/// A served batch's worth of simulation: the free `simulate`, which
+/// derives its per-topology state (profile, path tables) on every call,
+/// vs one [`gpu_memsim::Simulator`] reused across calls, as
+/// `Extractor` holds it. 15 flows on Server A — 16 requests' ~330 keys
+/// of 128 B — so the whole call is fixed cost; each trial times
+/// [`SMALL_CALLS`] calls.
+fn bench_memsim_small(trials: usize, warmup: usize) -> BenchEntry {
+    use gpu_memsim::{simulate, DispatchMode, GpuWork, SimConfig, Simulator, SourceDemand};
+    use gpu_platform::{DedicationConfig, Location, Platform};
+    const SMALL_CALLS: usize = 2_000;
+
+    let plat = Platform::server_a();
+    let cfg = SimConfig::default();
+    let keys = |src, n: usize| SourceDemand {
+        src,
+        bytes: (n * 128) as f64,
+    };
+    let works: Vec<GpuWork> = (0..4)
+        .map(|gpu| {
+            let mut demands = vec![
+                keys(Location::Gpu(gpu), 45),
+                keys(Location::Gpu((gpu + 1) % 4), 12),
+                keys(Location::Gpu((gpu + 2) % 4), 11),
+                keys(Location::Host, 15),
+            ];
+            if gpu == 3 {
+                demands.pop(); // this GPU's keys all hit a cache: 15 flows
+            }
+            GpuWork { gpu, demands }
+        })
+        .collect();
+    let mode = DispatchMode::Factored {
+        dedication: DedicationConfig::default(),
+    };
+
+    // Outside the timed region: a reused simulator answers like a fresh one.
+    let mut reused = Simulator::new(&plat, &cfg, mode);
+    for _ in 0..2 {
+        assert_eq!(
+            reused.simulate(&works),
+            simulate(&plat, &cfg, &works, mode),
+            "reused simulator diverges"
+        );
+    }
+
+    let ref_secs = time_trials(trials, warmup, || {
+        for _ in 0..SMALL_CALLS {
+            std::hint::black_box(simulate(&plat, &cfg, std::hint::black_box(&works), mode));
+        }
+    });
+    let opt_secs = time_trials(trials, warmup, || {
+        for _ in 0..SMALL_CALLS {
+            std::hint::black_box(reused.simulate(std::hint::black_box(&works)));
+        }
+    });
+    entry("memsim_small", ref_secs, opt_secs)
+}
+
 /// The simplex tableau: full-width dense row operations (reference) vs
 /// the per-row bitset supports.
 fn bench_simplex_pivot(trials: usize, warmup: usize) -> BenchEntry {
@@ -329,6 +387,7 @@ pub(crate) type BenchFn = fn(usize, usize) -> BenchEntry;
 const BENCHES: &[(&str, BenchFn)] = &[
     ("gather", bench_gather),
     ("memsim_step", bench_memsim_step),
+    ("memsim_small", bench_memsim_small),
     ("simplex_pivot", bench_simplex_pivot),
     ("gather_par", bench_gather_par),
 ];

@@ -25,7 +25,7 @@ fn stall_rows(report: &emb_telemetry::Report, tl: &Timeline) -> Vec<(String, u64
             let idle: f64 = report
                 .spans
                 .iter()
-                .filter(|s| s.track == t.track && s.name == "stall")
+                .filter(|s| s.track == t.track.as_str() && s.name == "stall")
                 .flat_map(|s| s.fields.iter())
                 .filter_map(|(k, v)| match (k.as_str(), v) {
                     ("idle_core_secs", emb_telemetry::EventValue::F64(x)) => Some(*x),
@@ -100,15 +100,12 @@ mod tests {
         let ((), report) = emb_telemetry::collect(|| {
             emb_telemetry::span("gpu0/cores", "stall", 0, 100, || {
                 vec![(
-                    "idle_core_secs".to_string(),
+                    "idle_core_secs".into(),
                     emb_telemetry::EventValue::F64(0.25),
                 )]
             });
             emb_telemetry::span("gpu0/cores", "stall", 200, 300, || {
-                vec![(
-                    "idle_core_secs".to_string(),
-                    emb_telemetry::EventValue::F64(0.5),
-                )]
+                vec![("idle_core_secs".into(), emb_telemetry::EventValue::F64(0.5))]
             });
             emb_telemetry::span("gpu0/link:pcie->host", "xfer", 0, 300, Vec::new);
             emb_telemetry::advance_clock_ns(300);

@@ -141,7 +141,7 @@ fn bucket_series(intervals: &[(u64, u64)], extent_ns: u64) -> Vec<f64> {
 mod tests {
     use super::*;
 
-    fn report_with(spans: Vec<(&str, u64, u64)>, clock_ns: u64) -> emb_telemetry::Report {
+    fn report_with(spans: Vec<(&'static str, u64, u64)>, clock_ns: u64) -> emb_telemetry::Report {
         emb_telemetry::collect(|| {
             for (track, s, e) in spans {
                 emb_telemetry::span(track, "t", s, e, Vec::new);

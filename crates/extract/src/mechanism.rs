@@ -2,8 +2,16 @@
 
 use cache_policy::Placement;
 use emb_util::SimTime;
-use gpu_memsim::{simulate, DispatchMode, GpuExtraction, GpuWork, SimConfig, SourceDemand};
+use gpu_memsim::{DispatchMode, GpuExtraction, GpuWork, SimConfig, Simulator, SourceDemand};
 use gpu_platform::{DedicationConfig, Location, Platform};
+use std::cell::RefCell;
+
+/// Span tracks of the per-tier `gather` spans, `[local, remote, host]`.
+const TIER_TRACKS: [&str; 3] = [
+    "extract/tier:local",
+    "extract/tier:remote",
+    "extract/tier:host",
+];
 
 /// How cross-GPU embedding extraction is carried out.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -37,15 +45,26 @@ pub struct Extractor {
     platform: Platform,
     sim: SimConfig,
     mechanism: Mechanism,
+    /// The peer mechanisms' simulator: per-topology tables built here,
+    /// once, and scratch reused by every extraction (`None` for the
+    /// analytic message-based model).
+    simulator: Option<RefCell<Simulator>>,
 }
 
 impl Extractor {
     /// Creates an extractor.
     pub fn new(platform: Platform, sim: SimConfig, mechanism: Mechanism) -> Self {
+        let mode = match mechanism {
+            Mechanism::PeerNaive { seed } => Some(DispatchMode::RandomShared { seed }),
+            Mechanism::Factored { dedication } => Some(DispatchMode::Factored { dedication }),
+            Mechanism::MessageBased => None,
+        };
+        let simulator = mode.map(|mode| RefCell::new(Simulator::new(&platform, &sim, mode)));
         Extractor {
             platform,
             sim,
             mechanism,
+            simulator,
         }
     }
 
@@ -178,11 +197,10 @@ impl Extractor {
             // extraction window on the scope clock (the mechanism advanced
             // the clock past its makespan).
             let end_ns = base_ns.saturating_add(outcome.makespan.as_nanos());
-            for (tier, bytes) in ["local", "remote", "host"].into_iter().zip(tiers) {
+            for (track, bytes) in TIER_TRACKS.into_iter().zip(tiers) {
                 if bytes > 0.0 {
-                    let track = format!("extract/tier:{tier}");
-                    emb_telemetry::span(&track, "gather", base_ns, end_ns, || {
-                        vec![("bytes".to_string(), emb_telemetry::EventValue::F64(bytes))]
+                    emb_telemetry::span(track, "gather", base_ns, end_ns, || {
+                        vec![("bytes".into(), emb_telemetry::EventValue::F64(bytes))]
                     });
                 }
             }
@@ -194,32 +212,15 @@ impl Extractor {
     /// simulator and the message-based model record their spans and
     /// advance the scope clock themselves).
     fn dispatch(&self, works: &[GpuWork]) -> ExtractOutcome {
-        match self.mechanism {
-            Mechanism::PeerNaive { seed } => {
-                let r = simulate(
-                    &self.platform,
-                    &self.sim,
-                    works,
-                    DispatchMode::RandomShared { seed },
-                );
+        match &self.simulator {
+            Some(simulator) => {
+                let r = simulator.borrow_mut().simulate(works);
                 ExtractOutcome {
                     makespan: r.makespan,
                     per_gpu: r.per_gpu,
                 }
             }
-            Mechanism::Factored { dedication } => {
-                let r = simulate(
-                    &self.platform,
-                    &self.sim,
-                    works,
-                    DispatchMode::Factored { dedication },
-                );
-                ExtractOutcome {
-                    makespan: r.makespan,
-                    per_gpu: r.per_gpu,
-                }
-            }
-            Mechanism::MessageBased => self.message_based(works),
+            None => self.message_based(works),
         }
     }
 
@@ -294,10 +295,7 @@ impl Extractor {
             ] {
                 let end = cursor.saturating_add(SimTime::from_secs_f64(secs + launch).as_nanos());
                 emb_telemetry::span("extract/phases", name, cursor, end, || {
-                    vec![(
-                        "secs".to_string(),
-                        emb_telemetry::EventValue::F64(secs + launch),
-                    )]
+                    vec![("secs".into(), emb_telemetry::EventValue::F64(secs + launch))]
                 });
                 cursor = end;
             }

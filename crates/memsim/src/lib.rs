@@ -35,7 +35,7 @@ pub mod trace;
 pub use bandwidth::{effective_bw, CongestionModel};
 pub use engine::{
     simulate, simulate_traced, DispatchMode, ExtractionResult, GpuExtraction, GpuWork, LinkUse,
-    SimConfig, SourceDemand,
+    SimConfig, Simulator, SourceDemand,
 };
 pub use reference::{simulate_reference, simulate_reference_traced};
 pub use trace::{ExtractionTrace, TraceEvent};

@@ -79,20 +79,14 @@ fn record_sample(dst: usize, src: Location, cores: usize, bytes_per_sec: f64) {
     emb_telemetry::observe("memsim.microbench.bytes_per_sec", bytes_per_sec);
     emb_telemetry::event("memsim.microbench", || {
         vec![
+            ("dst".into(), emb_telemetry::EventValue::U64(dst as u64)),
             (
-                "dst".to_string(),
-                emb_telemetry::EventValue::U64(dst as u64),
+                "src".into(),
+                emb_telemetry::EventValue::Str(src.to_string().into()),
             ),
+            ("cores".into(), emb_telemetry::EventValue::U64(cores as u64)),
             (
-                "src".to_string(),
-                emb_telemetry::EventValue::Str(src.to_string()),
-            ),
-            (
-                "cores".to_string(),
-                emb_telemetry::EventValue::U64(cores as u64),
-            ),
-            (
-                "bytes_per_sec".to_string(),
+                "bytes_per_sec".into(),
                 emb_telemetry::EventValue::F64(bytes_per_sec),
             ),
         ]

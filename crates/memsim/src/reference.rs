@@ -5,17 +5,18 @@
 //! every step it recounts the active cores of every group by scanning all
 //! cores, re-collects/re-sorts/re-dedups the egress source list, and
 //! re-offers work to every idle core with a full rescan. It shares the
-//! state construction, dispatch discipline, span emission and result
-//! assembly with the optimized engine (those were not the slow part), so
-//! the two differ only in the per-step bookkeeping — which is the claim
+//! state construction (with every core built, since it rescans them
+//! all), dispatch discipline, span emission and result assembly with the
+//! optimized engine through a one-shot [`Simulator`], so the two differ
+//! only in the per-step bookkeeping — which is the claim
 //! the differential tests pin down: bit-identical results, traces and
 //! telemetry. Do not "improve" this loop; its value is being the fixed
 //! yardstick the incremental loop is compared against.
 
 use crate::bandwidth::effective_bw;
 use crate::engine::{
-    build_state, dispatch, emit_stall_span, emit_xfer_span, finalize, DispatchMode,
-    ExtractionResult, GpuWork, OpenStall, OpenXfer, SimConfig, SimState,
+    emit_stall_span, emit_xfer_span, DispatchMode, ExtractionResult, GpuWork, OpenStall, OpenXfer,
+    SimConfig, SimState, Simulator,
 };
 use crate::trace::{ExtractionTrace, TraceEvent};
 use gpu_platform::{Interconnect, Location, Platform};
@@ -56,30 +57,21 @@ fn run_reference(
     mode: DispatchMode,
     record: bool,
 ) -> (ExtractionResult, ExtractionTrace) {
-    let SimState {
-        mut groups,
-        gpu_groups,
-        mut cores,
-        mut queues,
-    } = build_state(platform, cfg, works, mode);
-
-    // Initial assignment.
-    let mut job_start = vec![0.0f64; cores.len()];
-    for ci in 0..cores.len() {
-        let job = dispatch(cfg, &gpu_groups, &mut groups, &mut queues, &cores[ci]);
-        cores[ci].job = job;
-    }
+    // Set-up and initial assignment, every core built.
+    let mut sim = Simulator::new(platform, cfg, mode);
+    sim.build_state(works, true);
+    let mut job_start = vec![0.0f64; sim.st.cores.len()];
     let mut trace = ExtractionTrace::default();
 
-    let total_chunks: u64 = groups
+    let total_chunks: u64 = sim
+        .st
+        .groups
         .iter()
         .map(|g| g.chunks_left + 1) // +1 slack for merged rounding
         .sum::<u64>()
-        + cores.iter().filter(|c| c.job.is_some()).count() as u64;
+        + sim.st.cores.iter().filter(|c| c.job.is_some()).count() as u64;
 
     let mut now = 0.0f64; // seconds
-    let mut gpu_finish = vec![0.0f64; platform.num_gpus()];
-    let mut core_busy = vec![0.0f64; platform.num_gpus()];
     let mut iterations: u64 = 0;
     let mut congestion_hits: u64 = 0;
     let mut egress_caps: u64 = 0;
@@ -91,9 +83,9 @@ fn run_reference(
     let mut stall_open: Vec<Option<OpenStall>> = Vec::new();
     let mut gpu_active: Vec<usize> = Vec::new();
     if spans_on {
-        xfer_open = (0..groups.len()).map(|_| None).collect();
-        grp_congest = vec![0; groups.len()];
-        grp_egress = vec![0; groups.len()];
+        xfer_open = (0..sim.st.groups.len()).map(|_| None).collect();
+        grp_congest = vec![0; sim.st.groups.len()];
+        grp_egress = vec![0; sim.st.groups.len()];
         stall_open = vec![None; platform.num_gpus()];
         gpu_active = vec![0; platform.num_gpus()];
     }
@@ -104,13 +96,20 @@ fn run_reference(
             iterations <= total_chunks * 4 + 64,
             "extraction simulation failed to converge"
         );
+        let SimState {
+            groups,
+            cores,
+            gpu_finish,
+            core_busy,
+            ..
+        } = &mut sim.st;
 
         // Count active cores per group — full rescan every step.
         for g in groups.iter_mut() {
             g.active = 0;
         }
         let mut any_active = false;
-        for c in &cores {
+        for c in cores.iter() {
             if let Some((gi, _)) = c.job {
                 groups[gi].active += 1;
                 any_active = true;
@@ -132,7 +131,15 @@ fn run_reference(
                         });
                     }
                     (Some(open), false) => {
-                        emit_xfer_span(base_ns, g, open, now, grp_congest[gi], grp_egress[gi]);
+                        emit_xfer_span(
+                            &mut sim.names,
+                            base_ns,
+                            g,
+                            open,
+                            now,
+                            grp_congest[gi],
+                            grp_egress[gi],
+                        );
                         xfer_open[gi] = None;
                     }
                     _ => {}
@@ -141,7 +148,7 @@ fn run_reference(
             for a in gpu_active.iter_mut() {
                 *a = 0;
             }
-            for c in &cores {
+            for c in cores.iter() {
                 if c.job.is_some() {
                     gpu_active[c.gpu] += 1;
                 }
@@ -157,7 +164,7 @@ fn run_reference(
                         });
                     }
                     (Some(open), false) => {
-                        emit_stall_span(base_ns, gpu, &open, now);
+                        emit_stall_span(&mut sim.names, base_ns, gpu, &open, now);
                         stall_open[gpu] = None;
                     }
                     _ => {}
@@ -222,7 +229,7 @@ fn run_reference(
 
         // Next completion.
         let mut dt = f64::INFINITY;
-        for c in &cores {
+        for c in cores.iter() {
             if let Some((gi, rem)) = c.job {
                 let g = &groups[gi];
                 let r = g.rate / g.active as f64;
@@ -272,15 +279,17 @@ fn run_reference(
             }
         }
         for ci in finished {
-            cores[ci].job = dispatch(cfg, &gpu_groups, &mut groups, &mut queues, &cores[ci]);
+            let job = sim.dispatch(ci);
+            sim.st.cores[ci].job = job;
             job_start[ci] = now;
         }
         // Idle cores may become eligible again (e.g. the no-padding
         // ablation releases local work once non-local groups drain).
-        for ci in 0..cores.len() {
-            if cores[ci].job.is_none() {
-                cores[ci].job = dispatch(cfg, &gpu_groups, &mut groups, &mut queues, &cores[ci]);
-                if cores[ci].job.is_some() {
+        for ci in 0..sim.st.cores.len() {
+            if sim.st.cores[ci].job.is_none() {
+                let job = sim.dispatch(ci);
+                sim.st.cores[ci].job = job;
+                if job.is_some() {
                     job_start[ci] = now;
                 }
             }
@@ -291,8 +300,9 @@ fn run_reference(
         for (gi, open) in xfer_open.iter().enumerate() {
             if let Some(open) = open {
                 emit_xfer_span(
+                    &mut sim.names,
                     base_ns,
-                    &groups[gi],
+                    &sim.st.groups[gi],
                     open,
                     now,
                     grp_congest[gi],
@@ -302,24 +312,12 @@ fn run_reference(
         }
         for (gpu, open) in stall_open.iter().enumerate() {
             if let Some(open) = open {
-                emit_stall_span(base_ns, gpu, open, now);
+                emit_stall_span(&mut sim.names, base_ns, gpu, open, now);
             }
         }
     }
 
-    let result = finalize(
-        platform,
-        cfg,
-        works,
-        &groups,
-        &gpu_groups,
-        &gpu_finish,
-        &core_busy,
-        mode,
-        congestion_hits,
-        egress_caps,
-        spans_on,
-        base_ns,
-    );
+    let scope = spans_on.then_some(base_ns);
+    let result = sim.finalize(works, congestion_hits, egress_caps, scope);
     (result, trace)
 }

@@ -4,9 +4,11 @@
 use emb_util::SimTime;
 use gpu_memsim::{
     simulate, simulate_reference, simulate_reference_traced, simulate_traced, DispatchMode,
-    GpuWork, SimConfig, SourceDemand,
+    ExtractionTrace, GpuWork, SimConfig, Simulator, SourceDemand,
 };
 use gpu_platform::{DedicationConfig, Location, Platform};
+use proptest::prelude::*;
+use rand::Rng;
 
 fn cfg() -> SimConfig {
     SimConfig {
@@ -139,5 +141,86 @@ fn telemetry_matches_reference() {
             assert_eq!(a.end_ns, b.end_ns, "span {} end", a.track);
         }
         assert_eq!(opt_rep.clock_ns, ref_rep.clock_ns);
+    }
+}
+
+/// A random call: any subset of GPUs (possibly none, possibly one named
+/// twice), each pulling from a random mix of reachable sources with sizes
+/// from nothing to `scale` bytes — duplicates and zero-byte demands
+/// included.
+fn random_works(rng: &mut impl Rng, platform: &Platform, scale: f64) -> Vec<GpuWork> {
+    let n = platform.num_gpus();
+    let mut works = Vec::new();
+    for gpu in (0..n).chain(0..1) {
+        if rng.gen_bool(0.3) {
+            continue;
+        }
+        let demands = (0..rng.gen_range(0..6usize))
+            .map(|_| {
+                let src = match rng.gen_range(0..=n) {
+                    j if j < n && platform.connected(gpu, Location::Gpu(j)) => Location::Gpu(j),
+                    _ => Location::Host,
+                };
+                let bytes = if rng.gen_bool(0.15) {
+                    0.0
+                } else {
+                    scale * rng.gen_range(0.001..1.0f64)
+                };
+                SourceDemand { src, bytes }
+            })
+            .collect();
+        works.push(GpuWork { gpu, demands });
+    }
+    works
+}
+
+fn event_bits(t: &ExtractionTrace) -> Vec<(usize, usize, Location, u64, u64)> {
+    t.events
+        .iter()
+        .map(|e| (e.gpu, e.core, e.src, e.start.to_bits(), e.end.to_bits()))
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 10, ..ProptestConfig::default() })]
+
+    /// One simulator driven through a random sequence of calls — small
+    /// after large, empty, scoped and scope-less — gives exactly what a
+    /// fresh one-shot simulation and the frozen reference give for each
+    /// call: no scratch state survives from one call into the next.
+    #[test]
+    fn reused_simulator_matches_fresh_and_reference(seed in 0u64..10_000) {
+        let mut rng = emb_util::seed_rng(seed);
+        let platform = match rng.gen_range(0..3) {
+            0 => Platform::server_a(),
+            1 => Platform::server_b(),
+            _ => Platform::server_c(),
+        };
+        let mut c = cfg();
+        c.factored_padding = rng.gen_bool(0.5);
+        for mode in modes() {
+            let mut sim = Simulator::new(&platform, &c, mode);
+            for _ in 0..5 {
+                // Batch-sized, or five orders of magnitude above it.
+                let scale = if rng.gen_bool(0.3) { 2e8 } else { 4e3 };
+                let works = random_works(&mut rng, &platform, scale);
+                if rng.gen_bool(0.2) {
+                    // A scope-less call in between leaves no mark either.
+                    prop_assert_eq!(sim.simulate(&works), simulate(&platform, &c, &works, mode));
+                }
+                let ((r, t), report) = emb_telemetry::collect(|| sim.simulate_traced(&works));
+                let ((fresh_r, fresh_t), fresh_report) =
+                    emb_telemetry::collect(|| simulate_traced(&platform, &c, &works, mode));
+                let ((ref_r, ref_t), ref_report) = emb_telemetry::collect(|| {
+                    simulate_reference_traced(&platform, &c, &works, mode)
+                });
+                prop_assert_eq!(&r, &fresh_r, "result vs fresh under {:?}", mode);
+                prop_assert_eq!(&r, &ref_r, "result vs reference under {:?}", mode);
+                prop_assert_eq!(event_bits(&t), event_bits(&fresh_t));
+                prop_assert_eq!(event_bits(&t), event_bits(&ref_t));
+                prop_assert_eq!(&report, &fresh_report, "telemetry vs fresh under {:?}", mode);
+                prop_assert_eq!(&report, &ref_report, "telemetry vs reference under {:?}", mode);
+            }
+        }
     }
 }

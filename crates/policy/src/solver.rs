@@ -153,23 +153,23 @@ impl UGacheSolver {
         emb_telemetry::event("policy.solve", || {
             vec![
                 (
-                    "blocks".to_string(),
+                    "blocks".into(),
                     emb_telemetry::EventValue::U64(blocks.len() as u64),
                 ),
                 (
-                    "patterns".to_string(),
+                    "patterns".into(),
                     emb_telemetry::EventValue::U64(patterns.len() as u64),
                 ),
                 (
-                    "lp_iterations".to_string(),
+                    "lp_iterations".into(),
                     emb_telemetry::EventValue::U64(sol.iterations as u64),
                 ),
                 (
-                    "lp_residual".to_string(),
+                    "lp_residual".into(),
                     emb_telemetry::EventValue::F64(sol.max_residual),
                 ),
                 (
-                    "predicted_secs".to_string(),
+                    "predicted_secs".into(),
                     emb_telemetry::EventValue::F64(sol.objective * time_unit),
                 ),
             ]

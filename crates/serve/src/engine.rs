@@ -101,21 +101,22 @@ pub fn req_id(point: u64, index: usize) -> emb_telemetry::ReqId {
     emb_telemetry::ReqId((point << 32) | index as u64)
 }
 
-/// Coalesces the admitted requests' keys into per-GPU shards
-/// (`key % num_gpus`), sorted and deduplicated like every other batch
-/// the cache sees.
-fn shard_keys<'a>(keys: impl Iterator<Item = &'a [u32]>, num_gpus: usize) -> Vec<Vec<u32>> {
-    let mut shards = vec![Vec::new(); num_gpus];
+/// Coalesces the admitted requests' keys into the per-GPU `shards`
+/// (`key % shards.len()`), sorted and deduplicated like every other batch
+/// the cache sees. The shard buffers are refilled in place, so a load
+/// point's batches share one set of allocations.
+fn shard_keys<'a>(keys: impl Iterator<Item = &'a [u32]>, shards: &mut [Vec<u32>]) {
+    shards.iter_mut().for_each(Vec::clear);
+    let num_gpus = shards.len();
     for req_keys in keys {
         for &k in req_keys {
             shards[k as usize % num_gpus].push(k);
         }
     }
-    for shard in &mut shards {
+    for shard in shards {
         shard.sort_unstable();
         shard.dedup();
     }
-    shards
 }
 
 /// Runs one coalesced extraction and returns `(makespan, local, remote,
@@ -149,17 +150,18 @@ pub fn estimate_capacity_rps(
     let requests: Vec<Vec<u32>> = (0..cfg.max_batch)
         .map(|_| clients.next_request(&mut rng).keys)
         .collect();
-    let shards = shard_keys(requests.iter().map(Vec::as_slice), u.platform().num_gpus());
+    let mut shards = vec![Vec::new(); u.platform().num_gpus()];
+    shard_keys(requests.iter().map(Vec::as_slice), &mut shards);
     let (makespan, _) = extract_batch(u, &shards, cfg.entry_bytes);
     let capacity = cfg.max_batch as f64 / makespan.as_secs_f64().max(1e-12);
     emb_telemetry::event("serve.capacity", || {
         vec![
             (
-                "capacity_rps".to_string(),
+                "capacity_rps".into(),
                 emb_telemetry::EventValue::F64(capacity),
             ),
             (
-                "probe_makespan_secs".to_string(),
+                "probe_makespan_secs".into(),
                 emb_telemetry::EventValue::F64(makespan.as_secs_f64()),
             ),
         ]
@@ -241,7 +243,7 @@ pub fn run_load_point_with_keys(
     offered_rps: f64,
     request_keys: &[Vec<u32>],
 ) -> LoadSample {
-    let num_gpus = u.platform().num_gpus();
+    let mut shards = vec![Vec::new(); u.platform().num_gpus()];
     let mut arrivals_rng =
         PoissonArrivals::new(split_seed(cfg.seed, ARRIVAL_STREAM ^ point), offered_rps);
     let arrivals = arrivals_rng.take(request_keys.len());
@@ -258,9 +260,9 @@ pub fn run_load_point_with_keys(
 
     while let Some(adm) = next_admission(&arrivals, next, free, cfg.max_batch, cfg.batch_window) {
         let members = next..next + adm.count;
-        let shards = shard_keys(
+        shard_keys(
             members.clone().map(|i| request_keys[i].as_slice()),
-            num_gpus,
+            &mut shards,
         );
         let coalesced: usize = shards.iter().map(Vec::len).sum();
         // Keep the telemetry scope clock aligned with serving time: the
@@ -276,16 +278,16 @@ pub fn run_load_point_with_keys(
             || {
                 vec![
                     (
-                        "requests".to_string(),
+                        "requests".into(),
                         emb_telemetry::EventValue::U64(adm.count as u64),
                     ),
                     (
-                        "coalesced_keys".to_string(),
+                        "coalesced_keys".into(),
                         emb_telemetry::EventValue::U64(coalesced as u64),
                     ),
-                    ("first_req".to_string(), req_id(point, next).into()),
+                    ("first_req".into(), req_id(point, next).into()),
                     (
-                        "last_req".to_string(),
+                        "last_req".into(),
                         req_id(point, next + adm.count - 1).into(),
                     ),
                 ]
@@ -310,41 +312,38 @@ pub fn run_load_point_with_keys(
             // histogram's top-K.
             let exemplar_fields = || {
                 vec![
-                    ("point".to_string(), emb_telemetry::EventValue::U64(point)),
+                    ("point".into(), emb_telemetry::EventValue::U64(point)),
                     (
-                        "offered_rps".to_string(),
+                        "offered_rps".into(),
                         emb_telemetry::EventValue::F64(offered_rps),
                     ),
                     (
-                        "queue_ns".to_string(),
+                        "queue_ns".into(),
                         emb_telemetry::EventValue::U64(queue.as_nanos()),
                     ),
                     (
-                        "batch_wait_ns".to_string(),
+                        "batch_wait_ns".into(),
                         emb_telemetry::EventValue::U64(batch_wait.as_nanos()),
                     ),
                     (
-                        "extract_ns".to_string(),
+                        "extract_ns".into(),
                         emb_telemetry::EventValue::U64(makespan.as_nanos()),
                     ),
+                    ("latency_ns".into(), emb_telemetry::EventValue::U64(latency)),
                     (
-                        "latency_ns".to_string(),
-                        emb_telemetry::EventValue::U64(latency),
-                    ),
-                    (
-                        "batch_requests".to_string(),
+                        "batch_requests".into(),
                         emb_telemetry::EventValue::U64(adm.count as u64),
                     ),
                     (
-                        "batch_keys_local".to_string(),
+                        "batch_keys_local".into(),
                         emb_telemetry::EventValue::F64(tiers[0]),
                     ),
                     (
-                        "batch_keys_remote".to_string(),
+                        "batch_keys_remote".into(),
                         emb_telemetry::EventValue::F64(tiers[1]),
                     ),
                     (
-                        "batch_keys_host".to_string(),
+                        "batch_keys_host".into(),
                         emb_telemetry::EventValue::F64(tiers[2]),
                     ),
                 ]
@@ -364,23 +363,20 @@ pub fn run_load_point_with_keys(
             emb_telemetry::observe("serve.queue_ms", queue.as_nanos() as f64 / 1e6);
             emb_telemetry::event("serve.request", || {
                 vec![
-                    ("req".to_string(), req.into()),
+                    ("req".into(), req.into()),
                     (
-                        "queue_ns".to_string(),
+                        "queue_ns".into(),
                         emb_telemetry::EventValue::U64(queue.as_nanos()),
                     ),
                     (
-                        "batch_wait_ns".to_string(),
+                        "batch_wait_ns".into(),
                         emb_telemetry::EventValue::U64(batch_wait.as_nanos()),
                     ),
                     (
-                        "extract_ns".to_string(),
+                        "extract_ns".into(),
                         emb_telemetry::EventValue::U64(makespan.as_nanos()),
                     ),
-                    (
-                        "latency_ns".to_string(),
-                        emb_telemetry::EventValue::U64(latency),
-                    ),
+                    ("latency_ns".into(), emb_telemetry::EventValue::U64(latency)),
                 ]
             });
         }
@@ -448,31 +444,31 @@ pub fn run_load_point_with_keys(
     emb_telemetry::event("serve.load_point", || {
         vec![
             (
-                "offered_rps".to_string(),
+                "offered_rps".into(),
                 emb_telemetry::EventValue::F64(sample.offered_rps),
             ),
             (
-                "achieved_rps".to_string(),
+                "achieved_rps".into(),
                 emb_telemetry::EventValue::F64(sample.achieved_rps),
             ),
             (
-                "requests".to_string(),
+                "requests".into(),
                 emb_telemetry::EventValue::U64(sample.requests),
             ),
             (
-                "batches".to_string(),
+                "batches".into(),
                 emb_telemetry::EventValue::U64(sample.batches),
             ),
             (
-                "p50_ms".to_string(),
+                "p50_ms".into(),
                 emb_telemetry::EventValue::F64(sample.p50_ms),
             ),
             (
-                "p99_ms".to_string(),
+                "p99_ms".into(),
                 emb_telemetry::EventValue::F64(sample.p99_ms),
             ),
             (
-                "p999_ms".to_string(),
+                "p999_ms".into(),
                 emb_telemetry::EventValue::F64(sample.p999_ms),
             ),
         ]
@@ -551,7 +547,7 @@ mod tests {
     #[test]
     fn request_decomposition_sums_exactly_and_links_by_id() {
         use emb_telemetry::EventValue;
-        let field = |fields: &[(String, EventValue)], name: &str| -> u64 {
+        let field = |fields: &[(emb_telemetry::Name, EventValue)], name: &str| -> u64 {
             match fields.iter().find(|(k, _)| k == name) {
                 Some((_, EventValue::U64(v))) => *v,
                 other => panic!("missing u64 field {name}: {other:?}"),

@@ -1,0 +1,161 @@
+//! The live-scope allocation budget: what recording costs *inside* an
+//! `emb_telemetry::collect` scope (the disabled path is pinned at zero by
+//! `crates/telemetry/tests/no_alloc.rs`).
+//!
+//! Two claims. Literal names never allocate: recording an event, span or
+//! exemplar whose names and field keys are literals costs the field `Vec`
+//! and the amortised growth of the scope's buffers, nothing per name.
+//! And one `serve_online`-shaped batch — 16 requests of 32 keys coalesced
+//! into one extraction on Server A — stays under a pinned allocation
+//! count all the way through `run_load_point_with_keys` (99 today; 706
+//! before names were borrowed, the simulator cached and the shard buffers
+//! reused).
+//!
+//! Lives in its own integration-test binary because of the counting
+//! `#[global_allocator]`; the counter is per thread, so the two tests do
+//! not disturb each other.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+struct CountingAlloc;
+
+thread_local! {
+    /// Allocations made by this thread (const-initialised, so reading it
+    /// from inside the allocator never allocates).
+    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+}
+
+// SAFETY: delegates every operation unchanged to `System`; the counter
+// update has no effect on allocation behaviour.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+fn allocations_of(f: impl FnOnce()) -> usize {
+    let before = ALLOCATIONS.with(Cell::get);
+    f();
+    ALLOCATIONS.with(Cell::get) - before
+}
+
+#[test]
+fn literal_names_cost_only_the_field_vec() {
+    use emb_telemetry::{EventValue, ReqId};
+    const ROUNDS: usize = 1000;
+    let record = |i: u64| {
+        emb_telemetry::event("serve.request", || {
+            vec![
+                ("req".into(), EventValue::U64(i)),
+                ("queue_ns".into(), EventValue::U64(i)),
+                ("mode".into(), EventValue::Str("factored".into())),
+            ]
+        });
+        emb_telemetry::span("serve/batches", "batch", i, i + 1, || {
+            vec![("requests".into(), EventValue::U64(16))]
+        });
+        let id = emb_telemetry::span_begin("ugache/refresh", "refresh", i);
+        emb_telemetry::span_end(id, i + 1, || vec![("secs".into(), EventValue::F64(0.5))]);
+        // Ascending values: every observation enters the retained top-K
+        // and builds its context fields.
+        emb_telemetry::observe_with_exemplar("serve.latency_ns", i as f64, ReqId(i), || {
+            vec![("latency_ns".into(), EventValue::U64(i))]
+        });
+        emb_telemetry::count("serve.requests", 1.0);
+        emb_telemetry::observe("serve.queue_ms", 0.25);
+    };
+    let (allocations, report) = emb_telemetry::collect(|| {
+        record(0); // first use inserts the metric names
+        allocations_of(|| (1..=ROUNDS as u64).for_each(record))
+    });
+    assert_eq!(report.events.len(), ROUNDS + 1);
+    // Per round: four field `Vec`s. Beyond that only the doubling growth
+    // of the scope's event and span buffers (~2 log2(ROUNDS) reallocations).
+    let growth = 2 * (usize::BITS - ROUNDS.leading_zeros()) as usize + 8;
+    assert!(
+        allocations <= 4 * ROUNDS + growth,
+        "{allocations} allocations for {ROUNDS} rounds of literal-named records"
+    );
+}
+
+#[test]
+fn a_served_batch_stays_within_its_allocation_budget() {
+    use cache_policy::Hotness;
+    use emb_cache::HostTable;
+    use emb_serve::{draw_request_keys, run_load_point_with_keys, ClientPopulation, ServeConfig};
+    use emb_util::zipf::powerlaw_hotness;
+    use emb_util::SimTime;
+    use gpu_platform::Platform;
+    use ugache::{UGache, UGacheConfig};
+
+    /// Allocations of one 16-request load point under a live scope.
+    const BUDGET: usize = 120;
+
+    // `serve_online`'s shape at a tenth of its key domain.
+    let (keys, dim, keys_per_request, max_batch) = (40_000usize, 32usize, 32usize, 16usize);
+    let platform = Platform::server_a();
+    let hotness = Hotness::new(powerlaw_hotness(keys, 1.05));
+    let mut ucfg = UGacheConfig::new(dim * 4, (max_batch * keys_per_request) as f64 * 0.7);
+    ucfg.solver.blocks.max_blocks = 32;
+    ucfg.solver.blocks.min_splits = platform.num_gpus();
+    let mut u = UGache::build(
+        platform,
+        HostTable::procedural(keys, dim),
+        &hotness,
+        vec![keys / 8; 4],
+        ucfg,
+    )
+    .expect("solvable");
+    let cfg = ServeConfig {
+        seed: 24301,
+        num_users: 20_000,
+        num_keys: keys as u64,
+        user_alpha: 1.05,
+        keys_per_request,
+        entry_bytes: dim * 4,
+        max_batch,
+        batch_window: SimTime::from_micros(250),
+        requests: max_batch,
+    };
+    let mut clients = ClientPopulation::new(
+        cfg.seed,
+        cfg.num_users,
+        cfg.num_keys,
+        cfg.user_alpha,
+        cfg.keys_per_request,
+    );
+    let request_keys = draw_request_keys(&cfg, &mut clients, 0);
+    // Far above capacity, so all 16 requests coalesce into one batch.
+    let offered_rps = 1e9;
+
+    let ((allocations, batches), _report) = emb_telemetry::collect(|| {
+        // The first load point inserts the scope's metric names and warms
+        // the simulator's name table and scratch; the budget is for the
+        // steady state `repro serve` and `serve_online` run in.
+        run_load_point_with_keys(&mut u, &cfg, 0, offered_rps, &request_keys);
+        let mut batches = 0;
+        let allocations = allocations_of(|| {
+            batches = run_load_point_with_keys(&mut u, &cfg, 1, offered_rps, &request_keys).batches;
+        });
+        (allocations, batches)
+    });
+    assert_eq!(batches, 1, "the load point is one coalesced batch");
+    assert!(
+        allocations <= BUDGET,
+        "{allocations} allocations for one served batch (budget {BUDGET})"
+    );
+}

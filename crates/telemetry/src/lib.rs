@@ -20,6 +20,12 @@
 //!   recording function returns after one thread-local check; nothing is
 //!   allocated (enforced by a counting-allocator test). Call sites that
 //!   must build dynamic metric names guard with [`enabled`].
+//! * **Literal names are free inside a scope too.** Event names, span
+//!   tracks/names and field keys are [`Name`]s: a literal is borrowed for
+//!   the life of the program, and a dynamic name is formatted once by
+//!   whoever owns it (e.g. `gpu-memsim`'s per-topology table) and shared
+//!   by reference count afterwards — recording never formats or copies a
+//!   name (enforced by `crates/serve/tests/live_alloc.rs`).
 //! * **Seed-free.** The crate never reads clocks or random state; values
 //!   come exclusively from the instrumented code.
 //!
@@ -30,7 +36,7 @@
 //!     emb_telemetry::count("cache.local_hits", 3.0);
 //!     emb_telemetry::observe("memsim.core_util", 0.85);
 //!     emb_telemetry::event("memsim.extract", || {
-//!         vec![("bytes".to_string(), emb_telemetry::EventValue::U64(4096))]
+//!         vec![("bytes".into(), emb_telemetry::EventValue::U64(4096))]
 //!     });
 //! });
 //! assert_eq!(report.metrics.counters, vec![("cache.local_hits".to_string(), 3.0)]);
@@ -46,6 +52,90 @@ use serde::ser::{SerializeMap, SerializeStruct};
 use serde::{Serialize, Serializer};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
+use std::sync::Arc;
+
+/// The name of an event, span, track or field.
+///
+/// Borrows a `&'static str` when built from a literal (`"x".into()`,
+/// no allocation, ever) and shares an `Arc<str>` when built from a
+/// `String` (one allocation where the name is formatted; clones bump a
+/// reference count). Compares, prints and serializes as the plain string
+/// it holds.
+#[derive(Clone)]
+pub struct Name(Repr);
+
+#[derive(Clone)]
+enum Repr {
+    Static(&'static str),
+    Shared(Arc<str>),
+}
+
+impl Name {
+    /// The name as a string slice.
+    pub fn as_str(&self) -> &str {
+        match &self.0 {
+            Repr::Static(s) => s,
+            Repr::Shared(s) => s,
+        }
+    }
+}
+
+impl From<&'static str> for Name {
+    fn from(s: &'static str) -> Name {
+        Name(Repr::Static(s))
+    }
+}
+
+impl From<String> for Name {
+    fn from(s: String) -> Name {
+        Name(Repr::Shared(s.into()))
+    }
+}
+
+impl std::ops::Deref for Name {
+    type Target = str;
+    fn deref(&self) -> &str {
+        self.as_str()
+    }
+}
+
+impl std::fmt::Debug for Name {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        std::fmt::Debug::fmt(self.as_str(), f)
+    }
+}
+
+impl std::fmt::Display for Name {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.as_str())
+    }
+}
+
+impl PartialEq for Name {
+    fn eq(&self, other: &Name) -> bool {
+        self.as_str() == other.as_str()
+    }
+}
+
+impl Eq for Name {}
+
+impl PartialEq<str> for Name {
+    fn eq(&self, other: &str) -> bool {
+        self.as_str() == other
+    }
+}
+
+impl PartialEq<&str> for Name {
+    fn eq(&self, other: &&str) -> bool {
+        self.as_str() == *other
+    }
+}
+
+impl Serialize for Name {
+    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
+        serializer.serialize_str(self.as_str())
+    }
+}
 
 /// One value attached to a trace [`Event`] field.
 #[derive(Debug, Clone, PartialEq)]
@@ -55,7 +145,7 @@ pub enum EventValue {
     /// A float (seconds, rates, ratios).
     F64(f64),
     /// A short label (tier names, modes).
-    Str(String),
+    Str(Name),
 }
 
 impl Serialize for EventValue {
@@ -91,9 +181,9 @@ pub struct Event {
     /// Position of this event in its scope, starting at 0.
     pub seq: u64,
     /// Dotted event name, e.g. `memsim.extract`.
-    pub name: String,
+    pub name: Name,
     /// Named payload fields, in the order the recorder listed them.
-    pub fields: Vec<(String, EventValue)>,
+    pub fields: Vec<(Name, EventValue)>,
 }
 
 /// One simulated-time span, ordered by begin time within its [`collect`]
@@ -109,15 +199,15 @@ pub struct Span {
     /// Position of this span in its scope's begin order, starting at 0.
     pub seq: u64,
     /// Track id, conventionally `<pid-group>/<sub-track>`.
-    pub track: String,
+    pub track: Name,
     /// Span name, e.g. `xfer`, `stall`, `iteration`, `refresh`.
-    pub name: String,
+    pub name: Name,
     /// Simulated start instant (scope clock, nanoseconds).
     pub start_ns: u64,
     /// Simulated end instant (scope clock, nanoseconds), `>= start_ns`.
     pub end_ns: u64,
     /// Named payload fields, in the order the recorder listed them.
-    pub fields: Vec<(String, EventValue)>,
+    pub fields: Vec<(Name, EventValue)>,
 }
 
 impl Span {
@@ -166,7 +256,7 @@ pub struct Exemplar {
     pub req: u64,
     /// Caller-supplied context fields, in the order the recorder listed
     /// them.
-    pub fields: Vec<(String, EventValue)>,
+    pub fields: Vec<(Name, EventValue)>,
 }
 
 impl Serialize for Exemplar {
@@ -189,14 +279,31 @@ fn exemplar_before(a: &Exemplar, b: &Exemplar) -> bool {
     }
 }
 
-/// Inserts `x` into the rank-ordered exemplar list `list`, keeping at
-/// most [`EXEMPLAR_K`] entries.
-fn exemplar_insert(list: &mut Vec<Exemplar>, x: Exemplar) {
-    let pos = list.partition_point(|e| exemplar_before(e, &x));
+/// Offers the observation `(value, req)` to the rank-ordered exemplar
+/// list `list`, keeping at most [`EXEMPLAR_K`] entries; `fields` is only
+/// invoked when the observation is retained.
+fn exemplar_offer(
+    list: &mut Vec<Exemplar>,
+    value: f64,
+    req: u64,
+    fields: impl FnOnce() -> Vec<(Name, EventValue)>,
+) {
+    let candidate = Exemplar {
+        value,
+        req,
+        fields: Vec::new(),
+    };
+    let pos = list.partition_point(|e| exemplar_before(e, &candidate));
     if pos >= EXEMPLAR_K {
         return;
     }
-    list.insert(pos, x);
+    list.insert(
+        pos,
+        Exemplar {
+            fields: fields(),
+            ..candidate
+        },
+    );
     list.truncate(EXEMPLAR_K);
 }
 
@@ -271,9 +378,9 @@ impl MetricsSnapshot {
 }
 
 /// Serializes `(name, value)` pairs as a JSON object.
-struct AsMap<'a, V>(&'a [(String, V)]);
+struct AsMap<'a, K, V>(&'a [(K, V)]);
 
-impl<V: Serialize> Serialize for AsMap<'_, V> {
+impl<K: Serialize, V: Serialize> Serialize for AsMap<'_, K, V> {
     fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
         let mut map = serializer.serialize_map(Some(self.0.len()))?;
         for (name, value) in self.0 {
@@ -423,10 +530,10 @@ pub fn collect<R>(f: impl FnOnce() -> R) -> (R, Report) {
 
 /// True when a [`collect`] scope is active on this thread.
 ///
-/// Hot paths that would have to *build* a metric name (e.g.
-/// `format!("memsim.link.gpu{i}...")`) should guard on this so the
-/// disabled path stays allocation-free; plain `&'static str` call sites
-/// don't need to.
+/// Code that owns dynamic names (e.g. `gpu-memsim`'s
+/// `memsim.link.gpu{i}...` table) should build them only once this
+/// returns true, so the disabled path stays allocation-free; plain
+/// `&'static str` call sites don't need to.
 pub fn enabled() -> bool {
     STACK.with(|s| !s.borrow().is_empty())
 }
@@ -486,7 +593,7 @@ pub fn observe_with_exemplar(
     name: &str,
     value: f64,
     req: ReqId,
-    fields: impl FnOnce() -> Vec<(String, EventValue)>,
+    fields: impl FnOnce() -> Vec<(Name, EventValue)>,
 ) {
     with_active(|c| {
         match c.histograms.get_mut(name) {
@@ -496,36 +603,26 @@ pub fn observe_with_exemplar(
                     .insert(name.to_string(), HistogramSummary::new(value));
             }
         }
-        let list = c.exemplars.entry(name.to_string()).or_default();
-        let candidate = Exemplar {
-            value,
-            req: req.0,
-            fields: Vec::new(),
-        };
-        let pos = list.partition_point(|e| exemplar_before(e, &candidate));
-        if pos >= EXEMPLAR_K {
-            return;
+        match c.exemplars.get_mut(name) {
+            Some(list) => exemplar_offer(list, value, req.0, fields),
+            None => {
+                let mut list = Vec::new();
+                exemplar_offer(&mut list, value, req.0, fields);
+                c.exemplars.insert(name.to_string(), list);
+            }
         }
-        list.insert(
-            pos,
-            Exemplar {
-                fields: fields(),
-                ..candidate
-            },
-        );
-        list.truncate(EXEMPLAR_K);
     });
 }
 
 /// Appends a trace event named `name` to the active scope; `fields` is
 /// only invoked when a scope is active, so building the payload costs
 /// nothing when telemetry is disabled.
-pub fn event(name: &str, fields: impl FnOnce() -> Vec<(String, EventValue)>) {
+pub fn event(name: impl Into<Name>, fields: impl FnOnce() -> Vec<(Name, EventValue)>) {
     with_active(|c| {
         let seq = c.events.len() as u64;
         c.events.push(Event {
             seq,
-            name: name.to_string(),
+            name: name.into(),
             fields: fields(),
         });
     });
@@ -590,7 +687,7 @@ pub fn absorb(child: &Report) {
         for (name, child_list) in &child.metrics.exemplars {
             let list = c.exemplars.entry(name.clone()).or_default();
             for x in child_list {
-                exemplar_insert(list, x.clone());
+                exemplar_offer(list, x.value, x.req, || x.fields.clone());
             }
         }
         for event in &child.events {
@@ -638,18 +735,18 @@ pub fn advance_clock_ns(delta_ns: u64) {
 /// invoked when a scope is active. `end_ns` is clamped up to `start_ns`
 /// so spans never have negative duration. No-op when no scope is active.
 pub fn span(
-    track: &str,
-    name: &str,
+    track: impl Into<Name>,
+    name: impl Into<Name>,
     start_ns: u64,
     end_ns: u64,
-    fields: impl FnOnce() -> Vec<(String, EventValue)>,
+    fields: impl FnOnce() -> Vec<(Name, EventValue)>,
 ) {
     with_active(|c| {
         let seq = c.spans.len() as u64;
         c.spans.push(Span {
             seq,
-            track: track.to_string(),
-            name: name.to_string(),
+            track: track.into(),
+            name: name.into(),
             start_ns,
             end_ns: end_ns.max(start_ns),
             fields: fields(),
@@ -664,7 +761,7 @@ pub fn span(
 /// recorded (or allocated). A span still open when its scope closes is
 /// force-closed at the latest simulated instant the scope observed —
 /// see [`Report::spans`].
-pub fn span_begin(track: &str, name: &str, start_ns: u64) -> SpanId {
+pub fn span_begin(track: impl Into<Name>, name: impl Into<Name>, start_ns: u64) -> SpanId {
     let mut id = SpanId::DISABLED;
     with_active(|c| {
         let seq = c.spans.len() as u64;
@@ -675,8 +772,8 @@ pub fn span_begin(track: &str, name: &str, start_ns: u64) -> SpanId {
         c.open_spans += 1;
         c.spans.push(Span {
             seq,
-            track: track.to_string(),
-            name: name.to_string(),
+            track: track.into(),
+            name: name.into(),
             start_ns,
             end_ns: u64::MAX,
             fields: Vec::new(),
@@ -692,7 +789,7 @@ pub fn span_begin(track: &str, name: &str, start_ns: u64) -> SpanId {
 /// lifecycle span begun in an outer scope can be ended while an inner
 /// scope is active. No-op when the handle is inert, the owning scope is
 /// gone, or the span was already ended.
-pub fn span_end(id: SpanId, end_ns: u64, fields: impl FnOnce() -> Vec<(String, EventValue)>) {
+pub fn span_end(id: SpanId, end_ns: u64, fields: impl FnOnce() -> Vec<(Name, EventValue)>) {
     if id.scope == 0 {
         return;
     }
@@ -722,7 +819,7 @@ mod tests {
         count("x", 1.0);
         gauge("y", 2.0);
         observe("z", 3.0);
-        event("e", || vec![("k".to_string(), EventValue::U64(1))]);
+        event("e", || vec![("k".into(), EventValue::U64(1))]);
         let ((), report) = collect(|| {});
         assert!(report.is_empty(), "pre-scope records must not leak in");
     }
@@ -738,9 +835,7 @@ mod tests {
             observe("h", 4.0);
             observe("h", 2.0);
             event("first", Vec::new);
-            event("second", || {
-                vec![("n".to_string(), EventValue::Str("x".into()))]
-            });
+            event("second", || vec![("n".into(), EventValue::Str("x".into()))]);
             42
         });
         assert_eq!(val, 42);
@@ -794,7 +889,7 @@ mod tests {
         let ((), report) = collect(|| {
             assert_eq!(clock_ns(), 0);
             span("gpu0/link:nvlink->gpu1", "xfer", 0, 250, || {
-                vec![("bytes".to_string(), EventValue::U64(4096))]
+                vec![("bytes".into(), EventValue::U64(4096))]
             });
             advance_clock_ns(1_000);
             span("gpu0/cores", "stall", clock_ns(), clock_ns() + 50, Vec::new);
@@ -814,7 +909,7 @@ mod tests {
         let ((), report) = collect(|| {
             let a = span_begin("t", "a", 0);
             let b = span_begin("t", "b", 10);
-            span_end(a, 30, || vec![("k".to_string(), EventValue::U64(1))]);
+            span_end(a, 30, || vec![("k".into(), EventValue::U64(1))]);
             span_end(b, 20, Vec::new);
             // Double-close is a no-op.
             span_end(a, 99, Vec::new);
@@ -905,7 +1000,7 @@ mod tests {
                 count("pool.items", k as f64 + 0.25);
                 gauge("pool.last", k as f64);
                 observe("pool.h", 1.0 / (k + 1) as f64);
-                event("pool.chunk", || vec![("k".to_string(), EventValue::U64(k))]);
+                event("pool.chunk", || vec![("k".into(), EventValue::U64(k))]);
                 let base = clock_ns();
                 span("t", "work", base, base + 10 * (k + 1), Vec::new);
                 advance_clock_ns(10 * (k + 1));
@@ -994,7 +1089,7 @@ mod tests {
             // record order; only the largest EXEMPLAR_K survive.
             for i in [3u64, 11, 0, 15, 7, 12, 1, 9, 14, 2, 8, 13, 4, 10, 5, 6] {
                 observe_with_exemplar("h", i as f64, ReqId(i), || {
-                    vec![("i".to_string(), EventValue::U64(i))]
+                    vec![("i".into(), EventValue::U64(i))]
                 });
             }
         });
@@ -1004,7 +1099,7 @@ mod tests {
         let values: Vec<f64> = list.iter().map(|e| e.value).collect();
         assert_eq!(values, vec![15.0, 14.0, 13.0, 12.0, 11.0, 10.0, 9.0, 8.0]);
         // Retained entries kept their context fields.
-        assert_eq!(list[0].fields, vec![("i".to_string(), EventValue::U64(15))]);
+        assert_eq!(list[0].fields, vec![("i".into(), EventValue::U64(15))]);
         // The histogram digest still counts every observation.
         let (_, h) = &report.metrics.histograms[0];
         assert_eq!(h.count, 16);
@@ -1038,7 +1133,7 @@ mod tests {
         let record = |chunk: &[(f64, u64)]| {
             for &(v, r) in chunk {
                 observe_with_exemplar("lat", v, ReqId(r), || {
-                    vec![("r".to_string(), EventValue::U64(r))]
+                    vec![("r".into(), EventValue::U64(r))]
                 });
             }
         };
@@ -1061,7 +1156,7 @@ mod tests {
     #[test]
     fn exemplar_outside_scope_is_a_noop() {
         observe_with_exemplar("h", 1.0, ReqId(1), || {
-            vec![("k".to_string(), EventValue::U64(1))]
+            vec![("k".into(), EventValue::U64(1))]
         });
         let ((), report) = collect(|| {});
         assert!(report.is_empty());
@@ -1077,7 +1172,7 @@ mod tests {
                     span("t", "step", i * 10, i * 10 + 5, Vec::new);
                     advance_clock_ns(10);
                 }
-                event("done", || vec![("n".to_string(), EventValue::U64(5))]);
+                event("done", || vec![("n".into(), EventValue::U64(5))]);
             })
             .1
         };

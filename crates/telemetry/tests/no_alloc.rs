@@ -51,22 +51,22 @@ fn disabled_recording_allocates_nothing() {
             emb_telemetry::ReqId(i),
             || {
                 // Never invoked while disabled — allocating here is fine.
-                vec![("queue_ns".to_string(), emb_telemetry::EventValue::U64(i))]
+                vec![("queue_ns".into(), emb_telemetry::EventValue::U64(i))]
             },
         );
         emb_telemetry::event("memsim.extract", || {
             // Never invoked while disabled — allocating here is fine.
-            vec![("bytes".to_string(), emb_telemetry::EventValue::U64(i))]
+            vec![("bytes".into(), emb_telemetry::EventValue::U64(i))]
         });
         // Span recording must be just as free when disabled: the track
         // and name are borrowed, the fields closure is never invoked,
         // and the returned handle is an inert Copy value.
         emb_telemetry::span("gpu0/link:nvlink->gpu1", "xfer", 0, i, || {
-            vec![("bytes".to_string(), emb_telemetry::EventValue::U64(i))]
+            vec![("bytes".into(), emb_telemetry::EventValue::U64(i))]
         });
         let id = emb_telemetry::span_begin("gpu0/cores", "stall", i);
         emb_telemetry::span_end(id, i + 1, || {
-            vec![("n".to_string(), emb_telemetry::EventValue::U64(i))]
+            vec![("n".into(), emb_telemetry::EventValue::U64(i))]
         });
         emb_telemetry::advance_clock_ns(i);
         let _ = emb_telemetry::clock_ns();

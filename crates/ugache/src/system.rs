@@ -183,11 +183,11 @@ impl UGache {
             || {
                 vec![
                     (
-                        "extract_secs".to_string(),
+                        "extract_secs".into(),
                         emb_telemetry::EventValue::F64(outcome.makespan.as_secs_f64()),
                     ),
                     (
-                        "refresh_active".to_string(),
+                        "refresh_active".into(),
                         emb_telemetry::EventValue::U64(u64::from(refresh_active)),
                     ),
                 ]
@@ -198,15 +198,12 @@ impl UGache {
         emb_telemetry::event("ugache.iteration", || {
             vec![
                 (
-                    "extract_secs".to_string(),
+                    "extract_secs".into(),
                     emb_telemetry::EventValue::F64(outcome.makespan.as_secs_f64()),
                 ),
+                ("clock_secs".into(), emb_telemetry::EventValue::F64(clock)),
                 (
-                    "clock_secs".to_string(),
-                    emb_telemetry::EventValue::F64(clock),
-                ),
-                (
-                    "refresh_active".to_string(),
+                    "refresh_active".into(),
                     emb_telemetry::EventValue::U64(u64::from(refresh_active)),
                 ),
             ]
@@ -235,7 +232,7 @@ impl UGache {
             if let Some(id) = self.refresh_span.take() {
                 let secs = self.refresher.history.last().copied().unwrap_or(0.0);
                 emb_telemetry::span_end(id, emb_telemetry::clock_ns(), || {
-                    vec![("secs".to_string(), emb_telemetry::EventValue::F64(secs))]
+                    vec![("secs".into(), emb_telemetry::EventValue::F64(secs))]
                 });
             }
         }
@@ -289,11 +286,11 @@ impl UGache {
             emb_telemetry::event("ugache.refresh_started", || {
                 vec![
                     (
-                        "clock_secs".to_string(),
+                        "clock_secs".into(),
                         emb_telemetry::EventValue::F64(self.clock),
                     ),
                     (
-                        "predicted_secs".to_string(),
+                        "predicted_secs".into(),
                         emb_telemetry::EventValue::F64(self.predicted_secs),
                     ),
                 ]

@@ -268,7 +268,7 @@ mod tests {
                         emb_telemetry::count("pool.work", 0.1 * (i + 1) as f64);
                         emb_telemetry::observe("pool.size", i as f64);
                         emb_telemetry::event("pool.chunk", || {
-                            vec![("i".to_string(), emb_telemetry::EventValue::U64(i as u64))]
+                            vec![("i".into(), emb_telemetry::EventValue::U64(i as u64))]
                         });
                     })
                 });
