@@ -224,7 +224,7 @@ pub fn trace_line(target: &str, event: &emb_telemetry::Event) -> json::Value {
 }
 
 /// Lists the `.json` artifact file stems in `dir`, sorted.
-fn artifact_stems(dir: &Path) -> io::Result<Vec<String>> {
+pub(crate) fn artifact_stems(dir: &Path) -> io::Result<Vec<String>> {
     let mut stems = Vec::new();
     for entry in std::fs::read_dir(dir)? {
         let path = entry?.path();
@@ -278,8 +278,9 @@ fn diff_values(path: &str, a: &json::Value, b: &json::Value, out: &mut Vec<Strin
 /// Structurally compares two artifact directories.
 ///
 /// Returns one human-readable line per difference (missing files, parse
-/// failures, diverging values); an empty vector means the directories
-/// hold identical artifacts.
+/// failures, diverging values, or two sides with no artifacts at all —
+/// nothing compared is not "identical"); an empty vector means the
+/// directories hold identical artifacts.
 ///
 /// # Errors
 ///
@@ -288,6 +289,13 @@ pub fn diff_dirs(a: &Path, b: &Path) -> io::Result<Vec<String>> {
     let stems_a = artifact_stems(a)?;
     let stems_b = artifact_stems(b)?;
     let mut out = Vec::new();
+    if stems_a.is_empty() && stems_b.is_empty() {
+        out.push(format!(
+            "no .json artifacts in {} or {}",
+            a.display(),
+            b.display()
+        ));
+    }
     for stem in &stems_a {
         if !stems_b.contains(stem) {
             out.push(format!("{stem}.json: only in {}", a.display()));

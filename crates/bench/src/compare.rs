@@ -10,6 +10,7 @@
 //! stall window growing — should. The tolerance table is documented in
 //! EXPERIMENTS.md ("Comparing against a baseline").
 
+use crate::artifact::artifact_stems;
 use crate::json::{self, Value};
 use std::io;
 use std::path::Path;
@@ -112,28 +113,15 @@ fn comparison_points(artifact: &Value) -> Vec<(String, f64)> {
     points
 }
 
-/// Lists the `.json` artifact file stems in `dir`, sorted.
-fn stems(dir: &Path) -> io::Result<Vec<String>> {
-    let mut out = Vec::new();
-    for entry in std::fs::read_dir(dir)? {
-        let path = entry?.path();
-        if path.extension().and_then(|e| e.to_str()) == Some("json") {
-            if let Some(stem) = path.file_stem().and_then(|s| s.to_str()) {
-                out.push(stem.to_string());
-            }
-        }
-    }
-    out.sort();
-    Ok(out)
-}
-
 /// Compares the metric/timeline blocks of two artifact directories.
 ///
 /// Every artifact present in `baseline` must exist in `new`; each of its
 /// comparison points must exist on both sides and agree within
 /// [`tolerance_for`] its path. Artifacts only in `new` are ignored (new
-/// targets are not regressions). Returns one human-readable line per
-/// violation; empty means the comparison passes.
+/// targets are not regressions). A baseline holding no artifact envelope
+/// is itself a violation: a gate that compared nothing must not pass.
+/// Returns one human-readable line per violation; empty means the
+/// comparison passes.
 ///
 /// The scan never stops at the first offender: unreadable or
 /// unparseable files and missing counterparts are reported as failure
@@ -147,7 +135,8 @@ fn stems(dir: &Path) -> io::Result<Vec<String>> {
 /// per-file problems are reported in the failure lines instead.
 pub fn compare_dirs(baseline: &Path, new: &Path) -> io::Result<Vec<String>> {
     let mut failures = Vec::new();
-    for stem in stems(baseline)? {
+    let mut envelopes = 0;
+    for stem in artifact_stems(baseline)? {
         let file = format!("{stem}.json");
         let base_text = match std::fs::read_to_string(baseline.join(&file)) {
             Ok(t) => t,
@@ -163,6 +152,7 @@ pub fn compare_dirs(baseline: &Path, new: &Path) -> io::Result<Vec<String>> {
         if base.get("schema_version").is_none() {
             continue; // not an artifact envelope
         }
+        envelopes += 1;
         let new_path = new.join(&file);
         let Ok(new_text) = std::fs::read_to_string(&new_path) else {
             failures.push(format!("{file}: missing from {}", new.display()));
@@ -190,6 +180,12 @@ pub fn compare_dirs(baseline: &Path, new: &Path) -> io::Result<Vec<String>> {
                 ));
             }
         }
+    }
+    if envelopes == 0 {
+        failures.push(format!(
+            "{}: no artifact envelopes to compare against",
+            baseline.display()
+        ));
     }
     Ok(failures)
 }

@@ -142,16 +142,15 @@ fn scale_points(trials: usize, warmup: usize, mut f: impl FnMut()) -> Vec<ScaleP
         .collect()
 }
 
-/// The shared gather fixture: a 4-GPU partition cache over 400k small
-/// (DLR-style) rows and a 100k-key Zipf batch. Small rows keep the copy
-/// cheap and the 160k-entry location maps spill out of fast cache
-/// levels, so per-key lookup cost dominates the timing.
-fn gather_fixture() -> (
-    emb_cache::MultiGpuCache,
-    emb_cache::ReferenceGatherer,
-    Vec<u32>,
-    usize,
-) {
+/// The f32 gather path: per-key `HashMap` probe + per-row copy
+/// (reference) vs the chunked plan-then-copy gather, on a 4-GPU
+/// partition cache over 400k small (DLR-style) rows and a 100k-key Zipf
+/// batch. Small rows keep the copy cheap and the 160k-entry location
+/// maps spill out of fast cache levels, so per-key lookup cost dominates
+/// the timing. `opt` is timed at pool width 1; `scaling` times the same
+/// call at every [`SCALING_THREADS`] width (on a single-core box the
+/// widths time alike).
+fn bench_gather(trials: usize, warmup: usize) -> BenchEntry {
     use cache_policy::{baselines, Hotness};
     use emb_cache::{HostTable, MultiGpuCache, ReferenceGatherer};
     use emb_util::zipf::powerlaw_hotness;
@@ -168,13 +167,6 @@ fn gather_fixture() -> (
     let zipf = emb_util::ZipfSampler::new(n as u64, 0.9);
     let mut rng = emb_util::seed_rng(0x5EED);
     let keys: Vec<u32> = (0..100_000).map(|_| zipf.sample(&mut rng) as u32).collect();
-    (cache, reference, keys, dim)
-}
-
-/// The f32 gather path: per-key `HashMap` probe + per-row copy
-/// (reference) vs the two-pass plan-then-copy gather.
-fn bench_gather(trials: usize, warmup: usize) -> BenchEntry {
-    let (cache, reference, keys, dim) = gather_fixture();
 
     // Outside the timed region: both paths must agree exactly.
     let mut ref_out = vec![0.0f32; keys.len() * dim];
@@ -191,51 +183,14 @@ fn bench_gather(trials: usize, warmup: usize) -> BenchEntry {
             std::hint::black_box(reference.gather(&cache, gpu, &keys, &mut ref_out));
         }
     });
-    let opt_secs = time_trials(trials, warmup, || {
+    let mut gather_all = || {
         for gpu in 0..4 {
             std::hint::black_box(cache.gather(gpu, &keys, &mut opt_out));
         }
-    });
-    entry("gather", ref_secs, opt_secs)
-}
-
-/// The pooled two-pass gather: frozen per-key `HashMap` reference vs
-/// the chunked plan+copy passes on an 8-wide worker pool. Output bytes
-/// are asserted identical (the pool contract) outside the timed region;
-/// `scaling` records the pooled path at every [`SCALING_THREADS`] width
-/// (on a single-core box the widths time alike — the speedup over the
-/// reference comes from the two-pass structure, and spreads across
-/// cores on multicore machines).
-fn bench_gather_par(trials: usize, warmup: usize) -> BenchEntry {
-    let (cache, reference, keys, dim) = gather_fixture();
-
-    let mut ref_out = vec![0.0f32; keys.len() * dim];
-    let mut opt_out = vec![0.0f32; keys.len() * dim];
-    for gpu in 0..4 {
-        let ref_stats = reference.gather(&cache, gpu, &keys, &mut ref_out);
-        let opt_stats = emb_util::pool::with_threads(8, || cache.gather(gpu, &keys, &mut opt_out));
-        assert_eq!(ref_stats, opt_stats, "gather stats diverge on GPU{gpu}");
-        assert_eq!(ref_out, opt_out, "gather values diverge on GPU{gpu}");
-    }
-
-    let ref_secs = time_trials(trials, warmup, || {
-        for gpu in 0..4 {
-            std::hint::black_box(reference.gather(&cache, gpu, &keys, &mut ref_out));
-        }
-    });
-    let opt_secs = emb_util::pool::with_threads(8, || {
-        time_trials(trials, warmup, || {
-            for gpu in 0..4 {
-                std::hint::black_box(cache.gather(gpu, &keys, &mut opt_out));
-            }
-        })
-    });
-    let mut e = entry("gather_par", ref_secs, opt_secs);
-    e.scaling = scale_points(trials, warmup, || {
-        for gpu in 0..4 {
-            std::hint::black_box(cache.gather(gpu, &keys, &mut opt_out));
-        }
-    });
+    };
+    let opt_secs = emb_util::pool::with_threads(1, || time_trials(trials, warmup, &mut gather_all));
+    let mut e = entry("gather", ref_secs, opt_secs);
+    e.scaling = scale_points(trials, warmup, gather_all);
     e
 }
 
@@ -389,7 +344,6 @@ const BENCHES: &[(&str, BenchFn)] = &[
     ("memsim_step", bench_memsim_step),
     ("memsim_small", bench_memsim_small),
     ("simplex_pivot", bench_simplex_pivot),
-    ("gather_par", bench_gather_par),
 ];
 
 /// Every microbench name, in canonical execution order (the names of

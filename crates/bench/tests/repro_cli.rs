@@ -289,6 +289,48 @@ fn compare_exit_codes_distinguish_unusable_inputs_from_gate_failures() {
 }
 
 #[test]
+fn a_gate_that_compared_nothing_fails() {
+    let exe = env!("CARGO_BIN_EXE_repro");
+    let dir = std::env::temp_dir().join(format!("repro-empty-gate-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let empty = dir.join("empty");
+    let alien = dir.join("alien");
+    std::fs::create_dir_all(&empty).unwrap();
+    std::fs::create_dir_all(&alien).unwrap();
+    // JSON, but no artifact envelope (no `schema_version`).
+    std::fs::write(alien.join("notes.json"), "{\"kind\": \"something-else\"}\n").unwrap();
+    let quick = repo_root().join("baselines/quick");
+    let run = |cmd: &str, a: &std::path::Path, b: &std::path::Path| {
+        let out = std::process::Command::new(exe)
+            .arg(cmd)
+            .arg(a)
+            .arg(b)
+            .output()
+            .expect("repro runs");
+        (
+            out.status.code(),
+            String::from_utf8(out.stdout).expect("utf-8"),
+        )
+    };
+
+    for baseline in [&empty, &alien] {
+        let (code, stdout) = run("compare", baseline, &quick);
+        assert_eq!(code, Some(1), "{stdout}");
+        assert!(stdout.contains("no artifact envelopes"), "{stdout}");
+        assert!(!stdout.contains("no regressions"), "{stdout}");
+    }
+    let (code, stdout) = run("diff", &empty, &empty);
+    assert_eq!(code, Some(1), "{stdout}");
+    assert!(stdout.contains("no .json artifacts"), "{stdout}");
+    assert!(!stdout.contains("identical"), "{stdout}");
+    // The gates still pass when there is something to compare.
+    assert_eq!(run("compare", &quick, &quick).0, Some(0));
+    assert_eq!(run("diff", &quick, &quick).0, Some(0));
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn every_target_name_and_alias_parses_computes_round_trips_and_renders() {
     let s = tiny();
     let all: Vec<String> = TARGETS.iter().map(|t| t.to_string()).collect();

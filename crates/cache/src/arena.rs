@@ -47,6 +47,16 @@ impl GpuArena {
         self.slots.get(&entry).copied()
     }
 
+    /// The slot `entry` occupies, taking one off the free list if it is
+    /// not cached yet.
+    fn claim_slot(&mut self, entry: u32) -> u32 {
+        let (free, capacity) = (&mut self.free, self.capacity);
+        *self.slots.entry(entry).or_insert_with(|| {
+            free.pop()
+                .unwrap_or_else(|| panic!("arena full ({capacity} entries)"))
+        })
+    }
+
     /// Inserts an entry's values; returns its slot offset.
     ///
     /// Re-inserting an existing entry overwrites it in place.
@@ -56,17 +66,7 @@ impl GpuArena {
     /// Panics if the arena is full or `values.len() != dim`.
     pub fn insert(&mut self, entry: u32, values: &[f32]) -> u32 {
         assert_eq!(values.len(), self.dim, "value dim mismatch");
-        let slot = match self.slots.get(&entry) {
-            Some(&s) => s,
-            None => {
-                let s = self
-                    .free
-                    .pop()
-                    .unwrap_or_else(|| panic!("arena full ({} entries)", self.capacity));
-                self.slots.insert(entry, s);
-                s
-            }
-        };
+        let slot = self.claim_slot(entry);
         let base = slot as usize * self.dim;
         self.data[base..base + self.dim].copy_from_slice(values);
         slot
@@ -92,28 +92,9 @@ impl GpuArena {
             entries.len() * self.dim,
             "rows buffer must be entries × dim"
         );
-        if self.dim == 0 {
-            for &entry in entries {
-                self.insert(entry, &[]);
-            }
-            return;
-        }
         // Pass 1: allocate a slot per entry (dedup-aware — a repeated
         // entry reuses its slot, matching repeated `insert` calls).
-        let slots: Vec<u32> = entries
-            .iter()
-            .map(|&entry| match self.slots.get(&entry) {
-                Some(&s) => s,
-                None => {
-                    let s = self
-                        .free
-                        .pop()
-                        .unwrap_or_else(|| panic!("arena full ({} entries)", self.capacity));
-                    self.slots.insert(entry, s);
-                    s
-                }
-            })
-            .collect();
+        let slots: Vec<u32> = entries.iter().map(|&e| self.claim_slot(e)).collect();
         // Pass 2: copy maximal runs of consecutive destination slots.
         let dim = self.dim;
         let mut i = 0;

@@ -10,17 +10,17 @@ use std::cell::RefCell;
 /// Packed location-table value meaning "not cached anywhere — read host".
 const HOST_NONE: u64 = u64::MAX;
 
-/// Keys per chunk in the parallel resolve pass. Boundaries are a
-/// function of the key count only, so plans are identical at any worker
-/// count.
+/// Keys per chunk of the resolve pass. Boundaries are a function of the
+/// key count only, so plans are identical at any pool width.
 const PLAN_CHUNK_KEYS: usize = 8_192;
 
-/// Output rows per chunk in the parallel copy pass.
+/// Output rows per chunk of the copy pass.
 const COPY_CHUNK_ROWS: usize = 2_048;
 
 thread_local! {
-    /// Reusable gather plan, one per thread, so steady-state gathers do
-    /// not allocate. Thread-local (not shared) keeps parallel repro runs
+    /// Reusable gather plan, one per thread, so steady-state gathers
+    /// reuse one slot buffer instead of allocating a batch-sized one per
+    /// call. Thread-local (not shared) keeps parallel repro runs
     /// independent.
     static PLAN: RefCell<GatherPlan> = RefCell::new(GatherPlan::new());
 }
@@ -188,7 +188,10 @@ impl MultiGpuCache {
         &self.locations[gpu]
     }
 
-    /// Resolves `keys` for GPU `gpu` into `plan` (the first gather pass).
+    /// Resolves `keys` for GPU `gpu` into `plan` (the first gather pass):
+    /// chunks of `PLAN_CHUNK_KEYS` keys fill disjoint slot ranges on
+    /// `emb_util::pool`, and per-chunk source counts are summed in chunk
+    /// order, so the plan is the same at every pool width.
     ///
     /// # Panics
     ///
@@ -197,52 +200,20 @@ impl MultiGpuCache {
         let g = self.num_gpus();
         let table = &self.locations[gpu];
         plan.reset(g);
-        plan.slots.reserve(keys.len());
-        let host_tag = (g as u64) << 32;
-        for &key in keys {
-            assert!((key as usize) < table.len(), "entry {key} out of range");
-            let packed = table[key as usize];
-            if packed == HOST_NONE {
-                plan.slots.push(host_tag | key as u64);
-                plan.counts[g] += 1;
-            } else {
-                plan.slots.push(packed);
-                plan.counts[(packed >> 32) as usize] += 1;
-            }
-        }
-    }
-
-    /// Resolves `keys` for GPU `gpu` into `plan` on the worker pool:
-    /// disjoint chunks of `PLAN_CHUNK_KEYS` keys write disjoint slot
-    /// ranges, per-chunk source counts are summed in chunk order.
-    /// Produces a plan bitwise-identical to
-    /// [`MultiGpuCache::plan_gather`] at any `emb_util::pool` thread
-    /// count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a key is out of range.
-    pub fn plan_gather_par(&self, gpu: usize, keys: &[u32], plan: &mut GatherPlan) {
-        let g = self.num_gpus();
-        let table = &self.locations[gpu];
-        plan.reset(g);
         plan.slots.resize(keys.len(), 0);
         let host_tag = (g as u64) << 32;
         let chunk_counts =
             emb_util::pool::par_chunks_mut(&mut plan.slots, PLAN_CHUNK_KEYS, |ci, slots| {
-                let base = ci * PLAN_CHUNK_KEYS;
                 let mut counts = vec![0u64; g + 1];
-                for (j, slot) in slots.iter_mut().enumerate() {
-                    let key = keys[base + j];
+                for (slot, &key) in slots.iter_mut().zip(&keys[ci * PLAN_CHUNK_KEYS..]) {
                     assert!((key as usize) < table.len(), "entry {key} out of range");
                     let packed = table[key as usize];
-                    if packed == HOST_NONE {
-                        *slot = host_tag | key as u64;
-                        counts[g] += 1;
+                    *slot = if packed == HOST_NONE {
+                        host_tag | key as u64
                     } else {
-                        *slot = packed;
-                        counts[(packed >> 32) as usize] += 1;
-                    }
+                        packed
+                    };
+                    counts[(*slot >> 32) as usize] += 1;
                 }
                 counts
             });
@@ -254,7 +225,10 @@ impl MultiGpuCache {
     }
 
     /// Copies every planned row into `out` (the second gather pass):
-    /// one sweep per source so each arena slab is streamed in turn.
+    /// chunks of `COPY_CHUNK_ROWS` output rows run on `emb_util::pool`,
+    /// each walking its rows once and copying from the arena slab or the
+    /// host table its slot names. Every row is written exactly once, so
+    /// the bytes are the same at every pool width.
     ///
     /// # Panics
     ///
@@ -262,83 +236,28 @@ impl MultiGpuCache {
     pub fn execute_plan(&self, plan: &GatherPlan, out: &mut [f32]) {
         let dim = self.dim();
         assert_eq!(out.len(), plan.len() * dim, "output buffer length mismatch");
-        let g = self.num_gpus();
-        for src in 0..g {
-            if plan.counts[src] == 0 {
-                continue;
-            }
-            let slab = self.arenas[src].slab();
-            let tag = (src as u64) << 32;
-            for (k, &packed) in plan.slots.iter().enumerate() {
-                if packed & !0xFFFF_FFFF == tag {
-                    let base = (packed & 0xFFFF_FFFF) as usize * dim;
-                    out[k * dim..(k + 1) * dim].copy_from_slice(&slab[base..base + dim]);
-                }
-            }
-        }
-        if plan.counts[g] > 0 {
-            let tag = (g as u64) << 32;
-            for (k, &packed) in plan.slots.iter().enumerate() {
-                if packed & !0xFFFF_FFFF == tag {
-                    let key = (packed & 0xFFFF_FFFF) as u32;
-                    self.host.read_into(key, &mut out[k * dim..(k + 1) * dim]);
-                }
-            }
-        }
-    }
-
-    /// The copy pass on the worker pool: `out` is cut into disjoint
-    /// chunks of `COPY_CHUNK_ROWS` rows and each chunk runs its own
-    /// per-source sweeps over its slice of the plan. The copied bytes
-    /// are identical to [`MultiGpuCache::execute_plan`] at any thread
-    /// count — every row is written exactly once, from the same source.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `out` is not `plan.len() × dim` floats long.
-    pub fn execute_plan_par(&self, plan: &GatherPlan, out: &mut [f32]) {
-        let dim = self.dim();
-        assert_eq!(out.len(), plan.len() * dim, "output buffer length mismatch");
         if out.is_empty() {
             return;
         }
         let g = self.num_gpus();
         emb_util::pool::par_chunks_mut(out, COPY_CHUNK_ROWS * dim, |ci, chunk| {
-            let row0 = ci * COPY_CHUNK_ROWS;
-            let slots = &plan.slots[row0..row0 + chunk.len() / dim];
-            for src in 0..g {
-                if plan.counts[src] == 0 {
-                    continue;
-                }
-                let slab = self.arenas[src].slab();
-                let tag = (src as u64) << 32;
-                for (k, &packed) in slots.iter().enumerate() {
-                    if packed & !0xFFFF_FFFF == tag {
-                        let base = (packed & 0xFFFF_FFFF) as usize * dim;
-                        chunk[k * dim..(k + 1) * dim].copy_from_slice(&slab[base..base + dim]);
-                    }
-                }
-            }
-            if plan.counts[g] > 0 {
-                let tag = (g as u64) << 32;
-                for (k, &packed) in slots.iter().enumerate() {
-                    if packed & !0xFFFF_FFFF == tag {
-                        let key = (packed & 0xFFFF_FFFF) as u32;
-                        self.host.read_into(key, &mut chunk[k * dim..(k + 1) * dim]);
-                    }
+            let slots = &plan.slots[ci * COPY_CHUNK_ROWS..];
+            for (row, &packed) in chunk.chunks_exact_mut(dim).zip(slots) {
+                let src = (packed >> 32) as usize;
+                let payload = (packed & 0xFFFF_FFFF) as usize;
+                if src == g {
+                    self.host.read_into(payload as u32, row);
+                } else {
+                    let base = payload * dim;
+                    row.copy_from_slice(&self.arenas[src].slab()[base..base + dim]);
                 }
             }
         });
     }
 
     /// Gathers `keys` for GPU `gpu` into `out` (length `keys.len() × dim`)
-    /// and reports per-source counts.
-    ///
-    /// Internally this is [`MultiGpuCache::plan_gather`] +
-    /// [`MultiGpuCache::execute_plan`] over a thread-local reusable plan;
-    /// when `emb_util::pool::current_threads() > 1` both passes run their
-    /// `_par` variants on the worker pool, which produce bitwise-identical
-    /// plans and output bytes.
+    /// and reports per-source counts: [`MultiGpuCache::plan_gather`] then
+    /// [`MultiGpuCache::execute_plan`] over a thread-local reusable plan.
     ///
     /// # Panics
     ///
@@ -349,16 +268,10 @@ impl MultiGpuCache {
             keys.len() * self.dim(),
             "output buffer length mismatch"
         );
-        let par = emb_util::pool::current_threads() > 1;
         let stats = PLAN.with(|p| {
             let mut plan = p.borrow_mut();
-            if par {
-                self.plan_gather_par(gpu, keys, &mut plan);
-                self.execute_plan_par(&plan, out);
-            } else {
-                self.plan_gather(gpu, keys, &mut plan);
-                self.execute_plan(&plan, out);
-            }
+            self.plan_gather(gpu, keys, &mut plan);
+            self.execute_plan(&plan, out);
             plan.stats(gpu)
         });
         emb_telemetry::count("cache.gathers", 1.0);
@@ -401,13 +314,6 @@ impl MultiGpuCache {
                 })
                 .collect()
         })
-    }
-
-    /// Replaces the placement wholesale (re-fills arenas and hashtables).
-    /// The staged, small-batch variant lives in [`crate::refresh`].
-    pub fn apply_placement(&mut self, placement: &Placement) {
-        let caps: Vec<usize> = self.arenas.iter().map(|a| a.capacity()).collect();
-        *self = MultiGpuCache::build(self.host.clone(), placement, &caps);
     }
 
     /// Invalidates every location-table entry that routes a read to
@@ -549,12 +455,11 @@ mod tests {
     }
 
     #[test]
-    fn apply_placement_switches_layout() {
-        let (mut cache, _) = setup(50);
+    fn build_installs_the_replication_layout() {
         let plat = Platform::server_a();
         let h = Hotness::new(powerlaw_hotness(N, 1.2));
         let rep = baselines::replication(&plat, &h, 50);
-        cache.apply_placement(&rep);
+        let cache = MultiGpuCache::build(HostTable::dense(N, DIM), &rep, &[50; 4]);
         let keys: Vec<u32> = (0..50).collect();
         let mut out = vec![0.0f32; keys.len() * DIM];
         let stats = cache.gather(3, &keys, &mut out);
@@ -605,37 +510,6 @@ mod tests {
         // Entry 1 lives on GPU1 — untouched.
         let after = cache.gather(1, &[1], &mut [0.0f32; DIM]);
         assert_eq!(after.host, 0);
-    }
-
-    #[test]
-    fn parallel_gather_is_bitwise_identical_to_serial() {
-        let (cache, _) = setup(50);
-        // Enough keys to span several plan chunks would need >8192 keys;
-        // use a repeated mixed pattern so every source tier is exercised.
-        let keys: Vec<u32> = (0..20_000u32).map(|i| (i * 7) % N as u32).collect();
-        let mut serial_out = vec![0.0f32; keys.len() * DIM];
-        let mut serial_plan = GatherPlan::new();
-        cache.plan_gather(2, &keys, &mut serial_plan);
-        cache.execute_plan(&serial_plan, &mut serial_out);
-        for threads in [1, 2, 8] {
-            emb_util::pool::with_threads(threads, || {
-                let mut plan = GatherPlan::new();
-                cache.plan_gather_par(2, &keys, &mut plan);
-                assert_eq!(plan.counts(), serial_plan.counts(), "threads {threads}");
-                assert_eq!(plan.slots, serial_plan.slots, "threads {threads}");
-                let mut out = vec![0.0f32; keys.len() * DIM];
-                cache.execute_plan_par(&plan, &mut out);
-                for (i, (a, b)) in out.iter().zip(&serial_out).enumerate() {
-                    assert_eq!(a.to_bits(), b.to_bits(), "threads {threads}, elem {i}");
-                }
-                // The public gather dispatches on the pool width and must
-                // match too (stats and bytes).
-                let mut out2 = vec![0.0f32; keys.len() * DIM];
-                let stats = cache.gather(2, &keys, &mut out2);
-                assert_eq!(stats, serial_plan.stats(2));
-                assert_eq!(out2, serial_out);
-            });
-        }
     }
 
     #[test]

@@ -9,10 +9,10 @@
 //! * [`GpuArena`] — one GPU's cache storage: a flat slot array plus the
 //!   entry→offset map;
 //! * [`MultiGpuCache`] — the composed cache: per-GPU location hashtables
-//!   in the paper's `<GPU_i, Offset>` format (§4), a
+//!   in the paper's `<GPU_i, Offset>` format (§4), filled from a
+//!   placement by [`MultiGpuCache::build`] (the Filler), and a
 //!   [`MultiGpuCache::gather`] that returns both values and per-source
-//!   hit statistics, and a [`MultiGpuCache::apply_placement`] refill path
-//!   (the Filler);
+//!   hit statistics (design notes in [`plan`]);
 //! * [`HotnessSampler`] — foreground request sampling for hotness
 //!   tracking (§7.2);
 //! * [`Refresher`] — the background refresh state machine: solve → staged

@@ -1,19 +1,37 @@
-//! Reusable gather plans: the resolve pass of the two-pass gather.
+//! Reusable gather plans, and the design of the gather they serve.
 //!
-//! [`crate::MultiGpuCache::gather`] used to probe a `HashMap` and copy one
-//! row per key, interleaving pointer-chasing lookups with short `memcpy`s.
-//! The optimized path splits the work in two:
+//! This is the one place the gather's design is written down; other docs
+//! link here.
 //!
-//! 1. **plan** — resolve every key to a packed `(source, offset)` slot by
-//!    probing the dense location table (a flat array indexed by entry id),
-//!    accumulating per-source key counts as it goes;
-//! 2. **copy** — sweep the plan once per source, streaming rows out of a
-//!    single arena slab at a time (cache-friendly, autovectorizable
-//!    `copy_from_slice` bodies with no per-key branching).
+//! [`crate::MultiGpuCache::gather`] is two passes over one batch, each
+//! written once and run through `emb_util::pool::par_chunks_mut` at every
+//! pool width (a width of 1 runs the same chunks inline, so there is no
+//! serial variant to keep equal):
 //!
-//! The per-source counts double as the per-tier statistics the timing
-//! layer needs, so [`GatherPlan::source_split`] replaces the per-key
-//! `match` branches that used to feed `extract`'s byte counters.
+//! 1. **resolve** ([`crate::MultiGpuCache::plan_gather`]) — chunks of
+//!    `PLAN_CHUNK_KEYS` keys. Each key is one load from the destination
+//!    GPU's dense location table (a flat array indexed by entry id, the
+//!    paper's `<GPU_i, Offset>` hashtable, §4) into its packed
+//!    `source << 32 | offset` slot; a miss becomes `host << 32 | key`.
+//!    Chunks fill disjoint slot ranges and count keys per source; the
+//!    per-chunk counts are summed in chunk order (`u64`, exact).
+//! 2. **copy** ([`crate::MultiGpuCache::execute_plan`]) — chunks of
+//!    `COPY_CHUNK_ROWS` output rows. A chunk walks its rows once, in key
+//!    order; each row is one `copy_from_slice` out of the arena slab its
+//!    slot names, or one `HostTable::read_into` for the host source.
+//!    Rows are written exactly once, to disjoint output slices.
+//!
+//! Chunk boundaries are a function of the batch length only, so the plan,
+//! the counts and the output bytes are the same at every width by
+//! construction. `tests/differential.rs` pins them bit for bit against
+//! the frozen per-key [`crate::ReferenceGatherer`] and the host table, at
+//! rest and mid-refresh.
+//!
+//! Splitting resolve from copy keeps the pointer-chasing table loads out
+//! of the `memcpy` loop, and the per-source counts double as the per-tier
+//! statistics the timing layer needs: [`GatherPlan::source_split`] has
+//! the shape of `Placement::split_keys` without a second pass over the
+//! keys.
 //!
 //! Plans are plain buffers and are meant to be reused across calls (the
 //! cache keeps one per thread); [`GatherPlan::reset`] retains capacity.

@@ -1,0 +1,181 @@
+//! Differential tests: the chunked gather must be bit-identical to the
+//! frozen per-key reference gather and to the host table — values and
+//! per-tier stats — at every pool width, at rest and mid-refresh.
+
+use cache_policy::{baselines, Hotness, Placement, SolverConfig, UGacheSolver};
+use emb_cache::{HostTable, MultiGpuCache, ReferenceGatherer};
+use emb_util::zipf::powerlaw_hotness;
+use gpu_platform::{DedicationConfig, Platform};
+use proptest::prelude::*;
+use rand::Rng;
+
+/// `emb-cache`'s private chunk lengths (`cache.rs`); the batch lengths
+/// below sit on and one past them so the last chunk is full, then ragged.
+const PLAN_CHUNK_KEYS: usize = 8_192;
+const COPY_CHUNK_ROWS: usize = 2_048;
+
+/// Gathers `keys` for `gpu` at pool widths 1, 2 and 8 and checks every
+/// output bit and the stats against the reference gather, and the
+/// reference against the host table.
+fn check(cache: &MultiGpuCache, gpu: usize, keys: &[u32], what: &str) {
+    let dim = cache.dim();
+    let mut ref_out = vec![f32::NAN; keys.len() * dim];
+    let ref_stats = ReferenceGatherer::new(cache).gather(cache, gpu, keys, &mut ref_out);
+    assert_eq!(ref_stats.total(), keys.len() as u64, "{what}");
+    for (k, &key) in keys.iter().enumerate() {
+        let truth = cache.host_table().read(key);
+        let row = &ref_out[k * dim..(k + 1) * dim];
+        assert!(
+            row.iter()
+                .zip(&truth)
+                .all(|(a, b)| a.to_bits() == b.to_bits()),
+            "{what}: reference row {k} (key {key}) differs from the host table"
+        );
+    }
+    for threads in [1, 2, 8] {
+        // NaN-filled, so a row the copy pass skipped cannot pass as equal.
+        let mut out = vec![f32::NAN; keys.len() * dim];
+        let stats = emb_util::pool::with_threads(threads, || cache.gather(gpu, keys, &mut out));
+        assert_eq!(stats, ref_stats, "{what}, threads {threads}");
+        for (i, (a, b)) in out.iter().zip(&ref_out).enumerate() {
+            assert_eq!(
+                a.to_bits(),
+                b.to_bits(),
+                "{what}, threads {threads}: row {} (key {}) elem {}",
+                i / dim,
+                keys[i / dim],
+                i % dim
+            );
+        }
+    }
+}
+
+/// `len` keys mixing hot (cached somewhere) and cold (host) entries.
+fn mixed_keys(rng: &mut impl Rng, n: usize, cap: usize, len: usize) -> Vec<u32> {
+    (0..len)
+        .map(|_| {
+            let hot = rng.gen_bool(0.7);
+            rng.gen_range(0..if hot { (4 * cap).min(n) } else { n }) as u32
+        })
+        .collect()
+}
+
+/// The batch shapes the gather must survive, for destination `gpu`.
+fn batches(
+    rng: &mut impl Rng,
+    placement: &Placement,
+    gpu: usize,
+    cap: usize,
+) -> Vec<(String, Vec<u32>)> {
+    let n = placement.num_entries;
+    let host: Vec<u32> = (0..n as u32)
+        .filter(|&e| placement.access[gpu][e as usize] == placement.host_idx())
+        .collect();
+    assert!(!host.is_empty(), "capacity leaves cold entries on the host");
+    let mut out = vec![
+        ("empty".to_string(), Vec::new()),
+        ("all-host".to_string(), host),
+        // One hot key, enough times to span two copy chunks.
+        (
+            "all-duplicate".to_string(),
+            vec![rng.gen_range(0..cap) as u32; COPY_CHUNK_ROWS + 7],
+        ),
+    ];
+    for len in [
+        COPY_CHUNK_ROWS,
+        COPY_CHUNK_ROWS + 1,
+        PLAN_CHUNK_KEYS,
+        PLAN_CHUNK_KEYS + 1,
+    ] {
+        out.push((format!("{len} mixed keys"), mixed_keys(rng, n, cap, len)));
+    }
+    out
+}
+
+/// Walks `cache` from its placement to `target` one GPU at a time the way
+/// the Refresher does — invalidate, then reuse the slots — gathering
+/// after every step, while the location tables still describe the old
+/// arrangement minus the invalidated entries; then swaps and gathers again.
+fn check_through_refresh(
+    rng: &mut impl Rng,
+    cache: &mut MultiGpuCache,
+    target: &Placement,
+    cap: usize,
+    what: &str,
+) {
+    let (g, n) = (target.num_gpus, target.num_entries);
+    for j in 0..g {
+        let old = cache.placement().stored[j].clone();
+        let moved = |from: &[bool], to: &[bool]| -> Vec<u32> {
+            (0..n as u32)
+                .filter(|&e| from[e as usize] && !to[e as usize])
+                .collect()
+        };
+        let evict = moved(&old, &target.stored[j]);
+        let insert = moved(&target.stored[j], &old);
+        cache.invalidate_before_update(j, &evict);
+        cache.update_arena(j, &evict, &insert);
+        // The moved entries first — a stale `<GPU, Offset>` would serve
+        // an inserted entry's bytes for an evicted key — then a ragged
+        // two-chunk tail.
+        let mut keys = evict;
+        keys.extend(insert);
+        keys.extend(mixed_keys(rng, n, cap, COPY_CHUNK_ROWS + 1));
+        for dst in [j, (j + 1) % g] {
+            check(
+                cache,
+                dst,
+                &keys,
+                &format!("{what}, GPU{j} updated, read by GPU{dst}"),
+            );
+        }
+    }
+    cache.swap_locations(target);
+    let keys = mixed_keys(rng, n, cap, COPY_CHUNK_ROWS + 1);
+    check(cache, g - 1, &keys, &format!("{what}, after the swap"));
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 4, ..ProptestConfig::default() })]
+
+    /// Every placement kind on a hard-wired and a switched server, every
+    /// batch shape, every pool width; then the same cache caught between
+    /// `update_arena` and `swap_locations` on its way to another placement.
+    #[test]
+    fn gather_matches_reference_and_host_table(seed in 0u64..10_000) {
+        let mut rng = emb_util::seed_rng(seed);
+        for platform in [Platform::server_a(), Platform::server_c()] {
+            let g = platform.num_gpus();
+            let dim = [1usize, 4, 7][rng.gen_range(0..3)];
+            let cap = rng.gen_range(40..120);
+            let n = g * cap + rng.gen_range(200..1_000);
+            let hotness = Hotness::new(powerlaw_hotness(n, 1.2));
+            let solver = UGacheSolver::new(platform.clone(), DedicationConfig::default());
+            let solved = solver
+                .solve(&hotness, &vec![cap; g], &SolverConfig::new(dim * 4, 1_000.0))
+                .expect("the placement LP solves")
+                .placement;
+            let partition =
+                baselines::partition(&platform, &hotness, cap).expect("partition fits");
+            let replication = baselines::replication(&platform, &hotness, cap);
+            // Each cache is then refreshed toward the next placement kind.
+            let kinds = [
+                ("partition", &partition),
+                ("replication", &replication),
+                ("solver", &solved),
+            ];
+            for (k, (kind, placement)) in kinds.iter().enumerate() {
+                let what = format!("{} {kind} dim {dim} seed {seed}", platform.name);
+                let mut cache =
+                    MultiGpuCache::build(HostTable::dense(n, dim), placement, &vec![cap; g]);
+                let gpu = rng.gen_range(0..g);
+                for (shape, keys) in batches(&mut rng, placement, gpu, cap) {
+                    check(&cache, gpu, &keys, &format!("{what}, {shape}"));
+                }
+                let (next, target) = kinds[(k + 1) % kinds.len()];
+                let what = format!("{what} -> {next}");
+                check_through_refresh(&mut rng, &mut cache, target, cap, &what);
+            }
+        }
+    }
+}

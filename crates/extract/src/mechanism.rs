@@ -78,7 +78,9 @@ impl Extractor {
         &self.platform
     }
 
-    /// Builds per-GPU source demands from a placement and key batches.
+    /// Builds per-GPU source demands from a placement and key batches:
+    /// `Placement::split_keys` per GPU, then
+    /// [`Extractor::works_from_splits`].
     ///
     /// # Panics
     ///
@@ -89,26 +91,12 @@ impl Extractor {
         keys_per_gpu: &[Vec<u32>],
         entry_bytes: usize,
     ) -> Vec<GpuWork> {
-        assert_eq!(
-            keys_per_gpu.len(),
-            self.platform.num_gpus(),
-            "one key batch per GPU"
-        );
-        keys_per_gpu
+        let splits: Vec<_> = keys_per_gpu
             .iter()
             .enumerate()
-            .map(|(gpu, keys)| {
-                let demands = placement
-                    .split_keys(gpu, keys)
-                    .into_iter()
-                    .map(|(src, count)| SourceDemand {
-                        src,
-                        bytes: count as f64 * entry_bytes as f64,
-                    })
-                    .collect();
-                GpuWork { gpu, demands }
-            })
-            .collect()
+            .map(|(gpu, keys)| placement.split_keys(gpu, keys))
+            .collect();
+        self.works_from_splits(&splits, entry_bytes)
     }
 
     /// Builds per-GPU source demands from precomputed per-source key

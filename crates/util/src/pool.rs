@@ -29,6 +29,11 @@
 //! ([`with_threads`]) for tests and benches. Worker threads run their
 //! chunks with an override of 1, so nested `par_*` calls degrade to
 //! serial execution instead of oversubscribing.
+//!
+//! The width can be set from outside this module but not read: a caller
+//! that could read it could run different code at `--threads 1` and
+//! `--threads 8`. Callers hand the pool fixed chunks, and a width of 1
+//! runs the same chunks inline — there is no serial twin to keep equal.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -60,8 +65,9 @@ pub fn set_threads(n: usize) {
 
 /// The worker count the next `par_*` call on this thread will use: the
 /// innermost [`with_threads`] override if one is active, else the
-/// [`set_threads`] global (default 1).
-pub fn current_threads() -> usize {
+/// [`set_threads`] global (default 1). Private: no caller may read the
+/// width (module docs).
+fn current_threads() -> usize {
     let o = THREAD_OVERRIDE.with(Cell::get);
     if o != 0 {
         o
@@ -97,20 +103,6 @@ pub fn with_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
     });
     let _guard = OverrideGuard(prev);
     f()
-}
-
-/// The deterministic chunk boundaries for `len` items in chunks of
-/// `chunk_len`: `[i*chunk_len, min((i+1)*chunk_len, len))`, a function
-/// of the input size only — never of the worker count.
-///
-/// # Panics
-///
-/// Panics if `chunk_len == 0`.
-pub fn chunk_bounds(len: usize, chunk_len: usize) -> Vec<(usize, usize)> {
-    assert!(chunk_len >= 1, "chunk length must be >= 1");
-    (0..len.div_ceil(chunk_len))
-        .map(|i| (i * chunk_len, ((i + 1) * chunk_len).min(len)))
-        .collect()
 }
 
 /// One chunk's outcome: the payload plus the telemetry recorded while
@@ -191,10 +183,11 @@ fn execute<W: Send, R: Send>(work: Vec<W>, f: impl Fn(usize, W) -> R + Sync) -> 
         .collect()
 }
 
-/// Cuts `data` into disjoint mutable chunks of `chunk_len` (boundaries
-/// per [`chunk_bounds`]) and runs `f(chunk_index, chunk)` for each on
-/// the pool, returning the results in chunk order. This is the writer
-/// side of the two-pass gather: chunks own disjoint output slices, so no
+/// Cuts `data` into disjoint mutable chunks of `chunk_len` (chunk `i` is
+/// `[i * chunk_len, min((i + 1) * chunk_len, len))`, a function of the
+/// input size only) and runs `f(chunk_index, chunk)` for each on the
+/// pool, returning the results in chunk order. This is the writer side
+/// of the two-pass gather: chunks own disjoint output slices, so no
 /// synchronization is needed inside `f`.
 ///
 /// # Panics
@@ -232,14 +225,6 @@ mod tests {
     fn results_come_back_in_chunk_order() {
         let out = with_threads(4, || par_map_owned((0..64).collect(), |_, i: usize| i * i));
         assert_eq!(out, (0..64).map(|i| i * i).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn chunk_bounds_ignore_worker_count() {
-        assert_eq!(chunk_bounds(10, 4), vec![(0, 4), (4, 8), (8, 10)]);
-        assert_eq!(chunk_bounds(8, 4), vec![(0, 4), (4, 8)]);
-        assert_eq!(chunk_bounds(0, 4), Vec::new());
-        assert_eq!(chunk_bounds(3, 100), vec![(0, 3)]);
     }
 
     #[test]
