@@ -27,8 +27,8 @@ use std::time::Instant;
 
 /// Schema version of the bench report file (independent of the artifact
 /// schema; bump on shape changes). v2 added the per-entry `scaling`
-/// thread-scaling points.
-pub const BENCH_SCHEMA_VERSION: u64 = 2;
+/// thread-scaling points, v3 the per-entry `roofline` block.
+pub const BENCH_SCHEMA_VERSION: u64 = 3;
 
 /// The `kind` discriminator of bench report files.
 pub const BENCH_KIND: &str = "ugache-bench";
@@ -62,6 +62,30 @@ pub struct ScalePoint {
     pub opt_min_secs: f64,
 }
 
+/// A copy pass held against what the box can do with the same bytes:
+/// best-of-trials seconds for three ways of moving one set of rows, all
+/// at pool width 1.
+#[derive(Debug, Clone, Serialize)]
+pub struct Roofline {
+    /// Rows moved per trial.
+    pub rows: usize,
+    /// Bytes moved per trial.
+    pub bytes: usize,
+    /// One `copy_from_slice` of a destination's rows, contiguous in an
+    /// arena slab: the ceiling for any copy of that many bytes.
+    pub contiguous_min_secs: f64,
+    /// One `copy_from_slice` per row, each from the slab and offset the
+    /// plan names, resolved beforehand: the ceiling for copying these rows
+    /// in this order.
+    pub per_row_min_secs: f64,
+    /// `MultiGpuCache::execute_plan` on the same plans.
+    pub execute_plan_min_secs: f64,
+    /// `contiguous_min_secs / execute_plan_min_secs`.
+    pub of_contiguous: f64,
+    /// `per_row_min_secs / execute_plan_min_secs`.
+    pub of_per_row: f64,
+}
+
 /// One microbench's timings.
 #[derive(Debug, Clone, Serialize)]
 pub struct BenchEntry {
@@ -82,6 +106,9 @@ pub struct BenchEntry {
     /// scaling depends on the machine's core count; the committed
     /// baselines record what the baseline box measured.
     pub scaling: Vec<ScalePoint>,
+    /// The optimized copy pass against the box's copy roofline (`null`
+    /// for benches that move no rows).
+    pub roofline: Option<Roofline>,
 }
 
 /// The whole bench report (serialized to `BENCH_*.json`).
@@ -114,8 +141,8 @@ fn time_trials(trials: usize, warmup: usize, mut f: impl FnMut()) -> Vec<f64> {
 }
 
 fn entry(name: &str, ref_secs: Vec<f64>, opt_secs: Vec<f64>) -> BenchEntry {
-    let ref_min_secs = ref_secs.iter().copied().fold(f64::INFINITY, f64::min);
-    let opt_min_secs = opt_secs.iter().copied().fold(f64::INFINITY, f64::min);
+    let ref_min_secs = min_secs(&ref_secs);
+    let opt_min_secs = min_secs(&opt_secs);
     BenchEntry {
         name: name.to_string(),
         ref_secs,
@@ -124,7 +151,12 @@ fn entry(name: &str, ref_secs: Vec<f64>, opt_secs: Vec<f64>) -> BenchEntry {
         opt_min_secs,
         speedup: ref_min_secs / opt_min_secs,
         scaling: Vec::new(),
+        roofline: None,
     }
+}
+
+fn min_secs(secs: &[f64]) -> f64 {
+    secs.iter().copied().fold(f64::INFINITY, f64::min)
 }
 
 /// Times `f` across every [`SCALING_THREADS`] pool width.
@@ -136,7 +168,7 @@ fn scale_points(trials: usize, warmup: usize, mut f: impl FnMut()) -> Vec<ScaleP
                 emb_util::pool::with_threads(threads, || time_trials(trials, warmup, &mut f));
             ScalePoint {
                 threads,
-                opt_min_secs: secs.iter().copied().fold(f64::INFINITY, f64::min),
+                opt_min_secs: min_secs(&secs),
             }
         })
         .collect()
@@ -149,7 +181,7 @@ fn scale_points(trials: usize, warmup: usize, mut f: impl FnMut()) -> Vec<ScaleP
 /// maps spill out of fast cache levels, so per-key lookup cost dominates
 /// the timing. `opt` is timed at pool width 1; `scaling` times the same
 /// call at every [`SCALING_THREADS`] width (on a single-core box the
-/// widths time alike).
+/// widths time alike). `roofline` is [`gather_roofline`].
 fn bench_gather(trials: usize, warmup: usize) -> BenchEntry {
     use cache_policy::{baselines, Hotness};
     use emb_cache::{HostTable, MultiGpuCache, ReferenceGatherer};
@@ -191,7 +223,108 @@ fn bench_gather(trials: usize, warmup: usize) -> BenchEntry {
     let opt_secs = emb_util::pool::with_threads(1, || time_trials(trials, warmup, &mut gather_all));
     let mut e = entry("gather", ref_secs, opt_secs);
     e.scaling = scale_points(trials, warmup, gather_all);
+    e.roofline = Some(gather_roofline(trials, warmup));
     e
+}
+
+/// The copy pass at the shape `benchmark/`'s `gnn_train` runs it — eight
+/// destinations, 8 700 rows of 128 `f32` each, out of 18 018-row arenas
+/// that together outgrow the caches, every row cached somewhere (a host
+/// row here would be computed, not copied) — against one contiguous copy
+/// and against bare per-row copies of the same bytes.
+fn gather_roofline(trials: usize, warmup: usize) -> Roofline {
+    use cache_policy::{baselines, Hotness};
+    use emb_cache::{GatherPlan, HostTable, MultiGpuCache};
+    use gpu_platform::Platform;
+    use rand::Rng;
+    const ROWS: usize = 8_700;
+    const CAP: usize = 18_018;
+    const DIM: usize = 128;
+
+    let plat = Platform::server_c();
+    let g = plat.num_gpus();
+    let n = g * CAP;
+    let h = Hotness::new(emb_util::zipf::powerlaw_hotness(n, 1.2));
+    let placement = baselines::partition(&plat, &h, CAP).expect("a switch connects every pair");
+    let cache = MultiGpuCache::build(HostTable::procedural(n, DIM), &placement, &vec![CAP; g]);
+
+    let mut rng = emb_util::seed_rng(0x5EED);
+    let keys: Vec<Vec<u32>> = (0..g)
+        .map(|_| (0..ROWS).map(|_| rng.gen_range(0..n) as u32).collect())
+        .collect();
+    let plans: Vec<GatherPlan> = (0..g)
+        .map(|gpu| {
+            let mut plan = GatherPlan::new();
+            cache.plan_gather(gpu, &keys[gpu], &mut plan);
+            assert_eq!(plan.stats(gpu).host, 0, "every row is cached");
+            plan
+        })
+        .collect();
+    // Each row's slab and offset, resolved once: what `execute_plan`
+    // decodes from the plan on every call.
+    let sources: Vec<Vec<&[f32]>> = (0..g)
+        .map(|gpu| {
+            keys[gpu]
+                .iter()
+                .map(|&key| {
+                    let arena = cache.arena(placement.access[gpu][key as usize] as usize);
+                    let base = arena.offset_of(key).expect("every row is cached") as usize * DIM;
+                    &arena.slab()[base..base + DIM]
+                })
+                .collect()
+        })
+        .collect();
+
+    let mut out = vec![0.0f32; ROWS * DIM];
+    // Outside the timed region: the bare loop moves what the plan moves.
+    let mut planned = vec![0.0f32; ROWS * DIM];
+    for (plan, rows) in plans.iter().zip(&sources) {
+        cache.execute_plan(plan, &mut planned);
+        for (row, src) in out.chunks_exact_mut(DIM).zip(rows) {
+            row.copy_from_slice(src);
+        }
+        assert_eq!(
+            out, planned,
+            "the bare per-row copy diverges from the plan's"
+        );
+    }
+
+    let (contiguous, per_row, execute_plan) = emb_util::pool::with_threads(1, || {
+        let contiguous = time_trials(trials, warmup, || {
+            for gpu in 0..g {
+                out.copy_from_slice(&cache.arena(gpu).slab()[..ROWS * DIM]);
+                std::hint::black_box(&mut out);
+            }
+        });
+        let per_row = time_trials(trials, warmup, || {
+            for rows in &sources {
+                for (row, src) in out.chunks_exact_mut(DIM).zip(rows) {
+                    row.copy_from_slice(src);
+                }
+                std::hint::black_box(&mut out);
+            }
+        });
+        let execute_plan = time_trials(trials, warmup, || {
+            for plan in &plans {
+                cache.execute_plan(plan, &mut out);
+                std::hint::black_box(&mut out);
+            }
+        });
+        (
+            min_secs(&contiguous),
+            min_secs(&per_row),
+            min_secs(&execute_plan),
+        )
+    });
+    Roofline {
+        rows: g * ROWS,
+        bytes: g * ROWS * DIM * std::mem::size_of::<f32>(),
+        contiguous_min_secs: contiguous,
+        per_row_min_secs: per_row,
+        execute_plan_min_secs: execute_plan,
+        of_contiguous: contiguous / execute_plan,
+        of_per_row: per_row / execute_plan,
+    }
 }
 
 /// The extraction event loop: per-step full rescans (reference) vs
@@ -428,6 +561,20 @@ pub fn render(report: &BenchReport) {
                 .collect();
             println!("  {:<14}   scaling: {}", "", points.join("   "));
         }
+        if let Some(r) = &b.roofline {
+            let gbps = |secs: f64| r.bytes as f64 / secs / 1e9;
+            println!(
+                "  {:<14}   roofline, {} rows: contiguous {:.1} GB/s   per-row {:.1} GB/s   \
+                 execute_plan {:.1} GB/s ({:.2} of contiguous, {:.2} of per-row)",
+                "",
+                r.rows,
+                gbps(r.contiguous_min_secs),
+                gbps(r.per_row_min_secs),
+                gbps(r.execute_plan_min_secs),
+                r.of_contiguous,
+                r.of_per_row
+            );
+        }
     }
 }
 
@@ -547,6 +694,7 @@ mod tests {
                 opt_min_secs: opt_min,
                 speedup,
                 scaling: Vec::new(),
+                roofline: None,
             }],
         };
         json::to_string_pretty(&report).unwrap()
@@ -625,6 +773,7 @@ mod tests {
         for b in &report.benches {
             assert!(b.ref_min_secs > 0.0 && b.opt_min_secs > 0.0, "{}", b.name);
             assert!(b.speedup.is_finite(), "{}", b.name);
+            assert_eq!(b.roofline.is_some(), b.name == "gather", "{}", b.name);
         }
     }
 }

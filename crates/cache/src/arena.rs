@@ -1,16 +1,21 @@
 //! Per-GPU cache storage.
 
-use std::collections::HashMap;
+/// Index value of an entry the arena does not hold. No slot can have it:
+/// slots are numbered below a capacity that itself fits a `u32`.
+const VACANT: u32 = u32::MAX;
 
 /// One GPU's embedding-cache arena: `capacity × dim` f32 slots plus the
 /// entry→slot index. Stands in for a GPU HBM allocation.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct GpuArena {
     dim: usize,
     capacity: usize,
     data: Vec<f32>,
-    /// entry id → slot index.
-    slots: HashMap<u32, u32>,
+    /// `index[entry]`: the slot holding `entry`, or [`VACANT`]. Dense,
+    /// grown on demand to the highest id ever stored.
+    index: Vec<u32>,
+    /// Entries currently cached.
+    len: usize,
     /// Free slot indices (reverse order so allocation is LIFO).
     free: Vec<u32>,
 }
@@ -22,7 +27,8 @@ impl GpuArena {
             dim,
             capacity,
             data: vec![0.0; capacity * dim],
-            slots: HashMap::with_capacity(capacity),
+            index: Vec::new(),
+            len: 0,
             free: (0..capacity as u32).rev().collect(),
         }
     }
@@ -34,27 +40,51 @@ impl GpuArena {
 
     /// Number of entries currently cached.
     pub fn len(&self) -> usize {
-        self.slots.len()
+        self.len
     }
 
     /// Whether the arena holds no entries.
     pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
+        self.len == 0
     }
 
     /// Slot offset of a cached entry.
     pub fn offset_of(&self, entry: u32) -> Option<u32> {
-        self.slots.get(&entry).copied()
+        self.index
+            .get(entry as usize)
+            .copied()
+            .filter(|&slot| slot != VACANT)
     }
 
     /// The slot `entry` occupies, taking one off the free list if it is
     /// not cached yet.
     fn claim_slot(&mut self, entry: u32) -> u32 {
-        let (free, capacity) = (&mut self.free, self.capacity);
-        *self.slots.entry(entry).or_insert_with(|| {
-            free.pop()
-                .unwrap_or_else(|| panic!("arena full ({capacity} entries)"))
-        })
+        let e = entry as usize;
+        if e >= self.index.len() {
+            self.index.resize(e + 1, VACANT);
+        }
+        if self.index[e] == VACANT {
+            let capacity = self.capacity;
+            self.index[e] = self
+                .free
+                .pop()
+                .unwrap_or_else(|| panic!("arena full ({capacity} entries)"));
+            self.len += 1;
+        }
+        self.index[e]
+    }
+
+    /// Claims a slot for `entry` — the one it already occupies if it is
+    /// cached — and hands out the slot's `dim` floats for the caller to
+    /// fill, so a row can be produced in place instead of copied in.
+    /// A freshly claimed slot still holds its previous occupant's values.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the arena is full.
+    pub fn insert_row(&mut self, entry: u32) -> &mut [f32] {
+        let base = self.claim_slot(entry) as usize * self.dim;
+        &mut self.data[base..base + self.dim]
     }
 
     /// Inserts an entry's values; returns its slot offset.
@@ -111,8 +141,10 @@ impl GpuArena {
 
     /// Evicts an entry; returns whether it was present.
     pub fn evict(&mut self, entry: u32) -> bool {
-        match self.slots.remove(&entry) {
+        match self.offset_of(entry) {
             Some(s) => {
+                self.index[entry as usize] = VACANT;
+                self.len -= 1;
                 self.free.push(s);
                 true
             }
@@ -143,22 +175,13 @@ impl GpuArena {
     pub fn slab(&self) -> &[f32] {
         &self.data
     }
-
-    /// Removes everything.
-    pub fn clear(&mut self) {
-        self.slots.clear();
-        self.free = (0..self.capacity as u32).rev().collect();
-    }
-
-    /// Iterates over cached entry ids.
-    pub fn entries(&self) -> impl Iterator<Item = u32> + '_ {
-        self.slots.keys().copied()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::Rng;
+    use std::collections::HashMap;
 
     #[test]
     fn insert_read_roundtrip() {
@@ -264,14 +287,132 @@ mod tests {
         a.insert_many(&[1, 2, 3], &[1.0, 2.0, 3.0]);
     }
 
+    /// The arena as it was indexed before the dense index — a `HashMap`
+    /// beside the same LIFO free list — kept as the model the dense one
+    /// must match offset for offset.
+    struct MapArena {
+        dim: usize,
+        data: Vec<f32>,
+        slots: HashMap<u32, u32>,
+        free: Vec<u32>,
+    }
+
+    impl MapArena {
+        fn new(capacity: usize, dim: usize) -> Self {
+            MapArena {
+                dim,
+                data: vec![0.0; capacity * dim],
+                slots: HashMap::new(),
+                free: (0..capacity as u32).rev().collect(),
+            }
+        }
+
+        fn insert(&mut self, entry: u32, values: &[f32]) -> u32 {
+            let free = &mut self.free;
+            let slot = *self
+                .slots
+                .entry(entry)
+                .or_insert_with(|| free.pop().expect("the driver never overfills the model"));
+            let base = slot as usize * self.dim;
+            self.data[base..base + self.dim].copy_from_slice(values);
+            slot
+        }
+
+        fn evict(&mut self, entry: u32) -> bool {
+            self.slots
+                .remove(&entry)
+                .map(|s| self.free.push(s))
+                .is_some()
+        }
+    }
+
     #[test]
-    fn clear_resets() {
-        let mut a = GpuArena::new(3, 1);
-        a.insert(1, &[1.0]);
-        a.insert(2, &[2.0]);
-        a.clear();
-        assert!(a.is_empty());
-        a.insert(3, &[3.0]);
-        assert_eq!(a.len(), 1);
+    fn random_op_sequences_match_the_map_indexed_model() {
+        const CAP: usize = 24;
+        const DIM: usize = 3;
+        // A crowded low range so re-inserts, evictions and slot reuse are
+        // common, and a few ids far beyond it so the index has to grow.
+        let ids: Vec<u32> = (0..40).chain([977, 65_536, 3_000_000]).collect();
+        let mut refused = 0;
+        for seed in 0..20u64 {
+            let mut rng = emb_util::seed_rng(seed);
+            let mut arena = GpuArena::new(CAP, DIM);
+            let mut model = MapArena::new(CAP, DIM);
+            let mut stamp = 0.0f32;
+            let mut row = || -> [f32; DIM] {
+                stamp += 1.0;
+                [stamp, -stamp, stamp * 0.5]
+            };
+            for step in 0..600 {
+                let pick = |rng: &mut rand::rngs::StdRng| ids[rng.gen_range(0..ids.len())];
+                let what = format!("seed {seed} step {step}");
+                match rng.gen_range(0..4) {
+                    0 => {
+                        let e = pick(&mut rng);
+                        assert_eq!(arena.evict(e), model.evict(e), "{what}: evict {e}");
+                    }
+                    1 => {
+                        // Up to five rows at once, repeats allowed, never
+                        // more new entries than there is room for.
+                        let mut room = CAP - model.slots.len();
+                        let mut batch: Vec<u32> = Vec::new();
+                        for _ in 0..rng.gen_range(0..6) {
+                            let e = pick(&mut rng);
+                            let known = model.slots.contains_key(&e) || batch.contains(&e);
+                            if known || room > 0 {
+                                room -= usize::from(!known);
+                                batch.push(e);
+                            }
+                        }
+                        let rows: Vec<f32> = batch.iter().flat_map(|_| row()).collect();
+                        arena.insert_many(&batch, &rows);
+                        for (e, values) in batch.iter().zip(rows.chunks_exact(DIM)) {
+                            model.insert(*e, values);
+                        }
+                    }
+                    kind => {
+                        let e = pick(&mut rng);
+                        if model.slots.len() == CAP && !model.slots.contains_key(&e) {
+                            // The checks below hold the refused insert
+                            // to having left no trace.
+                            let full =
+                                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                                    arena.insert(e, &[0.0; DIM])
+                                }))
+                                .expect_err("a new entry does not fit a full arena");
+                            let message = full.downcast_ref::<String>().expect("a formatted panic");
+                            assert!(message.contains("arena full"), "{what}: {message}");
+                            refused += 1;
+                        } else {
+                            let values = row();
+                            let slot = if kind == 2 {
+                                arena.insert(e, &values)
+                            } else {
+                                arena.insert_row(e).copy_from_slice(&values);
+                                arena.offset_of(e).expect("just inserted")
+                            };
+                            assert_eq!(slot, model.insert(e, &values), "{what}: insert {e}");
+                        }
+                    }
+                }
+                assert_eq!(arena.len(), model.slots.len(), "{what}");
+                assert_eq!(arena.is_empty(), model.slots.is_empty(), "{what}");
+                for &e in &ids {
+                    assert_eq!(
+                        arena.offset_of(e),
+                        model.slots.get(&e).copied(),
+                        "{what}: {e}"
+                    );
+                }
+                // Never stored: inside the index, just past it, far past it.
+                for e in [40, 3_000_001, u32::MAX] {
+                    assert_eq!(arena.offset_of(e), None, "{what}: {e}");
+                }
+                for (i, (a, m)) in arena.slab().iter().zip(&model.data).enumerate() {
+                    assert_eq!(a.to_bits(), m.to_bits(), "{what}: slab element {i}");
+                }
+            }
+        }
+        assert!(refused > 0, "no sequence ever filled the arena");
     }
 }

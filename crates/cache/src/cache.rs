@@ -72,7 +72,8 @@ pub struct MultiGpuCache {
     placement: Placement,
 }
 
-/// Builds one destination GPU's dense location table from an access row.
+/// Builds one destination GPU's dense location table from an access row:
+/// per cached entry, one load from its source arena's entry→slot index.
 fn dense_location_row(
     arenas: &[GpuArena],
     access: &[cache_policy::SourceIdx],
@@ -339,18 +340,17 @@ impl MultiGpuCache {
     }
 
     /// Applies a single incremental update on one GPU: evict `evict` then
-    /// insert `insert`, updating only that arena (location tables must be
+    /// insert `insert`, each host row read straight into the slot it
+    /// claims, updating only that arena (location tables must be
     /// rebuilt by the caller once a refresh round completes — the paper's
     /// Refresher swaps the hashtable between foreground batches).
     pub fn update_arena(&mut self, gpu: usize, evict: &[u32], insert: &[u32]) {
-        let dim = self.dim();
-        let mut buf = vec![0.0f32; dim];
+        let arena = &mut self.arenas[gpu];
         for &e in evict {
-            self.arenas[gpu].evict(e);
+            arena.evict(e);
         }
         for &e in insert {
-            self.host.read_into(e, &mut buf);
-            self.arenas[gpu].insert(e, &buf);
+            self.host.read_into(e, arena.insert_row(e));
         }
     }
 

@@ -6,10 +6,12 @@
 //!
 //! * [`HostTable`] — the full embedding table in (real or procedural)
 //!   host memory;
-//! * [`GpuArena`] — one GPU's cache storage: a flat slot array plus the
-//!   entry→offset map;
-//! * [`MultiGpuCache`] — the composed cache: per-GPU location hashtables
-//!   in the paper's `<GPU_i, Offset>` format (§4), filled from a
+//! * [`GpuArena`] — one GPU's cache storage: a flat slot array, a LIFO
+//!   free list, and a dense entry→slot index (an array indexed by entry
+//!   id — bookkeeping of this crate, not a structure of the paper's);
+//! * [`MultiGpuCache`] — the composed cache: per-GPU location tables in
+//!   the paper's `<GPU_i, Offset>` format (§4 calls them hashtables; here
+//!   they are flat arrays indexed by entry id), filled from a
 //!   placement by [`MultiGpuCache::build`] (the Filler), and a
 //!   [`MultiGpuCache::gather`] that returns both values and per-source
 //!   hit statistics (design notes in [`plan`]);

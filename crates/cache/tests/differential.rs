@@ -1,9 +1,10 @@
 //! Differential tests: the chunked gather must be bit-identical to the
 //! frozen per-key reference gather and to the host table — values and
-//! per-tier stats — at every pool width, at rest and mid-refresh.
+//! per-tier stats — at every pool width, at rest and mid-refresh; and a
+//! refreshed cache must gather like one built on the target placement.
 
 use cache_policy::{baselines, Hotness, Placement, SolverConfig, UGacheSolver};
-use emb_cache::{HostTable, MultiGpuCache, ReferenceGatherer};
+use emb_cache::{HostTable, MultiGpuCache, ReferenceGatherer, RefreshConfig, Refresher};
 use emb_util::zipf::powerlaw_hotness;
 use gpu_platform::{DedicationConfig, Platform};
 use proptest::prelude::*;
@@ -135,12 +136,68 @@ fn check_through_refresh(
     check(cache, g - 1, &keys, &format!("{what}, after the swap"));
 }
 
+/// Lets a whole `Refresher` run — `begin`, every tick, the swap — take a
+/// cache built on `from` to `target`, and holds the result to a cache
+/// built on `target` outright: the same rows and the same per-tier stats
+/// for every destination GPU, so the location tables `swap_locations`
+/// writes are pinned against the ones the fill writes.
+fn check_refresher_lands_on_a_fresh_build(
+    from: &Placement,
+    target: &Placement,
+    dim: usize,
+    cap: usize,
+    what: &str,
+) {
+    let (g, n) = (target.num_gpus, target.num_entries);
+    let build =
+        |placement| MultiGpuCache::build(HostTable::dense(n, dim), placement, &vec![cap; g]);
+    let mut cache = build(from);
+    let mut refresher = Refresher::new(RefreshConfig {
+        solve_secs: 1.0,
+        entries_per_batch: 16,
+        batch_interval_secs: 0.1,
+        ..RefreshConfig::default()
+    });
+    refresher.begin(0.0, from, target.clone());
+    let mut now = 0.0;
+    while refresher.active() {
+        now += 0.25;
+        refresher.tick(now, &mut cache);
+        assert!(now < 1e4, "{what}: the refresh never finished");
+    }
+    assert_eq!(cache.placement(), target, "{what}");
+
+    let fresh = build(target);
+    let keys: Vec<u32> = (0..n as u32).collect();
+    for gpu in 0..g {
+        let mut refreshed_out = vec![f32::NAN; n * dim];
+        let mut fresh_out = vec![f32::NAN; n * dim];
+        let refreshed_stats = cache.gather(gpu, &keys, &mut refreshed_out);
+        let fresh_stats = fresh.gather(gpu, &keys, &mut fresh_out);
+        assert_eq!(refreshed_stats, fresh_stats, "{what}: GPU{gpu} stats");
+        assert!(
+            refreshed_out
+                .iter()
+                .zip(&fresh_out)
+                .all(|(a, b)| a.to_bits() == b.to_bits()),
+            "{what}: GPU{gpu} rows differ from a fresh build's"
+        );
+    }
+    check(
+        &cache,
+        g - 1,
+        &keys,
+        &format!("{what}, after a Refresher run"),
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 4, ..ProptestConfig::default() })]
 
     /// Every placement kind on a hard-wired and a switched server, every
     /// batch shape, every pool width; then the same cache caught between
-    /// `update_arena` and `swap_locations` on its way to another placement.
+    /// `update_arena` and `swap_locations` on its way to another placement,
+    /// and a `Refresher` run the whole way there against a fresh build.
     #[test]
     fn gather_matches_reference_and_host_table(seed in 0u64..10_000) {
         let mut rng = emb_util::seed_rng(seed);
@@ -175,6 +232,7 @@ proptest! {
                 let (next, target) = kinds[(k + 1) % kinds.len()];
                 let what = format!("{what} -> {next}");
                 check_through_refresh(&mut rng, &mut cache, target, cap, &what);
+                check_refresher_lands_on_a_fresh_build(placement, target, dim, cap, &what);
             }
         }
     }

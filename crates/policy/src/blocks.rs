@@ -54,7 +54,8 @@ impl Block {
 /// Batches entries into hotness blocks.
 ///
 /// Zero-hotness entries form the final level. The concatenation of all
-/// blocks' entries is a permutation of `0..E`, ordered hottest-first.
+/// blocks' entries is [`Hotness::ranking`]: every entry once, hottest
+/// first, ties by id.
 pub fn build_blocks(hotness: &Hotness, cfg: &BlockConfig) -> Vec<Block> {
     let e = hotness.len();
     if e == 0 {
@@ -152,6 +153,25 @@ mod tests {
         all.sort_unstable();
         all.dedup();
         assert_eq!(all.len(), 10_000);
+    }
+
+    #[test]
+    fn blocks_end_to_end_are_the_ranking() {
+        // Ties, zeros, and a block budget tight enough to force merges
+        // within and then across levels: merging must not reorder.
+        let mut w: Vec<f64> = (0..3_000).map(|i| ((i * 37) % 11) as f64).collect();
+        w.extend(powerlaw_hotness(2_000, 1.2));
+        let h = Hotness::new(w);
+        for max_blocks in [256, 16, 3, 1] {
+            let cfg = BlockConfig {
+                max_blocks,
+                ..Default::default()
+            };
+            let blocks = build_blocks(&h, &cfg);
+            assert!(blocks.len() <= max_blocks);
+            let all: Vec<u32> = blocks.iter().flat_map(|b| b.entries.clone()).collect();
+            assert_eq!(all, h.ranking(), "max_blocks {max_blocks}");
+        }
     }
 
     #[test]

@@ -8,6 +8,7 @@
 //! proportionally, which is why the solver can work with an LP instead of
 //! the paper's MILP at block granularity (see crate docs).
 
+use crate::types::SourceIdx;
 use gpu_platform::{Interconnect, Location, Platform};
 
 /// What a pattern does with its entries.
@@ -204,9 +205,109 @@ impl Pattern {
     }
 }
 
+/// The round-robin of one of [`generate_patterns`]' patterns walked from
+/// position 0: who stores the next entry and where each GPU reads it —
+/// [`Pattern::holders`] and [`Pattern::source_for`], asked once per
+/// distinct position.
+///
+/// Both repeat in the position `r`: holders rotate through the `G` GPUs
+/// or through each clique (every size at most `G`), and a reader picks
+/// among its `n ≤ G` reachable holders by `(gpu + r) mod n`, so position
+/// `r + lcm(1..=G)` lays an entry out as position `r` did. A row is
+/// computed the first time the walk reaches it and read back every lap
+/// after that, so a block of a hundred thousand entries costs a few
+/// hundred calls into the rule instead of one per entry.
+pub(crate) struct Rotation<'a> {
+    pattern: &'a Pattern,
+    platform: &'a Platform,
+    period: usize,
+    /// The next entry's position within the current lap.
+    position: usize,
+    /// Per position below `period` reached so far: the holders, and each
+    /// GPU's source (`G` for host).
+    rows: Vec<(Vec<usize>, Vec<SourceIdx>)>,
+}
+
+impl<'a> Rotation<'a> {
+    /// The walk of `pattern` on `platform`, at position 0.
+    pub(crate) fn new(pattern: &'a Pattern, platform: &'a Platform) -> Self {
+        // Saturating: a period that overflows is one the walk never laps.
+        let period =
+            (1..=platform.num_gpus()).fold(1usize, |lcm, n| lcm.saturating_mul(n / gcd(lcm, n)));
+        Rotation {
+            pattern,
+            platform,
+            period,
+            position: 0,
+            rows: Vec::new(),
+        }
+    }
+
+    /// The holders of the entry at the current position and the source
+    /// each GPU reads it from; moves on to the next position.
+    pub(crate) fn next_entry(&mut self) -> (&[usize], &[SourceIdx]) {
+        let r = self.position;
+        self.position = if r + 1 == self.period { 0 } else { r + 1 };
+        if r == self.rows.len() {
+            let g = self.platform.num_gpus();
+            let holders = self.pattern.holders(self.platform, r);
+            let access = (0..g)
+                .map(|gpu| {
+                    self.pattern
+                        .source_for(self.platform, gpu, r, &holders)
+                        .unwrap_or(g) as SourceIdx
+                })
+                .collect();
+            self.rows.push((holders, access));
+        }
+        let (holders, access) = &self.rows[r];
+        (holders, access)
+    }
+}
+
+fn gcd(a: usize, b: usize) -> usize {
+    if b == 0 {
+        a
+    } else {
+        gcd(b, a % b)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn rotation_replays_holders_and_sources_position_by_position() {
+        // Many laps of Server A's period (12) and more than one of the
+        // eight-GPU servers' (840), on every generated pattern.
+        for plat in [
+            Platform::server_a(),
+            Platform::server_b(),
+            Platform::server_c(),
+        ] {
+            let g = plat.num_gpus();
+            for pat in &generate_patterns(&plat) {
+                let mut rotation = Rotation::new(pat, &plat);
+                for r in 0..1_000 {
+                    let holders = pat.holders(&plat, r);
+                    let access: Vec<SourceIdx> = (0..g)
+                        .map(|gpu| {
+                            pat.source_for(&plat, gpu, r, &holders).unwrap_or(g) as SourceIdx
+                        })
+                        .collect();
+                    let (got_holders, got_access) = rotation.next_entry();
+                    assert_eq!(
+                        got_holders, holders,
+                        "{:?} r {r} on {}",
+                        pat.kind, plat.name
+                    );
+                    assert_eq!(got_access, access, "{:?} r {r} on {}", pat.kind, plat.name);
+                }
+                assert!(rotation.rows.len() <= rotation.period);
+            }
+        }
+    }
 
     #[test]
     fn uniformity_detection() {

@@ -12,7 +12,7 @@
 //! [`crate::optimal`] for comparison.
 
 use crate::blocks::{build_blocks, Block, BlockConfig};
-use crate::patterns::{generate_patterns, Pattern};
+use crate::patterns::{generate_patterns, Pattern, Rotation};
 use crate::types::{Hotness, Placement};
 use gpu_platform::{DedicationConfig, Location, Platform, Profile};
 use milp::{ConstraintSense, LinExpr, Model};
@@ -47,10 +47,12 @@ impl SolverConfig {
 
     /// The hotness the solver optimizes for: [`Hotness::dedup_adjusted`]
     /// when `dedup_adjust` is set, `hotness` itself otherwise. The
-    /// calibration makes ~60 passes of `exp` over every entry, so a
-    /// caller that needs the adjusted hotness for more than the solve
-    /// (the refresh trigger compares two estimates on it) takes it once
-    /// here and hands it to [`UGacheSolver::solve_adjusted`].
+    /// calibration takes ~60 bisection steps, each an `exp` per distinct
+    /// value and an addition per entry (an `exp` per entry when the
+    /// weights are mostly distinct), so a caller that needs the adjusted
+    /// hotness for more than the solve (the refresh trigger compares two
+    /// estimates on it) takes it once here and hands it to
+    /// [`UGacheSolver::solve_adjusted`].
     pub fn adjusted<'h>(&self, hotness: &'h Hotness) -> Cow<'h, Hotness> {
         if self.dedup_adjust && self.accesses_per_iter > 0.0 {
             Cow::Owned(hotness.dedup_adjusted(self.accesses_per_iter))
@@ -186,7 +188,7 @@ impl UGacheSolver {
             .collect();
 
         let mut placement = self.realize(&blocks, &patterns, &y, cap_entries, e);
-        self.fill_spare_capacity(&mut placement, cap_entries, hotness);
+        self.fill_spare_capacity(&mut placement, cap_entries, &blocks);
         debug_assert!(placement.validate().is_ok());
         Ok(SolvedPolicy {
             placement,
@@ -315,8 +317,11 @@ impl UGacheSolver {
     ) -> Placement {
         let g = self.platform.num_gpus();
         let mut placement = Placement::all_host(g, num_entries);
-        // Per-pattern running position for round-robin holder rotation.
-        let mut pat_pos = vec![0usize; patterns.len()];
+        // Each pattern's round-robin runs on across blocks.
+        let mut rotations: Vec<Rotation> = patterns
+            .iter()
+            .map(|pat| Rotation::new(pat, &self.platform))
+            .collect();
 
         for (b, blk) in blocks.iter().enumerate() {
             // Largest-remainder split of the block across patterns.
@@ -347,24 +352,19 @@ impl UGacheSolver {
             }
 
             let mut cursor = 0usize;
-            for (p, pat) in patterns.iter().enumerate() {
-                for _ in 0..counts[p] {
+            for (rotation, &count) in rotations.iter_mut().zip(&counts) {
+                for _ in 0..count {
                     if cursor >= n {
                         break;
                     }
                     let entry = blk.entries[cursor] as usize;
                     cursor += 1;
-                    let r = pat_pos[p];
-                    pat_pos[p] += 1;
-                    let holders = pat.holders(&self.platform, r);
-                    for &h in &holders {
+                    let (holders, access) = rotation.next_entry();
+                    for &h in holders {
                         placement.stored[h][entry] = true;
                     }
-                    for i in 0..g {
-                        match pat.source_for(&self.platform, i, r, &holders) {
-                            Some(src) => placement.access[i][entry] = src as u8,
-                            None => placement.access[i][entry] = placement.host_idx(),
-                        }
+                    for (row, &src) in placement.access.iter_mut().zip(access) {
+                        row[entry] = src;
                     }
                 }
             }
@@ -379,19 +379,18 @@ impl UGacheSolver {
     /// strictly improving post-pass. The pattern LP places symmetrically
     /// (all paper testbeds have uniform HBM), so on heterogeneous-memory
     /// machines the larger GPUs would otherwise strand capacity.
+    ///
+    /// The blocks' entries, block after block, are the hotness ranking
+    /// ([`build_blocks`]), so the solve sorts once.
     fn fill_spare_capacity(
         &self,
         placement: &mut Placement,
         cap_entries: &[usize],
-        hotness: &Hotness,
+        blocks: &[Block],
     ) {
-        let ranking = hotness.ranking();
         for j in 0..placement.num_gpus {
             let mut spare = cap_entries[j].saturating_sub(placement.cached_count(j));
-            if spare == 0 {
-                continue;
-            }
-            for &e in &ranking {
+            for &e in blocks.iter().flat_map(|blk| &blk.entries) {
                 if spare == 0 {
                     break;
                 }
@@ -668,6 +667,96 @@ mod tests {
                 "{name}: predicted_secs"
             );
             assert_eq!(pivots, Some(iterations), "{name}: policy.lp.iterations");
+        }
+    }
+
+    /// Access counts as a `HotnessSampler` snapshot holds them: integer
+    /// weights, many repeated, most of the tail never seen; Zipf ranks
+    /// are scattered over the ids so the hot entries are not the low ones.
+    fn sampled_hotness(n: usize, draws: usize, seed: u64) -> Hotness {
+        let zipf = emb_util::ZipfSampler::new(n as u64, 1.2);
+        let mut rng = emb_util::seed_rng(seed);
+        let mut counts = vec![0u64; n];
+        for _ in 0..draws {
+            let rank = zipf.sample(&mut rng) as usize;
+            counts[rank * 48_271 % n] += 1;
+        }
+        Hotness::from_counts(&counts)
+    }
+
+    #[test]
+    fn sampled_and_spare_room_solves_match_the_values_pinned_before_the_flat_refresh() {
+        // Recorded at the commit before the calibration grouped equal
+        // weights, `realize` stopped allocating per entry and the solve
+        // ranked once: sampled counts (76 847 zeros, 256 distinct values
+        // among 100 000) take the grouped calibration through a whole
+        // solve, and one GPU with room to spare makes
+        // `fill_spare_capacity` walk the ranking into the zero-weight tail.
+        let n = 100_000;
+        let sampled = sampled_hotness(n, 300_000, 18);
+        let uniform = vec![4_000usize; 8];
+        let mut roomy_0 = vec![1_000usize; 8];
+        roomy_0[0] = 30_000;
+        let mut roomy_5 = vec![1_000usize; 8];
+        roomy_5[5] = 20_000;
+        for (name, platform, h, caps, hash, predicted_bits, iterations) in [
+            (
+                "server_c, sampled",
+                Platform::server_c(),
+                &sampled,
+                &uniform,
+                0x6faf_b97e_cfcd_fb4au64,
+                0x3f0d_52bf_459c_f231u64,
+                632.0,
+            ),
+            (
+                "server_b, sampled",
+                Platform::server_b(),
+                &sampled,
+                &uniform,
+                0x64db_0c16_7d2a_660d,
+                0x3f41_6c31_ea23_a367,
+                583.0,
+            ),
+            (
+                "server_c, sampled, GPU0 roomy",
+                Platform::server_c(),
+                &sampled,
+                &roomy_0,
+                0x95b1_f8e7_404e_c913,
+                0x3f42_4ce5_65d6_d778,
+                595.0,
+            ),
+            (
+                "server_b, power law, GPU5 roomy",
+                Platform::server_b(),
+                &hotness(n, 1.2),
+                &roomy_5,
+                0x1c60_6c65_8459_33c5,
+                0x3f59_60a6_7cb4_3b72,
+                604.0,
+            ),
+        ] {
+            let s = solver(platform);
+            let mut cfg = SolverConfig::new(512, 40_000.0);
+            cfg.dedup_adjust = true;
+            let (sp, report) = emb_telemetry::collect(|| s.solve(h, caps, &cfg).unwrap());
+            let pivots = report
+                .metrics
+                .counters
+                .iter()
+                .find(|(k, _)| k == "policy.lp.iterations")
+                .map(|&(_, v)| v);
+            assert_eq!(placement_hash(&sp.placement), hash, "{name}: placement");
+            assert_eq!(
+                sp.predicted_secs.to_bits(),
+                predicted_bits,
+                "{name}: predicted_secs"
+            );
+            assert_eq!(pivots, Some(iterations), "{name}: policy.lp.iterations");
+            for (j, &cap) in caps.iter().enumerate() {
+                assert_eq!(sp.placement.cached_count(j), cap, "{name}: GPU{j} is full");
+            }
         }
     }
 

@@ -1,6 +1,7 @@
 //! Core data types shared by all policies.
 
 use gpu_platform::Location;
+use std::collections::HashMap;
 
 /// Compact source index: `0..G` are GPUs, `G` is host.
 pub type SourceIdx = u8;
@@ -73,6 +74,14 @@ impl Hotness {
     /// `unique_per_batch`. The returned weights are those probabilities.
     ///
     /// Ranking is preserved; only magnitudes saturate.
+    ///
+    /// Each of the ~60 bisection steps needs `Σ_e 1 − exp(−λ·p_e)`. When
+    /// at most one weight in sixteen is distinct (a sampler's snapshot:
+    /// small integer counts, mostly zero) `exp` is evaluated once per
+    /// distinct value per step and the per-entry terms are looked up;
+    /// otherwise (analytic hotness: every weight its own) once per entry.
+    /// `exp` is pure and both loops add the same terms in entry order, so
+    /// the choice never shows in the returned bits.
     pub fn dedup_adjusted(&self, unique_per_batch: f64) -> Hotness {
         let e = self.len();
         let total = self.total();
@@ -80,29 +89,32 @@ impl Hotness {
             return self.clone();
         }
         let target = unique_per_batch.min(e as f64 * 0.999_999);
-        let p: Vec<f64> = self.weights.iter().map(|w| w / total).collect();
-        let uniques = |lambda: f64| -> f64 { p.iter().map(|&pi| 1.0 - (-lambda * pi).exp()).sum() };
-        // Bracket λ.
-        let mut lo = 0.0f64;
-        let mut hi = target.max(1.0);
-        let mut guard = 0;
-        while uniques(hi) < target {
-            hi *= 2.0;
-            guard += 1;
-            if guard > 200 {
-                break;
-            }
-        }
-        for _ in 0..60 {
-            let mid = 0.5 * (lo + hi);
-            if uniques(mid) < target {
-                lo = mid;
-            } else {
-                hi = mid;
-            }
-        }
-        let lambda = 0.5 * (lo + hi);
-        Hotness::new(p.iter().map(|&pi| 1.0 - (-lambda * pi).exp()).collect())
+        let appears = |lambda: f64, p: f64| 1.0 - (-lambda * p).exp();
+        let Some((values, group_of)) =
+            group_by_bits(&self.weights, e / GROUPED_ENTRIES_PER_DISTINCT)
+        else {
+            let p: Vec<f64> = self.weights.iter().map(|w| w / total).collect();
+            let lambda = calibrate_lambda(target, |lambda| {
+                p.iter().map(|&pi| appears(lambda, pi)).sum()
+            });
+            return Hotness::new(p.iter().map(|&pi| appears(lambda, pi)).collect());
+        };
+        let p: Vec<f64> = values.iter().map(|w| w / total).collect();
+        // `p == 0` makes the term `1 − exp(−0)`, exactly `+0.0` at every
+        // λ, and adding that leaves a sum's bits alone: leave it out.
+        let summed: Vec<u32> = group_of
+            .iter()
+            .copied()
+            .filter(|&g| p[g as usize] != 0.0)
+            .collect();
+        let terms_at =
+            |lambda: f64| -> Vec<f64> { p.iter().map(|&pi| appears(lambda, pi)).collect() };
+        let lambda = calibrate_lambda(target, |lambda| {
+            let terms = terms_at(lambda);
+            summed.iter().fold(0.0, |sum, &g| sum + terms[g as usize])
+        });
+        let terms = terms_at(lambda);
+        Hotness::new(group_of.iter().map(|&g| terms[g as usize]).collect())
     }
 
     /// Entry indices sorted hottest-first (ties by index for determinism).
@@ -116,6 +128,63 @@ impl Hotness {
         });
         idx
     }
+}
+
+/// [`Hotness::dedup_adjusted`] evaluates `exp` per distinct weight when
+/// there are at least this many entries per distinct value: a step then
+/// costs a load and an addition per entry instead of an `exp`, which has
+/// to pay for hashing every weight once to find the groups. Real inputs
+/// sit far to either side — a sampler's snapshot holds a few hundred
+/// distinct counts among hundreds of thousands of entries, analytic
+/// hotness no two weights alike.
+const GROUPED_ENTRIES_PER_DISTINCT: usize = 16;
+
+/// The distinct values of `weights`, by bit pattern and in order of first
+/// appearance, and every entry's index among them — or `None` as soon as
+/// more than `max_distinct` have turned up.
+fn group_by_bits(weights: &[f64], max_distinct: usize) -> Option<(Vec<f64>, Vec<u32>)> {
+    // Probed, never iterated: the hasher's per-process seed cannot reach
+    // the result.
+    let mut ids: HashMap<u64, u32> = HashMap::new();
+    let mut values = Vec::new();
+    let mut group_of = Vec::with_capacity(weights.len());
+    for &w in weights {
+        let next = values.len() as u32;
+        let id = *ids.entry(w.to_bits()).or_insert(next);
+        if id == next {
+            if values.len() == max_distinct {
+                return None;
+            }
+            values.push(w);
+        }
+        group_of.push(id);
+    }
+    Some((values, group_of))
+}
+
+/// The `λ` at which `uniques(λ)` — increasing in `λ` — meets `target`:
+/// doubling until it is bracketed (at most 200 times, for input that can
+/// never reach it), then 60 bisection steps.
+fn calibrate_lambda(target: f64, mut uniques: impl FnMut(f64) -> f64) -> f64 {
+    let mut lo = 0.0f64;
+    let mut hi = target.max(1.0);
+    let mut guard = 0;
+    while uniques(hi) < target {
+        hi *= 2.0;
+        guard += 1;
+        if guard > 200 {
+            break;
+        }
+    }
+    for _ in 0..60 {
+        let mid = 0.5 * (lo + hi);
+        if uniques(mid) < target {
+            lo = mid;
+        } else {
+            hi = mid;
+        }
+    }
+    0.5 * (lo + hi)
 }
 
 /// A complete cache layout: storage and access arrangement.

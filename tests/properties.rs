@@ -295,3 +295,132 @@ proptest! {
         }
     }
 }
+
+/// `Hotness::dedup_adjusted` as it stood before it grouped equal weights,
+/// frozen: every bisection step sums `1 − exp(−λ·p_e)` over every entry.
+fn dedup_adjusted_direct_sum(h: &Hotness, unique_per_batch: f64) -> Hotness {
+    let e = h.len();
+    let total = h.total();
+    if e == 0 || total <= 0.0 || unique_per_batch <= 0.0 {
+        return h.clone();
+    }
+    let target = unique_per_batch.min(e as f64 * 0.999_999);
+    let p: Vec<f64> = h.weights.iter().map(|w| w / total).collect();
+    let uniques = |lambda: f64| -> f64 { p.iter().map(|&pi| 1.0 - (-lambda * pi).exp()).sum() };
+    let mut lo = 0.0f64;
+    let mut hi = target.max(1.0);
+    let mut guard = 0;
+    while uniques(hi) < target {
+        hi *= 2.0;
+        guard += 1;
+        if guard > 200 {
+            break;
+        }
+    }
+    for _ in 0..60 {
+        let mid = 0.5 * (lo + hi);
+        if uniques(mid) < target {
+            lo = mid;
+        } else {
+            hi = mid;
+        }
+    }
+    let lambda = 0.5 * (lo + hi);
+    Hotness::new(p.iter().map(|&pi| 1.0 - (-lambda * pi).exp()).collect())
+}
+
+/// Access counts as a `HotnessSampler` snapshot holds them: small
+/// integers, many repeated, most of the tail zero, hot ids scattered.
+fn sampled_counts(n: usize, draws: usize, seed: u64) -> Hotness {
+    let zipf = emb_util::ZipfSampler::new(n as u64, 1.2);
+    let mut rng = emb_util::seed_rng(seed);
+    let mut counts = vec![0u64; n];
+    for _ in 0..draws {
+        counts[zipf.sample(&mut rng) as usize * 7 % n] += 1;
+    }
+    Hotness::from_counts(&counts)
+}
+
+/// The calibration evaluates `exp` per distinct weight or per entry,
+/// whichever the input's distinct-value share says, and neither choice
+/// may show: every returned weight has the bits of the direct sum's.
+#[test]
+fn dedup_adjusted_has_the_bits_of_the_direct_sum_on_both_sides_of_its_switch() {
+    let few_nonzero = |n: usize| {
+        let mut w = vec![0.0; n];
+        for (k, slot) in w.iter_mut().step_by(n / 5).enumerate() {
+            *slot = 1.0 + k as f64;
+        }
+        Hotness::new(w)
+    };
+    let powerlaw = |n: usize| Hotness::new(emb_util::zipf::powerlaw_hotness(n, 1.2));
+    // (what, hotness, unique keys per batch, at least 16 entries per distinct
+    // value? — `cache-policy`'s private `GROUPED_ENTRIES_PER_DISTINCT`)
+    let cases = [
+        (
+            "sampled counts",
+            sampled_counts(4_001, 6_000, 5),
+            900.0,
+            true,
+        ),
+        (
+            "sampled counts, small table",
+            sampled_counts(301, 3_000, 6),
+            80.0,
+            false,
+        ),
+        ("all-distinct power law", powerlaw(5_000), 700.0, false),
+        ("all equal", Hotness::new(vec![3.0; 1_000]), 200.0, true),
+        (
+            "all equal, small table",
+            Hotness::new(vec![3.0; 10]),
+            4.0,
+            false,
+        ),
+        ("one entry", Hotness::new(vec![2.5]), 1.0, false),
+        // `target` is clamped to 0.999 999·E.
+        (
+            "target above the entry count",
+            sampled_counts(4_001, 6_000, 7),
+            9_000.0,
+            true,
+        ),
+        (
+            "target above the entry count, distinct",
+            powerlaw(500),
+            1_000.0,
+            false,
+        ),
+        // Σ can never reach the target: the bracket stops at 200 doublings.
+        (
+            "fewer non-zero entries than the target",
+            few_nonzero(2_000),
+            100.0,
+            true,
+        ),
+        (
+            "fewer non-zero entries than the target, small table",
+            few_nonzero(40),
+            20.0,
+            false,
+        ),
+    ];
+    for (what, h, uniq, grouped) in cases {
+        let mut distinct: Vec<u64> = h.weights.iter().map(|w| w.to_bits()).collect();
+        distinct.sort_unstable();
+        distinct.dedup();
+        assert_eq!(
+            distinct.len() <= h.len() / 16,
+            grouped,
+            "{what}: {} distinct values among {} is on the wrong side of the switch",
+            distinct.len(),
+            h.len()
+        );
+        let got = h.dedup_adjusted(uniq);
+        let want = dedup_adjusted_direct_sum(&h, uniq);
+        assert_eq!(got.len(), want.len(), "{what}");
+        for (e, (a, b)) in got.weights.iter().zip(&want.weights).enumerate() {
+            assert_eq!(a.to_bits(), b.to_bits(), "{what}: entry {e}: {a} vs {b}");
+        }
+    }
+}
