@@ -114,13 +114,20 @@ pub trait SampleUniform: Sized {
 
 /// Draws uniformly from `[0, span)` without modulo bias (widening
 /// multiply with rejection).
+///
+/// A draw is accepted when the product's low word is at most
+/// `zone = u64::MAX - 2^64 mod span`. The remainder is below `span`, so
+/// a low word of at most `u64::MAX - span` is inside the zone whatever
+/// the remainder is: that is tested first and the 64-bit division runs
+/// only when it fails (with probability `span / 2^64`). Same accepted
+/// set, same number of draws, same values for every span.
 fn uniform_u64<R: RngCore + ?Sized>(span: u64, rng: &mut R) -> u64 {
     debug_assert!(span > 0);
-    let zone = u64::MAX - (u64::MAX - span + 1) % span;
     loop {
         let x = rng.next_u64();
         let m = (x as u128) * (span as u128);
-        if (m as u64) <= zone {
+        let lo = m as u64;
+        if lo <= u64::MAX - span || lo <= u64::MAX - (u64::MAX - span + 1) % span {
             return (m >> 64) as u64;
         }
     }
@@ -272,6 +279,61 @@ mod tests {
         for _ in 0..10_000 {
             let v: f64 = rng.gen();
             assert!((0.0..1.0).contains(&v));
+        }
+    }
+
+    /// `uniform_u64` as it stood before the division was made
+    /// conditional: the zone computed up front, one compare per draw.
+    fn frozen_uniform_u64<R: RngCore + ?Sized>(span: u64, rng: &mut R) -> u64 {
+        let zone = u64::MAX - (u64::MAX - span + 1) % span;
+        loop {
+            let m = (rng.next_u64() as u128) * (span as u128);
+            if (m as u64) <= zone {
+                return (m >> 64) as u64;
+            }
+        }
+    }
+
+    #[test]
+    fn uniform_u64_matches_the_frozen_formula() {
+        const DRAWS: usize = 20_000;
+        let spans = [
+            1,
+            2,
+            3,
+            7,
+            10,
+            25,
+            1_000,
+            (1 << 32) - 1,
+            1 << 32,
+            (1 << 32) + 1,
+            3_000_000_007,
+            (1 << 63) - 1,
+            1 << 63,
+            (1 << 63) + 1,
+            (1 << 63) + (1 << 62),
+            u64::MAX - 1,
+            u64::MAX,
+        ];
+        for span in spans {
+            let mut a = StdRng::seed_from_u64(span);
+            let mut b = a.clone();
+            let mut plain = a.clone();
+            for _ in 0..DRAWS {
+                plain.next_u64();
+                assert_eq!(
+                    uniform_u64(span, &mut a),
+                    frozen_uniform_u64(span, &mut b),
+                    "span {span}"
+                );
+            }
+            assert_eq!(a, b, "span {span}: generators drew different amounts");
+            // Just above 2^63 a quarter to a half of the draws are
+            // rejected, so the division's branch is the one deciding.
+            if span > 1 << 63 && span < u64::MAX - 1 {
+                assert_ne!(a, plain, "span {span}: nothing was rejected");
+            }
         }
     }
 

@@ -21,4 +21,4 @@ pub mod sample;
 
 pub use csr::Csr;
 pub use generate::{generate, GraphConfig};
-pub use sample::{FanoutSampler, SampledBatch};
+pub use sample::{FanoutSampler, SampleScratch, SampledBatch};

@@ -9,7 +9,7 @@
 //! in §8.2.
 
 use crate::csr::Csr;
-use rand::seq::SliceRandom;
+use emb_util::KeyMarks;
 use rand::Rng;
 
 /// Result of sampling one batch.
@@ -28,6 +28,48 @@ impl SampledBatch {
     /// Total vertex visits before deduplication.
     pub fn total_visits(&self) -> u64 {
         self.visits.len() as u64
+    }
+}
+
+/// Working memory a [`FanoutSampler`] reuses from batch to batch: the
+/// frontier list, the index scratch of its partial Fisher–Yates, and the
+/// marks that deduplicate. Sampling through a warmed-up scratch
+/// allocates nothing but the returned key list.
+#[derive(Debug)]
+pub struct SampleScratch {
+    walk: Walk,
+    marks: KeyMarks,
+}
+
+/// What walking a neighbourhood needs besides the graph and the RNG.
+#[derive(Debug, Default)]
+struct Walk {
+    /// Seeds, negatives, then the picks of every hop but the last; each
+    /// hop's window of it is the next hop's frontier.
+    frontier: Vec<u32>,
+    /// The identity `0, 1, 2, …` up to the longest neighbour list picked
+    /// from so far — [`pick`] permutes a prefix and puts it back.
+    order: Vec<u32>,
+}
+
+impl SampleScratch {
+    /// A scratch for graphs of `num_vertices` vertices.
+    pub fn new(num_vertices: usize) -> Self {
+        SampleScratch {
+            walk: Walk::default(),
+            marks: KeyMarks::new(num_vertices),
+        }
+    }
+}
+
+impl Clone for SampleScratch {
+    /// Nothing in a scratch outlives a batch, so a clone starts with
+    /// empty buffers instead of a copy of the last batch's frontier.
+    fn clone(&self) -> Self {
+        SampleScratch {
+            walk: Walk::default(),
+            marks: self.marks.clone(),
+        }
     }
 }
 
@@ -67,54 +109,163 @@ impl FanoutSampler {
         }
     }
 
-    /// Samples the k-hop neighbourhood of `seeds`.
+    /// Samples the k-hop neighbourhood of `seeds`: every visit in visit
+    /// order and the distinct vertices, ascending. `unique_keys` is
+    /// allocated at exactly its length (`capacity() == len()`).
+    ///
+    /// Callers that want one of the two and sample repeatedly keep a
+    /// [`SampleScratch`] and call [`FanoutSampler::sample_unique_keys`] or
+    /// [`FanoutSampler::for_each_visit`]; the RNG draws are the same.
     ///
     /// # Panics
     ///
     /// Panics if a seed is out of range for the graph.
     pub fn sample<R: Rng + ?Sized>(&self, graph: &Csr, seeds: &[u32], rng: &mut R) -> SampledBatch {
+        let mut walk = Walk::default();
+        let mut marks = KeyMarks::new(graph.num_vertices());
+        let mut visits = Vec::new();
+        self.expand(graph, seeds, rng, &mut walk, |v| {
+            visits.push(v);
+            marks.mark(v);
+        });
+        SampledBatch {
+            unique_keys: marks.take_sorted(),
+            visits,
+        }
+    }
+
+    /// The distinct vertices of the k-hop neighbourhood of `seeds`,
+    /// ascending, allocated at exactly their number — the only
+    /// allocation once `scratch` has seen a batch of this size.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a seed is out of range for the graph, or if `scratch`
+    /// was made for a smaller graph.
+    pub fn sample_unique_keys<R: Rng + ?Sized>(
+        &self,
+        graph: &Csr,
+        seeds: &[u32],
+        rng: &mut R,
+        scratch: &mut SampleScratch,
+    ) -> Vec<u32> {
+        let SampleScratch { walk, marks } = scratch;
+        self.expand(graph, seeds, rng, walk, |v| marks.mark(v));
+        marks.take_sorted()
+    }
+
+    /// Calls `visit` with every vertex visit of the k-hop neighbourhood
+    /// of `seeds` before deduplication, in visit order: seeds, negatives,
+    /// then hop by hop.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a seed is out of range for the graph.
+    pub fn for_each_visit<R: Rng + ?Sized>(
+        &self,
+        graph: &Csr,
+        seeds: &[u32],
+        rng: &mut R,
+        scratch: &mut SampleScratch,
+        visit: impl FnMut(u32),
+    ) {
+        self.expand(graph, seeds, rng, &mut scratch.walk, visit);
+    }
+
+    /// Walks the neighbourhood, reporting every visit and keeping in
+    /// `walk.frontier` only what a later hop expands.
+    fn expand<R: Rng + ?Sized>(
+        &self,
+        graph: &Csr,
+        seeds: &[u32],
+        rng: &mut R,
+        walk: &mut Walk,
+        mut visit: impl FnMut(u32),
+    ) {
+        let Walk { frontier, order } = walk;
         let n = graph.num_vertices() as u32;
-        let mut visited: Vec<u32> = Vec::with_capacity(seeds.len() * 8);
-        let mut frontier: Vec<u32> = Vec::with_capacity(seeds.len() * 2);
+        frontier.clear();
+        frontier.reserve(seeds.len() * (1 + self.negatives_per_seed));
         for &s in seeds {
             assert!(s < n, "seed {s} out of range");
             frontier.push(s);
+            visit(s);
         }
         // Negative sampling: uniform random vertices join the frontier and
         // are expanded like positives (link-prediction pipelines compute
         // representations for negatives too).
         if self.negatives_per_seed > 0 && n > 0 {
             for _ in 0..seeds.len() * self.negatives_per_seed {
-                frontier.push(rng.gen_range(0..n));
+                let v = rng.gen_range(0..n);
+                frontier.push(v);
+                visit(v);
             }
         }
-        visited.extend_from_slice(&frontier);
 
-        for &fanout in &self.fanouts {
-            let mut next: Vec<u32> = Vec::with_capacity(frontier.len() * fanout);
-            for &v in &frontier {
-                let nbrs = graph.neighbors(v);
-                if nbrs.is_empty() {
-                    continue;
-                }
+        let mut window = 0..frontier.len();
+        for (hop, &fanout) in self.fanouts.iter().enumerate() {
+            let expanded_later = hop + 1 < self.fanouts.len();
+            if expanded_later {
+                // One reservation a hop, so the allocations of a batch do
+                // not grow with its frontier.
+                frontier.reserve(window.len() * fanout);
+            }
+            let start = frontier.len();
+            for at in window {
+                let nbrs = graph.neighbors(frontier[at]);
+                let mut keep = |v: u32| {
+                    visit(v);
+                    if expanded_later {
+                        frontier.push(v);
+                    }
+                };
                 if nbrs.len() <= fanout {
-                    next.extend_from_slice(nbrs);
+                    nbrs.iter().copied().for_each(keep);
                 } else {
                     // Sample without replacement.
-                    next.extend(nbrs.choose_multiple(rng, fanout).copied());
+                    pick(nbrs, fanout, rng, order, &mut keep);
                 }
             }
-            visited.extend_from_slice(&next);
-            frontier = next;
+            window = start..frontier.len();
         }
+    }
+}
 
-        let visits = visited.clone();
-        visited.sort_unstable();
-        visited.dedup();
-        SampledBatch {
-            unique_keys: visited,
-            visits,
-        }
+/// Reports `amount` distinct elements of `items`, uniformly chosen, in the
+/// order and from the RNG draws of
+/// `items.choose_multiple(rng, amount)`: a partial Fisher–Yates over the
+/// first `items.len()` entries of `order`, which holds the identity
+/// before and after.
+///
+/// Step `i` swaps position `i` with a position at or after it and never
+/// touches `i` again, so afterwards the displaced positions are `0..amount`
+/// and the picked indices themselves (a position from the tail is first
+/// touched holding its own index, which moves into the prefix and stays):
+/// putting the identity back costs `amount` steps, not `items.len()`.
+fn pick<R: Rng + ?Sized>(
+    items: &[u32],
+    amount: usize,
+    rng: &mut R,
+    order: &mut Vec<u32>,
+    mut emit: impl FnMut(u32),
+) {
+    let len = items.len();
+    let amount = amount.min(len);
+    order.extend(order.len() as u32..len as u32);
+    let order = &mut order[..len];
+    for i in 0..amount {
+        let j = rng.gen_range(i..len);
+        order.swap(i, j);
+    }
+    for i in 0..amount {
+        let picked = order[i] as usize;
+        emit(items[picked]);
+        order[i] = i as u32;
+        // Which side of `amount` a pick fell on is a coin toss the branch
+        // predictor loses: store unconditionally, to the slot just reset
+        // when the pick came from the prefix.
+        let displaced = if picked >= amount { picked } else { i };
+        order[displaced] = displaced as u32;
     }
 }
 
@@ -131,6 +282,65 @@ mod tests {
             skew: 1.1,
             seed: 3,
         })
+    }
+
+    #[test]
+    fn pick_repeats_choose_multiple_and_restores_the_identity() {
+        use rand::seq::SliceRandom;
+        let fanout = 25;
+        let mut order = Vec::new();
+        // Lists of one, exactly and just over the fanout, and long ones;
+        // long before short, so a scratch longer than the list is covered.
+        for len in [10_000usize, 1, fanout, fanout + 1, 256, 257, 10_000, 2] {
+            let items: Vec<u32> = (0..len as u32).map(|i| i * 7 + 3).collect();
+            for amount in [fanout, 1, 10] {
+                let mut ours = seed_rng(len as u64);
+                let mut theirs = ours.clone();
+                let mut picked = Vec::new();
+                pick(&items, amount, &mut ours, &mut order, |v| picked.push(v));
+                let expected: Vec<u32> = items
+                    .choose_multiple(&mut theirs, amount)
+                    .copied()
+                    .collect();
+                assert_eq!(picked, expected, "len {len}, amount {amount}");
+                assert_eq!(ours, theirs, "len {len}: RNGs drew different amounts");
+                assert!(
+                    order.iter().enumerate().all(|(i, &o)| o == i as u32),
+                    "len {len}: scratch is not the identity afterwards"
+                );
+            }
+        }
+        assert_eq!(order.len(), 10_000);
+    }
+
+    #[test]
+    fn the_three_entry_points_draw_the_same_batch() {
+        let g = graph();
+        let seeds: Vec<u32> = (0..300).collect();
+        for sampler in [
+            FanoutSampler::gcn(),
+            FanoutSampler::graphsage(),
+            FanoutSampler::graphsage_unsupervised(),
+        ] {
+            let both = sampler.sample(&g, &seeds, &mut seed_rng(8));
+            let mut sorted = both.visits.clone();
+            sorted.sort_unstable();
+            sorted.dedup();
+            assert_eq!(both.unique_keys, sorted);
+            assert_eq!(both.unique_keys.capacity(), both.unique_keys.len());
+
+            // One scratch, used twice over: nothing of a batch is left in it.
+            let mut scratch = SampleScratch::new(g.num_vertices());
+            for _ in 0..2 {
+                let mut visits = Vec::new();
+                sampler.for_each_visit(&g, &seeds, &mut seed_rng(8), &mut scratch, |v| {
+                    visits.push(v)
+                });
+                assert_eq!(visits, both.visits);
+                let keys = sampler.sample_unique_keys(&g, &seeds, &mut seed_rng(8), &mut scratch);
+                assert_eq!(keys, both.unique_keys);
+            }
+        }
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //!
 //! Everything stochastic in this workspace flows through [`rng`], so a
 //! single `u64` seed fully determines a run. [`zipf`] implements the
-//! power-law samplers that drive skewed embedding access, [`stats`]
+//! power-law samplers that drive skewed embedding access, [`marks`]
+//! deduplicates the keys they draw without sorting them, [`stats`]
 //! provides the histogram/percentile machinery the benchmark harness
 //! reports with, [`time`] defines the fixed-point simulated-time type
 //! used by the platform simulator, and [`pool`] is the deterministic
@@ -11,12 +12,14 @@
 #![deny(missing_docs)]
 
 pub mod fmt;
+pub mod marks;
 pub mod pool;
 pub mod rng;
 pub mod stats;
 pub mod time;
 pub mod zipf;
 
+pub use marks::KeyMarks;
 pub use rng::{seed_rng, split_seed};
 pub use stats::{Histogram, OnlineStats};
 pub use time::SimTime;

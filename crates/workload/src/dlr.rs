@@ -2,20 +2,26 @@
 
 use crate::datasets::DlrDataset;
 use cache_policy::Hotness;
-use emb_util::{seed_rng, split_seed, ZipfSampler};
+use emb_util::{seed_rng, split_seed, KeyMarks, ZipfSampler};
 use rand::rngs::StdRng;
+use std::sync::Arc;
 
 /// A data-parallel DLR inference workload: each request carries one key
 /// per embedding table (paper §8.1, Criteo layout); a batch of `B`
 /// requests on a GPU therefore touches up to `B × num_tables` keys, which
 /// are deduplicated before extraction as real systems do.
+///
+/// Table geometry and the samplers' head tables are shared behind
+/// [`Arc`]s: `clone()` copies the per-GPU RNGs and their (empty) key
+/// marks, nothing that grows with the number of tables.
 #[derive(Debug, Clone)]
 pub struct DlrWorkload {
-    dataset: DlrDataset,
+    dataset: Arc<DlrDataset>,
     batch_size: usize,
-    num_gpus: usize,
-    samplers: Vec<ZipfSampler>,
-    rngs: Vec<StdRng>,
+    /// One sampler per table; tables of equal size share one head table.
+    samplers: Arc<[ZipfSampler]>,
+    /// Per GPU: its split RNG and the marks that deduplicate its batch.
+    lanes: Vec<(StdRng, KeyMarks)>,
 }
 
 /// Ground-truth hotness mode for DLR datasets.
@@ -35,23 +41,39 @@ impl DlrWorkload {
     ///
     /// # Panics
     ///
-    /// Panics if `batch_size == 0` or `num_gpus == 0`.
+    /// Panics if `batch_size == 0` or `num_gpus == 0`, or if the tables
+    /// together hold more than `u32::MAX` entries: keys are `u32`s, and a
+    /// larger key space would wrap into the first tables' keys.
     pub fn new(dataset: DlrDataset, batch_size: usize, num_gpus: usize, seed: u64) -> Self {
         assert!(batch_size > 0 && num_gpus > 0);
-        let samplers = dataset
-            .table_sizes
-            .iter()
-            .map(|&n| ZipfSampler::new(n.max(1), dataset.alpha))
-            .collect();
-        let rngs = (0..num_gpus)
-            .map(|g| seed_rng(split_seed(seed, 0xD1B + g as u64)))
+        let key_space: u64 = dataset.table_sizes.iter().sum();
+        assert!(
+            key_space <= u32::MAX as u64,
+            "{} holds {key_space} entries, more than u32 keys can address",
+            dataset.name
+        );
+        let mut samplers: Vec<ZipfSampler> = Vec::with_capacity(dataset.num_tables());
+        for &n in &dataset.table_sizes {
+            let n = n.max(1);
+            let sampler = match samplers.iter().find(|built| built.domain() == n) {
+                Some(built) => built.clone(),
+                None => ZipfSampler::new(n, dataset.alpha),
+            };
+            samplers.push(sampler);
+        }
+        let lanes = (0..num_gpus)
+            .map(|g| {
+                (
+                    seed_rng(split_seed(seed, 0xD1B + g as u64)),
+                    KeyMarks::new(key_space as usize),
+                )
+            })
             .collect();
         DlrWorkload {
-            dataset,
+            dataset: Arc::new(dataset),
             batch_size,
-            num_gpus,
-            samplers,
-            rngs,
+            samplers: samplers.into(),
+            lanes,
         }
     }
 
@@ -60,28 +82,24 @@ impl DlrWorkload {
         &self.dataset
     }
 
-    /// Draws the next iteration's deduplicated keys per GPU.
+    /// Draws the next iteration's deduplicated keys per GPU, ascending.
     ///
     /// Each GPU is one chunk on the `emb_util::pool` worker pool: GPU
-    /// `g` draws exclusively from `rngs[g]` (already split per GPU via
+    /// `g` draws exclusively from its own RNG (already split per GPU via
     /// `split_seed`), so the streams are identical at any thread count
     /// — and identical to the original sequential loop.
     pub fn next_batch(&mut self) -> Vec<Vec<u32>> {
-        let samplers = &self.samplers;
-        let dataset = &self.dataset;
+        let samplers = &*self.samplers;
+        let offsets = &self.dataset.table_offsets;
         let batch_size = self.batch_size;
-        let work: Vec<&mut StdRng> = self.rngs.iter_mut().collect();
-        emb_util::pool::par_map_owned(work, |_g, rng| {
-            let mut keys: Vec<u32> = Vec::with_capacity(batch_size * dataset.table_sizes.len());
+        let work: Vec<&mut (StdRng, KeyMarks)> = self.lanes.iter_mut().collect();
+        emb_util::pool::par_map_owned(work, |_g, (rng, marks)| {
             for _ in 0..batch_size {
-                for (t, sampler) in samplers.iter().enumerate() {
-                    let k = sampler.sample(rng);
-                    keys.push((dataset.table_offsets[t] + k) as u32);
+                for (sampler, offset) in samplers.iter().zip(offsets) {
+                    marks.mark((offset + sampler.sample(rng)) as u32);
                 }
             }
-            keys.sort_unstable();
-            keys.dedup();
-            keys
+            marks.take_sorted()
         })
     }
 
@@ -91,7 +109,7 @@ impl DlrWorkload {
         for _ in 0..iters.max(1) {
             total += self.next_batch().iter().map(|b| b.len()).sum::<usize>();
         }
-        total as f64 / (iters.max(1) * self.num_gpus) as f64
+        total as f64 / (iters.max(1) * self.lanes.len()) as f64
     }
 
     /// Hotness over the global key space.
@@ -100,11 +118,14 @@ impl DlrWorkload {
             DlrHotness::Analytic => {
                 let mut w = Vec::with_capacity(self.dataset.num_entries());
                 for &n in &self.dataset.table_sizes {
-                    // Unnormalized Zipf mass per in-table rank; tables share
-                    // the request rate, so masses are comparable as-is.
-                    let norm: f64 = (1..=n).map(|r| (r as f64).powf(-self.dataset.alpha)).sum();
-                    for r in 0..n {
-                        w.push(((r + 1) as f64).powf(-self.dataset.alpha) / norm);
+                    // Unnormalized Zipf mass per in-table rank, summed in
+                    // rank order; tables share the request rate, so the
+                    // normalized masses are comparable as-is.
+                    let table = w.len();
+                    w.extend((1..=n).map(|r| (r as f64).powf(-self.dataset.alpha)));
+                    let norm: f64 = w[table..].iter().sum();
+                    for mass in &mut w[table..] {
+                        *mass /= norm;
                     }
                 }
                 Hotness::new(w)
@@ -118,18 +139,15 @@ impl DlrWorkload {
                 // count, and RNG streams identical to the sequential
                 // batch-major loop (each stream was per-GPU already).
                 let n = self.dataset.num_entries();
-                let samplers = &self.samplers;
-                let dataset = &self.dataset;
-                let batch_size = self.batch_size;
-                let work: Vec<&mut StdRng> = self.rngs.iter_mut().collect();
-                let per_gpu = emb_util::pool::par_map_owned(work, |_g, rng| {
+                let samplers = &*self.samplers;
+                let offsets = &self.dataset.table_offsets;
+                let draws = batches * self.batch_size;
+                let work: Vec<&mut (StdRng, KeyMarks)> = self.lanes.iter_mut().collect();
+                let per_gpu = emb_util::pool::par_map_owned(work, |_g, (rng, _)| {
                     let mut counts = vec![0u64; n];
-                    for _ in 0..batches {
-                        for _ in 0..batch_size {
-                            for (t, sampler) in samplers.iter().enumerate() {
-                                let k = sampler.sample(rng);
-                                counts[(dataset.table_offsets[t] + k) as usize] += 1;
-                            }
+                    for _ in 0..draws {
+                        for (sampler, offset) in samplers.iter().zip(offsets) {
+                            counts[(offset + sampler.sample(rng)) as usize] += 1;
                         }
                     }
                     counts
@@ -221,6 +239,17 @@ mod tests {
         let h = w.hotness(DlrHotness::Analytic);
         // Each of the 100 tables contributes probability mass 1.
         assert!((h.total() - 100.0).abs() < 1e-6);
+    }
+
+    #[test]
+    #[should_panic(expected = "more than u32 keys can address")]
+    fn a_key_space_beyond_u32_is_rejected() {
+        // Two tables of 2^31 + 1 entries: the second table's last keys
+        // would wrap onto the first table's first.
+        let mut d = dlr_preset(DlrDatasetId::SynA, 4096);
+        d.table_sizes = vec![(1 << 31) + 1; 2];
+        d.table_offsets = vec![0, (1 << 31) + 1];
+        let _ = DlrWorkload::new(d, 8, 1, 1);
     }
 
     #[test]

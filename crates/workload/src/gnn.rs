@@ -2,11 +2,12 @@
 
 use crate::datasets::GnnDataset;
 use cache_policy::Hotness;
-use emb_graph::FanoutSampler;
+use emb_graph::{FanoutSampler, SampleScratch};
 use emb_util::{seed_rng, split_seed};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::Rng;
+use std::sync::Arc;
 
 /// GNN model presets evaluated in the paper (§8.1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -54,17 +55,29 @@ impl GnnModel {
     }
 }
 
+/// One GPU's sampling state: its own split RNG and the sampler's
+/// working memory, reused from batch to batch.
+#[derive(Debug, Clone)]
+struct Lane {
+    rng: StdRng,
+    scratch: SampleScratch,
+}
+
 /// A data-parallel GNN training workload: per iteration, each GPU draws a
 /// seed mini-batch from the training set and samples its k-hop
 /// neighbourhood; the unique visited vertices are the embedding keys.
+///
+/// The dataset and the epoch order are shared behind [`Arc`]s: `clone()`
+/// — every figure cell and every `measure_accesses_per_iter` probe makes
+/// one — copies the per-GPU RNGs, their scratch and the cursor, not the
+/// graph.
 #[derive(Debug, Clone)]
 pub struct GnnWorkload {
-    dataset: GnnDataset,
+    dataset: Arc<GnnDataset>,
     model: GnnModel,
     batch_size: usize,
-    num_gpus: usize,
-    rngs: Vec<StdRng>,
-    epoch_order: Vec<u32>,
+    lanes: Vec<Lane>,
+    epoch_order: Arc<[u32]>,
     cursor: usize,
 }
 
@@ -85,16 +98,18 @@ impl GnnWorkload {
         let mut order = dataset.train_set.clone();
         let mut rng = seed_rng(split_seed(seed, 0xE70C));
         order.shuffle(&mut rng);
-        let rngs = (0..num_gpus)
-            .map(|g| seed_rng(split_seed(seed, 0x5A17 + g as u64)))
+        let lanes = (0..num_gpus)
+            .map(|g| Lane {
+                rng: seed_rng(split_seed(seed, 0x5A17 + g as u64)),
+                scratch: SampleScratch::new(dataset.num_entries()),
+            })
             .collect();
         GnnWorkload {
-            dataset,
+            dataset: Arc::new(dataset),
             model,
             batch_size,
-            num_gpus,
-            rngs,
-            epoch_order: order,
+            lanes,
+            epoch_order: order.into(),
             cursor: 0,
         }
     }
@@ -111,7 +126,7 @@ impl GnnWorkload {
 
     /// Iterations per epoch under data parallelism.
     pub fn iters_per_epoch(&self) -> usize {
-        let global_batch = self.batch_size * self.num_gpus;
+        let global_batch = self.batch_size * self.lanes.len();
         self.epoch_order.len().div_ceil(global_batch).max(1)
     }
 
@@ -137,11 +152,11 @@ impl GnnWorkload {
     /// batches are identical at any thread count.
     pub fn next_batch(&mut self) -> Vec<Vec<u32>> {
         let sampler = self.model.sampler();
-        let seeds: Vec<Vec<u32>> = (0..self.num_gpus).map(|_| self.draw_seeds()).collect();
+        let seeds: Vec<Vec<u32>> = (0..self.lanes.len()).map(|_| self.draw_seeds()).collect();
         let graph = &self.dataset.graph;
-        let work: Vec<(&mut StdRng, Vec<u32>)> = self.rngs.iter_mut().zip(seeds).collect();
-        emb_util::pool::par_map_owned(work, |_g, (rng, seeds)| {
-            sampler.sample(graph, &seeds, rng).unique_keys
+        let work: Vec<(&mut Lane, Vec<u32>)> = self.lanes.iter_mut().zip(seeds).collect();
+        emb_util::pool::par_map_owned(work, |_g, (lane, seeds)| {
+            sampler.sample_unique_keys(graph, &seeds, &mut lane.rng, &mut lane.scratch)
         })
     }
 
@@ -153,7 +168,7 @@ impl GnnWorkload {
             let batch = self.next_batch();
             total += batch.iter().map(|b| b.len()).sum::<usize>();
         }
-        total as f64 / (iters.max(1) * self.num_gpus) as f64
+        total as f64 / (iters.max(1) * self.lanes.len()) as f64
     }
 
     /// Pre-sampling hotness (GNNLab-style, §6.1): counts raw (pre-dedup)
@@ -166,23 +181,23 @@ impl GnnWorkload {
         // (iteration, GPU) order, then sample each GPU's iterations as
         // one pool chunk with its own RNG. Per-GPU u64 visit counts are
         // summed in GPU order; totals are identical at any thread count.
-        let mut seed_batches: Vec<Vec<Vec<u32>>> = vec![Vec::with_capacity(iters); self.num_gpus];
+        let num_gpus = self.lanes.len();
+        let mut seed_batches: Vec<Vec<Vec<u32>>> = vec![Vec::with_capacity(iters); num_gpus];
         for _ in 0..iters {
-            for g in 0..self.num_gpus {
+            for g in 0..num_gpus {
                 let seeds = self.draw_seeds();
                 seed_batches[g].push(seeds);
             }
         }
         let graph = &self.dataset.graph;
-        let work: Vec<(&mut StdRng, Vec<Vec<u32>>)> =
-            self.rngs.iter_mut().zip(seed_batches).collect();
-        let per_gpu = emb_util::pool::par_map_owned(work, |_g, (rng, batches)| {
+        let work: Vec<(&mut Lane, Vec<Vec<u32>>)> =
+            self.lanes.iter_mut().zip(seed_batches).collect();
+        let per_gpu = emb_util::pool::par_map_owned(work, |_g, (lane, batches)| {
             let mut counts = vec![0u64; n];
             for seeds in &batches {
-                let batch = sampler.sample(graph, seeds, rng);
-                for k in batch.visits {
+                sampler.for_each_visit(graph, seeds, &mut lane.rng, &mut lane.scratch, |k| {
                     counts[k as usize] += 1;
-                }
+                });
             }
             counts
         });
