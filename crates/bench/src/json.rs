@@ -526,16 +526,22 @@ impl Value {
     }
 }
 
+/// Arrays and objects may nest this deep. The parser recurses once per
+/// level, so input decides how much stack it takes; artifacts, bench
+/// reports and Chrome traces stay under ten levels.
+const MAX_DEPTH: usize = 64;
+
 /// Parses a JSON document.
 ///
 /// # Errors
 ///
 /// Returns an error describing the first malformed construct, with a
-/// byte offset.
+/// byte offset; arrays and objects nested more than 64 deep are one.
 pub fn parse(s: &str) -> Result<Value, Error> {
     let mut p = Parser {
         bytes: s.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -549,6 +555,8 @@ pub fn parse(s: &str) -> Result<Value, Error> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -593,8 +601,22 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
             Some(b'"') => Ok(Value::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(open @ (b'[' | b'{')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(Error(format!(
+                        "nested deeper than {MAX_DEPTH} levels at byte {}",
+                        self.pos
+                    )));
+                }
+                self.depth += 1;
+                let nested = if open == b'[' {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                nested
+            }
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(Error(format!("unexpected input at byte {}", self.pos))),
         }
@@ -809,6 +831,28 @@ mod tests {
         );
         // Compact output re-parses to the same value.
         assert_eq!(parse(&c).unwrap(), v);
+    }
+
+    #[test]
+    fn nesting_is_capped_on_both_sides_of_the_limit() {
+        let nested = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        let deepest = parse(&nested(MAX_DEPTH)).expect("at the cap");
+        assert_eq!(parse(&deepest.render_compact()), Ok(deepest));
+        let err = parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.to_string().contains("nested deeper"), "{err}");
+        // Objects count too, and siblings do not.
+        let mixed = "{\"a\":[".repeat(MAX_DEPTH / 2) + &"]}".repeat(MAX_DEPTH / 2);
+        assert!(parse(&mixed).is_ok());
+        assert!(parse(&format!("[{mixed},{mixed}]")).is_err());
+        assert!(parse(&format!(
+            "[{},{}]",
+            nested(MAX_DEPTH - 1),
+            nested(MAX_DEPTH - 1)
+        ))
+        .is_ok());
+        // What overflowed the stack of `repro compare` / `diff` /
+        // `explain-tail` before there was a cap.
+        assert!(parse(&"[".repeat(100_000)).is_err());
     }
 
     #[test]

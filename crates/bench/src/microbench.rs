@@ -434,7 +434,7 @@ fn bench_memsim_small(trials: usize, warmup: usize) -> BenchEntry {
 }
 
 /// The simplex tableau: full-width dense row operations (reference) vs
-/// the per-row bitset supports.
+/// the per-row group supports.
 fn bench_simplex_pivot(trials: usize, warmup: usize) -> BenchEntry {
     use milp::{solve_lp, solve_lp_dense};
 

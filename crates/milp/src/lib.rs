@@ -8,15 +8,18 @@
 //!   integrality, linear constraints, a linear objective to minimize);
 //! * [`simplex`] — a *bounded-variable* primal simplex with a two-phase
 //!   start (so `0 ≤ x ≤ 1` binaries do not blow up the row count). The
-//!   tableau is dense, but each row carries a `u64`-word bitset of the
-//!   columns that may be nonzero: pricing walks set bits, and a pivot
-//!   packs the pivot row's nonzeros once, then updates every other row
-//!   with one scatter-axpy and one word-wise `OR`. The bitsets are
-//!   supersets of the true nonzeros — a listed exact zero only adds a
-//!   `±0.0` term, which changes no nonzero value and no comparison — so
-//!   the solver follows the original dense solver pivot for pivot; that
-//!   solver survives as [`dense::solve_lp_dense`], the frozen yardstick
-//!   for differential tests and benchmarks;
+//!   tableau is dense, in cache-line groups of eight columns, and each
+//!   row carries one support bit per group that may hold a nonzero:
+//!   pricing walks set groups, and a pivot packs the pivot row's nonzero
+//!   groups once, then updates every other row with one eight-lane axpy
+//!   per group and one word-wise `OR`. Columns that can never enter
+//!   (`lb == ub`, nonbasic) are zeroed and drop out, reduced costs are
+//!   recomputed only where a pivot changed something and not at all after
+//!   a bound flip. Every skipped operation is one whose outcome is
+//!   already known — a `±0.0` term, a column nothing reads, a sum whose
+//!   terms did not move — so the solver follows the original dense solver
+//!   pivot for pivot; that solver survives as [`dense::solve_lp_dense`],
+//!   the frozen yardstick for differential tests and benchmarks;
 //! * [`fixtures`] — the seeded placement-shaped LP those tests and
 //!   benchmarks share;
 //! * [`branch`] — best-first branch-and-bound over the LP relaxation with

@@ -7,29 +7,65 @@
 //! Anti-cycling falls back to Bland's rule after a run of degenerate
 //! pivots.
 //!
-//! # Row supports
+//! The solver follows the frozen dense copy in [`crate::dense`] pivot for
+//! pivot and returns its solution (up to the sign of a zero); the
+//! differential tests assert that. What it adds is only ever *not doing*
+//! work whose outcome is already known, in four ways.
 //!
-//! The tableau is dense row-major storage, but every row also carries a
-//! *support*: one bit per column in `⌈n/64⌉` `u64` words, set wherever
-//! the entry may be nonzero. Pricing walks a row's set bits. A pivot
-//! packs the scaled pivot row once into contiguous `(column, value)`
-//! arrays holding exactly its nonzeros, and every other row with a
-//! nonzero in the entering column then does one scatter-axpy over that
-//! packed row and one word-wise `OR` of the pivot row's support — cost
-//! proportional to the pivot row's nonzeros, with no per-row merge. That
-//! matters because the placement LP's capacity and `tj` rows start with
-//! ~1 000 nonzeros each and fill in to two thirds of the width, where a
-//! sorted index list spends more time merging than multiplying.
+//! # Row supports, one bit per cache line
 //!
-//! Supports are *supersets* of the true nonzeros: an entry that cancels
-//! to exactly zero keeps its bit until its row is next packed as a pivot
-//! row. That is safe because a listed zero only ever contributes a
-//! `±0.0` term, and adding or subtracting `±0.0` never changes a nonzero
-//! value bitwise nor any comparison the solver makes; the packed pivot
-//! row is pruned by *value*, so the set of multiply-subtracts is the
-//! dense solver's set minus its exact-zero terms. The solver therefore
-//! produces the same pivots and the same solution as the frozen dense
-//! copy in [`crate::dense`] — which the differential tests assert.
+//! The tableau is dense row-major storage in *groups* of eight
+//! columns — one cache line of `f64`; the row stride is padded to whole
+//! groups and the padding stays zero. Every row carries a *support*: one
+//! bit per group, set wherever some entry of the group may be nonzero.
+//! Pricing walks a row's set groups. A pivot scales the pivot row, packs
+//! the groups that still hold a nonzero into a contiguous
+//! `(group, [f64; 8])` list, and every other row with a nonzero in the
+//! entering column then does one fixed-width axpy per packed group and
+//! one word-wise `OR` of the pivot row's support. Supports are
+//! *supersets* of the true nonzeros (a lane of a listed group may be
+//! zero, and a group that cancels to zero keeps its bit until its row is
+//! next packed). That is safe because a listed zero only ever
+//! contributes a `±0.0` term, and adding or subtracting `±0.0` never
+//! changes a nonzero value bitwise nor any comparison the solver makes:
+//! the multiply-subtracts done are the dense solver's minus some of its
+//! exact-zero terms.
+//!
+//! # Retired columns
+//!
+//! A nonbasic column with `lb == ub` can never be chosen to enter, and
+//! bounds only ever tighten (artificials are pinned at the phase switch),
+//! so it stays nonbasic for good: every `Eq` row's slack and every pinned
+//! structural from the start, every nonbasic artificial from phase 2 on,
+//! a pinned variable the moment it leaves the basis. A pivot computes
+//! each tableau column from that column and the entering one alone, the
+//! ratio test reads only the entering column, and a nonbasic variable's
+//! value is its bound — so nothing live ever reads a retired column. Its
+//! entries are therefore zeroed (those that are nonzero: untouched pages
+//! of the zero-initialised tableau stay untouched) or never written, and
+//! it drops out of supports and packed pivot rows by value.
+//!
+//! # Partial re-pricing
+//!
+//! Reduced costs are `d[j] = c[j] − Σ_i c[basis[i]] · t[i][j]`, summed in
+//! row order over the rows whose support lists `j`'s group. A pivot on
+//! row `r` changes tableau entries only in columns of row `r`'s support,
+//! changes supports only by those groups, and changes the cost of row
+//! `r` alone, whose terms lie in the same columns. So after a pivot `d`
+//! is recomputed for the groups of row `r`'s (pre-pivot) support only —
+//! by the same routine, over the same rows in the same order, which makes
+//! it bit-equal to recomputing everything (debug builds assert so after
+//! every pivot). After a bound flip tableau, basis and costs are what
+//! they were, and `d` is kept.
+//!
+//! # Entering scan
+//!
+//! `sign[j]` is `+1` for a nonbasic column at its upper bound, `−1` at
+//! its lower, `0` for basic, retired and padding columns; the violation
+//! the dense solver computes by cases is `sign[j] · d[j]` exactly. Free
+//! columns (violation `|d[j]|`) are rare and listed apart, then merged by
+//! the dense scan's rule: the largest violation wins, the lowest column
+//! among equals; in Bland's mode the lowest column over the tolerance.
 
 use crate::model::{ConstraintSense, Model};
 
@@ -62,6 +98,10 @@ pub struct LpResult {
 const EPS: f64 = 1e-7;
 const PIVOT_TOL: f64 = 1e-9;
 
+/// Columns per support group: one cache line of `f64`.
+const LANES: usize = 8;
+type Group = [f64; LANES];
+
 struct Tableau {
     m: usize,
     /// Total columns: structural + slacks + artificials.
@@ -70,45 +110,82 @@ struct Tableau {
     n_struct: usize,
     /// First artificial column.
     art_start: usize,
-    /// `B⁻¹ A`, row-major `m × n`.
-    t: Vec<f64>,
+    /// Groups per row: `⌈n/LANES⌉`.
+    groups: usize,
+    /// Words per row of `support`: `⌈groups/64⌉`.
+    words: usize,
+    /// `B⁻¹ A`, row-major `m × groups`; retired columns hold zeros.
+    t: Vec<Group>,
     /// Current value of every column's variable.
     x: Vec<f64>,
     lb: Vec<f64>,
     ub: Vec<f64>,
-    /// For nonbasic columns: resting at upper bound?
-    at_upper: Vec<bool>,
+    /// Per column (padded to whole groups): `+1` nonbasic at upper, `−1`
+    /// nonbasic at lower, `0` basic, retired, free or padding.
+    sign: Vec<f64>,
+    /// The free columns (`lb = −∞`, `ub = +∞`), ascending.
+    free: Vec<u32>,
     basis: Vec<usize>,
     in_basis: Vec<bool>,
+    /// Padded to whole groups, like `d`.
     cost: Vec<f64>,
     /// Simplex steps taken so far, accumulated across phases.
     iterations: usize,
-    /// Words per row of `support`: `⌈n/64⌉`.
-    words: usize,
-    /// Row supports, row-major `m × words`: bit `j` of row `i` is set
-    /// wherever `t[i][j]` may be nonzero (a superset of the true
-    /// nonzeros; see the module docs).
+    /// Row supports, row-major `m × words`: bit `g` of row `i` is set
+    /// wherever some `t[i][g][·]` may be nonzero (a superset; see the
+    /// module docs).
     support: Vec<u64>,
-    /// Reduced costs of the current iteration.
+    /// Reduced costs; meaningful where `sign` is nonzero or the column is
+    /// free and nonbasic.
     d: Vec<f64>,
     /// The entering column `t[·][q]` of the current step.
     col: Vec<f64>,
-    /// The scaled pivot row packed to its nonzeros: columns…
-    piv_cols: Vec<u32>,
-    /// …and values, index-aligned with `piv_cols`.
-    piv_vals: Vec<f64>,
-    /// The pivot row's support words with the entering column cleared.
+    /// The scaled pivot row packed to the groups that hold a nonzero.
+    packed: Vec<(u32, Group)>,
+    /// The pivot row's support after the pivot (the groups of `packed`)…
     piv_support: Vec<u64>,
+    /// …and before it: where the pivot changed anything.
+    touched: Vec<u64>,
+    /// Every group: the mask of a full pricing pass.
+    all_groups: Vec<u64>,
 }
 
-/// Calls `f(j)` for every set bit `j` of one row's support words.
+/// Calls `f(g)` for every bit `g` set in both `words` and `mask`.
 #[inline]
-fn for_each_set(words: &[u64], mut f: impl FnMut(usize)) {
-    for (w, &word) in words.iter().enumerate() {
-        let mut rest = word;
+fn for_each_set(words: &[u64], mask: &[u64], mut f: impl FnMut(usize)) {
+    for (w, (&word, &keep)) in words.iter().zip(mask).enumerate() {
+        let mut rest = word & keep;
         while rest != 0 {
             f(w * 64 + rest.trailing_zeros() as usize);
             rest &= rest - 1;
+        }
+    }
+}
+
+fn is_free(lb: f64, ub: f64) -> bool {
+    lb == f64::NEG_INFINITY && ub == f64::INFINITY
+}
+
+/// Recomputes the reduced costs `c − c_B' · (B⁻¹A)` of the groups in
+/// `mask`, over each row's support only (skipped groups contribute
+/// exact-zero terms). A column's terms are subtracted in row order
+/// whatever the mask, so a masked pass leaves in `d` what a full one
+/// would.
+fn price(t: &[Group], support: &[u64], basis: &[usize], cost: &[f64], mask: &[u64], d: &mut [f64]) {
+    let words = mask.len();
+    let (cost_groups, _) = cost.as_chunks::<LANES>();
+    let (d, _) = d.as_chunks_mut::<LANES>();
+    let groups = d.len();
+    for_each_set(mask, mask, |g| d[g] = cost_groups[g]);
+    for (i, &b) in basis.iter().enumerate() {
+        let yb = cost[b];
+        if yb != 0.0 {
+            let row = &t[i * groups..(i + 1) * groups];
+            for_each_set(&support[i * words..(i + 1) * words], mask, |g| {
+                for (dj, &tij) in d[g].iter_mut().zip(&row[g]) {
+                    *dj -= yb * tij;
+                }
+            });
         }
     }
 }
@@ -117,77 +194,101 @@ impl Tableau {
     fn build(model: &Model) -> Self {
         let m = model.num_constraints();
         let n_struct = model.num_vars();
-        let n_slack = m;
-        let n = n_struct + n_slack + m; // + artificials
-        let art_start = n_struct + n_slack;
-
-        let mut lb = vec![0.0f64; n];
-        let mut ub = vec![0.0f64; n];
-        for (j, v) in model.vars.iter().enumerate() {
-            lb[j] = v.lb;
-            ub[j] = v.ub;
-        }
-        let mut t = vec![0.0f64; m * n];
-        let mut b = vec![0.0f64; m];
-        for (i, c) in model.constraints.iter().enumerate() {
-            for &(v, k) in &c.expr.terms {
-                t[i * n + v.index()] += k;
-            }
-            b[i] = c.rhs;
-            let s = n_struct + i;
-            t[i * n + s] = 1.0;
-            match c.sense {
-                ConstraintSense::Le => {
-                    lb[s] = 0.0;
-                    ub[s] = f64::INFINITY;
-                }
-                ConstraintSense::Ge => {
-                    lb[s] = f64::NEG_INFINITY;
-                    ub[s] = 0.0;
-                }
-                ConstraintSense::Eq => {
-                    lb[s] = 0.0;
-                    ub[s] = 0.0;
-                }
-            }
-        }
-        // Artificials: bounds set below once residual signs are known.
-        for i in 0..m {
-            let a = art_start + i;
-            lb[a] = 0.0;
-            ub[a] = f64::INFINITY;
-            t[i * n + a] = 1.0;
-        }
+        let art_start = n_struct + m; // structurals, then one slack per row
+        let n = art_start + m; // + artificials
+        let groups = n.div_ceil(LANES);
+        let words = groups.div_ceil(64);
+        assert!(n <= u32::MAX as usize, "tableau too wide");
 
         // Nonbasic start: every structural/slack at its nearest finite
         // bound (0 for free variables).
+        let mut lb = vec![0.0f64; n];
+        let mut ub = vec![0.0f64; n];
         let mut x = vec![0.0f64; n];
-        let mut at_upper = vec![false; n];
-        for j in 0..art_start {
-            if lb[j].is_finite() {
-                x[j] = lb[j];
-            } else if ub[j].is_finite() {
-                x[j] = ub[j];
-                at_upper[j] = true;
+        let mut sign = vec![0.0f64; groups * LANES];
+        let mut free = Vec::new();
+        let mut rest = |j: usize, lo: f64, hi: f64| {
+            lb[j] = lo;
+            ub[j] = hi;
+            x[j] = if lo.is_finite() {
+                lo
+            } else if hi.is_finite() {
+                hi
             } else {
-                x[j] = 0.0;
+                0.0
+            };
+            if lo == hi {
+                // Pinned: retired from the start.
+            } else if is_free(lo, hi) {
+                free.push(j as u32);
+            } else {
+                sign[j] = if lo.is_finite() { -1.0 } else { 1.0 };
+            }
+        };
+        for (j, v) in model.vars.iter().enumerate() {
+            rest(j, v.lb, v.ub);
+        }
+        for (i, c) in model.constraints.iter().enumerate() {
+            match c.sense {
+                ConstraintSense::Le => rest(n_struct + i, 0.0, f64::INFINITY),
+                ConstraintSense::Ge => rest(n_struct + i, f64::NEG_INFINITY, 0.0),
+                ConstraintSense::Eq => rest(n_struct + i, 0.0, 0.0),
             }
         }
+        // Artificials start basic in `[0, ∞)` at the row's residual, set
+        // below.
+        ub[art_start..].fill(f64::INFINITY);
 
-        // Residuals decide artificial signs; rows with negative residual
-        // are negated so artificials stay ≥ 0.
-        for i in 0..m {
-            let mut r = b[i];
-            for j in 0..art_start {
-                r -= t[i * n + j] * x[j];
+        // Rows are written from the model's terms: nothing walks the
+        // `m × n` zeros, and pages no term lands on are never touched.
+        let mut t = vec![[0.0f64; LANES]; m * groups];
+        let mut support = vec![0u64; m * words];
+        let mut cols: Vec<usize> = Vec::new();
+        for (i, c) in model.constraints.iter().enumerate() {
+            let row = &mut t[i * groups..(i + 1) * groups];
+            let row_support = &mut support[i * words..(i + 1) * words];
+            let mut list = |g: usize| row_support[g / 64] |= 1 << (g % 64);
+            cols.clear();
+            for &(v, k) in &c.expr.terms {
+                let j = v.index();
+                row[j / LANES][j % LANES] += k;
+                cols.push(j);
             }
-            if r < 0.0 {
-                for j in 0..art_start {
-                    t[i * n + j] = -t[i * n + j];
+            cols.sort_unstable();
+            cols.dedup();
+
+            // The residual decides the artificial's sign: a row with a
+            // negative residual is negated so artificials stay ≥ 0. Terms
+            // in column order, as the dense solver subtracts them (its
+            // other columns, slack included, subtract exact zeros).
+            let mut r = c.rhs;
+            for &j in &cols {
+                r -= row[j / LANES][j % LANES] * x[j];
+            }
+            let negate = r < 0.0;
+            x[art_start + i] = if negate { -r } else { r };
+
+            for &j in &cols {
+                let v = &mut row[j / LANES][j % LANES];
+                if lb[j] == ub[j] {
+                    *v = 0.0;
+                    continue;
                 }
-                r = -r;
+                if negate {
+                    *v = -*v;
+                }
+                if *v != 0.0 {
+                    list(j / LANES);
+                }
             }
-            x[art_start + i] = r;
+            let s = n_struct + i;
+            if lb[s] != ub[s] {
+                row[s / LANES][s % LANES] = if negate { -1.0 } else { 1.0 };
+                list(s / LANES);
+            }
+            let a = art_start + i;
+            row[a / LANES][a % LANES] = 1.0;
+            list(a / LANES);
         }
 
         let basis: Vec<usize> = (0..m).map(|i| art_start + i).collect();
@@ -195,16 +296,9 @@ impl Tableau {
         for &j in &basis {
             in_basis[j] = true;
         }
-
-        // Initial row supports: the structural terms plus one slack and
-        // one artificial per row.
-        assert!(n <= u32::MAX as usize, "tableau too wide");
-        let words = n.div_ceil(64);
-        let mut support = vec![0u64; m * words];
-        for i in 0..m {
-            for j in (0..n).filter(|&j| t[i * n + j] != 0.0) {
-                support[i * words + j / 64] |= 1 << (j % 64);
-            }
+        let mut all_groups = vec![0u64; words];
+        for g in 0..groups {
+            all_groups[g / 64] |= 1 << (g % 64);
         }
 
         Tableau {
@@ -212,22 +306,25 @@ impl Tableau {
             n,
             n_struct,
             art_start,
+            groups,
+            words,
             t,
             x,
             lb,
             ub,
-            at_upper,
+            sign,
+            free,
             basis,
             in_basis,
-            cost: vec![0.0; n],
+            cost: vec![0.0; groups * LANES],
             iterations: 0,
-            words,
             support,
-            d: vec![0.0; n],
+            d: vec![0.0; groups * LANES],
             col: vec![0.0; m],
-            piv_cols: Vec::new(),
-            piv_vals: Vec::new(),
-            piv_support: Vec::new(),
+            packed: Vec::new(),
+            piv_support: vec![0; words],
+            touched: vec![0; words],
+            all_groups,
         }
     }
 
@@ -243,35 +340,31 @@ impl Tableau {
         for (j, v) in model.vars.iter().enumerate() {
             self.cost[j] = v.obj;
         }
-        // Artificials are pinned at zero for phase 2.
+        // Artificials are pinned at zero for phase 2, which retires the
+        // nonbasic ones: zero their columns, and unlist the groups that
+        // leaves empty.
         for j in self.art_start..self.n {
             self.lb[j] = 0.0;
             self.ub[j] = 0.0;
+            self.sign[j] = 0.0;
         }
-    }
-
-    /// Refreshes `self.d` with the reduced costs `c − c_B' · (B⁻¹A)`,
-    /// priced over each row's support only (skipped columns contribute an
-    /// exact-zero term).
-    fn price(&mut self) {
-        let Tableau {
-            n,
-            words,
-            t,
-            cost,
-            basis,
-            support,
-            d,
-            ..
-        } = self;
-        d.copy_from_slice(cost);
-        for (i, &b) in basis.iter().enumerate() {
-            let yb = cost[b];
-            if yb != 0.0 {
-                let row = &t[i * *n..(i + 1) * *n];
-                for_each_set(&support[i * *words..(i + 1) * *words], |j| {
-                    d[j] -= yb * row[j];
-                });
+        let first = self.art_start / LANES;
+        for i in 0..self.m {
+            let row = &mut self.t[i * self.groups..(i + 1) * self.groups];
+            let row_support = &mut self.support[i * self.words..(i + 1) * self.words];
+            for g in first..self.groups {
+                if row_support[g / 64] >> (g % 64) & 1 == 0 {
+                    continue;
+                }
+                for (k, v) in row[g].iter_mut().enumerate() {
+                    let j = g * LANES + k;
+                    if (self.art_start..self.n).contains(&j) && !self.in_basis[j] && *v != 0.0 {
+                        *v = 0.0;
+                    }
+                }
+                if row[g].iter().all(|&v| v == 0.0) {
+                    row_support[g / 64] &= !(1 << (g % 64));
+                }
             }
         }
     }
@@ -285,49 +378,67 @@ impl Tableau {
     }
 
     /// Picks the entering column from the priced `self.d`, or `None` at
-    /// optimality.
+    /// optimality: the largest violation over `eps`, the lowest column
+    /// among equals; under `bland` the lowest column over `eps`.
     fn choose_entering(&self, eps: f64, bland: bool) -> Option<usize> {
-        let d = &self.d;
-        let mut best: Option<(usize, f64)> = None;
-        for j in 0..self.n {
-            if self.in_basis[j] || self.lb[j] == self.ub[j] {
-                continue;
-            }
-            let free = self.lb[j] == f64::NEG_INFINITY && self.ub[j] == f64::INFINITY;
-            let viol = if free {
-                d[j].abs()
-            } else if self.at_upper[j] {
-                d[j]
-            } else {
-                -d[j]
-            };
-            if viol > eps {
-                if bland {
-                    return Some(j);
+        let viols = || self.sign.iter().zip(&self.d).map(|(&s, &dj)| s * dj);
+        let (mut best, mut best_viol) = (None, eps);
+        if bland {
+            best = viols().position(|viol| viol > eps);
+        } else {
+            // The maximum first, lane by lane (no lane waits on another,
+            // so the loop is vector code), then the first column at it.
+            let (sign, _) = self.sign.as_chunks::<LANES>();
+            let (d, _) = self.d.as_chunks::<LANES>();
+            let mut lane_max = [eps; LANES];
+            for (s, dj) in sign.iter().zip(d) {
+                for k in 0..LANES {
+                    let viol = s[k] * dj[k];
+                    if viol > lane_max[k] {
+                        lane_max[k] = viol;
+                    }
                 }
-                if best.is_none_or(|(_, v)| viol > v) {
-                    best = Some((j, viol));
+            }
+            let top = lane_max.into_iter().fold(eps, f64::max);
+            if top > eps {
+                (best, best_viol) = (viols().position(|viol| viol == top), top);
+            }
+        }
+        for &f in &self.free {
+            let j = f as usize;
+            let viol = self.d[j].abs();
+            if !self.in_basis[j] && viol > eps {
+                let wins = match best {
+                    None => true,
+                    Some(b) if bland => j < b,
+                    Some(b) => viol > best_viol || (viol == best_viol && j < b),
+                };
+                if wins {
+                    (best, best_viol) = (Some(j), viol);
+                }
+                if bland {
+                    break;
                 }
             }
         }
-        best.map(|(j, _)| j)
+        best
     }
 
-    /// One simplex step for entering column `q`. Returns `Ok(t)` (step
-    /// length) or `Err(())` when the problem is unbounded along `q`.
-    fn step(&mut self, q: usize, d_q: f64) -> Result<f64, ()> {
+    /// One simplex step for entering column `q`. Returns the step length
+    /// and whether the step was a pivot (`false`: a bound flip, which
+    /// leaves tableau, basis and reduced costs as they were), or `Err(())`
+    /// when the problem is unbounded along `q`.
+    fn step(&mut self, q: usize, d_q: f64) -> Result<(f64, bool), ()> {
         // Direction of movement for x_q.
-        let free = self.lb[q] == f64::NEG_INFINITY && self.ub[q] == f64::INFINITY;
+        let free = is_free(self.lb[q], self.ub[q]);
         let dir: f64 = if free {
             if d_q < 0.0 {
                 1.0
             } else {
                 -1.0
             }
-        } else if self.at_upper[q] {
-            -1.0
         } else {
-            1.0
+            -self.sign[q]
         };
 
         // Own bound span.
@@ -339,8 +450,9 @@ impl Tableau {
 
         // Gather the entering column once; the ratio test, the value
         // update and the pivot all read it.
+        let (qg, ql) = (q / LANES, q % LANES);
         for (i, c) in self.col.iter_mut().enumerate() {
-            *c = self.t[i * self.n + q];
+            *c = self.t[i * self.groups + qg][ql];
         }
 
         // Ratio test over basic variables.
@@ -383,8 +495,8 @@ impl Tableau {
         match leave {
             None => {
                 // Bound flip: q stays nonbasic at the other bound.
-                self.at_upper[q] = !self.at_upper[q];
-                self.x[q] = if self.at_upper[q] {
+                self.sign[q] = -self.sign[q];
+                self.x[q] = if self.sign[q] > 0.0 {
                     self.ub[q]
                 } else {
                     self.lb[q]
@@ -398,78 +510,101 @@ impl Tableau {
                 } else {
                     self.lb[out]
                 };
-                self.at_upper[out] = leaves_at_upper;
                 self.in_basis[out] = false;
                 self.basis[r] = q;
                 self.in_basis[q] = true;
+                self.sign[q] = 0.0;
+                if self.lb[out] == self.ub[out] {
+                    // Pinned, so retired as it leaves: a basic column is
+                    // the unit vector of its row.
+                    self.t[r * self.groups + out / LANES][out % LANES] = 0.0;
+                } else {
+                    self.sign[out] = if leaves_at_upper { 1.0 } else { -1.0 };
+                }
                 self.pivot(r, q);
             }
         }
-        Ok(t_step)
+        Ok((t_step, leave.is_some()))
     }
 
     /// Pivots on `t[r][q]`; `self.col` holds column `q` as gathered by
-    /// [`Tableau::step`].
+    /// [`Tableau::step`]. Leaves row `r`'s pre-pivot support in
+    /// `self.touched`.
     fn pivot(&mut self, r: usize, q: usize) {
         let Tableau {
             m,
-            n,
+            groups,
             words,
             t,
             support,
             col,
-            piv_cols,
-            piv_vals,
+            packed,
             piv_support,
+            touched,
             ..
         } = self;
-        let (m, n, words) = (*m, *n, *words);
+        let (m, groups, words) = (*m, *groups, *words);
         let piv = col[r];
         debug_assert!(piv.abs() > PIVOT_TOL, "tiny pivot {piv}");
         let inv = 1.0 / piv;
-        let (q_word, q_bit) = (q / 64, 1u64 << (q % 64));
+        let (qg, ql) = (q / LANES, q % LANES);
 
-        // Scale the pivot row and pack its nonzeros; they become the row's
-        // support, so entries that are exactly zero lose their bit.
-        piv_cols.clear();
-        piv_vals.clear();
-        let row = &mut t[r * n..(r + 1) * n];
-        let row_support = &mut support[r * words..(r + 1) * words];
-        for_each_set(row_support, |j| {
-            // Kill round-off on the pivot column.
-            let v = if j == q { 1.0 } else { row[j] * inv };
-            row[j] = v;
-            if v != 0.0 {
-                piv_cols.push(j as u32);
-                piv_vals.push(v);
+        // Scale the pivot row and pack the groups that hold a nonzero;
+        // they become the row's support, so a group that is all exact
+        // zeros loses its bit.
+        let row = &mut t[r * groups..(r + 1) * groups];
+        touched.copy_from_slice(&support[r * words..(r + 1) * words]);
+        packed.clear();
+        piv_support.fill(0);
+        for_each_set(touched, touched, |g| {
+            let lanes = &mut row[g];
+            for v in lanes.iter_mut() {
+                *v *= inv;
+            }
+            if g == qg {
+                lanes[ql] = 1.0; // kill round-off on the pivot column
+            }
+            if lanes.iter().any(|&v| v != 0.0) {
+                packed.push((g as u32, *lanes));
+                piv_support[g / 64] |= 1 << (g % 64);
             }
         });
-        row_support.fill(0);
-        for &j in piv_cols.iter() {
-            row_support[j as usize / 64] |= 1 << (j % 64);
-        }
+        support[r * words..(r + 1) * words].copy_from_slice(piv_support);
 
-        // Every other row loses column `q`, so it gains the pivot row's
-        // support minus that bit.
-        piv_support.clear();
-        piv_support.extend_from_slice(row_support);
-        piv_support[q_word] &= !q_bit;
-
-        for i in (0..m).filter(|&i| i != r) {
-            let row = &mut t[i * n..(i + 1) * n];
-            let row_support = &mut support[i * words..(i + 1) * words];
+        // Rows with an exact zero in column `q` are not read at all.
+        for i in (0..m).filter(|&i| i != r && col[i] != 0.0) {
+            let row = &mut t[i * groups..(i + 1) * groups];
             let f = col[i];
-            row_support[q_word] &= !q_bit;
             if f.abs() > 1e-12 {
-                for (&j, &v) in piv_cols.iter().zip(piv_vals.iter()) {
-                    row[j as usize] -= f * v;
+                for (g, vals) in packed.iter() {
+                    // Through a copy: every load precedes the stores, which
+                    // is what lets the eight lanes become vector code.
+                    let mut lanes = row[*g as usize];
+                    for (v, &p) in lanes.iter_mut().zip(vals) {
+                        *v -= f * p;
+                    }
+                    row[*g as usize] = lanes;
                 }
+                let row_support = &mut support[i * words..(i + 1) * words];
                 for (dst, &src) in row_support.iter_mut().zip(piv_support.iter()) {
                     *dst |= src;
                 }
             }
-            row[q] = 0.0;
+            row[qg][ql] = 0.0;
         }
+    }
+
+    /// Prices the groups of `self.touched` (after a pivot) or all of them.
+    fn reprice(&mut self, all: bool) {
+        let mask = if all { &self.all_groups } else { &self.touched };
+        price(
+            &self.t,
+            &self.support,
+            &self.basis,
+            &self.cost,
+            mask,
+            &mut self.d,
+        );
     }
 
     /// Runs simplex to optimality with the current costs.
@@ -478,16 +613,20 @@ impl Tableau {
         let mut degenerate_run = 0usize;
         let mut bland = false;
         // Costs only change at a phase switch, so the tolerance is fixed
-        // for the whole run.
+        // for the whole run, and one full pricing pass starts it.
         let eps = self.optimality_eps();
+        self.reprice(true);
         for _ in 0..max_iter {
-            self.price();
             let Some(q) = self.choose_entering(eps, bland) else {
                 return Ok(());
             };
             self.iterations += 1;
             match self.step(q, self.d[q]) {
-                Ok(t) => {
+                Ok((t, pivoted)) => {
+                    if pivoted {
+                        self.reprice(false);
+                        debug_assert!(self.priced_in_full(), "partial re-price diverged");
+                    }
                     if t <= 1e-10 {
                         degenerate_run += 1;
                         if degenerate_run > 2 * (self.m + 16) {
@@ -502,6 +641,22 @@ impl Tableau {
             }
         }
         Err(LpStatus::IterationLimit)
+    }
+
+    /// Whether `self.d` is, to the bit, what a full pricing pass leaves.
+    fn priced_in_full(&self) -> bool {
+        let mut full = vec![0.0; self.d.len()];
+        price(
+            &self.t,
+            &self.support,
+            &self.basis,
+            &self.cost,
+            &self.all_groups,
+            &mut full,
+        );
+        full.iter()
+            .zip(&self.d)
+            .all(|(a, b)| a.to_bits() == b.to_bits())
     }
 
     fn phase1_objective(&self) -> f64 {

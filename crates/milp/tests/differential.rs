@@ -1,6 +1,9 @@
-//! Differential tests: the bitset-support simplex must follow the exact
-//! same pivot sequence as the frozen dense solver — same solutions, same
-//! objectives, same iteration counts.
+//! Differential tests: the simplex must follow the exact same pivot
+//! sequence as the frozen dense solver — same solutions, same objectives,
+//! same iteration counts — through everything it skips: zero groups,
+//! retired columns, re-pricing outside the pivot row's support and after
+//! bound flips (debug builds also assert, after every pivot, that the
+//! partial re-price left what a full one would).
 
 use milp::fixtures::placement_lp;
 use milp::{
@@ -12,7 +15,7 @@ fn expr(terms: &[(VarId, f64)]) -> LinExpr {
     LinExpr::from_terms(terms.iter().copied())
 }
 
-/// Asserts both solvers agree on `m` and returns the bitset solver's answer.
+/// Asserts both solvers agree on `m` and returns `solve_lp`'s answer.
 fn assert_same(m: &Model, label: &str) -> Result<LpResult, LpStatus> {
     let sparse = solve_lp(m);
     let dense = solve_lp_dense(m);
@@ -134,6 +137,253 @@ fn placement_shaped_lps_match_dense_pivot_for_pivot() {
             );
             let label = format!("placement G{gpus} B{blocks} P{patterns} seed {seed}");
             assert_same(&m, &label).expect("the all-host pattern keeps it feasible");
+        }
+    }
+}
+
+/// A seeded LP over `n` box variables and `rows` rows of mixed sense
+/// whose right-hand sides keep `x = 0.4` feasible; `pin` fixes every
+/// third variable (`lb == ub`).
+fn mixed_lp(seed: u64, n: usize, rows: usize, pin: bool) -> Model {
+    let mut rng = emb_util::seed_rng(seed);
+    let mut m = Model::new();
+    let vars: Vec<VarId> = (0..n)
+        .map(|j| {
+            let cost = rng.gen_range(-1.0..1.0);
+            if pin && j % 3 == 1 {
+                let at = rng.gen_range(0.0..1.0);
+                m.add_var(&format!("x{j}"), at, at, cost, false)
+            } else {
+                m.add_var(&format!("x{j}"), 0.0, 1.0, cost, false)
+            }
+        })
+        .collect();
+    for r in 0..rows {
+        let mut terms: Vec<(VarId, f64)> = Vec::new();
+        for &v in &vars {
+            if rng.gen_range(0.0..1.0) < 0.6 {
+                terms.push((v, rng.gen_range(-1.0..1.0)));
+            }
+        }
+        let at_interior: f64 = terms.iter().map(|&(_, k)| 0.4 * k).sum();
+        let (sense, rhs) = match r % 3 {
+            0 => (Le, at_interior + rng.gen_range(0.0..0.5)),
+            1 => (Ge, at_interior - rng.gen_range(0.0..0.5)),
+            _ => (Eq, at_interior),
+        };
+        m.add_constraint(expr(&terms), sense, rhs);
+    }
+    m
+}
+
+#[test]
+fn widths_around_the_group_size_match_dense() {
+    // (structurals, rows) whose tableau — a slack and an artificial per
+    // row — is 1, 7, 8, 9, 63, 64 and 65 columns wide: one group minus a
+    // lane, exactly one, one plus a lane, and the same around eight.
+    for (n, rows) in [(1, 0), (3, 2), (4, 2), (5, 2), (23, 20), (24, 20), (25, 20)] {
+        for seed in [5u64, 71, 2027] {
+            let m = mixed_lp(seed, n, rows, false);
+            let _ = assert_same(&m, &format!("width {} seed {seed}", n + 2 * rows));
+        }
+    }
+}
+
+#[test]
+fn pinned_structurals_match_dense() {
+    // Every third variable has `lb == ub`: it sits in the rows (its value
+    // shifts the residuals) but its column is retired from the start.
+    // Pinned values are drawn, so some of these are infeasible — the
+    // statuses must agree too.
+    let mut solved = 0;
+    for seed in 0..12u64 {
+        let m = mixed_lp(seed, 30, 14, true);
+        solved += usize::from(assert_same(&m, &format!("pinned seed {seed}")).is_ok());
+    }
+    assert!(solved >= 4, "only {solved} of 12 pinned LPs are feasible");
+}
+
+#[test]
+fn all_equality_lps_match_dense() {
+    // A balanced transportation problem, every row an equality: every
+    // slack is retired from the start and phase 1 does all the routing.
+    for seed in [1u64, 9, 300] {
+        let mut rng = emb_util::seed_rng(seed);
+        let (sources, sinks) = (6, 9);
+        let supply: Vec<f64> = (0..sources).map(|_| rng.gen_range(5..40) as f64).collect();
+        let total: f64 = supply.iter().sum();
+        let mut demand: Vec<f64> = (0..sinks).map(|_| (total / sinks as f64).floor()).collect();
+        demand[0] += total - demand.iter().sum::<f64>();
+        let mut m = Model::new();
+        let ship: Vec<Vec<VarId>> = (0..sources)
+            .map(|i| {
+                (0..sinks)
+                    .map(|j| m.add_nonneg(&format!("s{i}_{j}"), rng.gen_range(1.0..9.0)))
+                    .collect()
+            })
+            .collect();
+        for (i, &s) in supply.iter().enumerate() {
+            m.add_constraint(
+                expr(&ship[i].iter().map(|&v| (v, 1.0)).collect::<Vec<_>>()),
+                Eq,
+                s,
+            );
+        }
+        for (j, &d) in demand.iter().enumerate() {
+            m.add_constraint(
+                expr(&ship.iter().map(|row| (row[j], 1.0)).collect::<Vec<_>>()),
+                Eq,
+                d,
+            );
+        }
+        let sol = assert_same(&m, &format!("all-equality seed {seed}")).expect("balanced");
+        assert!(sol.max_residual < 1e-6);
+    }
+}
+
+#[test]
+fn box_lps_dominated_by_bound_flips_match_dense() {
+    // 40 box variables `f` with negative cost share 6 rows with 20 box
+    // variables `g`, and every row's right-hand side exceeds the most its
+    // left side can reach: no basic slack ever blocks, so all 40 (and
+    // every `g` that pays) go to their upper bound by a flip — reduced
+    // costs are kept, not recomputed — while 10 tight rows over `g` alone
+    // pivot in between. The flips are at least the 40, which the
+    // iteration count must leave at 30 % or more.
+    for seed in [4u64, 44, 444] {
+        let mut rng = emb_util::seed_rng(seed);
+        let mut m = Model::new();
+        let f: Vec<VarId> = (0..40)
+            .map(|j| {
+                m.add_var(
+                    &format!("f{j}"),
+                    0.0,
+                    1.0,
+                    rng.gen_range(-1.0..-0.01),
+                    false,
+                )
+            })
+            .collect();
+        let g: Vec<VarId> = (0..20)
+            .map(|j| m.add_var(&format!("g{j}"), 0.0, 1.0, rng.gen_range(-1.0..1.0), false))
+            .collect();
+        for _ in 0..6 {
+            let terms: Vec<(VarId, f64)> = f
+                .iter()
+                .chain(&g)
+                .map(|&v| (v, rng.gen_range(0.0..1.0)))
+                .collect();
+            let reach: f64 = terms.iter().map(|&(_, k)| k).sum();
+            m.add_constraint(expr(&terms), Le, reach + 2.0);
+        }
+        for _ in 0..10 {
+            let mut terms: Vec<(VarId, f64)> = Vec::new();
+            for &v in &g {
+                if rng.gen_range(0.0..1.0) < 0.5 {
+                    terms.push((v, rng.gen_range(0.0..1.0)));
+                }
+            }
+            m.add_constraint(expr(&terms), Le, rng.gen_range(0.5..1.5));
+        }
+        let sol = assert_same(&m, &format!("flips seed {seed}")).expect("x = 0 is feasible");
+        for &v in &f {
+            assert_eq!(sol.x[v.index()], 1.0, "seed {seed}: an `f` did not flip up");
+        }
+        assert!(
+            10 * f.len() >= 3 * sol.iterations,
+            "seed {seed}: {} flips among {} iterations",
+            f.len(),
+            sol.iterations
+        );
+    }
+}
+
+#[test]
+fn free_variables_that_enter_match_dense() {
+    // Two free variables among bounded ones: they rest at 0 and can only
+    // move by entering the basis, which the optimum (both nonzero) forces.
+    // Their violation is `|d|`, scanned apart from the signed columns and
+    // merged by the same largest-first, lowest-index rule.
+    for seed in [2u64, 20, 200] {
+        let mut rng = emb_util::seed_rng(seed);
+        let mut m = Model::new();
+        let x: Vec<VarId> = (0..6)
+            .map(|j| m.add_var(&format!("x{j}"), 0.0, 2.0, rng.gen_range(-1.0..1.0), false))
+            .collect();
+        let up = m.add_var("up", f64::NEG_INFINITY, f64::INFINITY, -1.0, false);
+        let down = m.add_var("down", f64::NEG_INFINITY, f64::INFINITY, 0.5, false);
+        let more: Vec<VarId> = (0..6)
+            .map(|j| m.add_var(&format!("y{j}"), 0.0, 2.0, rng.gen_range(-1.0..1.0), false))
+            .collect();
+        let all = || x.iter().chain(&more).copied();
+        let weights = |rng: &mut rand::rngs::StdRng| -> Vec<(VarId, f64)> {
+            all().map(|v| (v, rng.gen_range(-0.5..0.5))).collect()
+        };
+        let mut cap = weights(&mut rng);
+        cap.push((up, 1.0));
+        m.add_constraint(expr(&cap), Le, 7.0);
+        let mut floor = weights(&mut rng);
+        floor.push((down, 1.0));
+        m.add_constraint(expr(&floor), Ge, -5.0);
+        let mut tie = weights(&mut rng);
+        tie.extend([(up, 1.0), (down, 1.0)]);
+        m.add_constraint(expr(&tie), Le, 4.0);
+        let sol = assert_same(&m, &format!("free seed {seed}")).expect("bounded");
+        assert!(sol.x[up.index()] != 0.0 && sol.x[down.index()] != 0.0);
+    }
+}
+
+/// `min c·x` over the cone `A x ≥ 0, x ≥ 0` with `c = Aᵀy + s` for
+/// `y, s ≥ 0`: bounded (the optimum is the apex), and every step from the
+/// apex is degenerate.
+fn cone_lp(seed: u64, n: usize, rows: usize) -> Model {
+    let mut rng = emb_util::seed_rng(seed);
+    let a: Vec<Vec<f64>> = (0..rows)
+        .map(|_| {
+            (0..n)
+                .map(|_| {
+                    if rng.gen_range(0.0..1.0) < 0.5 {
+                        rng.gen_range(-1.0..1.0)
+                    } else {
+                        0.0
+                    }
+                })
+                .collect()
+        })
+        .collect();
+    let y: Vec<f64> = (0..rows).map(|_| rng.gen_range(0.0..1.0)).collect();
+    let mut m = Model::new();
+    let vars: Vec<VarId> = (0..n)
+        .map(|j| {
+            let priced: f64 = (0..rows).map(|i| a[i][j] * y[i]).sum();
+            m.add_nonneg(&format!("x{j}"), priced + rng.gen_range(0.0..0.2))
+        })
+        .collect();
+    for row in &a {
+        let terms = (0..n).filter(|&j| row[j] != 0.0).map(|j| (vars[j], row[j]));
+        m.add_constraint(LinExpr::from_terms(terms), Ge, 0.0);
+    }
+    m
+}
+
+#[test]
+fn degenerate_lps_in_blands_mode_match_dense() {
+    // Every step of a cone LP has length zero, so after `2·(rows + 16)`
+    // of them the entering rule falls back to Bland's for good. Counted
+    // with a scratch counter when this test was written: 497 of the
+    // first LP's 576 steps and 68 of the second's 123 run under Bland's
+    // rule; the third never gets out (5 257 of 5 320) and both solvers
+    // give up at the iteration cap.
+    for (n, rows, seed, iterations) in [
+        (41, 23, 3u64, Some(576)),
+        (65, 11, 15, Some(123)),
+        (37, 15, 11, None),
+    ] {
+        let m = cone_lp(seed, n, rows);
+        let got = assert_same(&m, &format!("cone n {n} rows {rows}"));
+        match iterations {
+            Some(steps) => assert_eq!(got.expect("bounded at the apex").iterations, steps),
+            None => assert_eq!(got, Err(LpStatus::IterationLimit)),
         }
     }
 }

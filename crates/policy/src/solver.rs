@@ -47,9 +47,10 @@ impl SolverConfig {
 
     /// The hotness the solver optimizes for: [`Hotness::dedup_adjusted`]
     /// when `dedup_adjust` is set, `hotness` itself otherwise. The
-    /// calibration takes ~60 bisection steps, each an `exp` per distinct
-    /// value and an addition per entry (an `exp` per entry when the
-    /// weights are mostly distinct), so a caller that needs the adjusted
+    /// calibration makes some 30 passes over the entries (the bisection's
+    /// other steps are decided by passes already made), each an `exp` per
+    /// distinct value and an addition per entry (an `exp` per entry when
+    /// the weights are mostly distinct), so a caller that needs the adjusted
     /// hotness for more than the solve (the refresh trigger compares two
     /// estimates on it) takes it once here and hands it to
     /// [`UGacheSolver::solve_adjusted`].

@@ -75,13 +75,17 @@ impl Hotness {
     ///
     /// Ranking is preserved; only magnitudes saturate.
     ///
-    /// Each of the ~60 bisection steps needs `Σ_e 1 − exp(−λ·p_e)`. When
-    /// at most one weight in sixteen is distinct (a sampler's snapshot:
-    /// small integer counts, mostly zero) `exp` is evaluated once per
-    /// distinct value per step and the per-entry terms are looked up;
-    /// otherwise (analytic hotness: every weight its own) once per entry.
-    /// `exp` is pure and both loops add the same terms in entry order, so
-    /// the choice never shows in the returned bits.
+    /// The bisection compares `Σ_e 1 − exp(−λ·p_e)` with the target 60
+    /// times, but pays a pass over the entries only for a comparison that
+    /// earlier passes leave open — about 30 at 10⁵ entries, the rest
+    /// being forced by monotonicity or repeated (see `calibrate_lambda`).
+    /// In a pass, when at most one weight in sixteen is distinct (a
+    /// sampler's snapshot: small integer counts, mostly zero) `exp` is
+    /// evaluated once per distinct value and the per-entry terms are
+    /// looked up; otherwise (analytic hotness: every weight its own) once
+    /// per entry. `exp` is pure and both loops add the same terms in
+    /// entry order, so neither the choice nor a skipped pass ever shows
+    /// in the returned bits.
     pub fn dedup_adjusted(&self, unique_per_batch: f64) -> Hotness {
         let e = self.len();
         let total = self.total();
@@ -94,7 +98,7 @@ impl Hotness {
             group_by_bits(&self.weights, e / GROUPED_ENTRIES_PER_DISTINCT)
         else {
             let p: Vec<f64> = self.weights.iter().map(|w| w / total).collect();
-            let lambda = calibrate_lambda(target, |lambda| {
+            let lambda = calibrate_lambda(target, e, |lambda| {
                 p.iter().map(|&pi| appears(lambda, pi)).sum()
             });
             return Hotness::new(p.iter().map(|&pi| appears(lambda, pi)).collect());
@@ -109,7 +113,7 @@ impl Hotness {
             .collect();
         let terms_at =
             |lambda: f64| -> Vec<f64> { p.iter().map(|&pi| appears(lambda, pi)).collect() };
-        let lambda = calibrate_lambda(target, |lambda| {
+        let lambda = calibrate_lambda(target, summed.len(), |lambda| {
             let terms = terms_at(lambda);
             summed.iter().fold(0.0, |sum, &g| sum + terms[g as usize])
         });
@@ -162,26 +166,143 @@ fn group_by_bits(weights: &[f64], max_distinct: usize) -> Option<(Vec<f64>, Vec<
     Some((values, group_of))
 }
 
-/// The `λ` at which `uniques(λ)` — increasing in `λ` — meets `target`:
-/// doubling until it is bracketed (at most 200 times, for input that can
-/// never reach it), then 60 bisection steps.
-fn calibrate_lambda(target: f64, mut uniques: impl FnMut(f64) -> f64) -> f64 {
+/// A sum of `terms` values `1 − exp(−λ·p)` read through rounding, and
+/// what its readings so far settle about `reading(λ) < target` elsewhere.
+///
+/// The exact sum is non-decreasing in `λ`, and a reading `s` is within
+/// `terms · ε · (s + 8)` of it with room to spare: `terms` roundings of a
+/// running sum that never exceeds its final value cost at most
+/// `terms · ε/2 · s`, and each term is off by a few `ε/2` (the product,
+/// a sub-ulp `exp` of a value in `(0, 1]`, the subtraction from one).
+/// So a reading more than twice that bound under `target` at `λ` puts
+/// the reading at every `λ' ≤ λ` under `target` as well, and likewise
+/// over it; a loose bound costs a pass or two, never a wrong answer.
+struct Readings<F> {
+    uniques: F,
+    target: f64,
+    terms: f64,
+    /// The largest `λ` read surely under `target`, with its reading…
+    under: (f64, f64),
+    /// …and the smallest read surely over it.
+    over: (f64, f64),
+    /// The two most recent `(λ, reading)` pairs, newest last.
+    recent: [(f64, f64); 2],
+}
+
+impl<F: FnMut(f64) -> f64> Readings<F> {
+    /// Twice the rounding bound of a reading at or under `s`.
+    fn margin(&self, s: f64) -> f64 {
+        2.0 * self.terms * f64::EPSILON * (s + 8.0)
+    }
+
+    /// One pass: the reading at `lambda`.
+    fn read(&mut self, lambda: f64) -> f64 {
+        let s = (self.uniques)(lambda);
+        if s < self.target - self.margin(self.target) {
+            if lambda > self.under.0 {
+                self.under = (lambda, s);
+            }
+        } else if s > self.target + self.margin(s) && lambda < self.over.0 {
+            self.over = (lambda, s);
+        }
+        self.recent = [self.recent[1], (lambda, s)];
+        s
+    }
+
+    /// `reading(lambda) < target`, without a pass where a witness
+    /// decides it.
+    fn below(&mut self, lambda: f64) -> bool {
+        if lambda <= self.under.0 {
+            true
+        } else if lambda >= self.over.0 {
+            false
+        } else {
+            self.read(lambda) < self.target
+        }
+    }
+
+    /// Plants both witnesses within a few margins of the crossing:
+    /// secant steps through the two newest readings, each aimed two
+    /// margins to the side whose witness is the farther from `target`.
+    /// Where a probe lands only decides how many passes the bisection is
+    /// spared, never an outcome.
+    fn close_in(&mut self) {
+        let margin = self.margin(self.target);
+        for _ in 0..MAX_PROBES {
+            let under_gap = self.target - self.under.1;
+            let over_gap = self.over.1 - self.target;
+            if under_gap.max(over_gap) <= 4.0 * margin {
+                break;
+            }
+            let [(x0, s0), (x1, s1)] = self.recent;
+            let slope = (s1 - s0) / (x1 - x0);
+            let aim = if under_gap > over_gap { -2.0 } else { 2.0 } * margin;
+            let inside = |x: f64| x > self.under.0 && x < self.over.0;
+            // A secant step can leave the bracket (two readings on one
+            // side of a sharp bend) or be NaN (a flat or repeated one).
+            let mut probe = x1 + (self.target + aim - s1) / slope;
+            if !inside(probe) {
+                probe = 0.5 * (self.under.0 + self.over.0);
+                if !inside(probe) {
+                    break;
+                }
+            }
+            self.read(probe);
+        }
+    }
+}
+
+/// Probes [`Readings::close_in`] may spend; the secant's order of
+/// convergence gets from a factor-two bracket to the rounding bound in
+/// about six, and two more straddle it.
+const MAX_PROBES: usize = 10;
+
+/// The `λ` at which `uniques(λ)` — a sum of `terms` values
+/// `1 − exp(−λ·p)`, increasing in `λ` — meets `target`: doubling until it
+/// is bracketed (at most 200 times, for input that can never reach it),
+/// then 60 bisection steps. A step whose comparison the readings taken so
+/// far already force makes no pass (see [`Readings`]), nor does one at a
+/// `λ` compared before, so every step goes the way plain bisection's
+/// would and the result has its bits.
+fn calibrate_lambda(target: f64, terms: usize, uniques: impl FnMut(f64) -> f64) -> f64 {
+    let mut readings = Readings {
+        uniques,
+        target,
+        terms: terms as f64,
+        under: (f64::NEG_INFINITY, f64::NEG_INFINITY),
+        over: (f64::INFINITY, f64::INFINITY),
+        // Every term is exactly zero at λ = 0.
+        recent: [(0.0, 0.0); 2],
+    };
     let mut lo = 0.0f64;
     let mut hi = target.max(1.0);
+    // Whether `lo` and `hi` have been compared (as under and not under).
+    let (mut lo_known, mut hi_known) = (false, true);
     let mut guard = 0;
-    while uniques(hi) < target {
+    while readings.below(hi) {
         hi *= 2.0;
         guard += 1;
         if guard > 200 {
+            hi_known = false;
             break;
         }
     }
+    if hi_known {
+        readings.close_in();
+    }
     for _ in 0..60 {
         let mid = 0.5 * (lo + hi);
-        if uniques(mid) < target {
-            lo = mid;
+        let below = if mid == lo && lo_known {
+            true
+        } else if mid == hi && hi_known {
+            false
         } else {
-            hi = mid;
+            readings.below(mid)
+        };
+        if below {
+            (lo, lo_known) = (mid, true);
+        } else {
+            (hi, hi_known) = (mid, true);
         }
     }
     0.5 * (lo + hi)
@@ -352,6 +473,53 @@ mod tests {
     #[should_panic(expected = "non-negative")]
     fn negative_hotness_panics() {
         let _ = Hotness::new(vec![1.0, -0.5]);
+    }
+
+    /// `calibrate_lambda` before it skipped anything: every comparison a
+    /// pass.
+    fn bisect_every_step(target: f64, uniques: impl Fn(f64) -> f64) -> f64 {
+        let (mut lo, mut hi) = (0.0f64, target.max(1.0));
+        let mut guard = 0;
+        while uniques(hi) < target {
+            hi *= 2.0;
+            guard += 1;
+            if guard > 200 {
+                break;
+            }
+        }
+        for _ in 0..60 {
+            let mid = 0.5 * (lo + hi);
+            if uniques(mid) < target {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+        }
+        0.5 * (lo + hi)
+    }
+
+    #[test]
+    fn calibration_lands_on_the_plain_bisections_bits_within_45_passes() {
+        // Entry counts and per-batch uniques of the benchmark's two DLR
+        // shapes (CR at 1/8192 under 512-request batches in `eval_sweep`,
+        // at 1/4096 under 1 024 in `dlr_refresh`); an all-distinct power
+        // law stands in for the 26 tables' analytic masses. Plain
+        // bisection takes 62 and 63 passes here.
+        for (n, target) in [(104_731usize, 3_331.875), (209_478, 6_189.062_5)] {
+            let w = emb_util::zipf::powerlaw_hotness(n, 1.1);
+            let total: f64 = w.iter().sum();
+            let p: Vec<f64> = w.iter().map(|w| w / total).collect();
+            let uniques =
+                |lambda: f64| -> f64 { p.iter().map(|&pi| 1.0 - (-lambda * pi).exp()).sum() };
+            let mut passes = 0;
+            let got = calibrate_lambda(target, n, |lambda| {
+                passes += 1;
+                uniques(lambda)
+            });
+            let want = bisect_every_step(target, uniques);
+            assert_eq!(got.to_bits(), want.to_bits(), "n = {n}: {got} vs {want}");
+            assert!(passes <= 45, "n = {n}: {passes} passes");
+        }
     }
 
     #[test]

@@ -148,6 +148,13 @@ impl<'a> Reader<'a> {
         Ok(s)
     }
 
+    /// How many lists the unread bytes can still hold when each needs at
+    /// least a 4-byte length prefix — the most a count read from the
+    /// buffer may reserve, whatever it claims.
+    fn prefixes_left(&self) -> usize {
+        (self.bytes.len() - self.pos) / 4
+    }
+
     fn u32(&mut self, context: &'static str) -> Result<u32, TraceError> {
         let b = self.take(4, context)?;
         Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
@@ -246,14 +253,14 @@ impl Trace {
         let scenario = std::str::from_utf8(name)
             .map_err(|_| TraceError::BadName)?
             .to_string();
-        let mut records = Vec::with_capacity(record_count.min(1 << 20));
+        let mut records = Vec::with_capacity(record_count.min(r.prefixes_left()));
         for record in 0..record_count {
             let payload_len = r.u32("record payload length")? as usize;
             let start = r.pos;
-            let mut lists = Vec::with_capacity(num_gpus as usize);
+            let mut lists = Vec::with_capacity((num_gpus as usize).min(r.prefixes_left()));
             for _ in 0..num_gpus {
                 let count = r.u32("key count")? as usize;
-                let raw = r.take(4 * count, "keys")?;
+                let raw = r.take(count.saturating_mul(4), "keys")?;
                 let mut keys = Vec::with_capacity(count);
                 for c in raw.chunks_exact(4) {
                     let k = u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
@@ -351,6 +358,38 @@ mod tests {
         assert_eq!(
             Trace::from_bytes(&long),
             Err(TraceError::TrailingBytes { extra: 1 })
+        );
+    }
+
+    #[test]
+    fn a_lying_gpu_count_is_an_error_not_an_allocation() {
+        // 40 bytes: a header claiming `u32::MAX` key lists per record,
+        // then one record's payload length and nothing else. Reserving
+        // what the header says asked the allocator for 96 GiB and
+        // aborted `repro replay`.
+        let mut t = sample();
+        t.scenario.clear();
+        t.num_gpus = u32::MAX;
+        t.records.clear();
+        let mut bytes = t.to_bytes();
+        bytes[28..32].copy_from_slice(&1u32.to_le_bytes()); // record_count
+        bytes.extend_from_slice(&8u32.to_le_bytes());
+        assert_eq!(bytes.len(), 40);
+        assert_eq!(
+            Trace::from_bytes(&bytes),
+            Err(TraceError::Truncated {
+                context: "key count"
+            })
+        );
+        // The same lie in `record_count`.
+        bytes[16..20].copy_from_slice(&0u32.to_le_bytes()); // num_gpus
+        bytes[28..32].copy_from_slice(&u32::MAX.to_le_bytes());
+        bytes[36..40].copy_from_slice(&0u32.to_le_bytes());
+        assert_eq!(
+            Trace::from_bytes(&bytes),
+            Err(TraceError::Truncated {
+                context: "record payload length"
+            })
         );
     }
 

@@ -1,6 +1,8 @@
 //! Property-based tests over the core data structures and invariants.
 
 use cache_policy::{baselines, build_blocks, BlockConfig, Hotness, SolverConfig, UGacheSolver};
+use emb_workload::dlr::DlrHotness;
+use emb_workload::{dlr_preset, DlrDatasetId, DlrWorkload};
 use gpu_memsim::{simulate, DispatchMode, GpuWork, SimConfig, SourceDemand};
 use gpu_platform::{DedicationConfig, Location, Platform};
 use milp::{ConstraintSense, LinExpr, Model};
@@ -296,8 +298,29 @@ proptest! {
     }
 }
 
-/// `Hotness::dedup_adjusted` as it stood before it grouped equal weights,
-/// frozen: every bisection step sums `1 − exp(−λ·p_e)` over every entry.
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+    /// Whatever the weights and the target (`share > 1` is clamped to a
+    /// saturating one), skipping decided comparisons leaves every bit of
+    /// the frozen every-step bisection's answer.
+    #[test]
+    fn dedup_adjusted_has_the_frozen_bisections_bits(
+        h in hotness_strategy(300),
+        share in 0.0005f64..1.2,
+    ) {
+        let uniq = h.len() as f64 * share;
+        let got = h.dedup_adjusted(uniq);
+        let want = dedup_adjusted_direct_sum(&h, uniq);
+        for (a, b) in got.weights.iter().zip(&want.weights) {
+            prop_assert_eq!(a.to_bits(), b.to_bits());
+        }
+    }
+}
+
+/// `Hotness::dedup_adjusted` as it stood before it grouped equal weights
+/// or skipped a decided comparison, frozen: every bisection step sums
+/// `1 − exp(−λ·p_e)` over every entry.
 fn dedup_adjusted_direct_sum(h: &Hotness, unique_per_batch: f64) -> Hotness {
     let e = h.len();
     let total = h.total();
@@ -342,8 +365,9 @@ fn sampled_counts(n: usize, draws: usize, seed: u64) -> Hotness {
 }
 
 /// The calibration evaluates `exp` per distinct weight or per entry,
-/// whichever the input's distinct-value share says, and neither choice
-/// may show: every returned weight has the bits of the direct sum's.
+/// whichever the input's distinct-value share says, and makes a pass only
+/// for a comparison its earlier readings leave open; neither may show:
+/// every returned weight has the bits of the direct sum's.
 #[test]
 fn dedup_adjusted_has_the_bits_of_the_direct_sum_on_both_sides_of_its_switch() {
     let few_nonzero = |n: usize| {
@@ -354,6 +378,19 @@ fn dedup_adjusted_has_the_bits_of_the_direct_sum_on_both_sides_of_its_switch() {
         Hotness::new(w)
     };
     let powerlaw = |n: usize| Hotness::new(emb_util::zipf::powerlaw_hotness(n, 1.2));
+    let mostly_zero = |n: usize, nonzero: usize| {
+        let mut w = emb_util::zipf::powerlaw_hotness(n, 0.9);
+        for slot in w.iter_mut().skip(nonzero) {
+            *slot = 0.0;
+        }
+        Hotness::new(w)
+    };
+    // The benchmark's DLR shapes: `eval_sweep`'s analytic CR hotness and
+    // `dlr_refresh`'s sampled one, each under its measured uniques.
+    let mut sweep = DlrWorkload::new(dlr_preset(DlrDatasetId::Cr, 8192), 512, 8, 24_301);
+    let sweep_uniques = sweep.clone().measure_accesses_per_iter(2);
+    let mut refresh = DlrWorkload::new(dlr_preset(DlrDatasetId::Cr, 4096), 1024, 8, 24_301);
+    let refresh_uniques = refresh.clone().measure_accesses_per_iter(1);
     // (what, hotness, unique keys per batch, at least 16 entries per distinct
     // value? — `cache-policy`'s private `GROUPED_ENTRIES_PER_DISTINCT`)
     let cases = [
@@ -390,6 +427,58 @@ fn dedup_adjusted_has_the_bits_of_the_direct_sum_on_both_sides_of_its_switch() {
             powerlaw(500),
             1_000.0,
             false,
+        ),
+        // Saturating targets: the crossing sits where the sum is all but
+        // flat and the bracket takes many doublings.
+        (
+            "one entry, saturating",
+            Hotness::new(vec![2.5]),
+            0.999_999_9,
+            false,
+        ),
+        (
+            "two entries, saturating",
+            Hotness::new(vec![2.5, 0.5]),
+            2.0 * 0.999_999_9,
+            false,
+        ),
+        (
+            "17 distinct, saturating",
+            powerlaw(17),
+            17.0 * 0.999_999_9,
+            false,
+        ),
+        (
+            "17 equal, saturating",
+            Hotness::new(vec![0.25; 17]),
+            17.0 * 0.999_999_9,
+            true,
+        ),
+        (
+            "power law, saturating",
+            powerlaw(5_000),
+            5_000.0 * 0.999_999_9,
+            false,
+        ),
+        (
+            "sampled counts, saturating",
+            sampled_counts(4_001, 6_000, 8),
+            4_001.0 * 0.999_999_9,
+            true,
+        ),
+        ("mostly zero, distinct", mostly_zero(600, 60), 40.0, false),
+        ("mostly zero, grouped", mostly_zero(6_000, 120), 90.0, true),
+        (
+            "eval_sweep's CR, analytic",
+            sweep.hotness(DlrHotness::Analytic),
+            sweep_uniques,
+            false,
+        ),
+        (
+            "dlr_refresh's CR, sampled",
+            refresh.hotness(DlrHotness::Profiled { batches: 16 }),
+            refresh_uniques,
+            true,
         ),
         // Σ can never reach the target: the bracket stops at 200 doublings.
         (
