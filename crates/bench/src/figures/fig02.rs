@@ -2,7 +2,6 @@
 //! partition (vs UGache), supervised GraphSAGE on PA, Server C.
 
 use super::{header, ms};
-use cache_policy::baselines;
 use emb_scenario::{registry, PlatformId, Scenario};
 use emb_workload::{GnnDatasetId, GnnModel};
 use serde::Serialize;
@@ -27,28 +26,12 @@ pub struct Point {
     pub ugache_ms: f64,
 }
 
-/// Empirical hit split of a placement over measured batches.
+/// Empirical `(local, global)` hit rates of a placement over measured
+/// batches.
 fn hit_rates(placement: &cache_policy::Placement, keys_per_gpu: &[Vec<u32>]) -> (f64, f64) {
-    let mut local = 0u64;
-    let mut cached = 0u64;
-    let mut total = 0u64;
-    for (gpu, keys) in keys_per_gpu.iter().enumerate() {
-        for (loc, count) in placement.split_keys(gpu, keys) {
-            total += count;
-            match loc {
-                gpu_platform::Location::Gpu(j) if j == gpu => {
-                    local += count;
-                    cached += count;
-                }
-                gpu_platform::Location::Gpu(_) => cached += count,
-                gpu_platform::Location::Host => {}
-            }
-        }
-    }
-    (
-        local as f64 / total.max(1) as f64,
-        cached as f64 / total.max(1) as f64,
-    )
+    let [local, remote, host] = placement.tier_keys(keys_per_gpu);
+    let total = (local + remote + host).max(1) as f64;
+    (local as f64 / total, (local + remote) as f64 / total)
 }
 
 /// Computes the Figure 2 series (no printing).
@@ -63,42 +46,28 @@ pub fn compute(s: &Scenario) -> Vec<Point> {
     let plat = def.resolve_platform();
     let (mut w, hotness) = def.gnn(s);
     let e = hotness.len();
-    let mut probe = w.clone();
-    let accesses = probe.measure_accesses_per_iter(2);
+    let accesses = w.clone().measure_accesses_per_iter(2);
 
     let mut out = Vec::new();
     for ratio_pct in [2.0, 4.0, 8.0, 12.0, 16.0, 20.0, 25.0] {
         let cap = ((ratio_pct / 100.0) * e as f64) as usize;
         let keys: Vec<Vec<u32>> = w.next_batch();
 
-        let rep = baselines::replication(&plat, &hotness, cap);
-        let part = baselines::partition(&plat, &hotness, cap).expect("Server C is uniform");
-        let (rep_local, _) = hit_rates(&rep, &keys);
-        let (part_local, part_global) = hit_rates(&part, &keys);
-
-        let t = |kind: SystemKind| {
-            build_system(
-                kind,
-                &plat,
-                &hotness,
-                cap,
-                w.dataset().entry_bytes,
-                accesses,
-                3,
-            )
-            .unwrap()
-            .extract(&keys)
-            .makespan
-            .as_secs_f64()
+        let build = |kind: SystemKind| {
+            let entry_bytes = w.dataset().entry_bytes;
+            build_system(kind, &plat, &hotness, cap, entry_bytes, accesses, 3).unwrap()
         };
+        let (rep, part) = (build(SystemKind::RepU), build(SystemKind::PartU));
+        let (rep_local, _) = hit_rates(&rep.placement, &keys);
+        let (part_local, part_global) = hit_rates(&part.placement, &keys);
         out.push(Point {
             ratio_pct,
             rep_local,
             part_local,
             part_global,
-            rep_ms: t(SystemKind::RepU) * 1e3,
-            part_ms: t(SystemKind::PartU) * 1e3,
-            ugache_ms: t(SystemKind::UGache) * 1e3,
+            rep_ms: rep.extract_ms(&keys),
+            part_ms: part.extract_ms(&keys),
+            ugache_ms: build(SystemKind::UGache).extract_ms(&keys),
         });
     }
     out

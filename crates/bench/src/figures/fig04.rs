@@ -36,16 +36,12 @@ pub fn compute(s: &Scenario) -> Vec<Bars> {
             let (mut w, hotness) = def.dlr(s);
             let dataset = w.dataset().clone();
             let cap = dlr_cache_capacity(&plat, &dataset);
-            let mut probe = w.clone();
-            let accesses = probe.measure_accesses_per_iter(2);
+            let accesses = w.clone().measure_accesses_per_iter(2);
             let keys = w.next_batch();
             let t = |kind: SystemKind| {
                 build_system(kind, &plat, &hotness, cap, dataset.entry_bytes, accesses, 4)
                     .unwrap()
-                    .extract(&keys)
-                    .makespan
-                    .as_secs_f64()
-                    * 1e3
+                    .extract_ms(&keys)
             };
             out.push(Bars {
                 server: plat.name.clone(),

@@ -3,12 +3,8 @@
 //! supervised GraphSAGE on PA and CF, Server C.
 
 use super::header;
-use cache_policy::{SolverConfig, UGacheSolver};
 use emb_scenario::{registry, PlatformId, Scenario};
 use emb_workload::{GnnDatasetId, GnnModel};
-use extractor::{Extractor, Mechanism};
-use gpu_memsim::SimConfig;
-use gpu_platform::DedicationConfig;
 use serde::Serialize;
 use ugache::baselines::{build_system, SystemKind};
 
@@ -40,36 +36,18 @@ pub fn compute(s: &Scenario) -> Vec<Point> {
         let (mut w, hotness) = def.gnn(s);
         let e = hotness.len();
         let entry_bytes = w.dataset().entry_bytes;
-        let mut probe = w.clone();
-        let accesses = probe.measure_accesses_per_iter(2);
+        let accesses = w.clone().measure_accesses_per_iter(2);
         for ratio_pct in [2.0, 5.0, 8.0, 12.0, 18.0, 25.0] {
             let cap = ((ratio_pct / 100.0) * e as f64) as usize;
             let keys = w.next_batch();
-            let t = |kind: SystemKind| {
-                build_system(kind, &plat, &hotness, cap, entry_bytes, accesses, 5)
-                    .unwrap()
-                    .extract(&keys)
-                    .makespan
-                    .as_secs_f64()
-                    * 1e3
+            let build = |kind: SystemKind| {
+                build_system(kind, &plat, &hotness, cap, entry_bytes, accesses, 5).unwrap()
             };
+            let t = |kind: SystemKind| build(kind).extract_ms(&keys);
             // "+Policy": the UGache placement extracted with naive peer.
-            let solver = UGacheSolver::new(plat.clone(), DedicationConfig::default());
-            let mut scfg = SolverConfig::new(entry_bytes, accesses);
-            scfg.dedup_adjust = true;
-            let solved = solver
-                .solve(&hotness, &vec![cap; plat.num_gpus()], &scfg)
-                .unwrap();
-            let naive = Extractor::new(
-                plat.clone(),
-                SimConfig::default(),
-                Mechanism::PeerNaive { seed: 5 },
-            );
-            let policy_ms = naive
-                .extract(&solved.placement, &keys, entry_bytes)
-                .makespan
-                .as_secs_f64()
-                * 1e3;
+            let policy_ms = build(SystemKind::UGache)
+                .under(SystemKind::PartU, 5)
+                .extract_ms(&keys);
 
             out.push(Point {
                 dataset: ds.name().to_string(),

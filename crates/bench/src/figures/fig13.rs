@@ -8,11 +8,9 @@ use super::header;
 use cache_policy::Placement;
 use emb_scenario::{registry, PlatformId, Scenario};
 use emb_workload::{DlrDatasetId, GnnDatasetId, GnnModel};
-use extractor::{Extractor, Mechanism};
-use gpu_memsim::SimConfig;
-use gpu_platform::{DedicationConfig, Location, Platform};
+use gpu_platform::Location;
 use serde::Serialize;
-use ugache::baselines::{build_system, SystemKind};
+use ugache::baselines::{build_system, SystemInstance, SystemKind};
 
 /// One workload's utilization numbers.
 #[derive(Debug, Clone, PartialEq, Serialize)]
@@ -42,15 +40,9 @@ fn strip_local(placement: &Placement, keys_per_gpu: &[Vec<u32>]) -> Vec<Vec<u32>
         .collect()
 }
 
-fn measure(
-    plat: &Platform,
-    placement: &Placement,
-    keys: &[Vec<u32>],
-    entry_bytes: usize,
-    mech: Mechanism,
-) -> (f64, f64) {
-    let ex = Extractor::new(plat.clone(), SimConfig::default(), mech);
-    let out = ex.extract(placement, keys, entry_bytes);
+fn measure(sys: &SystemInstance, keys: &[Vec<u32>]) -> (f64, f64) {
+    let plat = sys.extractor.platform();
+    let out = sys.extract(keys);
     // Nsight-style utilization: traffic carried over the extraction
     // period, relative to the port's capacity. Congestion lowers it both
     // by slowing the transfers and by stretching the makespan.
@@ -83,7 +75,7 @@ pub fn compute(s: &Scenario) -> Vec<Util> {
     let plat = PlatformId::ServerC.resolve();
     let mut out = Vec::new();
 
-    let mut cases: Vec<(String, Placement, Vec<Vec<u32>>, usize)> = Vec::new();
+    let mut cases: Vec<(String, SystemInstance, Vec<Vec<u32>>)> = Vec::new();
     for ds in [GnnDatasetId::Cf, GnnDatasetId::Mag] {
         let def = registry()
             .gnn_def(ds, GnnModel::Gcn, PlatformId::ServerC)
@@ -91,8 +83,7 @@ pub fn compute(s: &Scenario) -> Vec<Util> {
         let (mut w, hotness) = def.gnn(s);
         let entry_bytes = w.dataset().entry_bytes;
         let cap = ugache::apps::gnn_cache_capacity(&plat, w.dataset(), SystemKind::UGache);
-        let mut probe = w.clone();
-        let accesses = probe.measure_accesses_per_iter(1);
+        let accesses = w.clone().measure_accesses_per_iter(1);
         let sys = build_system(
             SystemKind::UGache,
             &plat,
@@ -103,13 +94,7 @@ pub fn compute(s: &Scenario) -> Vec<Util> {
             6,
         )
         .unwrap();
-        let keys = w.next_batch();
-        cases.push((
-            format!("GCN/{}", ds.name()),
-            sys.placement,
-            keys,
-            entry_bytes,
-        ));
+        cases.push((format!("GCN/{}", ds.name()), sys, w.next_batch()));
     }
     for ds in [DlrDatasetId::Cr, DlrDatasetId::SynA] {
         let def = registry()
@@ -118,8 +103,7 @@ pub fn compute(s: &Scenario) -> Vec<Util> {
         let (mut w, hotness) = def.dlr(s);
         let entry_bytes = w.dataset().entry_bytes;
         let cap = ugache::apps::dlr::dlr_cache_capacity(&plat, w.dataset());
-        let mut probe = w.clone();
-        let accesses = probe.measure_accesses_per_iter(1);
+        let accesses = w.clone().measure_accesses_per_iter(1);
         let sys = build_system(
             SystemKind::UGache,
             &plat,
@@ -130,33 +114,13 @@ pub fn compute(s: &Scenario) -> Vec<Util> {
             6,
         )
         .unwrap();
-        let keys = w.next_batch();
-        cases.push((
-            format!("DLRM/{}", ds.name()),
-            sys.placement,
-            keys,
-            entry_bytes,
-        ));
+        cases.push((format!("DLRM/{}", ds.name()), sys, w.next_batch()));
     }
 
-    for (label, placement, keys, entry_bytes) in cases {
-        let remote_keys = strip_local(&placement, &keys);
-        let (p0, n0) = measure(
-            &plat,
-            &placement,
-            &remote_keys,
-            entry_bytes,
-            Mechanism::PeerNaive { seed: 6 },
-        );
-        let (p1, n1) = measure(
-            &plat,
-            &placement,
-            &remote_keys,
-            entry_bytes,
-            Mechanism::Factored {
-                dedication: DedicationConfig::default(),
-            },
-        );
+    for (label, sys, keys) in cases {
+        let remote_keys = strip_local(&sys.placement, &keys);
+        let (p0, n0) = measure(&sys.under(SystemKind::PartU, 6), &remote_keys);
+        let (p1, n1) = measure(&sys, &remote_keys);
         out.push(Util {
             workload: label,
             pcie_naive: p0,

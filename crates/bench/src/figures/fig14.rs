@@ -6,14 +6,10 @@
 //! extraction so the comparison isolates the *policy*.
 
 use super::header;
-use cache_policy::Placement;
 use emb_scenario::{registry, PlatformId, Scenario};
 use emb_workload::{GnnDatasetId, GnnModel};
-use extractor::{Extractor, Mechanism};
-use gpu_memsim::SimConfig;
-use gpu_platform::{DedicationConfig, Location};
 use serde::Serialize;
-use ugache::baselines::{build_system, SystemKind};
+use ugache::baselines::{SystemInstance, SystemKind};
 
 /// One (dataset, ratio, system) measurement.
 #[derive(Debug, Clone, PartialEq, Serialize)]
@@ -34,32 +30,9 @@ pub struct Split {
     pub extract_ms: f64,
 }
 
-fn batch_split(placement: &Placement, keys_per_gpu: &[Vec<u32>]) -> (f64, f64, f64) {
-    let (mut local, mut remote, mut host, mut total) = (0u64, 0u64, 0u64, 0u64);
-    for (gpu, keys) in keys_per_gpu.iter().enumerate() {
-        for (loc, c) in placement.split_keys(gpu, keys) {
-            total += c;
-            match loc {
-                Location::Gpu(j) if j == gpu => local += c,
-                Location::Gpu(_) => remote += c,
-                Location::Host => host += c,
-            }
-        }
-    }
-    let t = total.max(1) as f64;
-    (local as f64 / t, remote as f64 / t, host as f64 / t)
-}
-
 /// Computes the Figures 14/15 measurements (no printing).
 pub fn compute(s: &Scenario) -> Vec<Split> {
     let plat = PlatformId::ServerC.resolve();
-    let fem = Extractor::new(
-        plat.clone(),
-        SimConfig::default(),
-        Mechanism::Factored {
-            dedication: DedicationConfig::default(),
-        },
-    );
     let mut out = Vec::new();
     for ds in [GnnDatasetId::Pa, GnnDatasetId::Cf] {
         let def = registry()
@@ -68,28 +41,26 @@ pub fn compute(s: &Scenario) -> Vec<Split> {
         let (mut w, hotness) = def.gnn(s);
         let e = hotness.len();
         let entry_bytes = w.dataset().entry_bytes;
-        let mut probe = w.clone();
-        let accesses = probe.measure_accesses_per_iter(2);
+        let accesses = w.clone().measure_accesses_per_iter(2);
         for ratio_pct in [2.0, 4.0, 6.0, 8.0, 10.0, 12.0] {
             let cap = ((ratio_pct / 100.0) * e as f64) as usize;
             let keys = w.next_batch();
             for kind in [SystemKind::PartU, SystemKind::UGache, SystemKind::RepU] {
-                let sys =
-                    build_system(kind, &plat, &hotness, cap, entry_bytes, accesses, 7).unwrap();
-                let (local, remote, host) = batch_split(&sys.placement, &keys);
-                let extract_ms = fem
-                    .extract(&sys.placement, &keys, entry_bytes)
-                    .makespan
-                    .as_secs_f64()
-                    * 1e3;
+                // `kind`'s policy, UGache's mechanism.
+                let placement = kind
+                    .place(&plat, &hotness, cap, entry_bytes, accesses)
+                    .unwrap();
+                let sys = SystemInstance::new(SystemKind::UGache, &plat, placement, entry_bytes, 7);
+                let [local, remote, host] = sys.placement.tier_keys(&keys);
+                let total = (local + remote + host).max(1) as f64;
                 out.push(Split {
                     dataset: ds.name().to_string(),
                     ratio_pct,
                     system: kind.name().to_string(),
-                    local,
-                    remote,
-                    host,
-                    extract_ms,
+                    local: local as f64 / total,
+                    remote: remote as f64 / total,
+                    host: host as f64 / total,
+                    extract_ms: sys.extract_ms(&keys),
                 });
             }
         }

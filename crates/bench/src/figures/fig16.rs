@@ -10,10 +10,9 @@ use super::header;
 use cache_policy::{BlockConfig, SolverConfig, UGacheSolver};
 use emb_scenario::{registry, PlatformId, Scenario};
 use emb_workload::{DlrDatasetId, GnnDatasetId, GnnModel};
-use extractor::{Extractor, Mechanism};
-use gpu_memsim::SimConfig;
 use gpu_platform::{DedicationConfig, Platform};
 use serde::Serialize;
+use ugache::baselines::{SystemInstance, SystemKind};
 
 /// One comparison row.
 #[derive(Debug, Clone, PartialEq, Serialize)]
@@ -42,13 +41,6 @@ fn compare(
     keys: &[Vec<u32>],
 ) -> (f64, f64) {
     let solver = UGacheSolver::new(plat.clone(), DedicationConfig::default());
-    let fem = Extractor::new(
-        plat.clone(),
-        SimConfig::default(),
-        Mechanism::Factored {
-            dedication: DedicationConfig::default(),
-        },
-    );
     let caps = vec![cap; plat.num_gpus()];
     let solve = |blocks: BlockConfig| {
         let cfg = SolverConfig {
@@ -58,10 +50,7 @@ fn compare(
             dedup_adjust: true,
         };
         let sp = solver.solve(hotness, &caps, &cfg).expect("solver");
-        fem.extract(&sp.placement, keys, entry_bytes)
-            .makespan
-            .as_secs_f64()
-            * 1e3
+        SystemInstance::new(SystemKind::UGache, plat, sp.placement, entry_bytes, 0).extract_ms(keys)
     };
     // Default (coarse) vs fine-grained batching.
     let coarse = solve(BlockConfig {
@@ -89,8 +78,7 @@ pub fn compute(s: &Scenario) -> Vec<Gap> {
         let (mut w, hotness) = def.dlr(s);
         let entry_bytes = w.dataset().entry_bytes;
         let cap = ugache::apps::dlr::dlr_cache_capacity(&plat_a, w.dataset());
-        let mut probe = w.clone();
-        let accesses = probe.measure_accesses_per_iter(1);
+        let accesses = w.clone().measure_accesses_per_iter(1);
         let keys = w.next_batch();
         let (u, o) = compare(&plat_a, &hotness, cap, entry_bytes, accesses, &keys);
         out.push(Gap {
@@ -111,8 +99,7 @@ pub fn compute(s: &Scenario) -> Vec<Gap> {
         let (mut w, hotness) = def.dlr(&small);
         let entry_bytes = w.dataset().entry_bytes;
         let cap = ugache::apps::dlr::dlr_cache_capacity(&plat_b, w.dataset());
-        let mut probe = w.clone();
-        let accesses = probe.measure_accesses_per_iter(1);
+        let accesses = w.clone().measure_accesses_per_iter(1);
         let keys = w.next_batch();
         let (u, o) = compare(&plat_b, &hotness, cap, entry_bytes, accesses, &keys);
         out.push(Gap {
@@ -137,10 +124,8 @@ pub fn compute(s: &Scenario) -> Vec<Gap> {
                 .expect("fig16's Server C scenarios are registered");
             let (mut w, hotness) = def.gnn(s);
             let entry_bytes = w.dataset().entry_bytes;
-            let cap =
-                ugache::apps::gnn_cache_capacity(&plat_c, w.dataset(), ugache::SystemKind::UGache);
-            let mut probe = w.clone();
-            let accesses = probe.measure_accesses_per_iter(1);
+            let cap = ugache::apps::gnn_cache_capacity(&plat_c, w.dataset(), SystemKind::UGache);
+            let accesses = w.clone().measure_accesses_per_iter(1);
             let keys = w.next_batch();
             let (u, o) = compare(&plat_c, &hotness, cap, entry_bytes, accesses, &keys);
             out.push(Gap {

@@ -64,8 +64,7 @@ pub fn compute(s: &Scenario) -> Fig17Data {
     let entry_bytes = dataset.entry_bytes;
     let cap = dlr_cache_capacity(&plat, &dataset);
 
-    let mut probe = w.clone();
-    let accesses = probe.measure_accesses_per_iter(1);
+    let accesses = w.clone().measure_accesses_per_iter(1);
     let mut cfg = UGacheConfig::new(entry_bytes, accesses);
     cfg.sample_stride = 4;
     cfg.refresh.solve_secs = 10.0;

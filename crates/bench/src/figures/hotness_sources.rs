@@ -49,8 +49,7 @@ pub fn compute(s: &Scenario) -> Vec<SourceRow> {
     sources.push(("vertex degree".into(), w.degree_hotness()));
     sources.push(("oracle (8 iters)".into(), oracle.clone()));
 
-    let mut probe = w.clone();
-    let accesses = probe.measure_accesses_per_iter(2);
+    let accesses = w.clone().measure_accesses_per_iter(2);
     let mut eval_w = w.clone();
     // A common evaluation batch, unseen by any profile.
     for _ in 0..10 {
@@ -70,7 +69,7 @@ pub fn compute(s: &Scenario) -> Vec<SourceRow> {
             8,
         )
         .expect("ugache builds");
-        let extract_ms = sys.extract(&keys).makespan.as_secs_f64() * 1e3;
+        let extract_ms = sys.extract_ms(&keys);
         let top: std::collections::HashSet<u32> =
             hotness.ranking().into_iter().take(1000).collect();
         let overlap = top.intersection(&top_oracle).count() as f64 / 1000.0;

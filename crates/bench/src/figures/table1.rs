@@ -8,11 +8,9 @@ use cache_policy::baselines;
 use emb_scenario::{registry, PlatformId, Scenario};
 use emb_util::fmt;
 use emb_workload::{GnnDatasetId, GnnModel};
-use extractor::{Extractor, Mechanism};
-use gpu_memsim::SimConfig;
-use gpu_platform::DedicationConfig;
 use serde::Serialize;
 use ugache::apps::MlpCostModel;
+use ugache::baselines::{SystemInstance, SystemKind};
 
 /// The breakdown the table reports.
 #[derive(Debug, Clone, PartialEq, Serialize)]
@@ -48,38 +46,27 @@ pub fn compute(s: &Scenario) -> Breakdown {
 
     // Cache capacity: the paper's single-GPU cache (GNNLab-style
     // replication) under the scaled memory budget.
-    let cap = ugache::apps::gnn_cache_capacity(&platform, &dataset, ugache::SystemKind::GnnLab);
+    let cap = ugache::apps::gnn_cache_capacity(&platform, &dataset, SystemKind::GnnLab);
     let cap = cap.min(dataset.num_entries());
-    let cached = baselines::replication(&platform, &hotness, cap);
-    let uncached = baselines::cpu_only(&platform, dataset.num_entries());
-
-    let fem = Extractor::new(
-        platform.clone(),
-        SimConfig::default(),
-        Mechanism::Factored {
-            dedication: DedicationConfig::default(),
-        },
-    );
+    // Both placements are read through UGache's mechanism.
+    let fem =
+        |placement| SystemInstance::new(SystemKind::UGache, &platform, placement, entry_bytes, 0);
+    let cached = fem(baselines::replication(&platform, &hotness, cap));
+    let uncached = fem(baselines::cpu_only(&platform, dataset.num_entries()));
 
     let mut emt = 0.0;
     let mut emt_cached = 0.0;
-    let mut gmem_bytes = 0.0;
-    let mut total_bytes = 0.0;
+    let mut gmem_keys = 0u64;
+    let mut total_keys = 0u64;
     let mut keys_mean = 0.0;
     for _ in 0..s.iters {
         let keys = w.next_batch();
         keys_mean += keys[0].len() as f64 / s.iters as f64;
-        emt += fem
-            .extract(&uncached, &keys, entry_bytes)
-            .makespan
-            .as_secs_f64();
-        let out = fem.extract(&cached, &keys, entry_bytes);
-        emt_cached += out.makespan.as_secs_f64();
-        let g0 = &out.per_gpu[0];
-        let host = g0.bytes_from(gpu_platform::Location::Host);
-        let all: f64 = g0.per_src.iter().map(|u| u.bytes).sum();
-        gmem_bytes += all - host;
-        total_bytes += all;
+        emt += uncached.extract(&keys).makespan.as_secs_f64();
+        emt_cached += cached.extract(&keys).makespan.as_secs_f64();
+        let [local, remote, host] = cached.placement.tier_keys(&keys);
+        gmem_keys += local + remote;
+        total_keys += local + remote + host;
     }
     let n = s.iters as f64;
     let mlp = MlpCostModel::default().gnn_train_secs(
@@ -95,8 +82,8 @@ pub fn compute(s: &Scenario) -> Breakdown {
         emt_cached_ms: emt_cached / n * 1e3,
         volume_e,
         cached_bytes: cap as u64 * entry_bytes as u64,
-        gmem_ratio: if total_bytes > 0.0 {
-            gmem_bytes / total_bytes
+        gmem_ratio: if total_keys > 0 {
+            gmem_keys as f64 / total_keys as f64
         } else {
             0.0
         },

@@ -11,7 +11,6 @@
 
 use crate::figures::serve;
 use cache_policy::Hotness;
-use emb_cache::GatherStats;
 use emb_scenario::{PlatformId, PolicyId, Scenario, ScenarioDef, WorkloadSpec};
 use emb_serve::{draw_request_keys, ClientPopulation};
 use emb_workload::Trace;
@@ -229,33 +228,21 @@ pub fn replay_trace(
         trace.seed,
     )?;
 
-    let host_idx = g as u8;
     let mut iterations = Vec::with_capacity(shards_per_record.len());
-    let mut totals = GatherStats::default();
+    let mut totals = [0u64; 3];
     for shards in &shards_per_record {
-        let out = sys.extract(shards);
-        let mut stats = GatherStats::default();
-        for (dst, keys) in shards.iter().enumerate() {
-            for &k in keys {
-                let src = sys.placement.access[dst][k as usize];
-                if src == dst as u8 {
-                    stats.local += 1;
-                } else if src == host_idx {
-                    stats.host += 1;
-                } else {
-                    stats.remote += 1;
-                }
-            }
-        }
-        totals.merge(&stats);
+        let makespan_ns = sys.extract(shards).makespan.as_nanos();
+        let [local, remote, host] = sys.placement.tier_keys(shards);
+        totals = [totals[0] + local, totals[1] + remote, totals[2] + host];
         iterations.push(IterationStats {
-            local: stats.local,
-            remote: stats.remote,
-            host: stats.host,
-            makespan_ns: out.makespan.as_nanos(),
+            local,
+            remote,
+            host,
+            makespan_ns,
         });
     }
 
+    let [local, remote, host] = totals;
     Ok(ReplayReport {
         schema_version: REPLAY_SCHEMA_VERSION,
         kind: "ugache-replay".to_string(),
@@ -270,9 +257,9 @@ pub fn replay_trace(
         accesses_per_iter,
         iterations,
         totals: TierTotals {
-            local: totals.local,
-            remote: totals.remote,
-            host: totals.host,
+            local,
+            remote,
+            host,
         },
     })
 }

@@ -39,6 +39,19 @@ pub struct ExtractOutcome {
     pub per_gpu: Vec<GpuExtraction>,
 }
 
+impl ExtractOutcome {
+    /// The same extraction with every time (the makespan and each GPU's)
+    /// multiplied by `factor`: per-lookup bookkeeping overhead, or the
+    /// foreground slowdown of a background refresh.
+    pub fn scaled(mut self, factor: f64) -> Self {
+        self.makespan = self.makespan.mul_f64(factor);
+        for g in &mut self.per_gpu {
+            g.time = g.time.mul_f64(factor);
+        }
+        self
+    }
+}
+
 /// Extraction front-end bound to a platform and simulator config.
 #[derive(Debug, Clone)]
 pub struct Extractor {

@@ -405,6 +405,24 @@ impl Placement {
         out
     }
 
+    /// Counts a whole iteration's keys (one batch per destination GPU) by
+    /// tier: `[local, remote, host]` — read from the destination's own
+    /// cache, from a peer GPU's, from host memory.
+    pub fn tier_keys(&self, keys_per_gpu: &[Vec<u32>]) -> [u64; 3] {
+        let mut tiers = [0u64; 3];
+        for (gpu, keys) in keys_per_gpu.iter().enumerate() {
+            for (loc, count) in self.split_keys(gpu, keys) {
+                let tier = match loc {
+                    Location::Gpu(j) if j == gpu => 0,
+                    Location::Gpu(_) => 1,
+                    Location::Host => 2,
+                };
+                tiers[tier] += count;
+            }
+        }
+        tiers
+    }
+
     /// Hotness-weighted access split for one GPU:
     /// `(local, remote, host)` fractions — the series of Figure 14.
     pub fn access_split(&self, gpu: usize, hotness: &Hotness) -> (f64, f64, f64) {

@@ -42,12 +42,9 @@ pub fn run_dlr_iterations(
     batch_size: usize,
     iters: usize,
 ) -> Result<DlrIterationReport, String> {
-    let g = platform.num_gpus();
     let dataset = workload.dataset().clone();
     let cap = dlr_cache_capacity(platform, &dataset);
-
-    let mut probe = workload.clone();
-    let accesses = probe.measure_accesses_per_iter(2);
+    let accesses = workload.clone().measure_accesses_per_iter(2);
     let system = build_system(
         kind,
         platform,
@@ -60,23 +57,14 @@ pub fn run_dlr_iterations(
 
     let mlp = MlpCostModel::default();
     let mlp_secs = mlp.dlr_infer_secs(&platform.gpus[0], batch_size, model);
-
-    let mut extract_sum = 0.0;
-    let mut keys_sum = 0.0;
-    let n = iters.max(1);
-    for _ in 0..n {
-        let keys = workload.next_batch();
-        keys_sum += keys.iter().map(|k| k.len()).sum::<usize>() as f64 / g as f64;
-        extract_sum += system.extract(&keys).makespan.as_secs_f64();
-    }
-    let extract_secs = extract_sum / n as f64;
+    let (extract_secs, keys_per_iter) = system.mean_extract(workload, iters);
 
     Ok(DlrIterationReport {
         system: kind.name().to_string(),
         extract_secs,
         mlp_secs,
         iteration_secs: extract_secs + mlp_secs,
-        keys_per_iter: keys_sum / n as f64,
+        keys_per_iter,
     })
 }
 

@@ -108,21 +108,10 @@ pub fn run_gnn_epoch(
     let entry_bytes = dataset.entry_bytes;
 
     // Measure a few iterations' key volume first to scale the solver.
-    let mut probe = workload.clone();
-    let accesses = probe.measure_accesses_per_iter(2);
+    let accesses = workload.clone().measure_accesses_per_iter(2);
 
     let system = build_system(kind, platform, hotness, cap, entry_bytes, accesses, 0xE9)?;
-
-    let mut extract_sum = 0.0f64;
-    let mut keys_sum = 0.0f64;
-    for _ in 0..cfg.measure_iters.max(1) {
-        let keys = workload.next_batch();
-        keys_sum += keys.iter().map(|k| k.len()).sum::<usize>() as f64 / g as f64;
-        extract_sum += system.extract(&keys).makespan.as_secs_f64();
-    }
-    let iters_meas = cfg.measure_iters.max(1) as f64;
-    let extract_per_iter = extract_sum / iters_meas;
-    let keys_per_iter = keys_sum / iters_meas;
+    let (extract_per_iter, keys_per_iter) = system.mean_extract(workload, cfg.measure_iters);
 
     let visits = expected_visits(workload, cfg.batch_size);
     let sample_per_iter = cfg.sampling.sample_secs(visits);

@@ -1,7 +1,10 @@
 //! Baseline system emulations (paper §8.1).
 //!
 //! Each baseline is reconstructed from the same substrate as UGache so
-//! that comparisons isolate *policy* and *mechanism*:
+//! that comparisons isolate *policy* and *mechanism*. A system is a row
+//! of this table, and the table is the API: [`SystemKind::place`] is the
+//! policy column, [`SystemKind::mechanism`] the mechanism and extra-cost
+//! columns.
 //!
 //! | system      | policy                    | mechanism      | extra cost |
 //! |-------------|---------------------------|----------------|------------|
@@ -13,8 +16,19 @@
 //! | HPS         | replication               | naive peer     | LRU online-eviction overhead |
 //! | SOK         | partition (+CPU fallback) | message-based  | — |
 //! | UGache      | solver (§6)               | factored (§5)  | — |
+//!
+//! Three ways to get a cell:
+//!
+//! * a row as it stands — [`build_system`];
+//! * any placement under a row's mechanism — [`SystemInstance::new`]
+//!   (Fig. 15's three policies read through UGache's mechanism, Fig. 16's
+//!   hand-solved placements);
+//! * a built system's placement under another row's mechanism —
+//!   [`SystemInstance::under`] (Fig. 12's "+Policy" is
+//!   `ugache.under(SystemKind::PartU, seed)`).
 
 use cache_policy::{baselines as policies, Hotness, Placement, SolverConfig, UGacheSolver};
+use emb_workload::BatchSource;
 use extractor::{ExtractOutcome, Extractor, Mechanism};
 use gpu_memsim::SimConfig;
 use gpu_platform::{DedicationConfig, Platform};
@@ -59,14 +73,86 @@ impl SystemKind {
             SystemKind::Sok => "SOK",
         }
     }
+
+    /// The policy column: the entry-level placement this system computes
+    /// for `cap_entries` cache slots per GPU. `entry_bytes` and
+    /// `accesses_per_iter` size UGache's time model; the other policies
+    /// ignore them.
+    ///
+    /// # Errors
+    ///
+    /// [`SystemKind::WholeGraph`] fails exactly where the real system fails
+    /// to launch: unconnected GPU pairs, or total GPU memory below the full
+    /// embedding volume. [`SystemKind::UGache`] propagates solver errors.
+    pub fn place(
+        self,
+        platform: &Platform,
+        hotness: &Hotness,
+        cap_entries: usize,
+        entry_bytes: usize,
+        accesses_per_iter: f64,
+    ) -> Result<Placement, String> {
+        let g = platform.num_gpus();
+        match self {
+            SystemKind::UGache => {
+                let solver = UGacheSolver::new(platform.clone(), DedicationConfig::default());
+                let mut cfg = SolverConfig::new(entry_bytes, accesses_per_iter);
+                cfg.dedup_adjust = true;
+                let solved = solver.solve(hotness, &vec![cap_entries; g], &cfg)?;
+                Ok(solved.placement)
+            }
+            SystemKind::GnnLab | SystemKind::RepU | SystemKind::Hps => {
+                Ok(policies::replication(platform, hotness, cap_entries))
+            }
+            SystemKind::WholeGraph => {
+                let e = hotness.len();
+                if g * cap_entries < e {
+                    return Err(format!(
+                        "WholeGraph cannot launch: total GPU cache ({}) below embedding count ({e})",
+                        g * cap_entries
+                    ));
+                }
+                policies::partition(platform, hotness, cap_entries)
+                    .map_err(|err| format!("WholeGraph cannot launch: {err}"))
+            }
+            SystemKind::PartU | SystemKind::Sok => {
+                Ok(policies::partition(platform, hotness, cap_entries)
+                    .unwrap_or_else(|_| policies::clique_partition(platform, hotness, cap_entries)))
+            }
+            SystemKind::Quiver => Ok(policies::clique_partition(platform, hotness, cap_entries)),
+        }
+    }
+
+    /// The mechanism and extra-cost columns: how this system reads a
+    /// placement (`seed` shuffles naive peer dispatch; the other
+    /// mechanisms ignore it) and the multiplier its per-lookup
+    /// bookkeeping puts on every extraction time.
+    pub fn mechanism(self, seed: u64) -> (Mechanism, f64) {
+        let naive = Mechanism::PeerNaive { seed };
+        match self {
+            SystemKind::UGache => {
+                let dedication = DedicationConfig::default();
+                (Mechanism::Factored { dedication }, 1.0)
+            }
+            SystemKind::Sok => (Mechanism::MessageBased, 1.0),
+            SystemKind::Hps => (naive, 1.0 + HPS_LRU_OVERHEAD),
+            SystemKind::GnnLab
+            | SystemKind::WholeGraph
+            | SystemKind::PartU
+            | SystemKind::RepU
+            | SystemKind::Quiver => (naive, 1.0),
+        }
+    }
 }
 
 /// A ready-to-measure system: placement + extraction mechanism.
 #[derive(Debug, Clone)]
 pub struct SystemInstance {
-    /// Which system this is.
+    /// Which system's mechanism this is (and, unless built by
+    /// [`SystemInstance::new`] / [`SystemInstance::under`] from someone
+    /// else's placement, whose policy).
     pub kind: SystemKind,
-    /// The entry-level placement its policy produced.
+    /// The entry-level placement being read.
     pub placement: Placement,
     /// The extraction front-end its mechanism uses.
     pub extractor: Extractor,
@@ -77,29 +163,77 @@ pub struct SystemInstance {
 }
 
 impl SystemInstance {
+    /// Reads `placement` through `kind`'s mechanism (with its overhead)
+    /// on `platform`, whichever policy produced the placement.
+    pub fn new(
+        kind: SystemKind,
+        platform: &Platform,
+        placement: Placement,
+        entry_bytes: usize,
+        seed: u64,
+    ) -> Self {
+        let (mechanism, overhead_factor) = kind.mechanism(seed);
+        SystemInstance {
+            kind,
+            placement,
+            extractor: Extractor::new(platform.clone(), SimConfig::default(), mechanism),
+            overhead_factor,
+            entry_bytes,
+        }
+    }
+
+    /// This system's placement re-read through `kind`'s mechanism: the
+    /// off-diagonal cells of the module table.
+    pub fn under(&self, kind: SystemKind, seed: u64) -> SystemInstance {
+        SystemInstance::new(
+            kind,
+            self.extractor.platform(),
+            self.placement.clone(),
+            self.entry_bytes,
+            seed,
+        )
+    }
+
     /// Extracts one iteration's key batches, applying the system's
     /// bookkeeping overhead.
     pub fn extract(&self, keys_per_gpu: &[Vec<u32>]) -> ExtractOutcome {
-        let mut out = self
+        let out = self
             .extractor
             .extract(&self.placement, keys_per_gpu, self.entry_bytes);
         if self.overhead_factor > 1.0 {
-            out.makespan = out.makespan.mul_f64(self.overhead_factor);
-            for g in out.per_gpu.iter_mut() {
-                g.time = g.time.mul_f64(self.overhead_factor);
-            }
+            out.scaled(self.overhead_factor)
+        } else {
+            out
         }
-        out
+    }
+
+    /// [`SystemInstance::extract`]'s makespan in milliseconds — the number
+    /// most figures plot.
+    pub fn extract_ms(&self, keys_per_gpu: &[Vec<u32>]) -> f64 {
+        self.extract(keys_per_gpu).makespan.as_secs_f64() * 1e3
+    }
+
+    /// Draws `iters` (at least one) batches from `source` and extracts
+    /// each: `(mean extraction seconds, mean keys per GPU)` per iteration.
+    pub fn mean_extract(&self, source: &mut impl BatchSource, iters: usize) -> (f64, f64) {
+        let n = iters.max(1);
+        let g = self.placement.num_gpus as f64;
+        let (mut secs, mut keys) = (0.0, 0.0);
+        for _ in 0..n {
+            let batch = source.next_batch();
+            keys += batch.iter().map(Vec::len).sum::<usize>() as f64 / g;
+            secs += self.extract(&batch).makespan.as_secs_f64();
+        }
+        (secs / n as f64, keys / n as f64)
     }
 }
 
-/// Builds a baseline (or UGache itself) on a platform.
+/// Builds a baseline (or UGache itself) on a platform: `kind`'s placement
+/// read through `kind`'s mechanism.
 ///
 /// # Errors
 ///
-/// [`SystemKind::WholeGraph`] fails exactly where the real system fails
-/// to launch: unconnected GPU pairs, or total GPU memory below the full
-/// embedding volume. [`SystemKind::UGache`] propagates solver errors.
+/// Those of [`SystemKind::place`].
 pub fn build_system(
     kind: SystemKind,
     platform: &Platform,
@@ -109,76 +243,20 @@ pub fn build_system(
     accesses_per_iter: f64,
     seed: u64,
 ) -> Result<SystemInstance, String> {
-    let g = platform.num_gpus();
-    let e = hotness.len();
-    let naive = Mechanism::PeerNaive { seed };
-    let fem = Mechanism::Factored {
-        dedication: DedicationConfig::default(),
-    };
-    let sim = SimConfig::default();
-
-    let (placement, mechanism, overhead) = match kind {
-        SystemKind::UGache => {
-            let solver = UGacheSolver::new(platform.clone(), DedicationConfig::default());
-            let mut cfg = SolverConfig::new(entry_bytes, accesses_per_iter);
-            cfg.dedup_adjust = true;
-            let solved = solver.solve(hotness, &vec![cap_entries; g], &cfg)?;
-            (solved.placement, fem, 1.0)
-        }
-        SystemKind::GnnLab => (
-            policies::replication(platform, hotness, cap_entries),
-            naive,
-            1.0,
-        ),
-        SystemKind::WholeGraph => {
-            if g * cap_entries < e {
-                return Err(format!(
-                    "WholeGraph cannot launch: total GPU cache ({}) below embedding count ({e})",
-                    g * cap_entries
-                ));
-            }
-            let p = policies::partition(platform, hotness, cap_entries)
-                .map_err(|err| format!("WholeGraph cannot launch: {err}"))?;
-            (p, naive, 1.0)
-        }
-        SystemKind::PartU => {
-            let p = match policies::partition(platform, hotness, cap_entries) {
-                Ok(p) => p,
-                Err(_) => policies::clique_partition(platform, hotness, cap_entries),
-            };
-            (p, naive, 1.0)
-        }
-        SystemKind::RepU => (
-            policies::replication(platform, hotness, cap_entries),
-            naive,
-            1.0,
-        ),
-        SystemKind::Quiver => (
-            policies::clique_partition(platform, hotness, cap_entries),
-            naive,
-            1.0,
-        ),
-        SystemKind::Hps => (
-            policies::replication(platform, hotness, cap_entries),
-            naive,
-            1.0 + HPS_LRU_OVERHEAD,
-        ),
-        SystemKind::Sok => {
-            let p = match policies::partition(platform, hotness, cap_entries) {
-                Ok(p) => p,
-                Err(_) => policies::clique_partition(platform, hotness, cap_entries),
-            };
-            (p, Mechanism::MessageBased, 1.0)
-        }
-    };
-
-    Ok(SystemInstance {
-        kind,
-        placement,
-        extractor: Extractor::new(platform.clone(), sim, mechanism),
-        overhead_factor: overhead,
+    let placement = kind.place(
+        platform,
+        hotness,
+        cap_entries,
         entry_bytes,
-    })
+        accesses_per_iter,
+    )?;
+    Ok(SystemInstance::new(
+        kind,
+        platform,
+        placement,
+        entry_bytes,
+        seed,
+    ))
 }
 
 #[cfg(test)]

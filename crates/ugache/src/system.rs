@@ -162,10 +162,7 @@ impl UGache {
         let slowdown = self.refresher.slowdown();
         if slowdown > 1.0 {
             let unadjusted = outcome.makespan;
-            outcome.makespan = outcome.makespan.mul_f64(slowdown);
-            for g in outcome.per_gpu.iter_mut() {
-                g.time = g.time.mul_f64(slowdown);
-            }
+            outcome = outcome.scaled(slowdown);
             // The extractor advanced the scope clock by the raw makespan;
             // push it past the refresh-induced slowdown too so the
             // iteration span covers the adjusted window.

@@ -29,31 +29,12 @@ fn tiny_knobs() -> Scenario {
     }
 }
 
-/// Unique-key (local, remote, host) hit counters for one batch, read
-/// off the placement's access table like the replay driver does.
-fn tier_counts(sys: &SystemInstance, shards: &[Vec<u32>]) -> (u64, u64, u64) {
-    let host_idx = shards.len() as u8;
-    let (mut local, mut remote, mut host) = (0u64, 0u64, 0u64);
-    for (dst, keys) in shards.iter().enumerate() {
-        for &k in keys {
-            let src = sys.placement.access[dst][k as usize];
-            if src == dst as u8 {
-                local += 1;
-            } else if src == host_idx {
-                host += 1;
-            } else {
-                remote += 1;
-            }
-        }
-    }
-    (local, remote, host)
-}
-
 /// Everything one training-style run (live or replayed) produces.
 #[derive(Debug, PartialEq)]
 struct RunResult {
     outcomes: Vec<ExtractOutcome>,
-    counters: Vec<(u64, u64, u64)>,
+    /// `[local, remote, host]` unique-key counts per batch.
+    counters: Vec<[u64; 3]>,
     report: Report,
 }
 
@@ -97,7 +78,7 @@ fn drive(def: &ScenarioDef, knobs: &Scenario, batches: &[Vec<Vec<u32>>]) -> RunR
         let mut counters = Vec::new();
         for shards in batches {
             outcomes.push(sys.extract(shards));
-            counters.push(tier_counts(&sys, shards));
+            counters.push(sys.placement.tier_keys(shards));
         }
         (outcomes, counters)
     });
@@ -143,7 +124,7 @@ fn assert_training_replay_matches_live(name: &str, knobs: &Scenario) -> Vec<u8> 
     let replayed = drive(def, knobs, &decoded.records);
     assert_eq!(live, replayed, "{name}: replay diverged from live");
     assert!(
-        live.counters.iter().any(|&(l, r, h)| l + r + h > 0),
+        live.counters.iter().any(|&[l, r, h]| l + r + h > 0),
         "{name}: the run touched keys"
     );
     bytes
