@@ -118,7 +118,7 @@ fn execute(cmd: Command) -> Result<(), Failure> {
             let decoded = emb_workload::Trace::from_bytes(&bytes)
                 .map_err(fail(UNUSABLE_INPUT, trace.display()))?;
             let report = replay::replay_trace(&decoded, policy, platform)
-                .map_err(fail(USAGE_OR_IO, "replay failed"))?;
+                .map_err(fail(UNUSABLE_INPUT, "cannot replay"))?;
             println!(
                 "replayed {}: {}, {} records on {} under {}",
                 trace.display(),

@@ -25,6 +25,15 @@ pub const REPLAY_SCHEMA_VERSION: u32 = 1;
 /// traces).
 pub const REPLAY_ENTRY_BYTES: usize = 128;
 
+/// The largest key domain a replay lays its dense tables over. A replay
+/// holds, per key, a `u64` count and an `f64` hotness weight (16 B) and,
+/// per key per GPU, an access byte and a stored flag (2 B): 32 B a key on
+/// an eight-GPU platform, so 2^22 keys are 128 MiB — ten times the
+/// largest domain the registry records (`dlr/cr` at `--full`, 430 664
+/// keys). A 37-byte header can claim 2^32 keys, which would be 128 GiB;
+/// nothing else in the file could justify that.
+pub const MAX_REPLAY_KEYS: u64 = 1 << 22;
+
 /// Per-iteration unique-key hit counters plus the extraction makespan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct IterationStats {
@@ -177,14 +186,21 @@ fn normalize(record: &[Vec<u32>], g: usize) -> Vec<Vec<u32>> {
 ///
 /// # Errors
 ///
-/// Returns a message when no platform matches the trace's GPU count and
-/// none was given, or when the system cannot be built on the chosen
+/// Returns a message when the trace's key domain is above
+/// [`MAX_REPLAY_KEYS`], when no platform matches the trace's GPU count
+/// and none was given, or when the system cannot be built on the chosen
 /// platform (e.g. WholeGraph's launch constraints).
 pub fn replay_trace(
     trace: &Trace,
     policy: PolicyId,
     platform: Option<PlatformId>,
 ) -> Result<ReplayReport, String> {
+    if trace.num_keys > MAX_REPLAY_KEYS {
+        return Err(format!(
+            "key domain {} is above the {MAX_REPLAY_KEYS} keys a replay lays dense tables over",
+            trace.num_keys
+        ));
+    }
     let platform_id = platform
         .or_else(|| default_platform(trace.num_gpus))
         .ok_or_else(|| {
@@ -323,6 +339,47 @@ mod tests {
         let quad = replay_trace(&t, PolicyId::Hps, Some(PlatformId::ServerA)).unwrap();
         assert_eq!(quad.platform, "server_a");
         assert!(quad.totals.local + quad.totals.remote + quad.totals.host > 0);
+    }
+
+    /// The 37-byte file of the bug report: a header claiming `num_keys`
+    /// on 4 GPUs, no records, a one-byte name.
+    fn header_only(num_keys: u64) -> Vec<u8> {
+        let bytes = Trace {
+            seed: 7,
+            num_gpus: 4,
+            num_keys,
+            scenario: "x".to_string(),
+            records: Vec::new(),
+        }
+        .to_bytes();
+        assert_eq!(bytes.len(), 37);
+        bytes
+    }
+
+    #[test]
+    fn a_header_alone_cannot_size_the_replay_tables() {
+        // Above what `u32` keys address: not a trace. (`repro replay`
+        // used to abort on the first, 8 TiB of counts, and panic
+        // "capacity overflow" on the second.)
+        for num_keys in [1 << 40, u64::MAX, (1 << 32) + 1] {
+            assert_eq!(
+                Trace::from_bytes(&header_only(num_keys)),
+                Err(emb_workload::TraceError::DomainTooLarge { num_keys })
+            );
+        }
+        // Addressable, so it decodes — and the replay declines to lay
+        // tables over it, under every policy.
+        for num_keys in [MAX_REPLAY_KEYS + 1, 1 << 31, 1 << 32] {
+            let trace = Trace::from_bytes(&header_only(num_keys)).expect("decodes");
+            for policy in [PolicyId::UGache, PolicyId::Hps, PolicyId::WholeGraph] {
+                let err = replay_trace(&trace, policy, None).unwrap_err();
+                assert!(err.contains("key domain"), "{err}");
+            }
+        }
+        // A domain the registry could have recorded replays, records or not.
+        let trace = Trace::from_bytes(&header_only(430_664)).expect("decodes");
+        let report = replay_trace(&trace, PolicyId::Hps, None).expect("replays");
+        assert_eq!((report.records, report.num_keys), (0, 430_664));
     }
 
     #[test]

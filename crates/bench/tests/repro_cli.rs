@@ -729,6 +729,25 @@ fn record_and_replay_cli_round_trip_end_to_end() {
         .expect("repro runs");
     assert_eq!(out.status.code(), Some(3));
 
+    // So is a header that claims a key domain nothing could back (2^40
+    // is past `u32` keys, 2^31 past what a replay lays tables over):
+    // exit 3 with a message, where `replay` used to abort.
+    for (num_keys, message) in [(1u64 << 40, "32-bit keys"), (1 << 31, "dense tables")] {
+        let mut header = b"UGTR\x01\0\0\0\x07\0\0\0\0\0\0\0\x04\0\0\0".to_vec();
+        header.extend_from_slice(&num_keys.to_le_bytes());
+        header.extend_from_slice(b"\0\0\0\0\x01\0\0\0x");
+        assert_eq!(header.len(), 37);
+        std::fs::write(&bad, header).unwrap();
+        let out = std::process::Command::new(exe)
+            .arg("replay")
+            .arg(&bad)
+            .output()
+            .expect("repro runs");
+        assert_eq!(out.status.code(), Some(3), "{out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(message), "{stderr}");
+    }
+
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -3,50 +3,24 @@
 //! `explain-tail` / `check-trace`'s JSON): whatever the bytes, decoding
 //! returns — `Ok` or a typed error, never a panic or an abort — holds
 //! at most a small multiple of the input on the heap while it does, and
-//! an `Ok` re-encodes to what was read.
+//! an `Ok` re-encodes to what was read. A trace that decodes goes on
+//! through `replay_trace`, which sizes dense tables from the header: it
+//! too returns, and holds what the keys it was given can account for.
 //!
-//! One binary with its own counting `#[global_allocator]`; the tests
-//! take turns under [`MEASURING`] so each sees only its own allocations.
+//! One binary with its own counting `#[global_allocator]`
+//! (`test_support::CountingAlloc`); the tests take turns under
+//! [`MEASURING`] so each sees only its own allocations.
 
+use emb_scenario::{PlatformId, PolicyId};
 use emb_workload::{Trace, TraceError, TRACE_MAGIC, TRACE_VERSION};
 use proptest::prelude::*;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
 use std::sync::Mutex;
+use test_support::{peak_of, CountingAlloc};
 use ugache_bench::json;
-
-struct PeakAlloc;
-
-static LIVE: AtomicUsize = AtomicUsize::new(0);
-static PEAK: AtomicUsize = AtomicUsize::new(0);
-
-fn grew(by: usize) {
-    PEAK.fetch_max(LIVE.fetch_add(by, SeqCst) + by, SeqCst);
-}
-
-// SAFETY: delegates every operation unchanged to `System`; the counter
-// updates have no effect on allocation behaviour.
-unsafe impl GlobalAlloc for PeakAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        grew(layout.size());
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        LIVE.fetch_sub(layout.size(), SeqCst);
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        // Old and new block can both be live while the bytes move.
-        grew(new_size);
-        LIVE.fetch_sub(layout.size(), SeqCst);
-        System.realloc(ptr, layout, new_size)
-    }
-}
+use ugache_bench::replay::{replay_trace, MAX_REPLAY_KEYS};
 
 #[global_allocator]
-static GLOBAL: PeakAlloc = PeakAlloc;
+static GLOBAL: CountingAlloc = CountingAlloc;
 
 static MEASURING: Mutex<()> = Mutex::new(());
 
@@ -56,14 +30,6 @@ fn turn() -> std::sync::MutexGuard<'static, ()> {
     MEASURING
         .lock()
         .unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
-/// `f`'s result and the most heap it held beyond what was live before.
-fn peak_of<R>(f: impl FnOnce() -> R) -> (R, usize) {
-    let before = LIVE.load(SeqCst);
-    PEAK.store(before, SeqCst);
-    let result = f();
-    (result, PEAK.load(SeqCst).saturating_sub(before))
 }
 
 /// Decodes `bytes` under the allocation budget (the fixed part covers
@@ -80,6 +46,34 @@ fn decode_trace(bytes: &[u8]) -> Result<Trace, TraceError> {
         assert_eq!(trace.to_bytes(), bytes, "decoded but not canonical");
     }
     decoded
+}
+
+/// Replays `trace` three ways (solver, replication with re-sharding,
+/// a policy that can refuse to launch) under the allocation budget:
+/// 1 MB to say no, whatever the header claims, and the few MB a solve
+/// over a [`trace_from`]-sized domain takes to say yes.
+fn replay(trace: &Trace) {
+    for (policy, platform) in [
+        (PolicyId::UGache, None),
+        (PolicyId::Hps, Some(PlatformId::ServerA)),
+        (PolicyId::WholeGraph, Some(PlatformId::ServerC)),
+    ] {
+        let (report, peak) = peak_of(|| replay_trace(trace, policy, platform));
+        let budget = match &report {
+            Ok(report) => {
+                assert!(trace.num_keys <= MAX_REPLAY_KEYS);
+                assert_eq!(report.iterations.len(), trace.records.len());
+                8 << 20
+            }
+            Err(_) => 1 << 20,
+        };
+        assert!(
+            peak <= budget,
+            "{peak} bytes held replaying {} keys of {} under {policy:?}",
+            trace.total_keys(),
+            trace.num_keys
+        );
+    }
 }
 
 /// Parses `text` under the allocation budget; an `Ok` must survive both
@@ -195,6 +189,36 @@ proptest! {
                     "field at byte {field}: {truth} → {lie} decoded"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn a_header_never_panics_or_sizes_a_replay(
+        shape in bytes_strategy(48),
+        claim in 0usize..8,
+        word in 0u64..u64::MAX,
+    ) {
+        let _turn = turn();
+        // A valid small trace whose header claims a domain its keys do
+        // not need: a little more, the bounds and their neighbours, noise.
+        let mut trace = trace_from(&shape);
+        let truth = trace.num_keys;
+        trace.num_keys = [
+            truth,
+            truth + word % 4096,
+            MAX_REPLAY_KEYS + 1,
+            1 << 31,
+            1 << 32,
+            (1 << 32) + 1,
+            1 << 40,
+            word.max(truth),
+        ][claim];
+        match decode_trace(&trace.to_bytes()) {
+            Ok(decoded) => {
+                prop_assert!(trace.num_keys <= 1 << 32);
+                replay(&decoded);
+            }
+            Err(e) => prop_assert_eq!(e, TraceError::DomainTooLarge { num_keys: trace.num_keys }),
         }
     }
 

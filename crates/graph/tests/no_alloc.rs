@@ -3,46 +3,15 @@
 //! else, whatever the size of its frontier — no list per frontier vertex,
 //! no copy of the visits to sort.
 //!
-//! Lives alone in its own integration-test binary because the counting
-//! `#[global_allocator]` is process-wide — concurrent tests in the same
-//! binary would pollute the counter.
+//! Lives in its own integration-test binary because of the counting
+//! `#[global_allocator]` (`test_support::CountingAlloc`).
 
 use emb_graph::{generate, FanoutSampler, GraphConfig, SampleScratch};
 use emb_util::seed_rng;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-struct CountingAlloc;
-
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
-
-// SAFETY: delegates every operation unchanged to `System`; the counter
-// update has no effect on allocation behaviour.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::SeqCst);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::SeqCst);
-        System.realloc(ptr, layout, new_size)
-    }
-}
+use test_support::{allocations, CountingAlloc};
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
-
-/// Allocations (and reallocations) `f` performs.
-fn allocations<R>(f: impl FnOnce() -> R) -> (R, usize) {
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
-    let result = f();
-    (result, ALLOCATIONS.load(Ordering::SeqCst) - before)
-}
 
 #[test]
 fn a_batch_allocates_its_key_list_and_nothing_per_vertex() {

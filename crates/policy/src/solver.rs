@@ -624,9 +624,7 @@ mod tests {
     fn placement_hash(p: &Placement) -> u64 {
         let access = p.access.iter().flatten().copied();
         let stored = p.stored.iter().flatten().map(|&s| u8::from(s));
-        access.chain(stored).fold(0xcbf2_9ce4_8422_2325, |h, b| {
-            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-        })
+        test_support::fnv1a(test_support::FNV_OFFSET, access.chain(stored))
     }
 
     #[test]

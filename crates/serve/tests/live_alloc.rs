@@ -12,46 +12,13 @@
 //! reused).
 //!
 //! Lives in its own integration-test binary because of the counting
-//! `#[global_allocator]`; the counter is per thread, so the two tests do
-//! not disturb each other.
+//! `#[global_allocator]` (`test_support::CountingAlloc`); the counter is
+//! per thread, so the two tests do not disturb each other.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-
-struct CountingAlloc;
-
-thread_local! {
-    /// Allocations made by this thread (const-initialised, so reading it
-    /// from inside the allocator never allocates).
-    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
-}
-
-// SAFETY: delegates every operation unchanged to `System`; the counter
-// update has no effect on allocation behaviour.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.with(|n| n.set(n.get() + 1));
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.with(|n| n.set(n.get() + 1));
-        System.realloc(ptr, layout, new_size)
-    }
-}
+use test_support::{allocations, CountingAlloc};
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
-
-fn allocations_of(f: impl FnOnce()) -> usize {
-    let before = ALLOCATIONS.with(Cell::get);
-    f();
-    ALLOCATIONS.with(Cell::get) - before
-}
 
 #[test]
 fn literal_names_cost_only_the_field_vec() {
@@ -80,7 +47,7 @@ fn literal_names_cost_only_the_field_vec() {
     };
     let (allocations, report) = emb_telemetry::collect(|| {
         record(0); // first use inserts the metric names
-        allocations_of(|| (1..=ROUNDS as u64).for_each(record))
+        allocations(|| (1..=ROUNDS as u64).for_each(record)).1
     });
     assert_eq!(report.events.len(), ROUNDS + 1);
     // Per round: four field `Vec`s. Beyond that only the doubling growth
@@ -147,11 +114,9 @@ fn a_served_batch_stays_within_its_allocation_budget() {
         // the simulator's name table and scratch; the budget is for the
         // steady state `repro serve` and `serve_online` run in.
         run_load_point_with_keys(&mut u, &cfg, 0, offered_rps, &request_keys);
-        let mut batches = 0;
-        let allocations = allocations_of(|| {
-            batches = run_load_point_with_keys(&mut u, &cfg, 1, offered_rps, &request_keys).batches;
-        });
-        (allocations, batches)
+        let (point, allocations) =
+            allocations(|| run_load_point_with_keys(&mut u, &cfg, 1, offered_rps, &request_keys));
+        (allocations, point.batches)
     });
     assert_eq!(batches, 1, "the load point is one coalesced batch");
     assert!(

@@ -1,34 +1,10 @@
 //! Proves the "zero-cost when disabled" contract: with no `collect`
 //! scope active, recording calls perform no heap allocation at all.
 //!
-//! Lives alone in its own integration-test binary because the counting
-//! `#[global_allocator]` is process-wide — concurrent tests in the same
-//! binary would pollute the counter.
+//! Lives in its own integration-test binary because of the counting
+//! `#[global_allocator]` (`test_support::CountingAlloc`).
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-struct CountingAlloc;
-
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
-
-// SAFETY: delegates every operation unchanged to `System`; the counter
-// update has no effect on allocation behaviour.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::SeqCst);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::SeqCst);
-        System.realloc(ptr, layout, new_size)
-    }
-}
+use test_support::{allocations, CountingAlloc};
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
@@ -40,8 +16,7 @@ fn disabled_recording_allocates_nothing() {
     emb_telemetry::count("warmup", 1.0);
     assert!(!emb_telemetry::enabled());
 
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
-    for i in 0..1000 {
+    let record = |i: u64| {
         emb_telemetry::count("memsim.extractions", 1.0);
         emb_telemetry::gauge("memsim.core_util", 0.5);
         emb_telemetry::observe("policy.lp.residual", 1e-9);
@@ -70,12 +45,10 @@ fn disabled_recording_allocates_nothing() {
         });
         emb_telemetry::advance_clock_ns(i);
         let _ = emb_telemetry::clock_ns();
-    }
-    let after = ALLOCATIONS.load(Ordering::SeqCst);
+    };
+    let ((), n) = allocations(|| (0..1000).for_each(record));
     assert_eq!(
-        after - before,
-        0,
-        "disabled telemetry must not allocate (got {} allocations)",
-        after - before
+        n, 0,
+        "disabled telemetry must not allocate (got {n} allocations)"
     );
 }

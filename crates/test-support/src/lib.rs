@@ -1,0 +1,104 @@
+//! Helpers shared by the workspace's test binaries. Only ever a
+//! `dev-dependency`: nothing here ships in a library or in `repro`.
+//!
+//! * [`CountingAlloc`] — a `System`-backed allocator that counts. A test
+//!   binary that wants it declares its own
+//!   `#[global_allocator] static GLOBAL: CountingAlloc = CountingAlloc;`
+//!   and measures with [`allocations`] (calls made by the current
+//!   thread) or [`peak_of`] (bytes held, all threads).
+//! * [`fnv1a`] — the hash the pinned-stream and pinned-placement tests
+//!   record their golden values with.
+//!
+//! This is the one place in the repository with `unsafe` code.
+
+#![deny(missing_docs)]
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
+
+/// The system allocator, counting calls per thread and bytes overall.
+pub struct CountingAlloc;
+
+thread_local! {
+    /// Allocations and reallocations made by this thread
+    /// (const-initialised, so reading it from inside the allocator never
+    /// allocates).
+    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+}
+
+/// Bytes currently allocated, by any thread.
+static LIVE: AtomicUsize = AtomicUsize::new(0);
+/// The most [`LIVE`] has been since [`peak_of`] last reset it.
+static PEAK: AtomicUsize = AtomicUsize::new(0);
+
+fn grew(by: usize) {
+    ALLOCATIONS.with(|n| n.set(n.get() + 1));
+    PEAK.fetch_max(LIVE.fetch_add(by, SeqCst) + by, SeqCst);
+}
+
+// SAFETY: delegates every operation unchanged to `System`; the counter
+// updates have no effect on allocation behaviour.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        grew(layout.size());
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE.fetch_sub(layout.size(), SeqCst);
+        System.dealloc(ptr, layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        // Old and new block can both be live while the bytes move.
+        grew(new_size);
+        LIVE.fetch_sub(layout.size(), SeqCst);
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+/// `f`'s result and the allocations (and reallocations) the calling
+/// thread made while it ran. Per thread, so tests in one binary do not
+/// disturb each other's counts.
+pub fn allocations<R>(f: impl FnOnce() -> R) -> (R, usize) {
+    let before = ALLOCATIONS.with(Cell::get);
+    let result = f();
+    (result, ALLOCATIONS.with(Cell::get) - before)
+}
+
+/// `f`'s result and the most heap, in bytes, the process held beyond
+/// what was live before. Process-wide: tests that call it take turns.
+pub fn peak_of<R>(f: impl FnOnce() -> R) -> (R, usize) {
+    let before = LIVE.load(SeqCst);
+    PEAK.store(before, SeqCst);
+    let result = f();
+    (result, PEAK.load(SeqCst).saturating_sub(before))
+}
+
+/// FNV-1a's 64-bit offset basis: the `hash` to start [`fnv1a`] from.
+pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Folds `bytes` into `hash` with 64-bit FNV-1a.
+pub fn fnv1a(hash: u64, bytes: impl IntoIterator<Item = u8>) -> u64 {
+    bytes.into_iter().fold(hash, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn fnv1a_matches_the_published_vectors() {
+        assert_eq!(fnv1a(FNV_OFFSET, []), FNV_OFFSET);
+        assert_eq!(fnv1a(FNV_OFFSET, *b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a(FNV_OFFSET, *b"foobar"), 0x8594_4171_f739_67e8);
+        // Folding in two steps is folding once.
+        assert_eq!(
+            fnv1a(fnv1a(FNV_OFFSET, *b"foo"), *b"bar"),
+            0x8594_4171_f739_67e8
+        );
+    }
+}

@@ -76,6 +76,11 @@ pub enum TraceError {
         /// How many.
         extra: usize,
     },
+    /// The header's `num_keys` is more than `u32` keys can address.
+    DomainTooLarge {
+        /// The domain size stamped in the header.
+        num_keys: u64,
+    },
     /// A key is not below the header's `num_keys` domain.
     KeyOutOfDomain {
         /// Zero-based record index.
@@ -105,6 +110,12 @@ impl std::fmt::Display for TraceError {
             }
             TraceError::TrailingBytes { extra } => {
                 write!(f, "{extra} trailing byte(s) after the last record")
+            }
+            TraceError::DomainTooLarge { num_keys } => {
+                write!(
+                    f,
+                    "key domain {num_keys} is larger than 32-bit keys address"
+                )
             }
             TraceError::KeyOutOfDomain { record, key } => {
                 write!(f, "record {record}: key {key} outside the stamped domain")
@@ -247,6 +258,9 @@ impl Trace {
         let seed = r.u64("seed")?;
         let num_gpus = r.u32("num_gpus")?;
         let num_keys = r.u64("num_keys")?;
+        if num_keys > u64::from(u32::MAX) + 1 {
+            return Err(TraceError::DomainTooLarge { num_keys });
+        }
         let record_count = r.u32("record_count")? as usize;
         let name_len = r.u32("name_len")? as usize;
         let name = r.take(name_len, "scenario name")?;

@@ -16,6 +16,7 @@ use emb_workload::dlr::DlrHotness;
 use emb_workload::{
     dlr_preset, gnn_preset, DlrDatasetId, DlrWorkload, GnnDatasetId, GnnModel, GnnWorkload,
 };
+use test_support::{fnv1a, FNV_OFFSET};
 
 /// FNV-1a over `u64` words.
 #[derive(Debug)]
@@ -23,13 +24,11 @@ struct Fnv(u64);
 
 impl Fnv {
     fn new() -> Self {
-        Fnv(0xCBF2_9CE4_8422_2325)
+        Fnv(FNV_OFFSET)
     }
 
     fn word(&mut self, x: u64) {
-        for byte in x.to_le_bytes() {
-            self.0 = (self.0 ^ byte as u64).wrapping_mul(0x0000_0100_0000_01B3);
-        }
+        self.0 = fnv1a(self.0, x.to_le_bytes());
     }
 
     /// Length first, so `[1, 2], [3]` and `[1], [2, 3]` differ.
