@@ -10,10 +10,10 @@ use super::header;
 use emb_scenario::{registry, PlatformId, Scenario};
 use emb_workload::{DlrDatasetId, GnnDatasetId, GnnModel};
 use serde::Serialize;
-use ugache::apps::dlr::run_dlr_iterations;
-use ugache::apps::gnn::run_gnn_epoch;
+use ugache::apps::dlr::{dlr_cache_capacity, run_dlr_iterations};
+use ugache::apps::gnn::{gnn_cache_capacity, run_gnn_epoch};
 use ugache::apps::{DlrModel, GnnAppConfig};
-use ugache::SystemKind;
+use ugache::baselines::{build_system, SystemKind};
 
 /// One GNN cell.
 #[derive(Debug, Clone, PartialEq, Serialize)]
@@ -67,6 +67,10 @@ const DLR_SYSTEMS: [SystemKind; 5] = [
     SystemKind::UGache,
 ];
 
+/// Seeds of the naive-peer dispatch shuffle, per application family.
+const GNN_SEED: u64 = 0xE9;
+const DLR_SEED: u64 = 0xD7;
+
 /// Computes the GNN half of Figure 10 (no printing).
 pub fn compute_gnn(s: &Scenario) -> Vec<GnnCell> {
     let mut cells = Vec::new();
@@ -83,11 +87,16 @@ pub fn compute_gnn(s: &Scenario) -> Vec<GnnCell> {
                     .expect("fig10's GNN scenarios are registered");
                 let plat = def.resolve_platform();
                 let (w, hotness) = def.gnn(s);
+                let entry_bytes = w.dataset().entry_bytes;
+                // A few iterations' key volume scales the solver.
+                let accesses = w.clone().measure_accesses_per_iter(2);
                 for kind in GNN_SYSTEMS {
-                    let mut wk = w.clone();
-                    let timings = run_gnn_epoch(kind, &plat, &mut wk, &hotness, &cfg)
-                        .ok()
-                        .map(|r| (r.epoch_secs, r.extract_per_iter_secs));
+                    let cap = gnn_cache_capacity(&plat, w.dataset(), kind);
+                    let timings =
+                        build_system(kind, &plat, &hotness, cap, entry_bytes, accesses, GNN_SEED)
+                            .ok()
+                            .map(|system| run_gnn_epoch(&system, &mut w.clone(), &cfg))
+                            .map(|r| (r.epoch_secs, r.extract_per_iter_secs));
                     cells.push(GnnCell {
                         server: plat.name.clone(),
                         model: model.name().to_string(),
@@ -113,19 +122,26 @@ pub fn compute_dlr(s: &Scenario) -> Vec<DlrCell> {
                 .expect("fig10's DLR scenarios are registered");
             let plat = def.resolve_platform();
             let (w, hotness) = def.dlr(s);
-            for model in DlrModel::ALL {
-                for kind in DLR_SYSTEMS {
-                    let mut wk = w.clone();
-                    let r = run_dlr_iterations(
-                        kind,
-                        &plat,
-                        &mut wk,
-                        &hotness,
-                        model,
-                        s.dlr_batch,
-                        s.iters,
-                    )
-                    .expect("all DLR systems launch");
+            let entry_bytes = w.dataset().entry_bytes;
+            let cap = dlr_cache_capacity(&plat, w.dataset());
+            let accesses = w.clone().measure_accesses_per_iter(2);
+            // Each system is built and measured once; the dense model only
+            // prices the MLP on top of the same extraction means.
+            let per_system = DLR_SYSTEMS.map(|kind| {
+                let system =
+                    build_system(kind, &plat, &hotness, cap, entry_bytes, accesses, DLR_SEED)
+                        .expect("all DLR systems launch");
+                run_dlr_iterations(
+                    &system,
+                    &mut w.clone(),
+                    &DlrModel::ALL,
+                    s.dlr_batch,
+                    s.iters,
+                )
+            });
+            for (m, model) in DlrModel::ALL.into_iter().enumerate() {
+                for (kind, per_model) in DLR_SYSTEMS.into_iter().zip(&per_system) {
+                    let r = &per_model[m];
                     cells.push(DlrCell {
                         server: plat.name.clone(),
                         model: model.name().to_string(),

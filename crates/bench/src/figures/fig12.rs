@@ -43,19 +43,15 @@ pub fn compute(s: &Scenario) -> Vec<Point> {
             let build = |kind: SystemKind| {
                 build_system(kind, &plat, &hotness, cap, entry_bytes, accesses, 5).unwrap()
             };
-            let t = |kind: SystemKind| build(kind).extract_ms(&keys);
-            // "+Policy": the UGache placement extracted with naive peer.
-            let policy_ms = build(SystemKind::UGache)
-                .under(SystemKind::PartU, 5)
-                .extract_ms(&keys);
-
+            let ugache = build(SystemKind::UGache);
             out.push(Point {
                 dataset: ds.name().to_string(),
                 ratio_pct,
-                repu_ms: t(SystemKind::RepU),
-                partu_ms: t(SystemKind::PartU),
-                policy_ms,
-                ugache_ms: t(SystemKind::UGache),
+                repu_ms: build(SystemKind::RepU).extract_ms(&keys),
+                partu_ms: build(SystemKind::PartU).extract_ms(&keys),
+                // "+Policy": the UGache placement extracted with naive peer.
+                policy_ms: ugache.under(SystemKind::PartU, 5).extract_ms(&keys),
+                ugache_ms: ugache.extract_ms(&keys),
             });
         }
     }

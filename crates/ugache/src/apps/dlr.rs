@@ -1,8 +1,7 @@
 //! End-to-end DLR inference iterations (Figure 10, right).
 
 use crate::apps::cost::{DlrModel, MlpCostModel};
-use crate::baselines::{build_system, SystemKind};
-use cache_policy::Hotness;
+use crate::baselines::SystemInstance;
 use emb_workload::{DlrDataset, DlrWorkload};
 use gpu_platform::Platform;
 
@@ -28,49 +27,36 @@ pub fn dlr_cache_capacity(platform: &Platform, dataset: &DlrDataset) -> usize {
     ((mem as f64 * 0.6) as u64 / dataset.entry_bytes as u64) as usize
 }
 
-/// Measures mean per-iteration time for `kind` over `iters` batches.
-///
-/// # Errors
-///
-/// Propagates system build failures.
+/// Measures a built system's mean per-iteration time over `iters`
+/// batches, once, and prices each of `models` from the same means: one
+/// report per model, in order (the model only moves the dense part).
 pub fn run_dlr_iterations(
-    kind: SystemKind,
-    platform: &Platform,
+    system: &SystemInstance,
     workload: &mut DlrWorkload,
-    hotness: &Hotness,
-    model: DlrModel,
+    models: &[DlrModel],
     batch_size: usize,
     iters: usize,
-) -> Result<DlrIterationReport, String> {
-    let dataset = workload.dataset().clone();
-    let cap = dlr_cache_capacity(platform, &dataset);
-    let accesses = workload.clone().measure_accesses_per_iter(2);
-    let system = build_system(
-        kind,
-        platform,
-        hotness,
-        cap,
-        dataset.entry_bytes,
-        accesses,
-        0xD7,
-    )?;
-
-    let mlp = MlpCostModel::default();
-    let mlp_secs = mlp.dlr_infer_secs(&platform.gpus[0], batch_size, model);
+) -> Vec<DlrIterationReport> {
+    let gpu = &system.extractor.platform().gpus[0];
     let (extract_secs, keys_per_iter) = system.mean_extract(workload, iters);
-
-    Ok(DlrIterationReport {
-        system: kind.name().to_string(),
-        extract_secs,
-        mlp_secs,
-        iteration_secs: extract_secs + mlp_secs,
-        keys_per_iter,
-    })
+    let price = |&model| {
+        let mlp_secs = MlpCostModel::default().dlr_infer_secs(gpu, batch_size, model);
+        DlrIterationReport {
+            system: system.kind.name().to_string(),
+            extract_secs,
+            mlp_secs,
+            iteration_secs: extract_secs + mlp_secs,
+            keys_per_iter,
+        }
+    };
+    models.iter().map(price).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::baselines::{build_system, SystemKind};
+    use cache_policy::Hotness;
     use emb_workload::dlr::DlrHotness;
     use emb_workload::{dlr_preset, DlrDatasetId};
 
@@ -81,36 +67,39 @@ mod tests {
         (w, h)
     }
 
+    /// Builds `kind` at the DLR capacity and measures two iterations on a
+    /// clone of `w`, priced for both models.
+    fn run(
+        kind: SystemKind,
+        plat: &Platform,
+        w: &DlrWorkload,
+        h: &Hotness,
+    ) -> Vec<DlrIterationReport> {
+        let d = w.dataset();
+        let cap = dlr_cache_capacity(plat, d);
+        let accesses = w.clone().measure_accesses_per_iter(2);
+        let system = build_system(kind, plat, h, cap, d.entry_bytes, accesses, 0xD7).unwrap();
+        run_dlr_iterations(&system, &mut w.clone(), &DlrModel::ALL, 256, 2)
+    }
+
     #[test]
     fn report_is_consistent() {
         let plat = Platform::server_a();
-        let (mut w, h) = setup(&plat, DlrDatasetId::SynA);
-        let r = run_dlr_iterations(
-            SystemKind::UGache,
-            &plat,
-            &mut w,
-            &h,
-            DlrModel::Dlrm,
-            256,
-            2,
-        )
-        .unwrap();
-        assert!(r.extract_secs > 0.0);
-        assert!((r.iteration_secs - (r.extract_secs + r.mlp_secs)).abs() < 1e-12);
+        let (w, h) = setup(&plat, DlrDatasetId::SynA);
+        for r in run(SystemKind::UGache, &plat, &w, &h) {
+            assert!(r.extract_secs > 0.0);
+            assert!((r.iteration_secs - (r.extract_secs + r.mlp_secs)).abs() < 1e-12);
+        }
     }
 
     #[test]
     fn ugache_beats_hps_and_sok() {
         let plat = Platform::server_a();
         let (w, h) = setup(&plat, DlrDatasetId::SynA);
-        let run = |kind| {
-            run_dlr_iterations(kind, &plat, &mut w.clone(), &h, DlrModel::Dlrm, 256, 2)
-                .unwrap()
-                .iteration_secs
-        };
-        let u = run(SystemKind::UGache);
-        let hps = run(SystemKind::Hps);
-        let sok = run(SystemKind::Sok);
+        let dlrm = |kind| run(kind, &plat, &w, &h)[0].iteration_secs;
+        let u = dlrm(SystemKind::UGache);
+        let hps = dlrm(SystemKind::Hps);
+        let sok = dlrm(SystemKind::Sok);
         assert!(u <= hps * 1.02, "UGache {u} vs HPS {hps}");
         assert!(u <= sok * 1.02, "UGache {u} vs SOK {sok}");
     }
@@ -124,12 +113,8 @@ mod tests {
         let plat = Platform::server_a();
         let ratio = |id| {
             let (w, h) = setup(&plat, id);
-            let run = |kind| {
-                run_dlr_iterations(kind, &plat, &mut w.clone(), &h, DlrModel::Dlrm, 256, 2)
-                    .unwrap()
-                    .extract_secs
-            };
-            run(SystemKind::Sok) / run(SystemKind::Hps)
+            let extract = |kind| run(kind, &plat, &w, &h)[0].extract_secs;
+            extract(SystemKind::Sok) / extract(SystemKind::Hps)
         };
         let a = ratio(DlrDatasetId::SynA);
         let b = ratio(DlrDatasetId::SynB);
@@ -140,26 +125,12 @@ mod tests {
     fn dcn_iteration_is_slower_than_dlrm() {
         let plat = Platform::server_a();
         let (w, h) = setup(&plat, DlrDatasetId::SynA);
-        let a = run_dlr_iterations(
-            SystemKind::UGache,
-            &plat,
-            &mut w.clone(),
-            &h,
-            DlrModel::Dlrm,
-            256,
-            1,
-        )
-        .unwrap();
-        let b = run_dlr_iterations(
-            SystemKind::UGache,
-            &plat,
-            &mut w.clone(),
-            &h,
-            DlrModel::Dcn,
-            256,
-            1,
-        )
-        .unwrap();
-        assert!(b.mlp_secs > a.mlp_secs);
+        let reports = run(SystemKind::UGache, &plat, &w, &h);
+        let [dlrm, dcn] = reports.as_slice() else {
+            panic!("one report per model");
+        };
+        assert!(dcn.mlp_secs > dlrm.mlp_secs);
+        assert_eq!(dcn.extract_secs, dlrm.extract_secs);
+        assert_eq!(dcn.keys_per_iter, dlrm.keys_per_iter);
     }
 }

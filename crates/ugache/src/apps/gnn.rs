@@ -1,8 +1,7 @@
 //! End-to-end GNN training epochs (Figure 10, left).
 
 use crate::apps::cost::{MlpCostModel, SamplingCostModel};
-use crate::baselines::{build_system, SystemKind};
-use cache_policy::Hotness;
+use crate::baselines::{SystemInstance, SystemKind};
 use emb_workload::{GnnDataset, GnnWorkload};
 use gpu_platform::Platform;
 
@@ -90,28 +89,18 @@ fn expected_visits(workload: &GnnWorkload, batch_size: usize) -> f64 {
     batch_size as f64 * per_seed * negs
 }
 
-/// Runs (a sampled estimate of) one training epoch for `kind`.
-///
-/// # Errors
-///
-/// Propagates system build failures (e.g. WholeGraph launch failure).
+/// Runs (a sampled estimate of) one training epoch on a built system
+/// (sized by [`gnn_cache_capacity`] for `system.kind`).
 pub fn run_gnn_epoch(
-    kind: SystemKind,
-    platform: &Platform,
+    system: &SystemInstance,
     workload: &mut GnnWorkload,
-    hotness: &Hotness,
     cfg: &GnnAppConfig,
-) -> Result<EpochReport, String> {
+) -> EpochReport {
+    let kind = system.kind;
+    let platform = system.extractor.platform();
     let g = platform.num_gpus();
-    let dataset = workload.dataset().clone();
-    let cap = gnn_cache_capacity(platform, &dataset, kind);
-    let entry_bytes = dataset.entry_bytes;
-
-    // Measure a few iterations' key volume first to scale the solver.
-    let accesses = workload.clone().measure_accesses_per_iter(2);
-
-    let system = build_system(kind, platform, hotness, cap, entry_bytes, accesses, 0xE9)?;
     let (extract_per_iter, keys_per_iter) = system.mean_extract(workload, cfg.measure_iters);
+    let dataset = workload.dataset();
 
     let visits = expected_visits(workload, cfg.batch_size);
     let sample_per_iter = cfg.sampling.sample_secs(visits);
@@ -155,7 +144,7 @@ pub fn run_gnn_epoch(
         }
     };
 
-    Ok(EpochReport {
+    EpochReport {
         system: kind.name().to_string(),
         iters,
         extract_secs: extract_per_iter * iters as f64,
@@ -165,13 +154,16 @@ pub fn run_gnn_epoch(
         epoch_secs: iter_secs * iters as f64,
         keys_per_iter,
         extract_per_iter_secs: extract_per_iter,
-    })
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::baselines::build_system;
+    use cache_policy::Hotness;
     use emb_workload::{gnn_preset, GnnDatasetId, GnnModel};
+    use gpu_platform::Platform;
 
     fn setup(platform: &Platform) -> (GnnWorkload, Hotness) {
         let d = gnn_preset(GnnDatasetId::Pa, 2048, 3);
@@ -186,6 +178,15 @@ mod tests {
         (w, h)
     }
 
+    /// Builds `kind` at its capacity and runs one epoch on a clone of `w`.
+    fn run(kind: SystemKind, plat: &Platform, w: &GnnWorkload, h: &Hotness) -> EpochReport {
+        let d = w.dataset();
+        let cap = gnn_cache_capacity(plat, d, kind);
+        let accesses = w.clone().measure_accesses_per_iter(2);
+        let system = build_system(kind, plat, h, cap, d.entry_bytes, accesses, 0xE9).unwrap();
+        run_gnn_epoch(&system, &mut w.clone(), &cfg())
+    }
+
     fn cfg() -> GnnAppConfig {
         GnnAppConfig {
             batch_size: 512,
@@ -197,8 +198,8 @@ mod tests {
     #[test]
     fn epoch_report_is_consistent() {
         let plat = Platform::server_a();
-        let (mut w, h) = setup(&plat);
-        let r = run_gnn_epoch(SystemKind::UGache, &plat, &mut w, &h, &cfg()).unwrap();
+        let (w, h) = setup(&plat);
+        let r = run(SystemKind::UGache, &plat, &w, &h);
         assert!(r.epoch_secs > 0.0);
         assert!(r.iters >= 1);
         assert!(r.extract_secs > 0.0);
@@ -208,11 +209,10 @@ mod tests {
     #[test]
     fn ugache_beats_baselines_on_server_a() {
         let plat = Platform::server_a();
-        let (mut w, h) = setup(&plat);
-        let c = cfg();
-        let u = run_gnn_epoch(SystemKind::UGache, &plat, &mut w.clone(), &h, &c).unwrap();
-        let gl = run_gnn_epoch(SystemKind::GnnLab, &plat, &mut w.clone(), &h, &c).unwrap();
-        let pu = run_gnn_epoch(SystemKind::PartU, &plat, &mut w, &h, &c).unwrap();
+        let (w, h) = setup(&plat);
+        let u = run(SystemKind::UGache, &plat, &w, &h);
+        let gl = run(SystemKind::GnnLab, &plat, &w, &h);
+        let pu = run(SystemKind::PartU, &plat, &w, &h);
         assert!(
             u.epoch_secs <= gl.epoch_secs * 1.05,
             "UGache {} vs GNNLab {}",
@@ -234,8 +234,8 @@ mod tests {
         let cap_gnnlab = gnn_cache_capacity(&plat, &d, SystemKind::GnnLab);
         let cap_wg = gnn_cache_capacity(&plat, &d, SystemKind::WholeGraph);
         assert!(cap_gnnlab > cap_wg);
-        let (mut w, h) = setup(&plat);
-        let r = run_gnn_epoch(SystemKind::GnnLab, &plat, &mut w, &h, &cfg()).unwrap();
+        let (w, h) = setup(&plat);
+        let r = run(SystemKind::GnnLab, &plat, &w, &h);
         assert!(r.other_secs > 0.0, "GNNLab must pay queue overhead");
     }
 
@@ -246,7 +246,7 @@ mod tests {
         let mk = |model| {
             let mut w = GnnWorkload::new(d.clone(), model, 512, 4, 5);
             let h = w.profile_hotness(2);
-            run_gnn_epoch(SystemKind::UGache, &plat, &mut w, &h, &cfg()).unwrap()
+            run(SystemKind::UGache, &plat, &w, &h)
         };
         let sup = mk(GnnModel::GraphSageSupervised);
         let unsup = mk(GnnModel::GraphSageUnsupervised);

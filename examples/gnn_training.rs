@@ -6,9 +6,9 @@
 
 use emb_workload::{gnn_preset, GnnDatasetId, GnnModel, GnnWorkload};
 use gpu_platform::Platform;
-use ugache::apps::gnn::run_gnn_epoch;
+use ugache::apps::gnn::{gnn_cache_capacity, run_gnn_epoch};
 use ugache::apps::GnnAppConfig;
-use ugache::SystemKind;
+use ugache::baselines::{build_system, SystemKind};
 
 fn main() {
     let scale = 4096;
@@ -41,8 +41,20 @@ fn main() {
             SystemKind::PartU,
             SystemKind::UGache,
         ] {
-            let mut w = workload.clone();
-            match run_gnn_epoch(kind, &platform, &mut w, &hotness, &cfg) {
+            let dataset = workload.dataset();
+            let cap = gnn_cache_capacity(&platform, dataset, kind);
+            // A few iterations' key volume scales the solver.
+            let accesses = workload.clone().measure_accesses_per_iter(2);
+            let built = build_system(
+                kind,
+                &platform,
+                &hotness,
+                cap,
+                dataset.entry_bytes,
+                accesses,
+                0xE9,
+            );
+            match built.map(|system| run_gnn_epoch(&system, &mut workload.clone(), &cfg)) {
                 Ok(r) => println!(
                     "{:<11} epoch {:>8.3}s  (extract {:>7.3}s, sample {:>7.3}s, train {:>7.3}s, other {:>6.3}s; {} iters)",
                     r.system, r.epoch_secs, r.extract_secs, r.sample_secs, r.train_secs, r.other_secs, r.iters
