@@ -67,10 +67,6 @@ const DLR_SYSTEMS: [SystemKind; 5] = [
     SystemKind::UGache,
 ];
 
-/// Seeds of the naive-peer dispatch shuffle, per application family.
-const GNN_SEED: u64 = 0xE9;
-const DLR_SEED: u64 = 0xD7;
-
 /// Computes the GNN half of Figure 10 (no printing).
 pub fn compute_gnn(s: &Scenario) -> Vec<GnnCell> {
     let mut cells = Vec::new();
@@ -92,18 +88,17 @@ pub fn compute_gnn(s: &Scenario) -> Vec<GnnCell> {
                 let accesses = w.clone().measure_accesses_per_iter(2);
                 for kind in GNN_SYSTEMS {
                     let cap = gnn_cache_capacity(&plat, w.dataset(), kind);
-                    let timings =
-                        build_system(kind, &plat, &hotness, cap, entry_bytes, accesses, GNN_SEED)
+                    let report =
+                        build_system(kind, &plat, &hotness, cap, entry_bytes, accesses, 0xE9)
                             .ok()
-                            .map(|system| run_gnn_epoch(&system, &mut w.clone(), &cfg))
-                            .map(|r| (r.epoch_secs, r.extract_per_iter_secs));
+                            .map(|system| run_gnn_epoch(&system, &mut w.clone(), &cfg));
                     cells.push(GnnCell {
                         server: plat.name.clone(),
                         model: model.name().to_string(),
                         dataset: ds.name().to_string(),
                         system: kind.name().to_string(),
-                        epoch_secs: timings.map(|t| t.0),
-                        extract_per_iter_secs: timings.map(|t| t.1),
+                        epoch_secs: report.as_ref().map(|r| r.epoch_secs),
+                        extract_per_iter_secs: report.as_ref().map(|r| r.extract_per_iter_secs),
                     });
                 }
             }
@@ -115,6 +110,7 @@ pub fn compute_gnn(s: &Scenario) -> Vec<GnnCell> {
 /// Computes the DLR half of Figure 10 (no printing).
 pub fn compute_dlr(s: &Scenario) -> Vec<DlrCell> {
     let mut cells = Vec::new();
+    let (batch, iters) = (s.dlr_batch, s.iters);
     for p in PlatformId::SERVERS {
         for ds in DlrDatasetId::ALL {
             let def = registry()
@@ -128,16 +124,9 @@ pub fn compute_dlr(s: &Scenario) -> Vec<DlrCell> {
             // Each system is built and measured once; the dense model only
             // prices the MLP on top of the same extraction means.
             let per_system = DLR_SYSTEMS.map(|kind| {
-                let system =
-                    build_system(kind, &plat, &hotness, cap, entry_bytes, accesses, DLR_SEED)
-                        .expect("all DLR systems launch");
-                run_dlr_iterations(
-                    &system,
-                    &mut w.clone(),
-                    &DlrModel::ALL,
-                    s.dlr_batch,
-                    s.iters,
-                )
+                let system = build_system(kind, &plat, &hotness, cap, entry_bytes, accesses, 0xD7)
+                    .expect("all DLR systems launch");
+                run_dlr_iterations(&system, &mut w.clone(), &DlrModel::ALL, batch, iters)
             });
             for (m, model) in DlrModel::ALL.into_iter().enumerate() {
                 for (kind, per_model) in DLR_SYSTEMS.into_iter().zip(&per_system) {
@@ -165,29 +154,30 @@ pub fn compute(s: &Scenario) -> Data {
     }
 }
 
-/// Distinct (server, model, dataset) keys in first-seen order.
-fn gnn_keys(cells: &[GnnCell]) -> Vec<(String, String, String)> {
-    let mut keys: Vec<(String, String, String)> = cells
-        .iter()
-        .map(|c| (c.server.clone(), c.model.clone(), c.dataset.clone()))
-        .collect();
-    keys.dedup();
-    keys
+/// Distinct row keys in first-seen order (a row's cells are adjacent).
+fn rows<K: PartialEq>(keys: impl Iterator<Item = K>) -> Vec<K> {
+    let mut rows: Vec<K> = keys.collect();
+    rows.dedup();
+    rows
 }
 
-/// Prints Figure 10 from precomputed data.
-pub fn render_fig10(data: &Data) {
-    header("Figure 10 (GNN): end-to-end epoch milliseconds (scaled datasets)");
+/// Prints one GNN table: a row per (server, model, dataset), `secs` of
+/// each system's cell in milliseconds.
+fn render_gnn(data: &Data, title: &str, secs: fn(&GnnCell) -> Option<f64>) {
+    header(title);
     println!(
         "{:<16} {:<12} {:<5} {:>10} {:>10} {:>10}",
         "server", "model", "data", "GNNLab", "PartU", "UGache"
     );
-    for (srv, model, ds) in gnn_keys(&data.gnn) {
+    let gnn = data.gnn.iter();
+    for (srv, model, ds) in
+        rows(gnn.map(|c| (c.server.clone(), c.model.clone(), c.dataset.clone())))
+    {
         let get = |sys: &str| {
             data.gnn
                 .iter()
                 .find(|c| c.server == srv && c.model == model && c.dataset == ds && c.system == sys)
-                .and_then(|c| c.epoch_secs)
+                .and_then(secs)
                 .map_or("n/a".to_string(), |x| format!("{:.3}", x * 1e3))
         };
         println!(
@@ -200,19 +190,22 @@ pub fn render_fig10(data: &Data) {
             get("UGache")
         );
     }
+}
+
+/// Prints Figure 10 from precomputed data.
+pub fn render_fig10(data: &Data) {
+    let title = "Figure 10 (GNN): end-to-end epoch milliseconds (scaled datasets)";
+    render_gnn(data, title, |c| c.epoch_secs);
 
     header("Figure 10 (DLR): end-to-end iteration milliseconds");
     println!(
         "{:<16} {:<6} {:<6} {:>9} {:>9} {:>9} {:>9} {:>9}",
         "server", "model", "data", "HPS", "SOK", "RepU", "PartU", "UGache"
     );
-    let mut keys: Vec<(String, String, String)> = data
-        .dlr
-        .iter()
-        .map(|c| (c.server.clone(), c.model.clone(), c.dataset.clone()))
-        .collect();
-    keys.dedup();
-    for (srv, model, ds) in keys {
+    let dlr = data.dlr.iter();
+    for (srv, model, ds) in
+        rows(dlr.map(|c| (c.server.clone(), c.model.clone(), c.dataset.clone())))
+    {
         let get = |sys: &str| {
             data.dlr
                 .iter()
@@ -235,42 +228,19 @@ pub fn render_fig10(data: &Data) {
 
 /// Prints Figure 11 from the same precomputed data.
 pub fn render_fig11(data: &Data) {
-    header("Figure 11 (GNN): embedding extraction ms per iteration");
-    println!(
-        "{:<16} {:<12} {:<5} {:>10} {:>10} {:>10}",
-        "server", "model", "data", "GNNLab", "PartU", "UGache"
-    );
-    for (srv, model, ds) in gnn_keys(&data.gnn) {
-        let get = |sys: &str| {
-            data.gnn
-                .iter()
-                .find(|c| c.server == srv && c.model == model && c.dataset == ds && c.system == sys)
-                .and_then(|c| c.extract_per_iter_secs)
-                .map_or("n/a".to_string(), |x| format!("{:.3}", x * 1e3))
-        };
-        println!(
-            "{:<16} {:<12} {:<5} {:>10} {:>10} {:>10}",
-            srv,
-            model,
-            ds,
-            get("GNNLab"),
-            get("PartU"),
-            get("UGache")
-        );
-    }
+    let title = "Figure 11 (GNN): embedding extraction ms per iteration";
+    render_gnn(data, title, |c| c.extract_per_iter_secs);
 
     header("Figure 11 (DLR): embedding extraction ms per iteration");
     println!(
         "{:<16} {:<6} {:>9} {:>9} {:>9} {:>9} {:>9}",
         "server", "data", "HPS", "SOK", "RepU", "PartU", "UGache"
     );
-    let mut dkeys: Vec<(String, String)> = data
-        .dlr
-        .iter()
-        .map(|c| (c.server.clone(), c.dataset.clone()))
-        .collect();
-    dkeys.dedup();
-    for (srv, ds) in dkeys {
+    for (srv, ds) in rows(
+        data.dlr
+            .iter()
+            .map(|c| (c.server.clone(), c.dataset.clone())),
+    ) {
         let get = |sys: &str| {
             data.dlr
                 .iter()

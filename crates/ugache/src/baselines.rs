@@ -148,9 +148,8 @@ impl SystemKind {
 /// A ready-to-measure system: placement + extraction mechanism.
 #[derive(Debug, Clone)]
 pub struct SystemInstance {
-    /// Which system's mechanism this is (and, unless built by
-    /// [`SystemInstance::new`] / [`SystemInstance::under`] from someone
-    /// else's placement, whose policy).
+    /// The row whose mechanism reads the placement — and, when built by
+    /// [`build_system`], whose policy produced it.
     pub kind: SystemKind,
     /// The entry-level placement being read.
     pub placement: Placement,

@@ -9,9 +9,9 @@
 //! and the **Refresher** migrates the cache when hotness drifts.
 //!
 //! [`baselines`] reconstructs the systems the paper compares against
-//! (GNNLab, WholeGraph, PartU/RepU, Quiver cliques, HPS, SOK) from the
-//! same substrate, so like-for-like experiments differ only in policy
-//! and mechanism. [`apps`] adds the end-to-end application models (GNN
+//! from the same substrate, so like-for-like experiments differ only in
+//! policy and mechanism — its module docs hold the policy × mechanism
+//! table and the three ways to get a cell of it. [`apps`] adds the end-to-end application models (GNN
 //! training epochs, DLR inference iterations) with dense-layer and
 //! sampling cost models. [`framework`] exposes the embedding-layer
 //! integration surface (§7.1) in TensorFlow-ish and PyTorch-ish flavours.
