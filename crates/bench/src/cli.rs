@@ -13,7 +13,6 @@
 //! documented in EXPERIMENTS.md.
 
 use crate::figures::{canonical, TARGETS};
-use crate::microbench::{find_bench, BENCH_NAMES, DEFAULT_TRIALS, DEFAULT_WARMUP};
 use emb_scenario::{registry, PlatformId, PolicyId, Scenario};
 use std::path::PathBuf;
 
@@ -56,9 +55,7 @@ pub enum Command {
         b: PathBuf,
     },
     /// Compare two artifact directories' metric/timeline blocks against
-    /// the perf-regression tolerance table. When both paths are
-    /// `BENCH_*.json` files, the binary applies the soft wall-clock gate
-    /// ([`crate::microbench::compare_files`]) instead.
+    /// the perf-regression tolerance table.
     Compare {
         /// Baseline directory (committed reference).
         baseline: PathBuf,
@@ -69,17 +66,6 @@ pub enum Command {
     CheckTrace {
         /// The trace file to validate.
         path: PathBuf,
-    },
-    /// Run the wall-clock microbenches (`repro bench`).
-    Bench {
-        /// Bench names in requested order (empty = all).
-        names: Vec<String>,
-        /// Timed trials per implementation.
-        trials: usize,
-        /// Untimed warmup runs per implementation.
-        warmup: usize,
-        /// Where to write the bench report, if requested.
-        out: Option<PathBuf>,
     },
     /// List registered scenarios, render the catalog, or gate it
     /// (`repro scenarios [--md | --check [--file PATH]]`).
@@ -157,8 +143,7 @@ pub struct Subcommand {
     /// The first argument that selects this row (`""`: the default
     /// target run, selected when no other row matches).
     pub name: &'static str,
-    /// The row's lines of `repro list`, each following `repro `;
-    /// `{kernels}` stands for the `repro bench` kernel names.
+    /// The row's lines of `repro list`, each following `repro `.
     pub usage: &'static str,
     /// Which shared flag groups ([`SCALE`], [`THREADS`], [`OUT`]) the
     /// row accepts; the [`Cursor`] parses those itself.
@@ -199,18 +184,12 @@ pub const SUBCOMMANDS: &[Subcommand] = &[
     },
     Subcommand {
         name: "compare",
-        usage: "compare <baseline-dir> <new-dir>\ncompare <baseline-bench.json> <new-bench.json>",
+        usage: "compare <baseline-dir> <new-dir>",
         shared: 0,
         parse: |c| {
             let [baseline, new] = c.two_paths("BASELINE_DIR and NEW_DIR", " arguments")?;
             Ok(Command::Compare { baseline, new })
         },
-    },
-    Subcommand {
-        name: "bench",
-        usage: "bench [--trials N] [--warmup N] [--out FILE] [{kernels}]",
-        shared: OUT,
-        parse: parse_bench,
     },
     Subcommand {
         name: "check-trace",
@@ -275,9 +254,7 @@ const LIST: &str = "list";
 pub fn usage() -> String {
     let mut text = format!("targets: {} | all\n", TARGETS.join(" "));
     let mut lead = "usage:";
-    let kernels = BENCH_NAMES.join("|");
     for line in SUBCOMMANDS.iter().flat_map(|row| row.usage.lines()) {
-        let line = line.replace("{kernels}", &kernels);
         text.push_str(&format!("{lead} repro {line}\n"));
         lead = "      ";
     }
@@ -291,8 +268,8 @@ pub fn usage() -> String {
 /// # Errors
 ///
 /// Returns a human-readable message when the invocation is invalid —
-/// unknown flags, targets, scenarios, kernels, policies and platforms
-/// are all hard errors; the binary prints it to stderr and exits 2.
+/// unknown flags, targets, scenarios, policies and platforms are all
+/// hard errors; the binary prints it to stderr and exits 2.
 pub fn parse(args: &[String]) -> Result<Command, String> {
     let named = args
         .first()
@@ -516,29 +493,6 @@ fn parse_run(c: &mut Cursor) -> Result<Command, String> {
         chrome_trace,
         profile,
     }))
-}
-
-/// `bench [--trials N] [--warmup N] [--out FILE] [NAME...]`: trials
-/// clamp to at least 1, unknown kernel names are errors.
-fn parse_bench(c: &mut Cursor) -> Result<Command, String> {
-    let mut trials = DEFAULT_TRIALS;
-    let mut warmup = DEFAULT_WARMUP;
-    while let Some(flag) = c.next_flag()? {
-        match flag {
-            "--trials" => trials = c.uint()?.max(1),
-            "--warmup" => warmup = c.uint()?,
-            _ => return Err(c.unknown()),
-        }
-    }
-    for name in &c.words {
-        find_bench(name)?;
-    }
-    Ok(Command::Bench {
-        names: c.words.iter().map(|n| n.to_string()).collect(),
-        trials,
-        warmup,
-        out: c.out.take(),
-    })
 }
 
 /// The `[--md | --check [--file PATH]]` flags the two generated-catalog

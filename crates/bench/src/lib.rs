@@ -5,9 +5,9 @@
 //! serializable result structs and a separate `render` layer that
 //! pretty-prints them; the `repro` binary dispatches to both
 //! (`repro list` shows the menu) and can emit one stable-schema JSON
-//! artifact per target via [`artifact`]. [`microbench`] (`repro bench`)
-//! measures the optimized hot paths against their frozen reference
-//! implementations and feeds the soft wall-clock gate.
+//! artifact per target via [`artifact`]. Everything here runs in
+//! simulated time and reads no wall clock; host-time measurement lives
+//! in the standalone `benchmark/` package.
 
 #![deny(missing_docs)]
 
@@ -20,7 +20,6 @@ pub mod explain;
 pub mod figures;
 pub mod json;
 pub mod metrics_catalog;
-pub mod microbench;
 pub mod profile;
 pub mod replay;
 pub mod runner;

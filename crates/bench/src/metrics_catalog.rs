@@ -177,7 +177,7 @@ pub const CATALOG: &[MetricDef] = &[
     def_deep(
         "policy.paper_milp.solves",
         Counter,
-        "Reference MILP solves (paper formulation)",
+        "Paper-formulation MILP solves (recorded only by cache-policy's tests)",
     ),
     def(
         "policy.patterns",

@@ -9,7 +9,7 @@ use ugache_bench::artifact::{
 use ugache_bench::cli::{self, Command};
 use ugache_bench::figures::{self, TargetData, Unit, TARGETS};
 use ugache_bench::runner::{run_units, units_for};
-use ugache_bench::{json, Scenario};
+use ugache_bench::{compare, json, Scenario};
 
 fn args(list: &[&str]) -> Vec<String> {
     list.iter().map(|s| s.to_string()).collect()
@@ -192,98 +192,66 @@ fn parse_list_and_diff() {
 }
 
 #[test]
-fn parse_bench_subcommand() {
-    match cli::parse(&args(&["bench"])).unwrap() {
-        Command::Bench {
-            names,
-            trials,
-            warmup,
-            out,
-        } => {
-            assert!(names.is_empty(), "empty names = all benches");
-            assert_eq!(trials, ugache_bench::microbench::DEFAULT_TRIALS);
-            assert_eq!(warmup, ugache_bench::microbench::DEFAULT_WARMUP);
-            assert_eq!(out, None);
-        }
-        other => panic!("expected Bench, got {other:?}"),
-    }
-    match cli::parse(&args(&[
-        "bench",
-        "--trials=9",
-        "--warmup",
-        "0",
-        "--out",
-        "b.json",
-        "gather",
-        "simplex_pivot",
-    ]))
-    .unwrap()
-    {
-        Command::Bench {
-            names,
-            trials,
-            warmup,
-            out,
-        } => {
-            assert_eq!(names, ["gather", "simplex_pivot"]);
-            assert_eq!(trials, 9);
-            assert_eq!(warmup, 0);
-            assert_eq!(out.as_deref(), Some(std::path::Path::new("b.json")));
-        }
-        other => panic!("expected Bench, got {other:?}"),
-    }
-    // Trials clamp to at least 1; warmup 0 is legitimate.
-    match cli::parse(&args(&["bench", "--trials", "0"])).unwrap() {
-        Command::Bench { trials, .. } => assert_eq!(trials, 1),
-        other => panic!("expected Bench, got {other:?}"),
-    }
-    let err = cli::parse(&args(&["bench", "nope"])).unwrap_err();
-    assert!(err.contains("nope"), "{err}");
-    let err = cli::parse(&args(&["bench", "--json"])).unwrap_err();
-    assert!(err.contains("--json"), "{err}");
-}
-
-#[test]
 fn compare_exit_codes_distinguish_unusable_inputs_from_gate_failures() {
     let exe = env!("CARGO_BIN_EXE_repro");
     let dir = std::env::temp_dir().join(format!("repro-exit-test-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    let bench_json = |opt_min: f64, speedup: f64| {
-        format!(
-            "{{\"kind\": \"ugache-bench\", \"benches\": [{{\"name\": \"gather\", \
-             \"opt_min_secs\": {opt_min}, \"speedup\": {speedup}}}]}}\n"
-        )
-    };
-    let base = dir.join("base.json");
-    std::fs::write(&base, bench_json(0.010, 3.0)).unwrap();
+    let copy = dir.join("quick");
+    std::fs::create_dir_all(&copy).unwrap();
+    let quick = repo_root().join("baselines/quick");
+    for entry in std::fs::read_dir(&quick).unwrap() {
+        let path = entry.unwrap().path();
+        std::fs::copy(&path, copy.join(path.file_name().unwrap())).unwrap();
+    }
     let run = |a: &std::path::Path, b: &std::path::Path| {
-        std::process::Command::new(exe)
+        let out = std::process::Command::new(exe)
             .arg("compare")
             .arg(a)
             .arg(b)
             .output()
-            .expect("repro runs")
-            .status
-            .code()
+            .expect("repro runs");
+        (
+            out.status.code(),
+            String::from_utf8(out.stdout).expect("utf-8"),
+        )
     };
 
-    // Unreadable input: exit 3, not a gate verdict.
-    assert_eq!(run(&base, &dir.join("missing.json")), Some(3));
-    // Valid JSON but not a bench report: still exit 3.
-    let alien = dir.join("alien.json");
-    std::fs::write(&alien, "{\"kind\": \"something-else\"}\n").unwrap();
-    assert_eq!(run(&base, &alien), Some(3));
-    // A genuine regression beyond the soft gate: exit 1.
-    let slow = dir.join("slow.json");
-    std::fs::write(&slow, bench_json(0.100, 0.3)).unwrap();
-    assert_eq!(run(&base, &slow), Some(1));
-    // Within tolerance: exit 0.
-    let fine = dir.join("fine.json");
-    std::fs::write(&fine, bench_json(0.011, 2.9)).unwrap();
-    assert_eq!(run(&base, &fine), Some(0));
-    // Directory mode with an unreadable side is exit 3 too.
-    assert_eq!(run(&dir.join("no-dir-a"), &dir.join("no-dir-b")), Some(3));
+    // An unchanged copy passes: exit 0.
+    assert_eq!(run(&quick, &copy).0, Some(0));
+    // One metric moved past its tolerance entry is a gate failure: exit 1.
+    let metric = "memsim.microbench.samples";
+    let path = format!("metrics.counters.{metric}");
+    let tol = compare::tolerance_for(&path);
+    assert_eq!(tol, 0.05, "{path} falls under the `memsim.` entry");
+    let fig6 = copy.join("fig6.json");
+    let text = std::fs::read_to_string(&fig6).unwrap();
+    let artifact = json::parse(&text).unwrap();
+    let Some(json::Value::Num(raw)) = artifact
+        .get("metrics")
+        .and_then(|m| m.get("counters"))
+        .and_then(|c| c.get(metric))
+    else {
+        panic!("baselines/quick/fig6.json records {metric}");
+    };
+    let moved = raw.parse::<f64>().unwrap() * (1.0 + 2.0 * tol);
+    let from = format!("\"{metric}\": {raw}");
+    assert!(text.contains(&from), "{from}");
+    std::fs::write(
+        &fig6,
+        text.replace(&from, &format!("\"{metric}\": {moved}")),
+    )
+    .unwrap();
+    let (code, stdout) = run(&quick, &copy);
+    assert_eq!(code, Some(1), "{stdout}");
+    assert!(
+        stdout.contains(&format!("fig6.json: {path} drifted")),
+        "{stdout}"
+    );
+    // An unreadable side is unusable input, not a gate verdict: exit 3.
+    assert_eq!(run(&dir.join("no-dir"), &quick).0, Some(3));
+    // Two `.json` files are not a mode of their own: unusable input.
+    let table1 = quick.join("table1.json");
+    assert_eq!(run(&table1, &table1).0, Some(3));
 
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -376,10 +344,9 @@ fn repro_list_is_rendered_from_the_two_tables() {
             "{t} missing from `{menu}`"
         );
     }
-    let kernels = ugache_bench::microbench::BENCH_NAMES.join("|");
     for row in cli::SUBCOMMANDS {
         for line in row.usage.lines() {
-            let line = format!(" repro {}", line.replace("{kernels}", &kernels));
+            let line = format!(" repro {line}");
             assert!(text.lines().any(|l| l.ends_with(&line)), "{line}");
         }
         // A named row is reachable: its name is not taken for a target.

@@ -1,5 +1,5 @@
-//! Frozen pre-optimization gather, kept for differential tests and the
-//! `repro bench` wall-clock microbenches.
+//! Frozen pre-optimization gather, kept as the differential tests'
+//! oracle.
 //!
 //! [`ReferenceGatherer`] reproduces the original `MultiGpuCache::gather`
 //! exactly: a per-key `HashMap` probe into a per-destination location

@@ -23,8 +23,8 @@
 //! per-GPU busy-core counts, and the list of busy cores are maintained on
 //! completion/dispatch transitions instead of being recounted by scanning
 //! every core each step. The pre-optimization loop is preserved in
-//! [`crate::reference`] for differential tests and `repro bench`; both
-//! produce bit-identical results and telemetry.
+//! [`crate::reference`] as the differential tests' oracle; both produce
+//! bit-identical results and telemetry.
 
 use crate::bandwidth::{effective_bw, CongestionModel};
 use crate::trace::{ExtractionTrace, TraceEvent};

@@ -1,5 +1,5 @@
-//! Frozen pre-optimization event loop, kept for differential tests and
-//! the `repro bench` wall-clock microbenches.
+//! Frozen pre-optimization event loop, kept as the differential tests'
+//! oracle.
 //!
 //! [`simulate_reference`] reproduces the original engine loop exactly:
 //! every step it recounts the active cores of every group by scanning all

@@ -1,5 +1,5 @@
-//! Frozen pre-optimization dense simplex, kept for differential tests
-//! and the `repro bench` wall-clock microbenches.
+//! Frozen pre-optimization dense simplex, kept as the differential
+//! tests' oracle.
 //!
 //! [`solve_lp_dense`] is the original solver verbatim: every pivot and
 //! every pricing pass walks all `n` tableau columns. It must produce the

@@ -1,6 +1,6 @@
-//! Seeded LP generators shared by the differential tests and the
-//! `repro bench` kernels, so both exercise the shape of LP the solver
-//! meets in production rather than one that happens to be convenient.
+//! Seeded LP generators for the differential tests, so they exercise
+//! the shape of LP the solver meets in production rather than one that
+//! happens to be convenient.
 
 use crate::model::{ConstraintSense, LinExpr, Model, VarId};
 

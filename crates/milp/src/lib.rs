@@ -19,9 +19,8 @@
 //!   already known — a `±0.0` term, a column nothing reads, a sum whose
 //!   terms did not move — so the solver follows the original dense solver
 //!   pivot for pivot; that solver survives as [`dense::solve_lp_dense`],
-//!   the frozen yardstick for differential tests and benchmarks;
-//! * [`fixtures`] — the seeded placement-shaped LP those tests and
-//!   benchmarks share;
+//!   the frozen yardstick for differential tests;
+//! * [`fixtures`] — the seeded placement-shaped LP those tests share;
 //! * [`branch`] — best-first branch-and-bound over the LP relaxation with
 //!   most-fractional branching and node limits.
 //!
@@ -30,7 +29,8 @@
 //! seconds. The policy crate additionally exploits that *fractional*
 //! block placements are realizable (a block can be split), so the LP
 //! relaxation is usually the final answer and branch-and-bound is only
-//! exercised for per-entry "theoretically optimal" baselines (Figure 16).
+//! exercised by tests (this crate's, and `cache-policy`'s of the paper
+//! MILP).
 
 #![deny(missing_docs)]
 

@@ -117,18 +117,23 @@ fn random_lps_match_dense_pivot_for_pivot() {
 
 #[test]
 fn placement_shaped_lps_match_dense_pivot_for_pivot() {
-    // (gpus, blocks, patterns, total tableau columns): one word minus a
-    // bit, exactly one word, one word plus a bit, two words plus a bit,
-    // and a ~2 000-column case with Server-C-like 8 GPUs whose capacity
-    // and `tj` rows fill in the way the real placement LP's do.
-    for (gpus, blocks, patterns, columns) in [
-        (1, 5, 7, 63),
-        (2, 1, 17, 64),
-        (2, 4, 3, 65),
-        (2, 4, 19, 129),
-        (8, 32, 48, 2017),
+    // (gpus, blocks, patterns, total tableau columns, seeds): one word
+    // minus a bit, exactly one word, one word plus a bit, two words plus a
+    // bit, a ~2 000-column case with Server-C-like 8 GPUs whose capacity
+    // and `tj` rows fill in the way the real placement LP's do, and the
+    // joint pattern LP at the size the figures solve it on an 8-GPU
+    // server (368 rows; one seed, as it costs more than the rest together
+    // in a debug build).
+    let two = &[1u64, 2026][..];
+    for (gpus, blocks, patterns, columns, seeds) in [
+        (1, 5, 7, 63, two),
+        (2, 1, 17, 64, two),
+        (2, 4, 3, 65, two),
+        (2, 4, 19, 129, two),
+        (8, 32, 48, 2017, two),
+        (8, 200, 9, 2617, &[0x5EED]),
     ] {
-        for seed in [1u64, 2026] {
+        for &seed in seeds {
             let m = placement_lp(seed, gpus, blocks, patterns);
             assert_eq!(
                 m.num_vars() + 2 * m.num_constraints(),

@@ -18,8 +18,10 @@
 //!   (fractional block placement is realizable by splitting blocks, so
 //!   the LP relaxation is exact at block granularity);
 //! * [`optimal`] — the paper's full MILP (binary `a`/`s` per block or per
-//!   entry) via branch-and-bound, used for the Figure 16 "theoretically
-//!   optimal" comparison and for cross-validating the solver.
+//!   entry) via branch-and-bound, which this crate's tests use to
+//!   cross-validate the solver on small instances. No run solves it:
+//!   Figure 16's "optimal" is the pattern LP at fine block granularity
+//!   (EXPERIMENTS.md, "Figure 16").
 
 #![deny(missing_docs)]
 

@@ -5,9 +5,9 @@
 //! capacity and accessibility constraints, the `R`-weighted time bounds —
 //! at a chosen unit granularity (entries, or blocks from §6.3), and
 //! solves it with the in-repo branch-and-bound. It is exponential in the
-//! worst case and meant for *small* instances: the Figure 16
-//! "theoretically optimal" baseline and cross-validation of the fast
-//! pattern-LP solver.
+//! worst case and meant for *small* instances: its one use is this
+//! module's tests, which cross-validate the fast pattern-LP solver
+//! against it. Figure 16 does not call it (EXPERIMENTS.md, "Figure 16").
 
 use crate::blocks::Block;
 use crate::types::{Hotness, Placement, SourceIdx};
