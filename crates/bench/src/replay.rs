@@ -14,6 +14,7 @@ use cache_policy::Hotness;
 use emb_scenario::{PlatformId, PolicyId, Scenario, ScenarioDef, WorkloadSpec};
 use emb_serve::{draw_request_keys, ClientPopulation};
 use emb_workload::Trace;
+use gpu_platform::home_gpu;
 use serde::Serialize;
 use ugache::baselines::{build_system, SystemKind};
 
@@ -160,9 +161,9 @@ pub fn default_platform(trace_gpus: u32) -> Option<PlatformId> {
 }
 
 /// Re-shards one record onto `g` GPUs when the trace's GPU count
-/// differs from the replay platform's: keys are merged, dealt
-/// `key % g`, sorted, and deduplicated — exactly like the serving
-/// path's batch sharding. With matching counts the record is fed
+/// differs from the replay platform's: keys are merged, dealt to their
+/// [`home_gpu`] among `g`, sorted, and deduplicated — exactly like the
+/// serving path's batch sharding. With matching counts the record is fed
 /// through unchanged.
 fn normalize(record: &[Vec<u32>], g: usize) -> Vec<Vec<u32>> {
     if record.len() == g {
@@ -171,7 +172,7 @@ fn normalize(record: &[Vec<u32>], g: usize) -> Vec<Vec<u32>> {
     let mut shards = vec![Vec::new(); g];
     for keys in record {
         for &k in keys {
-            shards[k as usize % g].push(k);
+            shards[home_gpu(k as usize, g)].push(k);
         }
     }
     for shard in &mut shards {

@@ -8,13 +8,13 @@
 //! too returns, and holds what the keys it was given can account for.
 //!
 //! One binary with its own counting `#[global_allocator]`
-//! (`test_support::CountingAlloc`); the tests take turns under
-//! [`MEASURING`] so each sees only its own allocations.
+//! (`test_support::CountingAlloc`). It counts per thread, so each
+//! measurement sees only the allocations of the test that takes it, not
+//! those of the tests libtest runs beside it.
 
 use emb_scenario::{PlatformId, PolicyId};
 use emb_workload::{Trace, TraceError, TRACE_MAGIC, TRACE_VERSION};
 use proptest::prelude::*;
-use std::sync::Mutex;
 use test_support::{peak_of, CountingAlloc};
 use ugache_bench::json;
 use ugache_bench::replay::{replay_trace, MAX_REPLAY_KEYS};
@@ -22,19 +22,8 @@ use ugache_bench::replay::{replay_trace, MAX_REPLAY_KEYS};
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-static MEASURING: Mutex<()> = Mutex::new(());
-
-/// The measuring turn. The mutex guards no data, so a test that failed
-/// while holding it leaves nothing broken behind for the others.
-fn turn() -> std::sync::MutexGuard<'static, ()> {
-    MEASURING
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
-/// Decodes `bytes` under the allocation budget (the fixed part covers
-/// what the harness's own threads allocate meanwhile); an `Ok` must
-/// re-encode to exactly `bytes`.
+/// Decodes `bytes` under the allocation budget; an `Ok` must re-encode
+/// to exactly `bytes`.
 fn decode_trace(bytes: &[u8]) -> Result<Trace, TraceError> {
     let (decoded, peak) = peak_of(|| Trace::from_bytes(bytes));
     assert!(
@@ -146,7 +135,6 @@ proptest! {
 
     #[test]
     fn arbitrary_bytes_never_panic_the_trace_decoder(bytes in bytes_strategy(160)) {
-        let _turn = turn();
         let _ = decode_trace(&bytes);
         // Past the magic and the version, where the length fields are.
         let mut framed = TRACE_MAGIC.to_vec();
@@ -161,7 +149,6 @@ proptest! {
         at in 0usize..10_000,
         to in 0u32..256,
     ) {
-        let _turn = turn();
         let trace = trace_from(&shape);
         let bytes = trace.to_bytes();
         prop_assert_eq!(decode_trace(&bytes), Ok(trace.clone()));
@@ -198,7 +185,6 @@ proptest! {
         claim in 0usize..8,
         word in 0u64..u64::MAX,
     ) {
-        let _turn = turn();
         // A valid small trace whose header claims a domain its keys do
         // not need: a little more, the bounds and their neighbours, noise.
         let mut trace = trace_from(&shape);
@@ -227,7 +213,6 @@ proptest! {
         bytes in bytes_strategy(200),
         tokens in prop::collection::vec(0usize..24, 0..120),
     ) {
-        let _turn = turn();
         let _ = parse_json(&String::from_utf8_lossy(&bytes));
         // JSON's own alphabet gets further than noise does.
         const TOKENS: [&str; 24] = [
@@ -241,7 +226,6 @@ proptest! {
 
 #[test]
 fn well_formed_documents_parse_within_the_budget() {
-    let _turn = turn();
     // The shapes that hold the most heap per input byte: empty
     // containers, one-digit numbers, one-letter keys.
     for unit in ["[]", "{}", "0", "null", "{\"k\":0}", "\"\""] {

@@ -29,4 +29,4 @@ pub mod topology;
 pub use gpu::GpuSpec;
 pub use link::{PathKind, PathSpec};
 pub use profile::{DedicationConfig, Profile};
-pub use topology::{Interconnect, Location, Platform};
+pub use topology::{home_gpu, Interconnect, Location, Platform};

@@ -25,6 +25,21 @@ impl std::fmt::Display for Location {
     }
 }
 
+/// The GPU that serves key `key` on a `num_gpus`-GPU machine:
+/// `key % num_gpus`. `emb-serve` shards a batch's keys by it and `repro
+/// replay` re-shards a trace by it. The UGache solver stores replica `m`
+/// of round-robin position `r` on `home_gpu(r + m, ·)` among the GPUs
+/// (or a clique's members), and deals a run of consecutive keys at
+/// position = key, so a key it partitions lives on the GPU that serves
+/// it.
+///
+/// # Panics
+///
+/// Panics if `num_gpus` is zero.
+pub fn home_gpu(key: usize, num_gpus: usize) -> usize {
+    key % num_gpus
+}
+
 /// Cross-GPU interconnect flavour (paper Figure 3).
 #[derive(Debug, Clone, PartialEq)]
 pub enum Interconnect {

@@ -9,7 +9,7 @@
 //! the paper's MILP at block granularity (see crate docs).
 
 use crate::types::SourceIdx;
-use gpu_platform::{Interconnect, Location, Platform};
+use gpu_platform::{home_gpu, Interconnect, Location, Platform};
 
 /// What a pattern does with its entries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -154,13 +154,14 @@ pub fn generate_patterns(platform: &Platform) -> Vec<Pattern> {
 }
 
 impl Pattern {
-    /// Storage locations for the entry at block-local position `r`
-    /// (deterministic round-robin; empty for `Host`).
+    /// Storage locations for the entry at round-robin position `r`
+    /// (empty for `Host`): replica `m` goes to the [`home_gpu`] of
+    /// `r + m` among the `G` GPUs, or among each clique's members.
     pub fn holders(&self, platform: &Platform, r: usize) -> Vec<usize> {
         let g = platform.num_gpus();
         match self.kind {
             PatternKind::Host => vec![],
-            PatternKind::RepK { k } => (0..k).map(|m| (r + m) % g).collect(),
+            PatternKind::RepK { k } => (0..k).map(|m| home_gpu(r + m, g)).collect(),
             PatternKind::CliqueRepK { k } => {
                 let cliques = platform.fully_connected_groups();
                 let mut out = Vec::new();
@@ -168,7 +169,7 @@ impl Pattern {
                     let c = members.len();
                     let k_eff = k.min(c);
                     for m in 0..k_eff {
-                        out.push(members[(r + m) % c]);
+                        out.push(members[home_gpu(r + m, c)]);
                     }
                 }
                 out
@@ -205,56 +206,53 @@ impl Pattern {
     }
 }
 
-/// The round-robin of one of [`generate_patterns`]' patterns walked from
-/// position 0: who stores the next entry and where each GPU reads it —
+/// The round-robin of one of [`generate_patterns`]' patterns: who stores
+/// the entry at a position and where each GPU reads it —
 /// [`Pattern::holders`] and [`Pattern::source_for`], asked once per
 /// distinct position.
 ///
 /// Both repeat in the position `r`: holders rotate through the `G` GPUs
 /// or through each clique (every size at most `G`), and a reader picks
 /// among its `n ≤ G` reachable holders by `(gpu + r) mod n`, so position
-/// `r + lcm(1..=G)` lays an entry out as position `r` did. A row is
-/// computed the first time the walk reaches it and read back every lap
-/// after that, so a block of a hundred thousand entries costs a few
-/// hundred calls into the rule instead of one per entry.
+/// `r + lcm(1..=G)` lays an entry out as position `r` did. Rows are
+/// computed in residue order, up to the highest residue asked for, and
+/// read back after that, so a block of a hundred thousand entries costs
+/// a few hundred calls into the rule instead of one per entry.
 pub(crate) struct Rotation<'a> {
     pattern: &'a Pattern,
     platform: &'a Platform,
     period: usize,
-    /// The next entry's position within the current lap.
-    position: usize,
-    /// Per position below `period` reached so far: the holders, and each
-    /// GPU's source (`G` for host).
+    /// Per residue below `period` computed so far, lowest first: the
+    /// holders, and each GPU's source (`G` for host).
     rows: Vec<(Vec<usize>, Vec<SourceIdx>)>,
 }
 
 impl<'a> Rotation<'a> {
-    /// The walk of `pattern` on `platform`, at position 0.
+    /// The round-robin of `pattern` on `platform`.
     pub(crate) fn new(pattern: &'a Pattern, platform: &'a Platform) -> Self {
-        // Saturating: a period that overflows is one the walk never laps.
+        // Saturating: a period that overflows is one no position reaches.
         let period =
             (1..=platform.num_gpus()).fold(1usize, |lcm, n| lcm.saturating_mul(n / gcd(lcm, n)));
         Rotation {
             pattern,
             platform,
             period,
-            position: 0,
             rows: Vec::new(),
         }
     }
 
-    /// The holders of the entry at the current position and the source
-    /// each GPU reads it from; moves on to the next position.
-    pub(crate) fn next_entry(&mut self) -> (&[usize], &[SourceIdx]) {
-        let r = self.position;
-        self.position = if r + 1 == self.period { 0 } else { r + 1 };
-        if r == self.rows.len() {
+    /// The holders of the entry at position `r` and the source each GPU
+    /// reads it from.
+    pub(crate) fn at(&mut self, r: usize) -> (&[usize], &[SourceIdx]) {
+        let r = r % self.period;
+        while self.rows.len() <= r {
             let g = self.platform.num_gpus();
-            let holders = self.pattern.holders(self.platform, r);
+            let position = self.rows.len();
+            let holders = self.pattern.holders(self.platform, position);
             let access = (0..g)
                 .map(|gpu| {
                     self.pattern
-                        .source_for(self.platform, gpu, r, &holders)
+                        .source_for(self.platform, gpu, position, &holders)
                         .unwrap_or(g) as SourceIdx
                 })
                 .collect();
@@ -280,7 +278,10 @@ mod tests {
     #[test]
     fn rotation_replays_holders_and_sources_position_by_position() {
         // Many laps of Server A's period (12) and more than one of the
-        // eight-GPU servers' (840), on every generated pattern.
+        // eight-GPU servers' (840), on every generated pattern: walked in
+        // order, as the running round-robin asks, then at scattered
+        // positions far past the period, as a run of keys asks.
+        let scattered = (0..1_000).map(|i| i * 7_919 % 400_000);
         for plat in [
             Platform::server_a(),
             Platform::server_b(),
@@ -289,14 +290,14 @@ mod tests {
             let g = plat.num_gpus();
             for pat in &generate_patterns(&plat) {
                 let mut rotation = Rotation::new(pat, &plat);
-                for r in 0..1_000 {
+                for r in (0..1_000).chain(scattered.clone()) {
                     let holders = pat.holders(&plat, r);
                     let access: Vec<SourceIdx> = (0..g)
                         .map(|gpu| {
                             pat.source_for(&plat, gpu, r, &holders).unwrap_or(g) as SourceIdx
                         })
                         .collect();
-                    let (got_holders, got_access) = rotation.next_entry();
+                    let (got_holders, got_access) = rotation.at(r);
                     assert_eq!(
                         got_holders, holders,
                         "{:?} r {r} on {}",
@@ -305,6 +306,15 @@ mod tests {
                     assert_eq!(got_access, access, "{:?} r {r} on {}", pat.kind, plat.name);
                 }
                 assert!(rotation.rows.len() <= rotation.period);
+                // Asked out of order first, a fresh rotation answers the
+                // same.
+                let mut fresh = Rotation::new(pat, &plat);
+                for r in scattered.clone() {
+                    assert_eq!(
+                        fresh.at(r),
+                        (pat.holders(&plat, r).as_slice(), rotation.at(r).1)
+                    );
+                }
             }
         }
     }

@@ -318,11 +318,13 @@ impl UGacheSolver {
     ) -> Placement {
         let g = self.platform.num_gpus();
         let mut placement = Placement::all_host(g, num_entries);
-        // Each pattern's round-robin runs on across blocks.
+        // Each pattern's round-robin runs on across blocks: `dealt[p]`
+        // entries have taken pattern `p` so far.
         let mut rotations: Vec<Rotation> = patterns
             .iter()
             .map(|pat| Rotation::new(pat, &self.platform))
             .collect();
+        let mut dealt = vec![0usize; patterns.len()];
 
         for (b, blk) in blocks.iter().enumerate() {
             // Largest-remainder split of the block across patterns.
@@ -352,15 +354,25 @@ impl UGacheSolver {
                 assigned += *c;
             }
 
-            let mut cursor = 0usize;
-            for (rotation, &count) in rotations.iter_mut().zip(&counts) {
-                for _ in 0..count {
-                    if cursor >= n {
-                        break;
-                    }
-                    let entry = blk.entries[cursor] as usize;
-                    cursor += 1;
-                    let (holders, access) = rotation.next_entry();
+            // The block's entries go to the patterns in order, one slice
+            // each. A slice that is a run of at least G consecutive keys
+            // is dealt by key: key `k` takes position `k`, so its holders
+            // start at its `home_gpu` and the GPU that serves it stores
+            // it. Any other slice takes the next positions of the
+            // pattern's running round-robin. Either way the round-robin
+            // moves on by the slice's length.
+            let mut rest = blk.entries.as_slice();
+            for ((rotation, dealt), &count) in rotations.iter_mut().zip(&mut dealt).zip(&counts) {
+                let (slice, tail) = rest.split_at(count.min(rest.len()));
+                rest = tail;
+                let by_key = slice.len() >= g
+                    && slice
+                        .windows(2)
+                        .all(|w| u64::from(w[0]) + 1 == u64::from(w[1]));
+                for (offset, &entry) in slice.iter().enumerate() {
+                    let entry = entry as usize;
+                    let position = if by_key { entry } else { *dealt + offset };
+                    let (holders, access) = rotation.at(position);
                     for &h in holders {
                         placement.stored[h][entry] = true;
                     }
@@ -368,6 +380,7 @@ impl UGacheSolver {
                         row[entry] = src;
                     }
                 }
+                *dealt += slice.len();
             }
         }
 
@@ -632,6 +645,14 @@ mod tests {
         // Placement hash, predicted seconds and pivot count recorded at
         // the commit before the simplex moved from sorted support lists
         // to bitsets: a solver speed-up must not move a single row.
+        //
+        // Power-law hotness ranks keys in key order, so these blocks are
+        // runs of consecutive keys, which `realize` deals by key. That
+        // re-recorded Server C's placement hash (one 417-entry slice
+        // moved). Server B's did not: each slice it caches starts where
+        // its pattern's running round-robin already stood. The LP is
+        // unchanged, so `predicted_secs` and the pivot counts are still
+        // the values first pinned.
         for (name, platform, hash, predicted_bits, iterations) in [
             (
                 "server_b",
@@ -643,7 +664,7 @@ mod tests {
             (
                 "server_c",
                 Platform::server_c(),
-                0x385f_77ef_861b_427b,
+                0x9676_f46f_f28a_c52c,
                 0x3f36_a2ca_ef87_16e2,
                 681.0,
             ),
@@ -756,6 +777,43 @@ mod tests {
             for (j, &cap) in caps.iter().enumerate() {
                 assert_eq!(sp.placement.cached_count(j), cap, "{name}: GPU{j} is full");
             }
+        }
+    }
+
+    #[test]
+    fn partitioned_keys_of_a_key_ordered_table_live_on_their_home_gpu() {
+        // A power-law table ranks its keys in key order, so each block is
+        // a run of consecutive keys and its RepK{1} slice is dealt by key:
+        // the one copy of key `k` sits on GPU `k % G`, the GPU `emb-serve`
+        // sends it to, and that GPU reads it locally.
+        //
+        // Dealt from the running round-robin instead, 131 and 417 of these
+        // keys sat on another GPU: an earlier slice had left the
+        // round-robin out of step with the keys.
+        let n = 100_000;
+        for (platform, cap, alpha) in [
+            (Platform::server_a(), 12_500, 1.05),
+            (Platform::server_c(), 4_000, 1.2),
+        ] {
+            let (g, name) = (platform.num_gpus(), platform.name.clone());
+            let s = solver(platform);
+            let mut cfg = SolverConfig::new(512, 40_000.0);
+            cfg.dedup_adjust = true;
+            let p = s
+                .solve(&hotness(n, alpha), &vec![cap; g], &cfg)
+                .unwrap()
+                .placement;
+            let mut partitioned = 0;
+            for key in 0..n {
+                let mut holders = (0..g).filter(|&j| p.stored[j][key]);
+                if let (Some(only), None) = (holders.next(), holders.next()) {
+                    let home = gpu_platform::home_gpu(key, g);
+                    assert_eq!(only, home, "{name}: key {key} is stored off its home");
+                    assert_eq!(p.access[home][key] as usize, home, "{name}: key {key}");
+                    partitioned += 1;
+                }
+            }
+            assert!(partitioned >= n / 10, "{partitioned} partitioned keys");
         }
     }
 

@@ -7,7 +7,7 @@ use crate::clients::ClientPopulation;
 use crate::{PoissonArrivals, ServeConfig};
 use emb_util::stats::percentile;
 use emb_util::{seed_rng, split_seed, SimTime};
-use gpu_platform::Location;
+use gpu_platform::{home_gpu, Location};
 use ugache::UGache;
 
 /// Seed-split label for each load point's arrival process.
@@ -101,16 +101,16 @@ pub fn req_id(point: u64, index: usize) -> emb_telemetry::ReqId {
     emb_telemetry::ReqId((point << 32) | index as u64)
 }
 
-/// Coalesces the admitted requests' keys into the per-GPU `shards`
-/// (`key % shards.len()`), sorted and deduplicated like every other batch
-/// the cache sees. The shard buffers are refilled in place, so a load
-/// point's batches share one set of allocations.
+/// Coalesces the admitted requests' keys into the per-GPU `shards`, each
+/// key to its [`home_gpu`] among `shards.len()`, sorted and deduplicated
+/// like every other batch the cache sees. The shard buffers are refilled
+/// in place, so a load point's batches share one set of allocations.
 fn shard_keys<'a>(keys: impl Iterator<Item = &'a [u32]>, shards: &mut [Vec<u32>]) {
     shards.iter_mut().for_each(Vec::clear);
     let num_gpus = shards.len();
     for req_keys in keys {
         for &k in req_keys {
-            shards[k as usize % num_gpus].push(k);
+            shards[home_gpu(k as usize, num_gpus)].push(k);
         }
     }
     for shard in shards {

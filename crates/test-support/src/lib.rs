@@ -1,11 +1,12 @@
 //! Helpers shared by the workspace's test binaries. Only ever a
 //! `dev-dependency`: nothing here ships in a library or in `repro`.
 //!
-//! * [`CountingAlloc`] — a `System`-backed allocator that counts. A test
-//!   binary that wants it declares its own
+//! * [`CountingAlloc`] — a `System`-backed allocator that counts, per
+//!   thread. A test binary that wants it declares its own
 //!   `#[global_allocator] static GLOBAL: CountingAlloc = CountingAlloc;`
-//!   and measures with [`allocations`] (calls made by the current
-//!   thread) or [`peak_of`] (bytes held, all threads).
+//!   and measures with [`allocations`] (calls made) or [`peak_of`] (bytes
+//!   held), both on the current thread only, so tests running side by
+//!   side in one binary do not see each other.
 //! * [`fnv1a`] — the hash the pinned-stream and pinned-placement tests
 //!   record their golden values with.
 //!
@@ -15,26 +16,33 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
 
-/// The system allocator, counting calls per thread and bytes overall.
+/// The system allocator, counting calls and bytes per thread.
 pub struct CountingAlloc;
 
+// All three are const-initialised and need no destructor, so touching
+// them from inside the allocator never allocates.
 thread_local! {
-    /// Allocations and reallocations made by this thread
-    /// (const-initialised, so reading it from inside the allocator never
-    /// allocates).
+    /// Allocations and reallocations made by this thread.
     static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+    /// Bytes this thread allocated less the bytes it freed. A thread can
+    /// free what another allocated, so this can fall below zero.
+    static LIVE: Cell<isize> = const { Cell::new(0) };
+    /// The most [`LIVE`] has been since [`peak_of`] last reset it.
+    static PEAK: Cell<isize> = const { Cell::new(0) };
 }
-
-/// Bytes currently allocated, by any thread.
-static LIVE: AtomicUsize = AtomicUsize::new(0);
-/// The most [`LIVE`] has been since [`peak_of`] last reset it.
-static PEAK: AtomicUsize = AtomicUsize::new(0);
 
 fn grew(by: usize) {
     ALLOCATIONS.with(|n| n.set(n.get() + 1));
-    PEAK.fetch_max(LIVE.fetch_add(by, SeqCst) + by, SeqCst);
+    let live = LIVE.with(|live| {
+        live.set(live.get().wrapping_add_unsigned(by));
+        live.get()
+    });
+    PEAK.with(|peak| peak.set(peak.get().max(live)));
+}
+
+fn shrank(by: usize) {
+    LIVE.with(|live| live.set(live.get().wrapping_sub_unsigned(by)));
 }
 
 // SAFETY: delegates every operation unchanged to `System`; the counter
@@ -46,34 +54,36 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        LIVE.fetch_sub(layout.size(), SeqCst);
+        shrank(layout.size());
         System.dealloc(ptr, layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         // Old and new block can both be live while the bytes move.
         grew(new_size);
-        LIVE.fetch_sub(layout.size(), SeqCst);
+        shrank(layout.size());
         System.realloc(ptr, layout, new_size)
     }
 }
 
 /// `f`'s result and the allocations (and reallocations) the calling
-/// thread made while it ran. Per thread, so tests in one binary do not
-/// disturb each other's counts.
+/// thread made while it ran.
 pub fn allocations<R>(f: impl FnOnce() -> R) -> (R, usize) {
     let before = ALLOCATIONS.with(Cell::get);
     let result = f();
     (result, ALLOCATIONS.with(Cell::get) - before)
 }
 
-/// `f`'s result and the most heap, in bytes, the process held beyond
-/// what was live before. Process-wide: tests that call it take turns.
+/// `f`'s result and the most heap, in bytes, the calling thread held
+/// beyond what it held before. What `f` hands to other threads to
+/// allocate is not counted (the worker pool runs inline at its default
+/// width of one).
 pub fn peak_of<R>(f: impl FnOnce() -> R) -> (R, usize) {
-    let before = LIVE.load(SeqCst);
-    PEAK.store(before, SeqCst);
+    let before = LIVE.with(Cell::get);
+    PEAK.with(|peak| peak.set(before));
     let result = f();
-    (result, PEAK.load(SeqCst).saturating_sub(before))
+    let peak = PEAK.with(Cell::get);
+    (result, peak.saturating_sub(before).max(0) as usize)
 }
 
 /// FNV-1a's 64-bit offset basis: the `hash` to start [`fnv1a`] from.

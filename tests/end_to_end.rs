@@ -9,7 +9,7 @@ use emb_workload::dlr::DlrHotness;
 use emb_workload::{
     dlr_preset, gnn_preset, DlrDatasetId, DlrWorkload, GnnDatasetId, GnnModel, GnnWorkload,
 };
-use gpu_platform::Platform;
+use gpu_platform::{home_gpu, Location, Platform};
 use ugache::baselines::{build_system, SystemKind};
 use ugache::{UGache, UGacheConfig};
 
@@ -146,6 +146,77 @@ fn ugache_is_never_worse_than_both_baselines_together() {
             );
         }
     }
+}
+
+#[test]
+fn served_keys_are_read_where_they_are_served() {
+    // `emb-serve`'s shape on Server A: a power-law table, a cache an
+    // eighth of it per GPU, and small batches whose keys go to their
+    // `home_gpu`. The solver deals the keys it partitions by key, so
+    // every cached key is read by the GPU that serves it, and UGache
+    // keeps up with PartU, whose rank-`r` key (key `r` here) lives on
+    // GPU `r % G` too.
+    let plat = Platform::server_a();
+    let g = plat.num_gpus();
+    let (n, alpha, dim, draws, batches) = (100_000, 1.2, 32, 512, 64);
+    let cap = n / 8;
+    let hotness = Hotness::new(powerlaw_hotness(n, alpha));
+    let accesses = draws as f64 * 0.7;
+    let mut cfg = UGacheConfig::new(dim * 4, accesses);
+    cfg.solver.blocks.max_blocks = 32;
+    cfg.solver.blocks.min_splits = g;
+    let mut u = UGache::build(
+        plat.clone(),
+        HostTable::procedural(n, dim),
+        &hotness,
+        vec![cap; g],
+        cfg,
+    )
+    .expect("build");
+    let part_u = build_system(
+        SystemKind::PartU,
+        &plat,
+        &hotness,
+        cap,
+        dim * 4,
+        accesses,
+        1,
+    )
+    .expect("PartU");
+
+    let zipf = emb_util::ZipfSampler::new(n as u64, alpha);
+    let mut rng = emb_util::seed_rng(26);
+    let (mut ugache_secs, mut part_u_secs) = (0.0, 0.0);
+    for _ in 0..batches {
+        let mut shards = vec![Vec::new(); g];
+        for _ in 0..draws {
+            let key = zipf.sample(&mut rng) as u32;
+            shards[home_gpu(key as usize, g)].push(key);
+        }
+        for shard in &mut shards {
+            shard.sort_unstable();
+            shard.dedup();
+        }
+        let out = u.process_iteration(&shards).extract;
+        for per_gpu in &out.per_gpu {
+            for use_ in &per_gpu.per_src {
+                if let Location::Gpu(src) = use_.src {
+                    assert!(
+                        src == per_gpu.gpu || use_.bytes == 0.0,
+                        "GPU{} read {} bytes from GPU{src}",
+                        per_gpu.gpu,
+                        use_.bytes
+                    );
+                }
+            }
+        }
+        ugache_secs += out.makespan.as_secs_f64();
+        part_u_secs += part_u.extract(&shards).makespan.as_secs_f64();
+    }
+    assert!(
+        ugache_secs <= part_u_secs * 1.001,
+        "UGache {ugache_secs} s vs PartU {part_u_secs} s over {batches} batches"
+    );
 }
 
 #[test]
