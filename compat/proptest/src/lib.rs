@@ -188,9 +188,10 @@ macro_rules! prop_assert_eq {
 /// `#![proptest_config(expr)]`, then any number of
 /// `fn name(arg in strategy, ...) { body }` items (doc comments and
 /// other attributes on each fn are preserved). Each expands to a
-/// `#[test]` that samples the strategies `config.cases` times from a
+/// function that samples the strategies `config.cases` times from a
 /// deterministic per-test generator and runs the body; a panicking case
-/// reports its index before propagating.
+/// reports its index before propagating. As upstream, the macro adds no
+/// `#[test]`: each `fn` carries its own.
 #[macro_export]
 macro_rules! proptest {
     (#![proptest_config($cfg:expr)] $($rest:tt)*) => {
@@ -202,7 +203,6 @@ macro_rules! proptest {
     ) => {
         $(
             $(#[$meta])*
-            #[test]
             fn $name() {
                 let config: $crate::ProptestConfig = $cfg;
                 let mut rng =
@@ -274,6 +274,7 @@ mod tests {
         #![proptest_config(ProptestConfig { cases: 8, ..ProptestConfig::default() })]
 
         /// The macro itself: args bind, config caps cases, asserts work.
+        #[test]
         fn macro_smoke(x in 0u64..100, v in prop::collection::vec(0.0f64..1.0, 1..4)) {
             prop_assert!(x < 100);
             prop_assert_eq!(v.is_empty(), false);

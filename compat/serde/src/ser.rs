@@ -1,9 +1,13 @@
-//! The serialization half of serde's data model.
+//! The serialization half of a subset of serde's data model.
 //!
-//! Trait shapes mirror upstream `serde::ser` exactly (minus the `i128`/
-//! `u128` methods and `collect_*` conveniences, which nothing here
-//! uses), so code written against real serde — like the JSON emitter in
-//! `ugache-bench` — compiles unchanged.
+//! Each method kept has upstream `serde::ser`'s name and signature, so a
+//! `Serialize` impl written here compiles against real serde. The subset
+//! is what the workspace reaches: bool, `i64`, `u64`, `f64`, str,
+//! `Option`, unit, sequences, tuples, maps and structs. Narrower
+//! integers and `f32` widen inside their `Serialize` impls. There are no
+//! enum, newtype, char or bytes entry points, and no compound traits for
+//! tuple structs or variants. A `Serializer` impl written here would
+//! not compile against upstream, which requires every method.
 
 use std::fmt::Display;
 
@@ -23,82 +27,33 @@ pub trait Serialize {
     fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error>;
 }
 
-/// A format backend (e.g. the JSON emitter in `ugache-bench`).
+/// A format backend (`ugache_bench::json::to_value`), over the subset of
+/// the data model in the module docs.
 #[allow(missing_docs)]
 pub trait Serializer: Sized {
     type Ok;
     type Error: Error;
     type SerializeSeq: SerializeSeq<Ok = Self::Ok, Error = Self::Error>;
     type SerializeTuple: SerializeTuple<Ok = Self::Ok, Error = Self::Error>;
-    type SerializeTupleStruct: SerializeTupleStruct<Ok = Self::Ok, Error = Self::Error>;
-    type SerializeTupleVariant: SerializeTupleVariant<Ok = Self::Ok, Error = Self::Error>;
     type SerializeMap: SerializeMap<Ok = Self::Ok, Error = Self::Error>;
     type SerializeStruct: SerializeStruct<Ok = Self::Ok, Error = Self::Error>;
-    type SerializeStructVariant: SerializeStructVariant<Ok = Self::Ok, Error = Self::Error>;
 
     fn serialize_bool(self, v: bool) -> Result<Self::Ok, Self::Error>;
-    fn serialize_i8(self, v: i8) -> Result<Self::Ok, Self::Error>;
-    fn serialize_i16(self, v: i16) -> Result<Self::Ok, Self::Error>;
-    fn serialize_i32(self, v: i32) -> Result<Self::Ok, Self::Error>;
     fn serialize_i64(self, v: i64) -> Result<Self::Ok, Self::Error>;
-    fn serialize_u8(self, v: u8) -> Result<Self::Ok, Self::Error>;
-    fn serialize_u16(self, v: u16) -> Result<Self::Ok, Self::Error>;
-    fn serialize_u32(self, v: u32) -> Result<Self::Ok, Self::Error>;
     fn serialize_u64(self, v: u64) -> Result<Self::Ok, Self::Error>;
-    fn serialize_f32(self, v: f32) -> Result<Self::Ok, Self::Error>;
     fn serialize_f64(self, v: f64) -> Result<Self::Ok, Self::Error>;
-    fn serialize_char(self, v: char) -> Result<Self::Ok, Self::Error>;
     fn serialize_str(self, v: &str) -> Result<Self::Ok, Self::Error>;
-    fn serialize_bytes(self, v: &[u8]) -> Result<Self::Ok, Self::Error>;
     fn serialize_none(self) -> Result<Self::Ok, Self::Error>;
     fn serialize_some<T: Serialize + ?Sized>(self, value: &T) -> Result<Self::Ok, Self::Error>;
     fn serialize_unit(self) -> Result<Self::Ok, Self::Error>;
-    fn serialize_unit_struct(self, name: &'static str) -> Result<Self::Ok, Self::Error>;
-    fn serialize_unit_variant(
-        self,
-        name: &'static str,
-        variant_index: u32,
-        variant: &'static str,
-    ) -> Result<Self::Ok, Self::Error>;
-    fn serialize_newtype_struct<T: Serialize + ?Sized>(
-        self,
-        name: &'static str,
-        value: &T,
-    ) -> Result<Self::Ok, Self::Error>;
-    fn serialize_newtype_variant<T: Serialize + ?Sized>(
-        self,
-        name: &'static str,
-        variant_index: u32,
-        variant: &'static str,
-        value: &T,
-    ) -> Result<Self::Ok, Self::Error>;
     fn serialize_seq(self, len: Option<usize>) -> Result<Self::SerializeSeq, Self::Error>;
     fn serialize_tuple(self, len: usize) -> Result<Self::SerializeTuple, Self::Error>;
-    fn serialize_tuple_struct(
-        self,
-        name: &'static str,
-        len: usize,
-    ) -> Result<Self::SerializeTupleStruct, Self::Error>;
-    fn serialize_tuple_variant(
-        self,
-        name: &'static str,
-        variant_index: u32,
-        variant: &'static str,
-        len: usize,
-    ) -> Result<Self::SerializeTupleVariant, Self::Error>;
     fn serialize_map(self, len: Option<usize>) -> Result<Self::SerializeMap, Self::Error>;
     fn serialize_struct(
         self,
         name: &'static str,
         len: usize,
     ) -> Result<Self::SerializeStruct, Self::Error>;
-    fn serialize_struct_variant(
-        self,
-        name: &'static str,
-        variant_index: u32,
-        variant: &'static str,
-        len: usize,
-    ) -> Result<Self::SerializeStructVariant, Self::Error>;
 }
 
 /// Sequence serializer.
@@ -116,24 +71,6 @@ pub trait SerializeTuple {
     type Ok;
     type Error: Error;
     fn serialize_element<T: Serialize + ?Sized>(&mut self, value: &T) -> Result<(), Self::Error>;
-    fn end(self) -> Result<Self::Ok, Self::Error>;
-}
-
-/// Tuple-struct serializer.
-#[allow(missing_docs)]
-pub trait SerializeTupleStruct {
-    type Ok;
-    type Error: Error;
-    fn serialize_field<T: Serialize + ?Sized>(&mut self, value: &T) -> Result<(), Self::Error>;
-    fn end(self) -> Result<Self::Ok, Self::Error>;
-}
-
-/// Tuple-variant serializer.
-#[allow(missing_docs)]
-pub trait SerializeTupleVariant {
-    type Ok;
-    type Error: Error;
-    fn serialize_field<T: Serialize + ?Sized>(&mut self, value: &T) -> Result<(), Self::Error>;
     fn end(self) -> Result<Self::Ok, Self::Error>;
 }
 
@@ -160,24 +97,13 @@ pub trait SerializeStruct {
     fn end(self) -> Result<Self::Ok, Self::Error>;
 }
 
-/// Struct-variant serializer.
-#[allow(missing_docs)]
-pub trait SerializeStructVariant {
-    type Ok;
-    type Error: Error;
-    fn serialize_field<T: Serialize + ?Sized>(
-        &mut self,
-        key: &'static str,
-        value: &T,
-    ) -> Result<(), Self::Error>;
-    fn end(self) -> Result<Self::Ok, Self::Error>;
-}
-
+/// Implements `Serialize` for primitives; a narrower type widens (`as`
+/// is lossless for every pair listed) to its kind's one entry point.
 macro_rules! impl_serialize_primitive {
-    ($($t:ty => $m:ident),* $(,)?) => {
+    ($($t:ty => $m:ident $(as $wide:ty)?),* $(,)?) => {
         $(impl Serialize for $t {
             fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-                serializer.$m(*self)
+                serializer.$m(*self $(as $wide)?)
             }
         })*
     };
@@ -185,30 +111,19 @@ macro_rules! impl_serialize_primitive {
 
 impl_serialize_primitive!(
     bool => serialize_bool,
-    i8 => serialize_i8,
-    i16 => serialize_i16,
-    i32 => serialize_i32,
+    i8 => serialize_i64 as i64,
+    i16 => serialize_i64 as i64,
+    i32 => serialize_i64 as i64,
     i64 => serialize_i64,
-    u8 => serialize_u8,
-    u16 => serialize_u16,
-    u32 => serialize_u32,
+    isize => serialize_i64 as i64,
+    u8 => serialize_u64 as u64,
+    u16 => serialize_u64 as u64,
+    u32 => serialize_u64 as u64,
     u64 => serialize_u64,
-    f32 => serialize_f32,
+    usize => serialize_u64 as u64,
+    f32 => serialize_f64 as f64,
     f64 => serialize_f64,
-    char => serialize_char,
 );
-
-impl Serialize for usize {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        serializer.serialize_u64(*self as u64)
-    }
-}
-
-impl Serialize for isize {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        serializer.serialize_i64(*self as i64)
-    }
-}
 
 impl Serialize for str {
     fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {

@@ -23,7 +23,7 @@
 //! span-derived per-track occupancy summary ([`crate::timeline`]), or
 //! `null` for units that record no spans (see EXPERIMENTS.md for the
 //! field-level schema). Artifacts are rendered with
-//! [`crate::json::to_string_pretty`], which is deterministic: two runs
+//! [`crate::json::to_document`], which is deterministic: two runs
 //! of the same target at the same scenario produce byte-identical
 //! files. [`diff_dirs`] compares two artifact directories structurally,
 //! for `repro diff`; [`check_dir_schema`] refuses to mix schema
@@ -32,6 +32,7 @@
 use crate::figures::TargetData;
 use crate::json;
 use emb_scenario::{Scenario, SEED};
+use emb_telemetry::{EventValue, Name};
 use serde::Serialize;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -91,19 +92,6 @@ impl Artifact {
         }
     }
 
-    /// Renders the artifact as deterministic pretty JSON (trailing
-    /// newline included).
-    ///
-    /// # Panics
-    ///
-    /// Panics if serialization fails, which would indicate a bug in the
-    /// figure structs (they contain no maps with non-string keys).
-    pub fn to_json(&self) -> String {
-        let mut s = json::to_string_pretty(self).expect("artifact serializes");
-        s.push('\n');
-        s
-    }
-
     /// Writes the artifact to `dir/<target>.json`, creating `dir` if
     /// needed. Returns the written path.
     ///
@@ -114,7 +102,7 @@ impl Artifact {
     pub fn write(&self, dir: &Path) -> io::Result<PathBuf> {
         std::fs::create_dir_all(dir)?;
         let path = dir.join(format!("{}.json", self.target));
-        std::fs::write(&path, self.to_json())?;
+        std::fs::write(&path, json::to_document(self))?;
         Ok(path)
     }
 }
@@ -163,55 +151,42 @@ pub fn check_dir_schema(dir: &Path) -> Result<(), String> {
     Ok(())
 }
 
-/// Converts a telemetry event value to a JSON value using the same
-/// number formatting as the artifact serializer (non-finite floats
-/// become `null`).
-fn event_value_to_json(v: &emb_telemetry::EventValue) -> json::Value {
-    use emb_telemetry::EventValue;
-    match v {
-        EventValue::U64(n) => json::Value::Num(n.to_string()),
-        EventValue::F64(x) => {
-            if x.is_finite() {
-                json::Value::Num(format!("{x}"))
-            } else {
-                json::Value::Null
-            }
-        }
-        EventValue::Str(s) => json::Value::Str(s.to_string()),
-    }
+/// The header line of a `repro --trace` JSONL stream.
+#[derive(Serialize)]
+struct TraceHeader {
+    schema_version: u64,
+    kind: &'static str,
+    seed: u64,
+    scenario: Scenario,
 }
 
 /// Builds the header line of a `repro --trace` JSONL stream.
-///
-/// # Panics
-///
-/// Panics if the scenario fails to serialize (a bug: it contains only
-/// plain numeric fields).
 pub fn trace_header(scenario: &Scenario) -> json::Value {
-    let rendered = json::to_string_pretty(scenario).expect("scenario serializes");
-    let scenario_value = json::parse(&rendered).expect("serializer output parses");
-    json::Value::Obj(vec![
-        (
-            "schema_version".to_string(),
-            json::Value::Num(SCHEMA_VERSION.to_string()),
-        ),
-        (
-            "kind".to_string(),
-            json::Value::Str("ugache-repro-trace".to_string()),
-        ),
-        ("seed".to_string(), json::Value::Num(SEED.to_string())),
-        ("scenario".to_string(), scenario_value),
-    ])
+    let header = TraceHeader {
+        schema_version: SCHEMA_VERSION,
+        kind: "ugache-repro-trace",
+        seed: SEED,
+        scenario: *scenario,
+    };
+    json::to_value(&header).expect("a struct of numbers serializes")
+}
+
+/// The named fields of a telemetry event or span, as a JSON object.
+pub(crate) fn fields_value(fields: &[(Name, EventValue)]) -> json::Value {
+    json::Value::Obj(
+        fields
+            .iter()
+            .map(|(k, v)| {
+                let v = json::to_value(v).expect("an event value is a number or a string");
+                (k.to_string(), v)
+            })
+            .collect(),
+    )
 }
 
 /// Builds one `repro --trace` JSONL line for an event recorded while
 /// computing `target`.
 pub fn trace_line(target: &str, event: &emb_telemetry::Event) -> json::Value {
-    let fields = event
-        .fields
-        .iter()
-        .map(|(k, v)| (k.to_string(), event_value_to_json(v)))
-        .collect();
     json::Value::Obj(vec![
         ("target".to_string(), json::Value::Str(target.to_string())),
         ("seq".to_string(), json::Value::Num(event.seq.to_string())),
@@ -219,7 +194,7 @@ pub fn trace_line(target: &str, event: &emb_telemetry::Event) -> json::Value {
             "event".to_string(),
             json::Value::Str(event.name.to_string()),
         ),
-        ("fields".to_string(), json::Value::Obj(fields)),
+        ("fields".to_string(), fields_value(&event.fields)),
     ])
 }
 

@@ -73,7 +73,9 @@ fn execute(cmd: Command) -> Result<(), Failure> {
             set_pool_width(threads)?;
             let report = explain_report(&input, &knobs)?;
             explain::render(&report);
-            write_json("explain report", out.as_deref(), &report)
+            out.map_or(Ok(()), |path| {
+                write("explain report", &path, json::to_document(&report), "")
+            })
         }
         Command::Record {
             scenario,
@@ -120,7 +122,9 @@ fn execute(cmd: Command) -> Result<(), Failure> {
                 "  totals: local {} | remote {} | host {}",
                 report.totals.local, report.totals.remote, report.totals.host
             );
-            write_json("replay report", out.as_deref(), &report)
+            out.map_or(Ok(()), |path| {
+                write("replay report", &path, json::to_document(&report), "")
+            })
         }
         Command::Run(spec) => {
             set_pool_width(spec.threads)?;
@@ -142,18 +146,6 @@ fn write(what: &str, path: &Path, contents: impl AsRef<[u8]>, note: &str) -> Res
     std::fs::write(path, contents).map_err(fail(USAGE_OR_IO, context))?;
     println!("wrote {}{note}", path.display());
     Ok(())
-}
-
-/// Writes `report` as pretty JSON (see `write`) when the invocation gave a path.
-fn write_json(
-    what: &str,
-    path: Option<&Path>,
-    report: &impl serde::Serialize,
-) -> Result<(), Failure> {
-    let Some(path) = path else { return Ok(()) };
-    let mut text = json::to_string_pretty(report).expect("report serializes");
-    text.push('\n');
-    write(what, path, text, "")
 }
 
 /// Resolves the worker-pool width from the `--threads` flag and the

@@ -12,15 +12,12 @@
 //! every `ts`/`dur` must be finite and non-negative and the events of
 //! each `(pid, tid)` must nest properly when swept in time order.
 
+use crate::artifact::fields_value;
 use crate::json::Value;
 
 /// Nanoseconds → trace microseconds (Chrome's native unit).
 fn ns_to_us(ns: u64) -> f64 {
     ns as f64 / 1e3
-}
-
-fn num(v: f64) -> Value {
-    Value::Num(format!("{v}"))
 }
 
 fn metadata_event(name: &str, pid: usize, tid: Option<usize>, label: &str) -> Value {
@@ -37,21 +34,6 @@ fn metadata_event(name: &str, pid: usize, tid: Option<usize>, label: &str) -> Va
         Value::Obj(vec![("name".to_string(), Value::Str(label.to_string()))]),
     ));
     Value::Obj(fields)
-}
-
-fn event_value(v: &emb_telemetry::EventValue) -> Value {
-    use emb_telemetry::EventValue;
-    match v {
-        EventValue::U64(n) => Value::Num(n.to_string()),
-        EventValue::F64(x) => {
-            if x.is_finite() {
-                num(*x)
-            } else {
-                Value::Null
-            }
-        }
-        EventValue::Str(s) => Value::Str(s.to_string()),
-    }
 }
 
 /// Renders the spans of a run as one Chrome trace-event JSON value.
@@ -78,19 +60,14 @@ pub fn chrome_trace(per_target: &[(&str, &emb_telemetry::Report)]) -> Value {
         }
         for span in &report.spans {
             let tid = tracks.iter().position(|t| span.track == *t).expect("seen") + 1;
-            let args = span
-                .fields
-                .iter()
-                .map(|(k, v)| (k.to_string(), event_value(v)))
-                .collect();
             events.push(Value::Obj(vec![
                 ("name".to_string(), Value::Str(span.name.to_string())),
                 ("ph".to_string(), Value::Str("X".to_string())),
                 ("pid".to_string(), Value::Num(pid.to_string())),
                 ("tid".to_string(), Value::Num(tid.to_string())),
-                ("ts".to_string(), num(ns_to_us(span.start_ns))),
-                ("dur".to_string(), num(ns_to_us(span.dur_ns()))),
-                ("args".to_string(), Value::Obj(args)),
+                ("ts".to_string(), Value::from(ns_to_us(span.start_ns))),
+                ("dur".to_string(), Value::from(ns_to_us(span.dur_ns()))),
+                ("args".to_string(), fields_value(&span.fields)),
             ]));
         }
     }

@@ -215,7 +215,7 @@ mod tests {
 
     #[test]
     fn compare_reports_every_offender_in_one_pass() {
-        // Two drifting artifacts, one unparseable baseline, and one file
+        // Two drifting artifacts, two unparseable baselines, and one file
         // missing from the new side: a single compare_dirs call must
         // surface all of them instead of stopping at the first.
         let base = std::env::temp_dir().join(format!("repro-compare-all-{}", std::process::id()));
@@ -234,6 +234,11 @@ mod tests {
         std::fs::write(n.join("b.json"), envelope(3.0)).unwrap();
         std::fs::write(b.join("c.json"), "{ not json").unwrap();
         std::fs::write(b.join("d.json"), envelope(1.0)).unwrap();
+        // `1e999` would read as infinity: `rel_diff(inf, 3)` is NaN, and
+        // `NaN > tol` is false, so the pair would pass as no regression.
+        let overflowed = envelope(1.0).replace("\"x\": 1", "\"x\": 1e999");
+        std::fs::write(b.join("e.json"), overflowed).unwrap();
+        std::fs::write(n.join("e.json"), envelope(3.0)).unwrap();
         let failures = compare_dirs(&b, &n).unwrap();
         std::fs::remove_dir_all(&base).unwrap();
         assert!(
@@ -254,6 +259,12 @@ mod tests {
             failures
                 .iter()
                 .any(|f| f.starts_with("d.json:") && f.contains("missing from")),
+            "{failures:?}"
+        );
+        assert!(
+            failures
+                .iter()
+                .any(|f| f.starts_with("e.json:") && f.contains("baseline unparseable")),
             "{failures:?}"
         );
     }

@@ -23,7 +23,6 @@ use crate::figures::serve::MAX_BATCH;
 use crate::figures::Unit;
 use crate::json::{self, Value};
 use serde::Serialize;
-use std::collections::BTreeMap;
 
 /// Explain-tail report schema version (bump on any field change).
 pub const EXPLAIN_SCHEMA_VERSION: u32 = 1;
@@ -113,29 +112,37 @@ pub struct ExplainReport {
     pub summary: ExplainSummary,
 }
 
-/// One exemplar's context fields, split by numeric kind. `u64` fields
-/// mirror into the `f64` map too, so both sources (a live telemetry
-/// snapshot and a parsed artifact, where integer-rendered floats are
-/// indistinguishable from integers) resolve lookups identically.
-#[derive(Default)]
-struct Fields {
-    u: BTreeMap<String, u64>,
-    f: BTreeMap<String, f64>,
+/// One exemplar's context fields: its `fields` object, read by name.
+struct Fields<'a> {
+    req: u64,
+    obj: Option<&'a Value>,
 }
 
-impl Fields {
-    fn get_u64(&self, req: u64, name: &str) -> Result<u64, String> {
-        self.u
-            .get(name)
-            .copied()
-            .ok_or_else(|| format!("exemplar req {req}: missing u64 context field `{name}`"))
+/// The number at `v`, when there is one and it parses as a `T`.
+fn num<T: std::str::FromStr>(v: Option<&Value>) -> Option<T> {
+    match v? {
+        Value::Num(raw) => raw.parse().ok(),
+        _ => None,
+    }
+}
+
+impl Fields<'_> {
+    fn get_u64(&self, name: &str) -> Result<u64, String> {
+        num(self.obj.and_then(|o| o.get(name))).ok_or_else(|| {
+            format!(
+                "exemplar req {}: missing u64 context field `{name}`",
+                self.req
+            )
+        })
     }
 
-    fn get_f64(&self, req: u64, name: &str) -> Result<f64, String> {
-        self.f
-            .get(name)
-            .copied()
-            .ok_or_else(|| format!("exemplar req {req}: missing numeric context field `{name}`"))
+    fn get_f64(&self, name: &str) -> Result<f64, String> {
+        num(self.obj.and_then(|o| o.get(name))).ok_or_else(|| {
+            format!(
+                "exemplar req {}: missing numeric context field `{name}`",
+                self.req
+            )
+        })
     }
 }
 
@@ -165,11 +172,12 @@ fn split_extract(extract_ns: u64, keys: [f64; 3]) -> [u64; 3] {
 /// Fails when the decomposition fields are missing, disagree with the
 /// recorded histogram value, or do not sum exactly to the latency —
 /// such an exemplar set is unusable, not merely surprising.
-fn tail_request(rank: usize, value: f64, req: u64, fields: &Fields) -> Result<TailRequest, String> {
-    let latency_ns = fields.get_u64(req, "latency_ns")?;
-    let queue_ns = fields.get_u64(req, "queue_ns")?;
-    let batch_wait_ns = fields.get_u64(req, "batch_wait_ns")?;
-    let extract_ns = fields.get_u64(req, "extract_ns")?;
+fn tail_request(rank: usize, value: f64, fields: &Fields) -> Result<TailRequest, String> {
+    let req = fields.req;
+    let latency_ns = fields.get_u64("latency_ns")?;
+    let queue_ns = fields.get_u64("queue_ns")?;
+    let batch_wait_ns = fields.get_u64("batch_wait_ns")?;
+    let extract_ns = fields.get_u64("extract_ns")?;
     if queue_ns + batch_wait_ns + extract_ns != latency_ns {
         return Err(format!(
             "exemplar req {req}: components sum to {} ns but latency_ns is {latency_ns}",
@@ -182,9 +190,9 @@ fn tail_request(rank: usize, value: f64, req: u64, fields: &Fields) -> Result<Ta
         ));
     }
     let keys = [
-        fields.get_f64(req, "batch_keys_local")?,
-        fields.get_f64(req, "batch_keys_remote")?,
-        fields.get_f64(req, "batch_keys_host")?,
+        fields.get_f64("batch_keys_local")?,
+        fields.get_f64("batch_keys_remote")?,
+        fields.get_f64("batch_keys_host")?,
     ];
     let [extract_local_ns, extract_remote_ns, extract_host_ns] = split_extract(extract_ns, keys);
     let parts = [
@@ -196,13 +204,13 @@ fn tail_request(rank: usize, value: f64, req: u64, fields: &Fields) -> Result<Ta
     ];
     let dominant =
         (0..COMPONENTS.len()).fold(0, |best, i| if parts[i] > parts[best] { i } else { best });
-    let batch_requests = fields.get_u64(req, "batch_requests")?;
+    let batch_requests = fields.get_u64("batch_requests")?;
     Ok(TailRequest {
         rank,
         req,
-        point: fields.get_u64(req, "point")?,
+        point: fields.get_u64("point")?,
         request_index: req & 0xFFFF_FFFF,
-        offered_rps: fields.get_f64(req, "offered_rps")?,
+        offered_rps: fields.get_f64("offered_rps")?,
         latency_ns,
         queue_ns,
         batch_wait_ns,
@@ -267,40 +275,15 @@ fn assemble(rows: Vec<TailRequest>) -> Result<ExplainReport, String> {
 }
 
 /// Builds the report from a live telemetry snapshot (the in-process
-/// scenario path of `repro explain-tail`).
+/// scenario path of `repro explain-tail`): the artifact reader applied
+/// to the snapshot's JSON value, so both inputs read the same numbers.
 ///
 /// # Errors
 ///
 /// Returns a message when the snapshot has no [`TAIL_HISTOGRAM`]
 /// exemplars or a row's decomposition is inconsistent.
 pub fn report_from_snapshot(ms: &emb_telemetry::MetricsSnapshot) -> Result<ExplainReport, String> {
-    let list = ms
-        .exemplars
-        .iter()
-        .find(|(name, _)| name == TAIL_HISTOGRAM)
-        .map(|(_, l)| l.as_slice())
-        .unwrap_or(&[]);
-    let rows = list
-        .iter()
-        .enumerate()
-        .map(|(i, x)| {
-            let mut fields = Fields::default();
-            for (k, v) in &x.fields {
-                match v {
-                    emb_telemetry::EventValue::U64(n) => {
-                        fields.u.insert(k.to_string(), *n);
-                        fields.f.insert(k.to_string(), *n as f64);
-                    }
-                    emb_telemetry::EventValue::F64(f) => {
-                        fields.f.insert(k.to_string(), *f);
-                    }
-                    emb_telemetry::EventValue::Str(_) => {}
-                }
-            }
-            tail_request(i + 1, x.value, x.req, &fields)
-        })
-        .collect::<Result<Vec<_>, _>>()?;
-    assemble(rows)
+    report_from_metrics(&json::to_value(ms).expect("a metrics snapshot serializes"))
 }
 
 /// Builds the report from a parsed artifact envelope (the
@@ -332,9 +315,13 @@ pub fn report_from_artifact(artifact: &Value) -> Result<ExplainReport, String> {
         }
         _ => return Err("artifact envelope has no target field".to_string()),
     }
-    let exemplars = artifact
-        .get("metrics")
-        .and_then(|m| m.get("exemplars"))
+    report_from_metrics(artifact.get("metrics").unwrap_or(&Value::Null))
+}
+
+/// Builds the report from the JSON value of a metrics block.
+fn report_from_metrics(metrics: &Value) -> Result<ExplainReport, String> {
+    let exemplars = metrics
+        .get("exemplars")
         .ok_or_else(|| "artifact metrics block has no exemplars".to_string())?;
     let list = match exemplars.get(TAIL_HISTOGRAM) {
         Some(Value::Arr(items)) => items.as_slice(),
@@ -344,15 +331,7 @@ pub fn report_from_artifact(artifact: &Value) -> Result<ExplainReport, String> {
         .iter()
         .enumerate()
         .map(|(i, x)| {
-            let num_f64 = |v: &Value| -> Option<f64> {
-                match v {
-                    Value::Num(raw) => raw.parse::<f64>().ok(),
-                    _ => None,
-                }
-            };
-            let value = x
-                .get("value")
-                .and_then(&num_f64)
+            let value = num(x.get("value"))
                 .ok_or_else(|| format!("exemplar {i}: missing numeric value"))?;
             let req = match x.get("req") {
                 Some(Value::Num(raw)) => raw
@@ -360,20 +339,11 @@ pub fn report_from_artifact(artifact: &Value) -> Result<ExplainReport, String> {
                     .map_err(|_| format!("exemplar {i}: non-u64 req"))?,
                 _ => return Err(format!("exemplar {i}: missing req id")),
             };
-            let mut fields = Fields::default();
-            if let Some(Value::Obj(kvs)) = x.get("fields") {
-                for (k, v) in kvs {
-                    if let Value::Num(raw) = v {
-                        if let Ok(n) = raw.parse::<u64>() {
-                            fields.u.insert(k.clone(), n);
-                        }
-                        if let Ok(f) = raw.parse::<f64>() {
-                            fields.f.insert(k.clone(), f);
-                        }
-                    }
-                }
-            }
-            tail_request(i + 1, value, req, &fields)
+            let fields = Fields {
+                req,
+                obj: x.get("fields"),
+            };
+            tail_request(i + 1, value, &fields)
         })
         .collect::<Result<Vec<_>, _>>()?;
     assemble(rows)
@@ -419,19 +389,6 @@ pub fn render(report: &ExplainReport) {
         );
     }
     println!("  (* = underfull batch, dispatched by window timeout below max_batch)");
-}
-
-/// Serializes the report as deterministic pretty JSON (trailing newline
-/// included).
-///
-/// # Panics
-///
-/// Panics if serialization fails, which would indicate a bug in the
-/// report structs (plain named fields only).
-pub fn to_json(report: &ExplainReport) -> String {
-    let mut s = json::to_string_pretty(report).expect("explain report serializes");
-    s.push('\n');
-    s
 }
 
 #[cfg(test)]
@@ -521,14 +478,18 @@ mod tests {
             record_request(8, 0, 400, 100, [10.0, 0.0, 0.0]);
         });
         let from_snapshot = report_from_snapshot(&report.metrics).unwrap();
-        // Wrap the snapshot in a minimal envelope and take the JSON path.
-        let metrics_json = json::to_string_pretty(&report.metrics).unwrap();
+        // Wrap the snapshot's rendered text in a minimal envelope and
+        // take the file path.
+        let metrics_json = json::to_value(&report.metrics).unwrap().render_pretty();
         let envelope = format!(
             r#"{{"schema_version": {SCHEMA_VERSION}, "target": "serve", "metrics": {metrics_json}}}"#
         );
         let from_artifact = report_from_artifact(&json::parse(&envelope).unwrap()).unwrap();
         assert_eq!(from_snapshot, from_artifact);
-        assert_eq!(to_json(&from_snapshot), to_json(&from_artifact));
+        assert_eq!(
+            json::to_document(&from_snapshot),
+            json::to_document(&from_artifact)
+        );
     }
 
     #[test]

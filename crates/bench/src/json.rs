@@ -1,14 +1,19 @@
-//! Dependency-free JSON emission and parsing for repro artifacts.
+//! Dependency-free JSON for everything `repro` writes and reads: one
+//! value model, one writer, one reader.
 //!
 //! The harness must build offline, so instead of `serde_json` this module
-//! provides a minimal [`serde::Serializer`] that renders any
-//! `#[derive(Serialize)]` result struct as pretty-printed JSON, plus a
-//! small [`Value`] parser used by `repro diff` and the round-trip tests.
+//! provides [`to_value`], a [`serde::Serializer`] that turns any
+//! `Serialize` type into a [`Value`] tree. [`Value::render_pretty`] and
+//! [`Value::render_compact`] are the only code that writes JSON text, and
+//! [`parse`] reads it back into the same tree. An in-process result and
+//! a parsed file are therefore read by the same code.
 //!
 //! Output is deterministic by construction: struct fields serialize in
 //! declaration order, indentation is fixed at two spaces, and numbers use
-//! Rust's shortest round-trip `Display` formatting. Non-finite floats
-//! serialize as `null` (they never appear in figure data).
+//! Rust's shortest round-trip `Display` formatting. `Value::from(f64)` is
+//! the one float-to-number conversion; it writes non-finite floats as
+//! `null` (they never appear in figure data). Since the writer never
+//! emits a number that is not a finite `f64`, [`parse`] refuses one.
 
 use serde::ser::{self, Serialize};
 use std::fmt;
@@ -31,383 +36,173 @@ impl ser::Error for Error {
     }
 }
 
-/// Renders `value` as pretty-printed JSON (two-space indent, trailing
-/// newline omitted).
+/// Builds the [`Value`] of any [`Serialize`] type.
+///
+/// This is the one way typed data becomes JSON. Render the result with
+/// [`Value::render_pretty`] or [`Value::render_compact`], or read it in
+/// place exactly as if it had been parsed from a file.
 ///
 /// # Errors
 ///
-/// Returns an error for shapes JSON cannot represent (non-string map
-/// keys, bytes).
-pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
-    let mut ser = Serializer {
-        out: String::new(),
-        indent: 0,
-    };
-    value.serialize(&mut ser)?;
-    Ok(ser.out)
+/// Returns an error for a map whose keys do not serialize as strings.
+pub fn to_value<T: Serialize + ?Sized>(value: &T) -> Result<Value, Error> {
+    value.serialize(ValueSerializer)
 }
 
-fn escape_into(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-struct Serializer {
-    out: String,
-    indent: usize,
-}
-
-impl Serializer {
-    fn newline(&mut self) {
-        self.out.push('\n');
-        for _ in 0..self.indent {
-            self.out.push_str("  ");
-        }
-    }
-
-    fn write_f64(&mut self, v: f64) {
-        if v.is_finite() {
-            self.out.push_str(&format!("{v}"));
-        } else {
-            self.out.push_str("null");
-        }
-    }
-}
-
-/// Shared implementation for sequence-like serializers (arrays).
-struct SeqSer<'a> {
-    ser: &'a mut Serializer,
-    first: bool,
-}
-
-impl SeqSer<'_> {
-    fn element<T: Serialize + ?Sized>(&mut self, value: &T) -> Result<(), Error> {
-        if !self.first {
-            self.ser.out.push(',');
-        }
-        self.first = false;
-        self.ser.newline();
-        value.serialize(&mut *self.ser)
-    }
-
-    fn finish(self) -> Result<(), Error> {
-        self.ser.indent -= 1;
-        if !self.first {
-            self.ser.newline();
-        }
-        self.ser.out.push(']');
-        Ok(())
-    }
-}
-
-/// Shared implementation for map-like serializers (objects).
-struct MapSer<'a> {
-    ser: &'a mut Serializer,
-    first: bool,
-}
-
-impl MapSer<'_> {
-    fn entry<T: Serialize + ?Sized>(&mut self, key: &str, value: &T) -> Result<(), Error> {
-        if !self.first {
-            self.ser.out.push(',');
-        }
-        self.first = false;
-        self.ser.newline();
-        escape_into(&mut self.ser.out, key);
-        self.ser.out.push_str(": ");
-        value.serialize(&mut *self.ser)
-    }
-
-    fn finish(self) -> Result<(), Error> {
-        self.ser.indent -= 1;
-        if !self.first {
-            self.ser.newline();
-        }
-        self.ser.out.push('}');
-        Ok(())
-    }
-}
-
-macro_rules! forward_int {
-    ($($m:ident: $t:ty),*) => {
-        $(fn $m(self, v: $t) -> Result<(), Error> {
-            self.out.push_str(&format!("{v}"));
-            Ok(())
-        })*
-    };
-}
-
-impl<'a> ser::Serializer for &'a mut Serializer {
-    type Ok = ();
-    type Error = Error;
-    type SerializeSeq = SeqSer<'a>;
-    type SerializeTuple = SeqSer<'a>;
-    type SerializeTupleStruct = SeqSer<'a>;
-    type SerializeTupleVariant = SeqSer<'a>;
-    type SerializeMap = MapSer<'a>;
-    type SerializeStruct = MapSer<'a>;
-    type SerializeStructVariant = MapSer<'a>;
-
-    fn serialize_bool(self, v: bool) -> Result<(), Error> {
-        self.out.push_str(if v { "true" } else { "false" });
-        Ok(())
-    }
-
-    forward_int!(
-        serialize_i8: i8, serialize_i16: i16, serialize_i32: i32, serialize_i64: i64,
-        serialize_u8: u8, serialize_u16: u16, serialize_u32: u32, serialize_u64: u64
-    );
-
-    fn serialize_f32(self, v: f32) -> Result<(), Error> {
-        self.write_f64(f64::from(v));
-        Ok(())
-    }
-
-    fn serialize_f64(self, v: f64) -> Result<(), Error> {
-        self.write_f64(v);
-        Ok(())
-    }
-
-    fn serialize_char(self, v: char) -> Result<(), Error> {
-        escape_into(&mut self.out, &v.to_string());
-        Ok(())
-    }
-
-    fn serialize_str(self, v: &str) -> Result<(), Error> {
-        escape_into(&mut self.out, v);
-        Ok(())
-    }
-
-    fn serialize_bytes(self, _v: &[u8]) -> Result<(), Error> {
-        Err(ser::Error::custom("bytes are not supported"))
-    }
-
-    fn serialize_none(self) -> Result<(), Error> {
-        self.out.push_str("null");
-        Ok(())
-    }
-
-    fn serialize_some<T: Serialize + ?Sized>(self, value: &T) -> Result<(), Error> {
-        value.serialize(self)
-    }
-
-    fn serialize_unit(self) -> Result<(), Error> {
-        self.out.push_str("null");
-        Ok(())
-    }
-
-    fn serialize_unit_struct(self, _name: &'static str) -> Result<(), Error> {
-        self.serialize_unit()
-    }
-
-    fn serialize_unit_variant(
-        self,
-        _name: &'static str,
-        _index: u32,
-        variant: &'static str,
-    ) -> Result<(), Error> {
-        self.serialize_str(variant)
-    }
-
-    fn serialize_newtype_struct<T: Serialize + ?Sized>(
-        self,
-        _name: &'static str,
-        value: &T,
-    ) -> Result<(), Error> {
-        value.serialize(self)
-    }
-
-    fn serialize_newtype_variant<T: Serialize + ?Sized>(
-        self,
-        _name: &'static str,
-        _index: u32,
-        variant: &'static str,
-        value: &T,
-    ) -> Result<(), Error> {
-        self.out.push('{');
-        self.indent += 1;
-        self.newline();
-        escape_into(&mut self.out, variant);
-        self.out.push_str(": ");
-        value.serialize(&mut *self)?;
-        self.indent -= 1;
-        self.newline();
-        self.out.push('}');
-        Ok(())
-    }
-
-    fn serialize_seq(self, _len: Option<usize>) -> Result<SeqSer<'a>, Error> {
-        self.out.push('[');
-        self.indent += 1;
-        Ok(SeqSer {
-            ser: self,
-            first: true,
-        })
-    }
-
-    fn serialize_tuple(self, len: usize) -> Result<SeqSer<'a>, Error> {
-        self.serialize_seq(Some(len))
-    }
-
-    fn serialize_tuple_struct(self, _name: &'static str, len: usize) -> Result<SeqSer<'a>, Error> {
-        self.serialize_seq(Some(len))
-    }
-
-    fn serialize_tuple_variant(
-        self,
-        _name: &'static str,
-        _index: u32,
-        _variant: &'static str,
-        len: usize,
-    ) -> Result<SeqSer<'a>, Error> {
-        self.serialize_seq(Some(len))
-    }
-
-    fn serialize_map(self, _len: Option<usize>) -> Result<MapSer<'a>, Error> {
-        self.out.push('{');
-        self.indent += 1;
-        Ok(MapSer {
-            ser: self,
-            first: true,
-        })
-    }
-
-    fn serialize_struct(self, _name: &'static str, len: usize) -> Result<MapSer<'a>, Error> {
-        self.serialize_map(Some(len))
-    }
-
-    fn serialize_struct_variant(
-        self,
-        _name: &'static str,
-        _index: u32,
-        _variant: &'static str,
-        len: usize,
-    ) -> Result<MapSer<'a>, Error> {
-        self.serialize_map(Some(len))
-    }
-}
-
-impl ser::SerializeSeq for SeqSer<'_> {
-    type Ok = ();
-    type Error = Error;
-    fn serialize_element<T: Serialize + ?Sized>(&mut self, value: &T) -> Result<(), Error> {
-        self.element(value)
-    }
-    fn end(self) -> Result<(), Error> {
-        self.finish()
-    }
-}
-
-impl ser::SerializeTuple for SeqSer<'_> {
-    type Ok = ();
-    type Error = Error;
-    fn serialize_element<T: Serialize + ?Sized>(&mut self, value: &T) -> Result<(), Error> {
-        self.element(value)
-    }
-    fn end(self) -> Result<(), Error> {
-        self.finish()
-    }
-}
-
-impl ser::SerializeTupleStruct for SeqSer<'_> {
-    type Ok = ();
-    type Error = Error;
-    fn serialize_field<T: Serialize + ?Sized>(&mut self, value: &T) -> Result<(), Error> {
-        self.element(value)
-    }
-    fn end(self) -> Result<(), Error> {
-        self.finish()
-    }
-}
-
-impl ser::SerializeTupleVariant for SeqSer<'_> {
-    type Ok = ();
-    type Error = Error;
-    fn serialize_field<T: Serialize + ?Sized>(&mut self, value: &T) -> Result<(), Error> {
-        self.element(value)
-    }
-    fn end(self) -> Result<(), Error> {
-        self.finish()
-    }
-}
-
-impl ser::SerializeMap for MapSer<'_> {
-    type Ok = ();
-    type Error = Error;
-
-    fn serialize_key<T: Serialize + ?Sized>(&mut self, key: &T) -> Result<(), Error> {
-        // Keys must be strings; render through a throwaway serializer and
-        // reject anything that does not come out as a JSON string.
-        let rendered = to_string_pretty(key)?;
-        if !rendered.starts_with('"') {
-            return Err(ser::Error::custom("map keys must be strings"));
-        }
-        if !self.first {
-            self.ser.out.push(',');
-        }
-        self.first = false;
-        self.ser.newline();
-        self.ser.out.push_str(&rendered);
-        self.ser.out.push_str(": ");
-        Ok(())
-    }
-
-    fn serialize_value<T: Serialize + ?Sized>(&mut self, value: &T) -> Result<(), Error> {
-        value.serialize(&mut *self.ser)
-    }
-
-    fn end(self) -> Result<(), Error> {
-        self.finish()
-    }
-}
-
-impl ser::SerializeStruct for MapSer<'_> {
-    type Ok = ();
-    type Error = Error;
-    fn serialize_field<T: Serialize + ?Sized>(
-        &mut self,
-        key: &'static str,
-        value: &T,
-    ) -> Result<(), Error> {
-        self.entry(key, value)
-    }
-    fn end(self) -> Result<(), Error> {
-        self.finish()
-    }
-}
-
-impl ser::SerializeStructVariant for MapSer<'_> {
-    type Ok = ();
-    type Error = Error;
-    fn serialize_field<T: Serialize + ?Sized>(
-        &mut self,
-        key: &'static str,
-        value: &T,
-    ) -> Result<(), Error> {
-        self.entry(key, value)
-    }
-    fn end(self) -> Result<(), Error> {
-        self.finish()
-    }
-}
-
-/// A parsed JSON document.
+/// Renders `value` as the text of a file `repro` writes: pretty JSON
+/// plus a trailing newline.
 ///
-/// Numbers keep their source token (`Num("0.125")`) so a parse →
-/// [`Value::render_pretty`] round trip reproduces the serializer's bytes
+/// # Panics
+///
+/// Panics if `value` holds a map with non-string keys, which would be a
+/// bug in the type: every artifact and report keys its maps by name.
+pub fn to_document<T: Serialize + ?Sized>(value: &T) -> String {
+    let mut text = to_value(value)
+        .expect("repro output serializes")
+        .render_pretty();
+    text.push('\n');
+    text
+}
+
+/// The [`ser::Serializer`] behind [`to_value`].
+struct ValueSerializer;
+
+impl ser::Serializer for ValueSerializer {
+    type Ok = Value;
+    type Error = Error;
+    type SerializeSeq = PartialArr;
+    type SerializeTuple = PartialArr;
+    type SerializeMap = PartialObj;
+    type SerializeStruct = PartialObj;
+
+    fn serialize_bool(self, v: bool) -> Result<Value, Error> {
+        Ok(Value::Bool(v))
+    }
+
+    fn serialize_i64(self, v: i64) -> Result<Value, Error> {
+        Ok(Value::Num(v.to_string()))
+    }
+
+    fn serialize_u64(self, v: u64) -> Result<Value, Error> {
+        Ok(Value::Num(v.to_string()))
+    }
+
+    fn serialize_f64(self, v: f64) -> Result<Value, Error> {
+        Ok(Value::from(v))
+    }
+
+    fn serialize_str(self, v: &str) -> Result<Value, Error> {
+        Ok(Value::Str(v.to_string()))
+    }
+
+    fn serialize_none(self) -> Result<Value, Error> {
+        Ok(Value::Null)
+    }
+
+    fn serialize_some<T: Serialize + ?Sized>(self, value: &T) -> Result<Value, Error> {
+        value.serialize(self)
+    }
+
+    fn serialize_unit(self) -> Result<Value, Error> {
+        Ok(Value::Null)
+    }
+
+    fn serialize_seq(self, len: Option<usize>) -> Result<PartialArr, Error> {
+        Ok(PartialArr(Vec::with_capacity(len.unwrap_or(0))))
+    }
+
+    fn serialize_tuple(self, len: usize) -> Result<PartialArr, Error> {
+        self.serialize_seq(Some(len))
+    }
+
+    fn serialize_map(self, len: Option<usize>) -> Result<PartialObj, Error> {
+        Ok(PartialObj {
+            fields: Vec::with_capacity(len.unwrap_or(0)),
+            key: None,
+        })
+    }
+
+    fn serialize_struct(self, _name: &'static str, len: usize) -> Result<PartialObj, Error> {
+        self.serialize_map(Some(len))
+    }
+}
+
+/// An array under construction.
+struct PartialArr(Vec<Value>);
+
+impl ser::SerializeSeq for PartialArr {
+    type Ok = Value;
+    type Error = Error;
+    fn serialize_element<T: Serialize + ?Sized>(&mut self, value: &T) -> Result<(), Error> {
+        self.0.push(to_value(value)?);
+        Ok(())
+    }
+    fn end(self) -> Result<Value, Error> {
+        Ok(Value::Arr(self.0))
+    }
+}
+
+impl ser::SerializeTuple for PartialArr {
+    type Ok = Value;
+    type Error = Error;
+    fn serialize_element<T: Serialize + ?Sized>(&mut self, value: &T) -> Result<(), Error> {
+        ser::SerializeSeq::serialize_element(self, value)
+    }
+    fn end(self) -> Result<Value, Error> {
+        ser::SerializeSeq::end(self)
+    }
+}
+
+/// An object under construction; `key` holds a map key until its value
+/// arrives.
+struct PartialObj {
+    fields: Vec<(String, Value)>,
+    key: Option<String>,
+}
+
+impl ser::SerializeMap for PartialObj {
+    type Ok = Value;
+    type Error = Error;
+    fn serialize_key<T: Serialize + ?Sized>(&mut self, key: &T) -> Result<(), Error> {
+        let Value::Str(key) = to_value(key)? else {
+            return Err(Error("map keys must be strings".into()));
+        };
+        self.key = Some(key);
+        Ok(())
+    }
+    fn serialize_value<T: Serialize + ?Sized>(&mut self, value: &T) -> Result<(), Error> {
+        let key = self
+            .key
+            .take()
+            .ok_or_else(|| Error("map value without a key".into()))?;
+        self.fields.push((key, to_value(value)?));
+        Ok(())
+    }
+    fn end(self) -> Result<Value, Error> {
+        Ok(Value::Obj(self.fields))
+    }
+}
+
+impl ser::SerializeStruct for PartialObj {
+    type Ok = Value;
+    type Error = Error;
+    fn serialize_field<T: Serialize + ?Sized>(
+        &mut self,
+        key: &'static str,
+        value: &T,
+    ) -> Result<(), Error> {
+        self.fields.push((key.to_string(), to_value(value)?));
+        Ok(())
+    }
+    fn end(self) -> Result<Value, Error> {
+        Ok(Value::Obj(self.fields))
+    }
+}
+
+/// A JSON document, built by [`to_value`] or read by [`parse`].
+///
+/// Numbers keep their token (`Num("0.125")`) so a parse →
+/// [`Value::render_pretty`] round trip reproduces the written bytes
 /// exactly and `repro diff` can report values verbatim.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
@@ -434,7 +229,10 @@ impl Value {
         }
     }
 
-    /// Renders the value exactly as [`to_string_pretty`] would.
+    /// Renders the value as pretty JSON: two-space indent, one element
+    /// or field per line, empty containers as `[]` / `{}`, no trailing
+    /// newline (the form of every file `repro` writes; see
+    /// [`to_document`]).
     pub fn render_pretty(&self) -> String {
         let mut out = String::new();
         self.render(&mut out, 0);
@@ -524,6 +322,36 @@ impl Value {
             }
         }
     }
+}
+
+impl From<f64> for Value {
+    /// The one float-to-JSON conversion: shortest round-trip `Display`,
+    /// and `null` for a non-finite value.
+    fn from(v: f64) -> Value {
+        if v.is_finite() {
+            Value::Num(format!("{v}"))
+        } else {
+            Value::Null
+        }
+    }
+}
+
+fn escape_into(out: &mut String, s: &str) {
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                out.push_str(&format!("\\u{:04x}", c as u32));
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
 }
 
 /// Arrays and objects may nest this deep. The parser recurses once per
@@ -631,9 +459,13 @@ impl Parser<'_> {
             self.pos += 1;
         }
         let raw = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii");
-        raw.parse::<f64>()
-            .map_err(|_| Error(format!("invalid number at byte {start}")))?;
-        Ok(Value::Num(raw.to_string()))
+        // `1e999` parses to infinity, which no writer here emits and no
+        // reader can compare; refuse it like any other malformed number.
+        match raw.parse::<f64>() {
+            Ok(x) if x.is_finite() => Ok(Value::Num(raw.to_string())),
+            Ok(_) => Err(Error(format!("number out of range at byte {start}"))),
+            Err(_) => Err(Error(format!("invalid number at byte {start}"))),
+        }
     }
 
     fn string(&mut self) -> Result<String, Error> {
@@ -781,12 +613,70 @@ mod tests {
         }
     }
 
+    /// A map with caller-chosen keys, serialized through `serialize_map`.
+    struct Map<K>(Vec<(K, f64)>);
+
+    impl<K: Serialize> Serialize for Map<K> {
+        fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
+            use serde::ser::SerializeMap;
+            let mut map = serializer.serialize_map(Some(self.0.len()))?;
+            for (k, v) in &self.0 {
+                map.serialize_key(k)?;
+                map.serialize_value(v)?;
+            }
+            map.end()
+        }
+    }
+
+    /// Every shape an artifact uses, around a nested [`Demo`].
+    #[derive(Serialize)]
+    struct Shapes {
+        nested: Demo,
+        some: Option<u32>,
+        empty: Vec<f32>,
+        pair: (i32, f32),
+        map: Map<&'static str>,
+        nan: f64,
+        text: &'static str,
+    }
+
+    fn shapes() -> Shapes {
+        Shapes {
+            nested: demo(),
+            some: Some(7),
+            empty: vec![],
+            pair: (-3, 0.1),
+            map: Map(vec![("b", 1.5), ("k\"ey", -2e-7)]),
+            nan: f64::NAN,
+            text: "tab\there\nback\\slash \u{1}",
+        }
+    }
+
+    fn pretty<T: Serialize>(value: &T) -> String {
+        to_value(value).unwrap().render_pretty()
+    }
+
     #[test]
     fn serializes_structs_pretty() {
-        let s = to_string_pretty(&demo()).unwrap();
         assert_eq!(
-            s,
+            pretty(&demo()),
             "{\n  \"name\": \"fig \\\"2\\\"\",\n  \"ratio\": 0.125,\n  \"count\": 42,\n  \"missing\": null,\n  \"tags\": [\n    \"a\",\n    \"b\"\n  ]\n}"
+        );
+        // Nested struct, `Option` both ways, empty and non-empty `Vec`,
+        // a tuple with a widened `f32`, a string-keyed map, a non-finite
+        // float and escapes.
+        assert_eq!(
+            pretty(&shapes()),
+            "{\n  \"nested\": {\n    \"name\": \"fig \\\"2\\\"\",\n    \"ratio\": 0.125,\n    \"count\": 42,\n    \"missing\": null,\n    \"tags\": [\n      \"a\",\n      \"b\"\n    ]\n  },\n  \"some\": 7,\n  \"empty\": [],\n  \"pair\": [\n    -3,\n    0.10000000149011612\n  ],\n  \"map\": {\n    \"b\": 1.5,\n    \"k\\\"ey\": -0.0000002\n  },\n  \"nan\": null,\n  \"text\": \"tab\\there\\nback\\\\slash \\u0001\"\n}"
+        );
+    }
+
+    #[test]
+    fn non_string_map_keys_are_an_error() {
+        let err = to_value(&Map(vec![(1u64, 0.0)])).unwrap_err();
+        assert!(
+            err.to_string().contains("map keys must be strings"),
+            "{err}"
         );
     }
 
@@ -796,33 +686,31 @@ mod tests {
         struct E {
             xs: Vec<u32>,
         }
-        assert_eq!(
-            to_string_pretty(&E { xs: vec![] }).unwrap(),
-            "{\n  \"xs\": []\n}"
-        );
+        assert_eq!(pretty(&E { xs: vec![] }), "{\n  \"xs\": []\n}");
         let v: Vec<u32> = vec![];
-        assert_eq!(to_string_pretty(&v).unwrap(), "[]");
+        assert_eq!(pretty(&v), "[]");
     }
 
     #[test]
     fn non_finite_floats_become_null() {
-        assert_eq!(to_string_pretty(&f64::NAN).unwrap(), "null");
-        assert_eq!(to_string_pretty(&f64::INFINITY).unwrap(), "null");
+        assert_eq!(pretty(&f64::NAN), "null");
+        assert_eq!(pretty(&f64::INFINITY), "null");
     }
 
     #[test]
     fn parse_round_trips_serializer_bytes() {
-        let s = to_string_pretty(&demo()).unwrap();
+        let s = pretty(&demo());
         let v = parse(&s).unwrap();
         assert_eq!(v.render_pretty(), s);
+        assert_eq!(to_value(&demo()), Ok(v.clone()));
+        assert_eq!(to_document(&demo()), s + "\n");
         assert_eq!(v.get("count"), Some(&Value::Num("42".into())));
         assert_eq!(v.get("missing"), Some(&Value::Null));
     }
 
     #[test]
     fn render_compact_is_single_line() {
-        let s = to_string_pretty(&demo()).unwrap();
-        let v = parse(&s).unwrap();
+        let v = to_value(&demo()).unwrap();
         let c = v.render_compact();
         assert!(!c.contains('\n'));
         assert_eq!(
@@ -861,6 +749,10 @@ mod tests {
         assert!(parse("[1,]").is_err());
         assert!(parse("1 2").is_err());
         assert!(parse("{\"a\" 1}").is_err());
+        // Beyond `f64`: infinity, which the writer never emits.
+        assert!(parse("1e999").is_err());
+        assert!(parse("[-1e999]").is_err());
+        assert!(parse("1e308").is_ok());
     }
 
     #[test]

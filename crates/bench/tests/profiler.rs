@@ -79,7 +79,7 @@ fn artifacts_carry_populated_timeline_blocks() {
         Some(result.telemetry.metrics),
         Some(tl),
     );
-    let v = json::parse(&artifact.to_json()).expect("artifact parses");
+    let v = json::to_value(&artifact).expect("artifact serializes");
     assert_eq!(
         v.get("schema_version").unwrap(),
         &json::Value::Num(SCHEMA_VERSION.to_string())

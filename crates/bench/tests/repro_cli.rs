@@ -314,7 +314,7 @@ fn every_target_name_and_alias_parses_computes_round_trips_and_renders() {
         assert_eq!(units_for(&spec.targets), [unit], "{name}");
         let idx = units.iter().position(|u| *u == unit).expect("computed");
         let data = &results[idx].data;
-        let text = Artifact::new(canon, &s, data.clone(), None, None).to_json();
+        let text = json::to_document(&Artifact::new(canon, &s, data.clone(), None, None));
         let v = json::parse(&text).expect("artifact parses");
         assert_eq!(v.get("target"), Some(&json::Value::Str(canon.clone())));
         // Panics if the table pairs the name with another row's payload.
@@ -377,7 +377,7 @@ fn artifact_schema_round_trips() {
         Some(result.telemetry.metrics),
         None,
     );
-    let text = artifact.to_json();
+    let text = json::to_document(&artifact);
     let v = json::parse(&text).expect("artifact parses");
     // Envelope fields, stable across runs and releases.
     assert_eq!(
@@ -424,22 +424,20 @@ fn serial_and_parallel_runs_produce_identical_artifacts() {
     assert_eq!(serial.len(), parallel.len());
     for ((t, a), b) in targets.iter().zip(&serial).zip(&parallel) {
         // Artifact bytes — payload plus metrics block — must match.
-        let ja = Artifact::new(
+        let ja = json::to_document(&Artifact::new(
             t,
             &s,
             a.data.clone(),
             Some(a.telemetry.metrics.clone()),
             Some(ugache_bench::timeline::from_report(&a.telemetry)),
-        )
-        .to_json();
-        let jb = Artifact::new(
+        ));
+        let jb = json::to_document(&Artifact::new(
             t,
             &s,
             b.data.clone(),
             Some(b.telemetry.metrics.clone()),
             Some(ugache_bench::timeline::from_report(&b.telemetry)),
-        )
-        .to_json();
+        ));
         assert_eq!(ja, jb, "{t}: serial and parallel artifacts diverge");
         // The event streams must match line for line too.
         let ta: Vec<String> = a
@@ -771,7 +769,7 @@ fn explain_tail_golden_report_matches_committed_baseline() {
         std::fs::read_to_string(root.join("baselines/quick/serve.json")).expect("baseline serve");
     let v = json::parse(&artifact).expect("baseline artifact parses");
     let report = ugache_bench::explain::report_from_artifact(&v).expect("baseline explains");
-    let rendered = ugache_bench::explain::to_json(&report);
+    let rendered = json::to_document(&report);
     let golden = std::fs::read_to_string(root.join("baselines/explain_tail_serve.json"))
         .expect("committed golden report");
     assert_eq!(

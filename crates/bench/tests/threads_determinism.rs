@@ -6,7 +6,7 @@
 
 use ugache_bench::artifact::{trace_line, Artifact};
 use ugache_bench::runner::{run_units, units_for, UnitResult};
-use ugache_bench::{chrome, explain, timeline, Scenario};
+use ugache_bench::{chrome, explain, json, timeline, Scenario};
 
 fn tiny() -> Scenario {
     Scenario {
@@ -38,14 +38,13 @@ fn artifacts_traces_and_chrome_traces_are_identical_across_thread_counts() {
             .iter()
             .zip(results)
             .map(|(t, r)| {
-                Artifact::new(
+                json::to_document(&Artifact::new(
                     t,
                     &s,
                     r.data.clone(),
                     Some(r.telemetry.metrics.clone()),
                     Some(timeline::from_report(&r.telemetry)),
-                )
-                .to_json()
+                ))
             })
             .collect();
         let trace: Vec<String> = TARGETS
@@ -98,14 +97,14 @@ fn explain_tail_reports_are_identical_across_thread_counts_and_jobs() {
         let results = emb_util::pool::with_threads(threads, || run_units(&tiny(), &units, jobs));
         let report = explain::report_from_snapshot(&results[0].telemetry.metrics)
             .expect("serve snapshot yields a consistent tail report");
-        explain::to_json(&report)
+        json::to_document(&report)
     };
     let baseline = report_at(1, 1);
     // The report reconstructs the full top-K (48 requests >= K = 8).
-    let v = ugache_bench::json::parse(&baseline).unwrap();
+    let v = json::parse(&baseline).unwrap();
     assert_eq!(
         v.get("summary").unwrap().get("requests").unwrap(),
-        &ugache_bench::json::Value::Num(emb_telemetry::EXEMPLAR_K.to_string())
+        &json::Value::Num(emb_telemetry::EXEMPLAR_K.to_string())
     );
     for (threads, jobs) in [(4usize, 1usize), (1, 4), (8, 2)] {
         assert_eq!(
