@@ -31,7 +31,7 @@
 
 use crate::figures::TargetData;
 use crate::json;
-use emb_scenario::{Scenario, SEED};
+use crate::scenario::{Scenario, SEED};
 use emb_telemetry::{EventValue, Name};
 use serde::Serialize;
 use std::io;

@@ -15,11 +15,10 @@ use ugache_bench::artifact::{check_dir_schema, diff_dirs, trace_header, trace_li
 use ugache_bench::cli::{self, Command, RunSpec};
 use ugache_bench::figures::{self, Unit};
 use ugache_bench::runner::{run_units, units_for, UnitResult};
+use ugache_bench::scenario::{registry, Scenario, WorkloadSpec};
 use ugache_bench::{
     catalog, chrome, compare, explain, json, metrics_catalog, profile, replay, timeline,
 };
-
-use emb_scenario::{registry, Scenario, WorkloadSpec};
 
 /// A failed invocation: the exit code, and the message for stderr
 /// (empty when the findings already went to stdout).

@@ -6,7 +6,7 @@
 //! stale. The rendering is pure string building (byte-deterministic),
 //! so the check is an exact comparison, not a fuzzy one.
 
-use emb_scenario::{Registry, ScenarioDef};
+use crate::scenario::{Registry, ScenarioDef};
 
 /// Renders the registry's catalog as the exact content of
 /// `SCENARIOS.md`.
@@ -20,22 +20,19 @@ pub fn render_markdown(registry: &Registry) -> String {
     );
     out.push_str(
         "Every workload × platform point the harness measures, as registered\n\
-         in `emb_scenario::registry()`. Names follow\n\
+         in `ugache_bench::scenario::registry()`. Names follow\n\
          `<family>/<dataset>[/<model>]@<platform>` (see EXPERIMENTS.md,\n\
          \"Scenario registry and access traces\"). Any scenario below can be\n\
          recorded to an access trace (`repro record <name> --out TRACE`) and\n\
          replayed under any policy (`repro replay TRACE --policy <p>`).\n\n",
     );
-    out.push_str("| Scenario | Workload | Platform | Policy | Seed | Consumed by |\n");
-    out.push_str("|---|---|---|---|---|---|\n");
+    out.push_str("| Scenario | Workload | Platform | Consumed by |\n");
+    out.push_str("|---|---|---|---|\n");
     for def in registry.defs() {
         out.push_str(&catalog_row(def));
     }
     out.push_str(
         "\nNotes:\n\n\
-         * `Policy` is the default (reference) policy `repro replay` uses for\n  \
-         the scenario's traces; figure targets sweep several policies over\n  \
-         the same stream.\n\
          * `table3` (dataset statistics), `fig6` and `fig8` (platform\n  \
          microbenchmarks) consume no scenario: they measure datasets and\n  \
          platforms directly, so they do not appear in the table.\n\
@@ -49,12 +46,10 @@ pub fn render_markdown(registry: &Registry) -> String {
 /// One `| ... |` table row for a scenario.
 fn catalog_row(def: &ScenarioDef) -> String {
     format!(
-        "| `{}` | {} | `{}` | `{}` | `{:#x}` | {} |\n",
+        "| `{}` | {} | `{}` | {} |\n",
         def.name,
         def.workload.label(),
         def.platform.name(),
-        def.policy.name(),
-        def.seed,
         def.consumers.join(" ")
     )
 }
@@ -117,7 +112,7 @@ pub(crate) fn check_generated(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use emb_scenario::registry;
+    use crate::scenario::registry;
 
     #[test]
     fn catalog_lists_every_scenario_once() {

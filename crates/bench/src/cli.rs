@@ -13,8 +13,10 @@
 //! documented in EXPERIMENTS.md.
 
 use crate::figures::{canonical, TARGETS};
-use emb_scenario::{registry, PlatformId, PolicyId, Scenario};
+use crate::replay::policy_name;
+use crate::scenario::{registry, PlatformId, Scenario};
 use std::path::PathBuf;
+use ugache::baselines::SystemKind;
 
 /// A validated `repro` run request.
 #[derive(Debug, Clone, PartialEq)]
@@ -108,8 +110,8 @@ pub enum Command {
     Replay {
         /// Trace input path.
         trace: PathBuf,
-        /// Policy to replay under (default `ugache`).
-        policy: PolicyId,
+        /// System to replay under (default `ugache`).
+        policy: SystemKind,
         /// Platform override (default: matched to the trace's GPU
         /// count).
         platform: Option<PlatformId>,
@@ -393,15 +395,21 @@ impl<'a> Cursor<'a> {
             .map_err(|_| format!("{} expects an unsigned integer, got `{v}`", self.flag))
     }
 
-    /// The current flag's value as a member of a named set (`kind`).
-    fn member<T>(
+    /// The current flag's value as the member of `all` whose `name` it is.
+    fn member<T: Copy>(
         &mut self,
         kind: &str,
-        parse: fn(&str) -> Option<T>,
-        names: &[&str],
+        all: &[T],
+        name: impl Fn(T) -> String,
     ) -> Result<T, String> {
         let v = self.value()?;
-        parse(v).ok_or_else(|| format!("unknown {kind} `{v}`; available: {}", names.join(" ")))
+        match all.iter().find(|&&m| name(m) == v) {
+            Some(&m) => Ok(m),
+            None => Err(format!(
+                "unknown {kind} `{v}`; available: {}",
+                all.iter().map(|&m| name(m)).collect::<Vec<_>>().join(" ")
+            )),
+        }
     }
 
     /// The rejection of the current argument as a flag nobody accepts.
@@ -552,19 +560,16 @@ fn parse_record(c: &mut Cursor) -> Result<Command, String> {
 }
 
 /// `replay TRACE [--policy P] [--platform PL]` plus `--out` and
-/// `--threads`; unknown policy and platform names are errors.
+/// `--threads`; a policy is a [`SystemKind`] by its lowercase name, and
+/// unknown policy and platform names are errors.
 fn parse_replay(c: &mut Cursor) -> Result<Command, String> {
-    let mut policy = PolicyId::UGache;
+    let mut policy = SystemKind::UGache;
     let mut platform = None;
     while let Some(flag) = c.next_flag()? {
         match flag {
-            "--policy" => {
-                let names = PolicyId::ALL.map(|p| p.name());
-                policy = c.member("policy", PolicyId::parse, &names)?;
-            }
+            "--policy" => policy = c.member("policy", &SystemKind::ALL, policy_name)?,
             "--platform" => {
-                let names = PlatformId::ALL.map(|p| p.name());
-                platform = Some(c.member("platform", PlatformId::parse, &names)?);
+                platform = Some(c.member("platform", &PlatformId::ALL, |p| p.name().to_string())?);
             }
             _ => return Err(c.unknown()),
         }

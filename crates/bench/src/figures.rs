@@ -17,7 +17,7 @@
 //! its untagged serialization) and [`render`] are all generated from
 //! it, so adding a figure is one module plus one row.
 
-use emb_scenario::Scenario;
+use crate::scenario::Scenario;
 use serde::{Serialize, Serializer};
 
 pub mod fig02;
@@ -245,9 +245,8 @@ mod tests {
 
     #[test]
     fn every_consumer_is_a_cli_target() {
-        // The registry lives below the CLI layer; pin its consumer
-        // metadata to the target table here.
-        for def in emb_scenario::registry().defs() {
+        // Pin the registry's consumer metadata to the target table.
+        for def in crate::scenario::registry().defs() {
             for c in &def.consumers {
                 assert!(
                     TARGETS.contains(c),

@@ -2,7 +2,7 @@
 //! partition (vs UGache), supervised GraphSAGE on PA, Server C.
 
 use super::{header, ms};
-use emb_scenario::{registry, PlatformId, Scenario};
+use crate::scenario::{PlatformId, Scenario};
 use emb_workload::{GnnDatasetId, GnnModel};
 use serde::Serialize;
 use ugache::baselines::{build_system, SystemKind};
@@ -36,15 +36,8 @@ fn hit_rates(placement: &cache_policy::Placement, keys_per_gpu: &[Vec<u32>]) -> 
 
 /// Computes the Figure 2 series (no printing).
 pub fn compute(s: &Scenario) -> Vec<Point> {
-    let def = registry()
-        .gnn_def(
-            GnnDatasetId::Pa,
-            GnnModel::GraphSageSupervised,
-            PlatformId::ServerC,
-        )
-        .expect("fig2's scenario is registered");
-    let plat = def.resolve_platform();
-    let (mut w, hotness) = def.gnn(s);
+    let plat = PlatformId::ServerC.resolve();
+    let (mut w, hotness) = s.gnn(GnnDatasetId::Pa, GnnModel::GraphSageSupervised, &plat);
     let e = hotness.len();
     let accesses = w.clone().measure_accesses_per_iter(2);
 

@@ -3,7 +3,7 @@
 //! Criteo-TB and the α=1.2 synthetic dataset.
 
 use super::{header, ms};
-use emb_scenario::{registry, PlatformId, Scenario};
+use crate::scenario::{PlatformId, Scenario};
 use emb_workload::DlrDatasetId;
 use serde::Serialize;
 use ugache::apps::dlr::dlr_cache_capacity;
@@ -29,11 +29,8 @@ pub fn compute(s: &Scenario) -> Vec<Bars> {
     let mut out = Vec::new();
     for p in [PlatformId::ServerA, PlatformId::ServerC] {
         for id in [DlrDatasetId::Cr, DlrDatasetId::SynA] {
-            let def = registry()
-                .dlr_def(id, p)
-                .expect("fig4's scenarios are registered");
-            let plat = def.resolve_platform();
-            let (mut w, hotness) = def.dlr(s);
+            let plat = p.resolve();
+            let (mut w, hotness) = s.dlr(id, &plat);
             let dataset = w.dataset().clone();
             let cap = dlr_cache_capacity(&plat, &dataset);
             let accesses = w.clone().measure_accesses_per_iter(2);

@@ -3,7 +3,7 @@
 //! NVSwitch egress-collision series).
 
 use super::header;
-use emb_scenario::Scenario;
+use crate::scenario::Scenario;
 use gpu_memsim::{microbench, CongestionModel};
 use gpu_platform::{Location, Platform};
 use serde::Serialize;

@@ -5,7 +5,7 @@
 //! sketched in the paper's Figure 8.
 
 use super::header;
-use emb_scenario::Scenario;
+use crate::scenario::Scenario;
 use gpu_platform::{DedicationConfig, Location, Platform, Profile};
 use serde::Serialize;
 

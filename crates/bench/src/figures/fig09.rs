@@ -1,9 +1,9 @@
 //! Figure 9: log-scale hotness blocking with coarse/fine size caps.
 
 use super::header;
+use crate::scenario::{PlatformId, Scenario};
 use cache_policy::{build_blocks, BlockConfig};
-use emb_scenario::{registry, PlatformId, Scenario};
-use emb_workload::GnnDatasetId;
+use emb_workload::{GnnDatasetId, GnnModel};
 use serde::Serialize;
 
 /// Per-hotness-level blocking statistics.
@@ -35,15 +35,8 @@ pub struct Fig09Data {
 
 /// Computes the Figure 9 blocking statistics (no printing).
 pub fn compute(s: &Scenario) -> Fig09Data {
-    let def = registry()
-        .gnn_def(
-            GnnDatasetId::Pa,
-            emb_workload::GnnModel::GraphSageSupervised,
-            PlatformId::ServerC,
-        )
-        .expect("fig9's scenario is registered");
-    let plat = def.resolve_platform();
-    let (_, hotness) = def.gnn(s);
+    let plat = PlatformId::ServerC.resolve();
+    let (_, hotness) = s.gnn(GnnDatasetId::Pa, GnnModel::GraphSageSupervised, &plat);
     let cfg = BlockConfig {
         min_splits: plat.num_gpus(),
         max_blocks: 4096,

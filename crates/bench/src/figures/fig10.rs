@@ -7,7 +7,7 @@
 //! [`Data`], so one `compute` pass serves both targets.
 
 use super::header;
-use emb_scenario::{registry, PlatformId, Scenario};
+use crate::scenario::{PlatformId, Scenario};
 use emb_workload::{DlrDatasetId, GnnDatasetId, GnnModel};
 use serde::Serialize;
 use ugache::apps::dlr::{dlr_cache_capacity, run_dlr_iterations};
@@ -78,11 +78,8 @@ pub fn compute_gnn(s: &Scenario) -> Vec<GnnCell> {
     for p in PlatformId::SERVERS {
         for model in GnnModel::ALL {
             for ds in GnnDatasetId::ALL {
-                let def = registry()
-                    .gnn_def(ds, model, p)
-                    .expect("fig10's GNN scenarios are registered");
-                let plat = def.resolve_platform();
-                let (w, hotness) = def.gnn(s);
+                let plat = p.resolve();
+                let (w, hotness) = s.gnn(ds, model, &plat);
                 let entry_bytes = w.dataset().entry_bytes;
                 // A few iterations' key volume scales the solver.
                 let accesses = w.clone().measure_accesses_per_iter(2);
@@ -113,11 +110,8 @@ pub fn compute_dlr(s: &Scenario) -> Vec<DlrCell> {
     let (batch, iters) = (s.dlr_batch, s.iters);
     for p in PlatformId::SERVERS {
         for ds in DlrDatasetId::ALL {
-            let def = registry()
-                .dlr_def(ds, p)
-                .expect("fig10's DLR scenarios are registered");
-            let plat = def.resolve_platform();
-            let (w, hotness) = def.dlr(s);
+            let plat = p.resolve();
+            let (w, hotness) = s.dlr(ds, &plat);
             let entry_bytes = w.dataset().entry_bytes;
             let cap = dlr_cache_capacity(&plat, w.dataset());
             let accesses = w.clone().measure_accesses_per_iter(2);

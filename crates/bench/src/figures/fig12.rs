@@ -3,7 +3,7 @@
 //! supervised GraphSAGE on PA and CF, Server C.
 
 use super::header;
-use emb_scenario::{registry, PlatformId, Scenario};
+use crate::scenario::{PlatformId, Scenario};
 use emb_workload::{GnnDatasetId, GnnModel};
 use serde::Serialize;
 use ugache::baselines::{build_system, SystemKind};
@@ -29,11 +29,8 @@ pub struct Point {
 pub fn compute(s: &Scenario) -> Vec<Point> {
     let mut out = Vec::new();
     for ds in [GnnDatasetId::Pa, GnnDatasetId::Cf] {
-        let def = registry()
-            .gnn_def(ds, GnnModel::GraphSageSupervised, PlatformId::ServerC)
-            .expect("fig12's scenarios are registered");
-        let plat = def.resolve_platform();
-        let (mut w, hotness) = def.gnn(s);
+        let plat = PlatformId::ServerC.resolve();
+        let (mut w, hotness) = s.gnn(ds, GnnModel::GraphSageSupervised, &plat);
         let e = hotness.len();
         let entry_bytes = w.dataset().entry_bytes;
         let accesses = w.clone().measure_accesses_per_iter(2);

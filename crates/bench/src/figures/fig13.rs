@@ -5,8 +5,8 @@
 //! remote-GPU and host traffic remains.
 
 use super::header;
+use crate::scenario::{PlatformId, Scenario};
 use cache_policy::Placement;
-use emb_scenario::{registry, PlatformId, Scenario};
 use emb_workload::{DlrDatasetId, GnnDatasetId, GnnModel};
 use gpu_platform::Location;
 use serde::Serialize;
@@ -77,10 +77,7 @@ pub fn compute(s: &Scenario) -> Vec<Util> {
 
     let mut cases: Vec<(String, SystemInstance, Vec<Vec<u32>>)> = Vec::new();
     for ds in [GnnDatasetId::Cf, GnnDatasetId::Mag] {
-        let def = registry()
-            .gnn_def(ds, GnnModel::Gcn, PlatformId::ServerC)
-            .expect("fig13's GNN scenarios are registered");
-        let (mut w, hotness) = def.gnn(s);
+        let (mut w, hotness) = s.gnn(ds, GnnModel::Gcn, &plat);
         let entry_bytes = w.dataset().entry_bytes;
         let cap = ugache::apps::gnn_cache_capacity(&plat, w.dataset(), SystemKind::UGache);
         let accesses = w.clone().measure_accesses_per_iter(1);
@@ -97,10 +94,7 @@ pub fn compute(s: &Scenario) -> Vec<Util> {
         cases.push((format!("GCN/{}", ds.name()), sys, w.next_batch()));
     }
     for ds in [DlrDatasetId::Cr, DlrDatasetId::SynA] {
-        let def = registry()
-            .dlr_def(ds, PlatformId::ServerC)
-            .expect("fig13's DLR scenarios are registered");
-        let (mut w, hotness) = def.dlr(s);
+        let (mut w, hotness) = s.dlr(ds, &plat);
         let entry_bytes = w.dataset().entry_bytes;
         let cap = ugache::apps::dlr::dlr_cache_capacity(&plat, w.dataset());
         let accesses = w.clone().measure_accesses_per_iter(1);

@@ -6,7 +6,7 @@
 //! extraction so the comparison isolates the *policy*.
 
 use super::header;
-use emb_scenario::{registry, PlatformId, Scenario};
+use crate::scenario::{PlatformId, Scenario};
 use emb_workload::{GnnDatasetId, GnnModel};
 use serde::Serialize;
 use ugache::baselines::{SystemInstance, SystemKind};
@@ -35,10 +35,7 @@ pub fn compute(s: &Scenario) -> Vec<Split> {
     let plat = PlatformId::ServerC.resolve();
     let mut out = Vec::new();
     for ds in [GnnDatasetId::Pa, GnnDatasetId::Cf] {
-        let def = registry()
-            .gnn_def(ds, GnnModel::GraphSageSupervised, PlatformId::ServerC)
-            .expect("fig14's scenarios are registered");
-        let (mut w, hotness) = def.gnn(s);
+        let (mut w, hotness) = s.gnn(ds, GnnModel::GraphSageSupervised, &plat);
         let e = hotness.len();
         let entry_bytes = w.dataset().entry_bytes;
         let accesses = w.clone().measure_accesses_per_iter(2);

@@ -7,8 +7,8 @@
 //! placements are evaluated with UGache's extraction (as in the paper).
 
 use super::header;
+use crate::scenario::{PlatformId, Scenario};
 use cache_policy::{BlockConfig, SolverConfig, UGacheSolver};
-use emb_scenario::{registry, PlatformId, Scenario};
 use emb_workload::{DlrDatasetId, GnnDatasetId, GnnModel};
 use gpu_platform::{DedicationConfig, Platform};
 use serde::Serialize;
@@ -72,10 +72,7 @@ pub fn compute(s: &Scenario) -> Vec<Gap> {
     // Server A: DLRM with CR / SYN-A / SYN-B.
     let plat_a = PlatformId::ServerA.resolve();
     for ds in DlrDatasetId::ALL {
-        let def = registry()
-            .dlr_def(ds, PlatformId::ServerA)
-            .expect("fig16's Server A scenarios are registered");
-        let (mut w, hotness) = def.dlr(s);
+        let (mut w, hotness) = s.dlr(ds, &plat_a);
         let entry_bytes = w.dataset().entry_bytes;
         let cap = ugache::apps::dlr::dlr_cache_capacity(&plat_a, w.dataset());
         let accesses = w.clone().measure_accesses_per_iter(1);
@@ -93,10 +90,7 @@ pub fn compute(s: &Scenario) -> Vec<Gap> {
     for ds in [DlrDatasetId::SynA, DlrDatasetId::SynB] {
         let mut small = *s;
         small.dlr_scale = s.dlr_scale * 4; // the paper's reduced tables
-        let def = registry()
-            .dlr_def(ds, PlatformId::ServerB)
-            .expect("fig16's Server B scenarios are registered");
-        let (mut w, hotness) = def.dlr(&small);
+        let (mut w, hotness) = small.dlr(ds, &plat_b);
         let entry_bytes = w.dataset().entry_bytes;
         let cap = ugache::apps::dlr::dlr_cache_capacity(&plat_b, w.dataset());
         let accesses = w.clone().measure_accesses_per_iter(1);
@@ -119,10 +113,7 @@ pub fn compute(s: &Scenario) -> Vec<Gap> {
     };
     for model in GnnModel::ALL {
         for &ds in gnn_sets {
-            let def = registry()
-                .gnn_def(ds, model, PlatformId::ServerC)
-                .expect("fig16's Server C scenarios are registered");
-            let (mut w, hotness) = def.gnn(s);
+            let (mut w, hotness) = s.gnn(ds, model, &plat_c);
             let entry_bytes = w.dataset().entry_bytes;
             let cap = ugache::apps::gnn_cache_capacity(&plat_c, w.dataset(), SystemKind::UGache);
             let accesses = w.clone().measure_accesses_per_iter(1);

@@ -7,8 +7,8 @@
 //! back — ideally below the pre-refresh level after the drift.
 
 use super::header;
+use crate::scenario::{PlatformId, Scenario};
 use emb_cache::HostTable;
-use emb_scenario::{registry, PlatformId, Scenario};
 use emb_workload::DlrDatasetId;
 use serde::Serialize;
 use ugache::apps::dlr::dlr_cache_capacity;
@@ -55,11 +55,8 @@ fn drift_keys(dataset: &emb_workload::DlrDataset, keys_per_gpu: &mut [Vec<u32>])
 
 /// Computes the Figure 17 timeline (no printing).
 pub fn compute(s: &Scenario) -> Fig17Data {
-    let def = registry()
-        .dlr_def(DlrDatasetId::Cr, PlatformId::ServerC)
-        .expect("fig17's scenario is registered");
-    let plat = def.resolve_platform();
-    let (mut w, hotness) = def.dlr(s);
+    let plat = PlatformId::ServerC.resolve();
+    let (mut w, hotness) = s.dlr(DlrDatasetId::Cr, &plat);
     let dataset = w.dataset().clone();
     let entry_bytes = dataset.entry_bytes;
     let cap = dlr_cache_capacity(&plat, &dataset);

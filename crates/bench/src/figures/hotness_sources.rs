@@ -4,8 +4,8 @@
 //! This target quantifies what each source costs relative to an oracle.
 
 use super::header;
+use crate::scenario::{PlatformId, Scenario};
 use cache_policy::Hotness;
-use emb_scenario::{registry, PlatformId, Scenario};
 use emb_workload::{GnnDatasetId, GnnModel};
 use serde::Serialize;
 use ugache::baselines::{build_system, SystemKind};
@@ -23,15 +23,8 @@ pub struct SourceRow {
 
 /// Computes the study rows (no printing).
 pub fn compute(s: &Scenario) -> Vec<SourceRow> {
-    let def = registry()
-        .gnn_def(
-            GnnDatasetId::Pa,
-            GnnModel::GraphSageSupervised,
-            PlatformId::ServerC,
-        )
-        .expect("the hotness study's scenario is registered");
-    let plat = def.resolve_platform();
-    let (w, _) = def.gnn(s);
+    let plat = PlatformId::ServerC.resolve();
+    let (w, _) = s.gnn(GnnDatasetId::Pa, GnnModel::GraphSageSupervised, &plat);
     let entry_bytes = w.dataset().entry_bytes;
     let cap = ugache::apps::gnn_cache_capacity(&plat, w.dataset(), SystemKind::UGache);
 

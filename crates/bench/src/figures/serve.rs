@@ -12,9 +12,9 @@
 //! the scenario and the global seed.
 
 use super::header;
+use crate::scenario::{PlatformId, Scenario, SEED};
 use cache_policy::Hotness;
 use emb_cache::HostTable;
-use emb_scenario::{registry, Scenario, SEED};
 use emb_serve::{estimate_capacity_rps, run_load_point, ClientPopulation, LoadSample, ServeConfig};
 use emb_util::zipf::powerlaw_hotness;
 use emb_util::{split_seed, SimTime};
@@ -82,10 +82,7 @@ pub fn serve_config(s: &Scenario) -> ServeConfig {
 
 /// Computes the serving sweep (no printing).
 pub fn compute(s: &Scenario) -> ServeData {
-    let plat = registry()
-        .serve_def()
-        .expect("serving scenario is registered")
-        .resolve_platform();
+    let plat = PlatformId::ServerA.resolve();
     let n = key_domain(s.dlr_scale);
     let entry_bytes = DIM * 4;
     let hotness = Hotness::new(powerlaw_hotness(n, ALPHA));

@@ -4,8 +4,8 @@
 //! end-to-end time the embedding layer takes with and without a cache.
 
 use super::{header, ms};
+use crate::scenario::{PlatformId, Scenario};
 use cache_policy::baselines;
-use emb_scenario::{registry, PlatformId, Scenario};
 use emb_util::fmt;
 use emb_workload::{GnnDatasetId, GnnModel};
 use serde::Serialize;
@@ -31,15 +31,12 @@ pub struct Breakdown {
 
 /// Computes the Table 1 breakdown (no printing).
 pub fn compute(s: &Scenario) -> Breakdown {
-    let def = registry()
-        .gnn_def(
-            GnnDatasetId::Mag,
-            GnnModel::GraphSageUnsupervised,
-            PlatformId::SingleA100,
-        )
-        .expect("table1's scenario is registered");
-    let platform = def.resolve_platform();
-    let (mut w, hotness) = def.gnn(s);
+    let platform = PlatformId::SingleA100.resolve();
+    let (mut w, hotness) = s.gnn(
+        GnnDatasetId::Mag,
+        GnnModel::GraphSageUnsupervised,
+        &platform,
+    );
     let dataset = w.dataset().clone();
     let entry_bytes = dataset.entry_bytes;
     let volume_e = dataset.volume_bytes();

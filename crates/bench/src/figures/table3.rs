@@ -1,7 +1,7 @@
 //! Table 3: dataset statistics at reproduction scale.
 
 use super::header;
-use emb_scenario::{Scenario, SEED};
+use crate::scenario::{Scenario, SEED};
 use emb_util::fmt;
 use emb_workload::{dlr_preset, gnn_preset, DlrDatasetId, GnnDatasetId};
 use serde::Serialize;

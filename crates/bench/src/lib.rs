@@ -23,6 +23,5 @@ pub mod metrics_catalog;
 pub mod profile;
 pub mod replay;
 pub mod runner;
+pub mod scenario;
 pub mod timeline;
-
-pub use emb_scenario::Scenario;

@@ -18,7 +18,7 @@
 
 use crate::figures::TARGETS;
 use crate::runner::{run_units, units_for};
-use emb_scenario::Scenario;
+use crate::scenario::Scenario;
 use std::collections::BTreeSet;
 
 /// The kind of telemetry record a name belongs to.
@@ -243,11 +243,6 @@ pub const CATALOG: &[MetricDef] = &[
         "Requests coalesced per dispatched batch",
     ),
     def(
-        "serve.latency_ms",
-        Histogram,
-        "Request latency (float milliseconds; carries tail exemplars)",
-    ),
-    def(
         "serve.latency_ns",
         Histogram,
         "Request latency (exact nanoseconds; carries tail exemplars)",
@@ -310,7 +305,7 @@ pub fn render_markdown() -> String {
          dotted segment (the per-flow link counters are per destination GPU\n\
          and source). Counter/gauge/histogram values appear in every\n\
          artifact's `metrics` block; events stream through `repro --trace`;\n\
-         the two `serve.latency_*` histograms additionally carry top-K\n\
+         the `serve.latency_ns` histogram additionally carries top-K\n\
          request exemplars (see EXPERIMENTS.md, \"Telemetry\" and\n\
          \"Explaining the latency tail\").\n\n",
     );

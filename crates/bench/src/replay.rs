@@ -10,8 +10,8 @@
 //! replays write byte-identical reports at any worker-pool width.
 
 use crate::figures::serve;
+use crate::scenario::{PlatformId, Scenario, ScenarioDef, WorkloadSpec, SEED};
 use cache_policy::Hotness;
-use emb_scenario::{PlatformId, PolicyId, Scenario, ScenarioDef, WorkloadSpec};
 use emb_serve::{draw_request_keys, ClientPopulation};
 use emb_workload::Trace;
 use gpu_platform::home_gpu;
@@ -72,7 +72,7 @@ pub struct ReplayReport {
     pub seed: u64,
     /// Number of replayed records.
     pub records: usize,
-    /// Registry name of the replayed policy.
+    /// Lowercase name of the replayed system (`ugache`, `partu`, …).
     pub policy: String,
     /// Registry name of the replay platform.
     pub platform: String,
@@ -90,20 +90,6 @@ pub struct ReplayReport {
     pub totals: TierTotals,
 }
 
-/// Maps a registry policy name to the simulator's system kind.
-pub fn system_kind(policy: PolicyId) -> SystemKind {
-    match policy {
-        PolicyId::UGache => SystemKind::UGache,
-        PolicyId::GnnLab => SystemKind::GnnLab,
-        PolicyId::WholeGraph => SystemKind::WholeGraph,
-        PolicyId::PartU => SystemKind::PartU,
-        PolicyId::RepU => SystemKind::RepU,
-        PolicyId::Quiver => SystemKind::Quiver,
-        PolicyId::Hps => SystemKind::Hps,
-        PolicyId::Sok => SystemKind::Sok,
-    }
-}
-
 /// Records `iters` iterations (for `serve`: requests) of the named
 /// scenario's access stream, exactly as the live figures would draw it.
 ///
@@ -111,15 +97,15 @@ pub fn system_kind(policy: PolicyId) -> SystemKind {
 /// serving scenario) when `None`.
 pub fn record_trace(def: &ScenarioDef, knobs: &Scenario, iters: Option<usize>) -> Trace {
     match def.workload {
-        WorkloadSpec::Gnn { .. } => {
-            let (mut w, _) = def.gnn(knobs);
+        WorkloadSpec::Gnn { dataset, model } => {
+            let (mut w, _) = knobs.gnn(dataset, model, &def.platform.resolve());
             let n = w.dataset().num_entries() as u64;
-            Trace::capture(&mut w, iters.unwrap_or(knobs.iters), def.seed, n, &def.name)
+            Trace::capture(&mut w, iters.unwrap_or(knobs.iters), SEED, n, &def.name)
         }
-        WorkloadSpec::Dlr { .. } => {
-            let (mut w, _) = def.dlr(knobs);
+        WorkloadSpec::Dlr { dataset } => {
+            let (mut w, _) = knobs.dlr(dataset, &def.platform.resolve());
             let n = w.dataset().num_entries() as u64;
-            Trace::capture(&mut w, iters.unwrap_or(knobs.iters), def.seed, n, &def.name)
+            Trace::capture(&mut w, iters.unwrap_or(knobs.iters), SEED, n, &def.name)
         }
         WorkloadSpec::ServeZipf => {
             let mut cfg = serve::serve_config(knobs);
@@ -139,7 +125,7 @@ pub fn record_trace(def: &ScenarioDef, knobs: &Scenario, iters: Option<usize>) -
                 .map(|keys| vec![keys])
                 .collect();
             Trace {
-                seed: def.seed,
+                seed: SEED,
                 num_gpus: 1,
                 num_keys: cfg.num_keys,
                 scenario: def.name.clone(),
@@ -158,6 +144,12 @@ pub fn default_platform(trace_gpus: u32) -> Option<PlatformId> {
         1 => Some(PlatformId::SingleA100),
         _ => None,
     }
+}
+
+/// A system's name as `--policy` takes it and a report's `policy` field
+/// carries it: its display name in lowercase.
+pub(crate) fn policy_name(kind: SystemKind) -> String {
+    kind.name().to_lowercase()
 }
 
 /// Re-shards one record onto `g` GPUs when the trace's GPU count
@@ -182,7 +174,7 @@ fn normalize(record: &[Vec<u32>], g: usize) -> Vec<Vec<u32>> {
     shards
 }
 
-/// Replays a decoded trace under `policy` on `platform` (or the
+/// Replays a decoded trace under the system `policy` on `platform` (or the
 /// trace-matched default) and returns the per-iteration hit counters.
 ///
 /// # Errors
@@ -193,7 +185,7 @@ fn normalize(record: &[Vec<u32>], g: usize) -> Vec<Vec<u32>> {
 /// platform (e.g. WholeGraph's launch constraints).
 pub fn replay_trace(
     trace: &Trace,
-    policy: PolicyId,
+    policy: SystemKind,
     platform: Option<PlatformId>,
 ) -> Result<ReplayReport, String> {
     if trace.num_keys > MAX_REPLAY_KEYS {
@@ -236,7 +228,7 @@ pub fn replay_trace(
     let cap_entries = (trace.num_keys as usize / (8 * g)).max(64);
 
     let sys = build_system(
-        system_kind(policy),
+        policy,
         &plat,
         &hotness,
         cap_entries,
@@ -266,7 +258,7 @@ pub fn replay_trace(
         scenario: trace.scenario.clone(),
         seed: trace.seed,
         records: trace.records.len(),
-        policy: policy.name().to_string(),
+        policy: policy_name(policy),
         platform: platform_id.name().to_string(),
         num_keys: trace.num_keys,
         cap_entries,
@@ -284,7 +276,7 @@ pub fn replay_trace(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use emb_scenario::registry;
+    use crate::scenario::registry;
 
     fn tiny_knobs() -> Scenario {
         Scenario {
@@ -308,8 +300,8 @@ mod tests {
         let t1 = record_trace(&def, &knobs, None);
         let t2 = record_trace(&def, &knobs, None);
         assert_eq!(t1.to_bytes(), t2.to_bytes());
-        let r1 = replay_trace(&t1, PolicyId::UGache, None).unwrap();
-        let r2 = replay_trace(&t2, PolicyId::UGache, None).unwrap();
+        let r1 = replay_trace(&t1, SystemKind::UGache, None).unwrap();
+        let r2 = replay_trace(&t2, SystemKind::UGache, None).unwrap();
         assert_eq!(r1, r2);
         assert_eq!(r1.platform, "server_a");
         assert_eq!(r1.records, 2);
@@ -328,16 +320,19 @@ mod tests {
 
     #[test]
     fn serve_traces_reshard_onto_multi_gpu_platforms() {
-        let def = registry().serve_def().expect("registered").clone();
+        let def = registry()
+            .get("serve/zipf@server_a")
+            .expect("registered")
+            .clone();
         let knobs = tiny_knobs();
         let t = record_trace(&def, &knobs, Some(4));
         assert_eq!(t.num_gpus, 1);
         assert_eq!(t.records.len(), 4);
         // 1-GPU trace defaults to the single A100 and can be re-sharded
         // onto Server A explicitly.
-        let single = replay_trace(&t, PolicyId::Hps, None).unwrap();
+        let single = replay_trace(&t, SystemKind::Hps, None).unwrap();
         assert_eq!(single.platform, "a100_80");
-        let quad = replay_trace(&t, PolicyId::Hps, Some(PlatformId::ServerA)).unwrap();
+        let quad = replay_trace(&t, SystemKind::Hps, Some(PlatformId::ServerA)).unwrap();
         assert_eq!(quad.platform, "server_a");
         assert!(quad.totals.local + quad.totals.remote + quad.totals.host > 0);
     }
@@ -372,15 +367,38 @@ mod tests {
         // tables over it, under every policy.
         for num_keys in [MAX_REPLAY_KEYS + 1, 1 << 31, 1 << 32] {
             let trace = Trace::from_bytes(&header_only(num_keys)).expect("decodes");
-            for policy in [PolicyId::UGache, PolicyId::Hps, PolicyId::WholeGraph] {
+            for policy in [SystemKind::UGache, SystemKind::Hps, SystemKind::WholeGraph] {
                 let err = replay_trace(&trace, policy, None).unwrap_err();
                 assert!(err.contains("key domain"), "{err}");
             }
         }
         // A domain the registry could have recorded replays, records or not.
         let trace = Trace::from_bytes(&header_only(430_664)).expect("decodes");
-        let report = replay_trace(&trace, PolicyId::Hps, None).expect("replays");
+        let report = replay_trace(&trace, SystemKind::Hps, None).expect("replays");
         assert_eq!((report.records, report.num_keys), (0, 430_664));
+    }
+
+    #[test]
+    fn every_system_replays_under_its_lowercase_name() {
+        // Small enough that WholeGraph's full partition fits Server C.
+        let trace = Trace {
+            seed: 3,
+            num_gpus: 8,
+            num_keys: 256,
+            scenario: "x".to_string(),
+            records: (0..2u32)
+                .map(|r| (0..8u32).map(|g| vec![g, 8 + g + r, 100 + 3 * g]).collect())
+                .collect(),
+        };
+        for kind in SystemKind::ALL {
+            let report = replay_trace(&trace, kind, None)
+                .unwrap_or_else(|e| panic!("{} does not replay: {e}", kind.name()));
+            let named = SystemKind::ALL
+                .into_iter()
+                .find(|&k| policy_name(k) == report.policy);
+            assert_eq!(named, Some(kind), "policy `{}`", report.policy);
+            assert_eq!(report.platform, "server_c");
+        }
     }
 
     #[test]
@@ -392,7 +410,7 @@ mod tests {
             scenario: "x".to_string(),
             records: vec![vec![vec![1], vec![2], vec![3]]],
         };
-        let err = replay_trace(&t, PolicyId::UGache, None).unwrap_err();
+        let err = replay_trace(&t, SystemKind::UGache, None).unwrap_err();
         assert!(err.contains("--platform"), "{err}");
     }
 }

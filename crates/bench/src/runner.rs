@@ -16,7 +16,7 @@
 //! blocks and `--trace` streams byte-identical across `--jobs` values.
 
 use crate::figures::{TargetData, Unit};
-use emb_scenario::Scenario;
+use crate::scenario::Scenario;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 

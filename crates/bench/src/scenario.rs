@@ -1,11 +1,109 @@
-//! The registry proper: platform/policy identifiers, scenario
-//! definitions, and the builtin catalog.
+//! The scenario registry and the run knobs.
+//!
+//! A *scenario* is one named workload × platform point. The registry
+//! ([`registry`]) names each one so `repro record` can capture its access
+//! stream and `repro scenarios` can list it. Names follow the scheme
+//! documented in EXPERIMENTS.md ("Scenario registry and access traces"):
+//!
+//! ```text
+//! <family>/<dataset>[/<model>]@<platform>
+//! ```
+//!
+//! e.g. `gnn/pa/sage_sup@server_c`, `dlr/cr@server_a`,
+//! `serve/zipf@server_a`. The committed catalog `SCENARIOS.md` is
+//! generated from the builtin [`Registry`] and CI fails when they drift.
+//!
+//! Scale knobs deliberately stay outside the registry in [`Scenario`]:
+//! a registry entry names a workload-family point; the knobs size the
+//! generated instance (`--full`, `--gnn-scale`, …). Figures build their
+//! workloads with [`Scenario::gnn`] / [`Scenario::dlr`] directly.
 
-use crate::knobs::{Scenario, SEED};
 use cache_policy::Hotness;
-use emb_workload::{DlrDatasetId, DlrWorkload, GnnDatasetId, GnnModel, GnnWorkload};
+use emb_workload::dlr::DlrHotness;
+use emb_workload::{
+    dlr_preset, gnn_preset, DlrDatasetId, DlrWorkload, GnnDatasetId, GnnModel, GnnWorkload,
+};
 use gpu_platform::{GpuSpec, Platform};
+use serde::Serialize;
 use std::sync::OnceLock;
+
+/// Workspace-wide RNG seed for the harness.
+pub const SEED: u64 = 0x5EED;
+
+/// Scale and batch knobs for a harness run.
+///
+/// `quick()` keeps every figure under a few seconds of wall time on a
+/// laptop core; `full()` uses larger domains for smoother curves.
+///
+/// Field order is load-bearing: the struct serializes into every
+/// artifact's `scenario` block and the `--trace` header, which must
+/// stay byte-identical across refactors.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+pub struct Scenario {
+    /// Divisor applied to paper-scale GNN vertex counts.
+    pub gnn_scale: usize,
+    /// Divisor applied to paper-scale DLR table sizes.
+    pub dlr_scale: usize,
+    /// GNN seeds per GPU per iteration.
+    pub gnn_batch: usize,
+    /// DLR requests per GPU per iteration.
+    pub dlr_batch: usize,
+    /// Iterations measured per data point.
+    pub iters: usize,
+    /// Simulated client population of the serving sweep.
+    pub serve_users: usize,
+    /// Requests served per offered-load level of the serving sweep.
+    pub serve_requests: usize,
+}
+
+impl Scenario {
+    /// Fast settings for CI and the default `repro` run.
+    pub fn quick() -> Self {
+        Scenario {
+            gnn_scale: 4096,
+            dlr_scale: 8192,
+            gnn_batch: 512,
+            dlr_batch: 512,
+            iters: 2,
+            serve_users: 200_000,
+            serve_requests: 160,
+        }
+    }
+
+    /// Larger settings for smoother series.
+    pub fn full() -> Self {
+        Scenario {
+            gnn_scale: 1024,
+            dlr_scale: 2048,
+            gnn_batch: 1024,
+            dlr_batch: 1024,
+            iters: 3,
+            serve_users: 2_000_000,
+            serve_requests: 512,
+        }
+    }
+
+    /// Builds a GNN workload plus profiled hotness.
+    pub fn gnn(
+        &self,
+        id: GnnDatasetId,
+        model: GnnModel,
+        platform: &Platform,
+    ) -> (GnnWorkload, Hotness) {
+        let d = gnn_preset(id, self.gnn_scale, SEED);
+        let mut w = GnnWorkload::new(d, model, self.gnn_batch, platform.num_gpus(), SEED);
+        let h = w.profile_hotness(2);
+        (w, h)
+    }
+
+    /// Builds a DLR workload plus analytic hotness.
+    pub fn dlr(&self, id: DlrDatasetId, platform: &Platform) -> (DlrWorkload, Hotness) {
+        let d = dlr_preset(id, self.dlr_scale);
+        let mut w = DlrWorkload::new(d, self.dlr_batch, platform.num_gpus(), SEED);
+        let h = w.hotness(DlrHotness::Analytic);
+        (w, h)
+    }
+}
 
 /// The platforms scenarios run on, resolvable by registry name.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -47,13 +145,7 @@ impl PlatformId {
         }
     }
 
-    /// Parses a registry name back to the identifier.
-    pub fn parse(name: &str) -> Option<PlatformId> {
-        PlatformId::ALL.into_iter().find(|p| p.name() == name)
-    }
-
-    /// Builds the platform, exactly as the figure modules did before
-    /// the registry existed (byte-identical downstream results).
+    /// Builds the platform.
     pub fn resolve(self) -> Platform {
         match self {
             PlatformId::ServerA => Platform::server_a(),
@@ -61,72 +153,6 @@ impl PlatformId {
             PlatformId::ServerC => Platform::server_c(),
             PlatformId::SingleA100 => Platform::single(GpuSpec::a100(80), 1 << 40),
         }
-    }
-
-    /// The platform's GPU count (without building link tables).
-    pub fn num_gpus(self) -> usize {
-        match self {
-            PlatformId::ServerA => 4,
-            PlatformId::ServerB | PlatformId::ServerC => 8,
-            PlatformId::SingleA100 => 1,
-        }
-    }
-}
-
-/// The cache policies / systems a scenario can be replayed under.
-///
-/// Mirrors `ugache::baselines::SystemKind` by name; the mapping lives
-/// in the bench crate so this crate stays free of the simulator stack.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum PolicyId {
-    /// This paper's system (solver placement + factored extraction).
-    UGache,
-    /// GNNLab-style replication cache.
-    GnnLab,
-    /// WholeGraph: strict partition, peer access.
-    WholeGraph,
-    /// PartU: partition with CPU fallback and clique support.
-    PartU,
-    /// RepU: replication on PartU's codebase.
-    RepU,
-    /// Quiver-style clique partition.
-    Quiver,
-    /// HPS: replication + LRU online-eviction overhead.
-    Hps,
-    /// SOK: partition + message-based extraction.
-    Sok,
-}
-
-impl PolicyId {
-    /// Every policy, in paper order.
-    pub const ALL: [PolicyId; 8] = [
-        PolicyId::UGache,
-        PolicyId::GnnLab,
-        PolicyId::WholeGraph,
-        PolicyId::PartU,
-        PolicyId::RepU,
-        PolicyId::Quiver,
-        PolicyId::Hps,
-        PolicyId::Sok,
-    ];
-
-    /// The registry name (lowercase, e.g. `ugache`, `partu`).
-    pub fn name(self) -> &'static str {
-        match self {
-            PolicyId::UGache => "ugache",
-            PolicyId::GnnLab => "gnnlab",
-            PolicyId::WholeGraph => "wholegraph",
-            PolicyId::PartU => "partu",
-            PolicyId::RepU => "repu",
-            PolicyId::Quiver => "quiver",
-            PolicyId::Hps => "hps",
-            PolicyId::Sok => "sok",
-        }
-    }
-
-    /// Parses a registry name back to the identifier.
-    pub fn parse(name: &str) -> Option<PolicyId> {
-        PolicyId::ALL.into_iter().find(|p| p.name() == name)
     }
 }
 
@@ -207,8 +233,7 @@ impl WorkloadSpec {
     }
 }
 
-/// One registered scenario: a named workload × platform point with the
-/// default replay policy and the root seed its streams split from.
+/// One registered scenario: a named workload × platform point.
 #[derive(Debug, Clone)]
 pub struct ScenarioDef {
     /// Unique name (`<family>/<dataset>[/<model>]@<platform>`).
@@ -217,47 +242,8 @@ pub struct ScenarioDef {
     pub workload: WorkloadSpec,
     /// The platform the workload is sized for.
     pub platform: PlatformId,
-    /// Default (reference) policy `replay` uses for this scenario.
-    /// Figures sweep several policies over the same stream.
-    pub policy: PolicyId,
-    /// Root seed of every stream the generator draws.
-    pub seed: u64,
     /// CLI targets that consume this scenario (catalog metadata).
     pub consumers: Vec<&'static str>,
-}
-
-impl ScenarioDef {
-    /// Builds the platform.
-    pub fn resolve_platform(&self) -> Platform {
-        self.platform.resolve()
-    }
-
-    /// Builds the GNN workload plus profiled hotness, exactly as
-    /// [`Scenario::gnn`] does (the construction figures used inline
-    /// before the registry existed).
-    ///
-    /// # Panics
-    ///
-    /// Panics if this scenario's workload is not [`WorkloadSpec::Gnn`].
-    pub fn gnn(&self, knobs: &Scenario) -> (GnnWorkload, Hotness) {
-        let WorkloadSpec::Gnn { dataset, model } = self.workload else {
-            panic!("scenario `{}` is not a GNN workload", self.name);
-        };
-        knobs.gnn(dataset, model, &self.resolve_platform())
-    }
-
-    /// Builds the DLR workload plus analytic hotness, exactly as
-    /// [`Scenario::dlr`] does.
-    ///
-    /// # Panics
-    ///
-    /// Panics if this scenario's workload is not [`WorkloadSpec::Dlr`].
-    pub fn dlr(&self, knobs: &Scenario) -> (DlrWorkload, Hotness) {
-        let WorkloadSpec::Dlr { dataset } = self.workload else {
-            panic!("scenario `{}` is not a DLR workload", self.name);
-        };
-        knobs.dlr(dataset, &self.resolve_platform())
-    }
 }
 
 /// A validated, collision-free set of scenario definitions.
@@ -290,26 +276,6 @@ impl Registry {
     /// Looks a scenario up by name.
     pub fn get(&self, name: &str) -> Option<&ScenarioDef> {
         self.defs.iter().find(|d| d.name == name)
-    }
-
-    /// Typed lookup for a GNN scenario.
-    pub fn gnn_def(
-        &self,
-        dataset: GnnDatasetId,
-        model: GnnModel,
-        platform: PlatformId,
-    ) -> Option<&ScenarioDef> {
-        self.get(&WorkloadSpec::Gnn { dataset, model }.scenario_name(platform))
-    }
-
-    /// Typed lookup for a DLR scenario.
-    pub fn dlr_def(&self, dataset: DlrDatasetId, platform: PlatformId) -> Option<&ScenarioDef> {
-        self.get(&WorkloadSpec::Dlr { dataset }.scenario_name(platform))
-    }
-
-    /// The serving scenario.
-    pub fn serve_def(&self) -> Option<&ScenarioDef> {
-        self.get(&WorkloadSpec::ServeZipf.scenario_name(PlatformId::ServerA))
     }
 }
 
@@ -363,6 +329,16 @@ fn dlr_consumers(d: DlrDatasetId, p: PlatformId) -> Vec<&'static str> {
     c
 }
 
+/// The definition of `workload` on `platform`, named by the scheme.
+fn def(workload: WorkloadSpec, platform: PlatformId, consumers: Vec<&'static str>) -> ScenarioDef {
+    ScenarioDef {
+        name: workload.scenario_name(platform),
+        workload,
+        platform,
+        consumers,
+    }
+}
+
 /// Builds the builtin catalog: every workload × platform point the
 /// harness measures, in catalog order (GNN on the three servers, the
 /// Table 1 single-GPU GNN, DLR on the three servers, serving).
@@ -376,14 +352,7 @@ fn builtin_defs() -> Vec<ScenarioDef> {
                     dataset: d,
                     model: m,
                 };
-                defs.push(ScenarioDef {
-                    name: workload.scenario_name(p),
-                    workload,
-                    platform: p,
-                    policy: PolicyId::UGache,
-                    seed: SEED,
-                    consumers: gnn_consumers(d, m, p),
-                });
+                defs.push(def(workload, p, gnn_consumers(d, m, p)));
             }
         }
     }
@@ -391,36 +360,19 @@ fn builtin_defs() -> Vec<ScenarioDef> {
         dataset: GnnDatasetId::Mag,
         model: GnnModel::GraphSageUnsupervised,
     };
-    defs.push(ScenarioDef {
-        name: table1.scenario_name(PlatformId::SingleA100),
-        workload: table1,
-        platform: PlatformId::SingleA100,
-        policy: PolicyId::GnnLab,
-        seed: SEED,
-        consumers: vec!["table1"],
-    });
+    defs.push(def(table1, PlatformId::SingleA100, vec!["table1"]));
     let dlr_datasets = [DlrDatasetId::Cr, DlrDatasetId::SynA, DlrDatasetId::SynB];
     for p in PlatformId::SERVERS {
         for d in dlr_datasets {
             let workload = WorkloadSpec::Dlr { dataset: d };
-            defs.push(ScenarioDef {
-                name: workload.scenario_name(p),
-                workload,
-                platform: p,
-                policy: PolicyId::UGache,
-                seed: SEED,
-                consumers: dlr_consumers(d, p),
-            });
+            defs.push(def(workload, p, dlr_consumers(d, p)));
         }
     }
-    defs.push(ScenarioDef {
-        name: WorkloadSpec::ServeZipf.scenario_name(PlatformId::ServerA),
-        workload: WorkloadSpec::ServeZipf,
-        platform: PlatformId::ServerA,
-        policy: PolicyId::UGache,
-        seed: SEED,
-        consumers: vec!["serve"],
-    });
+    defs.push(def(
+        WorkloadSpec::ServeZipf,
+        PlatformId::ServerA,
+        vec!["serve"],
+    ));
     defs
 }
 
@@ -429,7 +381,7 @@ fn builtin_defs() -> Vec<ScenarioDef> {
 /// # Panics
 ///
 /// Panics if the builtin catalog contains a duplicate name — a bug
-/// caught at first use (and by the crate's tests).
+/// caught at first use (and by this module's tests).
 pub fn registry() -> &'static Registry {
     static REGISTRY: OnceLock<Registry> = OnceLock::new();
     REGISTRY
@@ -439,6 +391,18 @@ pub fn registry() -> &'static Registry {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn quick_scenario_builds_workloads() {
+        let s = Scenario::quick();
+        let plat = Platform::server_a();
+        let (mut w, h) = s.gnn(GnnDatasetId::Pa, GnnModel::GraphSageSupervised, &plat);
+        assert!(h.total() > 0.0);
+        assert_eq!(w.next_batch().len(), 4);
+        let (mut d, hd) = s.dlr(DlrDatasetId::SynA, &plat);
+        assert!(hd.total() > 0.0);
+        assert_eq!(d.next_batch().len(), 4);
+    }
 
     #[test]
     fn builtin_is_collision_free_and_complete() {
@@ -457,15 +421,9 @@ mod tests {
         assert!(r.get("gnn/pa/sage_sup@server_c").is_some());
         assert!(r.get("dlr/syn_a@server_b").is_some());
         assert!(r.get("gnn/mag/sage_unsup@a100_80").is_some());
-        assert_eq!(r.serve_def().unwrap().name, "serve/zipf@server_a");
+        assert!(r.get("serve/zipf@server_a").is_some());
         assert!(r.get("gnn/pa/sage_sup@server_z").is_none());
-        let d = r
-            .gnn_def(
-                GnnDatasetId::Pa,
-                GnnModel::GraphSageSupervised,
-                PlatformId::ServerC,
-            )
-            .unwrap();
+        let d = r.get("gnn/pa/sage_sup@server_c").unwrap();
         assert!(d.consumers.contains(&"fig2"));
         assert!(d.consumers.contains(&"hotness"));
     }
@@ -477,45 +435,5 @@ mod tests {
         defs.push(dup);
         let err = Registry::new(defs).unwrap_err();
         assert!(err.contains("duplicate scenario name"), "{err}");
-    }
-
-    #[test]
-    fn platform_and_policy_names_round_trip() {
-        for p in PlatformId::ALL {
-            assert_eq!(PlatformId::parse(p.name()), Some(p));
-            assert_eq!(p.resolve().num_gpus(), p.num_gpus());
-        }
-        for p in PolicyId::ALL {
-            assert_eq!(PolicyId::parse(p.name()), Some(p));
-        }
-        assert_eq!(PlatformId::parse("server_z"), None);
-        assert_eq!(PolicyId::parse("lru"), None);
-    }
-
-    #[test]
-    fn def_builders_match_knob_builders() {
-        let knobs = Scenario {
-            gnn_scale: 16_384,
-            dlr_scale: 65_536,
-            gnn_batch: 64,
-            dlr_batch: 64,
-            iters: 1,
-            serve_users: 10_000,
-            serve_requests: 8,
-        };
-        let r = registry();
-        let def = r.dlr_def(DlrDatasetId::SynA, PlatformId::ServerA).unwrap();
-        let (mut a, ha) = def.dlr(&knobs);
-        let (mut b, hb) = knobs.dlr(DlrDatasetId::SynA, &Platform::server_a());
-        assert_eq!(a.next_batch(), b.next_batch());
-        assert_eq!(ha.ranking(), hb.ranking());
-    }
-
-    #[test]
-    #[should_panic(expected = "is not a GNN workload")]
-    fn gnn_builder_rejects_dlr_defs() {
-        let r = registry();
-        let def = r.dlr_def(DlrDatasetId::Cr, PlatformId::ServerA).unwrap();
-        let _ = def.gnn(&Scenario::quick());
     }
 }

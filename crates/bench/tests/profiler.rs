@@ -5,7 +5,8 @@
 use ugache_bench::artifact::{Artifact, SCHEMA_VERSION};
 use ugache_bench::figures::Unit;
 use ugache_bench::runner::{run_units, units_for};
-use ugache_bench::{chrome, compare, json, timeline, Scenario};
+use ugache_bench::scenario::Scenario;
+use ugache_bench::{chrome, compare, json, timeline};
 
 fn tiny() -> Scenario {
     Scenario {

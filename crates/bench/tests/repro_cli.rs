@@ -9,7 +9,8 @@ use ugache_bench::artifact::{
 use ugache_bench::cli::{self, Command};
 use ugache_bench::figures::{self, TargetData, Unit, TARGETS};
 use ugache_bench::runner::{run_units, units_for};
-use ugache_bench::{compare, json, Scenario};
+use ugache_bench::scenario::{PlatformId, Scenario};
+use ugache_bench::{compare, json};
 
 fn args(list: &[&str]) -> Vec<String> {
     list.iter().map(|s| s.to_string()).collect()
@@ -390,7 +391,7 @@ fn artifact_schema_round_trips() {
     );
     assert_eq!(
         v.get("seed").unwrap(),
-        &json::Value::Num(emb_scenario::SEED.to_string())
+        &json::Value::Num(ugache_bench::scenario::SEED.to_string())
     );
     let scenario = v.get("scenario").expect("scenario embedded");
     assert_eq!(
@@ -522,7 +523,7 @@ fn parse_trace_flag() {
 
 #[test]
 fn parse_scenarios_record_and_replay_subcommands() {
-    use emb_scenario::{PlatformId, PolicyId};
+    use ugache::baselines::SystemKind;
 
     match cli::parse(&args(&["scenarios"])).unwrap() {
         Command::Scenarios { md, check, .. } => {
@@ -569,7 +570,7 @@ fn parse_scenarios_record_and_replay_subcommands() {
         Command::Replay {
             policy, platform, ..
         } => {
-            assert_eq!(policy, PolicyId::UGache, "policy defaults to ugache");
+            assert_eq!(policy, SystemKind::UGache, "policy defaults to ugache");
             assert_eq!(platform, None);
         }
         other => panic!("expected Replay, got {other:?}"),
@@ -586,7 +587,7 @@ fn parse_scenarios_record_and_replay_subcommands() {
         Command::Replay {
             policy, platform, ..
         } => {
-            assert_eq!(policy, PolicyId::Hps);
+            assert_eq!(policy, SystemKind::Hps);
             assert_eq!(platform, Some(PlatformId::ServerB));
         }
         other => panic!("expected Replay, got {other:?}"),
@@ -595,6 +596,50 @@ fn parse_scenarios_record_and_replay_subcommands() {
     assert!(err.contains("lru") && err.contains("ugache"), "{err}");
     let err = cli::parse(&args(&["replay", "t.trace", "--platform=server_z"])).unwrap_err();
     assert!(err.contains("server_z"), "{err}");
+}
+
+#[test]
+fn policy_accepts_exactly_the_lowercase_system_names() {
+    use ugache::baselines::SystemKind;
+
+    let names = [
+        "ugache",
+        "gnnlab",
+        "wholegraph",
+        "partu",
+        "repu",
+        "quiver",
+        "hps",
+        "sok",
+    ];
+    assert_eq!(SystemKind::ALL.map(|k| k.name().to_lowercase()), names);
+    for (name, kind) in names.into_iter().zip(SystemKind::ALL) {
+        match cli::parse(&args(&["replay", "t.trace", "--policy", name])).unwrap() {
+            Command::Replay { policy, .. } => assert_eq!(policy, kind, "{name}"),
+            other => panic!("expected Replay, got {other:?}"),
+        }
+    }
+    // Display names, and anything else, are not policies; the message
+    // names the eight that are.
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["replay", "t.trace", "--policy", "UGache"])
+        .output()
+        .expect("repro runs");
+    assert_eq!(out.status.code(), Some(2));
+    assert_eq!(
+        String::from_utf8_lossy(&out.stderr),
+        "unknown policy `UGache`; available: ugache gnnlab wholegraph partu repu quiver hps sok\n"
+    );
+}
+
+#[test]
+fn platform_accepts_every_platform_name() {
+    for p in PlatformId::ALL {
+        match cli::parse(&args(&["replay", "t.trace", "--platform", p.name()])).unwrap() {
+            Command::Replay { platform, .. } => assert_eq!(platform, Some(p), "{}", p.name()),
+            other => panic!("expected Replay, got {other:?}"),
+        }
+    }
 }
 
 #[test]
@@ -614,13 +659,13 @@ fn scenarios_check_cli_gates_drift() {
     };
 
     // A freshly rendered catalog passes the gate.
-    let fresh = ugache_bench::catalog::render_markdown(emb_scenario::registry());
+    let fresh = ugache_bench::catalog::render_markdown(ugache_bench::scenario::registry());
     let ok = dir.join("SCENARIOS.md");
     std::fs::write(&ok, &fresh).unwrap();
     assert_eq!(check(&ok), Some(0));
     // Any drift (here: a vandalized row) is a gate failure, exit 1.
     let drifted = dir.join("drifted.md");
-    std::fs::write(&drifted, fresh.replace("`ugache`", "`lru`")).unwrap();
+    std::fs::write(&drifted, fresh.replace("`server_a`", "`server_z`")).unwrap();
     assert_eq!(check(&drifted), Some(1));
     // An unreadable catalog is a usage/IO error, exit 2.
     assert_eq!(check(&dir.join("missing.md")), Some(2));

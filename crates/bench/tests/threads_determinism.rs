@@ -6,7 +6,8 @@
 
 use ugache_bench::artifact::{trace_line, Artifact};
 use ugache_bench::runner::{run_units, units_for, UnitResult};
-use ugache_bench::{chrome, explain, json, timeline, Scenario};
+use ugache_bench::scenario::Scenario;
+use ugache_bench::{chrome, explain, json, timeline};
 
 fn tiny() -> Scenario {
     Scenario {

@@ -12,12 +12,13 @@
 //! measurement sees only the allocations of the test that takes it, not
 //! those of the tests libtest runs beside it.
 
-use emb_scenario::{PlatformId, PolicyId};
 use emb_workload::{Trace, TraceError, TRACE_MAGIC, TRACE_VERSION};
 use proptest::prelude::*;
 use test_support::{peak_of, CountingAlloc};
+use ugache::baselines::SystemKind;
 use ugache_bench::json;
 use ugache_bench::replay::{replay_trace, MAX_REPLAY_KEYS};
+use ugache_bench::scenario::PlatformId;
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
@@ -43,9 +44,9 @@ fn decode_trace(bytes: &[u8]) -> Result<Trace, TraceError> {
 /// over a [`trace_from`]-sized domain takes to say yes.
 fn replay(trace: &Trace) {
     for (policy, platform) in [
-        (PolicyId::UGache, None),
-        (PolicyId::Hps, Some(PlatformId::ServerA)),
-        (PolicyId::WholeGraph, Some(PlatformId::ServerC)),
+        (SystemKind::UGache, None),
+        (SystemKind::Hps, Some(PlatformId::ServerA)),
+        (SystemKind::WholeGraph, Some(PlatformId::ServerC)),
     ] {
         let (report, peak) = peak_of(|| replay_trace(trace, policy, platform));
         let budget = match &report {

@@ -97,8 +97,9 @@ pub enum DispatchMode {
         /// Core-dedication tunables.
         dedication: DedicationConfig,
     },
-    /// All cores gang up on one source at a time, in demand order. Used to
-    /// model bulk per-source phases (e.g. message-based buffer gathers).
+    /// All cores gang up on one source at a time, in demand order. A
+    /// dispatch mode for tests only: no figure or system builds it (the
+    /// message-based mechanism is analytic, `Extractor::message_based`).
     Sequential,
 }
 
@@ -113,29 +114,6 @@ pub struct LinkUse {
     pub busy: SimTime,
     /// Nominal path bandwidth (bytes/s).
     pub peak_bw: f64,
-}
-
-impl LinkUse {
-    /// Average bandwidth achieved while the path was busy (bytes/s).
-    pub fn avg_bw_while_busy(&self) -> f64 {
-        let s = self.busy.as_secs_f64();
-        if s > 0.0 {
-            self.bytes / s
-        } else {
-            0.0
-        }
-    }
-
-    /// Utilization of the path over a reference window (e.g. the GPU's
-    /// extraction makespan): achieved average bandwidth / nominal.
-    pub fn utilization_over(&self, window: SimTime) -> f64 {
-        let s = window.as_secs_f64();
-        if s > 0.0 && self.peak_bw > 0.0 {
-            (self.bytes / s) / self.peak_bw
-        } else {
-            0.0
-        }
-    }
 }
 
 /// Extraction outcome for one destination GPU.

@@ -18,11 +18,11 @@
 //! * **core stall** — a core occupied by a slow transfer cannot serve
 //!   other work, which the event engine captures naturally.
 //!
-//! The three dispatch modes correspond to the extraction mechanisms of
+//! Two dispatch modes correspond to the extraction mechanisms of
 //! §3.2/§5: [`DispatchMode::RandomShared`] (naive peer access, random key
-//! dispatch), [`DispatchMode::Factored`] (UGache's core dedication with
-//! local-extraction padding) and [`DispatchMode::Sequential`] (one source
-//! at a time, used for message-based phase modelling).
+//! dispatch) and [`DispatchMode::Factored`] (UGache's core dedication with
+//! local-extraction padding). [`DispatchMode::Sequential`] (one source at
+//! a time) is a dispatch mode used by tests.
 
 #![deny(missing_docs)]
 

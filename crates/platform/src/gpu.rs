@@ -71,11 +71,6 @@ impl GpuSpec {
             flops: 156e12,
         }
     }
-
-    /// Returns this GPU's HBM capacity in bytes as `f64` (convenience).
-    pub fn mem_bytes_f64(&self) -> f64 {
-        self.mem_bytes as f64
-    }
 }
 
 #[cfg(test)]

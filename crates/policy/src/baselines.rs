@@ -1,8 +1,7 @@
 //! Baseline cache policies from the paper's evaluation (§8.1).
 
-use crate::estimate::estimate_extraction_time;
 use crate::types::{Hotness, Placement};
-use gpu_platform::{Location, Platform, Profile};
+use gpu_platform::{Location, Platform};
 
 /// Replication cache (HPS / GNNLab / RepU): every GPU independently
 /// caches the `cap_entries` hottest entries; misses go to host.
@@ -78,160 +77,15 @@ pub fn clique_partition(platform: &Platform, hotness: &Hotness, cap_entries: usi
     p
 }
 
-/// Table-level partition (RecShard-style, paper §9): whole embedding
-/// tables are assigned to GPUs, balancing the tables' hotness mass with a
-/// longest-processing-time greedy. Tables that do not fit in the
-/// remaining capacity stay on host. DLR-specific: `table_offsets` and
-/// `table_sizes` describe the concatenated key space.
-///
-/// # Panics
-///
-/// Panics if the table layout is inconsistent with the hotness length.
-pub fn table_partition(
-    platform: &Platform,
-    hotness: &Hotness,
-    cap_entries: usize,
-    table_offsets: &[u64],
-    table_sizes: &[u64],
-) -> Placement {
-    assert_eq!(
-        table_offsets.len(),
-        table_sizes.len(),
-        "table layout mismatch"
-    );
-    let total: u64 = table_sizes.iter().sum();
-    assert_eq!(
-        total as usize,
-        hotness.len(),
-        "tables must cover the key space"
-    );
-    let g = platform.num_gpus();
-    let mut p = Placement::all_host(g, hotness.len());
-
-    // Hotness mass per table.
-    let mut tables: Vec<(usize, f64)> = table_offsets
-        .iter()
-        .zip(table_sizes)
-        .enumerate()
-        .map(|(t, (&off, &size))| {
-            let mass: f64 = (off..off + size).map(|e| hotness.weights[e as usize]).sum();
-            (t, mass)
-        })
-        .collect();
-    // Hottest-first greedy onto the least-loaded GPU with room.
-    tables.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap());
-    let mut load = vec![0.0f64; g];
-    let mut used = vec![0usize; g];
-    for (t, mass) in tables {
-        let size = table_sizes[t] as usize;
-        let target = (0..g)
-            .filter(|&j| used[j] + size <= cap_entries)
-            .min_by(|&a, &b| load[a].partial_cmp(&load[b]).unwrap());
-        let Some(j) = target else { continue };
-        load[j] += mass;
-        used[j] += size;
-        let off = table_offsets[t];
-        for e in off..off + table_sizes[t] {
-            let e = e as usize;
-            p.stored[j][e] = true;
-            for i in 0..g {
-                if i == j || platform.connected(i, gpu_platform::Location::Gpu(j)) {
-                    p.access[i][e] = j as u8;
-                }
-            }
-        }
-    }
-    p
-}
-
 /// No GPU caching at all; every read goes to host over PCIe.
 pub fn cpu_only(platform: &Platform, num_entries: usize) -> Placement {
     Placement::all_host(platform.num_gpus(), num_entries)
-}
-
-/// The hot-replicate / warm-partition heuristic of [Song & Jiang, ICS'22]:
-/// the hottest `ρ · cap` entries are replicated everywhere, the remaining
-/// capacity partitions the next-warm entries, the rest stays on host. `ρ`
-/// is picked by sweeping a grid and keeping the best §6.2 time estimate.
-///
-/// Limited to uniform fully-connected platforms (as the paper notes); on
-/// non-uniform platforms it degrades to per-clique behaviour via
-/// [`clique_partition`] for the warm span.
-pub fn hot_rep_warm_part(
-    platform: &Platform,
-    profile: &Profile,
-    hotness: &Hotness,
-    cap_entries: usize,
-    entry_bytes: usize,
-    accesses_per_iter: f64,
-) -> Placement {
-    let g = platform.num_gpus();
-    let e = hotness.len();
-    let ranking = hotness.ranking();
-    let uniform = crate::patterns::is_uniform(platform);
-
-    let build = |rho: f64| -> Placement {
-        let rep_n = ((rho * cap_entries as f64) as usize).min(e);
-        let mut p = Placement::all_host(g, e);
-        for &id in ranking.iter().take(rep_n) {
-            for i in 0..g {
-                p.stored[i][id as usize] = true;
-                p.access[i][id as usize] = i as u8;
-            }
-        }
-        // Remaining per-GPU capacity partitions the warm span.
-        let warm_cap = cap_entries - rep_n;
-        if uniform {
-            for (r, &id) in ranking
-                .iter()
-                .skip(rep_n)
-                .take((g * warm_cap).min(e - rep_n))
-                .enumerate()
-            {
-                let holder = r % g;
-                p.stored[holder][id as usize] = true;
-                for i in 0..g {
-                    p.access[i][id as usize] = holder as u8;
-                }
-            }
-        } else {
-            let cliques = platform.fully_connected_groups();
-            for members in &cliques {
-                let c = members.len();
-                for (r, &id) in ranking
-                    .iter()
-                    .skip(rep_n)
-                    .take((c * warm_cap).min(e - rep_n))
-                    .enumerate()
-                {
-                    let holder = members[r % c];
-                    p.stored[holder][id as usize] = true;
-                    for &i in members {
-                        p.access[i][id as usize] = holder as u8;
-                    }
-                }
-            }
-        }
-        p
-    };
-
-    let mut best: Option<(f64, Placement)> = None;
-    for rho_pct in [0, 10, 25, 40, 50, 60, 75, 90, 100] {
-        let p = build(rho_pct as f64 / 100.0);
-        let t =
-            estimate_extraction_time(&p, hotness, profile, entry_bytes, accesses_per_iter).makespan;
-        if best.as_ref().is_none_or(|(bt, _)| t < *bt) {
-            best = Some((t, p));
-        }
-    }
-    best.expect("grid is non-empty").1
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use emb_util::zipf::powerlaw_hotness;
-    use gpu_platform::DedicationConfig;
 
     fn hotness(n: usize) -> Hotness {
         Hotness::new(powerlaw_hotness(n, 1.2))
@@ -316,79 +170,6 @@ mod tests {
         let h = hotness(100);
         let p = cpu_only(&plat, 100);
         assert_eq!(p.global_hit_rate(&h), 0.0);
-    }
-
-    #[test]
-    fn hot_rep_warm_part_is_valid_and_beats_pure_extremes_sometimes() {
-        let plat = Platform::server_c();
-        let prof = Profile::new(&plat, DedicationConfig::default());
-        let h = hotness(20_000);
-        let cap = 600;
-        let p = hot_rep_warm_part(&plat, &prof, &h, cap, 512, 1e5);
-        p.validate().unwrap();
-        for i in 0..8 {
-            assert!(p.cached_count(i) <= cap, "GPU{i} over capacity");
-        }
-        let t_mix = estimate_extraction_time(&p, &h, &prof, 512, 1e5).makespan;
-        let t_rep =
-            estimate_extraction_time(&replication(&plat, &h, cap), &h, &prof, 512, 1e5).makespan;
-        let t_part =
-            estimate_extraction_time(&partition(&plat, &h, cap).unwrap(), &h, &prof, 512, 1e5)
-                .makespan;
-        assert!(t_mix <= t_rep * 1.0001 && t_mix <= t_part * 1.0001);
-    }
-
-    #[test]
-    fn hot_rep_warm_part_works_on_nonuniform() {
-        let plat = Platform::server_b();
-        let prof = Profile::new(&plat, DedicationConfig::default());
-        let h = hotness(5_000);
-        let p = hot_rep_warm_part(&plat, &prof, &h, 200, 512, 1e5);
-        p.validate().unwrap();
-    }
-
-    #[test]
-    fn table_partition_places_whole_tables() {
-        let plat = Platform::server_a();
-        // 4 tables of 100 entries, decreasing hotness per table.
-        let mut w = Vec::new();
-        for t in 0..4 {
-            for _ in 0..100 {
-                w.push(1.0 / (t + 1) as f64);
-            }
-        }
-        let h = Hotness::new(w);
-        let offsets = [0u64, 100, 200, 300];
-        let sizes = [100u64; 4];
-        let p = table_partition(&plat, &h, 150, &offsets, &sizes);
-        p.validate().unwrap();
-        // Each table is either fully resident on one GPU or fully on host.
-        for t in 0..4usize {
-            let off = offsets[t] as usize;
-            let holders: Vec<usize> = (0..4).filter(|&j| p.stored[j][off]).collect();
-            for e in off..off + 100 {
-                let h2: Vec<usize> = (0..4).filter(|&j| p.stored[j][e]).collect();
-                assert_eq!(holders, h2, "table {t} split across GPUs");
-            }
-            assert!(holders.len() <= 1);
-        }
-        // Capacity respected (150 fits one table per GPU).
-        for j in 0..4 {
-            assert!(p.cached_count(j) <= 150);
-        }
-        // All four tables fit (4 GPUs × 1 table each).
-        let resident: usize = (0..4).map(|j| p.cached_count(j)).sum();
-        assert_eq!(resident, 400);
-    }
-
-    #[test]
-    fn table_partition_spills_oversized_tables_to_host() {
-        let plat = Platform::server_a();
-        let h = Hotness::new(vec![1.0; 400]);
-        let offsets = [0u64, 100, 200, 300];
-        let sizes = [100u64; 4];
-        let p = table_partition(&plat, &h, 99, &offsets, &sizes);
-        assert_eq!(p.global_hit_rate(&h), 0.0, "nothing fits");
     }
 
     #[test]

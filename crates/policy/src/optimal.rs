@@ -9,7 +9,6 @@
 //! module's tests, which cross-validate the fast pattern-LP solver
 //! against it. Figure 16 does not call it (EXPERIMENTS.md, "Figure 16").
 
-use crate::blocks::Block;
 use crate::types::{Hotness, Placement, SourceIdx};
 use gpu_platform::{Location, Platform, Profile};
 use milp::{ConstraintSense, LinExpr, MilpOptions, MilpStatus, Model};
@@ -31,17 +30,6 @@ impl UnitSpec {
             .map(|e| UnitSpec {
                 entries: vec![e as u32],
                 weight: norm[e],
-            })
-            .collect()
-    }
-
-    /// Units from hotness blocks.
-    pub fn from_blocks(blocks: &[Block]) -> Vec<UnitSpec> {
-        blocks
-            .iter()
-            .map(|b| UnitSpec {
-                entries: b.entries.clone(),
-                weight: b.weight,
             })
             .collect()
     }

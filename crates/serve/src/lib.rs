@@ -37,9 +37,9 @@
 //!
 //! Every request additionally carries a correlation id ([`req_id`])
 //! linking its `serve.request` decomposition event, its
-//! `serve.latency_ms` / `serve.latency_ns` histogram exemplars, and its
-//! batch's span fields — the raw material `repro explain-tail` turns
-//! into a tail-latency forensics report.
+//! `serve.latency_ns` histogram exemplars, and its batch's span fields —
+//! the raw material `repro explain-tail` turns into a tail-latency
+//! forensics report.
 
 #![deny(missing_docs)]
 

@@ -60,6 +60,18 @@ pub enum SystemKind {
 }
 
 impl SystemKind {
+    /// Every system, in paper order.
+    pub const ALL: [SystemKind; 8] = [
+        SystemKind::UGache,
+        SystemKind::GnnLab,
+        SystemKind::WholeGraph,
+        SystemKind::PartU,
+        SystemKind::RepU,
+        SystemKind::Quiver,
+        SystemKind::Hps,
+        SystemKind::Sok,
+    ];
+
     /// Display name used in the paper's figures.
     pub fn name(self) -> &'static str {
         match self {

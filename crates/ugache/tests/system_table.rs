@@ -27,17 +27,6 @@ const BYTES: usize = 256;
 const ACCESSES: f64 = 8e3;
 const SEED: u64 = 11;
 
-const KINDS: [SystemKind; 8] = [
-    SystemKind::UGache,
-    SystemKind::GnnLab,
-    SystemKind::WholeGraph,
-    SystemKind::PartU,
-    SystemKind::RepU,
-    SystemKind::Quiver,
-    SystemKind::Hps,
-    SystemKind::Sok,
-];
-
 fn servers() -> [Platform; 3] {
     [
         Platform::server_a(),
@@ -140,7 +129,7 @@ fn extract_by_hand(
 fn build_system_is_place_then_new_on_every_server() {
     let h = hotness();
     for platform in servers() {
-        for kind in KINDS {
+        for kind in SystemKind::ALL {
             // WholeGraph needs the whole table on the GPUs to launch; the
             // others get a cache a tenth of that.
             let cap = match kind {

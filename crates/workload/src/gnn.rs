@@ -6,7 +6,6 @@ use emb_graph::{FanoutSampler, SampleScratch};
 use emb_util::{seed_rng, split_seed};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
-use rand::Rng;
 use std::sync::Arc;
 
 /// GNN model presets evaluated in the paper (§8.1).
@@ -215,13 +214,6 @@ impl GnnWorkload {
     pub fn degree_hotness(&self) -> Hotness {
         Hotness::from_counts(&self.dataset.graph.in_degrees())
     }
-}
-
-/// Uniform random seed batches (for tests needing raw seed draws).
-pub fn random_seeds<R: Rng + ?Sized>(train: &[u32], n: usize, rng: &mut R) -> Vec<u32> {
-    (0..n)
-        .map(|_| train[rng.gen_range(0..train.len())])
-        .collect()
 }
 
 #[cfg(test)]

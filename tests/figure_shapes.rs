@@ -6,7 +6,7 @@
 //! result types), never rendered stdout.
 
 use ugache_bench::figures::*;
-use ugache_bench::Scenario;
+use ugache_bench::scenario::Scenario;
 
 fn tiny() -> Scenario {
     Scenario {

@@ -13,7 +13,8 @@ use std::path::Path;
 use ugache_bench::artifact::{trace_header, trace_line, Artifact};
 use ugache_bench::json::{self, Value};
 use ugache_bench::runner::{run_units, units_for};
-use ugache_bench::{chrome, explain, timeline, Scenario};
+use ugache_bench::scenario::Scenario;
+use ugache_bench::{chrome, explain, timeline};
 
 /// Characters a generated string draws from: plain text, the characters
 /// JSON escapes by name, other control characters, and multi-byte

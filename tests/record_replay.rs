@@ -5,7 +5,6 @@
 //! EXPERIMENTS.md ("Access-trace format") and DESIGN.md ("Why replay is
 //! bitwise") for the contract these tests pin.
 
-use emb_scenario::{registry, Scenario, ScenarioDef};
 use emb_serve::{run_load_point, run_load_point_with_keys, ClientPopulation};
 use emb_telemetry::Report;
 use emb_util::zipf::powerlaw_hotness;
@@ -15,6 +14,7 @@ use ugache::baselines::{build_system, SystemInstance, SystemKind};
 use ugache::{UGache, UGacheConfig};
 use ugache_bench::figures::serve::serve_config;
 use ugache_bench::replay::record_trace;
+use ugache_bench::scenario::{registry, Scenario, ScenarioDef, WorkloadSpec, SEED};
 
 /// Small knobs so the differential runs stay fast in release CI.
 fn tiny_knobs() -> Scenario {
@@ -42,19 +42,19 @@ struct RunResult {
 /// live and replay runs compare systems constructed from identical
 /// inputs.
 fn training_system(def: &ScenarioDef, knobs: &Scenario) -> SystemInstance {
-    let plat = def.resolve_platform();
+    let plat = def.platform.resolve();
     let (hotness, entry_bytes, accesses, n) = match def.workload {
-        emb_scenario::WorkloadSpec::Gnn { .. } => {
-            let (mut w, h) = def.gnn(knobs);
+        WorkloadSpec::Gnn { dataset, model } => {
+            let (mut w, h) = knobs.gnn(dataset, model, &plat);
             let a = w.measure_accesses_per_iter(1);
             (h, w.dataset().entry_bytes, a, w.dataset().num_entries())
         }
-        emb_scenario::WorkloadSpec::Dlr { .. } => {
-            let (mut w, h) = def.dlr(knobs);
+        WorkloadSpec::Dlr { dataset } => {
+            let (mut w, h) = knobs.dlr(dataset, &plat);
             let a = w.measure_accesses_per_iter(1);
             (h, w.dataset().entry_bytes, a, w.dataset().num_entries())
         }
-        emb_scenario::WorkloadSpec::ServeZipf => unreachable!("training scenarios only"),
+        WorkloadSpec::ServeZipf => unreachable!("training scenarios only"),
     };
     build_system(
         SystemKind::UGache,
@@ -63,7 +63,7 @@ fn training_system(def: &ScenarioDef, knobs: &Scenario) -> SystemInstance {
         (n / 20).max(64),
         entry_bytes,
         accesses,
-        def.seed,
+        SEED,
     )
     .expect("reference system builds")
 }
@@ -95,16 +95,17 @@ fn drive(def: &ScenarioDef, knobs: &Scenario, batches: &[Vec<Vec<u32>>]) -> RunR
 fn assert_training_replay_matches_live(name: &str, knobs: &Scenario) -> Vec<u8> {
     let def = registry().get(name).expect("scenario is registered");
     // Live batches, drawn from a fresh generator.
+    let plat = def.platform.resolve();
     let live_batches: Vec<Vec<Vec<u32>>> = match def.workload {
-        emb_scenario::WorkloadSpec::Gnn { .. } => {
-            let (mut w, _) = def.gnn(knobs);
+        WorkloadSpec::Gnn { dataset, model } => {
+            let (mut w, _) = knobs.gnn(dataset, model, &plat);
             (0..knobs.iters).map(|_| w.next_batch()).collect()
         }
-        emb_scenario::WorkloadSpec::Dlr { .. } => {
-            let (mut w, _) = def.dlr(knobs);
+        WorkloadSpec::Dlr { dataset } => {
+            let (mut w, _) = knobs.dlr(dataset, &plat);
             (0..knobs.iters).map(|_| w.next_batch()).collect()
         }
-        emb_scenario::WorkloadSpec::ServeZipf => unreachable!(),
+        WorkloadSpec::ServeZipf => unreachable!(),
     };
     // Recorded batches, round-tripped bitwise through the wire format.
     let trace = record_trace(def, knobs, None);
@@ -133,11 +134,11 @@ fn assert_training_replay_matches_live(name: &str, knobs: &Scenario) -> Vec<u8> 
 /// Serve-side differential: `run_load_point` (live draws) vs
 /// `run_load_point_with_keys` fed a decoded trace.
 fn assert_serve_replay_matches_live(knobs: &Scenario) -> Vec<u8> {
-    let def = registry().serve_def().expect("registered");
+    let def = registry().get("serve/zipf@server_a").expect("registered");
     let cfg = serve_config(knobs);
     let n = cfg.num_keys as usize;
     let build_engine = || {
-        let plat = def.resolve_platform();
+        let plat = def.platform.resolve();
         let hotness = cache_policy::Hotness::new(powerlaw_hotness(n, cfg.user_alpha));
         let mut ucfg = UGacheConfig::new(cfg.entry_bytes, 256.0);
         ucfg.solver.blocks.max_blocks = 32;
