@@ -19,12 +19,22 @@
 //! / [`simulate_traced`] build a one-shot simulator and run the same
 //! code.
 //!
-//! The event loop is incremental: per-group active-core counts, the
-//! per-GPU busy-core counts, and the list of busy cores are maintained on
-//! completion/dispatch transitions instead of being recounted by scanning
-//! every core each step. The pre-optimization loop is preserved in
-//! [`crate::reference`] as the differential tests' oracle; both produce
-//! bit-identical results and telemetry.
+//! The event loop advances *cohorts*, not cores. A cohort is the busy
+//! cores of one group whose remaining bytes are equal to the bit: they
+//! took their chunks (all of one size) at the same instant, and every
+//! step subtracts the same `rate / active · dt` from each of them, so the
+//! next-completion `dt`, the progress update and the `≤ 1e-6` completion
+//! test run once per cohort, and a whole cohort finishes together. Cores
+//! that take chunks at one instant form one new cohort per group; the
+//! members sit in an intrusive list over per-core storage, so no cohort
+//! owns an allocation. Finished members are released in ascending core
+//! order — the order a per-core walk would re-dispatch (and trace) them
+//! in — and each GPU's `core_busy` still gets one `+= dt` per busy core,
+//! so its bits do not move. Per-group active-core and per-GPU busy-core
+//! counts are maintained on these transitions instead of being recounted.
+//! The pre-optimization loop is preserved in [`crate::reference`] as the
+//! differential tests' oracle; both produce bit-identical results and
+//! telemetry.
 
 use crate::bandwidth::{effective_bw, CongestionModel};
 use crate::trace::{ExtractionTrace, TraceEvent};
@@ -182,7 +192,9 @@ pub(crate) struct Core {
     pub(crate) local_idx: usize,
     /// Group this core is dedicated to (Factored mode), by global index.
     dedicated: Option<usize>,
-    /// Current chunk: (group index, remaining bytes).
+    /// Current chunk: (group index, remaining bytes). Only the initial
+    /// dispatch and the reference loop write it; the optimized loop keeps
+    /// a busy core's remaining bytes in its cohort.
     pub(crate) job: Option<(usize, f64)>,
 }
 
@@ -260,7 +272,8 @@ pub(crate) struct SimState {
     /// The cores that were offered work, ascending by `(gpu, local_idx)`,
     /// after the initial dispatch.
     pub(crate) cores: Vec<Core>,
-    /// Per core (kept out of [`Core`], which the loop scans every step):
+    /// Per core (kept out of [`Core`], which the reference loop scans
+    /// every step):
     /// start instant of its current chunk, and — RandomShared — the
     /// position of its next token in its GPU's token list (it owns every
     /// `sm`-th token from `local_idx`).
@@ -283,19 +296,81 @@ pub(crate) struct SimState {
     alloc: Vec<(usize, usize)>,
 }
 
+/// End of a cohort's member list; "no cohort yet" in [`Cohorts::fresh`].
+const NIL: usize = usize::MAX;
+
+/// Busy cores of one group whose remaining bytes are equal to the bit.
+#[derive(Debug, Clone, Copy)]
+struct Cohort {
+    group: usize,
+    /// Remaining bytes of every member's chunk.
+    rem: f64,
+    /// First member; the rest follow through [`Cohorts::next`].
+    head: usize,
+}
+
+/// The busy cores of a call, as cohorts over flat per-core storage.
+#[derive(Debug, Clone, Default)]
+struct Cohorts {
+    list: Vec<Cohort>,
+    /// Per core: the next member of its cohort, or [`NIL`].
+    next: Vec<usize>,
+    /// Per group: the cohort formed at the current instant, or [`NIL`].
+    fresh: Vec<usize>,
+}
+
+impl Cohorts {
+    fn reset(&mut self, cores: usize, groups: usize) {
+        self.list.clear();
+        self.next.clear();
+        self.next.resize(cores, NIL);
+        self.fresh.clear();
+        self.fresh.resize(groups, NIL);
+    }
+
+    /// Adds core `ci`, which took a chunk of group `gi` at the current
+    /// instant, to that group's cohort of this instant.
+    fn join(&mut self, ci: usize, gi: usize, rem: f64) {
+        match self.fresh[gi] {
+            NIL => {
+                self.fresh[gi] = self.list.len();
+                self.next[ci] = NIL;
+                self.list.push(Cohort {
+                    group: gi,
+                    rem,
+                    head: ci,
+                });
+            }
+            k => {
+                let cohort = &mut self.list[k];
+                debug_assert_eq!(cohort.rem.to_bits(), rem.to_bits());
+                self.next[ci] = cohort.head;
+                cohort.head = ci;
+            }
+        }
+    }
+
+    /// Closes the current instant: the cohorts formed from `first` on take
+    /// no more members.
+    fn seal(&mut self, first: usize) {
+        for c in &self.list[first..] {
+            self.fresh[c.group] = NIL;
+        }
+    }
+}
+
 /// The optimized event loop's reused active sets.
 #[derive(Debug, Clone, Default)]
 struct LoopScratch {
-    busy: Vec<usize>,
+    cohorts: Cohorts,
     waiting: Vec<usize>,
     gpu_busy: Vec<usize>,
     /// Per source index: non-local reader groups, in group-index order.
     egress_cands: Vec<Vec<usize>>,
     stall_open: Vec<Option<OpenStall>>,
     readers: Vec<usize>,
-    finished: Vec<usize>,
-    joined: Vec<usize>,
-    merged: Vec<usize>,
+    /// `(core, group)` of the cores finishing at the current instant.
+    finished: Vec<(usize, usize)>,
 }
 
 /// An extraction simulator bound to one `(platform, config, dispatch
@@ -643,33 +718,33 @@ impl Simulator {
         let congestion = self.cfg.congestion;
         let mut trace = ExtractionTrace::default();
 
-        // Incremental active-set bookkeeping. `busy` lists cores holding a
-        // job in ascending index order (so completion processing and chunk
-        // dispatch visit cores in the same order as a full scan would);
-        // `groups[gi].active` and `gpu_busy` are updated on transitions.
+        // Incremental active-set bookkeeping: the initial dispatch forms
+        // one cohort per group; `groups[gi].active` and `gpu_busy` are
+        // updated on transitions.
         let sc = &mut self.scratch;
         let st = &mut self.st;
-        sc.busy.clear();
+        sc.cohorts.reset(st.cores.len(), st.groups.len());
         sc.waiting.clear();
         sc.gpu_busy.clear();
         sc.gpu_busy.resize(num_gpus, 0);
         for (ci, c) in st.cores.iter().enumerate() {
             match c.job {
-                Some((gi, _)) => {
+                Some((gi, rem)) => {
                     st.groups[gi].active += 1;
                     sc.gpu_busy[c.gpu] += 1;
-                    sc.busy.push(ci);
+                    sc.cohorts.join(ci, gi, rem);
                 }
                 None if may_revive => sc.waiting.push(ci),
                 None => {}
             }
         }
+        sc.cohorts.seal(0);
         let total_chunks: u64 = st
             .groups
             .iter()
             .map(|g| g.chunks_left + 1) // +1 slack for merged rounding
             .sum::<u64>()
-            + sc.busy.len() as u64;
+            + sc.gpu_busy.iter().sum::<usize>() as u64;
 
         // Source-egress sharing applies to switch-based GPU sources and the
         // host; which sources those are and their caps is topology, their
@@ -706,7 +781,7 @@ impl Simulator {
                 "extraction simulation failed to converge"
             );
 
-            if sc.busy.is_empty() {
+            if sc.cohorts.list.is_empty() {
                 break;
             }
             let st = &mut self.st;
@@ -793,14 +868,13 @@ impl Simulator {
                 }
             }
 
-            // Next completion: only busy cores can finish.
+            // Next completion: only busy cores can finish, a cohort at once.
             let mut dt = f64::INFINITY;
-            for &ci in &sc.busy {
-                let (gi, rem) = st.cores[ci].job.expect("busy core holds a job");
-                let g = &st.groups[gi];
+            for c in &sc.cohorts.list {
+                let g = &st.groups[c.group];
                 let r = g.rate / g.active as f64;
                 if r > 0.0 {
-                    dt = dt.min(rem / r);
+                    dt = dt.min(c.rem / r);
                 }
             }
             assert!(dt.is_finite(), "no progress possible (all rates zero)");
@@ -821,59 +895,69 @@ impl Simulator {
                     }
                 }
             }
-            sc.finished.clear();
-            for &ci in &sc.busy {
-                let core = &mut st.cores[ci];
-                let (gi, rem) = core.job.expect("busy core holds a job");
-                let g = &st.groups[gi];
-                let r = g.rate / g.active as f64;
-                st.core_busy[core.gpu] += dt;
-                let rem = rem - r * dt;
-                if rem <= 1e-6 {
-                    st.gpu_finish[core.gpu] = now;
-                    if record {
-                        trace.events.push(TraceEvent {
-                            gpu: core.gpu,
-                            core: core.local_idx,
-                            src: g.src,
-                            start: st.job_start[ci],
-                            end: now,
-                        });
-                    }
-                    sc.finished.push(ci);
-                } else {
-                    core.job = Some((gi, rem));
+            // One `+= dt` per busy core, as a per-core walk adds it.
+            for (acc, &busy) in st.core_busy.iter_mut().zip(&sc.gpu_busy) {
+                for _ in 0..busy {
+                    *acc += dt;
                 }
             }
+            sc.finished.clear();
+            let cohorts = &mut sc.cohorts;
+            let mut kept = 0;
+            for k in 0..cohorts.list.len() {
+                let c = cohorts.list[k];
+                let g = &st.groups[c.group];
+                let r = g.rate / g.active as f64;
+                let rem = c.rem - r * dt;
+                if rem <= 1e-6 {
+                    st.gpu_finish[g.gpu] = now;
+                    let mut ci = c.head;
+                    while ci != NIL {
+                        sc.finished.push((ci, c.group));
+                        ci = cohorts.next[ci];
+                    }
+                } else {
+                    cohorts.list[kept] = Cohort { rem, ..c };
+                    kept += 1;
+                }
+            }
+            cohorts.list.truncate(kept);
 
             if sc.finished.is_empty() {
                 continue;
             }
 
-            // Completion transitions: retire finished cores from the active
-            // sets, then re-dispatch them (and, in the revivable ablation,
-            // every other idle core) in ascending core order — the same order
-            // a full scan over all cores would use.
-            for &ci in &sc.finished {
-                let (gi, _) = st.cores[ci].job.take().expect("finished core had a job");
+            // Completion transitions: record and retire finished cores,
+            // then re-dispatch them (and, in the revivable ablation, every
+            // other idle core) in ascending core order — the same order a
+            // full scan over all cores would use.
+            sc.finished.sort_unstable();
+            for &(ci, gi) in &sc.finished {
+                let core = &st.cores[ci];
+                if record {
+                    trace.events.push(TraceEvent {
+                        gpu: core.gpu,
+                        core: core.local_idx,
+                        src: st.groups[gi].src,
+                        start: st.job_start[ci],
+                        end: now,
+                    });
+                }
                 st.groups[gi].active -= 1;
-                sc.gpu_busy[st.cores[ci].gpu] -= 1;
+                sc.gpu_busy[core.gpu] -= 1;
             }
-            sc.busy.retain(|&ci| st.cores[ci].job.is_some());
-            sc.joined.clear();
+            let first_new = sc.cohorts.list.len();
             // Offers core `ci` work at `now`; true when it took a chunk.
             let mut offer = |ci: usize| {
                 let job = dispatch(self.mode, &self.cfg, &self.sm, &mut self.st, ci);
-                let Some((gi, _)) = job else { return false };
-                let core = &mut self.st.cores[ci];
-                core.job = job;
+                let Some((gi, rem)) = job else { return false };
                 self.st.job_start[ci] = now;
                 self.st.groups[gi].active += 1;
-                sc.gpu_busy[core.gpu] += 1;
-                sc.joined.push(ci);
+                sc.gpu_busy[self.st.cores[ci].gpu] += 1;
+                sc.cohorts.join(ci, gi, rem);
                 true
             };
-            for &ci in &sc.finished {
+            for &(ci, _) in &sc.finished {
                 if !offer(ci) && may_revive {
                     let pos = sc.waiting.binary_search(&ci).unwrap_err();
                     sc.waiting.insert(pos, ci);
@@ -884,23 +968,7 @@ impl Simulator {
             // re-offered work in the same instant, like the full rescan did.
             // (`waiting` is empty unless `may_revive`.)
             sc.waiting.retain(|&ci| !offer(ci));
-            if !sc.joined.is_empty() {
-                // Merge the sorted `joined` into the sorted `busy`.
-                sc.joined.sort_unstable();
-                sc.merged.clear();
-                let (busy, joined) = (&sc.busy, &sc.joined);
-                let (mut a, mut b) = (0, 0);
-                while a < busy.len() || b < joined.len() {
-                    if b == joined.len() || (a < busy.len() && busy[a] < joined[b]) {
-                        sc.merged.push(busy[a]);
-                        a += 1;
-                    } else {
-                        sc.merged.push(joined[b]);
-                        b += 1;
-                    }
-                }
-                std::mem::swap(&mut sc.busy, &mut sc.merged);
-            }
+            sc.cohorts.seal(first_new);
         }
 
         if spans_on {

@@ -54,6 +54,66 @@ fn mixed_works(platform: &Platform) -> Vec<GpuWork> {
         .collect()
 }
 
+/// A `dlr_refresh`-shaped call: every GPU reads every source it can
+/// reach, each demand MB-scale and so cut into 8 KB chunks — hundreds of
+/// cores busy at once, most of them in a few large cohorts.
+fn dlr_works(platform: &Platform) -> Vec<GpuWork> {
+    let n = platform.num_gpus();
+    (0..n)
+        .map(|gpu| {
+            let peers = (0..n)
+                .filter(|&j| j != gpu && platform.connected(gpu, Location::Gpu(j)))
+                .map(|j| SourceDemand {
+                    src: Location::Gpu(j),
+                    bytes: 0.25e6 + ((gpu + 2 * j) % 7) as f64 * 0.1e6,
+                });
+            let demands = [
+                SourceDemand {
+                    src: Location::Gpu(gpu),
+                    bytes: 1.5e6 + gpu as f64 * 0.02e6,
+                },
+                SourceDemand {
+                    src: Location::Host,
+                    bytes: 1.1e6,
+                },
+            ];
+            GpuWork {
+                gpu,
+                demands: demands.into_iter().chain(peers).collect(),
+            }
+        })
+        .collect()
+}
+
+/// GPUs 0 and 1 given the same work: their groups' cohorts finish in the
+/// same steps.
+fn coinciding_works() -> Vec<GpuWork> {
+    (0..2)
+        .map(|gpu| GpuWork {
+            gpu,
+            demands: vec![
+                SourceDemand {
+                    src: Location::Gpu(gpu),
+                    bytes: 1.2e6,
+                },
+                SourceDemand {
+                    src: Location::Host,
+                    bytes: 0.4e6,
+                },
+            ],
+        })
+        .collect()
+}
+
+/// Every call the differential tests compare, by name.
+fn inputs(platform: &Platform) -> [(&'static str, Vec<GpuWork>); 3] {
+    [
+        ("mixed", mixed_works(platform)),
+        ("dlr", dlr_works(platform)),
+        ("coinciding", coinciding_works()),
+    ]
+}
+
 fn modes() -> Vec<DispatchMode> {
     vec![
         DispatchMode::RandomShared { seed: 0x5EED },
@@ -71,11 +131,12 @@ fn results_match_reference_across_modes_and_platforms() {
         Platform::server_b(),
         Platform::server_c(),
     ] {
-        let works = mixed_works(&platform);
-        for mode in modes() {
-            let opt = simulate(&platform, &cfg(), &works, mode);
-            let refr = simulate_reference(&platform, &cfg(), &works, mode);
-            assert_eq!(opt, refr, "mode {mode:?} on {}", platform.name);
+        for (name, works) in inputs(&platform) {
+            for mode in modes() {
+                let opt = simulate(&platform, &cfg(), &works, mode);
+                let refr = simulate_reference(&platform, &cfg(), &works, mode);
+                assert_eq!(opt, refr, "{name} under {mode:?} on {}", platform.name);
+            }
         }
     }
 }
@@ -91,32 +152,44 @@ fn results_match_reference_without_padding() {
         dedication: DedicationConfig::default(),
     };
     for platform in [Platform::server_a(), Platform::server_c()] {
-        let works = mixed_works(&platform);
-        let opt = simulate(&platform, &c, &works, mode);
-        let refr = simulate_reference(&platform, &c, &works, mode);
-        assert_eq!(opt, refr, "no-padding on {}", platform.name);
+        for (name, works) in inputs(&platform) {
+            let (opt_r, opt_t) = simulate_traced(&platform, &c, &works, mode);
+            let (ref_r, ref_t) = simulate_reference_traced(&platform, &c, &works, mode);
+            assert_eq!(opt_r, ref_r, "{name} without padding on {}", platform.name);
+            assert_eq!(event_bits(&opt_t), event_bits(&ref_t));
+            if name == "dlr" {
+                // A core idled at the barrier and took a local chunk later.
+                assert!(revived(&ref_t), "no core revived on {}", platform.name);
+            }
+        }
     }
 }
 
 #[test]
 fn traces_match_reference_event_for_event() {
     let platform = Platform::server_c();
-    let works = mixed_works(&platform);
-    for mode in modes() {
-        let (opt_r, opt_t) = simulate_traced(&platform, &cfg(), &works, mode);
-        let (ref_r, ref_t) = simulate_reference_traced(&platform, &cfg(), &works, mode);
-        assert_eq!(opt_r, ref_r, "result under {mode:?}");
-        assert_eq!(
-            opt_t.events.len(),
-            ref_t.events.len(),
-            "event count under {mode:?}"
-        );
-        for (a, b) in opt_t.events.iter().zip(ref_t.events.iter()) {
-            assert_eq!(a.gpu, b.gpu);
-            assert_eq!(a.core, b.core);
-            assert_eq!(a.src, b.src);
-            assert_eq!(a.start.to_bits(), b.start.to_bits());
-            assert_eq!(a.end.to_bits(), b.end.to_bits());
+    for (name, works) in inputs(&platform) {
+        for mode in modes() {
+            let (opt_r, opt_t) = simulate_traced(&platform, &cfg(), &works, mode);
+            let (ref_r, ref_t) = simulate_reference_traced(&platform, &cfg(), &works, mode);
+            assert_eq!(opt_r, ref_r, "{name} result under {mode:?}");
+            assert_eq!(
+                event_bits(&opt_t),
+                event_bits(&ref_t),
+                "{name} events under {mode:?}"
+            );
+            match name {
+                "dlr" => assert!(
+                    ref_t.events.len() > 5_000,
+                    "{} chunks under {mode:?}",
+                    ref_t.events.len()
+                ),
+                "coinciding" => assert!(
+                    groups_finish_together(&ref_t),
+                    "no two groups finished in one step under {mode:?}"
+                ),
+                _ => {}
+            }
         }
     }
 }
@@ -124,24 +197,55 @@ fn traces_match_reference_event_for_event() {
 #[test]
 fn telemetry_matches_reference() {
     let platform = Platform::server_c();
-    let works = mixed_works(&platform);
-    for mode in modes() {
-        let (_, opt_rep) = emb_telemetry::collect(|| simulate(&platform, &cfg(), &works, mode));
-        let (_, ref_rep) =
-            emb_telemetry::collect(|| simulate_reference(&platform, &cfg(), &works, mode));
-        assert_eq!(opt_rep.metrics, ref_rep.metrics, "metrics under {mode:?}");
-        assert_eq!(
-            opt_rep.spans.len(),
-            ref_rep.spans.len(),
-            "span count under {mode:?}"
-        );
-        for (a, b) in opt_rep.spans.iter().zip(ref_rep.spans.iter()) {
-            assert_eq!((&a.track, &a.name), (&b.track, &b.name));
-            assert_eq!(a.start_ns, b.start_ns, "span {} start", a.track);
-            assert_eq!(a.end_ns, b.end_ns, "span {} end", a.track);
+    for (name, works) in inputs(&platform) {
+        for mode in modes() {
+            let (_, opt_rep) = emb_telemetry::collect(|| simulate(&platform, &cfg(), &works, mode));
+            let (_, ref_rep) =
+                emb_telemetry::collect(|| simulate_reference(&platform, &cfg(), &works, mode));
+            assert_eq!(
+                opt_rep.metrics, ref_rep.metrics,
+                "{name} metrics under {mode:?}"
+            );
+            assert_eq!(
+                opt_rep.spans.len(),
+                ref_rep.spans.len(),
+                "{name} span count under {mode:?}"
+            );
+            for (a, b) in opt_rep.spans.iter().zip(ref_rep.spans.iter()) {
+                assert_eq!((&a.track, &a.name), (&b.track, &b.name));
+                assert_eq!(a.start_ns, b.start_ns, "span {} start", a.track);
+                assert_eq!(a.end_ns, b.end_ns, "span {} end", a.track);
+            }
+            assert_eq!(opt_rep.clock_ns, ref_rep.clock_ns);
         }
-        assert_eq!(opt_rep.clock_ns, ref_rep.clock_ns);
     }
+}
+
+/// Whether chunks of two different `(gpu, source)` groups completed at
+/// the same instant.
+fn groups_finish_together(t: &ExtractionTrace) -> bool {
+    let mut ends: Vec<_> = t
+        .events
+        .iter()
+        .map(|e| (e.end.to_bits(), e.gpu, e.src))
+        .collect();
+    ends.sort();
+    ends.dedup();
+    ends.windows(2).any(|w| w[0].0 == w[1].0)
+}
+
+/// Whether some core sat idle between two of its chunks.
+fn revived(t: &ExtractionTrace) -> bool {
+    let mut by_core: Vec<_> = t
+        .events
+        .iter()
+        .map(|e| (e.gpu, e.core, e.start.to_bits(), e.end.to_bits()))
+        .collect();
+    by_core.sort();
+    by_core.windows(2).any(|w| {
+        let (a, b) = (w[0], w[1]);
+        (a.0, a.1) == (b.0, b.1) && f64::from_bits(b.2) > f64::from_bits(a.3)
+    })
 }
 
 /// A random call: any subset of GPUs (possibly none, possibly one named
