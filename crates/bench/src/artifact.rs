@@ -252,14 +252,15 @@ fn diff_values(path: &str, a: &json::Value, b: &json::Value, out: &mut Vec<Strin
 
 /// Structurally compares two artifact directories.
 ///
-/// Returns one human-readable line per difference (missing files, parse
-/// failures, diverging values, or two sides with no artifacts at all —
-/// nothing compared is not "identical"); an empty vector means the
-/// directories hold identical artifacts.
+/// Returns one human-readable line per difference (missing, unreadable
+/// or unparseable files, diverging values, or two sides with no
+/// artifacts at all — nothing compared is not "identical"); an empty
+/// vector means the directories hold identical artifacts. Like
+/// `compare_dirs`, the scan never stops at the first offender.
 ///
 /// # Errors
 ///
-/// Returns any I/O error from listing the directories or reading files.
+/// Returns an I/O error only when a directory itself cannot be listed.
 pub fn diff_dirs(a: &Path, b: &Path) -> io::Result<Vec<String>> {
     let stems_a = artifact_stems(a)?;
     let stems_b = artifact_stems(b)?;
@@ -283,8 +284,10 @@ pub fn diff_dirs(a: &Path, b: &Path) -> io::Result<Vec<String>> {
     }
     for stem in stems_a.iter().filter(|s| stems_b.contains(s)) {
         let file = format!("{stem}.json");
-        let ta = std::fs::read_to_string(a.join(&file))?;
-        let tb = std::fs::read_to_string(b.join(&file))?;
+        let (Some(ta), Some(tb)) = (read_side(a, &file, &mut out), read_side(b, &file, &mut out))
+        else {
+            continue;
+        };
         match (json::parse(&ta), json::parse(&tb)) {
             (Ok(va), Ok(vb)) => diff_values(&file, &va, &vb, &mut out),
             (ra, rb) => {
@@ -298,4 +301,11 @@ pub fn diff_dirs(a: &Path, b: &Path) -> io::Result<Vec<String>> {
         }
     }
     Ok(out)
+}
+
+/// `dir/file`'s text, or `None` with a `cannot read` line in `out`.
+fn read_side(dir: &Path, file: &str, out: &mut Vec<String>) -> Option<String> {
+    std::fs::read_to_string(dir.join(file))
+        .map_err(|e| out.push(format!("{file}: cannot read in {}: {e}", dir.display())))
+        .ok()
 }

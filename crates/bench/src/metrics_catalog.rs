@@ -174,11 +174,6 @@ pub const CATALOG: &[MetricDef] = &[
         "Simplex iterations across all LP solves",
     ),
     def("policy.lp.solves", Counter, "Placement LP solves"),
-    def_deep(
-        "policy.paper_milp.solves",
-        Counter,
-        "Paper-formulation MILP solves (recorded only by cache-policy's tests)",
-    ),
     def(
         "policy.patterns",
         Counter,

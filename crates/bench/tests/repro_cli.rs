@@ -933,5 +933,29 @@ fn diff_dirs_reports_and_clears() {
     let diffs = diff_dirs(&dir_a, &dir_b).unwrap();
     assert!(diffs.iter().any(|d| d.contains("table1.json")), "{diffs:?}");
 
+    // An unreadable artifact on both sides is reported per side, and the
+    // scan goes on to the real difference: `repro diff` exits 1, not 2.
+    for dir in [&dir_a, &dir_b] {
+        std::fs::create_dir_all(dir.join("x.json")).unwrap();
+    }
+    let diffs = diff_dirs(&dir_a, &dir_b).unwrap();
+    let unreadable = diffs
+        .iter()
+        .filter(|d| d.starts_with("x.json: cannot read in "));
+    assert_eq!(unreadable.count(), 2, "{diffs:?}");
+    assert!(
+        diffs.iter().any(|d| d.contains("scenario.iters")),
+        "{diffs:?}"
+    );
+    let code = std::process::Command::new(env!("CARGO_BIN_EXE_repro"))
+        .arg("diff")
+        .arg(&dir_a)
+        .arg(&dir_b)
+        .output()
+        .expect("repro runs")
+        .status
+        .code();
+    assert_eq!(code, Some(1));
+
     let _ = std::fs::remove_dir_all(&base);
 }

@@ -33,11 +33,6 @@ impl GpuArena {
         }
     }
 
-    /// Capacity in entries.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Number of entries currently cached.
     pub fn len(&self) -> usize {
         self.len

@@ -41,14 +41,6 @@ impl GatherStats {
     pub fn total(&self) -> u64 {
         self.local + self.remote + self.host
     }
-
-    /// Accumulates another gather's counts into this one (used by the
-    /// trace-replay accounting, which folds per-iteration stats).
-    pub fn merge(&mut self, other: &GatherStats) {
-        self.local += other.local;
-        self.remote += other.remote;
-        self.host += other.host;
-    }
 }
 
 /// The functional multi-GPU embedding cache.

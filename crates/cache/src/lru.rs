@@ -10,8 +10,8 @@
 
 use std::collections::HashMap;
 
-/// A fixed-capacity LRU set over entry ids with hit/miss/eviction
-/// accounting. Intrusive doubly-linked list over a slab, O(1) per access.
+/// A fixed-capacity LRU set over entry ids. Intrusive doubly-linked list
+/// over a slab, O(1) per access.
 #[derive(Debug, Clone)]
 pub struct LruCache {
     capacity: usize,
@@ -21,9 +21,6 @@ pub struct LruCache {
     nodes: Vec<(u32, usize, usize)>,
     head: usize,
     tail: usize,
-    hits: u64,
-    misses: u64,
-    evictions: u64,
 }
 
 const NONE: usize = usize::MAX;
@@ -42,49 +39,6 @@ impl LruCache {
             nodes: Vec::with_capacity(capacity),
             head: NONE,
             tail: NONE,
-            hits: 0,
-            misses: 0,
-            evictions: 0,
-        }
-    }
-
-    /// Number of resident entries.
-    pub fn len(&self) -> usize {
-        self.index.len()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.index.is_empty()
-    }
-
-    /// Whether an entry is resident (does not touch recency).
-    pub fn contains(&self, entry: u32) -> bool {
-        self.index.contains_key(&entry)
-    }
-
-    /// Total hits recorded by [`LruCache::access`].
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Total misses recorded by [`LruCache::access`].
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
-    /// Entries evicted to make room.
-    pub fn evictions(&self) -> u64 {
-        self.evictions
-    }
-
-    /// Hit rate so far (0 when nothing accessed).
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
         }
     }
 
@@ -119,12 +73,10 @@ impl LruCache {
     /// as `Some(victim)` through `evicted`).
     pub fn access(&mut self, entry: u32) -> (bool, Option<u32>) {
         if let Some(&i) = self.index.get(&entry) {
-            self.hits += 1;
             self.unlink(i);
             self.push_front(i);
             return (true, None);
         }
-        self.misses += 1;
         let mut evicted = None;
         let slot = if self.index.len() < self.capacity {
             self.nodes.push((entry, NONE, NONE));
@@ -135,7 +87,6 @@ impl LruCache {
             let victim = self.nodes[victim_slot].0;
             self.unlink(victim_slot);
             self.index.remove(&victim);
-            self.evictions += 1;
             evicted = Some(victim);
             self.nodes[victim_slot].0 = entry;
             victim_slot
@@ -145,23 +96,9 @@ impl LruCache {
         (false, evicted)
     }
 
-    /// Accesses a whole batch; returns `(hits, misses)` for the batch.
-    pub fn access_batch(&mut self, keys: &[u32]) -> (u64, u64) {
-        let mut h = 0;
-        let mut m = 0;
-        for &k in keys {
-            if self.access(k).0 {
-                h += 1;
-            } else {
-                m += 1;
-            }
-        }
-        (h, m)
-    }
-
     /// Resident entries, most recent first.
     pub fn residents(&self) -> Vec<u32> {
-        let mut out = Vec::with_capacity(self.len());
+        let mut out = Vec::with_capacity(self.index.len());
         let mut i = self.head;
         while i != NONE {
             out.push(self.nodes[i].0);
@@ -184,10 +121,7 @@ mod tests {
         assert_eq!(c.access(1), (true, None));
         // 3 evicts 2 (1 was refreshed).
         assert_eq!(c.access(3), (false, Some(2)));
-        assert!(c.contains(1) && c.contains(3) && !c.contains(2));
-        assert_eq!(c.hits(), 1);
-        assert_eq!(c.misses(), 3);
-        assert_eq!(c.evictions(), 1);
+        assert_eq!(c.residents(), vec![3, 1]);
     }
 
     #[test]
@@ -209,7 +143,7 @@ mod tests {
         let z = ZipfSampler::new(1000, 1.1);
         for _ in 0..5_000 {
             c.access(z.sample(&mut rng) as u32);
-            assert!(c.len() <= 10);
+            assert!(c.residents().len() <= 10);
         }
     }
 
@@ -247,14 +181,6 @@ mod tests {
             (lru_rate - static_rate).abs() < 0.08,
             "LRU {lru_rate:.3} vs static {static_rate:.3}"
         );
-    }
-
-    #[test]
-    fn batch_accounting() {
-        let mut c = LruCache::new(4);
-        let (h, m) = c.access_batch(&[1, 2, 1, 3, 2]);
-        assert_eq!((h, m), (2, 3));
-        assert!((c.hit_rate() - 0.4).abs() < 1e-12);
     }
 
     #[test]

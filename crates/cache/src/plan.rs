@@ -77,11 +77,6 @@ impl GatherPlan {
         self.slots.is_empty()
     }
 
-    /// Keys per source; index `num_gpus` is the host tier.
-    pub fn counts(&self) -> &[u64] {
-        &self.counts
-    }
-
     /// Per-source hit statistics as seen from destination GPU `gpu`.
     pub fn stats(&self, gpu: usize) -> GatherStats {
         let local = self.counts[gpu];
@@ -155,7 +150,7 @@ mod tests {
         p.counts[1] = 7;
         p.reset(2);
         assert!(p.is_empty());
-        assert_eq!(p.counts(), &[0, 0, 0]);
+        assert_eq!(p.counts, [0, 0, 0]);
         assert_eq!(p.stats(0), GatherStats::default());
         assert!(p.source_split().is_empty());
     }

@@ -97,11 +97,6 @@ impl Refresher {
         }
     }
 
-    /// The configuration.
-    pub fn config(&self) -> &RefreshConfig {
-        &self.cfg
-    }
-
     /// Whether estimated extraction-time drift warrants a refresh.
     pub fn should_refresh(&self, current_est_secs: f64, fresh_est_secs: f64) -> bool {
         self.phase == RefreshPhase::Idle
@@ -120,11 +115,6 @@ impl Refresher {
         } else {
             1.0
         }
-    }
-
-    /// Current phase.
-    pub fn phase(&self) -> RefreshPhase {
-        self.phase
     }
 
     /// Starts a refresh toward `target` at simulated time `now`.

@@ -1,11 +1,11 @@
-//! DLRM and DCN inference stacks (paper §8.1).
+//! The DLRM inference stack (paper §8.1).
 //!
-//! DLRM: a bottom MLP embeds the dense features, a dot-product
-//! interaction combines them with the looked-up embedding vectors, and a
-//! top MLP produces the click-through logit. DCN replaces the explicit
-//! interaction with stacked cross layers. Both consume embeddings the
-//! cache layer gathered — the integration point the paper's TensorFlow
-//! plugin provides.
+//! A bottom MLP embeds the dense features, a dot-product interaction
+//! combines them with the looked-up embedding vectors, and a top MLP
+//! produces the click-through logit. It consumes embeddings the cache
+//! layer gathered — the integration point the paper's TensorFlow plugin
+//! provides. DCN is priced analytically only
+//! (`ugache::apps::DlrModel::Dcn`).
 
 use crate::matrix::{sigmoid, Matrix};
 use crate::mlp::Mlp;
@@ -38,11 +38,6 @@ impl DlrmModel {
                 emb_util::split_seed(seed, 2),
             ),
         }
-    }
-
-    /// Number of embedding vectors expected per request.
-    pub fn num_tables(&self) -> usize {
-        self.num_tables
     }
 
     /// Embedding width expected per vector.
@@ -96,82 +91,6 @@ impl DlrmModel {
     }
 }
 
-/// The DCN inference model: embedding + dense concatenation through
-/// `cross_layers` cross layers (`x_{l+1} = x_0 ⊙ (x_l · w) + b + x_l`)
-/// followed by a small MLP head.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DcnModel {
-    dense_features: usize,
-    num_tables: usize,
-    dim: usize,
-    cross_w: Vec<Vec<f32>>,
-    cross_b: Vec<Vec<f32>>,
-    head: Mlp,
-}
-
-impl DcnModel {
-    /// Builds a DCN with the given geometry and `cross_layers` crosses.
-    pub fn new(
-        dense_features: usize,
-        num_tables: usize,
-        dim: usize,
-        cross_layers: usize,
-        seed: u64,
-    ) -> Self {
-        let width = dense_features + num_tables * dim;
-        let mut cross_w = Vec::with_capacity(cross_layers);
-        let mut cross_b = Vec::with_capacity(cross_layers);
-        for l in 0..cross_layers {
-            let m = Matrix::xavier(width, 1, emb_util::split_seed(seed, 10 + l as u64));
-            cross_w.push(m.data);
-            cross_b.push(vec![0.0; width]);
-        }
-        DcnModel {
-            dense_features,
-            num_tables,
-            dim,
-            cross_w,
-            cross_b,
-            head: Mlp::new(&[width, 64, 1], emb_util::split_seed(seed, 99)),
-        }
-    }
-
-    /// Scores a batch (same conventions as [`DlrmModel::forward`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatches.
-    pub fn forward(&self, dense: &Matrix, embeddings: &Matrix) -> Vec<f32> {
-        assert_eq!(dense.cols, self.dense_features, "dense width");
-        assert_eq!(
-            embeddings.cols,
-            self.num_tables * self.dim,
-            "embedding width"
-        );
-        assert_eq!(dense.rows, embeddings.rows, "batch mismatch");
-        let width = self.dense_features + self.num_tables * self.dim;
-        let rows = dense.rows;
-        let mut x = Matrix::zeros(rows, width);
-        for r in 0..rows {
-            let dst = &mut x.data[r * width..(r + 1) * width];
-            dst[..self.dense_features].copy_from_slice(dense.row(r));
-            dst[self.dense_features..].copy_from_slice(embeddings.row(r));
-        }
-        let x0 = x.clone();
-        for (w, b) in self.cross_w.iter().zip(&self.cross_b) {
-            for r in 0..rows {
-                let xr: f32 = x.row(r).iter().zip(w).map(|(a, c)| a * c).sum();
-                let base = r * width;
-                for k in 0..width {
-                    x.data[base + k] += x0.data[base + k] * xr + b[k];
-                }
-            }
-        }
-        let logits = self.head.forward(&x);
-        (0..rows).map(|r| sigmoid(logits.at(r, 0))).collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -199,24 +118,6 @@ mod tests {
         let mut e2 = e.clone();
         e2.data[3] += 1.0;
         assert_ne!(m.forward(&d, &e), m.forward(&d, &e2));
-    }
-
-    #[test]
-    fn dcn_scores_are_probabilities_and_deterministic() {
-        let m = DcnModel::new(13, 6, 8, 2, 4);
-        let (d, e) = batch(8, 6, 8);
-        let a = m.forward(&d, &e);
-        let b = m.forward(&d, &e);
-        assert_eq!(a, b);
-        assert!(a.iter().all(|&x| (0.0..=1.0).contains(&x)));
-    }
-
-    #[test]
-    fn dcn_cross_layers_change_the_function() {
-        let (d, e) = batch(4, 6, 8);
-        let m1 = DcnModel::new(13, 6, 8, 1, 4);
-        let m2 = DcnModel::new(13, 6, 8, 3, 4);
-        assert_ne!(m1.forward(&d, &e), m2.forward(&d, &e));
     }
 
     #[test]

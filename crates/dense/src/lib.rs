@@ -1,7 +1,7 @@
 //! Minimal dense-layer substrate.
 //!
 //! The paper's applications wrap the embedding layer with ordinary dense
-//! compute: DLRM/DCN inference stacks (bottom MLP + feature interaction +
+//! compute: a DLRM inference stack (bottom MLP + feature interaction +
 //! top MLP) and GNN layers that aggregate neighbour embeddings before a
 //! classifier. The embedding table itself is *read-only* (pre-trained,
 //! §2), so training only updates the dense part — which this crate
@@ -14,7 +14,7 @@ pub mod gnn;
 pub mod matrix;
 pub mod mlp;
 
-pub use dlrm::{DcnModel, DlrmModel};
+pub use dlrm::DlrmModel;
 pub use gnn::mean_aggregate;
 pub use matrix::Matrix;
 pub use mlp::Mlp;

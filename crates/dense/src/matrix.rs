@@ -127,11 +127,6 @@ impl Matrix {
             })
             .collect()
     }
-
-    /// Frobenius norm.
-    pub fn norm(&self) -> f32 {
-        self.data.iter().map(|x| x * x).sum::<f32>().sqrt()
-    }
 }
 
 /// Numerically stable logistic function.

@@ -1,7 +1,7 @@
 //! A multi-layer perceptron with manual backpropagation.
 //!
 //! Used as the trainable dense head of the GNN examples and as the
-//! building block of the DLRM/DCN stacks. Embedding inputs are treated
+//! building block of the DLRM stack. Embedding inputs are treated
 //! as constants (the paper's pre-trained, read-only tables), so gradients
 //! stop at the first layer's inputs.
 
@@ -45,13 +45,6 @@ impl Mlp {
             })
             .collect();
         Mlp { layers }
-    }
-
-    /// Layer widths, input first.
-    pub fn dims(&self) -> Vec<usize> {
-        let mut d: Vec<usize> = self.layers.iter().map(|l| l.w.rows).collect();
-        d.push(self.layers.last().expect("non-empty").w.cols);
-        d
     }
 
     /// Forward pass.
@@ -160,7 +153,6 @@ mod tests {
     #[test]
     fn forward_shapes() {
         let mlp = Mlp::new(&[8, 16, 4], 1);
-        assert_eq!(mlp.dims(), vec![8, 16, 4]);
         let x = Matrix::xavier(5, 8, 2);
         let y = mlp.forward(&x);
         assert_eq!((y.rows, y.cols), (5, 4));

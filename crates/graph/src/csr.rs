@@ -71,12 +71,6 @@ impl Csr {
         self.targets.len() as u64
     }
 
-    /// Out-degree of a vertex.
-    pub fn degree(&self, v: u32) -> usize {
-        let v = v as usize;
-        (self.offsets[v + 1] - self.offsets[v]) as usize
-    }
-
     /// Out-neighbours of a vertex.
     pub fn neighbors(&self, v: u32) -> &[u32] {
         let v = v as usize;
@@ -116,8 +110,8 @@ mod tests {
         let g = diamond();
         assert_eq!(g.num_vertices(), 4);
         assert_eq!(g.num_edges(), 4);
-        assert_eq!(g.degree(0), 2);
-        assert_eq!(g.degree(3), 0);
+        assert_eq!(g.neighbors(0).len(), 2);
+        assert_eq!(g.neighbors(3).len(), 0);
         let mut n0 = g.neighbors(0).to_vec();
         n0.sort_unstable();
         assert_eq!(n0, vec![1, 2]);
@@ -146,7 +140,7 @@ mod tests {
     #[test]
     fn multi_edges_and_self_loops_kept() {
         let g = Csr::from_edges(2, &[(0, 0), (0, 1), (0, 1)]);
-        assert_eq!(g.degree(0), 3);
+        assert_eq!(g.neighbors(0).len(), 3);
         assert_eq!(g.neighbors(1), &[] as &[u32]);
     }
 

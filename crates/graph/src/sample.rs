@@ -24,13 +24,6 @@ pub struct SampledBatch {
     pub visits: Vec<u32>,
 }
 
-impl SampledBatch {
-    /// Total vertex visits before deduplication.
-    pub fn total_visits(&self) -> u64 {
-        self.visits.len() as u64
-    }
-}
-
 /// Working memory a [`FanoutSampler`] reuses from batch to batch: the
 /// frontier list, the index scratch of its partial Fisher–Yates, and the
 /// marks that deduplicate. Sampling through a warmed-up scratch
@@ -364,7 +357,7 @@ mod tests {
         copy.sort_unstable();
         copy.dedup();
         assert_eq!(copy, batch.unique_keys);
-        assert!(batch.total_visits() >= batch.unique_keys.len() as u64);
+        assert!(batch.visits.len() >= batch.unique_keys.len());
     }
 
     #[test]
@@ -398,7 +391,7 @@ mod tests {
             negatives_per_seed: 0,
         }
         .sample(&g, &seeds, &mut seed_rng(5));
-        assert!(three.total_visits() > two.total_visits());
+        assert!(three.visits.len() > two.visits.len());
     }
 
     #[test]
@@ -415,7 +408,7 @@ mod tests {
             unsup.unique_keys.len(),
             sup.unique_keys.len()
         );
-        assert!(unsup.total_visits() > sup.total_visits());
+        assert!(unsup.visits.len() > sup.visits.len());
     }
 
     #[test]

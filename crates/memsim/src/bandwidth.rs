@@ -23,13 +23,6 @@ impl Default for CongestionModel {
     }
 }
 
-impl CongestionModel {
-    /// A model without congestion loss (for ablation).
-    pub fn ideal() -> Self {
-        CongestionModel { penalty: 0.0 }
-    }
-}
-
 /// Achieved aggregate bandwidth of a path with `cores` concurrent readers.
 ///
 /// * Below tolerance (`cores · per_core_bw ≤ bw`): linear in `cores`.
@@ -94,7 +87,7 @@ mod tests {
 
     #[test]
     fn ideal_model_plateaus() {
-        let m = CongestionModel::ideal();
+        let m = CongestionModel { penalty: 0.0 };
         assert_eq!(effective_bw(BW, PC, 25, m), BW);
         assert_eq!(effective_bw(BW, PC, 500, m), BW);
     }

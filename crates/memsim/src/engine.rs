@@ -141,16 +141,6 @@ pub struct GpuExtraction {
     pub per_src: Vec<LinkUse>,
 }
 
-impl GpuExtraction {
-    /// Bytes moved from a given source (0 if none).
-    pub fn bytes_from(&self, src: Location) -> f64 {
-        self.per_src
-            .iter()
-            .find(|u| u.src == src)
-            .map_or(0.0, |u| u.bytes)
-    }
-}
-
 /// Outcome of a whole extraction call.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExtractionResult {
@@ -1228,6 +1218,14 @@ mod tests {
         }
     }
 
+    /// Bytes `g` moved from `src` (0 if none).
+    fn moved(g: &GpuExtraction, src: Location) -> f64 {
+        g.per_src
+            .iter()
+            .find(|u| u.src == src)
+            .map_or(0.0, |u| u.bytes)
+    }
+
     #[test]
     fn local_only_matches_bandwidth() {
         let p = Platform::server_c();
@@ -1350,9 +1348,9 @@ mod tests {
             },
         );
         let g = &r.per_gpu[0];
-        assert!((g.bytes_from(Location::Gpu(1)) - 3e8).abs() < 1e3);
-        assert!((g.bytes_from(Location::Gpu(2)) - 2e8).abs() < 1e3);
-        assert!((g.bytes_from(Location::Host) - 1e8).abs() < 1e3);
+        assert!((moved(g, Location::Gpu(1)) - 3e8).abs() < 1e3);
+        assert!((moved(g, Location::Gpu(2)) - 2e8).abs() < 1e3);
+        assert!((moved(g, Location::Host) - 1e8).abs() < 1e3);
     }
 
     #[test]
@@ -1372,7 +1370,7 @@ mod tests {
             ],
         }];
         let r = simulate(&p, &cfg(), &works, DispatchMode::Sequential);
-        assert!((r.per_gpu[0].bytes_from(Location::Gpu(2)) - 2e8).abs() < 1e3);
+        assert!((moved(&r.per_gpu[0], Location::Gpu(2)) - 2e8).abs() < 1e3);
     }
 
     #[test]
@@ -1392,8 +1390,8 @@ mod tests {
         // One entry carrying the merged demands, not one per work.
         assert_eq!(r.per_gpu.len(), 1);
         assert_eq!(r.per_gpu[0].gpu, 1);
-        assert!((r.per_gpu[0].bytes_from(Location::Gpu(2)) - 2e8).abs() < 1e3);
-        assert!((r.per_gpu[0].bytes_from(Location::Host) - 1e8).abs() < 1e3);
+        assert!((moved(&r.per_gpu[0], Location::Gpu(2)) - 2e8).abs() < 1e3);
+        assert!((moved(&r.per_gpu[0], Location::Host) - 1e8).abs() < 1e3);
         // So nothing summing `per_gpu` — the link counters here — counts
         // the bytes more than once.
         let (_, bytes) = report

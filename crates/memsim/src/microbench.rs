@@ -93,35 +93,23 @@ fn record_sample(dst: usize, src: Location, cores: usize, bytes_per_sec: f64) {
     });
 }
 
-/// Sweeps `1..=max_cores` concurrent cores and returns `(cores, bytes/s)`
-/// pairs — one series of Figure 6.
-pub fn sweep(
-    platform: &Platform,
-    dst: usize,
-    src: Location,
-    max_cores: usize,
-    interference: &[Interferer],
-    model: CongestionModel,
-) -> Vec<(usize, f64)> {
-    (1..=max_cores)
-        .map(|c| {
-            (
-                c,
-                bandwidth_with_cores(platform, dst, src, c, interference, model),
-            )
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// GPU0's bandwidth from `src` at `1..=max_cores` cores, without
+    /// interference: one series of Figure 6.
+    fn fig6_series(p: &Platform, src: Location, max_cores: usize) -> Vec<(usize, f64)> {
+        let m = CongestionModel::default();
+        (1..=max_cores)
+            .map(|c| (c, bandwidth_with_cores(p, 0, src, c, &[], m)))
+            .collect()
+    }
+
     #[test]
     fn local_scales_to_all_cores() {
         let p = Platform::server_c();
-        let m = CongestionModel::default();
-        let series = sweep(&p, 0, Location::Gpu(0), 108, &[], m);
+        let series = fig6_series(&p, Location::Gpu(0), 108);
         // Monotone non-decreasing until saturation for local HBM.
         let (_, at_54) = series[53];
         let (_, at_108) = series[107];
@@ -133,8 +121,7 @@ mod tests {
     #[test]
     fn pcie_saturates_with_few_cores() {
         let p = Platform::server_a();
-        let m = CongestionModel::default();
-        let series = sweep(&p, 0, Location::Host, 80, &[], m);
+        let series = fig6_series(&p, Location::Host, 80);
         let sat_core = series
             .iter()
             .find(|(_, bw)| *bw >= p.gpus[0].pcie_bw * 0.98)
@@ -148,8 +135,7 @@ mod tests {
     #[test]
     fn hardwired_remote_saturates_at_fraction_of_cores() {
         let p = Platform::server_a();
-        let m = CongestionModel::default();
-        let series = sweep(&p, 0, Location::Gpu(1), 80, &[], m);
+        let series = fig6_series(&p, Location::Gpu(1), 80);
         let sat_core = series
             .iter()
             .find(|(_, bw)| *bw >= 50e9 * 0.999)

@@ -117,7 +117,7 @@ proptest! {
         let plat = Platform::server_a();
         let works = works_for(&plat, local * 1e6, remote * 1e6, host * 1e6);
         let ideal_cfg = SimConfig {
-            congestion: CongestionModel::ideal(),
+            congestion: CongestionModel { penalty: 0.0 },
             launch_overhead: SimTime::ZERO,
             ..SimConfig::default()
         };

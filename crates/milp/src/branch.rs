@@ -282,10 +282,10 @@ mod tests {
     fn knapsack() {
         // max 10a + 13b + 7c + 4d s.t. 3a+4b+2c+d <= 7  (as min of negs)
         let mut m = Model::new();
-        let a = m.add_binary("a", -10.0);
-        let b = m.add_binary("b", -13.0);
-        let c = m.add_binary("c", -7.0);
-        let d = m.add_binary("d", -4.0);
+        let a = m.add_var("a", 0.0, 1.0, -10.0, true);
+        let b = m.add_var("b", 0.0, 1.0, -13.0, true);
+        let c = m.add_var("c", 0.0, 1.0, -7.0, true);
+        let d = m.add_var("d", 0.0, 1.0, -4.0, true);
         m.add_constraint(expr(&[(a, 3.0), (b, 4.0), (c, 2.0), (d, 1.0)]), Le, 7.0);
         let r = solve_milp(&m, &MilpOptions::default());
         assert_eq!(r.status, MilpStatus::Optimal);
@@ -298,8 +298,8 @@ mod tests {
         // LP optimum is fractional; MILP must branch.
         // max x + y s.t. 2x + 2y <= 3, x,y binary → best is 1 (not 1.5).
         let mut m = Model::new();
-        let x = m.add_binary("x", -1.0);
-        let y = m.add_binary("y", -1.0);
+        let x = m.add_var("x", 0.0, 1.0, -1.0, true);
+        let y = m.add_var("y", 0.0, 1.0, -1.0, true);
         m.add_constraint(expr(&[(x, 2.0), (y, 2.0)]), Le, 3.0);
         let r = solve_milp(&m, &MilpOptions::default());
         assert_eq!(r.status, MilpStatus::Optimal);
@@ -314,7 +314,7 @@ mod tests {
         let mut v = [[None; 3]; 3];
         for i in 0..3 {
             for j in 0..3 {
-                v[i][j] = Some(m.add_binary(&format!("x{i}{j}"), cost[i][j]));
+                v[i][j] = Some(m.add_var(&format!("x{i}{j}"), 0.0, 1.0, cost[i][j], true));
             }
         }
         for i in 0..3 {
@@ -333,8 +333,8 @@ mod tests {
     #[test]
     fn infeasible_milp() {
         let mut m = Model::new();
-        let x = m.add_binary("x", 1.0);
-        let y = m.add_binary("y", 1.0);
+        let x = m.add_var("x", 0.0, 1.0, 1.0, true);
+        let y = m.add_var("y", 0.0, 1.0, 1.0, true);
         m.add_constraint(expr(&[(x, 1.0), (y, 1.0)]), Ge, 3.0);
         let r = solve_milp(&m, &MilpOptions::default());
         assert_eq!(r.status, MilpStatus::Infeasible);
@@ -371,7 +371,7 @@ mod tests {
         let mut m = Model::new();
         let n = 30;
         let vars: Vec<_> = (0..n)
-            .map(|i| m.add_binary(&format!("b{i}"), -rng.gen_range(1.0..10.0)))
+            .map(|i| m.add_var(&format!("b{i}"), 0.0, 1.0, -rng.gen_range(1.0..10.0), true))
             .collect();
         let e = expr(
             &vars
@@ -400,8 +400,8 @@ mod tests {
     #[test]
     fn bound_never_exceeds_incumbent() {
         let mut m = Model::new();
-        let a = m.add_binary("a", -3.0);
-        let b = m.add_binary("b", -2.0);
+        let a = m.add_var("a", 0.0, 1.0, -3.0, true);
+        let b = m.add_var("b", 0.0, 1.0, -2.0, true);
         m.add_constraint(expr(&[(a, 1.0), (b, 1.0)]), Le, 1.0);
         let r = solve_milp(&m, &MilpOptions::default());
         assert_eq!(r.status, MilpStatus::Optimal);

@@ -20,7 +20,6 @@
 //!   terms did not move — so the solver follows the original dense solver
 //!   pivot for pivot; that solver survives as [`dense::solve_lp_dense`],
 //!   the frozen yardstick for differential tests;
-//! * [`fixtures`] — the seeded placement-shaped LP those tests share;
 //! * [`branch`] — best-first branch-and-bound over the LP relaxation with
 //!   most-fractional branching and node limits.
 //!
@@ -36,7 +35,6 @@
 
 pub mod branch;
 pub mod dense;
-pub mod fixtures;
 pub mod model;
 pub mod simplex;
 

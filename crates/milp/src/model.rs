@@ -114,11 +114,6 @@ impl Model {
         id
     }
 
-    /// Convenience: a `[0,1]` binary variable.
-    pub fn add_binary(&mut self, name: &str, obj: f64) -> VarId {
-        self.add_var(name, 0.0, 1.0, obj, true)
-    }
-
     /// Convenience: a continuous variable in `[0, +inf)`.
     pub fn add_nonneg(&mut self, name: &str, obj: f64) -> VarId {
         self.add_var(name, 0.0, f64::INFINITY, obj, false)
@@ -225,7 +220,7 @@ mod tests {
     fn build_and_inspect() {
         let mut m = Model::new();
         let x = m.add_var("x", 0.0, 10.0, 1.0, false);
-        let b = m.add_binary("b", 2.0);
+        let b = m.add_var("b", 0.0, 1.0, 2.0, true);
         m.add_constraint(
             LinExpr::new().plus(x, 1.0).plus(b, -1.0),
             ConstraintSense::Ge,
@@ -241,7 +236,7 @@ mod tests {
     fn feasibility_checks_everything() {
         let mut m = Model::new();
         let x = m.add_var("x", 0.0, 1.0, 0.0, false);
-        let b = m.add_binary("b", 0.0);
+        let b = m.add_var("b", 0.0, 1.0, 0.0, true);
         m.add_constraint(
             LinExpr::new().plus(x, 1.0).plus(b, 1.0),
             ConstraintSense::Le,

@@ -35,11 +35,6 @@ impl PathSpec {
     pub fn tolerance(&self) -> usize {
         ((self.bw / self.per_core_bw).ceil() as usize).max(1)
     }
-
-    /// Seconds needed to move `bytes` at full path bandwidth.
-    pub fn secs_for(&self, bytes: f64) -> f64 {
-        bytes / self.bw
-    }
 }
 
 #[cfg(test)]
@@ -60,16 +55,5 @@ mod tests {
             per_core_bw: 100.0,
         };
         assert_eq!(tiny.tolerance(), 1);
-    }
-
-    #[test]
-    fn secs_for_is_linear() {
-        let p = PathSpec {
-            kind: PathKind::NvLink,
-            bw: 50e9,
-            per_core_bw: 2e9,
-        };
-        assert!((p.secs_for(50e9) - 1.0).abs() < 1e-12);
-        assert!((p.secs_for(25e9) - 0.5).abs() < 1e-12);
     }
 }

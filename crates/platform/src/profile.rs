@@ -156,16 +156,6 @@ impl Profile {
     pub fn t(&self, dst: usize, src: Location) -> f64 {
         self.sec_per_byte[dst][self.loc_index(src)]
     }
-
-    /// Core-dedication ratio for `dst ← src`.
-    pub fn ratio(&self, dst: usize, src: Location) -> f64 {
-        self.r[dst][self.loc_index(src)]
-    }
-
-    /// Whether `dst` can read from `src` at all.
-    pub fn reachable(&self, dst: usize, src: Location) -> bool {
-        self.t(dst, src).is_finite()
-    }
 }
 
 #[cfg(test)]
@@ -206,8 +196,8 @@ mod tests {
         let prof = Profile::new(&p, DedicationConfig::default());
         assert_eq!(prof.cores[0][5], 0);
         assert!(prof.sec_per_byte[0][5].is_infinite());
-        assert!(!prof.reachable(0, Location::Gpu(5)));
-        assert!(prof.reachable(0, Location::Gpu(4)));
+        assert!(prof.t(0, Location::Gpu(5)).is_infinite());
+        assert!(prof.t(0, Location::Gpu(4)).is_finite());
     }
 
     #[test]
@@ -224,7 +214,7 @@ mod tests {
         let p = Platform::server_c();
         let prof = Profile::new(&p, DedicationConfig::default());
         for i in 0..8 {
-            assert_eq!(prof.ratio(i, Location::Gpu(i)), 1.0);
+            assert_eq!(prof.r[i][i], 1.0);
         }
     }
 

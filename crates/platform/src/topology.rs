@@ -145,53 +145,6 @@ impl Platform {
         }
     }
 
-    /// A custom hard-wired machine from an explicit pair-bandwidth matrix
-    /// (bytes/s, `0.0` = unconnected, must be symmetric).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the description fails [`Platform::validate`].
-    pub fn custom_hardwired(
-        name: &str,
-        gpus: Vec<GpuSpec>,
-        pair_bw: Vec<Vec<f64>>,
-        host_mem_bytes: u64,
-    ) -> Self {
-        let p = Platform {
-            name: name.to_string(),
-            gpus,
-            interconnect: Interconnect::HardWired { pair_bw },
-            host_mem_bytes,
-        };
-        if let Err(e) = p.validate() {
-            panic!("invalid custom platform: {e}");
-        }
-        p
-    }
-
-    /// A custom switch-based machine with the given per-GPU egress.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the description fails [`Platform::validate`].
-    pub fn custom_switch(
-        name: &str,
-        gpus: Vec<GpuSpec>,
-        outbound_bw: f64,
-        host_mem_bytes: u64,
-    ) -> Self {
-        let p = Platform {
-            name: name.to_string(),
-            gpus,
-            interconnect: Interconnect::Switch { outbound_bw },
-            host_mem_bytes,
-        };
-        if let Err(e) = p.validate() {
-            panic!("invalid custom platform: {e}");
-        }
-        p
-    }
-
     /// A single-GPU machine (Table 1's testbed is one A100-80GB).
     pub fn single(gpu: GpuSpec, host_mem_bytes: u64) -> Self {
         Platform {
@@ -313,7 +266,8 @@ impl Platform {
     }
 
     /// Validates internal consistency; returns a description of the first
-    /// problem found.
+    /// problem found. The presets are valid by construction; this is the
+    /// check for a platform built as a struct literal.
     pub fn validate(&self) -> Result<(), String> {
         if self.gpus.is_empty() {
             return Err("platform has no GPUs".into());
@@ -405,6 +359,7 @@ mod tests {
         let path = p.path(0, Location::Gpu(7));
         assert_eq!(path.kind, PathKind::NvSwitch);
         assert!((path.bw - 300e9).abs() < 1.0);
+        assert!((p.outbound_bw(Location::Gpu(1)) - 300e9).abs() < 1.0);
         assert_eq!(p.fully_connected_groups().len(), 1);
     }
 
@@ -433,29 +388,24 @@ mod tests {
     }
 
     #[test]
-    fn custom_platforms_build_and_validate() {
-        let gpus: Vec<GpuSpec> = (0..3).map(|_| GpuSpec::v100(16)).collect();
-        let bw = vec![
-            vec![0.0, 50e9, 0.0],
-            vec![50e9, 0.0, 25e9],
-            vec![0.0, 25e9, 0.0],
-        ];
-        let p = Platform::custom_hardwired("chain", gpus.clone(), bw, 1 << 38);
+    fn chain_platform_splits_into_two_groups() {
+        // G0 — G1 — G2: the ends are unconnected, so no clique holds all three.
+        let p = Platform {
+            name: "chain".into(),
+            gpus: (0..3).map(|_| GpuSpec::v100(16)).collect(),
+            interconnect: Interconnect::HardWired {
+                pair_bw: vec![
+                    vec![0.0, 50e9, 0.0],
+                    vec![50e9, 0.0, 25e9],
+                    vec![0.0, 25e9, 0.0],
+                ],
+            },
+            host_mem_bytes: 1 << 38,
+        };
+        p.validate().unwrap();
         assert!(p.connected(0, Location::Gpu(1)));
         assert!(!p.connected(0, Location::Gpu(2)));
         assert_eq!(p.fully_connected_groups().len(), 2);
-
-        let sw = Platform::custom_switch("mini-switch", gpus, 100e9, 1 << 38);
-        assert!(sw.connected(0, Location::Gpu(2)));
-        assert!((sw.outbound_bw(Location::Gpu(1)) - 100e9).abs() < 1.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "invalid custom platform")]
-    fn custom_platform_rejects_asymmetry() {
-        let gpus: Vec<GpuSpec> = (0..2).map(|_| GpuSpec::v100(16)).collect();
-        let bw = vec![vec![0.0, 50e9], vec![10e9, 0.0]];
-        let _ = Platform::custom_hardwired("bad", gpus, bw, 1 << 30);
     }
 
     #[test]

@@ -188,7 +188,6 @@ pub fn solve_paper_milp(
         let obj = r.objective * time_unit;
         (r.x, obj, obj, true)
     };
-    emb_telemetry::count("policy.paper_milp.solves", 1.0);
 
     // Per-unit access: argmax over a[u][i][·].
     let mut access = vec![vec![0 as SourceIdx; g]; units.len()];

@@ -343,16 +343,6 @@ impl Placement {
         self.num_gpus as SourceIdx
     }
 
-    /// Where GPU `i` reads entry `e` from, as a [`Location`].
-    pub fn source_of(&self, gpu: usize, entry: u32) -> Location {
-        let s = self.access[gpu][entry as usize];
-        if s == self.host_idx() {
-            Location::Host
-        } else {
-            Location::Gpu(s as usize)
-        }
-    }
-
     /// Number of entries cached on GPU `j`.
     pub fn cached_count(&self, gpu: usize) -> usize {
         self.stored[gpu].iter().filter(|&&s| s).count()
@@ -545,7 +535,7 @@ mod tests {
         let p = Placement::all_host(4, 100);
         p.validate().unwrap();
         assert_eq!(p.cached_count(0), 0);
-        assert_eq!(p.source_of(2, 50), Location::Host);
+        assert_eq!(p.access[2][50], p.host_idx());
     }
 
     #[test]

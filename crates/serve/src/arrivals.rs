@@ -6,7 +6,7 @@ use rand::Rng;
 
 /// A seeded Poisson process: successive [`PoissonArrivals::next`] calls
 /// return strictly ordered arrival instants whose gaps are exponential
-/// with mean `1 / rate_rps`.
+/// with mean `1 / rate`.
 ///
 /// Inter-arrival gaps come from the inverse CDF (`-ln(1-u) / rate`)
 /// over a [`seed_rng`] stream and are accumulated in call order as
@@ -24,7 +24,7 @@ use rand::Rng;
 #[derive(Debug, Clone)]
 pub struct PoissonArrivals {
     rng: StdRng,
-    rate_rps: f64,
+    rate: f64,
     elapsed_secs: f64,
 }
 
@@ -34,22 +34,17 @@ impl PoissonArrivals {
     ///
     /// # Panics
     ///
-    /// Panics unless `rate_rps` is finite and positive.
-    pub fn new(seed: u64, rate_rps: f64) -> Self {
+    /// Panics unless `rate` is finite and positive.
+    pub fn new(seed: u64, rate: f64) -> Self {
         assert!(
-            rate_rps.is_finite() && rate_rps > 0.0,
+            rate.is_finite() && rate > 0.0,
             "arrival rate must be a positive finite number"
         );
         PoissonArrivals {
             rng: seed_rng(seed),
-            rate_rps,
+            rate,
             elapsed_secs: 0.0,
         }
-    }
-
-    /// The offered rate in requests per second.
-    pub fn rate_rps(&self) -> f64 {
-        self.rate_rps
     }
 
     /// Returns the next arrival instant (relative to the process start).
@@ -60,7 +55,7 @@ impl PoissonArrivals {
         // u is uniform in [0, 1); 1-u is in (0, 1], so the log argument
         // never hits zero and the gap is finite and non-negative.
         let u: f64 = self.rng.gen();
-        self.elapsed_secs += -(1.0 - u).ln() / self.rate_rps;
+        self.elapsed_secs += -(1.0 - u).ln() / self.rate;
         SimTime::from_secs_f64(self.elapsed_secs)
     }
 

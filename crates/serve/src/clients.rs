@@ -63,11 +63,6 @@ impl ClientPopulation {
         }
     }
 
-    /// The population size.
-    pub fn num_users(&self) -> u64 {
-        self.num_users
-    }
-
     /// Draws the next request: a uniform user from `rng`, then that
     /// user's keys from their own split-seeded Zipf stream.
     pub fn next_request<R: Rng + ?Sized>(&mut self, rng: &mut R) -> Request {

@@ -19,7 +19,7 @@ use emb_workload::{
 };
 use extractor::{ExtractOutcome, Extractor, Mechanism};
 use gpu_memsim::SimConfig;
-use gpu_platform::{DedicationConfig, Location, Platform};
+use gpu_platform::{DedicationConfig, Platform};
 use ugache::baselines::{build_system, SystemInstance, SystemKind};
 
 const N: usize = 12_000;
@@ -246,11 +246,15 @@ fn tiers_by_hand(placement: &Placement, keys_per_gpu: &[Vec<u32>]) -> [u64; 3] {
     let mut tiers = [0u64; 3];
     for (gpu, keys) in keys_per_gpu.iter().enumerate() {
         for &k in keys {
-            match placement.source_of(gpu, k) {
-                Location::Gpu(j) if j == gpu => tiers[0] += 1,
-                Location::Gpu(_) => tiers[1] += 1,
-                Location::Host => tiers[2] += 1,
-            }
+            let src = placement.access[gpu][k as usize];
+            let tier = if src == placement.host_idx() {
+                2
+            } else if src as usize == gpu {
+                0
+            } else {
+                1
+            };
+            tiers[tier] += 1;
         }
     }
     tiers

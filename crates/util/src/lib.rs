@@ -4,10 +4,10 @@
 //! single `u64` seed fully determines a run. [`zipf`] implements the
 //! power-law samplers that drive skewed embedding access, [`marks`]
 //! deduplicates the keys they draw without sorting them, [`stats`]
-//! provides the histogram/percentile machinery the benchmark harness
-//! reports with, [`time`] defines the fixed-point simulated-time type
-//! used by the platform simulator, and [`pool`] is the deterministic
-//! chunk-based worker pool behind the `--threads N` flag.
+//! holds the percentile and geometric-mean helpers, [`time`] defines
+//! the fixed-point simulated-time type used by the platform simulator,
+//! and [`pool`] is the deterministic chunk-based worker pool behind the
+//! `--threads N` flag.
 
 #![deny(missing_docs)]
 
@@ -21,6 +21,5 @@ pub mod zipf;
 
 pub use marks::KeyMarks;
 pub use rng::{seed_rng, split_seed};
-pub use stats::{Histogram, OnlineStats};
 pub use time::SimTime;
 pub use zipf::ZipfSampler;

@@ -33,11 +33,6 @@ impl SimTime {
         SimTime(ms * 1_000_000)
     }
 
-    /// Creates a time from seconds.
-    pub const fn from_secs(s: u64) -> Self {
-        SimTime(s * 1_000_000_000)
-    }
-
     /// Creates a time from fractional seconds, saturating at the range ends.
     ///
     /// Negative or NaN inputs map to zero.
@@ -56,11 +51,6 @@ impl SimTime {
     /// Returns the raw nanosecond count.
     pub const fn as_nanos(self) -> u64 {
         self.0
-    }
-
-    /// Returns the time as fractional milliseconds.
-    pub fn as_millis_f64(self) -> f64 {
-        self.0 as f64 / 1e6
     }
 
     /// Returns the time as fractional seconds.
@@ -133,7 +123,6 @@ mod tests {
     #[test]
     fn construction_round_trips() {
         assert_eq!(SimTime::from_millis(3).as_nanos(), 3_000_000);
-        assert_eq!(SimTime::from_secs(2).as_millis_f64(), 2000.0);
         assert_eq!(SimTime::from_micros(5).as_nanos(), 5_000);
     }
 
@@ -157,7 +146,7 @@ mod tests {
         assert_eq!(format!("{}", SimTime::from_nanos(12)), "12ns");
         assert_eq!(format!("{}", SimTime::from_micros(12)), "12.000us");
         assert_eq!(format!("{}", SimTime::from_millis(12)), "12.000ms");
-        assert_eq!(format!("{}", SimTime::from_secs(12)), "12.000s");
+        assert_eq!(format!("{}", SimTime::from_millis(12_000)), "12.000s");
     }
 
     #[test]

@@ -285,11 +285,6 @@ impl ZipfSampler {
         self.n
     }
 
-    /// Returns the unnormalized probability mass of a rank.
-    pub fn mass(&self, rank: u64) -> f64 {
-        ((rank + 1) as f64).powf(-self.alpha)
-    }
-
     /// Computes the exact probabilities of the first `k` ranks.
     ///
     /// Normalization uses a full `O(n)` pass; intended for tests and for

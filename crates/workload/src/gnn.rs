@@ -123,12 +123,6 @@ impl GnnWorkload {
         self.model
     }
 
-    /// Iterations per epoch under data parallelism.
-    pub fn iters_per_epoch(&self) -> usize {
-        let global_batch = self.batch_size * self.lanes.len();
-        self.epoch_order.len().div_ceil(global_batch).max(1)
-    }
-
     /// Draws one GPU's seed mini-batch, wrapping the epoch order.
     fn draw_seeds(&mut self) -> Vec<u32> {
         let mut seeds = Vec::with_capacity(self.batch_size);
@@ -258,13 +252,6 @@ mod tests {
             degree.ranking().into_iter().take(100).collect();
         let overlap = top_p.intersection(&top_d).count();
         assert!(overlap >= 50, "only {overlap}/100 overlap");
-    }
-
-    #[test]
-    fn iters_per_epoch_covers_train_set() {
-        let w = workload(GnnModel::Gcn);
-        let n_train = w.dataset().train_set.len();
-        assert_eq!(w.iters_per_epoch(), n_train.div_ceil(256 * 4).max(1));
     }
 
     #[test]
