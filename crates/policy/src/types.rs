@@ -122,14 +122,33 @@ impl Hotness {
     }
 
     /// Entry indices sorted hottest-first (ties by index for determinism).
+    ///
+    /// Weights that [`Hotness::new`] would refuse — `weights` is a public
+    /// field — still get a deterministic order, never a panic: negative
+    /// and infinite weights rank by value, as everywhere else, and a NaN
+    /// ranks by its sign bit, above `+∞` or below `−∞`.
     pub fn ranking(&self) -> Vec<u32> {
+        // An integer key per entry that falls as the weight rises: the
+        // bit pattern, with the magnitude bits flipped where the sign is
+        // clear. Comparing keys read from one array, not weights through
+        // `partial_cmp`, is what makes the sort fast on input without
+        // long sorted runs (a sampler's counts, vertex degrees).
+        let keys: Vec<u64> = self
+            .weights
+            .iter()
+            .map(|&w| {
+                // `-0.0` ties with `+0.0`, as it does under `partial_cmp`.
+                let bits = if w == 0.0 { 0 } else { w.to_bits() };
+                if bits >> 63 == 0 {
+                    bits ^ (u64::MAX >> 1)
+                } else {
+                    bits
+                }
+            })
+            .collect();
         let mut idx: Vec<u32> = (0..self.len() as u32).collect();
-        idx.sort_by(|&a, &b| {
-            self.weights[b as usize]
-                .partial_cmp(&self.weights[a as usize])
-                .unwrap()
-                .then(a.cmp(&b))
-        });
+        // Stable, so equal keys keep index order.
+        idx.sort_by_key(|&i| keys[i as usize]);
         idx
     }
 }
@@ -481,6 +500,57 @@ mod tests {
     #[should_panic(expected = "non-negative")]
     fn negative_hotness_panics() {
         let _ = Hotness::new(vec![1.0, -0.5]);
+    }
+
+    /// `ranking` before it sorted integer keys: indices through a
+    /// `partial_cmp` comparator, which panics on a NaN.
+    fn ranking_by_partial_cmp(weights: &[f64]) -> Vec<u32> {
+        let mut idx: Vec<u32> = (0..weights.len() as u32).collect();
+        idx.sort_by(|&a, &b| {
+            weights[b as usize]
+                .partial_cmp(&weights[a as usize])
+                .unwrap()
+                .then(a.cmp(&b))
+        });
+        idx
+    }
+
+    /// A weight drawn from `bits`: ties among a few small counts, zeros
+    /// of both signs, and values unlikely to repeat — negative and
+    /// infinite ones too, which `Hotness::new` refuses but the field
+    /// admits.
+    fn weight_from(bits: u64) -> f64 {
+        let fraction = (bits >> 11) as f64 / (1u64 << 53) as f64;
+        match bits % 8 {
+            0 => 0.0,
+            1 => -0.0,
+            2 | 3 => ((bits >> 3) % 4) as f64,
+            4 => -fraction,
+            5 if bits & 8 == 0 => f64::INFINITY,
+            5 => f64::NEG_INFINITY,
+            _ => fraction,
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn ranking_orders_as_the_partial_cmp_comparator(
+            raw in proptest::prop::collection::vec(0u64..u64::MAX, 0..400),
+            distinct in proptest::prop::collection::vec(0.0f64..1.0, 0..400),
+        ) {
+            let mixed: Vec<f64> = raw.into_iter().map(weight_from).collect();
+            for weights in [mixed, distinct] {
+                let want = ranking_by_partial_cmp(&weights);
+                proptest::prop_assert_eq!(Hotness { weights }.ranking(), want);
+            }
+        }
+    }
+
+    #[test]
+    fn ranking_puts_a_nan_by_its_sign_bit() {
+        let (nan, inf) = (f64::NAN, f64::INFINITY);
+        let weights = vec![1.0, nan, -nan, inf, -1.0, -inf];
+        assert_eq!(Hotness { weights }.ranking(), vec![1, 3, 0, 4, 5, 2]);
     }
 
     /// `calibrate_lambda` before it skipped anything: every comparison a

@@ -10,7 +10,10 @@
 //! * [`fnv1a`] — the hash the pinned-stream and pinned-placement tests
 //!   record their golden values with.
 //!
-//! This is the one place in the repository with `unsafe` code.
+//! This is one of the two places in the repository with `unsafe` code.
+//! The other is `emb-cache`'s host table, whose one block calls the
+//! row generator compiled for the vector units the CPU was found to
+//! have; CI fails on `unsafe` anywhere else.
 
 #![deny(missing_docs)]
 
