@@ -32,7 +32,7 @@
 use crate::figures::TargetData;
 use crate::json;
 use crate::scenario::{Scenario, SEED};
-use emb_telemetry::{EventValue, Name};
+use emb_telemetry::Fields;
 use serde::Serialize;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -172,16 +172,8 @@ pub fn trace_header(scenario: &Scenario) -> json::Value {
 }
 
 /// The named fields of a telemetry event or span, as a JSON object.
-pub(crate) fn fields_value(fields: &[(Name, EventValue)]) -> json::Value {
-    json::Value::Obj(
-        fields
-            .iter()
-            .map(|(k, v)| {
-                let v = json::to_value(v).expect("an event value is a number or a string");
-                (k.to_string(), v)
-            })
-            .collect(),
-    )
+pub(crate) fn fields_value(fields: &Fields) -> json::Value {
+    json::to_value(fields).expect("a field value is a number or a string")
 }
 
 /// Builds one `repro --trace` JSONL line for an event recorded while

@@ -171,7 +171,7 @@ mod tests {
     fn report(spans: Vec<(&'static str, &'static str, u64, u64)>) -> emb_telemetry::Report {
         emb_telemetry::collect(|| {
             for (track, name, s, e) in spans {
-                emb_telemetry::span(track, name, s, e, Vec::new);
+                emb_telemetry::span(track, name, s, e, emb_telemetry::Fields::default);
             }
         })
         .1

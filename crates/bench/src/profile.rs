@@ -26,9 +26,8 @@ fn stall_rows(report: &emb_telemetry::Report, tl: &Timeline) -> Vec<(String, u64
                 .spans
                 .iter()
                 .filter(|s| s.track == t.track.as_str() && s.name == "stall")
-                .flat_map(|s| s.fields.iter())
-                .filter_map(|(k, v)| match (k.as_str(), v) {
-                    ("idle_core_secs", emb_telemetry::EventValue::F64(x)) => Some(*x),
+                .filter_map(|s| match s.fields.get("idle_core_secs") {
+                    Some(emb_telemetry::EventValue::F64(x)) => Some(x),
                     _ => None,
                 })
                 .sum();
@@ -94,20 +93,15 @@ pub fn render_profile(target: &str, report: &emb_telemetry::Report) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use emb_telemetry::Fields;
 
     #[test]
     fn stall_rows_aggregate_idle_core_secs() {
         let ((), report) = emb_telemetry::collect(|| {
-            emb_telemetry::span("gpu0/cores", "stall", 0, 100, || {
-                vec![(
-                    "idle_core_secs".into(),
-                    emb_telemetry::EventValue::F64(0.25),
-                )]
-            });
-            emb_telemetry::span("gpu0/cores", "stall", 200, 300, || {
-                vec![("idle_core_secs".into(), emb_telemetry::EventValue::F64(0.5))]
-            });
-            emb_telemetry::span("gpu0/link:pcie->host", "xfer", 0, 300, Vec::new);
+            let idle = |secs: f64| move || Fields::new(&["idle_core_secs"], &[secs.into()]);
+            emb_telemetry::span("gpu0/cores", "stall", 0, 100, idle(0.25));
+            emb_telemetry::span("gpu0/cores", "stall", 200, 300, idle(0.5));
+            emb_telemetry::span("gpu0/link:pcie->host", "xfer", 0, 300, Fields::default);
             emb_telemetry::advance_clock_ns(300);
         });
         let tl = timeline::from_report(&report);

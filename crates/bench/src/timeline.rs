@@ -144,7 +144,7 @@ mod tests {
     fn report_with(spans: Vec<(&'static str, u64, u64)>, clock_ns: u64) -> emb_telemetry::Report {
         emb_telemetry::collect(|| {
             for (track, s, e) in spans {
-                emb_telemetry::span(track, "t", s, e, Vec::new);
+                emb_telemetry::span(track, "t", s, e, emb_telemetry::Fields::default);
             }
             emb_telemetry::advance_clock_ns(clock_ns);
         })

@@ -1,6 +1,7 @@
 //! Mechanism implementations and the unified extraction front-end.
 
 use cache_policy::Placement;
+use emb_telemetry::Fields;
 use emb_util::SimTime;
 use gpu_memsim::{DispatchMode, GpuExtraction, GpuWork, SimConfig, Simulator, SourceDemand};
 use gpu_platform::{DedicationConfig, Location, Platform};
@@ -201,7 +202,7 @@ impl Extractor {
             for (track, bytes) in TIER_TRACKS.into_iter().zip(tiers) {
                 if bytes > 0.0 {
                     emb_telemetry::span(track, "gather", base_ns, end_ns, || {
-                        vec![("bytes".into(), emb_telemetry::EventValue::F64(bytes))]
+                        Fields::new(&["bytes"], &[bytes.into()])
                     });
                 }
             }
@@ -296,7 +297,7 @@ impl Extractor {
             ] {
                 let end = cursor.saturating_add(SimTime::from_secs_f64(secs + launch).as_nanos());
                 emb_telemetry::span("extract/phases", name, cursor, end, || {
-                    vec![("secs".into(), emb_telemetry::EventValue::F64(secs + launch))]
+                    Fields::new(&["secs"], &[(secs + launch).into()])
                 });
                 cursor = end;
             }

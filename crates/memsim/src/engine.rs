@@ -38,7 +38,7 @@
 
 use crate::bandwidth::{effective_bw, CongestionModel};
 use crate::trace::{ExtractionTrace, TraceEvent};
-use emb_telemetry::{EventValue, Name};
+use emb_telemetry::{EventValue, Fields, Name};
 use emb_util::{split_seed, SimTime};
 use gpu_platform::{
     DedicationConfig, Interconnect, Location, PathKind, PathSpec, Platform, Profile,
@@ -1066,20 +1066,24 @@ impl Simulator {
                 DispatchMode::Factored { .. } => "factored",
                 DispatchMode::Sequential => "sequential",
             };
-            vec![
-                ("gpus".into(), EventValue::U64(result.per_gpu.len() as u64)),
-                ("mode".into(), EventValue::Str(mode_label.into())),
-                ("bytes".into(), EventValue::F64(total_bytes)),
-                (
-                    "makespan_secs".into(),
-                    EventValue::F64(result.makespan.as_secs_f64()),
-                ),
-                (
-                    "congestion_activations".into(),
-                    EventValue::U64(congestion_hits),
-                ),
-                ("egress_capped".into(), EventValue::U64(egress_caps)),
-            ]
+            Fields::new(
+                &[
+                    "gpus",
+                    "mode",
+                    "bytes",
+                    "makespan_secs",
+                    "congestion_activations",
+                    "egress_capped",
+                ],
+                &[
+                    (result.per_gpu.len() as u64).into(),
+                    EventValue::Str(mode_label.into()),
+                    total_bytes.into(),
+                    result.makespan.as_secs_f64().into(),
+                    congestion_hits.into(),
+                    egress_caps.into(),
+                ],
+            )
         });
         // One top-level span per GPU covering its whole extraction
         // (including launch overhead), then advance the scope clock past
@@ -1098,12 +1102,7 @@ impl Simulator {
                     "extract",
                     base_ns,
                     base_ns.saturating_add(g.time.as_nanos()),
-                    || {
-                        vec![
-                            ("bytes".into(), EventValue::F64(bytes)),
-                            ("core_util".into(), EventValue::F64(util)),
-                        ]
-                    },
+                    || Fields::new(&["bytes", "core_util"], &[bytes.into(), util.into()]),
                 );
             }
         }
@@ -1162,18 +1161,15 @@ pub(crate) fn emit_xfer_span(
             } else {
                 0.0
             };
-            vec![
-                ("bytes".into(), EventValue::F64(bytes)),
-                ("gbps".into(), EventValue::F64(gbps)),
-                (
-                    "congestion_activations".into(),
-                    EventValue::U64(congest_now - open.congest0),
-                ),
-                (
-                    "egress_capped".into(),
-                    EventValue::U64(egress_now - open.egress0),
-                ),
-            ]
+            Fields::new(
+                &["bytes", "gbps", "congestion_activations", "egress_capped"],
+                &[
+                    bytes.into(),
+                    gbps.into(),
+                    (congest_now - open.congest0).into(),
+                    (egress_now - open.egress0).into(),
+                ],
+            )
         },
     );
 }
@@ -1191,12 +1187,7 @@ pub(crate) fn emit_stall_span(
         "stall",
         secs_to_scope_ns(base_ns, open.start),
         secs_to_scope_ns(base_ns, end),
-        || {
-            vec![(
-                "idle_core_secs".into(),
-                EventValue::F64(open.idle_core_secs),
-            )]
-        },
+        || Fields::new(&["idle_core_secs"], &[open.idle_core_secs.into()]),
     );
 }
 

@@ -78,18 +78,15 @@ fn record_sample(dst: usize, src: Location, cores: usize, bytes_per_sec: f64) {
     emb_telemetry::count("memsim.microbench.samples", 1.0);
     emb_telemetry::observe("memsim.microbench.bytes_per_sec", bytes_per_sec);
     emb_telemetry::event("memsim.microbench", || {
-        vec![
-            ("dst".into(), emb_telemetry::EventValue::U64(dst as u64)),
-            (
-                "src".into(),
+        emb_telemetry::Fields::new(
+            &["dst", "src", "cores", "bytes_per_sec"],
+            &[
+                (dst as u64).into(),
                 emb_telemetry::EventValue::Str(src.to_string().into()),
-            ),
-            ("cores".into(), emb_telemetry::EventValue::U64(cores as u64)),
-            (
-                "bytes_per_sec".into(),
-                emb_telemetry::EventValue::F64(bytes_per_sec),
-            ),
-        ]
+                (cores as u64).into(),
+                bytes_per_sec.into(),
+            ],
+        )
     });
 }
 

@@ -154,28 +154,22 @@ impl UGacheSolver {
         emb_telemetry::count("policy.blocks", blocks.len() as f64);
         emb_telemetry::count("policy.patterns", patterns.len() as f64);
         emb_telemetry::event("policy.solve", || {
-            vec![
-                (
-                    "blocks".into(),
-                    emb_telemetry::EventValue::U64(blocks.len() as u64),
-                ),
-                (
-                    "patterns".into(),
-                    emb_telemetry::EventValue::U64(patterns.len() as u64),
-                ),
-                (
-                    "lp_iterations".into(),
-                    emb_telemetry::EventValue::U64(sol.iterations as u64),
-                ),
-                (
-                    "lp_residual".into(),
-                    emb_telemetry::EventValue::F64(sol.max_residual),
-                ),
-                (
-                    "predicted_secs".into(),
-                    emb_telemetry::EventValue::F64(sol.objective * time_unit),
-                ),
-            ]
+            emb_telemetry::Fields::new(
+                &[
+                    "blocks",
+                    "patterns",
+                    "lp_iterations",
+                    "lp_residual",
+                    "predicted_secs",
+                ],
+                &[
+                    (blocks.len() as u64).into(),
+                    (patterns.len() as u64).into(),
+                    (sol.iterations as u64).into(),
+                    sol.max_residual.into(),
+                    (sol.objective * time_unit).into(),
+                ],
+            )
         });
 
         // Extract y fractions.

@@ -5,6 +5,7 @@
 use crate::batch::next_admission;
 use crate::clients::ClientPopulation;
 use crate::{PoissonArrivals, ServeConfig};
+use emb_telemetry::Fields;
 use emb_util::stats::percentile;
 use emb_util::{seed_rng, split_seed, SimTime};
 use gpu_platform::{home_gpu, Location};
@@ -154,16 +155,10 @@ pub fn estimate_capacity_rps(
     let (makespan, _) = extract_batch(u, &shards, cfg.entry_bytes);
     let capacity = cfg.max_batch as f64 / makespan.as_secs_f64().max(1e-12);
     emb_telemetry::event("serve.capacity", || {
-        vec![
-            (
-                "capacity_rps".into(),
-                emb_telemetry::EventValue::F64(capacity),
-            ),
-            (
-                "probe_makespan_secs".into(),
-                emb_telemetry::EventValue::F64(makespan.as_secs_f64()),
-            ),
-        ]
+        Fields::new(
+            &["capacity_rps", "probe_makespan_secs"],
+            &[capacity.into(), makespan.as_secs_f64().into()],
+        )
     });
     capacity
 }
@@ -275,21 +270,15 @@ pub fn run_load_point_with_keys(
             span_base,
             emb_telemetry::clock_ns(),
             || {
-                vec![
-                    (
-                        "requests".into(),
-                        emb_telemetry::EventValue::U64(adm.count as u64),
-                    ),
-                    (
-                        "coalesced_keys".into(),
-                        emb_telemetry::EventValue::U64(coalesced as u64),
-                    ),
-                    ("first_req".into(), req_id(point, next).into()),
-                    (
-                        "last_req".into(),
+                Fields::new(
+                    &["requests", "coalesced_keys", "first_req", "last_req"],
+                    &[
+                        (adm.count as u64).into(),
+                        (coalesced as u64).into(),
+                        req_id(point, next).into(),
                         req_id(point, next + adm.count - 1).into(),
-                    ),
-                ]
+                    ],
+                )
             },
         );
         let completion = adm.dispatch + makespan;
@@ -355,22 +344,22 @@ pub fn run_load_point_with_keys(
             );
             emb_telemetry::observe("serve.queue_ms", queue.as_nanos() as f64 / 1e6);
             emb_telemetry::event("serve.request", || {
-                vec![
-                    ("req".into(), req.into()),
-                    (
-                        "queue_ns".into(),
-                        emb_telemetry::EventValue::U64(queue.as_nanos()),
-                    ),
-                    (
-                        "batch_wait_ns".into(),
-                        emb_telemetry::EventValue::U64(batch_wait.as_nanos()),
-                    ),
-                    (
-                        "extract_ns".into(),
-                        emb_telemetry::EventValue::U64(makespan.as_nanos()),
-                    ),
-                    ("latency_ns".into(), emb_telemetry::EventValue::U64(latency)),
-                ]
+                Fields::new(
+                    &[
+                        "req",
+                        "queue_ns",
+                        "batch_wait_ns",
+                        "extract_ns",
+                        "latency_ns",
+                    ],
+                    &[
+                        req.into(),
+                        queue.as_nanos().into(),
+                        batch_wait.as_nanos().into(),
+                        makespan.as_nanos().into(),
+                        latency.into(),
+                    ],
+                )
             });
         }
         emb_telemetry::count("serve.requests", adm.count as f64);
@@ -435,36 +424,26 @@ pub fn run_load_point_with_keys(
         host_frac: frac(2),
     };
     emb_telemetry::event("serve.load_point", || {
-        vec![
-            (
-                "offered_rps".into(),
-                emb_telemetry::EventValue::F64(sample.offered_rps),
-            ),
-            (
-                "achieved_rps".into(),
-                emb_telemetry::EventValue::F64(sample.achieved_rps),
-            ),
-            (
-                "requests".into(),
-                emb_telemetry::EventValue::U64(sample.requests),
-            ),
-            (
-                "batches".into(),
-                emb_telemetry::EventValue::U64(sample.batches),
-            ),
-            (
-                "p50_ms".into(),
-                emb_telemetry::EventValue::F64(sample.p50_ms),
-            ),
-            (
-                "p99_ms".into(),
-                emb_telemetry::EventValue::F64(sample.p99_ms),
-            ),
-            (
-                "p999_ms".into(),
-                emb_telemetry::EventValue::F64(sample.p999_ms),
-            ),
-        ]
+        Fields::new(
+            &[
+                "offered_rps",
+                "achieved_rps",
+                "requests",
+                "batches",
+                "p50_ms",
+                "p99_ms",
+                "p999_ms",
+            ],
+            &[
+                sample.offered_rps.into(),
+                sample.achieved_rps.into(),
+                sample.requests.into(),
+                sample.batches.into(),
+                sample.p50_ms.into(),
+                sample.p99_ms.into(),
+                sample.p999_ms.into(),
+            ],
+        )
     });
     sample
 }
@@ -539,12 +518,17 @@ mod tests {
 
     #[test]
     fn request_decomposition_sums_exactly_and_links_by_id() {
-        use emb_telemetry::EventValue;
-        let field = |fields: &[(emb_telemetry::Name, EventValue)], name: &str| -> u64 {
-            match fields.iter().find(|(k, _)| k == name) {
-                Some((_, EventValue::U64(v))) => *v,
+        use emb_telemetry::{EventValue, Name};
+        fn u64_of(value: Option<EventValue>, name: &str) -> u64 {
+            match value {
+                Some(EventValue::U64(v)) => v,
                 other => panic!("missing u64 field {name}: {other:?}"),
             }
+        }
+        let field = |fields: &Fields, name: &str| u64_of(fields.get(name), name);
+        let context = |fields: &[(Name, EventValue)], name: &str| {
+            let value = fields.iter().find(|(k, _)| k == name);
+            u64_of(value.map(|(_, v)| v.clone()), name)
         };
         let ((), report) = emb_telemetry::collect(|| {
             run_once(20_000.0);
@@ -583,12 +567,12 @@ mod tests {
             }
         }
         for x in ns {
-            assert_eq!(x.value, field(&x.fields, "latency_ns") as f64);
+            assert_eq!(x.value, context(&x.fields, "latency_ns") as f64);
             assert_eq!(
-                field(&x.fields, "queue_ns")
-                    + field(&x.fields, "batch_wait_ns")
-                    + field(&x.fields, "extract_ns"),
-                field(&x.fields, "latency_ns")
+                context(&x.fields, "queue_ns")
+                    + context(&x.fields, "batch_wait_ns")
+                    + context(&x.fields, "extract_ns"),
+                context(&x.fields, "latency_ns")
             );
         }
         // Batch spans bracket their members' ids.

@@ -2,6 +2,7 @@
 
 use cache_policy::{Hotness, Placement, SolverConfig, UGacheSolver};
 use emb_cache::{HostTable, HotnessSampler, MultiGpuCache, RefreshConfig, Refresher};
+use emb_telemetry::Fields;
 use extractor::{ExtractOutcome, Extractor, Mechanism};
 use gpu_memsim::SimConfig;
 use gpu_platform::{DedicationConfig, Platform};
@@ -178,32 +179,26 @@ impl UGache {
             base_ns,
             emb_telemetry::clock_ns(),
             || {
-                vec![
-                    (
-                        "extract_secs".into(),
-                        emb_telemetry::EventValue::F64(outcome.makespan.as_secs_f64()),
-                    ),
-                    (
-                        "refresh_active".into(),
-                        emb_telemetry::EventValue::U64(u64::from(refresh_active)),
-                    ),
-                ]
+                Fields::new(
+                    &["extract_secs", "refresh_active"],
+                    &[
+                        outcome.makespan.as_secs_f64().into(),
+                        u64::from(refresh_active).into(),
+                    ],
+                )
             },
         );
         emb_telemetry::count("ugache.iterations", 1.0);
         emb_telemetry::count("ugache.extract_secs", outcome.makespan.as_secs_f64());
         emb_telemetry::event("ugache.iteration", || {
-            vec![
-                (
-                    "extract_secs".into(),
-                    emb_telemetry::EventValue::F64(outcome.makespan.as_secs_f64()),
-                ),
-                ("clock_secs".into(), emb_telemetry::EventValue::F64(clock)),
-                (
-                    "refresh_active".into(),
-                    emb_telemetry::EventValue::U64(u64::from(refresh_active)),
-                ),
-            ]
+            Fields::new(
+                &["extract_secs", "clock_secs", "refresh_active"],
+                &[
+                    outcome.makespan.as_secs_f64().into(),
+                    clock.into(),
+                    u64::from(refresh_active).into(),
+                ],
+            )
         });
         IterationReport {
             extract: outcome,
@@ -229,7 +224,7 @@ impl UGache {
             if let Some(id) = self.refresh_span.take() {
                 let secs = self.refresher.history.last().copied().unwrap_or(0.0);
                 emb_telemetry::span_end(id, emb_telemetry::clock_ns(), || {
-                    vec![("secs".into(), emb_telemetry::EventValue::F64(secs))]
+                    Fields::new(&["secs"], &[secs.into()])
                 });
             }
         }
@@ -281,16 +276,10 @@ impl UGache {
             ));
             emb_telemetry::count("ugache.refreshes", 1.0);
             emb_telemetry::event("ugache.refresh_started", || {
-                vec![
-                    (
-                        "clock_secs".into(),
-                        emb_telemetry::EventValue::F64(self.clock),
-                    ),
-                    (
-                        "predicted_secs".into(),
-                        emb_telemetry::EventValue::F64(self.predicted_secs),
-                    ),
-                ]
+                Fields::new(
+                    &["clock_secs", "predicted_secs"],
+                    &[self.clock.into(), self.predicted_secs.into()],
+                )
             });
             Ok(true)
         } else {
@@ -441,7 +430,7 @@ mod tests {
         assert_eq!(refresh.len(), 1);
         assert!(refresh[0].end_ns > refresh[0].start_ns);
         assert!(
-            refresh[0].fields.iter().any(|(k, _)| k == "secs"),
+            refresh[0].fields.get("secs").is_some(),
             "closed refresh span carries its duration"
         );
     }

@@ -253,7 +253,7 @@ mod tests {
                         emb_telemetry::count("pool.work", 0.1 * (i + 1) as f64);
                         emb_telemetry::observe("pool.size", i as f64);
                         emb_telemetry::event("pool.chunk", || {
-                            vec![("i".into(), emb_telemetry::EventValue::U64(i as u64))]
+                            emb_telemetry::Fields::new(&["i"], &[(i as u64).into()])
                         });
                     })
                 });
@@ -274,7 +274,7 @@ mod tests {
         assert_eq!(base.events.len(), 16);
         for (k, e) in base.events.iter().enumerate() {
             assert_eq!(e.seq, k as u64);
-            assert_eq!(e.fields[0].1, emb_telemetry::EventValue::U64(k as u64));
+            assert_eq!(e.fields.get("i"), Some((k as u64).into()));
         }
     }
 

@@ -5,7 +5,7 @@
 //! reads it back. These tests pin that round trip on generated inputs,
 //! on fresh runs and on every committed baseline.
 
-use emb_telemetry::{EventValue, Name};
+use emb_telemetry::{EventValue, Fields, Name};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -108,6 +108,36 @@ fn strip_layout(text: &str) -> String {
         out.push(c);
     }
     out
+}
+
+/// Field keys of a generated record.
+const KEYS: &[&str] = &["f0", "f1", "f2", "f3", "f4", "f5"];
+
+/// Floats whose text is easy to get wrong: signed zero, subnormals, 17
+/// significant digits, the extremes and the non-finite values.
+const EDGE_FLOATS: &[f64] = &[
+    -0.0,
+    0.0,
+    5e-324,
+    2.225_073_858_507_201e-308,
+    0.1 + 0.2,
+    1.0 / 3.0,
+    f64::MAX,
+    f64::MIN,
+    f64::NAN,
+    f64::INFINITY,
+    f64::NEG_INFINITY,
+];
+
+/// A field list as records carried it before they were rows: one JSON
+/// object, each value through `json::to_value`, in list order.
+fn list_value(fields: &[(Name, EventValue)]) -> Value {
+    Value::Obj(
+        fields
+            .iter()
+            .map(|(k, v)| (k.to_string(), json::to_value(v).unwrap()))
+            .collect(),
+    )
 }
 
 /// The number token of `v`.
@@ -266,10 +296,13 @@ proptest! {
 
     /// A telemetry event's `--trace` line reads back to the same line;
     /// each field keeps its value: integers their digits, finite floats
-    /// their bits, non-finite floats `null`, labels their text.
+    /// their bits, non-finite floats `null`, labels their text. A record
+    /// written as a `Fields` row renders its fields — serialized, in the
+    /// trace line and as a Chrome span's `args` — exactly as the same
+    /// `(Name, EventValue)` list did when records carried one.
     #[test]
     fn trace_lines_read_back_with_their_field_values(
-        kinds in prop::collection::vec(0u8..3, 0..6),
+        kinds in prop::collection::vec(0u8..4, 0..6),
         words in prop::collection::vec(0u64..u64::MAX, 6),
         label in text(8),
     ) {
@@ -281,15 +314,35 @@ proptest! {
                 let value = match kind {
                     0 => EventValue::U64(w),
                     1 => EventValue::F64(f64::from_bits(w)),
+                    2 => EventValue::F64(EDGE_FLOATS[w as usize % EDGE_FLOATS.len()]),
                     _ => EventValue::Str(Name::from(label.clone())),
                 };
-                (Name::from(format!("f{i}")), value)
+                (Name::from(KEYS[i]), value)
             })
             .collect();
+        let values: Vec<EventValue> = fields.iter().map(|(_, v)| v.clone()).collect();
+        let row = || Fields::new(&KEYS[..values.len()], &values);
         let ((), report) = emb_telemetry::collect(|| {
-            emb_telemetry::event(Name::from(label.clone()), || fields.clone());
+            emb_telemetry::event(Name::from(label.clone()), row);
+            emb_telemetry::span("gpu0/cores", "stall", 0, 1, row);
         });
+        let old = list_value(&fields);
+        prop_assert_eq!(json::to_value(&report.events[0].fields).unwrap(), old.clone());
         let line = trace_line("fig2", &report.events[0]);
+        let old_line = Value::Obj(vec![
+            ("target".to_string(), Value::Str("fig2".to_string())),
+            ("seq".to_string(), Value::Num("0".to_string())),
+            ("event".to_string(), Value::Str(label.clone())),
+            ("fields".to_string(), old.clone()),
+        ]);
+        prop_assert_eq!(line.render_compact(), old_line.render_compact());
+        let chrome = chrome::chrome_trace(&[("fig2", &report)]);
+        let Some(Value::Arr(events)) = chrome.get("traceEvents") else {
+            panic!("no traceEvents");
+        };
+        let x = Value::Str("X".to_string());
+        let span = events.iter().find(|e| e.get("ph") == Some(&x)).unwrap();
+        prop_assert_eq!(span.get("args"), Some(&old));
         let back = json::parse(&line.render_compact()).unwrap();
         prop_assert_eq!(&back, &line);
         let read = back.get("fields").unwrap();
