@@ -16,9 +16,7 @@ use ugache_bench::cli::{self, Command, RunSpec};
 use ugache_bench::figures::{self, Unit};
 use ugache_bench::runner::{run_units, units_for, UnitResult};
 use ugache_bench::scenario::{registry, Scenario, WorkloadSpec};
-use ugache_bench::{
-    catalog, chrome, compare, explain, json, metrics_catalog, profile, replay, timeline,
-};
+use ugache_bench::{catalog, chrome, compare, explain, json, metrics_catalog, replay, timeline};
 
 /// A failed invocation: the exit code, and the message for stderr
 /// (empty when the findings already went to stdout).
@@ -293,9 +291,7 @@ fn run(spec: &RunSpec) -> Result<(), Failure> {
         .map(|target| (target.as_str(), result_of(target)))
         .collect();
     for &(target, result) in &per_target {
-        if spec.profile {
-            profile::render_profile(target, &result.telemetry);
-        } else if spec.json {
+        if spec.json {
             let dir = spec.out.as_ref().expect("--json implies --out");
             let artifact = Artifact::new(
                 target,

@@ -39,9 +39,6 @@ pub struct RunSpec {
     pub trace: Option<PathBuf>,
     /// Chrome trace-event output file (JSON), if requested.
     pub chrome_trace: Option<PathBuf>,
-    /// Render a span profile instead of the figure output (the
-    /// `repro profile` subcommand).
-    pub profile: bool,
 }
 
 /// A parsed `repro` invocation.
@@ -170,12 +167,6 @@ pub const SUBCOMMANDS: &[Subcommand] = &[
         parse: parse_run,
     },
     Subcommand {
-        name: PROFILE,
-        usage: "profile [--full] [--jobs N] [--threads N] <target>...",
-        shared: SCALE | THREADS | OUT,
-        parse: parse_run,
-    },
-    Subcommand {
         name: "diff",
         usage: "diff <dir-a> <dir-b>",
         shared: 0,
@@ -246,8 +237,6 @@ pub const SUBCOMMANDS: &[Subcommand] = &[
     },
 ];
 
-/// The target run that renders span profiles instead of figures.
-const PROFILE: &str = "profile";
 /// The word that asks for the menu: a subcommand, and (as in
 /// `repro --full list`) a pseudo-target anywhere in a target run.
 const LIST: &str = "list";
@@ -445,10 +434,9 @@ impl<'a> Cursor<'a> {
     }
 }
 
-/// The three target-run rows: `repro [flags] <target>...`, `repro
-/// profile ...` and `repro list`. Duplicate targets are removed
-/// regardless of position, keeping the first occurrence, after aliases
-/// are resolved.
+/// The two target-run rows: `repro [flags] <target>...` and `repro
+/// list`. Duplicate targets are removed regardless of position, keeping
+/// the first occurrence, after aliases are resolved.
 fn parse_run(c: &mut Cursor) -> Result<Command, String> {
     let mut json = false;
     let mut trace = None;
@@ -463,18 +451,11 @@ fn parse_run(c: &mut Cursor) -> Result<Command, String> {
             _ => return Err(c.unknown()),
         }
     }
-    let profile = c.sub == PROFILE;
     if json && c.out.is_none() {
         return Err("--json requires --out <dir>".to_string());
     }
     if c.out.is_some() && !json {
         return Err("--out requires --json".to_string());
-    }
-    if profile && (json || trace.is_some() || chrome_trace.is_some()) {
-        return Err("`repro profile` renders to stdout; it takes no output flags".to_string());
-    }
-    if profile && c.words.is_empty() {
-        return Err("`repro profile` expects at least one target".to_string());
     }
     if c.sub == LIST || c.words.is_empty() || c.words.contains(&LIST) {
         return Ok(Command::List);
@@ -499,7 +480,6 @@ fn parse_run(c: &mut Cursor) -> Result<Command, String> {
         threads: c.threads,
         trace,
         chrome_trace,
-        profile,
     }))
 }
 

@@ -20,7 +20,6 @@ pub mod explain;
 pub mod figures;
 pub mod json;
 pub mod metrics_catalog;
-pub mod profile;
 pub mod replay;
 pub mod runner;
 pub mod scenario;

@@ -6,8 +6,7 @@
 //! at least one span, what fraction of the unit's simulated extent that
 //! is, and a fixed-resolution busy-fraction series for plotting. The
 //! summary is embedded in schema-v3 artifacts as the `timeline` block
-//! (see EXPERIMENTS.md) and consumed by `repro compare` and
-//! `repro profile`.
+//! (see EXPERIMENTS.md) and consumed by `repro compare`.
 
 use serde::Serialize;
 

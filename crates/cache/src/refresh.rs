@@ -13,12 +13,18 @@
 //! ```
 //!
 //! While a refresh is active, foreground extraction is slowed by
-//! `cfg.foreground_impact` (solver threads and copy engines compete with
+//! `FOREGROUND_IMPACT` (solver threads and copy engines compete with
 //! serving, §8.6 reports ≈10 %).
 
 use crate::cache::MultiGpuCache;
 use cache_policy::Placement;
 use std::collections::VecDeque;
+
+/// Fractional slowdown of foreground requests while a refresh is active.
+const FOREGROUND_IMPACT: f64 = 0.10;
+
+/// Estimated-time increase that triggers a refresh (10 %).
+const TRIGGER_RATIO: f64 = 0.10;
 
 /// Refresh tunables.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -29,10 +35,6 @@ pub struct RefreshConfig {
     pub entries_per_batch: usize,
     /// Simulated seconds between update batches (throttling).
     pub batch_interval_secs: f64,
-    /// Fractional slowdown of foreground requests while active (~0.10).
-    pub foreground_impact: f64,
-    /// Estimated-time increase that triggers a refresh (e.g. 0.10 = 10 %).
-    pub trigger_ratio: f64,
 }
 
 impl Default for RefreshConfig {
@@ -41,8 +43,6 @@ impl Default for RefreshConfig {
             solve_secs: 10.0,
             entries_per_batch: 4096,
             batch_interval_secs: 0.05,
-            foreground_impact: 0.10,
-            trigger_ratio: 0.10,
         }
     }
 }
@@ -100,7 +100,7 @@ impl Refresher {
     /// Whether estimated extraction-time drift warrants a refresh.
     pub fn should_refresh(&self, current_est_secs: f64, fresh_est_secs: f64) -> bool {
         self.phase == RefreshPhase::Idle
-            && current_est_secs > fresh_est_secs * (1.0 + self.cfg.trigger_ratio)
+            && current_est_secs > fresh_est_secs * (1.0 + TRIGGER_RATIO)
     }
 
     /// Whether a refresh is in progress.
@@ -111,7 +111,7 @@ impl Refresher {
     /// Foreground slowdown multiplier (≥ 1).
     pub fn slowdown(&self) -> f64 {
         if self.active() {
-            1.0 + self.cfg.foreground_impact
+            1.0 + FOREGROUND_IMPACT
         } else {
             1.0
         }
@@ -238,8 +238,6 @@ mod tests {
             solve_secs: 1.0,
             entries_per_batch: 16,
             batch_interval_secs: 0.1,
-            foreground_impact: 0.10,
-            trigger_ratio: 0.10,
         }
     }
 

@@ -156,7 +156,6 @@ fn check_refresher_lands_on_a_fresh_build(
         solve_secs: 1.0,
         entries_per_batch: 16,
         batch_interval_secs: 0.1,
-        ..RefreshConfig::default()
     });
     refresher.begin(0.0, from, target.clone());
     let mut now = 0.0;

@@ -46,29 +46,23 @@ use gpu_platform::{
 use rand::seq::SliceRandom;
 use std::ops::Range;
 
+/// Bytes per dispatched chunk (the unit of core occupancy).
+const CHUNK_BYTES: f64 = 256.0 * 1024.0;
+
 /// Engine tunables.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimConfig {
-    /// Bytes per dispatched chunk (the unit of core occupancy).
-    pub chunk_bytes: f64,
     /// Congestion model shared by all paths.
     pub congestion: CongestionModel,
     /// Fixed per-extraction kernel-launch overhead added to every GPU.
     pub launch_overhead: SimTime,
-    /// Factored mode only: serve local chunks as low-priority padding on
-    /// cores whose dedicated queue drained (§5.3). Disabling it (for the
-    /// ablation) makes local extraction a barrier phase that starts only
-    /// after every non-local group of the GPU finished.
-    pub factored_padding: bool,
 }
 
 impl Default for SimConfig {
     fn default() -> Self {
         SimConfig {
-            chunk_bytes: 256.0 * 1024.0,
             congestion: CongestionModel::default(),
             launch_overhead: SimTime::from_micros(15),
-            factored_padding: true,
         }
     }
 }
@@ -107,10 +101,6 @@ pub enum DispatchMode {
         /// Core-dedication tunables.
         dedication: DedicationConfig,
     },
-    /// All cores gang up on one source at a time, in demand order. A
-    /// dispatch mode for tests only: no figure or system builds it (the
-    /// message-based mechanism is analytic, `Extractor::message_based`).
-    Sequential,
 }
 
 /// Per-source outcome on one destination GPU.
@@ -353,7 +343,6 @@ impl Cohorts {
 #[derive(Debug, Clone, Default)]
 struct LoopScratch {
     cohorts: Cohorts,
-    waiting: Vec<usize>,
     gpu_busy: Vec<usize>,
     /// Per source index: non-local reader groups, in group-index order.
     egress_cands: Vec<Vec<usize>>,
@@ -485,11 +474,10 @@ impl Simulator {
     }
 
     /// Merges demands, builds groups and per-GPU queues, and hands every
-    /// core its first chunk. Unless `full_scan`, a GPU's remaining cores
-    /// are not even constructed once its groups have no chunks left: they
-    /// would be offered nothing now and — outside the no-padding ablation
-    /// and the reference loop's rescans — never looked at again.
-    pub(crate) fn build_state(&mut self, works: &[GpuWork], full_scan: bool) {
+    /// core its first chunk. A GPU's remaining cores are not even
+    /// constructed once its groups have no chunks left: no chunk ever
+    /// returns to a queue, so they would be offered nothing, now or later.
+    pub(crate) fn build_state(&mut self, works: &[GpuWork]) {
         let num_gpus = self.sm.len();
         // Collect per-(gpu, src) byte totals (merging duplicate sources).
         self.st.totals.iter_mut().for_each(Vec::clear);
@@ -529,7 +517,7 @@ impl Simulator {
             let first = self.st.groups.len();
             for k in 0..self.st.totals[gpu].len() {
                 let (src, bytes) = self.st.totals[gpu][k];
-                let by_size = (bytes / self.cfg.chunk_bytes).ceil().max(1.0) as u64;
+                let by_size = (bytes / CHUNK_BYTES).ceil().max(1.0) as u64;
                 let parallel_target = 2 * self.sm[gpu] as u64;
                 let by_floor = (bytes / MIN_CHUNK_BYTES).ceil().max(1.0) as u64;
                 let chunks = by_size.max(parallel_target.min(by_floor));
@@ -616,14 +604,13 @@ impl Simulator {
                         }
                     }
                 }
-                DispatchMode::Sequential => {}
             }
             let mut chunks_left: u64 = st.groups[my_groups].iter().map(|g| g.chunks_left).sum();
             // Cores `[.., bound)` not yet passed belong to `alloc[a]`; the
             // cores past every allotment are undedicated.
             let (mut a, mut bound) = (0usize, st.alloc.first().map_or(0, |x| x.1));
             for local_idx in 0..sm {
-                if chunks_left == 0 && !full_scan {
+                if chunks_left == 0 {
                     break;
                 }
                 let st = &mut self.st;
@@ -649,7 +636,7 @@ impl Simulator {
 
     /// Next chunk for core `ci` under its GPU's queue discipline, or `None`.
     pub(crate) fn dispatch(&mut self, ci: usize) -> Option<(usize, f64)> {
-        dispatch(self.mode, &self.cfg, &self.sm, &mut self.st, ci)
+        dispatch(self.mode, &self.sm, &mut self.st, ci)
     }
 }
 
@@ -657,7 +644,6 @@ impl Simulator {
 /// loop can call it while it holds the simulator's other fields.
 fn dispatch(
     mode: DispatchMode,
-    cfg: &SimConfig,
     sm: &[usize],
     st: &mut SimState,
     ci: usize,
@@ -679,31 +665,16 @@ fn dispatch(
             if let Some(job) = core.dedicated.and_then(|gi| take(&mut st.groups, gi)) {
                 return Some(job);
             }
-            let gi = st.local[core.gpu]?;
-            // Ablation: without padding, local runs as a barrier phase
-            // after every non-local group of this GPU has drained.
-            let mut others = st.gpu_groups[core.gpu].clone().filter(|&g| g != gi);
-            if !cfg.factored_padding && others.any(|g| st.groups[g].chunks_left > 0) {
-                return None;
-            }
-            take(&mut st.groups, gi)
+            take(&mut st.groups, st.local[core.gpu]?)
         }
-        DispatchMode::Sequential => st.gpu_groups[core.gpu]
-            .clone()
-            .find_map(|gi| take(&mut st.groups, gi)),
     }
 }
 
 impl Simulator {
     fn run(&mut self, works: &[GpuWork], record: bool) -> (ExtractionResult, ExtractionTrace) {
-        // A core whose dispatch returns `None` is permanently retired in
-        // every mode except the Factored no-padding ablation, where the
-        // local-phase barrier can release work later — only then are all
-        // cores built, and the idle ones kept on a `waiting` list to be
-        // re-offered work.
-        let may_revive =
-            matches!(self.mode, DispatchMode::Factored { .. }) && !self.cfg.factored_padding;
-        self.build_state(works, may_revive);
+        // A core whose dispatch returns `None` is permanently retired: no
+        // chunk ever returns to a queue.
+        self.build_state(works);
         let num_gpus = self.sm.len();
         let congestion = self.cfg.congestion;
         let mut trace = ExtractionTrace::default();
@@ -714,18 +685,13 @@ impl Simulator {
         let sc = &mut self.scratch;
         let st = &mut self.st;
         sc.cohorts.reset(st.cores.len(), st.groups.len());
-        sc.waiting.clear();
         sc.gpu_busy.clear();
         sc.gpu_busy.resize(num_gpus, 0);
         for (ci, c) in st.cores.iter().enumerate() {
-            match c.job {
-                Some((gi, rem)) => {
-                    st.groups[gi].active += 1;
-                    sc.gpu_busy[c.gpu] += 1;
-                    sc.cohorts.join(ci, gi, rem);
-                }
-                None if may_revive => sc.waiting.push(ci),
-                None => {}
+            if let Some((gi, rem)) = c.job {
+                st.groups[gi].active += 1;
+                sc.gpu_busy[c.gpu] += 1;
+                sc.cohorts.join(ci, gi, rem);
             }
         }
         sc.cohorts.seal(0);
@@ -918,9 +884,8 @@ impl Simulator {
             }
 
             // Completion transitions: record and retire finished cores,
-            // then re-dispatch them (and, in the revivable ablation, every
-            // other idle core) in ascending core order — the same order a
-            // full scan over all cores would use.
+            // then re-dispatch them in ascending core order — the same
+            // order a full scan over all cores would use.
             sc.finished.sort_unstable();
             for &(ci, gi) in &sc.finished {
                 let core = &st.cores[ci];
@@ -937,27 +902,15 @@ impl Simulator {
                 sc.gpu_busy[core.gpu] -= 1;
             }
             let first_new = sc.cohorts.list.len();
-            // Offers core `ci` work at `now`; true when it took a chunk.
-            let mut offer = |ci: usize| {
-                let job = dispatch(self.mode, &self.cfg, &self.sm, &mut self.st, ci);
-                let Some((gi, rem)) = job else { return false };
-                self.st.job_start[ci] = now;
-                self.st.groups[gi].active += 1;
-                sc.gpu_busy[self.st.cores[ci].gpu] += 1;
-                sc.cohorts.join(ci, gi, rem);
-                true
-            };
             for &(ci, _) in &sc.finished {
-                if !offer(ci) && may_revive {
-                    let pos = sc.waiting.binary_search(&ci).unwrap_err();
-                    sc.waiting.insert(pos, ci);
+                let st = &mut self.st;
+                if let Some((gi, rem)) = dispatch(self.mode, &self.sm, st, ci) {
+                    st.job_start[ci] = now;
+                    st.groups[gi].active += 1;
+                    sc.gpu_busy[st.cores[ci].gpu] += 1;
+                    sc.cohorts.join(ci, gi, rem);
                 }
             }
-            // The barrier release may happen mid-instant (a finished core's
-            // dispatch drained the last non-local chunk), so idle cores are
-            // re-offered work in the same instant, like the full rescan did.
-            // (`waiting` is empty unless `may_revive`.)
-            sc.waiting.retain(|&ci| !offer(ci));
             sc.cohorts.seal(first_new);
         }
 
@@ -1064,7 +1017,6 @@ impl Simulator {
             let mode_label = match self.mode {
                 DispatchMode::RandomShared { .. } => "random",
                 DispatchMode::Factored { .. } => "factored",
-                DispatchMode::Sequential => "sequential",
             };
             Fields::new(
                 &[
@@ -1209,6 +1161,15 @@ mod tests {
         }
     }
 
+    /// Every core of a GPU reading its one source.
+    const SHARED: DispatchMode = DispatchMode::RandomShared { seed: 0 };
+
+    fn factored() -> DispatchMode {
+        DispatchMode::Factored {
+            dedication: DedicationConfig::default(),
+        }
+    }
+
     /// Bytes `g` moved from `src` (0 if none).
     fn moved(g: &GpuExtraction, src: Location) -> f64 {
         g.per_src
@@ -1221,12 +1182,7 @@ mod tests {
     fn local_only_matches_bandwidth() {
         let p = Platform::server_c();
         let bytes = 1e9;
-        let r = simulate(
-            &p,
-            &cfg(),
-            &one_gpu_work(Location::Gpu(0), bytes),
-            DispatchMode::Sequential,
-        );
+        let r = simulate(&p, &cfg(), &one_gpu_work(Location::Gpu(0), bytes), SHARED);
         let expect = bytes / p.gpus[0].local_bw;
         let got = r.makespan.as_secs_f64();
         assert!(
@@ -1239,14 +1195,7 @@ mod tests {
     fn host_only_is_pcie_bound() {
         let p = Platform::server_c();
         let bytes = 1e9;
-        let r = simulate(
-            &p,
-            &cfg(),
-            &one_gpu_work(Location::Host, bytes),
-            DispatchMode::Factored {
-                dedication: DedicationConfig::default(),
-            },
-        );
+        let r = simulate(&p, &cfg(), &one_gpu_work(Location::Host, bytes), factored());
         let expect = bytes / p.gpus[0].pcie_bw;
         let got = r.makespan.as_secs_f64();
         assert!(
@@ -1279,14 +1228,7 @@ mod tests {
             })
             .collect();
         let naive = simulate(&p, &cfg(), &works, DispatchMode::RandomShared { seed: 1 });
-        let fem = simulate(
-            &p,
-            &cfg(),
-            &works,
-            DispatchMode::Factored {
-                dedication: DedicationConfig::default(),
-            },
-        );
+        let fem = simulate(&p, &cfg(), &works, factored());
         assert!(
             fem.makespan < naive.makespan,
             "FEM {} should beat naive {}",
@@ -1305,7 +1247,7 @@ mod tests {
                 gpu: 0,
                 demands: vec![],
             }],
-            DispatchMode::Sequential,
+            factored(),
         );
         assert_eq!(r.makespan, SimTime::ZERO);
     }
@@ -1330,14 +1272,7 @@ mod tests {
                 },
             ],
         }];
-        let r = simulate(
-            &p,
-            &cfg(),
-            &works,
-            DispatchMode::Factored {
-                dedication: DedicationConfig::default(),
-            },
-        );
+        let r = simulate(&p, &cfg(), &works, factored());
         let g = &r.per_gpu[0];
         assert!((moved(g, Location::Gpu(1)) - 3e8).abs() < 1e3);
         assert!((moved(g, Location::Gpu(2)) - 2e8).abs() < 1e3);
@@ -1360,7 +1295,7 @@ mod tests {
                 },
             ],
         }];
-        let r = simulate(&p, &cfg(), &works, DispatchMode::Sequential);
+        let r = simulate(&p, &cfg(), &works, SHARED);
         assert!((moved(&r.per_gpu[0], Location::Gpu(2)) - 2e8).abs() < 1e3);
     }
 
@@ -1376,8 +1311,7 @@ mod tests {
             half(Location::Host),
             half(Location::Gpu(2)),
         ];
-        let (r, report) =
-            emb_telemetry::collect(|| simulate(&p, &cfg(), &works, DispatchMode::Sequential));
+        let (r, report) = emb_telemetry::collect(|| simulate(&p, &cfg(), &works, factored()));
         // One entry carrying the merged demands, not one per work.
         assert_eq!(r.per_gpu.len(), 1);
         assert_eq!(r.per_gpu[0].gpu, 1);
@@ -1398,12 +1332,7 @@ mod tests {
     #[should_panic(expected = "cannot read")]
     fn unreachable_source_panics() {
         let p = Platform::server_b();
-        let _ = simulate(
-            &p,
-            &cfg(),
-            &one_gpu_work(Location::Gpu(5), 1e6),
-            DispatchMode::Sequential,
-        );
+        let _ = simulate(&p, &cfg(), &one_gpu_work(Location::Gpu(5), 1e6), SHARED);
     }
 
     #[test]
@@ -1415,15 +1344,6 @@ mod tests {
                 gpu,
                 demands: vec![SourceDemand {
                     src: Location::Gpu(0),
-                    bytes: 500e6,
-                }],
-            })
-            .collect();
-        let spread: Vec<GpuWork> = (1..=4)
-            .map(|gpu| GpuWork {
-                gpu,
-                demands: vec![SourceDemand {
-                    src: Location::Gpu(5),
                     bytes: 500e6,
                 }],
             })
@@ -1440,9 +1360,8 @@ mod tests {
                 }],
             })
             .collect();
-        let _ = spread;
-        let t_collide = simulate(&p, &cfg(), &collide, DispatchMode::Sequential).makespan;
-        let t_spread = simulate(&p, &cfg(), &spread_each, DispatchMode::Sequential).makespan;
+        let t_collide = simulate(&p, &cfg(), &collide, SHARED).makespan;
+        let t_spread = simulate(&p, &cfg(), &spread_each, SHARED).makespan;
         assert!(
             t_collide > t_spread.mul_f64(1.5),
             "collide {} vs spread {}",
@@ -1475,54 +1394,6 @@ mod tests {
     }
 
     #[test]
-    fn padding_beats_barrier_local_phase() {
-        let p = Platform::server_c();
-        // Meaningful local work plus uneven non-local work: padding lets
-        // drained cores start local early; the barrier variant waits.
-        let works: Vec<GpuWork> = (0..8)
-            .map(|gpu| GpuWork {
-                gpu,
-                demands: vec![
-                    SourceDemand {
-                        src: Location::Gpu(gpu),
-                        bytes: 800e6,
-                    },
-                    SourceDemand {
-                        src: Location::Gpu((gpu + 1) % 8),
-                        bytes: 100e6,
-                    },
-                    SourceDemand {
-                        src: Location::Host,
-                        bytes: 60e6,
-                    },
-                ],
-            })
-            .collect();
-        let mode = DispatchMode::Factored {
-            dedication: DedicationConfig::default(),
-        };
-        let with = simulate(&p, &cfg(), &works, mode);
-        let mut no_pad = cfg();
-        no_pad.factored_padding = false;
-        let without = simulate(&p, &no_pad, &works, mode);
-        assert!(
-            with.makespan < without.makespan,
-            "padding {} should beat barrier {}",
-            with.makespan,
-            without.makespan
-        );
-        // Bytes identical either way.
-        let b = |r: &ExtractionResult| -> f64 {
-            r.per_gpu
-                .iter()
-                .flat_map(|g| g.per_src.iter())
-                .map(|u| u.bytes)
-                .sum()
-        };
-        assert!((b(&with) - b(&without)).abs() < 1e3);
-    }
-
-    #[test]
     fn spans_cover_extraction_and_stack_on_scope_clock() {
         let p = Platform::server_c();
         let works: Vec<GpuWork> = (0..2)
@@ -1541,8 +1412,8 @@ mod tests {
             })
             .collect();
         let ((r1, r2), report) = emb_telemetry::collect(|| {
-            let r1 = simulate(&p, &cfg(), &works, DispatchMode::Sequential);
-            let r2 = simulate(&p, &cfg(), &works, DispatchMode::Sequential);
+            let r1 = simulate(&p, &cfg(), &works, factored());
+            let r2 = simulate(&p, &cfg(), &works, factored());
             (r1, r2)
         });
         assert!(!report.spans.is_empty());
@@ -1568,7 +1439,7 @@ mod tests {
             .any(|s| s.start_ns >= r1.makespan.as_nanos()));
         assert_eq!(report.clock_ns, horizon);
         // Span recording must not perturb the simulation itself.
-        let bare = simulate(&p, &cfg(), &works, DispatchMode::Sequential);
+        let bare = simulate(&p, &cfg(), &works, factored());
         assert_eq!(bare.makespan, r1.makespan);
         assert_eq!(r1.makespan, r2.makespan);
     }
@@ -1578,12 +1449,7 @@ mod tests {
         let p = Platform::server_a();
         let mut c = cfg();
         c.launch_overhead = SimTime::from_micros(100);
-        let r = simulate(
-            &p,
-            &c,
-            &one_gpu_work(Location::Gpu(0), 1e6),
-            DispatchMode::Sequential,
-        );
+        let r = simulate(&p, &c, &one_gpu_work(Location::Gpu(0), 1e6), SHARED);
         assert!(r.makespan >= SimTime::from_micros(100));
     }
 }

@@ -18,11 +18,10 @@
 //! * **core stall** — a core occupied by a slow transfer cannot serve
 //!   other work, which the event engine captures naturally.
 //!
-//! Two dispatch modes correspond to the extraction mechanisms of
-//! §3.2/§5: [`DispatchMode::RandomShared`] (naive peer access, random key
+//! The two dispatch modes are the extraction mechanisms of §3.2/§5:
+//! [`DispatchMode::RandomShared`] (naive peer access, random key
 //! dispatch) and [`DispatchMode::Factored`] (UGache's core dedication with
-//! local-extraction padding). [`DispatchMode::Sequential`] (one source at
-//! a time) is a dispatch mode used by tests.
+//! local-extraction padding).
 
 #![deny(missing_docs)]
 

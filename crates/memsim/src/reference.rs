@@ -5,9 +5,9 @@
 //! every step it recounts the active cores of every group by scanning all
 //! cores, re-collects/re-sorts/re-dedups the egress source list, and
 //! re-offers work to every idle core with a full rescan. It shares the
-//! state construction (with every core built, since it rescans them
-//! all), dispatch discipline, span emission and result assembly with the
-//! optimized engine through a one-shot [`Simulator`], so the two differ
+//! state construction, dispatch discipline, span emission and result
+//! assembly with the optimized engine through a one-shot [`Simulator`],
+//! so the two differ
 //! only in the per-step bookkeeping — which is the claim
 //! the differential tests pin down: bit-identical results, traces and
 //! telemetry. Do not "improve" this loop; its value is being the fixed
@@ -57,9 +57,9 @@ fn run_reference(
     mode: DispatchMode,
     record: bool,
 ) -> (ExtractionResult, ExtractionTrace) {
-    // Set-up and initial assignment, every core built.
+    // Set-up and initial assignment.
     let mut sim = Simulator::new(platform, cfg, mode);
-    sim.build_state(works, true);
+    sim.build_state(works);
     let mut job_start = vec![0.0f64; sim.st.cores.len()];
     let mut trace = ExtractionTrace::default();
 
@@ -283,8 +283,9 @@ fn run_reference(
             sim.st.cores[ci].job = job;
             job_start[ci] = now;
         }
-        // Idle cores may become eligible again (e.g. the no-padding
-        // ablation releases local work once non-local groups drain).
+        // The original full rescan of idle cores. No chunk ever returns to
+        // a queue, so it finds none with work (the differential suite's
+        // `revived` check).
         for ci in 0..sim.st.cores.len() {
             if sim.st.cores[ci].job.is_none() {
                 let job = sim.dispatch(ci);

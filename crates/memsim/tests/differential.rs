@@ -120,7 +120,6 @@ fn modes() -> Vec<DispatchMode> {
         DispatchMode::Factored {
             dedication: DedicationConfig::default(),
         },
-        DispatchMode::Sequential,
     ]
 }
 
@@ -133,33 +132,20 @@ fn results_match_reference_across_modes_and_platforms() {
     ] {
         for (name, works) in inputs(&platform) {
             for mode in modes() {
-                let opt = simulate(&platform, &cfg(), &works, mode);
-                let refr = simulate_reference(&platform, &cfg(), &works, mode);
-                assert_eq!(opt, refr, "{name} under {mode:?} on {}", platform.name);
-            }
-        }
-    }
-}
-
-#[test]
-fn results_match_reference_without_padding() {
-    // The Factored no-padding ablation exercises the barrier-release
-    // revival path, the only case where an idle core can pick up work
-    // again after a None dispatch.
-    let mut c = cfg();
-    c.factored_padding = false;
-    let mode = DispatchMode::Factored {
-        dedication: DedicationConfig::default(),
-    };
-    for platform in [Platform::server_a(), Platform::server_c()] {
-        for (name, works) in inputs(&platform) {
-            let (opt_r, opt_t) = simulate_traced(&platform, &c, &works, mode);
-            let (ref_r, ref_t) = simulate_reference_traced(&platform, &c, &works, mode);
-            assert_eq!(opt_r, ref_r, "{name} without padding on {}", platform.name);
-            assert_eq!(event_bits(&opt_t), event_bits(&ref_t));
-            if name == "dlr" {
-                // A core idled at the barrier and took a local chunk later.
-                assert!(revived(&ref_t), "no core revived on {}", platform.name);
+                let (opt_r, opt_t) = simulate_traced(&platform, &cfg(), &works, mode);
+                let (ref_r, ref_t) = simulate_reference_traced(&platform, &cfg(), &works, mode);
+                assert_eq!(opt_r, ref_r, "{name} under {mode:?} on {}", platform.name);
+                // A core that ran dry is never offered work again.
+                assert!(
+                    !revived(&opt_t),
+                    "{name} under {mode:?} on {}",
+                    platform.name
+                );
+                assert!(
+                    !revived(&ref_t),
+                    "{name} under {mode:?} on {}",
+                    platform.name
+                );
             }
         }
     }
@@ -234,7 +220,8 @@ fn groups_finish_together(t: &ExtractionTrace) -> bool {
     ends.windows(2).any(|w| w[0].0 == w[1].0)
 }
 
-/// Whether some core sat idle between two of its chunks.
+/// Whether some core sat idle between two of its chunks: took a chunk
+/// after an instant at which it had none.
 fn revived(t: &ExtractionTrace) -> bool {
     let mut by_core: Vec<_> = t
         .events
@@ -300,8 +287,7 @@ proptest! {
             1 => Platform::server_b(),
             _ => Platform::server_c(),
         };
-        let mut c = cfg();
-        c.factored_padding = rng.gen_bool(0.5);
+        let c = cfg();
         for mode in modes() {
             let mut sim = Simulator::new(&platform, &c, mode);
             for _ in 0..5 {
@@ -322,6 +308,7 @@ proptest! {
                 prop_assert_eq!(&r, &ref_r, "result vs reference under {:?}", mode);
                 prop_assert_eq!(event_bits(&t), event_bits(&fresh_t));
                 prop_assert_eq!(event_bits(&t), event_bits(&ref_t));
+                prop_assert!(!revived(&t), "a core revived under {:?}", mode);
                 prop_assert_eq!(&report, &fresh_report, "telemetry vs fresh under {:?}", mode);
                 prop_assert_eq!(&report, &ref_report, "telemetry vs reference under {:?}", mode);
             }

@@ -53,7 +53,6 @@ proptest! {
         let works = works_for(&plat, local * 1e6, remote * 1e6, host * 1e6);
         let expected = (local + remote + host) * 1e6;
         for mode in [
-            DispatchMode::Sequential,
             DispatchMode::RandomShared { seed },
             DispatchMode::Factored { dedication: DedicationConfig::default() },
         ] {
@@ -119,7 +118,6 @@ proptest! {
         let ideal_cfg = SimConfig {
             congestion: CongestionModel { penalty: 0.0 },
             launch_overhead: SimTime::ZERO,
-            ..SimConfig::default()
         };
         let mode = DispatchMode::RandomShared { seed };
         let ideal = simulate(&plat, &ideal_cfg, &works, mode);

@@ -5,31 +5,29 @@ use crate::simplex::{solve_lp, LpStatus};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-/// Branch-and-bound limits and tolerances.
+/// Integrality tolerance.
+const INT_TOL: f64 = 1e-6;
+
+/// Relative optimality gap at which the search stops early.
+const REL_GAP: f64 = 1e-6;
+
+/// Branch-and-bound limits.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MilpOptions {
     /// Maximum branch-and-bound nodes to explore.
     pub max_nodes: usize,
-    /// Integrality tolerance.
-    pub int_tol: f64,
-    /// Relative optimality gap at which the search stops early.
-    pub rel_gap: f64,
 }
 
 impl Default for MilpOptions {
     fn default() -> Self {
-        MilpOptions {
-            max_nodes: 20_000,
-            int_tol: 1e-6,
-            rel_gap: 1e-6,
-        }
+        MilpOptions { max_nodes: 20_000 }
     }
 }
 
 /// Outcome classification of a MILP solve.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MilpStatus {
-    /// Incumbent proven optimal (within the configured gap).
+    /// Incumbent proven optimal (within a relative gap of 1e-6).
     Optimal,
     /// Node limit hit; the incumbent is feasible but not proven optimal.
     Feasible,
@@ -157,7 +155,7 @@ pub fn solve_milp(model: &Model, opts: &MilpOptions) -> MilpResult {
         global_bound = node.lp_bound;
 
         // Prune against incumbent.
-        if node.lp_bound >= best_obj - gap_abs(best_obj, opts.rel_gap) {
+        if node.lp_bound >= best_obj - gap_abs(best_obj) {
             // Best-first: every remaining node is at least as bad.
             global_bound = best_obj;
             break;
@@ -167,7 +165,7 @@ pub fn solve_milp(model: &Model, opts: &MilpOptions) -> MilpResult {
             Ok(s) => s,
             Err(_) => continue, // infeasible or numerically stuck: prune
         };
-        if sol.objective >= best_obj - gap_abs(best_obj, opts.rel_gap) {
+        if sol.objective >= best_obj - gap_abs(best_obj) {
             continue;
         }
 
@@ -176,7 +174,7 @@ pub fn solve_milp(model: &Model, opts: &MilpOptions) -> MilpResult {
             .iter()
             .copied()
             .map(|v| (v, (sol.x[v] - sol.x[v].round()).abs()))
-            .filter(|&(_, f)| f > opts.int_tol)
+            .filter(|&(_, f)| f > INT_TOL)
             .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap());
 
         match frac_var {
@@ -216,7 +214,7 @@ pub fn solve_milp(model: &Model, opts: &MilpOptions) -> MilpResult {
             MilpStatus::NoSolutionFound
         }
     } else if heap.is_empty()
-        || global_bound >= best_obj - gap_abs(best_obj, opts.rel_gap)
+        || global_bound >= best_obj - gap_abs(best_obj)
         || nodes < opts.max_nodes && heap.peek().is_none_or(|n| n.lp_bound >= best_obj)
     {
         MilpStatus::Optimal
@@ -232,9 +230,9 @@ pub fn solve_milp(model: &Model, opts: &MilpOptions) -> MilpResult {
     }
 }
 
-fn gap_abs(obj: f64, rel: f64) -> f64 {
+fn gap_abs(obj: f64) -> f64 {
     if obj.is_finite() {
-        rel * obj.abs().max(1.0)
+        REL_GAP * obj.abs().max(1.0)
     } else {
         0.0
     }
@@ -380,13 +378,7 @@ mod tests {
                 .collect::<Vec<_>>(),
         );
         m.add_constraint(e, Le, 20.0);
-        let r = solve_milp(
-            &m,
-            &MilpOptions {
-                max_nodes: 5,
-                ..Default::default()
-            },
-        );
+        let r = solve_milp(&m, &MilpOptions { max_nodes: 5 });
         assert!(r.nodes <= 6);
         // With the rounding heuristic an incumbent usually exists; either
         // way the status must reflect reality.

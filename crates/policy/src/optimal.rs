@@ -375,10 +375,7 @@ mod tests {
             512,
             1e5,
             true,
-            &MilpOptions {
-                max_nodes: 50_000,
-                ..Default::default()
-            },
+            &MilpOptions { max_nodes: 50_000 },
         )
         .unwrap();
 

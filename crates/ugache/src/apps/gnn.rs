@@ -17,8 +17,6 @@ pub struct GnnAppConfig {
     pub mlp: MlpCostModel,
     /// Sampling cost model.
     pub sampling: SamplingCostModel,
-    /// GNNLab only: GPUs dedicated to sampling (0 = auto, `⌈G/4⌉`).
-    pub gnnlab_sampler_gpus: usize,
 }
 
 impl Default for GnnAppConfig {
@@ -28,7 +26,6 @@ impl Default for GnnAppConfig {
             measure_iters: 3,
             mlp: MlpCostModel::default(),
             sampling: SamplingCostModel::default(),
-            gnnlab_sampler_gpus: 0,
         }
     }
 }
@@ -112,15 +109,22 @@ pub fn run_gnn_epoch(
     );
 
     let train_set = dataset.train_set.len();
-    let (iters, iter_secs, sample_epoch, other_epoch) = match kind {
-        SystemKind::GnnLab => {
+    // GNNLab dedicates `⌈G/4⌉` GPUs to sampling and keeps at least one
+    // trainer; on one GPU there is none to spare, and it samples co-located.
+    let samplers = match kind {
+        SystemKind::GnnLab => g.div_ceil(4).min(g - 1),
+        _ => 0,
+    };
+    let (iters, iter_secs, sample_epoch, other_epoch) = match samplers {
+        0 => {
+            // Co-located sampling: sample → extract → train per iteration.
+            let iters = train_set.div_ceil(cfg.batch_size * g).max(1);
+            let it = sample_per_iter + extract_per_iter + train_per_iter;
+            (iters, it, sample_per_iter * iters as f64, 0.0)
+        }
+        _ => {
             // Dedicated sampler GPUs overlap sampling with training but
             // shrink the trainer pool and add host-queue transfers.
-            let samplers = if cfg.gnnlab_sampler_gpus > 0 {
-                cfg.gnnlab_sampler_gpus.min(g - 1)
-            } else {
-                g.div_ceil(4).min(g - 1)
-            };
             let trainers = g - samplers;
             let iters = train_set.div_ceil(cfg.batch_size * trainers).max(1);
             // Samplers produce `trainers` batches per iteration.
@@ -135,12 +139,6 @@ pub fn run_gnn_epoch(
                 sample_rate * iters as f64,
                 queue * iters as f64,
             )
-        }
-        _ => {
-            // Co-located sampling: sample → extract → train per iteration.
-            let iters = train_set.div_ceil(cfg.batch_size * g).max(1);
-            let it = sample_per_iter + extract_per_iter + train_per_iter;
-            (iters, it, sample_per_iter * iters as f64, 0.0)
         }
     };
 
@@ -163,7 +161,7 @@ mod tests {
     use crate::baselines::build_system;
     use cache_policy::Hotness;
     use emb_workload::{gnn_preset, GnnDatasetId, GnnModel};
-    use gpu_platform::Platform;
+    use gpu_platform::{GpuSpec, Platform};
 
     fn setup(platform: &Platform) -> (GnnWorkload, Hotness) {
         let d = gnn_preset(GnnDatasetId::Pa, 2048, 3);
@@ -237,6 +235,38 @@ mod tests {
         let (w, h) = setup(&plat);
         let r = run(SystemKind::GnnLab, &plat, &w, &h);
         assert!(r.other_secs > 0.0, "GNNLab must pay queue overhead");
+    }
+
+    #[test]
+    fn gnnlab_on_one_gpu_samples_co_located() {
+        let plat = Platform::single(GpuSpec::a100(80), 1 << 40);
+        let (w, h) = setup(&plat);
+        let d = w.dataset();
+        let cap = gnn_cache_capacity(&plat, d, SystemKind::GnnLab);
+        let accesses = w.clone().measure_accesses_per_iter(2);
+        let mut system = build_system(
+            SystemKind::GnnLab,
+            &plat,
+            &h,
+            cap,
+            d.entry_bytes,
+            accesses,
+            0xE9,
+        )
+        .unwrap();
+        let gnnlab = run_gnn_epoch(&system, &mut w.clone(), &cfg());
+        assert!(gnnlab.epoch_secs.is_finite(), "{}", gnnlab.epoch_secs);
+        // The same system read as a co-located row: GNNLab's placement
+        // and mechanism, WholeGraph's name.
+        system.kind = SystemKind::WholeGraph;
+        let co_located = run_gnn_epoch(&system, &mut w.clone(), &cfg());
+        assert_eq!(
+            EpochReport {
+                system: co_located.system.clone(),
+                ..gnnlab
+            },
+            co_located
+        );
     }
 
     #[test]

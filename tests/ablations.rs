@@ -3,17 +3,18 @@
 //! off and checks the *simulated* effect goes the way the paper argues.
 //! The numbers are deterministic (seeded keys, virtual time).
 //!
-//! Two ablations are asserted elsewhere and not repeated here: local
-//! padding vs a barrier phase (`gpu-memsim`'s
-//! `padding_beats_barrier_local_phase`) and the block-count trade-off
-//! (`figure_shapes.rs::fig9_caps_hold`).
+//! One ablation is asserted elsewhere and not repeated here: the
+//! block-count trade-off (`figure_shapes.rs::fig9_caps_hold`).
 
 use cache_policy::{baselines, Hotness, SolverConfig, UGacheSolver};
 use emb_cache::LruCache;
 use emb_util::zipf::powerlaw_hotness;
+use emb_util::SimTime;
 use extractor::{Extractor, Mechanism};
-use gpu_memsim::{CongestionModel, SimConfig};
-use gpu_platform::{DedicationConfig, Platform};
+use gpu_memsim::{
+    simulate, CongestionModel, DispatchMode, ExtractionResult, GpuWork, SimConfig, SourceDemand,
+};
+use gpu_platform::{DedicationConfig, Location, Platform};
 
 const N: usize = 100_000;
 const BYTES: usize = 512;
@@ -83,6 +84,62 @@ fn host_first_dedication_beats_starving_the_host_group() {
         starved > host_first * 1.1,
         "one host core {starved:.6}s should clearly exceed the 12% cap {host_first:.6}s"
     );
+}
+
+/// Local padding (§5.3): local chunks fill the cores whose dedicated
+/// queue drained. The barrier alternative starts local extraction only
+/// after every non-local group of the GPU drained — two calls, first the
+/// non-local demands and then the local ones, so that each GPU's barrier
+/// time is the sum of its two phases.
+#[test]
+fn local_padding_beats_a_barrier_phase() {
+    let plat = Platform::server_c();
+    let g = plat.num_gpus();
+    // Meaningful local work plus uneven non-local work; `keep` is told
+    // whether a demand is local.
+    let works = |keep: fn(bool) -> bool| -> Vec<GpuWork> {
+        (0..g)
+            .map(|gpu| GpuWork {
+                gpu,
+                demands: [
+                    (Location::Gpu(gpu), 800e6),
+                    (Location::Gpu((gpu + 1) % g), 100e6),
+                    (Location::Host, 60e6),
+                ]
+                .into_iter()
+                .filter(|&(src, _)| keep(src == Location::Gpu(gpu)))
+                .map(|(src, bytes)| SourceDemand { src, bytes })
+                .collect(),
+            })
+            .collect()
+    };
+    let sim = SimConfig {
+        launch_overhead: SimTime::ZERO,
+        ..SimConfig::default()
+    };
+    let mode = DispatchMode::Factored {
+        dedication: DedicationConfig::default(),
+    };
+    let run = |keep| simulate(&plat, &sim, &works(keep), mode);
+    let padded = run(|_| true);
+    let (non_local, local) = (run(|local| !local), run(|local| local));
+    for gpu in 0..g {
+        let barrier = non_local.per_gpu[gpu].time + local.per_gpu[gpu].time;
+        let padding = padded.per_gpu[gpu].time;
+        assert!(
+            padding < barrier,
+            "gpu{gpu}: padding {padding} should beat the barrier {barrier}"
+        );
+    }
+    let moved = |r: &ExtractionResult| -> f64 {
+        r.per_gpu
+            .iter()
+            .flat_map(|g| &g.per_src)
+            .map(|u| u.bytes)
+            .sum()
+    };
+    let barrier_moved = moved(&non_local) + moved(&local);
+    assert!((moved(&padded) - barrier_moved).abs() < 1e3);
 }
 
 /// Dedup adjustment: solving on raw hotness over-replicates hot entries
