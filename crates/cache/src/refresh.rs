@@ -26,6 +26,9 @@ const FOREGROUND_IMPACT: f64 = 0.10;
 /// Estimated-time increase that triggers a refresh (10 %).
 const TRIGGER_RATIO: f64 = 0.10;
 
+/// Entries [`Refresher::begin`] compares at a time between placements.
+const DIFF_CHUNK: usize = 64;
+
 /// Refresh tunables.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RefreshConfig {
@@ -132,11 +135,22 @@ impl Refresher {
         for gpu in 0..current.num_gpus {
             let mut evict: Vec<u32> = Vec::new();
             let mut insert: Vec<u32> = Vec::new();
-            for e in 0..current.num_entries {
-                match (current.stored[gpu][e], target.stored[gpu][e]) {
-                    (true, false) => evict.push(e as u32),
-                    (false, true) => insert.push(e as u32),
-                    _ => {}
+            // A refresh moves few of the entries: compare whole chunks and
+            // look inside only those that differ.
+            let chunks = current.stored[gpu]
+                .chunks(DIFF_CHUNK)
+                .zip(target.stored[gpu].chunks(DIFF_CHUNK));
+            for (c, (was, will)) in chunks.enumerate() {
+                if was == will {
+                    continue;
+                }
+                for (k, (&was, &will)) in was.iter().zip(will).enumerate() {
+                    let e = (c * DIFF_CHUNK + k) as u32;
+                    match (was, will) {
+                        (true, false) => evict.push(e),
+                        (false, true) => insert.push(e),
+                        _ => {}
+                    }
                 }
             }
             // Split into throttled batches, evictions first within each
@@ -307,6 +321,74 @@ mod tests {
             duration >= cfg.solve_secs + 1.0,
             "refresh finished suspiciously fast: {duration}s"
         );
+    }
+
+    /// `begin`'s diff before it compared chunks: every entry, in order,
+    /// cut into batches of `per` evictions and `per` insertions.
+    fn per_entry_batches(
+        current: &Placement,
+        target: &Placement,
+        per: usize,
+    ) -> Vec<(usize, Vec<u32>, Vec<u32>)> {
+        let mut out = Vec::new();
+        for gpu in 0..current.num_gpus {
+            let (mut evict, mut insert) = (Vec::new(), Vec::new());
+            for e in 0..current.num_entries {
+                match (current.stored[gpu][e], target.stored[gpu][e]) {
+                    (true, false) => evict.push(e as u32),
+                    (false, true) => insert.push(e as u32),
+                    _ => {}
+                }
+            }
+            let (mut ev, mut ins) = (evict.chunks(per), insert.chunks(per));
+            loop {
+                match (ev.next(), ins.next()) {
+                    (None, None) => break,
+                    (a, b) => out.push((
+                        gpu,
+                        a.unwrap_or_default().to_vec(),
+                        b.unwrap_or_default().to_vec(),
+                    )),
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn chunked_diff_batches_as_the_per_entry_diff() {
+        // Three whole chunks of 64 and a partial one; changes on both
+        // sides of each chunk edge and in the partial chunk, one GPU
+        // evicting what another inserts.
+        let n = 3 * 64 + 17;
+        let mut current = Placement::all_host(3, n);
+        for e in (0..n).step_by(3) {
+            current.stored[0][e] = true;
+            current.stored[1][e] = e % 2 == 0;
+        }
+        let mut target = current.clone();
+        for e in [0, 63, 64, 127, 128, n - 17, n - 2, n - 1] {
+            target.stored[0][e] = !current.stored[0][e];
+            target.stored[2][e] = true;
+        }
+        target.stored[1][191] = !current.stored[1][191];
+        for per in [1, 2, 3, 64] {
+            let mut r = Refresher::new(RefreshConfig {
+                entries_per_batch: per,
+                ..small_cfg()
+            });
+            r.begin(0.0, &current, target.clone());
+            let got: Vec<_> = r
+                .batches
+                .iter()
+                .map(|b| (b.gpu, b.evict.clone(), b.insert.clone()))
+                .collect();
+            assert_eq!(got, per_entry_batches(&current, &target, per), "per {per}");
+        }
+        // Equal placements: no batch at all.
+        let mut r = Refresher::new(small_cfg());
+        r.begin(0.0, &target, target.clone());
+        assert!(r.batches.is_empty());
     }
 
     #[test]

@@ -48,17 +48,28 @@ pub fn estimate_extraction_time(
         "hotness length mismatch"
     );
 
-    let norm = hotness.normalized();
+    let total = hotness.total();
     let scale = accesses_per_iter * entry_bytes as f64;
     let host = g;
 
+    // Each entry's share of the accesses, with the bits
+    // `Hotness::normalized` gives it, added to every GPU's sum in entry
+    // order. A zero share would add `+0.0`, which leaves a sum that starts
+    // at `+0.0` with its bits: a sampler's mostly-zero snapshot costs one
+    // scan and its non-zero entries.
     let mut per_source = vec![vec![0.0f64; g + 1]; g];
-    for i in 0..g {
-        let access = &placement.access[i];
-        for (e, &w) in norm.iter().enumerate() {
-            let j = access[e] as usize;
-            per_source[i][j] += w;
+    if total > 0.0 {
+        for (e, &w) in hotness.weights.iter().enumerate() {
+            if w == 0.0 {
+                continue;
+            }
+            let share = w / total;
+            for (row, access) in per_source.iter_mut().zip(&placement.access) {
+                row[access[e] as usize] += share;
+            }
         }
+    }
+    for i in 0..g {
         for j in 0..=host {
             let t = profile.sec_per_byte[i][j];
             if per_source[i][j] > 0.0 {

@@ -241,6 +241,13 @@ impl<'a> Rotation<'a> {
         }
     }
 
+    /// Whether this is the host pattern's round-robin, which lays every
+    /// position out as [`crate::Placement::all_host`] does: no holders,
+    /// every GPU reading from host.
+    pub(crate) fn is_host(&self) -> bool {
+        self.pattern.kind == PatternKind::Host
+    }
+
     /// The holders of the entry at position `r` and the source each GPU
     /// reads it from.
     pub(crate) fn at(&mut self, r: usize) -> (&[usize], &[SourceIdx]) {
@@ -314,6 +321,30 @@ mod tests {
                         fresh.at(r),
                         (pat.holders(&plat, r).as_slice(), rotation.at(r).1)
                     );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn only_the_host_rotation_is_host_and_it_lays_out_as_all_host() {
+        for plat in [
+            Platform::server_a(),
+            Platform::server_b(),
+            Platform::server_c(),
+        ] {
+            let g = plat.num_gpus();
+            let all_host = crate::Placement::all_host(g, 1);
+            let host_reads: Vec<SourceIdx> = all_host.access.iter().map(|row| row[0]).collect();
+            for pat in &generate_patterns(&plat) {
+                let mut rotation = Rotation::new(pat, &plat);
+                assert_eq!(rotation.is_host(), pat.kind == PatternKind::Host);
+                if rotation.is_host() {
+                    for r in [0, 1, 7, 839, 840, 123_457] {
+                        let (holders, access) = rotation.at(r);
+                        assert!(holders.is_empty(), "r {r} on {}", plat.name);
+                        assert_eq!(access, host_reads.as_slice(), "r {r} on {}", plat.name);
+                    }
                 }
             }
         }

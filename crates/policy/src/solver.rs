@@ -330,7 +330,7 @@ impl UGacheSolver {
             order.sort_by(|&a, &bb| {
                 let fa = exact[a] - exact[a].floor();
                 let fb = exact[bb] - exact[bb].floor();
-                fb.partial_cmp(&fa).unwrap()
+                fb.total_cmp(&fa)
             });
             let mut oi = 0usize;
             while short > 0 {
@@ -354,11 +354,16 @@ impl UGacheSolver {
             // start at its `home_gpu` and the GPU that serves it stores
             // it. Any other slice takes the next positions of the
             // pattern's running round-robin. Either way the round-robin
-            // moves on by the slice's length.
+            // moves on by the slice's length. The host pattern's slices
+            // are skipped: `Placement::all_host` laid them out already, and
+            // its round-robin places nothing.
             let mut rest = blk.entries.as_slice();
             for ((rotation, dealt), &count) in rotations.iter_mut().zip(&mut dealt).zip(&counts) {
                 let (slice, tail) = rest.split_at(count.min(rest.len()));
                 rest = tail;
+                if rotation.is_host() {
+                    continue;
+                }
                 let by_key = slice.len() >= g
                     && slice
                         .windows(2)
@@ -421,15 +426,14 @@ impl UGacheSolver {
     fn trim_overflow(&self, placement: &mut Placement, cap_entries: &[usize]) {
         let g = placement.num_gpus;
         for j in 0..g {
-            let mut held: Vec<usize> = (0..placement.num_entries)
-                .filter(|&e| placement.stored[j][e])
-                .collect();
-            if held.len() <= cap_entries[j] {
+            if placement.cached_count(j) <= cap_entries[j] {
                 continue;
             }
             // `held` is in entry-id order, so this drops the highest ids.
-            let evict = held.split_off(cap_entries[j]);
-            for e in evict {
+            let held: Vec<usize> = (0..placement.num_entries)
+                .filter(|&e| placement.stored[j][e])
+                .collect();
+            for &e in &held[cap_entries[j]..] {
                 placement.stored[j][e] = false;
                 for i in 0..g {
                     if placement.access[i][e] as usize == j {
@@ -808,6 +812,32 @@ mod tests {
                 }
             }
             assert!(partitioned >= n / 10, "{partitioned} partitioned keys");
+        }
+    }
+
+    #[test]
+    fn realize_places_a_block_whose_fractions_are_nan() {
+        // `clamp(0.0, 1.0)` lets a NaN out of a numerically bad LP; the
+        // largest-remainder order used to `unwrap` a `partial_cmp` on it.
+        let s = solver(Platform::server_c());
+        let h = hotness(4_000, 1.2);
+        let blocks = build_blocks(&h, &small_cfg().blocks);
+        let patterns = generate_patterns(s.platform());
+        let mut y: Vec<Vec<f64>> = blocks
+            .iter()
+            .map(|_| {
+                let mut row = vec![0.0; patterns.len()];
+                row[1] = 1.0;
+                row
+            })
+            .collect();
+        y[0] = vec![f64::NAN; patterns.len()];
+        y[1][2] = f64::NAN;
+        let caps = [300usize; 8];
+        let p = s.realize(&blocks, &patterns, &y, &caps, h.len());
+        p.validate().unwrap();
+        for (j, &cap) in caps.iter().enumerate() {
+            assert!(p.cached_count(j) <= cap, "GPU{j}");
         }
     }
 

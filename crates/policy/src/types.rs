@@ -1,6 +1,7 @@
 //! Core data types shared by all policies.
 
 use gpu_platform::Location;
+use std::cmp::Ordering;
 use std::collections::HashMap;
 
 /// Compact source index: `0..G` are GPUs, `G` is host.
@@ -128,30 +129,67 @@ impl Hotness {
     /// and infinite weights rank by value, as everywhere else, and a NaN
     /// ranks by its sign bit, above `+∞` or below `−∞`.
     pub fn ranking(&self) -> Vec<u32> {
-        // An integer key per entry that falls as the weight rises: the
-        // bit pattern, with the magnitude bits flipped where the sign is
-        // clear. Comparing keys read from one array, not weights through
-        // `partial_cmp`, is what makes the sort fast on input without
-        // long sorted runs (a sampler's counts, vertex degrees).
+        let n = self.len();
+        let (mut hot, mut zeros) = (0usize, 0usize);
         let keys: Vec<u64> = self
             .weights
             .iter()
             .map(|&w| {
-                // `-0.0` ties with `+0.0`, as it does under `partial_cmp`.
-                let bits = if w == 0.0 { 0 } else { w.to_bits() };
-                if bits >> 63 == 0 {
-                    bits ^ (u64::MAX >> 1)
-                } else {
-                    bits
-                }
+                let key = rank_key(w);
+                hot += usize::from(key < ZERO_KEY);
+                zeros += usize::from(key == ZERO_KEY);
+                key
             })
             .collect();
-        let mut idx: Vec<u32> = (0..self.len() as u32).collect();
-        // Stable, so equal keys keep index order.
-        idx.sort_by_key(|&i| keys[i as usize]);
+        let key_of = |&i: &u32| keys[i as usize];
+        if zeros == 0 {
+            // Nothing to split off, and dealing the indices out would cost
+            // a pass. Comparing keys read from one array, not weights through
+            // `partial_cmp`, is what makes the sort fast on input without
+            // long sorted runs (vertex degrees, all-distinct masses).
+            let mut idx: Vec<u32> = (0..n as u32).collect();
+            // Stable, so equal keys keep index order.
+            idx.sort_by_key(key_of);
+            return idx;
+        }
+        // A sampler's snapshot is mostly zeros, and zeros tie: deal the
+        // indices out in index order to the entries hotter than zero, the
+        // zeros and the rest (negative, `−NaN`), then sort only the first
+        // and the last part. Each part keeps index order among equal keys,
+        // so this is the stable sort's order.
+        let mut idx = vec![0u32; n];
+        let mut next = [0, hot, hot + zeros];
+        for (i, &key) in keys.iter().enumerate() {
+            let part = match key.cmp(&ZERO_KEY) {
+                Ordering::Less => 0,
+                Ordering::Equal => 1,
+                Ordering::Greater => 2,
+            };
+            idx[next[part]] = i as u32;
+            next[part] += 1;
+        }
+        idx[..hot].sort_by_key(key_of);
+        idx[hot + zeros..].sort_by_key(key_of);
         idx
     }
 }
+
+/// [`Hotness::ranking`]'s integer key, which falls as the weight rises:
+/// the bit pattern, with the magnitude bits flipped where the sign is
+/// clear.
+fn rank_key(w: f64) -> u64 {
+    // `-0.0` ties with `+0.0`, as it does under `partial_cmp`.
+    let bits = if w == 0.0 { 0 } else { w.to_bits() };
+    if bits >> 63 == 0 {
+        bits ^ (u64::MAX >> 1)
+    } else {
+        bits
+    }
+}
+
+/// [`rank_key`] of a zero weight: hotter weights (and `+NaN`) have
+/// smaller keys, negative ones (and `−NaN`) larger.
+const ZERO_KEY: u64 = u64::MAX >> 1;
 
 /// [`Hotness::dedup_adjusted`] evaluates `exp` per distinct weight when
 /// there are at least this many entries per distinct value: a step then
@@ -171,15 +209,28 @@ fn group_by_bits(weights: &[f64], max_distinct: usize) -> Option<(Vec<f64>, Vec<
     let mut ids: HashMap<u64, u32> = HashMap::new();
     let mut values = Vec::new();
     let mut group_of = Vec::with_capacity(weights.len());
+    // A sampler's snapshot is mostly `+0.0`: once its group is known, a
+    // zero takes it without a probe.
+    let mut zero_id = None;
     for &w in weights {
-        let next = values.len() as u32;
-        let id = *ids.entry(w.to_bits()).or_insert(next);
-        if id == next {
-            if values.len() == max_distinct {
-                return None;
+        let bits = w.to_bits();
+        let id = match zero_id {
+            Some(id) if bits == 0 => id,
+            _ => {
+                let next = values.len() as u32;
+                let id = *ids.entry(bits).or_insert(next);
+                if id == next {
+                    if values.len() == max_distinct {
+                        return None;
+                    }
+                    values.push(w);
+                }
+                if bits == 0 {
+                    zero_id = Some(id);
+                }
+                id
             }
-            values.push(w);
-        }
+        };
         group_of.push(id);
     }
     Some((values, group_of))
@@ -503,21 +554,34 @@ mod tests {
     }
 
     /// `ranking` before it sorted integer keys: indices through a
-    /// `partial_cmp` comparator, which panics on a NaN.
+    /// `partial_cmp` comparator, which panics on a NaN, so a NaN is first
+    /// put above `+∞` or below `−∞` by its sign bit, as `ranking` does.
     fn ranking_by_partial_cmp(weights: &[f64]) -> Vec<u32> {
+        let nan_side = |w: f64| match (w.is_nan(), w.is_sign_positive()) {
+            (true, true) => 0,
+            (false, _) => 1,
+            (true, false) => 2,
+        };
         let mut idx: Vec<u32> = (0..weights.len() as u32).collect();
         idx.sort_by(|&a, &b| {
-            weights[b as usize]
-                .partial_cmp(&weights[a as usize])
-                .unwrap()
+            let (wa, wb) = (weights[a as usize], weights[b as usize]);
+            nan_side(wa)
+                .cmp(&nan_side(wb))
+                .then_with(|| {
+                    if wa.is_nan() {
+                        std::cmp::Ordering::Equal
+                    } else {
+                        wb.partial_cmp(&wa).unwrap()
+                    }
+                })
                 .then(a.cmp(&b))
         });
         idx
     }
 
     /// A weight drawn from `bits`: ties among a few small counts, zeros
-    /// of both signs, and values unlikely to repeat — negative and
-    /// infinite ones too, which `Hotness::new` refuses but the field
+    /// of both signs, and values unlikely to repeat — negative, infinite
+    /// and NaN ones too, which `Hotness::new` refuses but the field
     /// admits.
     fn weight_from(bits: u64) -> f64 {
         let fraction = (bits >> 11) as f64 / (1u64 << 53) as f64;
@@ -526,9 +590,18 @@ mod tests {
             1 => -0.0,
             2 | 3 => ((bits >> 3) % 4) as f64,
             4 => -fraction,
-            5 if bits & 8 == 0 => f64::INFINITY,
-            5 => f64::NEG_INFINITY,
+            5 => [f64::INFINITY, f64::NEG_INFINITY, f64::NAN, -f64::NAN][(bits >> 3) as usize % 4],
             _ => fraction,
+        }
+    }
+
+    /// A sampler-like draw from `bits`: nine in ten a zero of either
+    /// sign, the rest [`weight_from`] (itself a zero one time in four).
+    fn mostly_zero_from(bits: u64) -> f64 {
+        match (bits >> 32) % 10 {
+            0 => weight_from(bits),
+            _ if bits & 1 == 0 => 0.0,
+            _ => -0.0,
         }
     }
 
@@ -537,12 +610,44 @@ mod tests {
         fn ranking_orders_as_the_partial_cmp_comparator(
             raw in proptest::prop::collection::vec(0u64..u64::MAX, 0..400),
             distinct in proptest::prop::collection::vec(0.0f64..1.0, 0..400),
+            sparse in proptest::prop::collection::vec(0u64..u64::MAX, 0..400),
         ) {
             let mixed: Vec<f64> = raw.into_iter().map(weight_from).collect();
-            for weights in [mixed, distinct] {
+            let mostly_zero: Vec<f64> = sparse.into_iter().map(mostly_zero_from).collect();
+            for weights in [mixed, distinct, mostly_zero] {
                 let want = ranking_by_partial_cmp(&weights);
                 proptest::prop_assert_eq!(Hotness { weights }.ranking(), want);
             }
+        }
+    }
+
+    #[test]
+    fn ranking_splits_around_the_zeros_at_their_edges() {
+        // No zero, all zeros, one entry on either side of them at either
+        // end: the parts the ranking sorts apart are empty or one long.
+        for n in [1usize, 2, 63, 64, 65] {
+            let signed_zeros: Vec<f64> = (0..n)
+                .map(|e| if e % 3 == 0 { -0.0 } else { 0.0 })
+                .collect();
+            let all_nonzero: Vec<f64> = (0..n as u64)
+                .map(|e| weight_from(e.wrapping_mul(0x9e37_79b9_7f4a_7c15)))
+                .map(|w| if w == 0.0 { 1.5 } else { w })
+                .collect();
+            let mut cases = vec![signed_zeros.clone(), all_nonzero];
+            for at in [0, n / 2, n - 1] {
+                for lone in [2.0, -2.0, f64::NAN, -f64::NAN] {
+                    let mut w = signed_zeros.clone();
+                    w[at] = lone;
+                    cases.push(w);
+                }
+            }
+            for weights in cases {
+                let want = ranking_by_partial_cmp(&weights);
+                let h = Hotness { weights };
+                assert_eq!(h.ranking(), want, "{:?}", h.weights);
+            }
+            let in_order: Vec<u32> = (0..n as u32).collect();
+            assert_eq!(Hotness::new(signed_zeros).ranking(), in_order);
         }
     }
 

@@ -513,3 +513,121 @@ fn dedup_adjusted_has_the_bits_of_the_direct_sum_on_both_sides_of_its_switch() {
         }
     }
 }
+
+/// A `serve_online`-shaped sampler snapshot: 400 000 entries, of which
+/// about 3 % hold small non-zero counts.
+fn serve_snapshot() -> Hotness {
+    sampled_counts(400_000, 85_000, 24_301)
+}
+
+#[test]
+fn serve_shaped_snapshot_dedup_adjusts_to_the_direct_sums_bits() {
+    let h = serve_snapshot();
+    let nonzero = h.weights.iter().filter(|&&w| w != 0.0).count();
+    assert!(
+        (8_000..=16_000).contains(&nonzero),
+        "{nonzero} non-zero entries"
+    );
+    for uniq in [900.0, 4_000.0] {
+        let got = h.dedup_adjusted(uniq);
+        let want = dedup_adjusted_direct_sum(&h, uniq);
+        for (e, (a, b)) in got.weights.iter().zip(&want.weights).enumerate() {
+            assert_eq!(a.to_bits(), b.to_bits(), "uniques {uniq}: entry {e}");
+        }
+    }
+}
+
+/// `estimate_extraction_time` as it stood before it skipped zero weights,
+/// frozen: every entry's `normalized()` share, GPU by GPU, in entry order.
+fn estimate_over_every_entry(
+    placement: &cache_policy::Placement,
+    hotness: &Hotness,
+    profile: &gpu_platform::Profile,
+    entry_bytes: usize,
+    accesses_per_iter: f64,
+) -> (Vec<Vec<f64>>, Vec<f64>, f64) {
+    let g = placement.num_gpus;
+    let norm = hotness.normalized();
+    let scale = accesses_per_iter * entry_bytes as f64;
+    let mut per_source = vec![vec![0.0f64; g + 1]; g];
+    for i in 0..g {
+        for (e, &w) in norm.iter().enumerate() {
+            per_source[i][placement.access[i][e] as usize] += w;
+        }
+        for j in 0..=g {
+            if per_source[i][j] > 0.0 {
+                per_source[i][j] *= profile.sec_per_byte[i][j] * scale;
+            }
+        }
+    }
+    let per_gpu: Vec<f64> = (0..g)
+        .map(|i| {
+            let t_i = per_source[i].iter().copied().fold(0.0, f64::max);
+            let padded: f64 = (0..=g).map(|j| per_source[i][j] * profile.r[i][j]).sum();
+            t_i.max(padded)
+        })
+        .collect();
+    let makespan = per_gpu.iter().copied().fold(0.0, f64::max);
+    (per_source, per_gpu, makespan)
+}
+
+#[test]
+fn serve_shaped_snapshot_estimates_to_the_every_entry_loops_bits() {
+    let sampled = serve_snapshot();
+    let adjusted = sampled.dedup_adjusted(4_000.0);
+    let n = sampled.len();
+    let server_a = UGacheSolver::new(Platform::server_a(), DedicationConfig::default());
+    let mut cfg = SolverConfig::new(512, 4_000.0);
+    cfg.dedup_adjust = true;
+    let solved = server_a
+        .solve_adjusted(&adjusted, &[20_000; 4], &cfg)
+        .unwrap()
+        .placement;
+    let server_c = UGacheSolver::new(Platform::server_c(), DedicationConfig::default());
+    let plat_c = server_c.platform();
+    let cases = [
+        ("server_a, solved", &server_a, solved),
+        (
+            "server_c, partition",
+            &server_c,
+            baselines::partition(plat_c, &adjusted, 2_000).unwrap(),
+        ),
+        (
+            "server_c, replication",
+            &server_c,
+            baselines::replication(plat_c, &adjusted, 2_000),
+        ),
+        (
+            "server_c, all host",
+            &server_c,
+            cache_policy::Placement::all_host(8, n),
+        ),
+    ];
+    for (what, solver, placement) in &cases {
+        for (hotness, which) in [(&sampled, "sampled"), (&adjusted, "adjusted")] {
+            let got = cache_policy::estimate_extraction_time(
+                placement,
+                hotness,
+                solver.profile(),
+                512,
+                4_000.0,
+            );
+            let (per_source, per_gpu, makespan) =
+                estimate_over_every_entry(placement, hotness, solver.profile(), 512, 4_000.0);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            for (i, row) in per_source.iter().enumerate() {
+                assert_eq!(
+                    bits(&got.per_source[i]),
+                    bits(row),
+                    "{what}, {which}: per_source[{i}]"
+                );
+            }
+            assert_eq!(bits(&got.per_gpu), bits(&per_gpu), "{what}, {which}");
+            assert_eq!(
+                got.makespan.to_bits(),
+                makespan.to_bits(),
+                "{what}, {which}"
+            );
+        }
+    }
+}
