@@ -130,13 +130,20 @@ fn comparison_points(artifact: &Value) -> Vec<(String, f64)> {
 ///
 /// # Errors
 ///
-/// Returns an I/O error only when the baseline directory itself cannot
-/// be listed (the comparison has no meaningful partial answer then);
-/// per-file problems are reported in the failure lines instead.
+/// Returns an I/O error naming the directory when either side cannot be
+/// listed — missing, or not a directory. The comparison has no
+/// meaningful partial answer then, and a candidate that is not there did
+/// not lose its artifacts to a regression. Per-file problems are
+/// reported in the failure lines instead.
 pub fn compare_dirs(baseline: &Path, new: &Path) -> io::Result<Vec<String>> {
+    let listed = |dir: &Path| {
+        artifact_stems(dir).map_err(|e| io::Error::new(e.kind(), format!("{}: {e}", dir.display())))
+    };
+    let stems = listed(baseline)?;
+    listed(new)?;
     let mut failures = Vec::new();
     let mut envelopes = 0;
-    for stem in artifact_stems(baseline)? {
+    for stem in stems {
         let file = format!("{stem}.json");
         let base_text = match std::fs::read_to_string(baseline.join(&file)) {
             Ok(t) => t,

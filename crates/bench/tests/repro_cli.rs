@@ -248,8 +248,14 @@ fn compare_exit_codes_distinguish_unusable_inputs_from_gate_failures() {
         stdout.contains(&format!("fig6.json: {path} drifted")),
         "{stdout}"
     );
-    // An unreadable side is unusable input, not a gate verdict: exit 3.
+    // An unreadable side is unusable input, not a gate verdict: exit 3,
+    // whichever side it is, with nothing reported as missing.
     assert_eq!(run(&dir.join("no-dir"), &quick).0, Some(3));
+    let (code, stdout) = run(&quick, &dir.join("no-dir"));
+    assert_eq!(code, Some(3), "{stdout}");
+    assert!(!stdout.contains("missing from"), "{stdout}");
+    // A file where the candidate directory should be is unusable too.
+    assert_eq!(run(&quick, &quick.join("table1.json")).0, Some(3));
     // Two `.json` files are not a mode of their own: unusable input.
     let table1 = quick.join("table1.json");
     assert_eq!(run(&table1, &table1).0, Some(3));

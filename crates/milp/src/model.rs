@@ -51,11 +51,9 @@ impl LinExpr {
 
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct VarDef {
-    pub name: String,
     pub lb: f64,
     pub ub: f64,
     pub obj: f64,
-    pub integer: bool,
 }
 
 #[derive(Debug, Clone, PartialEq)]
@@ -65,7 +63,7 @@ pub(crate) struct ConstraintDef {
     pub rhs: f64,
 }
 
-/// A minimization (MI)LP.
+/// A minimization LP.
 ///
 /// # Examples
 ///
@@ -73,8 +71,8 @@ pub(crate) struct ConstraintDef {
 /// use milp::{ConstraintSense, LinExpr, Model};
 /// // minimize -x - 2y  s.t.  x + y <= 4, 0 <= x,y <= 3
 /// let mut m = Model::new();
-/// let x = m.add_var("x", 0.0, 3.0, -1.0, false);
-/// let y = m.add_var("y", 0.0, 3.0, -2.0, false);
+/// let x = m.add_var(0.0, 3.0, -1.0);
+/// let y = m.add_var(0.0, 3.0, -2.0);
 /// m.add_constraint(LinExpr::new().plus(x, 1.0).plus(y, 1.0), ConstraintSense::Le, 4.0);
 /// let sol = milp::solve_lp(&m).unwrap();
 /// assert!((sol.objective - (-7.0)).abs() < 1e-6); // x=1, y=3
@@ -91,32 +89,31 @@ impl Model {
         Self::default()
     }
 
-    /// Adds a variable with bounds `[lb, ub]`, objective coefficient
-    /// `obj`, and integrality flag. Returns its handle.
+    /// Adds a variable with bounds `[lb, ub]` and objective coefficient
+    /// `obj`. Returns its handle.
     ///
     /// # Panics
     ///
     /// Panics if `lb > ub` or either bound is NaN.
-    pub fn add_var(&mut self, name: &str, lb: f64, ub: f64, obj: f64, integer: bool) -> VarId {
-        assert!(!lb.is_nan() && !ub.is_nan(), "NaN bound on variable {name}");
+    pub fn add_var(&mut self, lb: f64, ub: f64, obj: f64) -> VarId {
+        let id = VarId(self.vars.len());
+        assert!(
+            !lb.is_nan() && !ub.is_nan(),
+            "NaN bound on variable {}",
+            id.0
+        );
         assert!(
             lb <= ub,
-            "empty bound range on variable {name}: [{lb}, {ub}]"
+            "empty bound range on variable {}: [{lb}, {ub}]",
+            id.0
         );
-        let id = VarId(self.vars.len());
-        self.vars.push(VarDef {
-            name: name.to_string(),
-            lb,
-            ub,
-            obj,
-            integer,
-        });
+        self.vars.push(VarDef { lb, ub, obj });
         id
     }
 
-    /// Convenience: a continuous variable in `[0, +inf)`.
-    pub fn add_nonneg(&mut self, name: &str, obj: f64) -> VarId {
-        self.add_var(name, 0.0, f64::INFINITY, obj, false)
+    /// Convenience: a variable in `[0, +inf)`.
+    pub fn add_nonneg(&mut self, obj: f64) -> VarId {
+        self.add_var(0.0, f64::INFINITY, obj)
     }
 
     /// Adds a linear constraint.
@@ -147,22 +144,14 @@ impl Model {
         self.constraints.len()
     }
 
-    /// Indices of integer variables.
-    pub fn integer_vars(&self) -> Vec<usize> {
-        (0..self.vars.len())
-            .filter(|&i| self.vars[i].integer)
-            .collect()
-    }
-
     /// Evaluates the objective at a point.
     pub fn objective_value(&self, x: &[f64]) -> f64 {
         self.vars.iter().zip(x).map(|(v, &xi)| v.obj * xi).sum()
     }
 
     /// Largest primal constraint violation of a point, in rhs units
-    /// (`0.0` when every constraint holds exactly). Variable bounds and
-    /// integrality are not included — use [`Model::is_feasible`] for the
-    /// full check. This is the convergence residual the telemetry layer
+    /// (`0.0` when every constraint holds exactly). Variable bounds are
+    /// not included — use [`Model::is_feasible`] for the full check. This is the convergence residual the telemetry layer
     /// reports per LP solve.
     ///
     /// # Panics
@@ -184,16 +173,13 @@ impl Model {
     }
 
     /// Checks primal feasibility of a point within tolerance `tol`
-    /// (bounds, constraints, and integrality for integer variables).
+    /// (bounds and constraints).
     pub fn is_feasible(&self, x: &[f64], tol: f64) -> bool {
         if x.len() != self.vars.len() {
             return false;
         }
         for (v, &xi) in self.vars.iter().zip(x) {
             if xi < v.lb - tol || xi > v.ub + tol {
-                return false;
-            }
-            if v.integer && (xi - xi.round()).abs() > tol {
                 return false;
             }
         }
@@ -219,8 +205,8 @@ mod tests {
     #[test]
     fn build_and_inspect() {
         let mut m = Model::new();
-        let x = m.add_var("x", 0.0, 10.0, 1.0, false);
-        let b = m.add_var("b", 0.0, 1.0, 2.0, true);
+        let x = m.add_var(0.0, 10.0, 1.0);
+        let b = m.add_var(0.0, 1.0, 2.0);
         m.add_constraint(
             LinExpr::new().plus(x, 1.0).plus(b, -1.0),
             ConstraintSense::Ge,
@@ -228,22 +214,20 @@ mod tests {
         );
         assert_eq!(m.num_vars(), 2);
         assert_eq!(m.num_constraints(), 1);
-        assert_eq!(m.integer_vars(), vec![1]);
         assert_eq!(m.objective_value(&[3.0, 1.0]), 5.0);
     }
 
     #[test]
     fn feasibility_checks_everything() {
         let mut m = Model::new();
-        let x = m.add_var("x", 0.0, 1.0, 0.0, false);
-        let b = m.add_var("b", 0.0, 1.0, 0.0, true);
+        let x = m.add_var(0.0, 1.0, 0.0);
+        let b = m.add_var(0.0, 1.0, 0.0);
         m.add_constraint(
             LinExpr::new().plus(x, 1.0).plus(b, 1.0),
             ConstraintSense::Le,
             1.5,
         );
         assert!(m.is_feasible(&[0.5, 1.0], 1e-9));
-        assert!(!m.is_feasible(&[0.5, 0.5], 1e-9), "fractional binary");
         assert!(!m.is_feasible(&[2.0, 0.0], 1e-9), "bound violation");
         assert!(!m.is_feasible(&[1.0, 1.0], 1e-9), "constraint violation");
         assert!(!m.is_feasible(&[1.0], 1e-9), "wrong arity");
@@ -253,6 +237,6 @@ mod tests {
     #[should_panic(expected = "empty bound range")]
     fn inverted_bounds_panic() {
         let mut m = Model::new();
-        let _ = m.add_var("x", 2.0, 1.0, 0.0, false);
+        let _ = m.add_var(2.0, 1.0, 0.0);
     }
 }

@@ -676,7 +676,7 @@ impl Tableau {
     }
 }
 
-/// Solves the LP relaxation of `model` (integrality ignored).
+/// Solves the LP `model`.
 ///
 /// Returns the optimal solution, or the terminal [`LpStatus`] otherwise.
 pub fn solve_lp(model: &Model) -> Result<LpResult, LpStatus> {
@@ -714,8 +714,8 @@ mod tests {
     fn simple_2d_lp() {
         // min -3x - 5y ; x <= 4 ; 2y <= 12 ; 3x + 2y <= 18 → (2,6), -36.
         let mut m = Model::new();
-        let x = m.add_nonneg("x", -3.0);
-        let y = m.add_nonneg("y", -5.0);
+        let x = m.add_nonneg(-3.0);
+        let y = m.add_nonneg(-5.0);
         m.add_constraint(expr(&[(x, 1.0)]), Le, 4.0);
         m.add_constraint(expr(&[(y, 2.0)]), Le, 12.0);
         m.add_constraint(expr(&[(x, 3.0), (y, 2.0)]), Le, 18.0);
@@ -729,8 +729,8 @@ mod tests {
     fn bound_flip_only_problem() {
         // min -x - y with 0<=x<=2, 0<=y<=3, no constraints.
         let mut m = Model::new();
-        let _ = m.add_var("x", 0.0, 2.0, -1.0, false);
-        let _ = m.add_var("y", 0.0, 3.0, -1.0, false);
+        let _ = m.add_var(0.0, 2.0, -1.0);
+        let _ = m.add_var(0.0, 3.0, -1.0);
         let sol = solve_lp(&m).unwrap();
         assert!((sol.objective + 5.0).abs() < 1e-9);
     }
@@ -739,8 +739,8 @@ mod tests {
     fn equality_constraints() {
         // min x + y s.t. x + y = 5, x - y = 1 → (3,2), obj 5.
         let mut m = Model::new();
-        let x = m.add_nonneg("x", 1.0);
-        let y = m.add_nonneg("y", 1.0);
+        let x = m.add_nonneg(1.0);
+        let y = m.add_nonneg(1.0);
         m.add_constraint(expr(&[(x, 1.0), (y, 1.0)]), Eq, 5.0);
         m.add_constraint(expr(&[(x, 1.0), (y, -1.0)]), Eq, 1.0);
         let sol = solve_lp(&m).unwrap();
@@ -753,8 +753,8 @@ mod tests {
         // min 2x + 3y s.t. x + y >= 10, x >= 2 → (10? no): best puts all
         // weight on x: x=10,y=0 → obj 20? x>=2 satisfied. Check: obj 20.
         let mut m = Model::new();
-        let x = m.add_nonneg("x", 2.0);
-        let y = m.add_nonneg("y", 3.0);
+        let x = m.add_nonneg(2.0);
+        let y = m.add_nonneg(3.0);
         m.add_constraint(expr(&[(x, 1.0), (y, 1.0)]), Ge, 10.0);
         m.add_constraint(expr(&[(x, 1.0)]), Ge, 2.0);
         let sol = solve_lp(&m).unwrap();
@@ -764,7 +764,7 @@ mod tests {
     #[test]
     fn infeasible_detected() {
         let mut m = Model::new();
-        let x = m.add_var("x", 0.0, 1.0, 1.0, false);
+        let x = m.add_var(0.0, 1.0, 1.0);
         m.add_constraint(expr(&[(x, 1.0)]), Ge, 2.0);
         assert_eq!(solve_lp(&m), Err(LpStatus::Infeasible));
     }
@@ -772,8 +772,8 @@ mod tests {
     #[test]
     fn unbounded_detected() {
         let mut m = Model::new();
-        let x = m.add_nonneg("x", -1.0);
-        let y = m.add_nonneg("y", 0.0);
+        let x = m.add_nonneg(-1.0);
+        let y = m.add_nonneg(0.0);
         m.add_constraint(expr(&[(x, 1.0), (y, -1.0)]), Le, 1.0);
         assert_eq!(solve_lp(&m), Err(LpStatus::Unbounded));
     }
@@ -782,7 +782,7 @@ mod tests {
     fn free_variable() {
         // min x s.t. x >= -7 (free var) → -7.
         let mut m = Model::new();
-        let x = m.add_var("x", f64::NEG_INFINITY, f64::INFINITY, 1.0, false);
+        let x = m.add_var(f64::NEG_INFINITY, f64::INFINITY, 1.0);
         m.add_constraint(expr(&[(x, 1.0)]), Ge, -7.0);
         let sol = solve_lp(&m).unwrap();
         assert!((sol.objective + 7.0).abs() < 1e-6);
@@ -792,8 +792,8 @@ mod tests {
     fn negative_rhs_rows() {
         // min x+y s.t. -x - y <= -4 (i.e. x+y >= 4), 0<=x,y<=3.
         let mut m = Model::new();
-        let x = m.add_var("x", 0.0, 3.0, 1.0, false);
-        let y = m.add_var("y", 0.0, 3.0, 1.0, false);
+        let x = m.add_var(0.0, 3.0, 1.0);
+        let y = m.add_var(0.0, 3.0, 1.0);
         m.add_constraint(expr(&[(x, -1.0), (y, -1.0)]), Le, -4.0);
         let sol = solve_lp(&m).unwrap();
         assert!((sol.objective - 4.0).abs() < 1e-6);
@@ -803,8 +803,8 @@ mod tests {
     fn degenerate_lp_terminates() {
         // Classic degeneracy: multiple constraints meet at the optimum.
         let mut m = Model::new();
-        let x = m.add_nonneg("x", -1.0);
-        let y = m.add_nonneg("y", -1.0);
+        let x = m.add_nonneg(-1.0);
+        let y = m.add_nonneg(-1.0);
         m.add_constraint(expr(&[(x, 1.0)]), Le, 1.0);
         m.add_constraint(expr(&[(y, 1.0)]), Le, 1.0);
         m.add_constraint(expr(&[(x, 1.0), (y, 1.0)]), Le, 2.0);
@@ -824,7 +824,7 @@ mod tests {
         let mut v = [[None; 3]; 2];
         for (i, row) in costs.iter().enumerate() {
             for (j, &c) in row.iter().enumerate() {
-                v[i][j] = Some(m.add_nonneg(&format!("x{i}{j}"), c));
+                v[i][j] = Some(m.add_nonneg(c));
             }
         }
         for i in 0..2 {
@@ -848,7 +848,7 @@ mod tests {
         let n = 40;
         let rows = 25;
         let vars: Vec<_> = (0..n)
-            .map(|i| m.add_var(&format!("x{i}"), 0.0, 1.0, rng.gen_range(-1.0..1.0), false))
+            .map(|_| m.add_var(0.0, 1.0, rng.gen_range(-1.0..1.0)))
             .collect();
         for _ in 0..rows {
             let e = expr(

@@ -53,7 +53,7 @@ fn transportation_lp_matches_dense() {
     let mut v = [[None; 3]; 2];
     for (i, row) in costs.iter().enumerate() {
         for (j, &c) in row.iter().enumerate() {
-            v[i][j] = Some(m.add_nonneg(&format!("x{i}{j}"), c));
+            v[i][j] = Some(m.add_nonneg(c));
         }
     }
     for i in 0..2 {
@@ -71,14 +71,14 @@ fn transportation_lp_matches_dense() {
 fn terminal_statuses_match_dense() {
     // Infeasible.
     let mut inf = Model::new();
-    let x = inf.add_var("x", 0.0, 1.0, 1.0, false);
+    let x = inf.add_var(0.0, 1.0, 1.0);
     inf.add_constraint(expr(&[(x, 1.0)]), Ge, 2.0);
     assert_eq!(assert_same(&inf, "infeasible"), Err(LpStatus::Infeasible));
 
     // Unbounded.
     let mut unb = Model::new();
-    let x = unb.add_nonneg("x", -1.0);
-    let y = unb.add_nonneg("y", 0.0);
+    let x = unb.add_nonneg(-1.0);
+    let y = unb.add_nonneg(0.0);
     unb.add_constraint(expr(&[(x, 1.0), (y, -1.0)]), Le, 1.0);
     assert_eq!(assert_same(&unb, "unbounded"), Err(LpStatus::Unbounded));
 }
@@ -93,7 +93,7 @@ fn random_lps_match_dense_pivot_for_pivot() {
         let n = 30;
         let rows = 18;
         let vars: Vec<_> = (0..n)
-            .map(|i| m.add_var(&format!("x{i}"), 0.0, 1.0, rng.gen_range(-1.0..1.0), false))
+            .map(|_| m.add_var(0.0, 1.0, rng.gen_range(-1.0..1.0)))
             .collect();
         for r in 0..rows {
             // Sparse rows: ~1/3 of the variables participate.
@@ -202,23 +202,13 @@ fn placement_lp(seed: u64, gpus: usize, blocks: usize, patterns: usize) -> Model
 
     let mut m = Model::new();
     let y: Vec<Vec<VarId>> = (0..blocks)
-        .map(|b| {
-            (0..patterns)
-                .map(|p| m.add_var(&format!("y_{b}_{p}"), 0.0, 1.0, 0.0, false))
-                .collect()
-        })
+        .map(|_| (0..patterns).map(|_| m.add_var(0.0, 1.0, 0.0)).collect())
         .collect();
     let tj: Vec<Vec<VarId>> = (0..g)
-        .map(|i| {
-            (0..=host)
-                .map(|j| m.add_nonneg(&format!("tj_{i}_{j}"), 0.0))
-                .collect()
-        })
+        .map(|_| (0..=host).map(|_| m.add_nonneg(0.0)).collect())
         .collect();
-    let t: Vec<VarId> = (0..g)
-        .map(|i| m.add_nonneg(&format!("t_{i}"), 0.0))
-        .collect();
-    let z = m.add_nonneg("z", 1.0);
+    let t: Vec<VarId> = (0..g).map(|_| m.add_nonneg(0.0)).collect();
+    let z = m.add_nonneg(1.0);
 
     for row in &y {
         let expr = LinExpr::from_terms(row.iter().map(|&v| (v, 1.0)));
@@ -308,9 +298,9 @@ fn mixed_lp(seed: u64, n: usize, rows: usize, pin: bool) -> Model {
             let cost = rng.gen_range(-1.0..1.0);
             if pin && j % 3 == 1 {
                 let at = rng.gen_range(0.0..1.0);
-                m.add_var(&format!("x{j}"), at, at, cost, false)
+                m.add_var(at, at, cost)
             } else {
-                m.add_var(&format!("x{j}"), 0.0, 1.0, cost, false)
+                m.add_var(0.0, 1.0, cost)
             }
         })
         .collect();
@@ -372,9 +362,9 @@ fn all_equality_lps_match_dense() {
         demand[0] += total - demand.iter().sum::<f64>();
         let mut m = Model::new();
         let ship: Vec<Vec<VarId>> = (0..sources)
-            .map(|i| {
+            .map(|_| {
                 (0..sinks)
-                    .map(|j| m.add_nonneg(&format!("s{i}_{j}"), rng.gen_range(1.0..9.0)))
+                    .map(|_| m.add_nonneg(rng.gen_range(1.0..9.0)))
                     .collect()
             })
             .collect();
@@ -410,18 +400,10 @@ fn box_lps_dominated_by_bound_flips_match_dense() {
         let mut rng = emb_util::seed_rng(seed);
         let mut m = Model::new();
         let f: Vec<VarId> = (0..40)
-            .map(|j| {
-                m.add_var(
-                    &format!("f{j}"),
-                    0.0,
-                    1.0,
-                    rng.gen_range(-1.0..-0.01),
-                    false,
-                )
-            })
+            .map(|_| m.add_var(0.0, 1.0, rng.gen_range(-1.0..-0.01)))
             .collect();
         let g: Vec<VarId> = (0..20)
-            .map(|j| m.add_var(&format!("g{j}"), 0.0, 1.0, rng.gen_range(-1.0..1.0), false))
+            .map(|_| m.add_var(0.0, 1.0, rng.gen_range(-1.0..1.0)))
             .collect();
         for _ in 0..6 {
             let terms: Vec<(VarId, f64)> = f
@@ -464,12 +446,12 @@ fn free_variables_that_enter_match_dense() {
         let mut rng = emb_util::seed_rng(seed);
         let mut m = Model::new();
         let x: Vec<VarId> = (0..6)
-            .map(|j| m.add_var(&format!("x{j}"), 0.0, 2.0, rng.gen_range(-1.0..1.0), false))
+            .map(|_| m.add_var(0.0, 2.0, rng.gen_range(-1.0..1.0)))
             .collect();
-        let up = m.add_var("up", f64::NEG_INFINITY, f64::INFINITY, -1.0, false);
-        let down = m.add_var("down", f64::NEG_INFINITY, f64::INFINITY, 0.5, false);
+        let up = m.add_var(f64::NEG_INFINITY, f64::INFINITY, -1.0);
+        let down = m.add_var(f64::NEG_INFINITY, f64::INFINITY, 0.5);
         let more: Vec<VarId> = (0..6)
-            .map(|j| m.add_var(&format!("y{j}"), 0.0, 2.0, rng.gen_range(-1.0..1.0), false))
+            .map(|_| m.add_var(0.0, 2.0, rng.gen_range(-1.0..1.0)))
             .collect();
         let all = || x.iter().chain(&more).copied();
         let weights = |rng: &mut rand::rngs::StdRng| -> Vec<(VarId, f64)> {
@@ -512,7 +494,7 @@ fn cone_lp(seed: u64, n: usize, rows: usize) -> Model {
     let vars: Vec<VarId> = (0..n)
         .map(|j| {
             let priced: f64 = (0..rows).map(|i| a[i][j] * y[i]).sum();
-            m.add_nonneg(&format!("x{j}"), priced + rng.gen_range(0.0..0.2))
+            m.add_nonneg(priced + rng.gen_range(0.0..0.2))
         })
         .collect();
     for row in &a {

@@ -16,10 +16,9 @@
 //!   weights, the `R`-weighted padding bound);
 //! * [`solver`] — the UGache solver: a pattern LP over hotness blocks
 //!   (fractional block placement is realizable by splitting blocks, so
-//!   the LP relaxation is exact at block granularity);
-//! * [`optimal`] — the paper's full MILP (binary `a`/`s` per block or per
-//!   entry) via branch-and-bound, which this crate's tests use to
-//!   cross-validate the solver on small instances. No run solves it:
+//!   the LP relaxation is exact at block granularity). The paper's
+//!   binary MILP is not built: this crate's tests measure the solver
+//!   against a brute-force optimum of its model on tiny instances, and
 //!   Figure 16's "optimal" is the pattern LP at fine block granularity
 //!   (EXPERIMENTS.md, "Figure 16").
 
@@ -28,7 +27,6 @@
 pub mod baselines;
 pub mod blocks;
 pub mod estimate;
-pub mod optimal;
 pub mod patterns;
 pub mod solver;
 pub mod types;

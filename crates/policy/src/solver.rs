@@ -8,8 +8,9 @@
 //!
 //! Fractional pattern weights are *exactly* realizable (a block is a bag
 //! of interchangeable entries), so no integrality gap exists at block
-//! granularity; the paper's full binary MILP is kept in
-//! [`crate::optimal`] for comparison.
+//! granularity. The paper's binary MILP is never built; the crate's
+//! `tests/exact_optimum.rs` measures this solver against its brute-force
+//! optimum on tiny instances.
 
 use crate::blocks::{build_blocks, Block, BlockConfig};
 use crate::patterns::{generate_patterns, Pattern, Rotation};
@@ -216,26 +217,13 @@ impl UGacheSolver {
 
         let y: Vec<Vec<milp::VarId>> = blocks
             .iter()
-            .enumerate()
-            .map(|(b, _)| {
-                patterns
-                    .iter()
-                    .enumerate()
-                    .map(|(p, _)| m.add_var(&format!("y_{b}_{p}"), 0.0, 1.0, 0.0, false))
-                    .collect()
-            })
+            .map(|_| patterns.iter().map(|_| m.add_var(0.0, 1.0, 0.0)).collect())
             .collect();
         let tj: Vec<Vec<milp::VarId>> = (0..g)
-            .map(|i| {
-                (0..=host)
-                    .map(|j| m.add_nonneg(&format!("tj_{i}_{j}"), 0.0))
-                    .collect()
-            })
+            .map(|_| (0..=host).map(|_| m.add_nonneg(0.0)).collect())
             .collect();
-        let t: Vec<milp::VarId> = (0..g)
-            .map(|i| m.add_nonneg(&format!("t_{i}"), 0.0))
-            .collect();
-        let z = m.add_nonneg("z", 1.0);
+        let t: Vec<milp::VarId> = (0..g).map(|_| m.add_nonneg(0.0)).collect();
+        let z = m.add_nonneg(1.0);
 
         // Each block fully assigned.
         for row in &y {

@@ -167,11 +167,7 @@ proptest! {
     ) {
         let mut m = Model::new();
         let costs = [c0, c1, c2];
-        let vars: Vec<_> = costs
-            .iter()
-            .enumerate()
-            .map(|(i, &c)| m.add_var(&format!("x{i}"), 0.0, 1.0, c, false))
-            .collect();
+        let vars: Vec<_> = costs.iter().map(|&c| m.add_var(0.0, 1.0, c)).collect();
         m.add_constraint(
             LinExpr::from_terms(vars.iter().zip(&a[0..3]).map(|(&v, &k)| (v, k))),
             ConstraintSense::Le,
