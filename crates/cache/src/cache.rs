@@ -62,6 +62,25 @@ pub struct MultiGpuCache {
     /// `source << 32 | offset`, or [`HOST_NONE`] when `e` reads host.
     locations: Vec<Vec<u64>>,
     placement: Placement,
+    /// Whether arena rows have moved since the location tables last
+    /// matched `placement` (a refresh between its first update and its
+    /// swap).
+    migrating: bool,
+}
+
+/// The packed location-table value of entry `entry` read from `src`, or
+/// `None` when `src` is a GPU whose arena does not hold it.
+fn location_of(
+    arenas: &[GpuArena],
+    entry: u32,
+    src: cache_policy::SourceIdx,
+    host_idx: cache_policy::SourceIdx,
+) -> Option<u64> {
+    if src == host_idx {
+        return Some(HOST_NONE);
+    }
+    let off = arenas[src as usize].offset_of(entry)?;
+    Some((src as u64) << 32 | off as u64)
 }
 
 /// Builds one destination GPU's dense location table from an access row:
@@ -70,23 +89,20 @@ fn dense_location_row(
     arenas: &[GpuArena],
     access: &[cache_policy::SourceIdx],
     host_idx: cache_policy::SourceIdx,
-    expect_msg: &str,
 ) -> Vec<u64> {
     access
         .iter()
         .enumerate()
         .map(|(e, &src)| {
-            if src == host_idx {
-                HOST_NONE
-            } else {
-                let off = arenas[src as usize]
-                    .offset_of(e as u32)
-                    .unwrap_or_else(|| panic!("{expect_msg}"));
-                (src as u64) << 32 | off as u64
-            }
+            location_of(arenas, e as u32, src, host_idx)
+                .expect("access points at a stored entry (validated placement)")
         })
         .collect()
 }
+
+/// Access-row bytes [`MultiGpuCache::swap_locations`] compares at a
+/// time: one machine word.
+const SWAP_WORD: usize = 8;
 
 impl MultiGpuCache {
     /// Builds and fills the cache from a placement (the Filler, §4).
@@ -132,14 +148,7 @@ impl MultiGpuCache {
 
         // Location tables per the access arrangement.
         let locations: Vec<Vec<u64>> = (0..g)
-            .map(|i| {
-                dense_location_row(
-                    &arenas,
-                    &placement.access[i],
-                    placement.host_idx(),
-                    "access points at a stored entry (validated placement)",
-                )
-            })
+            .map(|i| dense_location_row(&arenas, &placement.access[i], placement.host_idx()))
             .collect();
 
         MultiGpuCache {
@@ -147,6 +156,7 @@ impl MultiGpuCache {
             arenas,
             locations,
             placement: placement.clone(),
+            migrating: false,
         }
     }
 
@@ -175,10 +185,84 @@ impl MultiGpuCache {
         &self.placement
     }
 
-    /// Destination GPU `gpu`'s packed location table (entry →
-    /// `source << 32 | offset`, `u64::MAX` for host).
-    pub(crate) fn location_row(&self, gpu: usize) -> &[u64] {
-        &self.locations[gpu]
+    /// Checks the cache against its own invariants and returns the first
+    /// violation found:
+    ///
+    /// * every location-table slot that does not read host names a slot
+    ///   of that GPU's arena which holds that entry, and the row there
+    ///   equals [`HostTable::read`]'s;
+    /// * at rest — no arena row moved since the location tables last
+    ///   matched the placement (a refresh between its first update batch
+    ///   and its swap moves rows) — every table also equals the one a
+    ///   fresh build writes from the placement, and every arena holds
+    ///   exactly the entries the placement stores on it.
+    ///
+    /// A pass over every table and every row it reaches: for tests.
+    ///
+    /// # Errors
+    ///
+    /// Describes the first violation.
+    pub fn audit(&self) -> Result<(), String> {
+        let (g, dim) = (self.num_gpus(), self.dim());
+        let host_idx = self.placement.host_idx();
+        let (mut row, mut truth) = (vec![0.0f32; dim], vec![0.0f32; dim]);
+        for (i, table) in self.locations.iter().enumerate() {
+            for (e, &packed) in table.iter().enumerate() {
+                let e = e as u32;
+                if !self.migrating {
+                    let src = self.placement.access[i][e as usize];
+                    let want = location_of(&self.arenas, e, src, host_idx).ok_or_else(|| {
+                        format!("GPU{i} reads entry {e} from GPU{src}, whose arena lacks it")
+                    })?;
+                    if packed != want {
+                        return Err(format!(
+                            "GPU{i} entry {e}: table holds {packed:#x}, a fresh build {want:#x}"
+                        ));
+                    }
+                }
+                if packed == HOST_NONE {
+                    continue;
+                }
+                let (src, off) = ((packed >> 32) as usize, (packed & 0xFFFF_FFFF) as u32);
+                if src >= g {
+                    return Err(format!("GPU{i} entry {e}: source {src} is no GPU"));
+                }
+                if self.arenas[src].offset_of(e) != Some(off) {
+                    return Err(format!(
+                        "GPU{i} entry {e}: slot {off} of GPU{src} does not hold it"
+                    ));
+                }
+                self.arenas[src].read_slot(off, &mut row);
+                self.host.read_into(e, &mut truth);
+                if row
+                    .iter()
+                    .zip(&truth)
+                    .any(|(a, b)| a.to_bits() != b.to_bits())
+                {
+                    return Err(format!(
+                        "GPU{i} entry {e}: slot {off} of GPU{src} holds another row"
+                    ));
+                }
+            }
+        }
+        if !self.migrating {
+            for (j, arena) in self.arenas.iter().enumerate() {
+                let stored = &self.placement.stored[j];
+                if arena.len() != self.placement.cached_count(j) {
+                    return Err(format!(
+                        "GPU{j} holds {} rows, its placement stores {}",
+                        arena.len(),
+                        self.placement.cached_count(j)
+                    ));
+                }
+                if let Some(e) =
+                    (0..stored.len()).find(|&e| stored[e] && arena.offset_of(e as u32).is_none())
+                {
+                    return Err(format!("GPU{j} stores entry {e} but holds no row for it"));
+                }
+            }
+        }
+        Ok(())
     }
 
     /// Resolves `keys` for GPU `gpu` into `plan` (the first gather pass):
@@ -320,6 +404,7 @@ impl MultiGpuCache {
     /// Each `(table, key)` pair is a single dense probe — no
     /// get-then-remove double lookup.
     pub fn invalidate_before_update(&mut self, gpu: usize, evict: &[u32]) {
+        self.migrating = true;
         let src = gpu as u64;
         for table in self.locations.iter_mut() {
             for &e in evict {
@@ -337,6 +422,7 @@ impl MultiGpuCache {
     /// rebuilt by the caller once a refresh round completes — the paper's
     /// Refresher swaps the hashtable between foreground batches).
     pub fn update_arena(&mut self, gpu: usize, evict: &[u32], insert: &[u32]) {
+        self.migrating = true;
         let arena = &mut self.arenas[gpu];
         for &e in evict {
             arena.evict(e);
@@ -346,26 +432,51 @@ impl MultiGpuCache {
         }
     }
 
-    /// Rebuilds all location hashtables from a new access arrangement
-    /// (the hashtable swap step of a refresh).
+    /// Installs a new placement and its location tables (the hashtable
+    /// swap step of a refresh).
+    ///
+    /// Only the `(GPU, entry)` slots whose access differs between the
+    /// current placement and `placement` are rewritten, compared a word
+    /// of access bytes at a time: an unchanged access to a GPU names an
+    /// entry that GPU stores under both placements, which no update
+    /// batch evicted, so its slot is still right. Arena rows must
+    /// therefore have moved only for entries whose storage differs
+    /// between the two placements, as [`crate::Refresher`] moves them.
     ///
     /// # Panics
     ///
-    /// Panics if the arrangement references entries not present in the
-    /// corresponding arena.
-    pub fn swap_locations(&mut self, placement: &Placement) {
-        let g = self.num_gpus();
-        self.locations = (0..g)
-            .map(|i| {
-                dense_location_row(
-                    &self.arenas,
-                    &placement.access[i],
-                    placement.host_idx(),
-                    "refresh inserted entries before hashtable swap",
-                )
-            })
-            .collect();
-        self.placement = placement.clone();
+    /// Panics if the placement's shape differs from the cache's, or it
+    /// reads an entry from a GPU whose arena does not hold it.
+    pub fn swap_locations(&mut self, placement: Placement) {
+        assert_eq!(placement.num_gpus, self.num_gpus(), "GPU count mismatch");
+        assert_eq!(
+            placement.num_entries, self.placement.num_entries,
+            "table size mismatch"
+        );
+        let host_idx = placement.host_idx();
+        let rows = self.placement.access.iter().zip(&placement.access);
+        for (table, (was, will)) in self.locations.iter_mut().zip(rows) {
+            let arenas = &self.arenas;
+            let mut patch = |first: usize, was: &[u8], will: &[u8]| {
+                for (k, (&was, &will)) in was.iter().zip(will).enumerate() {
+                    if was != will {
+                        let e = first + k;
+                        table[e] = location_of(arenas, e as u32, will, host_idx)
+                            .expect("refresh inserted entries before hashtable swap");
+                    }
+                }
+            };
+            let (was_words, was_rest) = was.as_chunks::<SWAP_WORD>();
+            let (will_words, will_rest) = will.as_chunks::<SWAP_WORD>();
+            for (w, (was, will)) in was_words.iter().zip(will_words).enumerate() {
+                if was != will {
+                    patch(w * SWAP_WORD, was, will);
+                }
+            }
+            patch(was_words.len() * SWAP_WORD, was_rest, will_rest);
+        }
+        self.placement = placement;
+        self.migrating = false;
     }
 }
 
@@ -479,7 +590,7 @@ mod tests {
                 p2.access[i][victim as usize] = p2.host_idx();
             }
         }
-        cache.swap_locations(&p2);
+        cache.swap_locations(p2);
         let mut out = vec![0.0f32; DIM];
         let stats = cache.gather(0, &[cold], &mut out);
         assert_eq!(stats.local, 1);

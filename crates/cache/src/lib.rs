@@ -29,7 +29,6 @@ pub mod arena;
 pub mod cache;
 pub mod lru;
 pub mod plan;
-pub mod reference;
 pub mod refresh;
 pub mod sampler;
 pub mod table;
@@ -38,7 +37,6 @@ pub use arena::GpuArena;
 pub use cache::{GatherStats, MultiGpuCache};
 pub use lru::LruCache;
 pub use plan::GatherPlan;
-pub use reference::ReferenceGatherer;
 pub use refresh::{RefreshConfig, RefreshPhase, Refresher};
 pub use sampler::HotnessSampler;
 pub use table::HostTable;

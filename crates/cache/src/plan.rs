@@ -23,9 +23,10 @@
 //!
 //! Chunk boundaries are a function of the batch length only, so the plan,
 //! the counts and the output bytes are the same at every width by
-//! construction. `tests/differential.rs` pins them bit for bit against
-//! the frozen per-key [`crate::ReferenceGatherer`] and the host table, at
-//! rest and mid-refresh.
+//! construction. `tests/differential.rs` pins the rows bit for bit to
+//! the host table and the counts to `Placement::split_keys`, at every
+//! width, at rest and mid-refresh, with [`crate::MultiGpuCache::audit`]
+//! after every step.
 //!
 //! Splitting resolve from copy keeps the pointer-chasing table loads out
 //! of the `memcpy` loop, and the per-source counts double as the per-tier

@@ -26,8 +26,9 @@ const FOREGROUND_IMPACT: f64 = 0.10;
 /// Estimated-time increase that triggers a refresh (10 %).
 const TRIGGER_RATIO: f64 = 0.10;
 
-/// Entries [`Refresher::begin`] compares at a time between placements.
-const DIFF_CHUNK: usize = 64;
+/// Stored flags [`Refresher::begin`] compares at a time between
+/// placements: eight one-byte `bool`s, one machine word.
+const DIFF_WORD: usize = 8;
 
 /// Refresh tunables.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -135,22 +136,22 @@ impl Refresher {
         for gpu in 0..current.num_gpus {
             let mut evict: Vec<u32> = Vec::new();
             let mut insert: Vec<u32> = Vec::new();
-            // A refresh moves few of the entries: compare whole chunks and
-            // look inside only those that differ.
-            let chunks = current.stored[gpu]
-                .chunks(DIFF_CHUNK)
-                .zip(target.stored[gpu].chunks(DIFF_CHUNK));
-            for (c, (was, will)) in chunks.enumerate() {
-                if was == will {
-                    continue;
-                }
-                for (k, (&was, &will)) in was.iter().zip(will).enumerate() {
-                    let e = (c * DIFF_CHUNK + k) as u32;
-                    match (was, will) {
-                        (true, false) => evict.push(e),
-                        (false, true) => insert.push(e),
-                        _ => {}
-                    }
+            // A refresh moves few of the entries: compare a word of flags
+            // at a time, and in a word that differs visit only the flags
+            // that changed, in entry order. The last few flags, short of
+            // a word, are padded with `false` on both sides.
+            let (was_words, was_rest) = current.stored[gpu].as_chunks::<DIFF_WORD>();
+            let (will_words, will_rest) = target.stored[gpu].as_chunks::<DIFF_WORD>();
+            let words = was_words
+                .iter()
+                .zip(will_words)
+                .map(|(was, will)| (flag_word(was), flag_word(will)));
+            let rest = (flag_word(was_rest), flag_word(will_rest));
+            for (w, (was, will)) in words.chain([rest]).enumerate() {
+                if was != will {
+                    let first = w * DIFF_WORD;
+                    push_flagged(&mut evict, first, was & !will);
+                    push_flagged(&mut insert, first, will & !was);
                 }
             }
             // Split into throttled batches, evictions first within each
@@ -211,7 +212,7 @@ impl Refresher {
                         None => {
                             // All content moved: swap hashtables and finish.
                             let target = self.target.take().expect("target set in begin");
-                            cache.swap_locations(&target);
+                            cache.swap_locations(target);
                             self.history.push(self.next_batch_at - self.started_at);
                             self.phase = RefreshPhase::Idle;
                         }
@@ -220,6 +221,24 @@ impl Refresher {
             }
         }
         self.phase
+    }
+}
+
+/// Up to [`DIFF_WORD`] flags as one word, flag `k` in byte `k`: each
+/// byte is 0 or 1.
+fn flag_word(flags: &[bool]) -> u64 {
+    let mut bytes = [0u8; DIFF_WORD];
+    for (byte, &flag) in bytes.iter_mut().zip(flags) {
+        *byte = u8::from(flag);
+    }
+    u64::from_le_bytes(bytes)
+}
+
+/// Pushes `first + k` for every byte `k` of `bits` that is 1, in order.
+fn push_flagged(out: &mut Vec<u32>, first: usize, mut bits: u64) {
+    while bits != 0 {
+        out.push((first + bits.trailing_zeros() as usize / 8) as u32);
+        bits &= bits - 1;
     }
 }
 
@@ -356,39 +375,95 @@ mod tests {
     }
 
     #[test]
-    fn chunked_diff_batches_as_the_per_entry_diff() {
-        // Three whole chunks of 64 and a partial one; changes on both
-        // sides of each chunk edge and in the partial chunk, one GPU
+    fn word_diff_batches_as_the_per_entry_diff() {
+        // Key spaces of whole words and of every ragged tail; changes on
+        // both sides of each word edge and in the partial word, one GPU
         // evicting what another inserts.
-        let n = 3 * 64 + 17;
-        let mut current = Placement::all_host(3, n);
-        for e in (0..n).step_by(3) {
-            current.stored[0][e] = true;
-            current.stored[1][e] = e % 2 == 0;
+        for n in [1, 7, 8, 9, 15, 16, 17, 3 * 8 + 5, 8 * 8 + 7] {
+            let mut current = Placement::all_host(3, n);
+            for e in (0..n).step_by(3) {
+                current.stored[0][e] = true;
+                current.stored[1][e] = e % 2 == 0;
+            }
+            let mut target = current.clone();
+            for e in [0, 7, 8, 15, 16, n.saturating_sub(5), n - 2.min(n), n - 1] {
+                if e < n {
+                    target.stored[0][e] = !current.stored[0][e];
+                    target.stored[2][e] = true;
+                }
+            }
+            target.stored[1][n / 2] = !current.stored[1][n / 2];
+            for per in [1, 2, 3, 64] {
+                let mut r = Refresher::new(RefreshConfig {
+                    entries_per_batch: per,
+                    ..small_cfg()
+                });
+                r.begin(0.0, &current, target.clone());
+                let got: Vec<_> = r
+                    .batches
+                    .iter()
+                    .map(|b| (b.gpu, b.evict.clone(), b.insert.clone()))
+                    .collect();
+                let want = per_entry_batches(&current, &target, per);
+                assert_eq!(got, want, "n {n}, per {per}");
+            }
+            // Equal placements: no batch at all.
+            let mut r = Refresher::new(small_cfg());
+            r.begin(0.0, &target, target.clone());
+            assert!(r.batches.is_empty(), "n {n}");
         }
-        let mut target = current.clone();
-        for e in [0, 63, 64, 127, 128, n - 17, n - 2, n - 1] {
-            target.stored[0][e] = !current.stored[0][e];
-            target.stored[2][e] = true;
-        }
-        target.stored[1][191] = !current.stored[1][191];
-        for per in [1, 2, 3, 64] {
-            let mut r = Refresher::new(RefreshConfig {
-                entries_per_batch: per,
-                ..small_cfg()
-            });
-            r.begin(0.0, &current, target.clone());
-            let got: Vec<_> = r
-                .batches
+    }
+
+    #[test]
+    fn batches_between_sparse_solves_keep_the_dense_paths_bits() {
+        // Placements solved from hotness with no zero up to all zeros
+        // (`crates/policy/tests/zero_tail.rs` pins them), each refreshed
+        // to the next and the last to the first: the batches, in order,
+        // hashed as they were before hotness was held sparse and `begin`
+        // compared a word of flags at a time.
+        use cache_policy::{SolverConfig, UGacheSolver};
+        use gpu_platform::DedicationConfig;
+        use test_support::{fnv1a, FNV_OFFSET};
+
+        let mut roomy = vec![600; 8];
+        roomy[3] = 6_000;
+        let platforms = [
+            (
+                Platform::server_a(),
+                vec![2_000; 4],
+                0x2079_5077_4efe_d0a5u64,
+            ),
+            (Platform::server_b(), roomy, 0xbf1f_6027_68b7_cb66),
+        ];
+        let cases = test_support::zero_share_cases(30_000);
+        for (platform, caps, want) in platforms {
+            let solver = UGacheSolver::new(platform.clone(), DedicationConfig::default());
+            let mut cfg = SolverConfig::new(512, 1_000.0);
+            cfg.dedup_adjust = true;
+            let placements: Vec<Placement> = cases
                 .iter()
-                .map(|b| (b.gpu, b.evict.clone(), b.insert.clone()))
+                .map(|(_, w)| {
+                    let h = Hotness::new(w.clone());
+                    solver.solve(&h, &caps, &cfg).unwrap().placement
+                })
                 .collect();
-            assert_eq!(got, per_entry_batches(&current, &target, per), "per {per}");
+            let mut hash = FNV_OFFSET;
+            for (k, current) in placements.iter().enumerate() {
+                let mut r = Refresher::new(RefreshConfig {
+                    entries_per_batch: 512,
+                    ..RefreshConfig::default()
+                });
+                r.begin(0.0, current, placements[(k + 1) % placements.len()].clone());
+                for b in &r.batches {
+                    hash = fnv1a(hash, (b.gpu as u64).to_le_bytes());
+                    for side in [&b.evict, &b.insert] {
+                        hash = fnv1a(hash, (side.len() as u64).to_le_bytes());
+                        hash = fnv1a(hash, side.iter().flat_map(|e| e.to_le_bytes()));
+                    }
+                }
+            }
+            assert_eq!(hash, want, "{}", platform.name);
         }
-        // Equal placements: no batch at all.
-        let mut r = Refresher::new(small_cfg());
-        r.begin(0.0, &target, target.clone());
-        assert!(r.batches.is_empty());
     }
 
     #[test]

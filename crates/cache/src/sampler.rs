@@ -8,9 +8,17 @@
 use cache_policy::Hotness;
 
 /// Streaming key-frequency sampler.
+///
+/// Besides a count per entry it lists the entries it has counted since
+/// the last reset, so [`HotnessSampler::snapshot`] and
+/// [`HotnessSampler::reset`] cost those entries, not the key space: a
+/// refresh's snapshot holds a few percent of it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HotnessSampler {
     counts: Vec<u64>,
+    /// The entries whose count is not zero, in the order they were first
+    /// counted.
+    touched: Vec<u32>,
     /// Record one of every `stride` keys.
     stride: usize,
     cursor: usize,
@@ -29,6 +37,7 @@ impl HotnessSampler {
         assert!(stride > 0, "stride must be positive");
         HotnessSampler {
             counts: vec![0; num_entries],
+            touched: Vec::new(),
             stride,
             cursor: 0,
             sampled: 0,
@@ -42,15 +51,19 @@ impl HotnessSampler {
     ///
     /// Panics if a key is out of range.
     pub fn observe(&mut self, keys: &[u32]) {
-        for &k in keys {
-            self.observed += 1;
-            self.cursor += 1;
-            if self.cursor >= self.stride {
-                self.cursor = 0;
-                self.counts[k as usize] += 1;
-                self.sampled += 1;
+        // `cursor` keys have passed since the last one counted: the next
+        // to count is `stride − 1 − cursor` keys on, then every `stride`-th.
+        let first = self.stride - 1 - self.cursor;
+        for &k in keys.iter().skip(first).step_by(self.stride) {
+            let count = &mut self.counts[k as usize];
+            if *count == 0 {
+                self.touched.push(k);
             }
+            *count += 1;
+            self.sampled += 1;
         }
+        self.observed += keys.len() as u64;
+        self.cursor = (self.cursor + keys.len()) % self.stride;
     }
 
     /// Total keys seen (sampled or not).
@@ -63,14 +76,24 @@ impl HotnessSampler {
         self.sampled
     }
 
-    /// Snapshot of the current hotness estimate.
+    /// Snapshot of the current hotness estimate: the counted entries
+    /// sorted, with their counts.
     pub fn snapshot(&self) -> Hotness {
-        Hotness::from_counts(&self.counts)
+        let mut entries = self.touched.clone();
+        entries.sort_unstable();
+        let weights: Vec<f64> = entries
+            .iter()
+            .map(|&e| self.counts[e as usize] as f64)
+            .collect();
+        Hotness::sparse(self.counts.len(), &entries, &weights)
     }
 
     /// Clears counts (e.g. after a refresh consumed them).
     pub fn reset(&mut self) {
-        self.counts.iter_mut().for_each(|c| *c = 0);
+        for &e in &self.touched {
+            self.counts[e as usize] = 0;
+        }
+        self.touched.clear();
         self.cursor = 0;
         self.sampled = 0;
         self.observed = 0;
@@ -89,8 +112,9 @@ mod tests {
         assert_eq!(s.observed(), 4);
         assert_eq!(s.sampled(), 4);
         let h = s.snapshot();
-        assert_eq!(h.weights[1], 2.0);
-        assert_eq!(h.weights[9], 1.0);
+        let w = h.dense_weights();
+        assert_eq!(w[1], 2.0);
+        assert_eq!(w[9], 1.0);
     }
 
     #[test]
@@ -109,8 +133,8 @@ mod tests {
         let top_sub = sub.snapshot().ranking()[0];
         assert_eq!(top_full, top_sub);
         // Subsampled counts scale by ~stride.
-        let ratio = full.snapshot().weights[top_full as usize]
-            / sub.snapshot().weights[top_sub as usize].max(1.0);
+        let ratio = full.snapshot().dense_weights()[top_full as usize]
+            / sub.snapshot().dense_weights()[top_sub as usize].max(1.0);
         assert!((ratio - 16.0).abs() < 3.0, "ratio {ratio}");
     }
 
@@ -121,6 +145,51 @@ mod tests {
         s.reset();
         assert_eq!(s.observed(), 0);
         assert_eq!(s.snapshot().total(), 0.0);
+    }
+
+    #[test]
+    fn snapshots_after_a_reset_equal_dense_counts() {
+        // Two rounds of observations, a reset between them: each snapshot
+        // must be the one dense counts of the same round give, to the bit,
+        // at every stride — the second round revisits some entries of the
+        // first and leaves others at zero.
+        let n = 5_000u64;
+        let zipf = ZipfSampler::new(n, 1.1);
+        let mut rng = seed_rng(9);
+        for stride in [1, 3, 16] {
+            let mut s = HotnessSampler::new(n as usize, stride);
+            for round in 0..3 {
+                let keys: Vec<u32> = (0..4_000 + 3_000 * round)
+                    .map(|_| (zipf.sample(&mut rng) * 31 % n) as u32)
+                    .collect();
+                let mut dense = vec![0u64; n as usize];
+                for &k in keys.iter().skip(stride - 1).step_by(stride) {
+                    dense[k as usize] += 1;
+                }
+                // Batches shorter and longer than the stride, and empty
+                // ones: the count carries across them.
+                let mut rest = keys.as_slice();
+                for len in [700, 0, 1, 5, 17, 2].into_iter().cycle() {
+                    if rest.is_empty() {
+                        break;
+                    }
+                    let (batch, tail) = rest.split_at(len.min(rest.len()));
+                    s.observe(batch);
+                    rest = tail;
+                }
+                assert_eq!(s.observed(), keys.len() as u64);
+                assert_eq!(s.sampled(), dense.iter().sum::<u64>());
+                let (got, want) = (s.snapshot(), Hotness::from_counts(&dense));
+                assert_eq!(got, want, "stride {stride}, round {round}");
+                let bits = |h: &Hotness| -> Vec<u64> {
+                    h.dense_weights().iter().map(|w| w.to_bits()).collect()
+                };
+                assert_eq!(bits(&got), bits(&want), "stride {stride}, round {round}");
+                assert_eq!(got.total().to_bits(), want.total().to_bits());
+                s.reset();
+                assert_eq!(s, HotnessSampler::new(n as usize, stride));
+            }
+        }
     }
 
     #[test]

@@ -1,12 +1,17 @@
-//! Differential tests: the chunked gather must be bit-identical to the
-//! frozen per-key reference gather and to the host table — values and
-//! per-tier stats — at every pool width, at rest and mid-refresh; and a
-//! refreshed cache must gather like one built on the target placement.
+//! Differential tests: the chunked gather must return the host table's
+//! rows to the bit and the per-tier stats `Placement::split_keys` counts,
+//! at every pool width, at rest and mid-refresh, and the cache must pass
+//! its own `audit()` after every step; a refreshed cache must gather like
+//! one built on the target placement.
+//!
+//! Mid-refresh the oracle for the stats is the placement the reads
+//! actually follow: the old one, with every entry a batch evicted from a
+//! GPU re-routed from that GPU to the host.
 
 use cache_policy::{baselines, Hotness, Placement, SolverConfig, UGacheSolver};
-use emb_cache::{HostTable, MultiGpuCache, ReferenceGatherer, RefreshConfig, Refresher};
+use emb_cache::{GatherStats, HostTable, MultiGpuCache, RefreshConfig, Refresher};
 use emb_util::zipf::powerlaw_hotness;
-use gpu_platform::{DedicationConfig, Platform};
+use gpu_platform::{DedicationConfig, Location, Platform};
 use proptest::prelude::*;
 use rand::Rng;
 
@@ -15,40 +20,44 @@ use rand::Rng;
 const PLAN_CHUNK_KEYS: usize = 8_192;
 const COPY_CHUNK_ROWS: usize = 2_048;
 
-/// Gathers `keys` for `gpu` at pool widths 1, 2 and 8 and checks every
-/// output bit and the stats against the reference gather, and the
-/// reference against the host table.
-fn check(cache: &MultiGpuCache, gpu: usize, keys: &[u32], what: &str) {
-    let dim = cache.dim();
-    let mut ref_out = vec![f32::NAN; keys.len() * dim];
-    let ref_stats = ReferenceGatherer::new(cache).gather(cache, gpu, keys, &mut ref_out);
-    assert_eq!(ref_stats.total(), keys.len() as u64, "{what}");
-    for (k, &key) in keys.iter().enumerate() {
-        let truth = cache.host_table().read(key);
-        let row = &ref_out[k * dim..(k + 1) * dim];
-        assert!(
-            row.iter()
-                .zip(&truth)
-                .all(|(a, b)| a.to_bits() == b.to_bits()),
-            "{what}: reference row {k} (key {key}) differs from the host table"
-        );
+/// `keys`' per-tier counts for destination `gpu` under `reads`.
+fn split_stats(reads: &Placement, gpu: usize, keys: &[u32]) -> GatherStats {
+    let mut stats = GatherStats::default();
+    for (loc, count) in reads.split_keys(gpu, keys) {
+        match loc {
+            Location::Gpu(j) if j == gpu => stats.local += count,
+            Location::Gpu(_) => stats.remote += count,
+            Location::Host => stats.host += count,
+        }
     }
+    stats
+}
+
+/// Gathers `keys` for `gpu` at pool widths 1, 2 and 8 and checks every
+/// output row against the host table and the stats against `reads`'
+/// split; then audits the cache.
+fn check(cache: &MultiGpuCache, reads: &Placement, gpu: usize, keys: &[u32], what: &str) {
+    let dim = cache.dim();
+    let want = split_stats(reads, gpu, keys);
     for threads in [1, 2, 8] {
         // NaN-filled, so a row the copy pass skipped cannot pass as equal.
         let mut out = vec![f32::NAN; keys.len() * dim];
         let stats = emb_util::pool::with_threads(threads, || cache.gather(gpu, keys, &mut out));
-        assert_eq!(stats, ref_stats, "{what}, threads {threads}");
-        for (i, (a, b)) in out.iter().zip(&ref_out).enumerate() {
-            assert_eq!(
-                a.to_bits(),
-                b.to_bits(),
-                "{what}, threads {threads}: row {} (key {}) elem {}",
-                i / dim,
-                keys[i / dim],
-                i % dim
+        assert_eq!(stats, want, "{what}, threads {threads}");
+        for (k, &key) in keys.iter().enumerate() {
+            let truth = cache.host_table().read(key);
+            let row = &out[k * dim..(k + 1) * dim];
+            assert!(
+                row.iter()
+                    .zip(&truth)
+                    .all(|(a, b)| a.to_bits() == b.to_bits()),
+                "{what}, threads {threads}: row {k} (key {key}) differs from the host table"
             );
         }
     }
+    cache
+        .audit()
+        .unwrap_or_else(|e| panic!("{what}: audit: {e}"));
 }
 
 /// `len` keys mixing hot (cached somewhere) and cold (host) entries.
@@ -105,6 +114,8 @@ fn check_through_refresh(
     what: &str,
 ) {
     let (g, n) = (target.num_gpus, target.num_entries);
+    // What the reads follow: the old placement, less what was evicted.
+    let mut reads = cache.placement().clone();
     for j in 0..g {
         let old = cache.placement().stored[j].clone();
         let moved = |from: &[bool], to: &[bool]| -> Vec<u32> {
@@ -116,6 +127,13 @@ fn check_through_refresh(
         let insert = moved(&target.stored[j], &old);
         cache.invalidate_before_update(j, &evict);
         cache.update_arena(j, &evict, &insert);
+        for &e in &evict {
+            for access in reads.access.iter_mut() {
+                if access[e as usize] as usize == j {
+                    access[e as usize] = g as u8;
+                }
+            }
+        }
         // The moved entries first — a stale `<GPU, Offset>` would serve
         // an inserted entry's bytes for an evicted key — then a ragged
         // two-chunk tail.
@@ -125,22 +143,30 @@ fn check_through_refresh(
         for dst in [j, (j + 1) % g] {
             check(
                 cache,
+                &reads,
                 dst,
                 &keys,
                 &format!("{what}, GPU{j} updated, read by GPU{dst}"),
             );
         }
     }
-    cache.swap_locations(target);
+    cache.swap_locations(target.clone());
     let keys = mixed_keys(rng, n, cap, COPY_CHUNK_ROWS + 1);
-    check(cache, g - 1, &keys, &format!("{what}, after the swap"));
+    check(
+        cache,
+        target,
+        g - 1,
+        &keys,
+        &format!("{what}, after the swap"),
+    );
 }
 
 /// Lets a whole `Refresher` run — `begin`, every tick, the swap — take a
-/// cache built on `from` to `target`, and holds the result to a cache
-/// built on `target` outright: the same rows and the same per-tier stats
-/// for every destination GPU, so the location tables `swap_locations`
-/// writes are pinned against the ones the fill writes.
+/// cache built on `from` to `target`, auditing it after every tick, and
+/// holds the result to a cache built on `target` outright: the same rows
+/// and the same per-tier stats for every destination GPU, so the location
+/// tables `swap_locations` patches are pinned against the ones the fill
+/// writes.
 fn check_refresher_lands_on_a_fresh_build(
     from: &Placement,
     target: &Placement,
@@ -162,6 +188,9 @@ fn check_refresher_lands_on_a_fresh_build(
     while refresher.active() {
         now += 0.25;
         refresher.tick(now, &mut cache);
+        cache
+            .audit()
+            .unwrap_or_else(|e| panic!("{what}: audit at {now} s: {e}"));
         assert!(now < 1e4, "{what}: the refresh never finished");
     }
     assert_eq!(cache.placement(), target, "{what}");
@@ -184,6 +213,7 @@ fn check_refresher_lands_on_a_fresh_build(
     }
     check(
         &cache,
+        target,
         g - 1,
         &keys,
         &format!("{what}, after a Refresher run"),
@@ -198,7 +228,7 @@ proptest! {
     /// `update_arena` and `swap_locations` on its way to another placement,
     /// and a `Refresher` run the whole way there against a fresh build.
     #[test]
-    fn gather_matches_reference_and_host_table(seed in 0u64..10_000) {
+    fn gather_matches_host_table_and_split_keys(seed in 0u64..10_000) {
         let mut rng = emb_util::seed_rng(seed);
         for platform in [Platform::server_a(), Platform::server_c()] {
             let g = platform.num_gpus();
@@ -226,7 +256,7 @@ proptest! {
                     MultiGpuCache::build(HostTable::dense(n, dim), placement, &vec![cap; g]);
                 let gpu = rng.gen_range(0..g);
                 for (shape, keys) in batches(&mut rng, placement, gpu, cap) {
-                    check(&cache, gpu, &keys, &format!("{what}, {shape}"));
+                    check(&cache, placement, gpu, &keys, &format!("{what}, {shape}"));
                 }
                 let (next, target) = kinds[(k + 1) % kinds.len()];
                 let what = format!("{what} -> {next}");

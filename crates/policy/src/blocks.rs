@@ -9,6 +9,7 @@
 //! still place sub-level fractions).
 
 use crate::types::Hotness;
+use std::ops::Range;
 
 /// Block-building tunables.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -34,10 +35,18 @@ impl Default for BlockConfig {
 
 /// A group of entries with similar hotness, placed as a unit (possibly
 /// split fractionally by the solver).
+///
+/// Its entries, hottest first, are `hot` and then a stretch of the
+/// hotness's zero tail: the zero-weight entries are one level, after
+/// every non-zero entry and in index order, and a block names them by
+/// position ([`Hotness::zero_entries`]) rather than listing them.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Block {
-    /// Entry ids, hottest first.
-    pub entries: Vec<u32>,
+    /// The block's non-zero entries, hottest first.
+    pub hot: Vec<u32>,
+    /// The positions in the zero tail the block ends with (empty for a
+    /// block of non-zero entries only).
+    pub zeros: Range<usize>,
     /// Summed *normalized* hotness of the entries.
     pub weight: f64,
     /// Log-scale hotness level (0 = hottest).
@@ -47,61 +56,103 @@ pub struct Block {
 impl Block {
     /// Number of entries in the block.
     pub fn size(&self) -> usize {
-        self.entries.len()
+        self.hot.len() + self.zeros.len()
+    }
+
+    /// The entries at `positions` of the block, in order; `hotness` is the
+    /// one the block was built from.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `positions` reaches past the block's size.
+    pub fn entries_at<'h>(
+        &'h self,
+        hotness: &'h Hotness,
+        positions: Range<usize>,
+    ) -> impl Iterator<Item = u32> + 'h {
+        assert!(positions.end <= self.size(), "positions past the block");
+        let n = self.hot.len();
+        let hot = &self.hot[positions.start.min(n)..positions.end.min(n)];
+        let zeros = self.zeros.start + positions.start.saturating_sub(n)
+            ..self.zeros.start + positions.end.saturating_sub(n);
+        hot.iter().copied().chain(hotness.zero_entries(zeros))
+    }
+
+    /// Every entry of the block, hottest first.
+    pub fn entries<'h>(&'h self, hotness: &'h Hotness) -> impl Iterator<Item = u32> + 'h {
+        self.entries_at(hotness, 0..self.size())
+    }
+
+    /// Appends the next block's entries and weight.
+    fn absorb(&mut self, next: Block) {
+        debug_assert!(
+            next.hot.is_empty() || self.zeros.is_empty(),
+            "non-zero entries after zero ones"
+        );
+        self.hot.extend(next.hot);
+        if self.zeros.is_empty() {
+            self.zeros = next.zeros;
+        } else if !next.zeros.is_empty() {
+            self.zeros.end = next.zeros.end;
+        }
+        self.weight += next.weight;
     }
 }
+
+/// Level of the zero-weight entries, below every level a weight gets.
+const ZERO_LEVEL: u32 = 61;
 
 /// Batches entries into hotness blocks.
 ///
 /// Zero-hotness entries form the final level. The concatenation of all
 /// blocks' entries is [`Hotness::ranking`]: every entry once, hottest
-/// first, ties by id.
+/// first, ties by id. Only the non-zero weights are visited; the zero
+/// level is cut by count.
 pub fn build_blocks(hotness: &Hotness, cfg: &BlockConfig) -> Vec<Block> {
     let e = hotness.len();
     if e == 0 {
         return Vec::new();
     }
-    let norm = hotness.normalized();
-    let ranking = hotness.ranking();
-    let h_max = hotness.weights[ranking[0] as usize];
+    let total = hotness.total();
+    let ranked = hotness.ranked_nonzeros();
+    let h_max = ranked.first().map_or(0.0, |&(_, w)| w);
+    // Levels on a log2 scale relative to the hottest entry.
+    let level_of = |w: f64| -> u32 { (h_max / w).log2().floor().clamp(0.0, 60.0) as u32 };
 
-    // Assign levels on a log2 scale relative to the hottest entry.
-    const ZERO_LEVEL: u32 = u32::MAX;
-    let level_of = |w: f64| -> u32 {
-        if w <= 0.0 || h_max <= 0.0 {
-            ZERO_LEVEL
-        } else {
-            (h_max / w).log2().floor().clamp(0.0, 60.0) as u32
-        }
-    };
+    // Fine split: at least `min_splits` blocks per level (floor-based so
+    // the remainder becomes an extra block); coarse cap on top.
+    let coarse = ((cfg.coarse_cap * e as f64).ceil() as usize).max(1);
+    let per_block = |count: usize| (count / cfg.min_splits.max(1)).clamp(1, coarse);
 
     // Walk the ranking, cutting level runs into capped blocks.
-    let coarse = ((cfg.coarse_cap * e as f64).ceil() as usize).max(1);
     let mut blocks: Vec<Block> = Vec::new();
     let mut i = 0usize;
-    while i < e {
-        let lvl = level_of(hotness.weights[ranking[i] as usize]);
-        let mut j = i;
-        while j < e && level_of(hotness.weights[ranking[j] as usize]) == lvl {
+    while i < ranked.len() {
+        let level = level_of(ranked[i].1);
+        let mut j = i + 1;
+        while j < ranked.len() && level_of(ranked[j].1) == level {
             j += 1;
         }
-        let count = j - i;
-        // Fine split: at least `min_splits` blocks per level (floor-based
-        // so the remainder becomes an extra block); coarse cap on top.
-        let per_block = (count / cfg.min_splits.max(1)).clamp(1, coarse);
-        let mut s = i;
-        while s < j {
-            let t = (s + per_block).min(j);
-            let entries: Vec<u32> = ranking[s..t].to_vec();
-            let weight: f64 = entries.iter().map(|&id| norm[id as usize]).sum();
+        for part in ranked[i..j].chunks(per_block(j - i)) {
             blocks.push(Block {
-                entries,
-                weight,
-                level: if lvl == ZERO_LEVEL { 61 } else { lvl },
+                hot: part.iter().map(|&(id, _)| id).collect(),
+                zeros: 0..0,
+                weight: part.iter().map(|&(_, w)| w / total).sum(),
+                level,
             });
-            s = t;
         }
         i = j;
+    }
+    let zeros = e - ranked.len();
+    let step = per_block(zeros);
+    for start in (0..zeros).step_by(step) {
+        blocks.push(Block {
+            hot: Vec::new(),
+            zeros: start..(start + step).min(zeros),
+            // A zero entry's share is `+0.0`, and so is their sum.
+            weight: 0.0,
+            level: ZERO_LEVEL,
+        });
     }
 
     // Merge pass to respect max_blocks: repeatedly merge the smallest
@@ -117,20 +168,18 @@ pub fn build_blocks(hotness: &Hotness, cfg: &BlockConfig) -> Vec<Block> {
                 best = Some((k, sz));
             }
         }
-        let Some((k, _)) = best else {
-            // No same-level pair left: merge the smallest adjacent pair of
-            // different levels (keeps termination guaranteed).
-            let k = (0..blocks.len() - 1)
-                .min_by_key(|&k| blocks[k].size() + blocks[k + 1].size())
-                .expect("at least two blocks");
-            let b = blocks.remove(k + 1);
-            blocks[k].entries.extend(b.entries);
-            blocks[k].weight += b.weight;
-            continue;
-        };
+        // No same-level pair left: merge the smallest adjacent pair of
+        // different levels (keeps termination guaranteed).
+        let k = best.map_or_else(
+            || {
+                (0..blocks.len() - 1)
+                    .min_by_key(|&k| blocks[k].size() + blocks[k + 1].size())
+                    .expect("at least two blocks")
+            },
+            |(k, _)| k,
+        );
         let b = blocks.remove(k + 1);
-        blocks[k].entries.extend(b.entries);
-        blocks[k].weight += b.weight;
+        blocks[k].absorb(b);
     }
     blocks
 }
@@ -148,7 +197,7 @@ mod tests {
     fn blocks_partition_all_entries() {
         let h = powerlaw(10_000);
         let blocks = build_blocks(&h, &BlockConfig::default());
-        let mut all: Vec<u32> = blocks.iter().flat_map(|b| b.entries.clone()).collect();
+        let mut all: Vec<u32> = blocks.iter().flat_map(|b| b.entries(&h)).collect();
         assert_eq!(all.len(), 10_000);
         all.sort_unstable();
         all.dedup();
@@ -169,7 +218,7 @@ mod tests {
             };
             let blocks = build_blocks(&h, &cfg);
             assert!(blocks.len() <= max_blocks);
-            let all: Vec<u32> = blocks.iter().flat_map(|b| b.entries.clone()).collect();
+            let all: Vec<u32> = blocks.iter().flat_map(|b| b.entries(&h)).collect();
             assert_eq!(all, h.ranking(), "max_blocks {max_blocks}");
         }
     }
@@ -258,7 +307,7 @@ mod tests {
                 ..Default::default()
             },
         );
-        assert_eq!(blocks[0].entries[0], 3);
+        assert_eq!(blocks[0].hot[0], 3);
         let tail: usize = blocks
             .iter()
             .filter(|b| b.level == 61)
@@ -272,6 +321,6 @@ mod tests {
         assert!(build_blocks(&Hotness::new(vec![]), &BlockConfig::default()).is_empty());
         let one = build_blocks(&Hotness::new(vec![2.0]), &BlockConfig::default());
         assert_eq!(one.len(), 1);
-        assert_eq!(one[0].entries, vec![0]);
+        assert_eq!(one[0].hot, vec![0]);
     }
 }

@@ -52,20 +52,17 @@ pub fn estimate_extraction_time(
     let scale = accesses_per_iter * entry_bytes as f64;
     let host = g;
 
-    // Each entry's share of the accesses, with the bits
+    // Each non-zero entry's share of the accesses, with the bits
     // `Hotness::normalized` gives it, added to every GPU's sum in entry
-    // order. A zero share would add `+0.0`, which leaves a sum that starts
-    // at `+0.0` with its bits: a sampler's mostly-zero snapshot costs one
-    // scan and its non-zero entries.
+    // order. A zero entry's share is `+0.0`, which leaves a sum that
+    // starts at `+0.0` with its bits: a sampler's mostly-zero snapshot
+    // costs its non-zero entries only.
     let mut per_source = vec![vec![0.0f64; g + 1]; g];
     if total > 0.0 {
-        for (e, &w) in hotness.weights.iter().enumerate() {
-            if w == 0.0 {
-                continue;
-            }
+        for (e, w) in hotness.nonzeros() {
             let share = w / total;
             for (row, access) in per_source.iter_mut().zip(&placement.access) {
-                row[access[e] as usize] += share;
+                row[access[e as usize] as usize] += share;
             }
         }
     }

@@ -183,8 +183,8 @@ impl UGacheSolver {
             })
             .collect();
 
-        let mut placement = self.realize(&blocks, &patterns, &y, cap_entries, e);
-        self.fill_spare_capacity(&mut placement, cap_entries, &blocks);
+        let mut placement = self.realize(hotness, &blocks, &patterns, &y, cap_entries);
+        self.fill_spare_capacity(&mut placement, cap_entries, hotness, &blocks);
         debug_assert!(placement.validate().is_ok());
         Ok(SolvedPolicy {
             placement,
@@ -292,14 +292,16 @@ impl UGacheSolver {
     /// Realizes fractional pattern weights into an entry-level placement.
     fn realize(
         &self,
+        hotness: &Hotness,
         blocks: &[Block],
         patterns: &[Pattern],
         y: &[Vec<f64>],
         cap_entries: &[usize],
-        num_entries: usize,
     ) -> Placement {
         let g = self.platform.num_gpus();
-        let mut placement = Placement::all_host(g, num_entries);
+        let mut placement = Placement::all_host(g, hotness.len());
+        // One slice's entries, listed only for a caching pattern.
+        let mut slice: Vec<u32> = Vec::new();
         // Each pattern's round-robin runs on across blocks: `dealt[p]`
         // entries have taken pattern `p` so far.
         let mut rotations: Vec<Rotation> = patterns
@@ -344,14 +346,17 @@ impl UGacheSolver {
             // pattern's running round-robin. Either way the round-robin
             // moves on by the slice's length. The host pattern's slices
             // are skipped: `Placement::all_host` laid them out already, and
-            // its round-robin places nothing.
-            let mut rest = blk.entries.as_slice();
+            // its round-robin places nothing — so the zero tail is listed
+            // only where a caching pattern takes some of it.
+            let mut start = 0usize;
             for ((rotation, dealt), &count) in rotations.iter_mut().zip(&mut dealt).zip(&counts) {
-                let (slice, tail) = rest.split_at(count.min(rest.len()));
-                rest = tail;
+                let positions = start..start + count.min(n - start);
+                start = positions.end;
                 if rotation.is_host() {
                     continue;
                 }
+                slice.clear();
+                slice.extend(blk.entries_at(hotness, positions));
                 let by_key = slice.len() >= g
                     && slice
                         .windows(2)
@@ -382,16 +387,18 @@ impl UGacheSolver {
     /// machines the larger GPUs would otherwise strand capacity.
     ///
     /// The blocks' entries, block after block, are the hotness ranking
-    /// ([`build_blocks`]), so the solve sorts once.
+    /// ([`build_blocks`]), so the solve sorts once; the zero tail is
+    /// listed only as far as the walk reaches into it.
     fn fill_spare_capacity(
         &self,
         placement: &mut Placement,
         cap_entries: &[usize],
+        hotness: &Hotness,
         blocks: &[Block],
     ) {
         for j in 0..placement.num_gpus {
             let mut spare = cap_entries[j].saturating_sub(placement.cached_count(j));
-            for &e in blocks.iter().flat_map(|blk| &blk.entries) {
+            for e in blocks.iter().flat_map(|blk| blk.entries(hotness)) {
                 if spare == 0 {
                     break;
                 }
@@ -676,20 +683,6 @@ mod tests {
         }
     }
 
-    /// Access counts as a `HotnessSampler` snapshot holds them: integer
-    /// weights, many repeated, most of the tail never seen; Zipf ranks
-    /// are scattered over the ids so the hot entries are not the low ones.
-    fn sampled_hotness(n: usize, draws: usize, seed: u64) -> Hotness {
-        let zipf = emb_util::ZipfSampler::new(n as u64, 1.2);
-        let mut rng = emb_util::seed_rng(seed);
-        let mut counts = vec![0u64; n];
-        for _ in 0..draws {
-            let rank = zipf.sample(&mut rng) as usize;
-            counts[rank * 48_271 % n] += 1;
-        }
-        Hotness::from_counts(&counts)
-    }
-
     #[test]
     fn sampled_and_spare_room_solves_match_the_values_pinned_before_the_flat_refresh() {
         // Recorded at the commit before the calibration grouped equal
@@ -699,7 +692,7 @@ mod tests {
         // solve, and one GPU with room to spare makes
         // `fill_spare_capacity` walk the ranking into the zero-weight tail.
         let n = 100_000;
-        let sampled = sampled_hotness(n, 300_000, 18);
+        let sampled = Hotness::from_counts(&test_support::sampled_counts(n, 300_000, 18, 48_271));
         let uniform = vec![4_000usize; 8];
         let mut roomy_0 = vec![1_000usize; 8];
         roomy_0[0] = 30_000;
@@ -822,10 +815,73 @@ mod tests {
         y[0] = vec![f64::NAN; patterns.len()];
         y[1][2] = f64::NAN;
         let caps = [300usize; 8];
-        let p = s.realize(&blocks, &patterns, &y, &caps, h.len());
+        let p = s.realize(&h, &blocks, &patterns, &y, &caps);
         p.validate().unwrap();
         for (j, &cap) in caps.iter().enumerate() {
             assert!(p.cached_count(j) <= cap, "GPU{j}");
+        }
+    }
+
+    #[test]
+    fn the_zero_tail_is_dealt_by_the_lp_and_by_the_spare_capacity_fill() {
+        // The cases `tests/zero_tail.rs` pins to the dense path's bits
+        // must reach the zero tail both ways: a caching pattern's slice of
+        // a zero block listed by `realize`, and `fill_spare_capacity`
+        // walking past the last non-zero entry.
+        let mut roomy = vec![600; 8];
+        roomy[3] = 6_000;
+        let platforms = [
+            (Platform::server_a(), vec![2_000; 4]),
+            (Platform::server_b(), roomy),
+        ];
+        let (mut by_lp, mut by_fill) = (Vec::new(), Vec::new());
+        for (name, w) in test_support::zero_share_cases(30_000) {
+            for (platform, caps) in &platforms {
+                let s = solver(platform.clone());
+                let mut cfg = SolverConfig::new(512, 1_000.0);
+                cfg.dedup_adjust = true;
+                let h = cfg.adjusted(&Hotness::new(w.clone())).into_owned();
+                let mut bcfg = cfg.blocks;
+                bcfg.min_splits = bcfg.min_splits.max(platform.num_gpus());
+                let blocks = build_blocks(&h, &bcfg);
+                let patterns = generate_patterns(platform);
+                let (model, y_ids, _) = s.build_lp(&blocks, &patterns, caps, &cfg);
+                let sol = milp::solve_lp(&model).unwrap();
+                let y: Vec<Vec<f64>> = y_ids
+                    .iter()
+                    .map(|row| {
+                        row.iter()
+                            .map(|&v| sol.x[v.index()].clamp(0.0, 1.0))
+                            .collect()
+                    })
+                    .collect();
+                let zeros_cached = |p: &Placement| {
+                    h.zero_entries(0..h.len() - h.nonzero_count())
+                        .filter(|&e| (0..p.num_gpus).any(|j| p.stored[j][e as usize]))
+                        .count()
+                };
+                let mut p = s.realize(&h, &blocks, &patterns, &y, caps);
+                let dealt = zeros_cached(&p);
+                s.fill_spare_capacity(&mut p, caps, &h, &blocks);
+                let what = format!("{name}, {}", platform.name);
+                if dealt > 0 {
+                    by_lp.push(what.clone());
+                }
+                if zeros_cached(&p) > dealt {
+                    by_fill.push(what);
+                }
+            }
+        }
+        for (how, reached, case) in [
+            ("the LP", &by_lp, "97 % zeros, ServerA-4xV100"),
+            ("the LP", &by_lp, "one non-zero, ServerB-8xV100"),
+            ("the fill", &by_fill, "97 % zeros, ServerB-8xV100"),
+            ("the fill", &by_fill, "sampled, ServerB-8xV100"),
+        ] {
+            assert!(
+                reached.iter().any(|r| r == case),
+                "{how} misses {case}: {reached:?}"
+            );
         }
     }
 

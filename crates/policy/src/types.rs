@@ -1,8 +1,8 @@
 //! Core data types shared by all policies.
 
 use gpu_platform::Location;
-use std::cmp::Ordering;
 use std::collections::HashMap;
+use std::ops::Range;
 
 /// Compact source index: `0..G` are GPUs, `G` is host.
 pub type SourceIdx = u8;
@@ -12,55 +12,166 @@ pub type SourceIdx = u8;
 /// Weights are relative; [`Hotness::normalized`] returns each entry's
 /// share of total accesses. Applications may supply measured frequencies
 /// (pre-sampling epoch counts, vertex degrees, Zipf masses) directly.
+///
+/// Held sparse: the non-zero weights in entry order, with their entry
+/// ids — or without ids when no weight is zero (analytic hotness), so a
+/// zero-free hotness costs one `f64` an entry, as a plain vector would.
+/// The zero entries are implicit. A sampler's snapshot is mostly zeros
+/// (97 % of `serve_online`'s), and every stage of a solve walks only the
+/// non-zeros: the calibration, the ranking, the blocks, the estimate.
+/// The zeros rank last, as one tail in index order
+/// ([`Hotness::zero_entries`]), which is listed only where an entry of it
+/// is placed in a cache.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Hotness {
-    /// Non-negative weight per entry.
-    pub weights: Vec<f64>,
+    /// Number of entries, zeros included.
+    len: usize,
+    /// Entry ids of `weights`, ascending; empty when no weight is zero.
+    ids: Vec<u32>,
+    /// The non-zero weights, in entry order.
+    weights: Vec<f64>,
 }
 
 impl Hotness {
-    /// Wraps raw weights.
+    /// Wraps raw weights, one per entry.
     ///
     /// # Panics
     ///
     /// Panics if any weight is negative or non-finite.
     pub fn new(weights: Vec<f64>) -> Self {
+        let mut zeros = 0usize;
+        for &w in &weights {
+            assert!(
+                w.is_finite() && w >= 0.0,
+                "hotness weights must be finite and non-negative"
+            );
+            zeros += usize::from(w == 0.0);
+        }
+        if zeros == 0 {
+            return Hotness {
+                len: weights.len(),
+                ids: Vec::new(),
+                weights,
+            };
+        }
+        Self::from_pairs(
+            weights.len(),
+            weights.iter().enumerate().map(|(e, &w)| (e as u32, w)),
+        )
+    }
+
+    /// Builds hotness from integer access counts, one per entry.
+    pub fn from_counts(counts: &[u64]) -> Self {
+        Self::from_pairs(
+            counts.len(),
+            counts
+                .iter()
+                .enumerate()
+                .map(|(e, &c)| (e as u32, c as f64)),
+        )
+    }
+
+    /// Hotness over `len` entries from the weights of some of them:
+    /// `entries` ascending, each with its weight in `weights`, every other
+    /// entry zero.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the two lengths differ, `entries` is not ascending or
+    /// reaches `len`, or a weight is negative or non-finite.
+    pub fn sparse(len: usize, entries: &[u32], weights: &[f64]) -> Self {
+        assert_eq!(entries.len(), weights.len(), "one weight per entry");
+        assert!(
+            entries.windows(2).all(|w| w[0] < w[1]),
+            "entries must be ascending"
+        );
+        assert!(
+            entries.last().is_none_or(|&e| (e as usize) < len),
+            "entry out of range"
+        );
         assert!(
             weights.iter().all(|w| w.is_finite() && *w >= 0.0),
             "hotness weights must be finite and non-negative"
         );
-        Hotness { weights }
+        Self::from_pairs(len, entries.iter().copied().zip(weights.iter().copied()))
     }
 
-    /// Builds hotness from integer access counts.
-    pub fn from_counts(counts: &[u64]) -> Self {
-        Hotness {
-            weights: counts.iter().map(|&c| c as f64).collect(),
+    /// Keeps the pairs whose weight is not zero, ids ascending, and the
+    /// ids only if some entry is left out.
+    fn from_pairs(len: usize, pairs: impl Iterator<Item = (u32, f64)>) -> Self {
+        let (mut ids, weights): (Vec<u32>, Vec<f64>) = pairs.filter(|&(_, w)| w != 0.0).unzip();
+        if weights.len() == len {
+            ids = Vec::new();
         }
+        Hotness { len, ids, weights }
     }
 
-    /// Number of entries.
+    /// The same entries with new non-zero weights, one for each of
+    /// `self`'s; a weight of zero drops its entry into the zero tail.
+    fn reweighted(&self, weights: Vec<f64>) -> Self {
+        if !weights.contains(&0.0) {
+            return Hotness {
+                len: self.len,
+                ids: self.ids.clone(),
+                weights,
+            };
+        }
+        Self::from_pairs(self.len, self.nonzeros().map(|(e, _)| e).zip(weights))
+    }
+
+    /// Number of entries, zeros included.
     pub fn len(&self) -> usize {
-        self.weights.len()
+        self.len
     }
 
     /// Whether there are no entries.
     pub fn is_empty(&self) -> bool {
-        self.weights.is_empty()
+        self.len == 0
+    }
+
+    /// Number of entries with a non-zero weight.
+    pub fn nonzero_count(&self) -> usize {
+        self.weights.len()
+    }
+
+    /// The `(entry, weight)` pairs whose weight is not zero, in entry
+    /// order.
+    pub fn nonzeros(&self) -> impl ExactSizeIterator<Item = (u32, f64)> + '_ {
+        // With no ids stored, the `k`-th weight is entry `k`'s.
+        self.weights
+            .iter()
+            .enumerate()
+            .map(|(k, &w)| (self.ids.get(k).map_or(k as u32, |&e| e), w))
+    }
+
+    /// Every entry's weight, zeros included: one pass over the key space,
+    /// for callers that want a plain vector.
+    pub fn dense_weights(&self) -> Vec<f64> {
+        let mut dense = vec![0.0; self.len];
+        for (e, w) in self.nonzeros() {
+            dense[e as usize] = w;
+        }
+        dense
     }
 
     /// Total weight.
     pub fn total(&self) -> f64 {
-        self.weights.iter().sum()
+        // From `+0.0`, so an all-zero hotness totals `+0.0`, as the sum
+        // over its entries would.
+        self.weights.iter().fold(0.0, |sum, w| sum + w)
     }
 
-    /// Per-entry share of total accesses (all zeros if total is 0).
+    /// Every entry's share of total accesses (all zeros if total is 0): a
+    /// pass over the key space.
     pub fn normalized(&self) -> Vec<f64> {
         let t = self.total();
-        if t <= 0.0 {
-            return vec![0.0; self.len()];
+        let mut shares = vec![0.0; self.len];
+        if t > 0.0 {
+            for (e, w) in self.nonzeros() {
+                shares[e as usize] = w / t;
+            }
         }
-        self.weights.iter().map(|w| w / t).collect()
+        shares
     }
 
     /// Adjusts hotness for per-batch key deduplication.
@@ -77,126 +188,164 @@ impl Hotness {
     /// Ranking is preserved; only magnitudes saturate.
     ///
     /// The bisection compares `Σ_e 1 − exp(−λ·p_e)` with the target 60
-    /// times, but pays a pass over the entries only for a comparison that
-    /// earlier passes leave open — about 30 at 10⁵ entries, the rest
-    /// being forced by monotonicity or repeated (see `calibrate_lambda`).
-    /// In a pass, when at most one weight in sixteen is distinct (a
-    /// sampler's snapshot: small integer counts, mostly zero) `exp` is
-    /// evaluated once per distinct value and the per-entry terms are
-    /// looked up; otherwise (analytic hotness: every weight its own) once
-    /// per entry. `exp` is pure and both loops add the same terms in
-    /// entry order, so neither the choice nor a skipped pass ever shows
-    /// in the returned bits.
+    /// times, but pays a pass over the non-zero weights only for a
+    /// comparison that earlier passes leave open — about 30 at 10⁵
+    /// entries, the rest being forced by monotonicity or repeated (see
+    /// `calibrate_lambda`). A zero weight's term is `1 − exp(−0)`, exactly
+    /// `+0.0` at every `λ`, and adding it leaves a sum's bits alone, so
+    /// the zeros are never visited. In a pass, when at most one non-zero
+    /// weight in sixteen is distinct (a sampler's snapshot: small integer
+    /// counts) `exp` is evaluated once per distinct value and the
+    /// per-entry terms are looked up; otherwise (analytic hotness: every
+    /// weight its own) once per entry. `exp` is pure and both loops add
+    /// the same terms in entry order, so neither the choice nor a skipped
+    /// pass ever shows in the returned bits.
     pub fn dedup_adjusted(&self, unique_per_batch: f64) -> Hotness {
-        let e = self.len();
+        let e = self.len;
         let total = self.total();
         if e == 0 || total <= 0.0 || unique_per_batch <= 0.0 {
             return self.clone();
         }
         let target = unique_per_batch.min(e as f64 * 0.999_999);
+        let terms = self.weights.len();
         let appears = |lambda: f64, p: f64| 1.0 - (-lambda * p).exp();
-        let Some((values, group_of)) =
-            group_by_bits(&self.weights, e / GROUPED_ENTRIES_PER_DISTINCT)
-        else {
-            let p: Vec<f64> = self.weights.iter().map(|w| w / total).collect();
-            let lambda = calibrate_lambda(target, e, |lambda| {
-                p.iter().map(|&pi| appears(lambda, pi)).sum()
-            });
-            return Hotness::new(p.iter().map(|&pi| appears(lambda, pi)).collect());
+        let adjusted = match group_by_bits(&self.weights, terms / GROUPED_ENTRIES_PER_DISTINCT) {
+            None => {
+                let p: Vec<f64> = self.weights.iter().map(|w| w / total).collect();
+                let lambda = calibrate_lambda(target, terms, |lambda| {
+                    p.iter().fold(0.0, |sum, &pi| sum + appears(lambda, pi))
+                });
+                p.iter().map(|&pi| appears(lambda, pi)).collect()
+            }
+            Some((values, group_of)) => {
+                let p: Vec<f64> = values.iter().map(|w| w / total).collect();
+                let terms_at =
+                    |lambda: f64| -> Vec<f64> { p.iter().map(|&pi| appears(lambda, pi)).collect() };
+                let lambda = calibrate_lambda(target, terms, |lambda| {
+                    let terms = terms_at(lambda);
+                    group_of.iter().fold(0.0, |sum, &g| sum + terms[g as usize])
+                });
+                let terms = terms_at(lambda);
+                group_of.iter().map(|&g| terms[g as usize]).collect()
+            }
         };
-        let p: Vec<f64> = values.iter().map(|w| w / total).collect();
-        // `p == 0` makes the term `1 − exp(−0)`, exactly `+0.0` at every
-        // λ, and adding that leaves a sum's bits alone: leave it out.
-        let summed: Vec<u32> = group_of
-            .iter()
-            .copied()
-            .filter(|&g| p[g as usize] != 0.0)
-            .collect();
-        let terms_at =
-            |lambda: f64| -> Vec<f64> { p.iter().map(|&pi| appears(lambda, pi)).collect() };
-        let lambda = calibrate_lambda(target, summed.len(), |lambda| {
-            let terms = terms_at(lambda);
-            summed.iter().fold(0.0, |sum, &g| sum + terms[g as usize])
-        });
-        let terms = terms_at(lambda);
-        Hotness::new(group_of.iter().map(|&g| terms[g as usize]).collect())
+        self.reweighted(adjusted)
     }
 
-    /// Entry indices sorted hottest-first (ties by index for determinism).
-    ///
-    /// Weights that [`Hotness::new`] would refuse — `weights` is a public
-    /// field — still get a deterministic order, never a panic: negative
-    /// and infinite weights rank by value, as everywhere else, and a NaN
-    /// ranks by its sign bit, above `+∞` or below `−∞`.
+    /// Positions in `weights`, hottest first, ties in entry order.
+    fn rank_positions(&self) -> Vec<u32> {
+        // Every weight is positive and finite, so its bit pattern rises
+        // with its value: comparing integer keys read from one array, not
+        // weights through `partial_cmp`, is what makes the sort fast on
+        // input without long sorted runs (vertex degrees, all-distinct
+        // masses).
+        let keys: Vec<u64> = self.weights.iter().map(|w| !w.to_bits()).collect();
+        let mut positions: Vec<u32> = (0..keys.len() as u32).collect();
+        // Stable, so equal keys keep entry order.
+        positions.sort_by_key(|&k| keys[k as usize]);
+        positions
+    }
+
+    /// The non-zero `(entry, weight)` pairs, hottest first, ties in entry
+    /// order: the head of [`Hotness::ranking`].
+    pub fn ranked_nonzeros(&self) -> Vec<(u32, f64)> {
+        let ids = |k: u32| self.ids.get(k as usize).map_or(k, |&e| e);
+        self.rank_positions()
+            .into_iter()
+            .map(|k| (ids(k), self.weights[k as usize]))
+            .collect()
+    }
+
+    /// Entry indices sorted hottest-first (ties by index for determinism):
+    /// the non-zero entries sorted, then the zero tail in index order.
     pub fn ranking(&self) -> Vec<u32> {
-        let n = self.len();
-        let (mut hot, mut zeros) = (0usize, 0usize);
-        let keys: Vec<u64> = self
-            .weights
-            .iter()
-            .map(|&w| {
-                let key = rank_key(w);
-                hot += usize::from(key < ZERO_KEY);
-                zeros += usize::from(key == ZERO_KEY);
-                key
-            })
-            .collect();
-        let key_of = |&i: &u32| keys[i as usize];
-        if zeros == 0 {
-            // Nothing to split off, and dealing the indices out would cost
-            // a pass. Comparing keys read from one array, not weights through
-            // `partial_cmp`, is what makes the sort fast on input without
-            // long sorted runs (vertex degrees, all-distinct masses).
-            let mut idx: Vec<u32> = (0..n as u32).collect();
-            // Stable, so equal keys keep index order.
-            idx.sort_by_key(key_of);
-            return idx;
+        let mut ranking = self.rank_positions();
+        // With no ids stored, positions are entries.
+        if !self.ids.is_empty() {
+            for k in ranking.iter_mut() {
+                *k = self.ids[*k as usize];
+            }
         }
-        // A sampler's snapshot is mostly zeros, and zeros tie: deal the
-        // indices out in index order to the entries hotter than zero, the
-        // zeros and the rest (negative, `−NaN`), then sort only the first
-        // and the last part. Each part keeps index order among equal keys,
-        // so this is the stable sort's order.
-        let mut idx = vec![0u32; n];
-        let mut next = [0, hot, hot + zeros];
-        for (i, &key) in keys.iter().enumerate() {
-            let part = match key.cmp(&ZERO_KEY) {
-                Ordering::Less => 0,
-                Ordering::Equal => 1,
-                Ordering::Greater => 2,
-            };
-            idx[next[part]] = i as u32;
-            next[part] += 1;
+        ranking.extend(self.zero_entries(0..self.len - self.weights.len()));
+        ranking
+    }
+
+    /// The zero entries at `positions` of the zero tail — the entries
+    /// whose weight is zero, in index order, numbered from 0 — in order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `positions` reaches past the number of zero entries.
+    pub fn zero_entries(&self, positions: Range<usize>) -> ZeroEntries<'_> {
+        let zeros = self.len - self.weights.len();
+        assert!(
+            positions.start <= positions.end && positions.end <= zeros,
+            "zero-tail positions {positions:?} out of 0..{zeros}"
+        );
+        // The `k`-th non-zero entry has `ids[k] − k` zeros before it, a
+        // count that never falls as `k` rises: skip the non-zero entries
+        // with at most `start` zeros before them, and the `start`-th zero
+        // is `start` plus their number.
+        let (mut skipped, mut hi) = (0, self.ids.len());
+        while skipped < hi {
+            let mid = skipped + (hi - skipped) / 2;
+            if self.ids[mid] as usize - mid <= positions.start {
+                skipped = mid + 1;
+            } else {
+                hi = mid;
+            }
         }
-        idx[..hot].sort_by_key(key_of);
-        idx[hot + zeros..].sort_by_key(key_of);
-        idx
+        ZeroEntries {
+            ids: &self.ids[skipped..],
+            next: (positions.start + skipped) as u32,
+            left: positions.len(),
+        }
     }
 }
 
-/// [`Hotness::ranking`]'s integer key, which falls as the weight rises:
-/// the bit pattern, with the magnitude bits flipped where the sign is
-/// clear.
-fn rank_key(w: f64) -> u64 {
-    // `-0.0` ties with `+0.0`, as it does under `partial_cmp`.
-    let bits = if w == 0.0 { 0 } else { w.to_bits() };
-    if bits >> 63 == 0 {
-        bits ^ (u64::MAX >> 1)
-    } else {
-        bits
+/// The zero entries of a [`Hotness`] over a stretch of its zero tail, in
+/// index order (see [`Hotness::zero_entries`]).
+#[derive(Debug, Clone)]
+pub struct ZeroEntries<'a> {
+    /// The non-zero entries from `next` on.
+    ids: &'a [u32],
+    next: u32,
+    left: usize,
+}
+
+impl Iterator for ZeroEntries<'_> {
+    type Item = u32;
+
+    fn next(&mut self) -> Option<u32> {
+        if self.left == 0 {
+            return None;
+        }
+        while let Some((&e, rest)) = self.ids.split_first() {
+            if e != self.next {
+                break;
+            }
+            self.ids = rest;
+            self.next += 1;
+        }
+        let e = self.next;
+        self.left -= 1;
+        self.next += 1;
+        Some(e)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
     }
 }
 
-/// [`rank_key`] of a zero weight: hotter weights (and `+NaN`) have
-/// smaller keys, negative ones (and `−NaN`) larger.
-const ZERO_KEY: u64 = u64::MAX >> 1;
+impl ExactSizeIterator for ZeroEntries<'_> {}
 
 /// [`Hotness::dedup_adjusted`] evaluates `exp` per distinct weight when
-/// there are at least this many entries per distinct value: a step then
-/// costs a load and an addition per entry instead of an `exp`, which has
-/// to pay for hashing every weight once to find the groups. Real inputs
-/// sit far to either side — a sampler's snapshot holds a few hundred
-/// distinct counts among hundreds of thousands of entries, analytic
+/// there are at least this many non-zero entries per distinct value: a
+/// step then costs a load and an addition per entry instead of an `exp`,
+/// which has to pay for hashing every weight once to find the groups.
+/// Real inputs sit far to either side — a sampler's snapshot holds a few
+/// hundred distinct counts among thousands of non-zero entries, analytic
 /// hotness no two weights alike.
 const GROUPED_ENTRIES_PER_DISTINCT: usize = 16;
 
@@ -209,28 +358,15 @@ fn group_by_bits(weights: &[f64], max_distinct: usize) -> Option<(Vec<f64>, Vec<
     let mut ids: HashMap<u64, u32> = HashMap::new();
     let mut values = Vec::new();
     let mut group_of = Vec::with_capacity(weights.len());
-    // A sampler's snapshot is mostly `+0.0`: once its group is known, a
-    // zero takes it without a probe.
-    let mut zero_id = None;
     for &w in weights {
-        let bits = w.to_bits();
-        let id = match zero_id {
-            Some(id) if bits == 0 => id,
-            _ => {
-                let next = values.len() as u32;
-                let id = *ids.entry(bits).or_insert(next);
-                if id == next {
-                    if values.len() == max_distinct {
-                        return None;
-                    }
-                    values.push(w);
-                }
-                if bits == 0 {
-                    zero_id = Some(id);
-                }
-                id
+        let next = values.len() as u32;
+        let id = *ids.entry(w.to_bits()).or_insert(next);
+        if id == next {
+            if values.len() == max_distinct {
+                return None;
             }
-        };
+            values.push(w);
+        }
         group_of.push(id);
     }
     Some((values, group_of))
@@ -492,8 +628,8 @@ impl Placement {
             return (0.0, 0.0, 0.0);
         }
         let (mut local, mut remote, mut host) = (0.0, 0.0, 0.0);
-        for (e, &w) in hotness.weights.iter().enumerate() {
-            let s = self.access[gpu][e];
+        for (e, w) in hotness.nonzeros() {
+            let s = self.access[gpu][e as usize];
             if s == self.host_idx() {
                 host += w;
             } else if s as usize == gpu {
@@ -554,55 +690,70 @@ mod tests {
     }
 
     /// `ranking` before it sorted integer keys: indices through a
-    /// `partial_cmp` comparator, which panics on a NaN, so a NaN is first
-    /// put above `+∞` or below `−∞` by its sign bit, as `ranking` does.
+    /// `partial_cmp` comparator over every entry's weight, zeros included.
     fn ranking_by_partial_cmp(weights: &[f64]) -> Vec<u32> {
-        let nan_side = |w: f64| match (w.is_nan(), w.is_sign_positive()) {
-            (true, true) => 0,
-            (false, _) => 1,
-            (true, false) => 2,
-        };
         let mut idx: Vec<u32> = (0..weights.len() as u32).collect();
         idx.sort_by(|&a, &b| {
             let (wa, wb) = (weights[a as usize], weights[b as usize]);
-            nan_side(wa)
-                .cmp(&nan_side(wb))
-                .then_with(|| {
-                    if wa.is_nan() {
-                        std::cmp::Ordering::Equal
-                    } else {
-                        wb.partial_cmp(&wa).unwrap()
-                    }
-                })
-                .then(a.cmp(&b))
+            wb.partial_cmp(&wa).unwrap().then(a.cmp(&b))
         });
         idx
     }
 
-    /// A weight drawn from `bits`: ties among a few small counts, zeros
-    /// of both signs, and values unlikely to repeat — negative, infinite
-    /// and NaN ones too, which `Hotness::new` refuses but the field
-    /// admits.
+    /// A weight drawn from `bits`: zeros of both signs, ties among a few
+    /// small counts, and fractions unlikely to repeat.
     fn weight_from(bits: u64) -> f64 {
         let fraction = (bits >> 11) as f64 / (1u64 << 53) as f64;
-        match bits % 8 {
+        match bits % 6 {
             0 => 0.0,
             1 => -0.0,
             2 | 3 => ((bits >> 3) % 4) as f64,
-            4 => -fraction,
-            5 => [f64::INFINITY, f64::NEG_INFINITY, f64::NAN, -f64::NAN][(bits >> 3) as usize % 4],
             _ => fraction,
         }
     }
 
     /// A sampler-like draw from `bits`: nine in ten a zero of either
-    /// sign, the rest [`weight_from`] (itself a zero one time in four).
+    /// sign, the rest [`weight_from`] (itself a zero one time in three).
     fn mostly_zero_from(bits: u64) -> f64 {
         match (bits >> 32) % 10 {
             0 => weight_from(bits),
             _ if bits & 1 == 0 => 0.0,
             _ => -0.0,
         }
+    }
+
+    /// Every zero entry of `weights`, in index order.
+    fn zeros_by_scan(weights: &[f64]) -> Vec<u32> {
+        (0..weights.len() as u32)
+            .filter(|&e| weights[e as usize] == 0.0)
+            .collect()
+    }
+
+    /// Holds `weights`' hotness to the dense oracles: the ranking, every
+    /// stretch of the zero tail, the dense weights back (a `−0.0` reads
+    /// `+0.0`), and ids kept only beside a zero.
+    fn check_against_dense(weights: &[f64]) {
+        let h = Hotness::new(weights.to_vec());
+        assert_eq!(h.ranking(), ranking_by_partial_cmp(weights), "{weights:?}");
+        let zeros = zeros_by_scan(weights);
+        assert_eq!(h.nonzero_count(), weights.len() - zeros.len());
+        assert_eq!(
+            h.ids.is_empty(),
+            zeros.is_empty() || zeros.len() == weights.len()
+        );
+        for start in 0..=zeros.len() {
+            for end in start..=zeros.len() {
+                let got: Vec<u32> = h.zero_entries(start..end).collect();
+                assert_eq!(got, zeros[start..end], "{weights:?}: {start}..{end}");
+            }
+        }
+        let dense = h.dense_weights();
+        for (e, (&got, &w)) in dense.iter().zip(weights).enumerate() {
+            let want = if w == 0.0 { 0.0f64 } else { w };
+            assert_eq!(got.to_bits(), want.to_bits(), "entry {e}");
+        }
+        let (ids, nonzero): (Vec<u32>, Vec<f64>) = h.nonzeros().unzip();
+        assert_eq!(Hotness::sparse(weights.len(), &ids, &nonzero), h);
     }
 
     proptest::proptest! {
@@ -616,46 +767,63 @@ mod tests {
             let mostly_zero: Vec<f64> = sparse.into_iter().map(mostly_zero_from).collect();
             for weights in [mixed, distinct, mostly_zero] {
                 let want = ranking_by_partial_cmp(&weights);
-                proptest::prop_assert_eq!(Hotness { weights }.ranking(), want);
+                proptest::prop_assert_eq!(Hotness::new(weights).ranking(), want);
             }
         }
     }
 
     #[test]
-    fn ranking_splits_around_the_zeros_at_their_edges() {
-        // No zero, all zeros, one entry on either side of them at either
-        // end: the parts the ranking sorts apart are empty or one long.
-        for n in [1usize, 2, 63, 64, 65] {
+    fn the_zero_tail_follows_the_non_zeros_in_index_order_at_its_edges() {
+        // No zero, all zeros, one non-zero entry at either end or in the
+        // middle, runs of non-zeros on both sides of a zero: the tail is
+        // empty, everything, or skips entries at its edges.
+        for n in [1usize, 2, 3, 17, 64, 65] {
             let signed_zeros: Vec<f64> = (0..n)
                 .map(|e| if e % 3 == 0 { -0.0 } else { 0.0 })
                 .collect();
-            let all_nonzero: Vec<f64> = (0..n as u64)
-                .map(|e| weight_from(e.wrapping_mul(0x9e37_79b9_7f4a_7c15)))
-                .map(|w| if w == 0.0 { 1.5 } else { w })
-                .collect();
-            let mut cases = vec![signed_zeros.clone(), all_nonzero];
+            let all_nonzero: Vec<f64> = (0..n).map(|e| 1.0 + (e % 4) as f64).collect();
+            let mut cases = vec![signed_zeros.clone(), all_nonzero.clone()];
             for at in [0, n / 2, n - 1] {
-                for lone in [2.0, -2.0, f64::NAN, -f64::NAN] {
-                    let mut w = signed_zeros.clone();
-                    w[at] = lone;
-                    cases.push(w);
-                }
+                let mut lone = signed_zeros.clone();
+                lone[at] = 2.0;
+                cases.push(lone);
+                let mut hole = all_nonzero.clone();
+                hole[at] = 0.0;
+                cases.push(hole);
             }
+            cases.push((0..n).map(|e| (e % 2) as f64).collect());
+            cases.push((0..n).map(|e| ((e / 3) % 2) as f64).collect());
             for weights in cases {
-                let want = ranking_by_partial_cmp(&weights);
-                let h = Hotness { weights };
-                assert_eq!(h.ranking(), want, "{:?}", h.weights);
+                check_against_dense(&weights);
             }
-            let in_order: Vec<u32> = (0..n as u32).collect();
-            assert_eq!(Hotness::new(signed_zeros).ranking(), in_order);
+        }
+        check_against_dense(&[]);
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn sparse_hotness_reads_as_its_dense_weights(
+            sparse in proptest::prop::collection::vec(0u64..u64::MAX, 0..120),
+        ) {
+            let weights: Vec<f64> = sparse.into_iter().map(mostly_zero_from).collect();
+            check_against_dense(&weights);
         }
     }
 
     #[test]
-    fn ranking_puts_a_nan_by_its_sign_bit() {
-        let (nan, inf) = (f64::NAN, f64::INFINITY);
-        let weights = vec![1.0, nan, -nan, inf, -1.0, -inf];
-        assert_eq!(Hotness { weights }.ranking(), vec![1, 3, 0, 4, 5, 2]);
+    fn a_zero_free_hotness_stores_no_ids() {
+        let h = Hotness::new(vec![0.5, 2.0, 1.0]);
+        assert!(h.ids.is_empty());
+        assert_eq!(
+            h.nonzeros().collect::<Vec<_>>(),
+            [(0, 0.5), (1, 2.0), (2, 1.0)]
+        );
+        assert_eq!(h.zero_entries(0..0).count(), 0);
+        assert_eq!(Hotness::from_counts(&[3, 1]), Hotness::new(vec![3.0, 1.0]));
+        // An adjusted weight that rounds to zero joins the zero tail.
+        let tiny = Hotness::new(vec![1.0, 1e-300]).dedup_adjusted(0.5);
+        assert_eq!(tiny.nonzero_count(), 1);
+        assert_eq!(tiny.ranking(), [0, 1]);
     }
 
     /// `calibrate_lambda` before it skipped anything: every comparison a

@@ -110,8 +110,9 @@ fn exact_optimum(
         g <= MAX_GPUS,
         "the oracle sizes its sums for {MAX_GPUS} GPUs"
     );
+    let weights = h.dense_weights();
     assert!(
-        h.weights.windows(2).all(|w| w[0] >= w[1]),
+        weights.windows(2).all(|w| w[0] >= w[1]),
         "entries must come hottest first"
     );
     let total = h.total();
@@ -124,7 +125,7 @@ fn exact_optimum(
     let mut oracle = Oracle {
         profile,
         g,
-        share: h.weights.iter().map(|&w| w / total).collect(),
+        share: weights.iter().map(|&w| w / total).collect(),
         sources,
         cap_left: caps.to_vec(),
         choice: vec![g; h.len() * g],
@@ -230,7 +231,7 @@ fn optimum_equals_the_optima_branch_and_bound_proved() {
     // The paper MILP, solved to proven optimality by branch-and-bound on
     // the same instances before that solver was retired.
     let proved = [
-        (10, 1.2, [3, 3], 5.817019794849710e-4),
+        (10, 1.2, [3, 3], 5.81701979484971e-4),
         (8, 1.4, [2, 2], 6.451502477918894e-4),
         (6, 1.2, [6, 6], 1.599999999999999e-4),
         (12, 1.2, [4, 4], 5.416622531567408e-4),

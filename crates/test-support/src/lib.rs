@@ -9,6 +9,9 @@
 //!   side in one binary do not see each other.
 //! * [`fnv1a`] — the hash the pinned-stream and pinned-placement tests
 //!   record their golden values with.
+//! * [`sampled_counts`] — access counts shaped like a hotness sampler's
+//!   snapshot, the input of the pinned sampled solves and calibrations;
+//!   [`zero_share_cases`] — weights from no zero to all zeros.
 //!
 //! This is one of the two places in the repository with `unsafe` code.
 //! The other is `emb-cache`'s host table, whose one block calls the
@@ -97,6 +100,60 @@ pub fn fnv1a(hash: u64, bytes: impl IntoIterator<Item = u8>) -> u64 {
     bytes.into_iter().fold(hash, |h, b| {
         (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
     })
+}
+
+/// Access counts as a `HotnessSampler` snapshot holds them: `draws`
+/// Zipf(1.2) draws over `n` entries from `seed`, each counted at entry
+/// `rank · scatter mod n` — small integers, many repeated, most of the
+/// tail zero, and the hot entries scattered over the ids rather than the
+/// low ones. The pinned inputs use `scatter` 48 271 and 7.
+pub fn sampled_counts(n: usize, draws: usize, seed: u64, scatter: usize) -> Vec<u64> {
+    let zipf = emb_util::ZipfSampler::new(n as u64, 1.2);
+    let mut rng = emb_util::seed_rng(seed);
+    let mut counts = vec![0u64; n];
+    for _ in 0..draws {
+        counts[zipf.sample(&mut rng) as usize * scatter % n] += 1;
+    }
+    counts
+}
+
+/// Weight vectors over `n` entries from no zero to all zeros, the inputs
+/// the sparse-hotness tests pin to recorded hashes: sampled counts plus
+/// one with 0 %, 50 % and 97 % of the entries zeroed (every entry `e`
+/// with `37·e mod 100` under the share, so zeros and non-zeros
+/// interleave), every entry zero, a single non-zero entry, and raw
+/// sampled counts with their own zeros.
+///
+/// # Panics
+///
+/// Panics if `n` is 12 345 or less.
+pub fn zero_share_cases(n: usize) -> Vec<(&'static str, Vec<f64>)> {
+    assert!(n > 12_345, "the single non-zero entry is 12 345");
+    let counts = sampled_counts(n, 2 * n, 11, 7);
+    let zeroed = |share: usize| -> Vec<f64> {
+        counts
+            .iter()
+            .enumerate()
+            .map(|(e, &c)| {
+                if e * 37 % 100 < share {
+                    0.0
+                } else {
+                    (c + 1) as f64
+                }
+            })
+            .collect()
+    };
+    let mut one = vec![0.0; n];
+    one[12_345] = 3.0;
+    let sampled = sampled_counts(n, 3 * n / 10, 12, 48_271);
+    vec![
+        ("0 % zeros", zeroed(0)),
+        ("50 % zeros", zeroed(50)),
+        ("97 % zeros", zeroed(97)),
+        ("100 % zeros", vec![0.0; n]),
+        ("one non-zero", one),
+        ("sampled", sampled.iter().map(|&c| c as f64).collect()),
+    ]
 }
 
 #[cfg(test)]

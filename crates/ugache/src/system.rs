@@ -232,7 +232,13 @@ impl UGache {
 
     /// Re-solves the policy against freshly sampled hotness and starts a
     /// background refresh if the estimated benefit exceeds the trigger
-    /// threshold (or `force` is set). Returns whether a refresh started.
+    /// threshold, or whatever the benefit when `force` is set. Returns
+    /// whether a refresh started.
+    ///
+    /// Even with `force`, two cases solve nothing and return `Ok(false)`:
+    /// a refresh is already in progress, or the sampler has counted no key
+    /// since the last refresh began (or since the build), so its snapshot
+    /// totals zero.
     ///
     /// # Errors
     ///
@@ -290,6 +296,17 @@ impl UGache {
     /// Whether a refresh is currently active.
     pub fn refresh_active(&self) -> bool {
         self.refresher.active()
+    }
+
+    /// Checks the cache against its invariants ([`MultiGpuCache::audit`]):
+    /// every location a GPU reads names a row that holds the entry's host
+    /// value, and at rest the tables are what the placement builds.
+    ///
+    /// # Errors
+    ///
+    /// Describes the first violation.
+    pub fn audit(&self) -> Result<(), String> {
+        self.cache.audit()
     }
 }
 
@@ -433,6 +450,39 @@ mod tests {
             refresh[0].fields.get("secs").is_some(),
             "closed refresh span carries its duration"
         );
+    }
+
+    #[test]
+    fn a_forced_refresh_starts_nothing_on_an_empty_sampler_or_during_a_refresh() {
+        let mut u = build();
+        // Nothing sampled since the build.
+        assert!(!u.consider_refresh(true).unwrap());
+        assert!(!u.refresh_active());
+        let keys: Vec<Vec<u32>> = (0..4)
+            .map(|_| (0..300u32).map(|k| (N as u32 - 1) - (k % 1000)).collect())
+            .collect();
+        u.process_iteration(&keys);
+        assert!(u.consider_refresh(true).unwrap());
+        let predicted = u.predicted_extraction_secs();
+        // Already refreshing: no second solve, even with fresh samples.
+        u.process_iteration(&keys);
+        assert!(!u.consider_refresh(true).unwrap());
+        assert_eq!(u.predicted_extraction_secs(), predicted);
+        let mut guard = 0;
+        while u.refresh_active() {
+            u.advance_clock(1.0);
+            guard += 1;
+            assert!(guard < 1_000, "refresh stuck");
+        }
+        // The refresh reset the sampler when it began; the iteration run
+        // during it was counted after, so one more refresh can start, and
+        // then none until keys are seen again.
+        assert!(u.consider_refresh(true).unwrap());
+        while u.refresh_active() {
+            u.advance_clock(1.0);
+        }
+        assert!(!u.consider_refresh(true).unwrap());
+        assert_eq!(u.refresh_history().len(), 2);
     }
 
     #[test]

@@ -61,7 +61,7 @@ fn gnn_stream(dataset: GnnDatasetId, model: GnnModel) -> (u64, u64) {
         }
     }
     let mut hotness = Fnv::new();
-    hotness.weights(&w.profile_hotness(2).weights);
+    hotness.weights(&w.profile_hotness(2).dense_weights());
     (batches.0, hotness.0)
 }
 
@@ -112,7 +112,10 @@ fn dlr_stream(dataset: DlrDatasetId, scale_div: usize) -> (u64, u64) {
         }
     }
     let mut hotness = Fnv::new();
-    hotness.weights(&w.hotness(DlrHotness::Profiled { batches: 2 }).weights);
+    hotness.weights(
+        &w.hotness(DlrHotness::Profiled { batches: 2 })
+            .dense_weights(),
+    );
     (batches.0, hotness.0)
 }
 
@@ -165,7 +168,7 @@ fn analytic_hotness_has_the_recorded_bits() {
     for (dataset, recorded) in cases {
         let mut w = DlrWorkload::new(dlr_preset(dataset, 4096), 8, 1, 1);
         let mut h = Fnv::new();
-        h.weights(&w.hotness(DlrHotness::Analytic).weights);
+        h.weights(&w.hotness(DlrHotness::Analytic).dense_weights());
         assert_eq!(h.0, recorded, "{}: got {:#018X}", dataset.name(), h.0);
     }
 }

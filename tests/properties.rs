@@ -27,7 +27,7 @@ proptest! {
     ) {
         let cfg = BlockConfig { coarse_cap: coarse, min_splits: splits, max_blocks };
         let blocks = build_blocks(&h, &cfg);
-        let mut all: Vec<u32> = blocks.iter().flat_map(|b| b.entries.clone()).collect();
+        let mut all: Vec<u32> = blocks.iter().flat_map(|b| b.entries(&h)).collect();
         all.sort_unstable();
         prop_assert_eq!(all.len(), h.len());
         all.dedup();
@@ -283,10 +283,11 @@ proptest! {
     fn dedup_adjust_preserves_order(h in hotness_strategy(200), uniq in 1.0f64..150.0) {
         let adj = h.dedup_adjusted(uniq);
         prop_assert_eq!(adj.len(), h.len());
-        for (i, &w) in adj.weights.iter().enumerate() {
+        let (adj, h) = (adj.dense_weights(), h.dense_weights());
+        for (i, &w) in adj.iter().enumerate() {
             prop_assert!((0.0..=1.0 + 1e-9).contains(&w));
-            for (j, &w2) in adj.weights.iter().enumerate().skip(i + 1) {
-                if h.weights[i] > h.weights[j] {
+            for (j, &w2) in adj.iter().enumerate().skip(i + 1) {
+                if h[i] > h[j] {
                     prop_assert!(w >= w2 - 1e-12);
                 }
             }
@@ -308,7 +309,7 @@ proptest! {
         let uniq = h.len() as f64 * share;
         let got = h.dedup_adjusted(uniq);
         let want = dedup_adjusted_direct_sum(&h, uniq);
-        for (a, b) in got.weights.iter().zip(&want.weights) {
+        for (a, b) in got.dense_weights().iter().zip(&want.dense_weights()) {
             prop_assert_eq!(a.to_bits(), b.to_bits());
         }
     }
@@ -324,7 +325,7 @@ fn dedup_adjusted_direct_sum(h: &Hotness, unique_per_batch: f64) -> Hotness {
         return h.clone();
     }
     let target = unique_per_batch.min(e as f64 * 0.999_999);
-    let p: Vec<f64> = h.weights.iter().map(|w| w / total).collect();
+    let p: Vec<f64> = h.dense_weights().iter().map(|w| w / total).collect();
     let uniques = |lambda: f64| -> f64 { p.iter().map(|&pi| 1.0 - (-lambda * pi).exp()).sum() };
     let mut lo = 0.0f64;
     let mut hi = target.max(1.0);
@@ -348,16 +349,10 @@ fn dedup_adjusted_direct_sum(h: &Hotness, unique_per_batch: f64) -> Hotness {
     Hotness::new(p.iter().map(|&pi| 1.0 - (-lambda * pi).exp()).collect())
 }
 
-/// Access counts as a `HotnessSampler` snapshot holds them: small
-/// integers, many repeated, most of the tail zero, hot ids scattered.
+/// Access counts as a `HotnessSampler` snapshot holds them, hot ids
+/// scattered by 7 (`test_support::sampled_counts`).
 fn sampled_counts(n: usize, draws: usize, seed: u64) -> Hotness {
-    let zipf = emb_util::ZipfSampler::new(n as u64, 1.2);
-    let mut rng = emb_util::seed_rng(seed);
-    let mut counts = vec![0u64; n];
-    for _ in 0..draws {
-        counts[zipf.sample(&mut rng) as usize * 7 % n] += 1;
-    }
-    Hotness::from_counts(&counts)
+    Hotness::from_counts(&test_support::sampled_counts(n, draws, seed, 7))
 }
 
 /// The calibration evaluates `exp` per distinct weight or per entry,
@@ -387,8 +382,8 @@ fn dedup_adjusted_has_the_bits_of_the_direct_sum_on_both_sides_of_its_switch() {
     let sweep_uniques = sweep.clone().measure_accesses_per_iter(2);
     let mut refresh = DlrWorkload::new(dlr_preset(DlrDatasetId::Cr, 4096), 1024, 8, 24_301);
     let refresh_uniques = refresh.clone().measure_accesses_per_iter(1);
-    // (what, hotness, unique keys per batch, at least 16 entries per distinct
-    // value? — `cache-policy`'s private `GROUPED_ENTRIES_PER_DISTINCT`)
+    // (what, hotness, unique keys per batch, at least 16 non-zero entries per
+    // distinct value? — `cache-policy`'s private `GROUPED_ENTRIES_PER_DISTINCT`)
     let cases = [
         (
             "sampled counts",
@@ -463,7 +458,22 @@ fn dedup_adjusted_has_the_bits_of_the_direct_sum_on_both_sides_of_its_switch() {
             true,
         ),
         ("mostly zero, distinct", mostly_zero(600, 60), 40.0, false),
-        ("mostly zero, grouped", mostly_zero(6_000, 120), 90.0, true),
+        (
+            "mostly zero, distinct, longer",
+            mostly_zero(6_000, 120),
+            90.0,
+            false,
+        ),
+        (
+            "mostly zero, grouped",
+            Hotness::new(
+                (0..6_000)
+                    .map(|e| if e % 50 == 0 { (1 + e % 7) as f64 } else { 0.0 })
+                    .collect(),
+            ),
+            90.0,
+            true,
+        ),
         (
             "eval_sweep's CR, analytic",
             sweep.hotness(DlrHotness::Analytic),
@@ -481,6 +491,12 @@ fn dedup_adjusted_has_the_bits_of_the_direct_sum_on_both_sides_of_its_switch() {
             "fewer non-zero entries than the target",
             few_nonzero(2_000),
             100.0,
+            false,
+        ),
+        (
+            "fewer non-zero entries than the target, equal",
+            Hotness::new((0..2_000).map(|e| f64::from(e % 50 == 0)).collect()),
+            100.0,
             true,
         ),
         (
@@ -491,20 +507,21 @@ fn dedup_adjusted_has_the_bits_of_the_direct_sum_on_both_sides_of_its_switch() {
         ),
     ];
     for (what, h, uniq, grouped) in cases {
-        let mut distinct: Vec<u64> = h.weights.iter().map(|w| w.to_bits()).collect();
+        let mut distinct: Vec<u64> = h.nonzeros().map(|(_, w)| w.to_bits()).collect();
         distinct.sort_unstable();
         distinct.dedup();
         assert_eq!(
-            distinct.len() <= h.len() / 16,
+            distinct.len() <= h.nonzero_count() / 16,
             grouped,
-            "{what}: {} distinct values among {} is on the wrong side of the switch",
+            "{what}: {} distinct values among {} non-zero entries is on the wrong side of the switch",
             distinct.len(),
-            h.len()
+            h.nonzero_count()
         );
         let got = h.dedup_adjusted(uniq);
         let want = dedup_adjusted_direct_sum(&h, uniq);
         assert_eq!(got.len(), want.len(), "{what}");
-        for (e, (a, b)) in got.weights.iter().zip(&want.weights).enumerate() {
+        let (got, want) = (got.dense_weights(), want.dense_weights());
+        for (e, (a, b)) in got.iter().zip(&want).enumerate() {
             assert_eq!(a.to_bits(), b.to_bits(), "{what}: entry {e}: {a} vs {b}");
         }
     }
@@ -519,7 +536,7 @@ fn serve_snapshot() -> Hotness {
 #[test]
 fn serve_shaped_snapshot_dedup_adjusts_to_the_direct_sums_bits() {
     let h = serve_snapshot();
-    let nonzero = h.weights.iter().filter(|&&w| w != 0.0).count();
+    let nonzero = h.nonzero_count();
     assert!(
         (8_000..=16_000).contains(&nonzero),
         "{nonzero} non-zero entries"
@@ -527,7 +544,8 @@ fn serve_shaped_snapshot_dedup_adjusts_to_the_direct_sums_bits() {
     for uniq in [900.0, 4_000.0] {
         let got = h.dedup_adjusted(uniq);
         let want = dedup_adjusted_direct_sum(&h, uniq);
-        for (e, (a, b)) in got.weights.iter().zip(&want.weights).enumerate() {
+        let (got, want) = (got.dense_weights(), want.dense_weights());
+        for (e, (a, b)) in got.iter().zip(&want).enumerate() {
             assert_eq!(a.to_bits(), b.to_bits(), "uniques {uniq}: entry {e}");
         }
     }
