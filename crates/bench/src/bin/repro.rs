@@ -130,10 +130,13 @@ fn execute(cmd: Command) -> Result<(), Failure> {
     }
 }
 
-/// Reads a text file the invocation named.
+/// Reads a text file the invocation named: one that cannot be read is a
+/// usage or IO failure, one that is not UTF-8 text unusable input.
 fn read(path: &Path) -> Result<String, Failure> {
     let context = format!("cannot read {}", path.display());
-    std::fs::read_to_string(path).map_err(fail(USAGE_OR_IO, context))
+    let bytes = std::fs::read(path).map_err(fail(USAGE_OR_IO, context))?;
+    let context = format!("{} is not UTF-8 text", path.display());
+    String::from_utf8(bytes).map_err(fail(UNUSABLE_INPUT, context))
 }
 
 /// Writes an output file the invocation asked for and says so, with
@@ -186,7 +189,7 @@ fn compare(baseline: &Path, new: &Path) -> Result<(), Failure> {
 
 fn check_trace(path: &Path) -> Result<(), Failure> {
     let context = format!("{} is not valid JSON", path.display());
-    let value = json::parse(&read(path)?).map_err(fail(USAGE_OR_IO, context))?;
+    let value = json::parse(&read(path)?).map_err(fail(UNUSABLE_INPUT, context))?;
     let errors = chrome::validate(&value);
     let valid = format!("{}: structurally valid chrome trace", path.display());
     let invalid = format!("{} structural error(s)", errors.len());
@@ -262,12 +265,12 @@ fn explain_report(input: &str, knobs: &Scenario) -> Result<explain::ExplainRepor
         return explain::report_from_snapshot(&result.telemetry.metrics)
             .map_err(fail(UNUSABLE_INPUT, context));
     }
-    let text = std::fs::read_to_string(input).map_err(|e| {
-        let msg = format!(
-            "cannot read {input}: {e} (pass a serve artifact or a \
-             registered scenario name; see `repro scenarios`)"
-        );
-        (USAGE_OR_IO, msg)
+    let text = read(Path::new(input)).map_err(|(code, msg)| match code {
+        USAGE_OR_IO => {
+            let hint = "pass a serve artifact or a registered scenario name; see `repro scenarios`";
+            (code, format!("{msg} ({hint})"))
+        }
+        _ => (code, msg),
     })?;
     let not_json = format!("{input} is not valid JSON");
     let value = json::parse(&text).map_err(fail(UNUSABLE_INPUT, not_json))?;

@@ -871,6 +871,37 @@ fn explain_tail_exit_codes_distinguish_usage_from_unusable_input() {
 }
 
 #[test]
+fn every_command_that_reads_an_input_exits_3_when_it_is_unusable() {
+    let exe = env!("CARGO_BIN_EXE_repro");
+    let dir = std::env::temp_dir().join(format!("repro-unusable-test-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    // A trace header (1 000 keys, 4 GPUs) that promises one record and ends.
+    let mut truncated = b"UGTR\x01\0\0\0\x07\0\0\0\0\0\0\0\x04\0\0\0".to_vec();
+    truncated.extend_from_slice(&1000u64.to_le_bytes());
+    truncated.extend_from_slice(b"\x01\0\0\0\x01\0\0\0x");
+    let inputs: [(&str, &[u8]); 3] = [
+        ("not-json", b"{not json"),
+        ("not-utf8", b"\xff\xfe{}"),
+        ("truncated-trace", &truncated),
+    ];
+    for (name, bytes) in inputs {
+        let path = dir.join(name);
+        std::fs::write(&path, bytes).unwrap();
+        for command in ["check-trace", "explain-tail", "replay"] {
+            let out = std::process::Command::new(exe)
+                .arg(command)
+                .arg(&path)
+                .output()
+                .expect("repro runs");
+            assert_eq!(out.status.code(), Some(3), "{command} on {name}: {out:?}");
+        }
+    }
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn metrics_check_cli_gates_drift() {
     // The committed catalog matches the source of truth (the coverage
     // half of `repro metrics --check` runs the full quick evaluation and

@@ -7,13 +7,14 @@
 //!   each GPU stores and where each GPU reads each entry from (the
 //!   `<GPU_i, Offset>` hashtable abstraction of §4);
 //! * [`baselines`] — replication (HPS/GNNLab-style), partition
-//!   (WholeGraph/SOK-style), clique partition (Quiver-style), CPU-only,
-//!   and the hot-replicate/warm-partition heuristic of [Song & Jiang,
-//!   ICS'22];
+//!   (WholeGraph/SOK-style), clique partition (Quiver-style) and
+//!   CPU-only;
 //! * [`blocks`] — log-scale hotness batching with coarse/fine size caps
 //!   (§6.3, Figure 9);
 //! * [`estimate`] — the extraction-time model of §6.2 (`T_{i←j}`, hotness
 //!   weights, the `R`-weighted padding bound);
+//! * [`patterns`] — the realizable placement patterns the solver's LP
+//!   combines (replicate on k GPUs, partition within each clique, host);
 //! * [`solver`] — the UGache solver: a pattern LP over hotness blocks
 //!   (fractional block placement is realizable by splitting blocks, so
 //!   the LP relaxation is exact at block granularity). The paper's

@@ -29,11 +29,6 @@ pub struct DlrWorkload {
 pub enum DlrHotness {
     /// Exact Zipf masses (what an oracle profiler would converge to).
     Analytic,
-    /// Empirical counts over a number of profiled batches.
-    Profiled {
-        /// Batches to sample.
-        batches: usize,
-    },
 }
 
 impl DlrWorkload {
@@ -114,53 +109,20 @@ impl DlrWorkload {
 
     /// Hotness over the global key space.
     pub fn hotness(&mut self, mode: DlrHotness) -> Hotness {
-        match mode {
-            DlrHotness::Analytic => {
-                let mut w = Vec::with_capacity(self.dataset.num_entries());
-                for &n in &self.dataset.table_sizes {
-                    // Unnormalized Zipf mass per in-table rank, summed in
-                    // rank order; tables share the request rate, so the
-                    // normalized masses are comparable as-is.
-                    let table = w.len();
-                    w.extend((1..=n).map(|r| (r as f64).powf(-self.dataset.alpha)));
-                    let norm: f64 = w[table..].iter().sum();
-                    for mass in &mut w[table..] {
-                        *mass /= norm;
-                    }
-                }
-                Hotness::new(w)
-            }
-            DlrHotness::Profiled { batches } => {
-                // Count raw request keys (pre-dedup): deduplicated batch
-                // membership saturates for hot keys and destroys ordering.
-                // Profiling parallelizes per GPU: each GPU walks its own
-                // RNG through all `batches`, and per-GPU u64 counts are
-                // summed in GPU order — identical totals at any thread
-                // count, and RNG streams identical to the sequential
-                // batch-major loop (each stream was per-GPU already).
-                let n = self.dataset.num_entries();
-                let samplers = &*self.samplers;
-                let offsets = &self.dataset.table_offsets;
-                let draws = batches * self.batch_size;
-                let work: Vec<&mut (StdRng, KeyMarks)> = self.lanes.iter_mut().collect();
-                let per_gpu = emb_util::pool::par_map_owned(work, |_g, (rng, _)| {
-                    let mut counts = vec![0u64; n];
-                    for _ in 0..draws {
-                        for (sampler, offset) in samplers.iter().zip(offsets) {
-                            counts[(offset + sampler.sample(rng)) as usize] += 1;
-                        }
-                    }
-                    counts
-                });
-                let mut counts = vec![0u64; n];
-                for c in per_gpu {
-                    for (total, v) in counts.iter_mut().zip(c) {
-                        *total += v;
-                    }
-                }
-                Hotness::from_counts(&counts)
+        let DlrHotness::Analytic = mode;
+        let mut w = Vec::with_capacity(self.dataset.num_entries());
+        for &n in &self.dataset.table_sizes {
+            // Unnormalized Zipf mass per in-table rank, summed in rank
+            // order; tables share the request rate, so the normalized
+            // masses are comparable as-is.
+            let table = w.len();
+            w.extend((1..=n).map(|r| (r as f64).powf(-self.dataset.alpha)));
+            let norm: f64 = w[table..].iter().sum();
+            for mass in &mut w[table..] {
+                *mass /= norm;
             }
         }
+        Hotness::new(w)
     }
 }
 
@@ -209,31 +171,6 @@ mod tests {
     }
 
     #[test]
-    fn analytic_hotness_matches_profiled_ranking() {
-        let mut w = DlrWorkload::new(dlr_preset(DlrDatasetId::SynA, 65536), 512, 2, 3);
-        let analytic = w.hotness(DlrHotness::Analytic);
-        let profiled = w.hotness(DlrHotness::Profiled { batches: 20 });
-        // Per-table rank-0 keys must dominate in both.
-        let d = w.dataset().clone();
-        let top_analytic: std::collections::HashSet<u32> = analytic
-            .ranking()
-            .into_iter()
-            .take(d.num_tables())
-            .collect();
-        let top_profiled: std::collections::HashSet<u32> = profiled
-            .ranking()
-            .into_iter()
-            .take(d.num_tables())
-            .collect();
-        let overlap = top_analytic.intersection(&top_profiled).count();
-        assert!(
-            overlap * 2 >= d.num_tables(),
-            "{overlap}/{} hot keys agree",
-            d.num_tables()
-        );
-    }
-
-    #[test]
     fn analytic_hotness_sums_to_tables() {
         let mut w = workload(DlrDatasetId::SynA);
         let h = w.hotness(DlrHotness::Analytic);
@@ -263,16 +200,12 @@ mod tests {
     fn stream_is_identical_at_any_thread_count() {
         let baseline = emb_util::pool::with_threads(1, || {
             let mut w = workload(DlrDatasetId::SynA);
-            let batches: Vec<_> = (0..3).map(|_| w.next_batch()).collect();
-            let hot = w.hotness(DlrHotness::Profiled { batches: 2 });
-            (batches, hot.ranking())
+            (0..3).map(|_| w.next_batch()).collect::<Vec<_>>()
         });
         for threads in [2, 8] {
             let run = emb_util::pool::with_threads(threads, || {
                 let mut w = workload(DlrDatasetId::SynA);
-                let batches: Vec<_> = (0..3).map(|_| w.next_batch()).collect();
-                let hot = w.hotness(DlrHotness::Profiled { batches: 2 });
-                (batches, hot.ranking())
+                (0..3).map(|_| w.next_batch()).collect::<Vec<_>>()
             });
             assert_eq!(baseline, run, "threads {threads}");
         }

@@ -2,7 +2,7 @@
 //!
 //! This crate hosts the runnable examples (`examples/`) and the cross-crate
 //! integration tests (`tests/`). All functionality lives in the member
-//! crates; see `DESIGN.md` for the system inventory.
+//! crates; see `ARCHITECTURE.md` for the crate table.
 
 pub use cache_policy as policy;
 pub use emb_cache as cache;

@@ -1,6 +1,7 @@
 //! Property-based tests over the core data structures and invariants.
 
 use cache_policy::{baselines, build_blocks, BlockConfig, Hotness, SolverConfig, UGacheSolver};
+use emb_cache::HotnessSampler;
 use emb_workload::dlr::DlrHotness;
 use emb_workload::{dlr_preset, DlrDatasetId, DlrWorkload};
 use gpu_memsim::{simulate, DispatchMode, GpuWork, SimConfig, SourceDemand};
@@ -376,12 +377,20 @@ fn dedup_adjusted_has_the_bits_of_the_direct_sum_on_both_sides_of_its_switch() {
         }
         Hotness::new(w)
     };
-    // The benchmark's DLR shapes: `eval_sweep`'s analytic CR hotness and
-    // `dlr_refresh`'s sampled one, each under its measured uniques.
+    // The benchmark's DLR shapes, each under its measured uniques:
+    // `eval_sweep`'s analytic CR hotness, and what `dlr_refresh` re-solves
+    // on, the snapshot of a sampler that counted one key in four of its
+    // batches.
     let mut sweep = DlrWorkload::new(dlr_preset(DlrDatasetId::Cr, 8192), 512, 8, 24_301);
     let sweep_uniques = sweep.clone().measure_accesses_per_iter(2);
     let mut refresh = DlrWorkload::new(dlr_preset(DlrDatasetId::Cr, 4096), 1024, 8, 24_301);
     let refresh_uniques = refresh.clone().measure_accesses_per_iter(1);
+    let mut sampler = HotnessSampler::new(refresh.dataset().num_entries(), 4);
+    for _ in 0..16 {
+        for keys in refresh.next_batch() {
+            sampler.observe(&keys);
+        }
+    }
     // (what, hotness, unique keys per batch, at least 16 non-zero entries per
     // distinct value? — `cache-policy`'s private `GROUPED_ENTRIES_PER_DISTINCT`)
     let cases = [
@@ -482,7 +491,7 @@ fn dedup_adjusted_has_the_bits_of_the_direct_sum_on_both_sides_of_its_switch() {
         ),
         (
             "dlr_refresh's CR, sampled",
-            refresh.hotness(DlrHotness::Profiled { batches: 16 }),
+            sampler.snapshot(),
             refresh_uniques,
             true,
         ),
