@@ -38,11 +38,6 @@ impl GpuArena {
         self.len
     }
 
-    /// Whether the arena holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
     /// Slot offset of a cached entry.
     pub fn offset_of(&self, entry: u32) -> Option<u32> {
         self.index
@@ -82,25 +77,10 @@ impl GpuArena {
         &mut self.data[base..base + self.dim]
     }
 
-    /// Inserts an entry's values; returns its slot offset.
-    ///
-    /// Re-inserting an existing entry overwrites it in place.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the arena is full or `values.len() != dim`.
-    pub fn insert(&mut self, entry: u32, values: &[f32]) -> u32 {
-        assert_eq!(values.len(), self.dim, "value dim mismatch");
-        let slot = self.claim_slot(entry);
-        let base = slot as usize * self.dim;
-        self.data[base..base + self.dim].copy_from_slice(values);
-        slot
-    }
-
     /// Bulk-inserts `entries` with their rows packed contiguously in
     /// `rows` (`entries.len() × dim` floats, entry order).
     ///
-    /// Equivalent to calling [`GpuArena::insert`] once per entry, but the
+    /// Equivalent to filling [`GpuArena::insert_row`] once per entry, but the
     /// copy loop coalesces runs of adjacent destination slots into single
     /// `copy_from_slice` calls — on a fresh arena the LIFO free list
     /// hands out consecutive slots, so a filler pass becomes a handful of
@@ -118,7 +98,7 @@ impl GpuArena {
             "rows buffer must be entries × dim"
         );
         // Pass 1: allocate a slot per entry (dedup-aware — a repeated
-        // entry reuses its slot, matching repeated `insert` calls).
+        // entry reuses its slot, matching repeated `insert_row` calls).
         let slots: Vec<u32> = entries.iter().map(|&e| self.claim_slot(e)).collect();
         // Pass 2: copy maximal runs of consecutive destination slots.
         let dim = self.dim;
@@ -178,10 +158,16 @@ mod tests {
     use rand::Rng;
     use std::collections::HashMap;
 
+    /// Claims `entry`'s slot and writes `values` there; returns the slot.
+    fn insert(a: &mut GpuArena, entry: u32, values: &[f32]) -> u32 {
+        a.insert_row(entry).copy_from_slice(values);
+        a.offset_of(entry).expect("just inserted")
+    }
+
     #[test]
     fn insert_read_roundtrip() {
         let mut a = GpuArena::new(4, 3);
-        let off = a.insert(7, &[1.0, 2.0, 3.0]);
+        let off = insert(&mut a, 7, &[1.0, 2.0, 3.0]);
         let mut out = [0.0; 3];
         a.read_slot(off, &mut out);
         assert_eq!(out, [1.0, 2.0, 3.0]);
@@ -192,8 +178,8 @@ mod tests {
     #[test]
     fn reinsert_overwrites_in_place() {
         let mut a = GpuArena::new(2, 2);
-        let o1 = a.insert(1, &[1.0, 1.0]);
-        let o2 = a.insert(1, &[2.0, 2.0]);
+        let o1 = insert(&mut a, 1, &[1.0, 1.0]);
+        let o2 = insert(&mut a, 1, &[2.0, 2.0]);
         assert_eq!(o1, o2);
         assert_eq!(a.len(), 1);
         let mut out = [0.0; 2];
@@ -204,11 +190,11 @@ mod tests {
     #[test]
     fn evict_frees_slot_for_reuse() {
         let mut a = GpuArena::new(1, 1);
-        a.insert(5, &[5.0]);
+        insert(&mut a, 5, &[5.0]);
         assert!(a.evict(5));
         assert!(!a.evict(5));
         // Capacity freed: a new insert must succeed.
-        a.insert(6, &[6.0]);
+        insert(&mut a, 6, &[6.0]);
         assert_eq!(a.len(), 1);
     }
 
@@ -216,14 +202,14 @@ mod tests {
     #[should_panic(expected = "arena full")]
     fn overfull_panics() {
         let mut a = GpuArena::new(1, 1);
-        a.insert(1, &[1.0]);
-        a.insert(2, &[2.0]);
+        insert(&mut a, 1, &[1.0]);
+        insert(&mut a, 2, &[2.0]);
     }
 
     /// Reference per-row fill loop `insert_many` must match bitwise.
     fn insert_rows_one_by_one(a: &mut GpuArena, entries: &[u32], rows: &[f32], dim: usize) {
         for (i, &e) in entries.iter().enumerate() {
-            a.insert(e, &rows[i * dim..(i + 1) * dim]);
+            insert(a, e, &rows[i * dim..(i + 1) * dim]);
         }
     }
 
@@ -260,7 +246,7 @@ mod tests {
         let mut reference = GpuArena::new(8, dim);
         for a in [&mut bulk, &mut reference] {
             for e in 0..8u32 {
-                a.insert(e, &[e as f32; 3]);
+                insert(a, e, &[e as f32; 3]);
             }
             a.evict(6);
             a.evict(1);
@@ -365,14 +351,14 @@ mod tests {
                             model.insert(*e, values);
                         }
                     }
-                    kind => {
+                    _ => {
                         let e = pick(&mut rng);
                         if model.slots.len() == CAP && !model.slots.contains_key(&e) {
                             // The checks below hold the refused insert
                             // to having left no trace.
                             let full =
                                 std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                    arena.insert(e, &[0.0; DIM])
+                                    insert(&mut arena, e, &[0.0; DIM])
                                 }))
                                 .expect_err("a new entry does not fit a full arena");
                             let message = full.downcast_ref::<String>().expect("a formatted panic");
@@ -380,18 +366,12 @@ mod tests {
                             refused += 1;
                         } else {
                             let values = row();
-                            let slot = if kind == 2 {
-                                arena.insert(e, &values)
-                            } else {
-                                arena.insert_row(e).copy_from_slice(&values);
-                                arena.offset_of(e).expect("just inserted")
-                            };
+                            let slot = insert(&mut arena, e, &values);
                             assert_eq!(slot, model.insert(e, &values), "{what}: insert {e}");
                         }
                     }
                 }
                 assert_eq!(arena.len(), model.slots.len(), "{what}");
-                assert_eq!(arena.is_empty(), model.slots.is_empty(), "{what}");
                 for &e in &ids {
                     assert_eq!(
                         arena.offset_of(e),

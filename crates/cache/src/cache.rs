@@ -3,12 +3,9 @@
 use crate::arena::GpuArena;
 use crate::plan::GatherPlan;
 use crate::table::HostTable;
-use cache_policy::Placement;
+use cache_policy::{Placement, SourceIdx};
 use gpu_platform::Location;
 use std::cell::RefCell;
-
-/// Packed location-table value meaning "not cached anywhere — read host".
-const HOST_NONE: u64 = u64::MAX;
 
 /// Keys per chunk of the resolve pass. Boundaries are a function of the
 /// key count only, so plans are identical at any pool width.
@@ -45,62 +42,34 @@ impl GatherStats {
 
 /// The functional multi-GPU embedding cache.
 ///
-/// Per destination GPU it keeps the paper's location hashtable mapping a
-/// cached entry to `<GPU_i, Offset>` (§4); gathers consult it, fall back
-/// to the host table on miss, and report per-source counts that the
+/// A key is resolved in two loads: the placement's access row says which
+/// GPU the destination reads it from, and that GPU's arena index says
+/// which slot holds it. Together they are the paper's `<GPU_i, Offset>`
+/// location hashtable (§4), kept nowhere else. A miss at either load
+/// reads the host table. Gathers report per-source counts that the
 /// timing layer can turn into simulated extraction times.
-///
-/// The location "hashtable" is stored dense — one packed `u64` per entry
-/// per destination GPU, exactly the flat-array layout a real GPU kernel
-/// would index — so the gather resolve pass is a single array load per
-/// key instead of a hash probe.
 #[derive(Debug, Clone)]
 pub struct MultiGpuCache {
     host: HostTable,
     arenas: Vec<GpuArena>,
-    /// `locations[i][e]`: for destination GPU `i`, entry `e`'s packed
-    /// `source << 32 | offset`, or [`HOST_NONE`] when `e` reads host.
-    locations: Vec<Vec<u64>>,
     placement: Placement,
-    /// Whether arena rows have moved since the location tables last
-    /// matched `placement` (a refresh between its first update and its
-    /// swap).
+    /// Whether arena rows have moved since they last matched `placement`
+    /// (a refresh between its first update and its swap).
     migrating: bool,
 }
 
-/// The packed location-table value of entry `entry` read from `src`, or
-/// `None` when `src` is a GPU whose arena does not hold it.
-fn location_of(
-    arenas: &[GpuArena],
-    entry: u32,
-    src: cache_policy::SourceIdx,
-    host_idx: cache_policy::SourceIdx,
-) -> Option<u64> {
-    if src == host_idx {
-        return Some(HOST_NONE);
+/// Panics unless GPU `gpu`'s read of `entry` from `src` reaches a row:
+/// `src` is the host or a GPU whose arena holds `entry`.
+fn assert_reachable(arenas: &[GpuArena], gpu: usize, entry: usize, src: SourceIdx) {
+    if let Some(arena) = arenas.get(src as usize) {
+        assert!(
+            arena.offset_of(entry as u32).is_some(),
+            "GPU{gpu} reads entry {entry} from GPU{src}, whose arena lacks it"
+        );
     }
-    let off = arenas[src as usize].offset_of(entry)?;
-    Some((src as u64) << 32 | off as u64)
 }
 
-/// Builds one destination GPU's dense location table from an access row:
-/// per cached entry, one load from its source arena's entry→slot index.
-fn dense_location_row(
-    arenas: &[GpuArena],
-    access: &[cache_policy::SourceIdx],
-    host_idx: cache_policy::SourceIdx,
-) -> Vec<u64> {
-    access
-        .iter()
-        .enumerate()
-        .map(|(e, &src)| {
-            location_of(arenas, e as u32, src, host_idx)
-                .expect("access points at a stored entry (validated placement)")
-        })
-        .collect()
-}
-
-/// Access-row bytes [`MultiGpuCache::swap_locations`] compares at a
+/// Access-row bytes [`MultiGpuCache::swap_placement`] compares at a
 /// time: one machine word.
 const SWAP_WORD: usize = 8;
 
@@ -110,7 +79,8 @@ impl MultiGpuCache {
     /// # Panics
     ///
     /// Panics if the placement references more entries than the host
-    /// table holds, or a GPU stores more entries than `cap_entries`.
+    /// table holds, a GPU stores more entries than `cap_entries`, or an
+    /// access reads an entry from a GPU that does not store it.
     pub fn build(host: HostTable, placement: &Placement, cap_entries: &[usize]) -> Self {
         assert_eq!(
             placement.num_entries,
@@ -146,15 +116,15 @@ impl MultiGpuCache {
             arenas[j].insert_many(&entries, &rows);
         }
 
-        // Location tables per the access arrangement.
-        let locations: Vec<Vec<u64>> = (0..g)
-            .map(|i| dense_location_row(&arenas, &placement.access[i], placement.host_idx()))
-            .collect();
+        for (i, access) in placement.access.iter().enumerate() {
+            for (e, &src) in access.iter().enumerate() {
+                assert_reachable(&arenas, i, e, src);
+            }
+        }
 
         MultiGpuCache {
             host,
             arenas,
-            locations,
             placement: placement.clone(),
             migrating: false,
         }
@@ -175,11 +145,6 @@ impl MultiGpuCache {
         &self.host
     }
 
-    /// One GPU's arena.
-    pub fn arena(&self, gpu: usize) -> &GpuArena {
-        &self.arenas[gpu]
-    }
-
     /// The active placement.
     pub fn placement(&self) -> &Placement {
         &self.placement
@@ -188,16 +153,15 @@ impl MultiGpuCache {
     /// Checks the cache against its own invariants and returns the first
     /// violation found:
     ///
-    /// * every location-table slot that does not read host names a slot
-    ///   of that GPU's arena which holds that entry, and the row there
-    ///   equals [`HostTable::read`]'s;
-    /// * at rest — no arena row moved since the location tables last
-    ///   matched the placement (a refresh between its first update batch
-    ///   and its swap moves rows) — every table also equals the one a
-    ///   fresh build writes from the placement, and every arena holds
-    ///   exactly the entries the placement stores on it.
+    /// * every access that names a GPU whose arena holds the entry reaches
+    ///   a row equal to [`HostTable::read`]'s;
+    /// * at rest — no arena row moved since the placement was installed (a
+    ///   refresh between its first update batch and its swap moves rows) —
+    ///   every access that names a GPU reaches a row there, and every
+    ///   arena holds exactly the entries the placement stores on it.
     ///
-    /// A pass over every table and every row it reaches: for tests.
+    /// A pass over every access row and every arena row it reaches: for
+    /// tests.
     ///
     /// # Errors
     ///
@@ -206,32 +170,23 @@ impl MultiGpuCache {
         let (g, dim) = (self.num_gpus(), self.dim());
         let host_idx = self.placement.host_idx();
         let (mut row, mut truth) = (vec![0.0f32; dim], vec![0.0f32; dim]);
-        for (i, table) in self.locations.iter().enumerate() {
-            for (e, &packed) in table.iter().enumerate() {
-                let e = e as u32;
-                if !self.migrating {
-                    let src = self.placement.access[i][e as usize];
-                    let want = location_of(&self.arenas, e, src, host_idx).ok_or_else(|| {
-                        format!("GPU{i} reads entry {e} from GPU{src}, whose arena lacks it")
-                    })?;
-                    if packed != want {
-                        return Err(format!(
-                            "GPU{i} entry {e}: table holds {packed:#x}, a fresh build {want:#x}"
-                        ));
-                    }
-                }
-                if packed == HOST_NONE {
+        for (i, access) in self.placement.access.iter().enumerate() {
+            for (e, &src) in access.iter().enumerate() {
+                let (e, src) = (e as u32, src as usize);
+                if src == host_idx as usize {
                     continue;
                 }
-                let (src, off) = ((packed >> 32) as usize, (packed & 0xFFFF_FFFF) as u32);
                 if src >= g {
                     return Err(format!("GPU{i} entry {e}: source {src} is no GPU"));
                 }
-                if self.arenas[src].offset_of(e) != Some(off) {
+                let Some(off) = self.arenas[src].offset_of(e) else {
+                    if self.migrating {
+                        continue;
+                    }
                     return Err(format!(
-                        "GPU{i} entry {e}: slot {off} of GPU{src} does not hold it"
+                        "GPU{i} reads entry {e} from GPU{src}, whose arena lacks it"
                     ));
-                }
+                };
                 self.arenas[src].read_slot(off, &mut row);
                 self.host.read_into(e, &mut truth);
                 if row
@@ -275,7 +230,7 @@ impl MultiGpuCache {
     /// Panics if a key is out of range.
     pub fn plan_gather(&self, gpu: usize, keys: &[u32], plan: &mut GatherPlan) {
         let g = self.num_gpus();
-        let table = &self.locations[gpu];
+        let access = &self.placement.access[gpu];
         plan.reset(g);
         plan.slots.resize(keys.len(), 0);
         let host_tag = (g as u64) << 32;
@@ -283,12 +238,11 @@ impl MultiGpuCache {
             emb_util::pool::par_chunks_mut(&mut plan.slots, PLAN_CHUNK_KEYS, |ci, slots| {
                 let mut counts = vec![0u64; g + 1];
                 for (slot, &key) in slots.iter_mut().zip(&keys[ci * PLAN_CHUNK_KEYS..]) {
-                    assert!((key as usize) < table.len(), "entry {key} out of range");
-                    let packed = table[key as usize];
-                    *slot = if packed == HOST_NONE {
-                        host_tag | key as u64
-                    } else {
-                        packed
+                    assert!((key as usize) < access.len(), "entry {key} out of range");
+                    let src = access[key as usize] as usize;
+                    *slot = match self.arenas.get(src).and_then(|a| a.offset_of(key)) {
+                        Some(off) => (src as u64) << 32 | off as u64,
+                        None => host_tag | key as u64,
                     };
                     counts[(*slot >> 32) as usize] += 1;
                 }
@@ -363,11 +317,10 @@ impl MultiGpuCache {
     ///
     /// This is the plan-based replacement for calling
     /// `Placement::split_keys` per GPU (identical output), reusing the
-    /// thread-local plan's counting buffers. It deliberately counts over
-    /// `self.placement` rather than the live location tables: mid-refresh,
-    /// [`MultiGpuCache::invalidate_before_update`] re-routes reads to host
-    /// before the new arrangement is swapped in, and the timing layer must
-    /// keep pricing the arrangement it was given.
+    /// thread-local plan's counting buffers. It deliberately skips the
+    /// arena load of the gather's resolve: mid-refresh, a read whose
+    /// source arena has evicted the entry goes to host, and the timing
+    /// layer must keep pricing the arrangement it was given.
     ///
     /// # Panics
     ///
@@ -393,34 +346,12 @@ impl MultiGpuCache {
         })
     }
 
-    /// Invalidates every location-table entry that routes a read to
-    /// `gpu` for one of `evict`'s keys, re-routing those reads to host.
-    ///
-    /// MUST run before [`MultiGpuCache::update_arena`] reuses the evicted
-    /// slots: otherwise a stale `<GPU, Offset>` mapping would serve
-    /// another entry's bytes. This is the hashtable-before-content
-    /// ordering of the paper's Refresher (§7.2).
-    ///
-    /// Each `(table, key)` pair is a single dense probe — no
-    /// get-then-remove double lookup.
-    pub fn invalidate_before_update(&mut self, gpu: usize, evict: &[u32]) {
-        self.migrating = true;
-        let src = gpu as u64;
-        for table in self.locations.iter_mut() {
-            for &e in evict {
-                let slot = &mut table[e as usize];
-                if *slot >> 32 == src {
-                    *slot = HOST_NONE;
-                }
-            }
-        }
-    }
-
     /// Applies a single incremental update on one GPU: evict `evict` then
     /// insert `insert`, each host row read straight into the slot it
-    /// claims, updating only that arena (location tables must be
-    /// rebuilt by the caller once a refresh round completes — the paper's
-    /// Refresher swaps the hashtable between foreground batches).
+    /// claims. Reads keep following the placement until
+    /// [`MultiGpuCache::swap_placement`]: an evicted entry has no slot, so
+    /// its readers read host, and a reused slot is reached only under the
+    /// entry now in it.
     pub fn update_arena(&mut self, gpu: usize, evict: &[u32], insert: &[u32]) {
         self.migrating = true;
         let arena = &mut self.arenas[gpu];
@@ -432,37 +363,32 @@ impl MultiGpuCache {
         }
     }
 
-    /// Installs a new placement and its location tables (the hashtable
-    /// swap step of a refresh).
+    /// Installs a new placement (the swap step of a refresh): gathers
+    /// follow it from the next call.
     ///
-    /// Only the `(GPU, entry)` slots whose access differs between the
-    /// current placement and `placement` are rewritten, compared a word
-    /// of access bytes at a time: an unchanged access to a GPU names an
-    /// entry that GPU stores under both placements, which no update
-    /// batch evicted, so its slot is still right. Arena rows must
-    /// therefore have moved only for entries whose storage differs
-    /// between the two placements, as [`crate::Refresher`] moves them.
+    /// Arena rows must already sit where `placement` reads them, as
+    /// [`crate::Refresher`] moves them. Only the accesses that differ from
+    /// the current placement's are checked, compared a word of access
+    /// bytes at a time: an unchanged access to a GPU names an entry that
+    /// GPU stores under both placements, which no update batch evicted.
     ///
     /// # Panics
     ///
-    /// Panics if the placement's shape differs from the cache's, or it
-    /// reads an entry from a GPU whose arena does not hold it.
-    pub fn swap_locations(&mut self, placement: Placement) {
+    /// Panics if the placement's shape differs from the cache's, or a
+    /// changed access reads an entry from a GPU whose arena does not hold
+    /// it.
+    pub fn swap_placement(&mut self, placement: Placement) {
         assert_eq!(placement.num_gpus, self.num_gpus(), "GPU count mismatch");
         assert_eq!(
             placement.num_entries, self.placement.num_entries,
             "table size mismatch"
         );
-        let host_idx = placement.host_idx();
         let rows = self.placement.access.iter().zip(&placement.access);
-        for (table, (was, will)) in self.locations.iter_mut().zip(rows) {
-            let arenas = &self.arenas;
-            let mut patch = |first: usize, was: &[u8], will: &[u8]| {
+        for (i, (was, will)) in rows.enumerate() {
+            let check = |first: usize, was: &[u8], will: &[u8]| {
                 for (k, (&was, &will)) in was.iter().zip(will).enumerate() {
                     if was != will {
-                        let e = first + k;
-                        table[e] = location_of(arenas, e as u32, will, host_idx)
-                            .expect("refresh inserted entries before hashtable swap");
+                        assert_reachable(&self.arenas, i, first + k, will);
                     }
                 }
             };
@@ -470,10 +396,10 @@ impl MultiGpuCache {
             let (will_words, will_rest) = will.as_chunks::<SWAP_WORD>();
             for (w, (was, will)) in was_words.iter().zip(will_words).enumerate() {
                 if was != will {
-                    patch(w * SWAP_WORD, was, will);
+                    check(w * SWAP_WORD, was, will);
                 }
             }
-            patch(was_words.len() * SWAP_WORD, was_rest, will_rest);
+            check(was_words.len() * SWAP_WORD, was_rest, will_rest);
         }
         self.placement = placement;
         self.migrating = false;
@@ -575,10 +501,10 @@ mod tests {
     fn staged_update_then_swap() {
         let (mut cache, placement) = setup(50);
         // Swap a hot resident of GPU0 (entry 0 under partition) for a cold
-        // entry, then swap hashtables to the matching arrangement.
+        // entry, then swap to the matching arrangement.
         let cold = 499u32;
         let victim = 0u32;
-        assert_eq!(cache.locations[0][cold as usize], HOST_NONE);
+        assert_eq!(placement.access[0][cold as usize], placement.host_idx());
         assert!(cache.arenas[0].offset_of(victim).is_some());
         cache.update_arena(0, &[victim], &[cold]);
         let mut p2 = placement.clone();
@@ -590,7 +516,7 @@ mod tests {
                 p2.access[i][victim as usize] = p2.host_idx();
             }
         }
-        cache.swap_locations(p2);
+        cache.swap_placement(p2);
         let mut out = vec![0.0f32; DIM];
         let stats = cache.gather(0, &[cold], &mut out);
         assert_eq!(stats.local, 1);
@@ -598,21 +524,53 @@ mod tests {
     }
 
     #[test]
-    fn invalidate_routes_reads_to_host() {
-        let (mut cache, _) = setup(50);
-        // Entry 0 is stored on GPU0 under partition; every GPU reads it
-        // from there. Invalidating GPU0's copy must re-route all four
-        // destination tables to host without touching other entries.
-        let before = cache.gather(1, &[0, 1], &mut [0.0f32; 2 * DIM]);
-        assert_eq!(before.host, 0);
-        cache.invalidate_before_update(0, &[0]);
+    fn a_reused_slot_is_reached_only_under_its_new_entry() {
+        let (mut cache, placement) = setup(50);
+        // Entry 0 is stored on GPU0 under partition and every GPU reads it
+        // from there; entry 499 is cold. Evicting 0 frees its slot and
+        // inserting 499 takes that same slot (the free list is LIFO), with
+        // no other call in between and no swap after.
+        let (evicted, inserted) = (0u32, 499u32);
+        let slot = cache.arenas[0].offset_of(evicted);
+        assert!((0..4).all(|i| placement.access[i][evicted as usize] == 0));
+        assert_eq!(placement.access[0][inserted as usize], placement.host_idx());
+        cache.update_arena(0, &[evicted], &[inserted]);
+        assert_eq!(cache.arenas[0].offset_of(inserted), slot);
+        let truth = HostTable::dense(N, DIM);
         for i in 0..4 {
-            let stats = cache.gather(i, &[0], &mut [0.0f32; DIM]);
-            assert_eq!(stats.host, 1, "gpu {i} should now read entry 0 from host");
+            let mut out = vec![f32::NAN; 2 * DIM];
+            let stats = cache.gather(i, &[evicted, inserted], &mut out);
+            assert_eq!(stats.host, 2, "GPU{i} reads both entries from host");
+            assert_eq!(&out[..DIM], truth.read(evicted).as_slice(), "GPU{i}");
+            assert_eq!(&out[DIM..], truth.read(inserted).as_slice(), "GPU{i}");
         }
         // Entry 1 lives on GPU1 — untouched.
         let after = cache.gather(1, &[1], &mut [0.0f32; DIM]);
-        assert_eq!(after.host, 0);
+        assert_eq!(after.local, 1);
+        cache.audit().unwrap();
+    }
+
+    #[test]
+    #[should_panic(expected = "reads entry 499 from GPU1, whose arena lacks it")]
+    fn build_refuses_an_access_to_a_gpu_not_storing_the_entry() {
+        let plat = Platform::server_a();
+        let h = Hotness::new(powerlaw_hotness(N, 1.2));
+        let mut placement = baselines::partition(&plat, &h, 50).unwrap();
+        assert!(!placement.stored[1][499]);
+        placement.access[0][499] = 1;
+        let _ = MultiGpuCache::build(HostTable::dense(N, DIM), &placement, &[50; 4]);
+    }
+
+    #[test]
+    #[should_panic(expected = "GPU2 reads entry 499 from GPU1, whose arena lacks it")]
+    fn swap_refuses_a_read_from_an_arena_lacking_the_entry() {
+        let (mut cache, placement) = setup(50);
+        // A valid placement on its own, but no update moved the row.
+        let mut target = placement.clone();
+        target.stored[1][499] = true;
+        target.access[2][499] = 1;
+        target.validate().unwrap();
+        cache.swap_placement(target);
     }
 
     #[test]

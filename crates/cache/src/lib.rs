@@ -6,15 +6,13 @@
 //!
 //! * [`HostTable`] — the full embedding table in (real or procedural)
 //!   host memory;
-//! * [`GpuArena`] — one GPU's cache storage: a flat slot array, a LIFO
-//!   free list, and a dense entry→slot index (an array indexed by entry
-//!   id — bookkeeping of this crate, not a structure of the paper's);
-//! * [`MultiGpuCache`] — the composed cache: per-GPU location tables in
-//!   the paper's `<GPU_i, Offset>` format (§4 calls them hashtables; here
-//!   they are flat arrays indexed by entry id), filled from a
-//!   placement by [`MultiGpuCache::build`] (the Filler), and a
+//! * [`MultiGpuCache`] — the composed cache: one arena per GPU (a flat
+//!   slot array, a LIFO free list and a dense entry→slot index), filled
+//!   from a placement by [`MultiGpuCache::build`] (the Filler, §4), and a
 //!   [`MultiGpuCache::gather`] that returns both values and per-source
-//!   hit statistics (design notes in [`plan`]);
+//!   hit statistics. The paper's per-GPU `<GPU_i, Offset>` hashtable is
+//!   not stored: a key resolves through the placement's access row, then
+//!   the source arena's index (design notes in [`plan`]);
 //! * [`HotnessSampler`] — foreground request sampling for hotness
 //!   tracking (§7.2);
 //! * [`Refresher`] — the background refresh state machine: solve → staged
@@ -25,7 +23,7 @@
 
 #![deny(missing_docs)]
 
-pub mod arena;
+mod arena;
 pub mod cache;
 pub mod lru;
 pub mod plan;
@@ -33,7 +31,6 @@ pub mod refresh;
 pub mod sampler;
 pub mod table;
 
-pub use arena::GpuArena;
 pub use cache::{GatherStats, MultiGpuCache};
 pub use lru::LruCache;
 pub use plan::GatherPlan;

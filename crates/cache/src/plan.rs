@@ -9,10 +9,12 @@
 //! serial variant to keep equal):
 //!
 //! 1. **resolve** ([`crate::MultiGpuCache::plan_gather`]) — chunks of
-//!    `PLAN_CHUNK_KEYS` keys. Each key is one load from the destination
-//!    GPU's dense location table (a flat array indexed by entry id, the
-//!    paper's `<GPU_i, Offset>` hashtable, §4) into its packed
-//!    `source << 32 | offset` slot; a miss becomes `host << 32 | key`.
+//!    `PLAN_CHUNK_KEYS` keys. Each key is two loads, both from flat
+//!    arrays indexed by entry id: the destination GPU's access row gives
+//!    the source GPU, that GPU's arena index gives the slot (together the
+//!    paper's `<GPU_i, Offset>` hashtable, §4). The packed slot is
+//!    `source << 32 | offset`; a host access or a source arena without
+//!    the entry (evicted mid-refresh) becomes `host << 32 | key`.
 //!    Chunks fill disjoint slot ranges and count keys per source; the
 //!    per-chunk counts are summed in chunk order (`u64`, exact).
 //! 2. **copy** ([`crate::MultiGpuCache::execute_plan`]) — chunks of

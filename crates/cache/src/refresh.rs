@@ -9,8 +9,13 @@
 //! The timeline of one refresh:
 //!
 //! ```text
-//! trigger → [solve: cfg.solve_secs] → [update batch] ─ interval ─ [batch] … → hashtable swap → idle
+//! trigger → [solve: cfg.solve_secs] → [update batch] ─ interval ─ [batch] … → placement swap → idle
 //! ```
+//!
+//! An update batch only moves arena rows; gathers keep following the old
+//! placement until the swap installs the target, and the cache's
+//! two-load resolve keeps them correct in between
+//! ([`MultiGpuCache::update_arena`]).
 //!
 //! While a refresh is active, foreground extraction is slowed by
 //! `FOREGROUND_IMPACT` (solver threads and copy engines compete with
@@ -200,9 +205,6 @@ impl Refresher {
                     }
                     match self.batches.pop_front() {
                         Some(b) => {
-                            // Hashtable first, content second (§7.2): stale
-                            // mappings must be gone before slots are reused.
-                            cache.invalidate_before_update(b.gpu, &b.evict);
                             cache.update_arena(b.gpu, &b.evict, &b.insert);
                             self.next_batch_at += self.cfg.batch_interval_secs;
                             self.phase = RefreshPhase::Updating {
@@ -210,9 +212,9 @@ impl Refresher {
                             };
                         }
                         None => {
-                            // All content moved: swap hashtables and finish.
+                            // All content moved: install the target and finish.
                             let target = self.target.take().expect("target set in begin");
-                            cache.swap_locations(target);
+                            cache.swap_placement(target);
                             self.history.push(self.next_batch_at - self.started_at);
                             self.phase = RefreshPhase::Idle;
                         }

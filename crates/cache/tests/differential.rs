@@ -103,9 +103,9 @@ fn batches(
 }
 
 /// Walks `cache` from its placement to `target` one GPU at a time the way
-/// the Refresher does — invalidate, then reuse the slots — gathering
-/// after every step, while the location tables still describe the old
-/// arrangement minus the invalidated entries; then swaps and gathers again.
+/// the Refresher does — evict, then reuse the slots — gathering after
+/// every step, while reads still follow the old placement minus the
+/// evicted entries; then swaps and gathers again.
 fn check_through_refresh(
     rng: &mut impl Rng,
     cache: &mut MultiGpuCache,
@@ -125,7 +125,6 @@ fn check_through_refresh(
         };
         let evict = moved(&old, &target.stored[j]);
         let insert = moved(&target.stored[j], &old);
-        cache.invalidate_before_update(j, &evict);
         cache.update_arena(j, &evict, &insert);
         for &e in &evict {
             for access in reads.access.iter_mut() {
@@ -150,7 +149,7 @@ fn check_through_refresh(
             );
         }
     }
-    cache.swap_locations(target.clone());
+    cache.swap_placement(target.clone());
     let keys = mixed_keys(rng, n, cap, COPY_CHUNK_ROWS + 1);
     check(
         cache,
@@ -164,9 +163,9 @@ fn check_through_refresh(
 /// Lets a whole `Refresher` run — `begin`, every tick, the swap — take a
 /// cache built on `from` to `target`, auditing it after every tick, and
 /// holds the result to a cache built on `target` outright: the same rows
-/// and the same per-tier stats for every destination GPU, so the location
-/// tables `swap_locations` patches are pinned against the ones the fill
-/// writes.
+/// and the same per-tier stats for every destination GPU, so the
+/// placement `swap_placement` installs is pinned against the one the fill
+/// reads.
 fn check_refresher_lands_on_a_fresh_build(
     from: &Placement,
     target: &Placement,
@@ -225,7 +224,7 @@ proptest! {
 
     /// Every placement kind on a hard-wired and a switched server, every
     /// batch shape, every pool width; then the same cache caught between
-    /// `update_arena` and `swap_locations` on its way to another placement,
+    /// `update_arena` and `swap_placement` on its way to another placement,
     /// and a `Refresher` run the whole way there against a fresh build.
     #[test]
     fn gather_matches_host_table_and_split_keys(seed in 0u64..10_000) {

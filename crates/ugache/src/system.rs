@@ -73,7 +73,9 @@ impl UGache {
     ///
     /// # Errors
     ///
-    /// Propagates solver failures.
+    /// Fails when `hotness` and `host` count different entries or
+    /// `cap_entries` does not hold one capacity per GPU, and propagates
+    /// solver failures.
     pub fn build(
         platform: Platform,
         host: HostTable,
@@ -81,11 +83,20 @@ impl UGache {
         cap_entries: Vec<usize>,
         cfg: UGacheConfig,
     ) -> Result<Self, String> {
-        assert_eq!(
-            hotness.len(),
-            host.num_entries(),
-            "hotness/table size mismatch"
-        );
+        if hotness.len() != host.num_entries() {
+            return Err(format!(
+                "hotness covers {} entries, the host table {}",
+                hotness.len(),
+                host.num_entries()
+            ));
+        }
+        if cap_entries.len() != platform.num_gpus() {
+            return Err(format!(
+                "{} capacities for {} GPUs",
+                cap_entries.len(),
+                platform.num_gpus()
+            ));
+        }
         let solver = UGacheSolver::new(platform.clone(), cfg.dedication);
         let solved = solver.solve(hotness, &cap_entries, &cfg.solver)?;
         let cache = MultiGpuCache::build(host, &solved.placement, &cap_entries);
@@ -299,8 +310,8 @@ impl UGache {
     }
 
     /// Checks the cache against its invariants ([`MultiGpuCache::audit`]):
-    /// every location a GPU reads names a row that holds the entry's host
-    /// value, and at rest the tables are what the placement builds.
+    /// every row a GPU reads holds the entry's host value, and at rest the
+    /// arenas hold what the placement stores.
     ///
     /// # Errors
     ///
@@ -339,6 +350,25 @@ mod tests {
         for (k, &key) in keys.iter().enumerate() {
             assert_eq!(&out[k * DIM..(k + 1) * DIM], truth.read(key).as_slice());
         }
+    }
+
+    #[test]
+    fn build_refuses_mismatched_sizes() {
+        let platform = Platform::server_a();
+        let hotness = Hotness::new(powerlaw_hotness(N, 1.2));
+        let cfg = UGacheConfig::new(DIM * 4, 500.0);
+        let build = |entries, caps| {
+            let host = HostTable::dense(entries, DIM);
+            UGache::build(platform.clone(), host, &hotness, caps, cfg).err()
+        };
+        assert_eq!(
+            build(N + 1, vec![200; 4]).as_deref(),
+            Some("hotness covers 2000 entries, the host table 2001")
+        );
+        assert_eq!(
+            build(N, vec![200; 3]).as_deref(),
+            Some("3 capacities for 4 GPUs")
+        );
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //!
 //! Every iteration and every idle step ticks the refresher once, and the
 //! refresh's batches are spaced wider than most steps, so the audit sees
-//! the cache between single update batches, at the location-table swap
-//! and at rest. Hot keys drift as the sequence goes, so each refresh
+//! the cache between single update batches, when gathers still follow
+//! the old placement, at the placement swap and at rest. Hot keys drift as the sequence goes, so each refresh
 //! moves rows.
 
 use cache_policy::Hotness;
@@ -16,7 +16,7 @@ use gpu_platform::Platform;
 use rand::Rng;
 use ugache::{UGache, UGacheConfig};
 
-/// Not a multiple of eight: the location tables end in a ragged word.
+/// Not a multiple of eight: the access rows end in a ragged word.
 const N: usize = 3_003;
 const DIM: usize = 4;
 const STEPS: usize = 400;
