@@ -149,13 +149,15 @@ impl Fields<'_> {
 /// Splits `extract_ns` across the three tiers proportionally to the
 /// batch's per-tier key counts. Integer floors, remainder assigned to
 /// the tier with the most keys (first in local/remote/host order on a
-/// tie), so the parts always sum exactly to `extract_ns`.
-fn split_extract(extract_ns: u64, keys: [f64; 3]) -> [u64; 3] {
+/// tie), so the parts always sum exactly to `extract_ns`. `None` when
+/// the rounded floors overshoot `extract_ns`, which only key counts far
+/// apart in magnitude and an `extract_ns` near 2^64 can make them do.
+fn split_extract(extract_ns: u64, keys: [f64; 3]) -> Option<[u64; 3]> {
     let total: f64 = keys.iter().sum();
     if total <= 0.0 {
         // A batch with no extracted keys has nothing to attribute; keep
         // the identity by leaving the whole share on the local tier.
-        return [extract_ns, 0, 0];
+        return Some([extract_ns, 0, 0]);
     }
     let mut parts = [0u64; 3];
     for t in 0..3 {
@@ -163,14 +165,15 @@ fn split_extract(extract_ns: u64, keys: [f64; 3]) -> [u64; 3] {
     }
     let assigned: u64 = parts.iter().sum();
     let biggest = (0..3).fold(0, |best, t| if keys[t] > keys[best] { t } else { best });
-    parts[biggest] += extract_ns - assigned;
-    parts
+    parts[biggest] += extract_ns.checked_sub(assigned)?;
+    Some(parts)
 }
 
 /// Builds one tail row from an exemplar's (value, req, fields) triple.
 ///
 /// Fails when the decomposition fields are missing, disagree with the
-/// recorded histogram value, or do not sum exactly to the latency —
+/// recorded histogram value, do not sum exactly to the latency (or
+/// overflow a `u64` trying), or a key count is negative or not finite —
 /// such an exemplar set is unusable, not merely surprising.
 fn tail_request(rank: usize, value: f64, fields: &Fields) -> Result<TailRequest, String> {
     let req = fields.req;
@@ -178,10 +181,13 @@ fn tail_request(rank: usize, value: f64, fields: &Fields) -> Result<TailRequest,
     let queue_ns = fields.get_u64("queue_ns")?;
     let batch_wait_ns = fields.get_u64("batch_wait_ns")?;
     let extract_ns = fields.get_u64("extract_ns")?;
-    if queue_ns + batch_wait_ns + extract_ns != latency_ns {
+    let sum = queue_ns
+        .checked_add(batch_wait_ns)
+        .and_then(|s| s.checked_add(extract_ns))
+        .ok_or_else(|| format!("exemplar req {req}: components overflow a u64 of ns"))?;
+    if sum != latency_ns {
         return Err(format!(
-            "exemplar req {req}: components sum to {} ns but latency_ns is {latency_ns}",
-            queue_ns + batch_wait_ns + extract_ns
+            "exemplar req {req}: components sum to {sum} ns but latency_ns is {latency_ns}"
         ));
     }
     if value != latency_ns as f64 {
@@ -189,12 +195,20 @@ fn tail_request(rank: usize, value: f64, fields: &Fields) -> Result<TailRequest,
             "exemplar req {req}: histogram value {value} disagrees with latency_ns {latency_ns}"
         ));
     }
-    let keys = [
-        fields.get_f64("batch_keys_local")?,
-        fields.get_f64("batch_keys_remote")?,
-        fields.get_f64("batch_keys_host")?,
-    ];
-    let [extract_local_ns, extract_remote_ns, extract_host_ns] = split_extract(extract_ns, keys);
+    let mut keys = [0.0; 3];
+    let names = ["batch_keys_local", "batch_keys_remote", "batch_keys_host"];
+    for (k, name) in keys.iter_mut().zip(names) {
+        *k = fields.get_f64(name)?;
+        if !(k.is_finite() && *k >= 0.0) {
+            return Err(format!(
+                "exemplar req {req}: `{name}` is {k}, not a key count"
+            ));
+        }
+    }
+    let [extract_local_ns, extract_remote_ns, extract_host_ns] = split_extract(extract_ns, keys)
+        .ok_or_else(|| {
+            format!("exemplar req {req}: extract_ns {extract_ns} does not split over {keys:?}")
+        })?;
     let parts = [
         queue_ns,
         batch_wait_ns,
@@ -434,13 +448,15 @@ mod tests {
     fn split_extract_sums_exactly_for_awkward_ratios() {
         for extract in [0u64, 1, 7, 1_000_003] {
             for keys in [[1.0, 1.0, 1.0], [0.0, 0.0, 5.0], [3.0, 2.0, 2.0], [0.0; 3]] {
-                let parts = split_extract(extract, keys);
+                let parts = split_extract(extract, keys).unwrap();
                 assert_eq!(parts.iter().sum::<u64>(), extract, "{extract} {keys:?}");
             }
         }
         // Remainder lands on the largest tier.
-        let parts = split_extract(10, [1.0, 1.0, 1.0]);
-        assert_eq!(parts, [4, 3, 3]);
+        assert_eq!(split_extract(10, [1.0, 1.0, 1.0]), Some([4, 3, 3]));
+        // The total rounds to 1 but the small shares do not vanish: the
+        // floors overshoot a near-2^64 extract time.
+        assert_eq!(split_extract(1 << 63, [1.0, 1e-17, 1e-17]), None);
     }
 
     #[test]

@@ -7,6 +7,10 @@
 //! through `replay_trace`, which sizes dense tables from the header: it
 //! too returns, and holds what the keys it was given can account for.
 //!
+//! An exemplar `repro explain-tail` reads is untrusted too: one whose
+//! numbers would overflow its arithmetic is refused (exit 3), never
+//! wrapped into a report.
+//!
 //! One binary with its own counting `#[global_allocator]`
 //! (`test_support::CountingAlloc`). It counts per thread, so each
 //! measurement sees only the allocations of the test that takes it, not
@@ -236,4 +240,49 @@ fn well_formed_documents_parse_within_the_budget() {
     let nested = "[".repeat(64) + &"]".repeat(64);
     parse_json(&nested).expect("at the nesting cap");
     assert!(parse_json(&"[".repeat(100_000)).is_err());
+}
+
+/// Replaces the number after the first `"name": ` in `text` by what
+/// `edit` makes of it.
+fn edit_first(text: &str, name: &str, edit: impl FnOnce(u64) -> String) -> String {
+    let key = format!("\"{name}\": ");
+    let start = text.find(&key).expect("the field is there") + key.len();
+    let len = text[start..].find(',').expect("a field inside an object");
+    let old = text[start..start + len].parse().expect("an integer field");
+    format!("{}{}{}", &text[..start], edit(old), &text[start + len..])
+}
+
+#[test]
+fn explain_tail_refuses_exemplars_that_would_wrap_its_arithmetic() {
+    let exe = env!("CARGO_BIN_EXE_repro");
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let serve = std::fs::read_to_string(root.join("baselines/quick/serve.json")).unwrap();
+    // The first exemplar, its components kept summing to its latency
+    // modulo 2^64: a queue of u64::MAX ns, the wait raised by the old
+    // queue + 1.
+    let mut queue = 0;
+    let wrapped = edit_first(&serve, "queue_ns", |old| {
+        queue = old;
+        u64::MAX.to_string()
+    });
+    let wrapped = edit_first(&wrapped, "batch_wait_ns", |old| {
+        (old + queue + 1).to_string()
+    });
+    // The first exemplar with a negative remote key count.
+    let negative = edit_first(&serve, "batch_keys_remote", |_| "-1e9".to_string());
+    let dir = std::env::temp_dir().join(format!("repro-crafted-exemplar-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    for (name, text) in [("wrapped-sum", wrapped), ("negative-keys", negative)] {
+        let path = dir.join(format!("{name}.json"));
+        std::fs::write(&path, text).unwrap();
+        let out = std::process::Command::new(exe)
+            .arg("explain-tail")
+            .arg(&path)
+            .output()
+            .expect("repro runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(3), "{name}: {out:?}");
+        assert!(stderr.contains("exemplar req 0:"), "{name}: {stderr}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }

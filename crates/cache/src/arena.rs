@@ -127,21 +127,6 @@ impl GpuArena {
         }
     }
 
-    /// Reads the values at a slot offset.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the offset is out of range.
-    pub fn read_slot(&self, offset: u32, out: &mut [f32]) {
-        assert!(
-            (offset as usize) < self.capacity,
-            "slot {offset} out of range"
-        );
-        assert_eq!(out.len(), self.dim);
-        let base = offset as usize * self.dim;
-        out.copy_from_slice(&self.data[base..base + self.dim]);
-    }
-
     /// The raw backing slab: `capacity × dim` floats, slot-major.
     ///
     /// Row `s` occupies `slab()[s * dim .. (s + 1) * dim]`. Exposed so
@@ -164,13 +149,16 @@ mod tests {
         a.offset_of(entry).expect("just inserted")
     }
 
+    /// The row at slot `offset`.
+    fn row(a: &GpuArena, offset: u32) -> &[f32] {
+        &a.slab()[offset as usize * a.dim..(offset as usize + 1) * a.dim]
+    }
+
     #[test]
     fn insert_read_roundtrip() {
         let mut a = GpuArena::new(4, 3);
         let off = insert(&mut a, 7, &[1.0, 2.0, 3.0]);
-        let mut out = [0.0; 3];
-        a.read_slot(off, &mut out);
-        assert_eq!(out, [1.0, 2.0, 3.0]);
+        assert_eq!(row(&a, off), [1.0, 2.0, 3.0]);
         assert_eq!(a.offset_of(7), Some(off));
         assert_eq!(a.len(), 1);
     }
@@ -182,9 +170,7 @@ mod tests {
         let o2 = insert(&mut a, 1, &[2.0, 2.0]);
         assert_eq!(o1, o2);
         assert_eq!(a.len(), 1);
-        let mut out = [0.0; 2];
-        a.read_slot(o2, &mut out);
-        assert_eq!(out, [2.0, 2.0]);
+        assert_eq!(row(&a, o2), [2.0, 2.0]);
     }
 
     #[test]

@@ -169,7 +169,7 @@ impl MultiGpuCache {
     pub fn audit(&self) -> Result<(), String> {
         let (g, dim) = (self.num_gpus(), self.dim());
         let host_idx = self.placement.host_idx();
-        let (mut row, mut truth) = (vec![0.0f32; dim], vec![0.0f32; dim]);
+        let mut truth = vec![0.0f32; dim];
         for (i, access) in self.placement.access.iter().enumerate() {
             for (e, &src) in access.iter().enumerate() {
                 let (e, src) = (e as u32, src as usize);
@@ -187,7 +187,8 @@ impl MultiGpuCache {
                         "GPU{i} reads entry {e} from GPU{src}, whose arena lacks it"
                     ));
                 };
-                self.arenas[src].read_slot(off, &mut row);
+                let base = off as usize * dim;
+                let row = &self.arenas[src].slab()[base..base + dim];
                 self.host.read_into(e, &mut truth);
                 if row
                     .iter()
@@ -420,9 +421,16 @@ mod tests {
         let plat = Platform::server_a();
         let h = Hotness::new(powerlaw_hotness(N, 1.2));
         let placement = baselines::partition(&plat, &h, cap).unwrap();
-        let host = HostTable::dense(N, DIM);
+        let host = HostTable::procedural(N, DIM);
         let cache = MultiGpuCache::build(host, &placement, &[cap; 4]);
         (cache, placement)
+    }
+
+    impl MultiGpuCache {
+        /// Whether GPU `gpu`'s arena holds a row for `entry`.
+        pub(crate) fn holds(&self, gpu: usize, entry: u32) -> bool {
+            self.arenas[gpu].offset_of(entry).is_some()
+        }
     }
 
     #[test]
@@ -432,7 +440,7 @@ mod tests {
         let mut out = vec![0.0f32; keys.len() * DIM];
         let stats = cache.gather(1, &keys, &mut out);
         assert_eq!(stats.total(), keys.len() as u64);
-        let truth = HostTable::dense(N, DIM);
+        let truth = HostTable::procedural(N, DIM);
         for (k, &key) in keys.iter().enumerate() {
             assert_eq!(
                 &out[k * DIM..(k + 1) * DIM],
@@ -488,7 +496,7 @@ mod tests {
         let plat = Platform::server_a();
         let h = Hotness::new(powerlaw_hotness(N, 1.2));
         let rep = baselines::replication(&plat, &h, 50);
-        let cache = MultiGpuCache::build(HostTable::dense(N, DIM), &rep, &[50; 4]);
+        let cache = MultiGpuCache::build(HostTable::procedural(N, DIM), &rep, &[50; 4]);
         let keys: Vec<u32> = (0..50).collect();
         let mut out = vec![0.0f32; keys.len() * DIM];
         let stats = cache.gather(3, &keys, &mut out);
@@ -520,7 +528,7 @@ mod tests {
         let mut out = vec![0.0f32; DIM];
         let stats = cache.gather(0, &[cold], &mut out);
         assert_eq!(stats.local, 1);
-        assert_eq!(out, HostTable::dense(N, DIM).read(cold));
+        assert_eq!(out, HostTable::procedural(N, DIM).read(cold));
     }
 
     #[test]
@@ -536,7 +544,7 @@ mod tests {
         assert_eq!(placement.access[0][inserted as usize], placement.host_idx());
         cache.update_arena(0, &[evicted], &[inserted]);
         assert_eq!(cache.arenas[0].offset_of(inserted), slot);
-        let truth = HostTable::dense(N, DIM);
+        let truth = HostTable::procedural(N, DIM);
         for i in 0..4 {
             let mut out = vec![f32::NAN; 2 * DIM];
             let stats = cache.gather(i, &[evicted, inserted], &mut out);
@@ -558,7 +566,7 @@ mod tests {
         let mut placement = baselines::partition(&plat, &h, 50).unwrap();
         assert!(!placement.stored[1][499]);
         placement.access[0][499] = 1;
-        let _ = MultiGpuCache::build(HostTable::dense(N, DIM), &placement, &[50; 4]);
+        let _ = MultiGpuCache::build(HostTable::procedural(N, DIM), &placement, &[50; 4]);
     }
 
     #[test]

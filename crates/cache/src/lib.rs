@@ -4,8 +4,8 @@
 //! `gpu-memsim`): it really stores embedding vectors and really gathers
 //! them, so correctness is testable end-to-end:
 //!
-//! * [`HostTable`] — the full embedding table in (real or procedural)
-//!   host memory;
+//! * [`HostTable`] — the full embedding table in host memory, each row
+//!   computed from its entry id rather than stored;
 //! * [`MultiGpuCache`] — the composed cache: one arena per GPU (a flat
 //!   slot array, a LIFO free list and a dense entry→slot index), filled
 //!   from a placement by [`MultiGpuCache::build`] (the Filler, §4), and a
@@ -15,8 +15,9 @@
 //!   the source arena's index (design notes in [`plan`]);
 //! * [`HotnessSampler`] — foreground request sampling for hotness
 //!   tracking (§7.2);
-//! * [`Refresher`] — the background refresh state machine: solve → staged
-//!   small-batch cache updates with bounded foreground impact (Figure 17);
+//! * [`Refresher`] — the background refresh: one due time and a queue of
+//!   small update batches after the solve, then the placement swap, with
+//!   bounded foreground impact (Figure 17);
 //! * [`LruCache`] — an online LRU cache (the HPS baseline's eviction
 //!   design), kept so the static-vs-LRU comparison of §7.2 is measured
 //!   against a real implementation.
@@ -34,6 +35,6 @@ pub mod table;
 pub use cache::{GatherStats, MultiGpuCache};
 pub use lru::LruCache;
 pub use plan::GatherPlan;
-pub use refresh::{RefreshConfig, RefreshPhase, Refresher};
+pub use refresh::{RefreshConfig, Refresher};
 pub use sampler::HotnessSampler;
 pub use table::HostTable;

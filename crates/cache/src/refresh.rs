@@ -6,10 +6,14 @@
 //! application loop calls [`Refresher::tick`] with the current simulated
 //! clock, which keeps the whole pipeline deterministic.
 //!
-//! The timeline of one refresh:
+//! A refresh in flight is one due time and a queue of update batches.
+//! [`Refresher::begin`] queues the batches and sets the first one due
+//! `cfg.solve_secs` later (the re-solve); each batch applied puts the
+//! next `cfg.batch_interval_secs` after it; the swap to the target
+//! placement is due where a batch would be once the queue is empty:
 //!
 //! ```text
-//! trigger → [solve: cfg.solve_secs] → [update batch] ─ interval ─ [batch] … → placement swap → idle
+//! begin → [solve: cfg.solve_secs] → [update batch] ─ interval ─ [batch] … ─ interval ─ placement swap
 //! ```
 //!
 //! An update batch only moves arena rows; gathers keep following the old
@@ -56,20 +60,6 @@ impl Default for RefreshConfig {
     }
 }
 
-/// Where a refresh currently stands.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum RefreshPhase {
-    /// No refresh in progress.
-    Idle,
-    /// The solver is computing the new policy.
-    Solving,
-    /// Cache contents are being migrated batch by batch.
-    Updating {
-        /// Batches still queued.
-        remaining_batches: usize,
-    },
-}
-
 #[derive(Debug, Clone)]
 struct UpdateBatch {
     gpu: usize,
@@ -77,16 +67,22 @@ struct UpdateBatch {
     insert: Vec<u32>,
 }
 
-/// The background refresher state machine.
+/// A refresh in flight: the placement it moves toward and the update
+/// batches still queued.
+#[derive(Debug, Clone)]
+struct Migration {
+    target: Placement,
+    started_at: f64,
+    /// When the next batch, or the swap once none is left, is due.
+    due: f64,
+    batches: VecDeque<UpdateBatch>,
+}
+
+/// The background refresher: at most one migration in flight.
 #[derive(Debug, Clone)]
 pub struct Refresher {
     cfg: RefreshConfig,
-    phase: RefreshPhase,
-    solve_done_at: f64,
-    next_batch_at: f64,
-    batches: VecDeque<UpdateBatch>,
-    target: Option<Placement>,
-    started_at: f64,
+    migration: Option<Migration>,
     /// Completed refresh durations (seconds), for reporting.
     pub history: Vec<f64>,
 }
@@ -96,25 +92,19 @@ impl Refresher {
     pub fn new(cfg: RefreshConfig) -> Self {
         Refresher {
             cfg,
-            phase: RefreshPhase::Idle,
-            solve_done_at: 0.0,
-            next_batch_at: 0.0,
-            batches: VecDeque::new(),
-            target: None,
-            started_at: 0.0,
+            migration: None,
             history: Vec::new(),
         }
     }
 
     /// Whether estimated extraction-time drift warrants a refresh.
     pub fn should_refresh(&self, current_est_secs: f64, fresh_est_secs: f64) -> bool {
-        self.phase == RefreshPhase::Idle
-            && current_est_secs > fresh_est_secs * (1.0 + TRIGGER_RATIO)
+        !self.active() && current_est_secs > fresh_est_secs * (1.0 + TRIGGER_RATIO)
     }
 
     /// Whether a refresh is in progress.
     pub fn active(&self) -> bool {
-        self.phase != RefreshPhase::Idle
+        self.migration.is_some()
     }
 
     /// Foreground slowdown multiplier (≥ 1).
@@ -177,52 +167,40 @@ impl Refresher {
             }
         }
 
-        self.batches = batches;
-        self.target = Some(target);
-        self.phase = RefreshPhase::Solving;
-        self.started_at = now;
-        self.solve_done_at = now + self.cfg.solve_secs;
+        self.migration = Some(Migration {
+            target,
+            started_at: now,
+            due: now + self.cfg.solve_secs,
+            batches,
+        });
     }
 
-    /// Advances the state machine to simulated time `now`, applying any
-    /// due work to the cache. Returns the phase after the tick.
-    pub fn tick(&mut self, now: f64, cache: &mut MultiGpuCache) -> RefreshPhase {
+    /// Advances the refresh to simulated time `now`: applies every
+    /// update batch that is due, then, once none is left, installs the
+    /// target placement. Returns the refresh's duration on the tick that
+    /// finishes it, `None` on every other.
+    pub fn tick(&mut self, now: f64, cache: &mut MultiGpuCache) -> Option<f64> {
+        let m = self.migration.as_mut()?;
         loop {
-            match self.phase {
-                RefreshPhase::Idle => break,
-                RefreshPhase::Solving => {
-                    if now < self.solve_done_at {
-                        break;
-                    }
-                    self.phase = RefreshPhase::Updating {
-                        remaining_batches: self.batches.len(),
-                    };
-                    self.next_batch_at = self.solve_done_at;
-                }
-                RefreshPhase::Updating { .. } => {
-                    if now < self.next_batch_at {
-                        break;
-                    }
-                    match self.batches.pop_front() {
-                        Some(b) => {
-                            cache.update_arena(b.gpu, &b.evict, &b.insert);
-                            self.next_batch_at += self.cfg.batch_interval_secs;
-                            self.phase = RefreshPhase::Updating {
-                                remaining_batches: self.batches.len(),
-                            };
-                        }
-                        None => {
-                            // All content moved: install the target and finish.
-                            let target = self.target.take().expect("target set in begin");
-                            cache.swap_placement(target);
-                            self.history.push(self.next_batch_at - self.started_at);
-                            self.phase = RefreshPhase::Idle;
-                        }
-                    }
-                }
+            if now < m.due {
+                return None;
             }
+            let Some(b) = m.batches.pop_front() else {
+                break;
+            };
+            cache.update_arena(b.gpu, &b.evict, &b.insert);
+            m.due += self.cfg.batch_interval_secs;
         }
-        self.phase
+        // All content moved: install the target and finish.
+        let Migration {
+            target,
+            started_at,
+            due,
+            ..
+        } = self.migration.take()?;
+        cache.swap_placement(target);
+        self.history.push(due - started_at);
+        Some(due - started_at)
     }
 }
 
@@ -284,10 +262,15 @@ mod tests {
         assert!(r.should_refresh(1.2, 1.0));
     }
 
+    /// The batches a begun refresh still has queued.
+    fn queued(r: &Refresher) -> &VecDeque<UpdateBatch> {
+        &r.migration.as_ref().expect("a refresh began").batches
+    }
+
     #[test]
     fn full_refresh_migrates_cache() {
         let (p1, p2) = placements();
-        let host = HostTable::dense(N, DIM);
+        let host = HostTable::procedural(N, DIM);
         let mut cache = MultiGpuCache::build(host, &p1, &[40; 4]);
         let mut r = Refresher::new(small_cfg());
         r.begin(0.0, &p1, p2.clone());
@@ -295,7 +278,8 @@ mod tests {
         assert_eq!(r.slowdown(), 1.1);
 
         // Nothing happens during solving.
-        assert_eq!(r.tick(0.5, &mut cache), RefreshPhase::Solving);
+        assert_eq!(r.tick(0.5, &mut cache), None);
+        assert!(r.active());
 
         // Drive time forward until idle.
         let mut now = 1.0;
@@ -315,7 +299,7 @@ mod tests {
         let stats = cache.gather(0, &keys, &mut out);
         assert_eq!(stats.local, 40);
         // Values are still correct.
-        let truth = HostTable::dense(N, DIM);
+        let truth = HostTable::procedural(N, DIM);
         for (k, &key) in keys.iter().enumerate() {
             assert_eq!(&out[k * DIM..(k + 1) * DIM], truth.read(key).as_slice());
         }
@@ -324,7 +308,7 @@ mod tests {
     #[test]
     fn refresh_is_throttled_over_time() {
         let (p1, p2) = placements();
-        let host = HostTable::dense(N, DIM);
+        let host = HostTable::procedural(N, DIM);
         let mut cache = MultiGpuCache::build(host, &p1, &[40; 4]);
         let cfg = small_cfg();
         let mut r = Refresher::new(cfg);
@@ -342,6 +326,63 @@ mod tests {
             duration >= cfg.solve_secs + 1.0,
             "refresh finished suspiciously fast: {duration}s"
         );
+    }
+
+    #[test]
+    fn batches_and_swap_land_on_the_first_tick_they_are_due() {
+        // Batch k is due at 1.0 + k·0.1 s and the swap, after n batches,
+        // at 1.0 + n·0.1 s. Ticks fall 0.04 s before, 0.01 s after and
+        // 0.05 s after each of those times, except for a stretch skipped
+        // by one tick that must apply several batches at once.
+        let (p1, p2) = placements();
+        let mut cache = MultiGpuCache::build(HostTable::procedural(N, DIM), &p1, &[40; 4]);
+        let cfg = small_cfg();
+        let mut r = Refresher::new(cfg);
+        r.begin(0.0, &p1, p2.clone());
+        let batches: Vec<UpdateBatch> = queued(&r).iter().cloned().collect();
+        let n = batches.len();
+        assert!(n >= 8, "only {n} batches");
+        let due = |k: usize| cfg.solve_secs + k as f64 * cfg.batch_interval_secs;
+        let mut ticks = vec![0.0, 0.5];
+        for k in (0..=n).filter(|k| !(3..6).contains(k)) {
+            ticks.extend([due(k) - 0.04, due(k) + 0.01, due(k) + 0.05]);
+        }
+        ticks.extend([due(n) + 0.5, due(n) + 10.0]);
+        let mut was_swapped = false;
+        for now in ticks {
+            let landed = (0..n).filter(|&k| now >= due(k)).count();
+            let swapped = now >= due(n);
+            let finished = r.tick(now, &mut cache);
+            for (k, b) in batches.iter().enumerate() {
+                let applied = k < landed;
+                for &e in &b.evict {
+                    assert_eq!(
+                        cache.holds(b.gpu, e),
+                        !applied,
+                        "{now} s: batch {k} evicts {e}"
+                    );
+                }
+                for &e in &b.insert {
+                    assert_eq!(
+                        cache.holds(b.gpu, e),
+                        applied,
+                        "{now} s: batch {k} inserts {e}"
+                    );
+                }
+            }
+            cache.audit().unwrap_or_else(|e| panic!("{now} s: {e}"));
+            assert_eq!(r.active(), !swapped, "{now} s");
+            assert_eq!(cache.placement() == &p2, swapped, "{now} s");
+            assert_eq!(r.history.len(), usize::from(swapped), "{now} s");
+            if swapped && !was_swapped {
+                assert_eq!(finished.map(f64::to_bits), Some(r.history[0].to_bits()));
+            } else {
+                assert_eq!(finished, None, "{now} s");
+            }
+            was_swapped = swapped;
+        }
+        let last_due = (0..n).fold(cfg.solve_secs, |t, _| t + cfg.batch_interval_secs);
+        assert_eq!(r.history[0].to_bits(), last_due.to_bits());
     }
 
     /// `begin`'s diff before it compared chunks: every entry, in order,
@@ -401,8 +442,7 @@ mod tests {
                     ..small_cfg()
                 });
                 r.begin(0.0, &current, target.clone());
-                let got: Vec<_> = r
-                    .batches
+                let got: Vec<_> = queued(&r)
                     .iter()
                     .map(|b| (b.gpu, b.evict.clone(), b.insert.clone()))
                     .collect();
@@ -412,7 +452,7 @@ mod tests {
             // Equal placements: no batch at all.
             let mut r = Refresher::new(small_cfg());
             r.begin(0.0, &target, target.clone());
-            assert!(r.batches.is_empty(), "n {n}");
+            assert!(queued(&r).is_empty(), "n {n}");
         }
     }
 
@@ -456,7 +496,7 @@ mod tests {
                     ..RefreshConfig::default()
                 });
                 r.begin(0.0, current, placements[(k + 1) % placements.len()].clone());
-                for b in &r.batches {
+                for b in queued(&r) {
                     hash = fnv1a(hash, (b.gpu as u64).to_le_bytes());
                     for side in [&b.evict, &b.insert] {
                         hash = fnv1a(hash, (side.len() as u64).to_le_bytes());
@@ -480,7 +520,7 @@ mod tests {
     #[test]
     fn noop_refresh_completes_quickly() {
         let (p1, _) = placements();
-        let host = HostTable::dense(N, DIM);
+        let host = HostTable::procedural(N, DIM);
         let mut cache = MultiGpuCache::build(host, &p1, &[40; 4]);
         let mut r = Refresher::new(small_cfg());
         r.begin(0.0, &p1, p1.clone());

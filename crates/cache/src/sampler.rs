@@ -22,8 +22,6 @@ pub struct HotnessSampler {
     /// Record one of every `stride` keys.
     stride: usize,
     cursor: usize,
-    sampled: u64,
-    observed: u64,
 }
 
 impl HotnessSampler {
@@ -40,8 +38,6 @@ impl HotnessSampler {
             touched: Vec::new(),
             stride,
             cursor: 0,
-            sampled: 0,
-            observed: 0,
         }
     }
 
@@ -60,20 +56,8 @@ impl HotnessSampler {
                 self.touched.push(k);
             }
             *count += 1;
-            self.sampled += 1;
         }
-        self.observed += keys.len() as u64;
         self.cursor = (self.cursor + keys.len()) % self.stride;
-    }
-
-    /// Total keys seen (sampled or not).
-    pub fn observed(&self) -> u64 {
-        self.observed
-    }
-
-    /// Keys actually counted.
-    pub fn sampled(&self) -> u64 {
-        self.sampled
     }
 
     /// Snapshot of the current hotness estimate: the counted entries
@@ -95,8 +79,6 @@ impl HotnessSampler {
         }
         self.touched.clear();
         self.cursor = 0;
-        self.sampled = 0;
-        self.observed = 0;
     }
 }
 
@@ -109,9 +91,8 @@ mod tests {
     fn full_rate_counts_everything() {
         let mut s = HotnessSampler::new(10, 1);
         s.observe(&[1, 1, 2, 9]);
-        assert_eq!(s.observed(), 4);
-        assert_eq!(s.sampled(), 4);
         let h = s.snapshot();
+        assert_eq!(h.total(), 4.0);
         let w = h.dense_weights();
         assert_eq!(w[1], 2.0);
         assert_eq!(w[9], 1.0);
@@ -127,7 +108,7 @@ mod tests {
         let mut sub = HotnessSampler::new(n as usize, 16);
         full.observe(&keys);
         sub.observe(&keys);
-        assert_eq!(sub.sampled(), 200_000 / 16);
+        assert_eq!(sub.snapshot().total(), (200_000 / 16) as f64);
         // The top entries should agree between full and subsampled counts.
         let top_full = full.snapshot().ranking()[0];
         let top_sub = sub.snapshot().ranking()[0];
@@ -143,7 +124,6 @@ mod tests {
         let mut s = HotnessSampler::new(4, 2);
         s.observe(&[0, 1, 2, 3]);
         s.reset();
-        assert_eq!(s.observed(), 0);
         assert_eq!(s.snapshot().total(), 0.0);
     }
 
@@ -177,8 +157,6 @@ mod tests {
                     s.observe(batch);
                     rest = tail;
                 }
-                assert_eq!(s.observed(), keys.len() as u64);
-                assert_eq!(s.sampled(), dense.iter().sum::<u64>());
                 let (got, want) = (s.snapshot(), Hotness::from_counts(&dense));
                 assert_eq!(got, want, "stride {stride}, round {round}");
                 let bits = |h: &Hotness| -> Vec<u64> {

@@ -2,47 +2,21 @@
 
 /// The full `N × D` embedding table living in host memory.
 ///
-/// Two storage modes:
-///
-/// * **Dense** — real `f32` buffers, used by tests and examples where the
-///   scaled table fits in RAM;
-/// * **Procedural** — values computed on demand from a hash of
-///   `(entry, dim)`. Paper-scale tables (hundreds of GB) cannot be
-///   materialized on a development box; procedural values preserve the
-///   property the functional layer needs — every read of the same entry
-///   returns the same vector — at O(1) memory.
+/// Values are computed on demand from a hash of `(entry, dim)`, never
+/// stored: paper-scale tables (hundreds of GB) cannot be materialized on
+/// a development box, and the functional layer needs only that every read
+/// of the same entry returns the same vector, which this gives at O(1)
+/// memory.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HostTable {
     num_entries: usize,
     dim: usize,
-    /// Dense backing store, or `None` for procedural mode.
-    data: Option<Vec<f32>>,
 }
 
 impl HostTable {
-    /// Creates a dense table with procedurally initialized values (same
-    /// values as procedural mode, but materialized).
-    pub fn dense(num_entries: usize, dim: usize) -> Self {
-        let mut data = vec![0.0f32; num_entries * dim];
-        // A zero-dim table has no values to fill, and `chunks_exact_mut`
-        // refuses a chunk size of zero.
-        for (e, row) in data.chunks_exact_mut(dim.max(1)).enumerate() {
-            procedural_row(e as u32, row);
-        }
-        HostTable {
-            num_entries,
-            dim,
-            data: Some(data),
-        }
-    }
-
     /// Creates a procedural table (O(1) memory).
     pub fn procedural(num_entries: usize, dim: usize) -> Self {
-        HostTable {
-            num_entries,
-            dim,
-            data: None,
-        }
+        HostTable { num_entries, dim }
     }
 
     /// Number of entries `N`.
@@ -65,7 +39,8 @@ impl HostTable {
         self.num_entries as u64 * self.entry_bytes() as u64
     }
 
-    /// Reads entry `e` into `out`.
+    /// Reads entry `e` into `out`, computed on the widest vector units
+    /// this CPU has.
     ///
     /// # Panics
     ///
@@ -73,13 +48,7 @@ impl HostTable {
     pub fn read_into(&self, e: u32, out: &mut [f32]) {
         assert!((e as usize) < self.num_entries, "entry {e} out of range");
         assert_eq!(out.len(), self.dim, "output slice has wrong dim");
-        match &self.data {
-            Some(data) => {
-                let base = e as usize * self.dim;
-                out.copy_from_slice(&data[base..base + self.dim]);
-            }
-            None => procedural_row(e, out),
-        }
+        procedural_row_on(RowTier::Avx512, e, out);
     }
 
     /// Returns entry `e` as a fresh vector.
@@ -142,14 +111,8 @@ enum RowTier {
     Portable,
 }
 
-/// Writes entry `e`'s procedural row into `out`, on the widest vector
-/// units this CPU has.
-fn procedural_row(e: u32, out: &mut [f32]) {
-    procedural_row_on(RowTier::Avx512, e, out);
-}
-
-/// [`procedural_row`] on the widest tier no wider than `widest` that this
-/// CPU runs; returns the tier that ran. `is_x86_feature_detected!` caches
+/// Writes entry `e`'s row into `out` on the widest tier no wider than
+/// `widest` that this CPU runs; returns the tier that ran. `is_x86_feature_detected!` caches
 /// what it finds, so after the first row a tier costs a load and a test.
 fn procedural_row_on(widest: RowTier, e: u32, out: &mut [f32]) -> RowTier {
     #[cfg(target_arch = "x86_64")]
@@ -244,15 +207,6 @@ mod tests {
             }
         }
         assert_eq!(ran, supported);
-    }
-
-    #[test]
-    fn dense_and_procedural_agree() {
-        let dense = HostTable::dense(64, 8);
-        let proc_ = HostTable::procedural(64, 8);
-        for e in [0u32, 1, 33, 63] {
-            assert_eq!(dense.read(e), proc_.read(e));
-        }
     }
 
     #[test]

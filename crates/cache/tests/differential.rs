@@ -175,7 +175,7 @@ fn check_refresher_lands_on_a_fresh_build(
 ) {
     let (g, n) = (target.num_gpus, target.num_entries);
     let build =
-        |placement| MultiGpuCache::build(HostTable::dense(n, dim), placement, &vec![cap; g]);
+        |placement| MultiGpuCache::build(HostTable::procedural(n, dim), placement, &vec![cap; g]);
     let mut cache = build(from);
     let mut refresher = Refresher::new(RefreshConfig {
         solve_secs: 1.0,
@@ -252,7 +252,7 @@ proptest! {
             for (k, (kind, placement)) in kinds.iter().enumerate() {
                 let what = format!("{} {kind} dim {dim} seed {seed}", platform.name);
                 let mut cache =
-                    MultiGpuCache::build(HostTable::dense(n, dim), placement, &vec![cap; g]);
+                    MultiGpuCache::build(HostTable::procedural(n, dim), placement, &vec![cap; g]);
                 let gpu = rng.gen_range(0..g);
                 for (shape, keys) in batches(&mut rng, placement, gpu, cap) {
                     check(&cache, placement, gpu, &keys, &format!("{what}, {shape}"));

@@ -113,7 +113,7 @@ mod tests {
         cfg.solver.blocks.max_blocks = 16;
         UGache::build(
             Platform::server_a(),
-            HostTable::dense(N, DIM),
+            HostTable::procedural(N, DIM),
             &Hotness::new(powerlaw_hotness(N, 1.2)),
             vec![100; 4],
             cfg,
@@ -127,7 +127,7 @@ mod tests {
         let mut layer = TorchStyleLayer::new(&mut u, 0, DIM);
         let t = layer.forward(&[3, 999]);
         assert_eq!((t.rows, t.cols), (2, DIM));
-        let truth = HostTable::dense(N, DIM);
+        let truth = HostTable::procedural(N, DIM);
         assert_eq!(t.row(0), truth.read(3).as_slice());
         assert_eq!(t.row(1), truth.read(999).as_slice());
         assert_eq!(layer.last_stats.total(), 2);

@@ -229,11 +229,8 @@ impl UGache {
     /// Ticks the refresher at the current virtual time and closes the
     /// refresh lifecycle span when the tick completes a refresh.
     fn tick_refresher(&mut self) {
-        let was_active = self.refresher.active();
-        self.refresher.tick(self.clock, &mut self.cache);
-        if was_active && !self.refresher.active() {
+        if let Some(secs) = self.refresher.tick(self.clock, &mut self.cache) {
             if let Some(id) = self.refresh_span.take() {
-                let secs = self.refresher.history.last().copied().unwrap_or(0.0);
                 emb_telemetry::span_end(id, emb_telemetry::clock_ns(), || {
                     Fields::new(&["secs"], &[secs.into()])
                 });
@@ -331,7 +328,7 @@ mod tests {
 
     fn build() -> UGache {
         let platform = Platform::server_a();
-        let host = HostTable::dense(N, DIM);
+        let host = HostTable::procedural(N, DIM);
         let hotness = Hotness::new(powerlaw_hotness(N, 1.2));
         let mut cfg = UGacheConfig::new(DIM * 4, 500.0);
         cfg.solver.blocks.max_blocks = 32;
@@ -346,7 +343,7 @@ mod tests {
         let mut out = vec![0.0f32; keys.len() * DIM];
         let stats = u.gather(0, &keys, &mut out);
         assert_eq!(stats.total(), 4);
-        let truth = HostTable::dense(N, DIM);
+        let truth = HostTable::procedural(N, DIM);
         for (k, &key) in keys.iter().enumerate() {
             assert_eq!(&out[k * DIM..(k + 1) * DIM], truth.read(key).as_slice());
         }
@@ -358,7 +355,7 @@ mod tests {
         let hotness = Hotness::new(powerlaw_hotness(N, 1.2));
         let cfg = UGacheConfig::new(DIM * 4, 500.0);
         let build = |entries, caps| {
-            let host = HostTable::dense(entries, DIM);
+            let host = HostTable::procedural(entries, DIM);
             UGache::build(platform.clone(), host, &hotness, caps, cfg).err()
         };
         assert_eq!(
@@ -529,7 +526,7 @@ mod tests {
     fn no_refresh_without_drift() {
         use emb_util::{seed_rng, ZipfSampler};
         let platform = Platform::server_a();
-        let host = HostTable::dense(N, DIM);
+        let host = HostTable::procedural(N, DIM);
         let hotness = Hotness::new(powerlaw_hotness(N, 1.2));
         let mut cfg = UGacheConfig::new(DIM * 4, 500.0);
         cfg.solver.blocks.max_blocks = 32;

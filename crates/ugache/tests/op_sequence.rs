@@ -45,7 +45,7 @@ fn run(platform: Platform, seed: u64) -> (usize, usize) {
     let hotness = Hotness::new(powerlaw_hotness(N, 1.1));
     let mut u = UGache::build(
         platform,
-        HostTable::dense(N, DIM),
+        HostTable::procedural(N, DIM),
         &hotness,
         vec![120; g],
         cfg,
@@ -54,7 +54,7 @@ fn run(platform: Platform, seed: u64) -> (usize, usize) {
     u.audit()
         .unwrap_or_else(|e| panic!("{name}: after the build: {e}"));
 
-    let truth = HostTable::dense(N, DIM);
+    let truth = HostTable::procedural(N, DIM);
     let zipf = ZipfSampler::new(N as u64, 1.1);
     let mut rng = seed_rng(seed);
     let mut mid_refresh = 0;

@@ -29,7 +29,7 @@ fn main() {
         seed: 7,
     });
     let n = graph.num_vertices();
-    let host = HostTable::dense(n, DIM);
+    let host = HostTable::procedural(n, DIM);
 
     // Ground-truth labels the dense head must learn: the sign of a fixed
     // random projection of each vertex's *own* embedding — solvable from

@@ -16,7 +16,7 @@ use ugache::{UGache, UGacheConfig};
 const DIM: usize = 16;
 
 fn small_ugache(platform: Platform, n: usize, cap: usize) -> UGache {
-    let host = HostTable::dense(n, DIM);
+    let host = HostTable::procedural(n, DIM);
     let hotness = Hotness::new(powerlaw_hotness(n, 1.2));
     let g = platform.num_gpus();
     let mut cfg = UGacheConfig::new(DIM * 4, 1_000.0);
@@ -36,7 +36,7 @@ fn gather_is_correct_on_every_platform_and_gpu() {
     ] {
         let g = platform.num_gpus();
         let mut u = small_ugache(platform, n, 300);
-        let truth = HostTable::dense(n, DIM);
+        let truth = HostTable::procedural(n, DIM);
         let keys: Vec<u32> = (0..n as u32).step_by(37).collect();
         let mut out = vec![0.0f32; keys.len() * DIM];
         for gpu in 0..g {
@@ -223,7 +223,7 @@ fn served_keys_are_read_where_they_are_served() {
 fn refresh_cycle_preserves_correctness() {
     let n = 2_000;
     let mut u = small_ugache(Platform::server_a(), n, 200);
-    let truth = HostTable::dense(n, DIM);
+    let truth = HostTable::procedural(n, DIM);
 
     // Shift the workload to the cold end, then force a refresh.
     let keys: Vec<Vec<u32>> = (0..4)
