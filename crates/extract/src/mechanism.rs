@@ -1,7 +1,7 @@
 //! Mechanism implementations and the unified extraction front-end.
 
 use cache_policy::Placement;
-use emb_telemetry::Fields;
+use emb_telemetry::{Counter, Fields};
 use emb_util::SimTime;
 use gpu_memsim::{DispatchMode, GpuExtraction, GpuWork, SimConfig, Simulator, SourceDemand};
 use gpu_platform::{DedicationConfig, Location, Platform};
@@ -12,6 +12,15 @@ const TIER_TRACKS: [&str; 3] = [
     "extract/tier:local",
     "extract/tier:remote",
     "extract/tier:host",
+];
+
+/// Extraction calls, and bytes per tier `[local, remote, host]` (names in
+/// EXPERIMENTS.md).
+static CALLS: Counter = Counter::new("extract.calls");
+static TIER_BYTES: [Counter; 3] = [
+    Counter::new("extract.bytes.local"),
+    Counter::new("extract.bytes.remote"),
+    Counter::new("extract.bytes.host"),
 ];
 
 /// How cross-GPU embedding extraction is carried out.
@@ -187,10 +196,10 @@ impl Extractor {
                     }
                 }
             }
-            emb_telemetry::count("extract.calls", 1.0);
-            emb_telemetry::count("extract.bytes.local", tiers[0]);
-            emb_telemetry::count("extract.bytes.remote", tiers[1]);
-            emb_telemetry::count("extract.bytes.host", tiers[2]);
+            CALLS.add(1.0);
+            for (bytes, tier) in TIER_BYTES.iter().zip(tiers) {
+                bytes.add(tier);
+            }
         }
         let base_ns = emb_telemetry::clock_ns();
         let outcome = self.dispatch(works);

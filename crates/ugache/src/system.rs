@@ -2,10 +2,15 @@
 
 use cache_policy::{Hotness, Placement, SolverConfig, UGacheSolver};
 use emb_cache::{HostTable, HotnessSampler, MultiGpuCache, RefreshConfig, Refresher};
-use emb_telemetry::Fields;
+use emb_telemetry::{Counter, Fields};
 use extractor::{ExtractOutcome, Extractor, Mechanism};
 use gpu_memsim::SimConfig;
 use gpu_platform::{DedicationConfig, Platform};
+
+/// The system's metrics (names in EXPERIMENTS.md).
+static ITERATIONS: Counter = Counter::new("ugache.iterations");
+static EXTRACT_SECS: Counter = Counter::new("ugache.extract_secs");
+static REFRESHES: Counter = Counter::new("ugache.refreshes");
 
 /// Configuration of a UGache instance.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -199,8 +204,8 @@ impl UGache {
                 )
             },
         );
-        emb_telemetry::count("ugache.iterations", 1.0);
-        emb_telemetry::count("ugache.extract_secs", outcome.makespan.as_secs_f64());
+        ITERATIONS.add(1.0);
+        EXTRACT_SECS.add(outcome.makespan.as_secs_f64());
         emb_telemetry::event("ugache.iteration", || {
             Fields::new(
                 &["extract_secs", "clock_secs", "refresh_active"],
@@ -288,7 +293,7 @@ impl UGache {
                 "refresh",
                 emb_telemetry::clock_ns(),
             ));
-            emb_telemetry::count("ugache.refreshes", 1.0);
+            REFRESHES.add(1.0);
             emb_telemetry::event("ugache.refresh_started", || {
                 Fields::new(
                     &["clock_secs", "predicted_secs"],
