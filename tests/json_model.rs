@@ -320,7 +320,7 @@ proptest! {
                 (Name::from(KEYS[i]), value)
             })
             .collect();
-        let values: Vec<EventValue> = fields.iter().map(|(_, v)| v.clone()).collect();
+        let values: Vec<EventValue> = fields.iter().map(|&(_, v)| v).collect();
         let row = || Fields::new(&KEYS[..values.len()], &values);
         let ((), report) = emb_telemetry::collect(|| {
             emb_telemetry::event(Name::from(label.clone()), row);
