@@ -42,7 +42,8 @@ impl GatherStats {
 
 /// The functional multi-GPU embedding cache.
 ///
-/// A key is resolved in two loads: the placement's access row says which
+/// A key is resolved in two steps: the placement's access (the entry's
+/// row id, then the destination's column of the source table) says which
 /// GPU the destination reads it from, and that GPU's arena index says
 /// which slot holds it. Together they are the paper's `<GPU_i, Offset>`
 /// location hashtable (§4), kept nowhere else. A miss at either load
@@ -68,10 +69,6 @@ fn assert_reachable(arenas: &[GpuArena], gpu: usize, entry: usize, src: SourceId
         );
     }
 }
-
-/// Access-row bytes [`MultiGpuCache::swap_placement`] compares at a
-/// time: one machine word.
-const SWAP_WORD: usize = 8;
 
 impl MultiGpuCache {
     /// Builds and fills the cache from a placement (the Filler, §4).
@@ -104,11 +101,7 @@ impl MultiGpuCache {
         let mut rows: Vec<f32> = Vec::new();
         for j in 0..g {
             entries.clear();
-            entries.extend(
-                (0..placement.num_entries)
-                    .filter(|&e| placement.stored[j][e])
-                    .map(|e| e as u32),
-            );
+            entries.extend(placement.stored[j].ones().map(|e| e as u32));
             rows.resize(entries.len() * dim, 0.0);
             for (i, &e) in entries.iter().enumerate() {
                 host.read_into(e, &mut rows[i * dim..(i + 1) * dim]);
@@ -116,9 +109,10 @@ impl MultiGpuCache {
             arenas[j].insert_many(&entries, &rows);
         }
 
-        for (i, access) in placement.access.iter().enumerate() {
-            for (e, &src) in access.iter().enumerate() {
-                assert_reachable(&arenas, i, e, src);
+        for i in 0..g {
+            let access = placement.access(i);
+            for e in 0..access.len() {
+                assert_reachable(&arenas, i, e, access[e]);
             }
         }
 
@@ -170,9 +164,10 @@ impl MultiGpuCache {
         let (g, dim) = (self.num_gpus(), self.dim());
         let host_idx = self.placement.host_idx();
         let mut truth = vec![0.0f32; dim];
-        for (i, access) in self.placement.access.iter().enumerate() {
-            for (e, &src) in access.iter().enumerate() {
-                let (e, src) = (e as u32, src as usize);
+        for i in 0..g {
+            let access = self.placement.access(i);
+            for e in 0..access.len() {
+                let (e, src) = (e as u32, access[e] as usize);
                 if src == host_idx as usize {
                     continue;
                 }
@@ -203,7 +198,6 @@ impl MultiGpuCache {
         }
         if !self.migrating {
             for (j, arena) in self.arenas.iter().enumerate() {
-                let stored = &self.placement.stored[j];
                 if arena.len() != self.placement.cached_count(j) {
                     return Err(format!(
                         "GPU{j} holds {} rows, its placement stores {}",
@@ -211,9 +205,8 @@ impl MultiGpuCache {
                         self.placement.cached_count(j)
                     ));
                 }
-                if let Some(e) =
-                    (0..stored.len()).find(|&e| stored[e] && arena.offset_of(e as u32).is_none())
-                {
+                let stored = &self.placement.stored[j];
+                if let Some(e) = stored.ones().find(|&e| arena.offset_of(e as u32).is_none()) {
                     return Err(format!("GPU{j} stores entry {e} but holds no row for it"));
                 }
             }
@@ -231,7 +224,7 @@ impl MultiGpuCache {
     /// Panics if a key is out of range.
     pub fn plan_gather(&self, gpu: usize, keys: &[u32], plan: &mut GatherPlan) {
         let g = self.num_gpus();
-        let access = &self.placement.access[gpu];
+        let access = self.placement.access(gpu);
         plan.reset(g);
         plan.slots.resize(keys.len(), 0);
         let host_tag = (g as u64) << 32;
@@ -337,7 +330,7 @@ impl MultiGpuCache {
                 .enumerate()
                 .map(|(gpu, keys)| {
                     plan.reset(g);
-                    let access = &self.placement.access[gpu];
+                    let access = self.placement.access(gpu);
                     for &k in keys {
                         plan.counts[access[k as usize] as usize] += 1;
                     }
@@ -369,9 +362,11 @@ impl MultiGpuCache {
     ///
     /// Arena rows must already sit where `placement` reads them, as
     /// [`crate::Refresher`] moves them. Only the accesses that differ from
-    /// the current placement's are checked, compared a word of access
-    /// bytes at a time: an unchanged access to a GPU names an entry that
-    /// GPU stores under both placements, which no update batch evicted.
+    /// the current placement's are checked
+    /// ([`Placement::changed_accesses`] compares row ids, and reads
+    /// sources only where they differ): an unchanged access to a GPU names
+    /// an entry that GPU stores under both placements, which no update
+    /// batch evicted.
     ///
     /// # Panics
     ///
@@ -384,24 +379,11 @@ impl MultiGpuCache {
             placement.num_entries, self.placement.num_entries,
             "table size mismatch"
         );
-        let rows = self.placement.access.iter().zip(&placement.access);
-        for (i, (was, will)) in rows.enumerate() {
-            let check = |first: usize, was: &[u8], will: &[u8]| {
-                for (k, (&was, &will)) in was.iter().zip(will).enumerate() {
-                    if was != will {
-                        assert_reachable(&self.arenas, i, first + k, will);
-                    }
-                }
-            };
-            let (was_words, was_rest) = was.as_chunks::<SWAP_WORD>();
-            let (will_words, will_rest) = will.as_chunks::<SWAP_WORD>();
-            for (w, (was, will)) in was_words.iter().zip(will_words).enumerate() {
-                if was != will {
-                    check(w * SWAP_WORD, was, will);
-                }
-            }
-            check(was_words.len() * SWAP_WORD, was_rest, will_rest);
-        }
+        let arenas = &self.arenas;
+        self.placement
+            .changed_accesses(&placement, |gpu, entry, src| {
+                assert_reachable(arenas, gpu, entry, src)
+            });
         self.placement = placement;
         self.migrating = false;
     }
@@ -512,16 +494,16 @@ mod tests {
         // entry, then swap to the matching arrangement.
         let cold = 499u32;
         let victim = 0u32;
-        assert_eq!(placement.access[0][cold as usize], placement.host_idx());
+        assert_eq!(placement.source(0, cold as usize), placement.host_idx());
         assert!(cache.arenas[0].offset_of(victim).is_some());
         cache.update_arena(0, &[victim], &[cold]);
         let mut p2 = placement.clone();
-        p2.stored[0][victim as usize] = false;
-        p2.stored[0][cold as usize] = true;
-        p2.access[0][cold as usize] = 0;
+        p2.stored[0].set(victim as usize, false);
+        p2.stored[0].set(cold as usize, true);
+        p2.set_source(0, cold as usize, 0).unwrap();
         for i in 0..4 {
-            if p2.access[i][victim as usize] == 0 {
-                p2.access[i][victim as usize] = p2.host_idx();
+            if p2.source(i, victim as usize) == 0 {
+                p2.set_source(i, victim as usize, p2.host_idx()).unwrap();
             }
         }
         cache.swap_placement(p2);
@@ -540,8 +522,8 @@ mod tests {
         // no other call in between and no swap after.
         let (evicted, inserted) = (0u32, 499u32);
         let slot = cache.arenas[0].offset_of(evicted);
-        assert!((0..4).all(|i| placement.access[i][evicted as usize] == 0));
-        assert_eq!(placement.access[0][inserted as usize], placement.host_idx());
+        assert!((0..4).all(|i| placement.source(i, evicted as usize) == 0));
+        assert_eq!(placement.source(0, inserted as usize), placement.host_idx());
         cache.update_arena(0, &[evicted], &[inserted]);
         assert_eq!(cache.arenas[0].offset_of(inserted), slot);
         let truth = HostTable::procedural(N, DIM);
@@ -564,8 +546,8 @@ mod tests {
         let plat = Platform::server_a();
         let h = Hotness::new(powerlaw_hotness(N, 1.2));
         let mut placement = baselines::partition(&plat, &h, 50).unwrap();
-        assert!(!placement.stored[1][499]);
-        placement.access[0][499] = 1;
+        assert!(!placement.stored[1].get(499));
+        placement.set_source(0, 499, 1).unwrap();
         let _ = MultiGpuCache::build(HostTable::procedural(N, DIM), &placement, &[50; 4]);
     }
 
@@ -575,8 +557,8 @@ mod tests {
         let (mut cache, placement) = setup(50);
         // A valid placement on its own, but no update moved the row.
         let mut target = placement.clone();
-        target.stored[1][499] = true;
-        target.access[2][499] = 1;
+        target.stored[1].set(499, true);
+        target.set_source(2, 499, 1).unwrap();
         target.validate().unwrap();
         cache.swap_placement(target);
     }

@@ -11,8 +11,8 @@
 //!   from a placement by [`MultiGpuCache::build`] (the Filler, §4), and a
 //!   [`MultiGpuCache::gather`] that returns both values and per-source
 //!   hit statistics. The paper's per-GPU `<GPU_i, Offset>` hashtable is
-//!   not stored: a key resolves through the placement's access row, then
-//!   the source arena's index (design notes in [`plan`]);
+//!   not stored: a key resolves through the placement's access (a row id
+//!   an entry), then the source arena's index (design notes in [`plan`]);
 //! * [`HotnessSampler`] — foreground request sampling for hotness
 //!   tracking (§7.2);
 //! * [`Refresher`] — the background refresh: one due time and a queue of

@@ -35,10 +35,6 @@ const FOREGROUND_IMPACT: f64 = 0.10;
 /// Estimated-time increase that triggers a refresh (10 %).
 const TRIGGER_RATIO: f64 = 0.10;
 
-/// Stored flags [`Refresher::begin`] compares at a time between
-/// placements: eight one-byte `bool`s, one machine word.
-const DIFF_WORD: usize = 8;
-
 /// Refresh tunables.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RefreshConfig {
@@ -131,22 +127,17 @@ impl Refresher {
         for gpu in 0..current.num_gpus {
             let mut evict: Vec<u32> = Vec::new();
             let mut insert: Vec<u32> = Vec::new();
-            // A refresh moves few of the entries: compare a word of flags
-            // at a time, and in a word that differs visit only the flags
-            // that changed, in entry order. The last few flags, short of
-            // a word, are padded with `false` on both sides.
-            let (was_words, was_rest) = current.stored[gpu].as_chunks::<DIFF_WORD>();
-            let (will_words, will_rest) = target.stored[gpu].as_chunks::<DIFF_WORD>();
-            let words = was_words
-                .iter()
-                .zip(will_words)
-                .map(|(was, will)| (flag_word(was), flag_word(will)));
-            let rest = (flag_word(was_rest), flag_word(will_rest));
-            for (w, (was, will)) in words.chain([rest]).enumerate() {
+            // A refresh moves few of the entries: compare the stored bits
+            // a word (64 entries) at a time, and in a word that differs
+            // visit only the bits that changed, in entry order. Bits past
+            // the last entry are clear on both sides.
+            let was_words = current.stored[gpu].words();
+            let will_words = target.stored[gpu].words();
+            for (w, (&was, &will)) in was_words.iter().zip(will_words).enumerate() {
                 if was != will {
-                    let first = w * DIFF_WORD;
-                    push_flagged(&mut evict, first, was & !will);
-                    push_flagged(&mut insert, first, will & !was);
+                    let first = w * u64::BITS as usize;
+                    push_set_bits(&mut evict, first, was & !will);
+                    push_set_bits(&mut insert, first, will & !was);
                 }
             }
             // Split into throttled batches, evictions first within each
@@ -204,20 +195,10 @@ impl Refresher {
     }
 }
 
-/// Up to [`DIFF_WORD`] flags as one word, flag `k` in byte `k`: each
-/// byte is 0 or 1.
-fn flag_word(flags: &[bool]) -> u64 {
-    let mut bytes = [0u8; DIFF_WORD];
-    for (byte, &flag) in bytes.iter_mut().zip(flags) {
-        *byte = u8::from(flag);
-    }
-    u64::from_le_bytes(bytes)
-}
-
-/// Pushes `first + k` for every byte `k` of `bits` that is 1, in order.
-fn push_flagged(out: &mut Vec<u32>, first: usize, mut bits: u64) {
+/// Pushes `first + k` for every set bit `k` of `bits`, in order.
+fn push_set_bits(out: &mut Vec<u32>, first: usize, mut bits: u64) {
     while bits != 0 {
-        out.push((first + bits.trailing_zeros() as usize / 8) as u32);
+        out.push((first + bits.trailing_zeros() as usize) as u32);
         bits &= bits - 1;
     }
 }
@@ -396,7 +377,7 @@ mod tests {
         for gpu in 0..current.num_gpus {
             let (mut evict, mut insert) = (Vec::new(), Vec::new());
             for e in 0..current.num_entries {
-                match (current.stored[gpu][e], target.stored[gpu][e]) {
+                match (current.stored[gpu].get(e), target.stored[gpu].get(e)) {
                     (true, false) => evict.push(e as u32),
                     (false, true) => insert.push(e as u32),
                     _ => {}
@@ -422,20 +403,29 @@ mod tests {
         // Key spaces of whole words and of every ragged tail; changes on
         // both sides of each word edge and in the partial word, one GPU
         // evicting what another inserts.
-        for n in [1, 7, 8, 9, 15, 16, 17, 3 * 8 + 5, 8 * 8 + 7] {
+        for n in [1, 7, 63, 64, 65, 127, 128, 129, 3 * 64 + 5, 8 * 64 + 7] {
             let mut current = Placement::all_host(3, n);
             for e in (0..n).step_by(3) {
-                current.stored[0][e] = true;
-                current.stored[1][e] = e % 2 == 0;
+                current.stored[0].set(e, true);
+                current.stored[1].set(e, e % 2 == 0);
             }
             let mut target = current.clone();
-            for e in [0, 7, 8, 15, 16, n.saturating_sub(5), n - 2.min(n), n - 1] {
+            for e in [
+                0,
+                63,
+                64,
+                127,
+                128,
+                n.saturating_sub(5),
+                n - 2.min(n),
+                n - 1,
+            ] {
                 if e < n {
-                    target.stored[0][e] = !current.stored[0][e];
-                    target.stored[2][e] = true;
+                    target.stored[0].set(e, !current.stored[0].get(e));
+                    target.stored[2].set(e, true);
                 }
             }
-            target.stored[1][n / 2] = !current.stored[1][n / 2];
+            target.stored[1].set(n / 2, !current.stored[1].get(n / 2));
             for per in [1, 2, 3, 64] {
                 let mut r = Refresher::new(RefreshConfig {
                     entries_per_batch: per,

@@ -8,7 +8,7 @@
 //! actually follow: the old one, with every entry a batch evicted from a
 //! GPU re-routed from that GPU to the host.
 
-use cache_policy::{baselines, Hotness, Placement, SolverConfig, UGacheSolver};
+use cache_policy::{baselines, BitRow, Hotness, Placement, SolverConfig, UGacheSolver};
 use emb_cache::{GatherStats, HostTable, MultiGpuCache, RefreshConfig, Refresher};
 use emb_util::zipf::powerlaw_hotness;
 use gpu_platform::{DedicationConfig, Location, Platform};
@@ -79,7 +79,7 @@ fn batches(
 ) -> Vec<(String, Vec<u32>)> {
     let n = placement.num_entries;
     let host: Vec<u32> = (0..n as u32)
-        .filter(|&e| placement.access[gpu][e as usize] == placement.host_idx())
+        .filter(|&e| placement.source(gpu, e as usize) == placement.host_idx())
         .collect();
     assert!(!host.is_empty(), "capacity leaves cold entries on the host");
     let mut out = vec![
@@ -118,18 +118,18 @@ fn check_through_refresh(
     let mut reads = cache.placement().clone();
     for j in 0..g {
         let old = cache.placement().stored[j].clone();
-        let moved = |from: &[bool], to: &[bool]| -> Vec<u32> {
+        let moved = |from: &BitRow, to: &BitRow| -> Vec<u32> {
             (0..n as u32)
-                .filter(|&e| from[e as usize] && !to[e as usize])
+                .filter(|&e| from.get(e as usize) && !to.get(e as usize))
                 .collect()
         };
         let evict = moved(&old, &target.stored[j]);
         let insert = moved(&target.stored[j], &old);
         cache.update_arena(j, &evict, &insert);
         for &e in &evict {
-            for access in reads.access.iter_mut() {
-                if access[e as usize] as usize == j {
-                    access[e as usize] = g as u8;
+            for i in 0..g {
+                if reads.source(i, e as usize) as usize == j {
+                    reads.set_source(i, e as usize, g as u8).unwrap();
                 }
             }
         }

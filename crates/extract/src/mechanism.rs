@@ -487,8 +487,8 @@ mod tests {
     fn message_based_cannot_cross_unconnected_pairs() {
         let plat = Platform::server_b();
         let mut placement = Placement::all_host(8, 10);
-        placement.stored[5][0] = true;
-        placement.access[0][0] = 5;
+        placement.stored[5].set(0, true);
+        placement.set_source(0, 0, 5).unwrap();
         let keys: Vec<Vec<u32>> = (0..8)
             .map(|g| if g == 0 { vec![0] } else { vec![] })
             .collect();

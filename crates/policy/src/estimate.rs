@@ -59,10 +59,11 @@ pub fn estimate_extraction_time(
     // costs its non-zero entries only.
     let mut per_source = vec![vec![0.0f64; g + 1]; g];
     if total > 0.0 {
+        let access: Vec<_> = (0..g).map(|i| placement.access(i)).collect();
         for (e, w) in hotness.nonzeros() {
             let share = w / total;
-            for (row, access) in per_source.iter_mut().zip(&placement.access) {
-                row[access[e as usize] as usize] += share;
+            for (row, access) in per_source.iter_mut().zip(&access) {
+                row[usize::from(access[e as usize])] += share;
             }
         }
     }
@@ -128,8 +129,8 @@ mod tests {
         let mut p = Placement::all_host(4, 100);
         for i in 0..4 {
             for e in 0..100 {
-                p.stored[i][e] = true;
-                p.access[i][e] = i as u8;
+                p.stored[i].set(e, true);
+                p.set_source(i, e, i as u8).unwrap();
             }
         }
         let h = uniform_hotness(100);
@@ -147,14 +148,13 @@ mod tests {
         // GPU0 reads half its (uniform) accesses locally, half from GPU1.
         let mut p = Placement::all_host(4, 100);
         for e in 0..100 {
-            p.stored[0][e] = e < 50;
-            p.stored[1][e] = e >= 50;
-            p.access[0][e] = if e < 50 { 0 } else { 1 };
+            p.stored[0].set(e, e < 50);
+            p.stored[1].set(e, e >= 50);
         }
-        // Other GPUs read everything from the two holders as well.
-        for i in 1..4 {
+        // Every GPU reads everything from the two holders.
+        for i in 0..4 {
             for e in 0..100 {
-                p.access[i][e] = if e < 50 { 0 } else { 1 };
+                p.set_source(i, e, if e < 50 { 0 } else { 1 }).unwrap();
             }
         }
         p.validate().unwrap();
@@ -172,8 +172,8 @@ mod tests {
     fn unreachable_access_panics() {
         let pb = Profile::new(&Platform::server_b(), DedicationConfig::default());
         let mut p = Placement::all_host(8, 10);
-        p.stored[5][0] = true;
-        p.access[0][0] = 5; // 0 and 5 are unconnected on Server B
+        p.stored[5].set(0, true);
+        p.set_source(0, 0, 5).unwrap(); // 0 and 5 are unconnected on Server B
         let h = uniform_hotness(10);
         let _ = estimate_extraction_time(&p, &h, &pb, 512, 1.0);
     }
@@ -184,8 +184,8 @@ mod tests {
         let mut p = Placement::all_host(4, 10);
         // Only GPU0 gets a local cache; others stay on host.
         for e in 0..10 {
-            p.stored[0][e] = true;
-            p.access[0][e] = 0;
+            p.stored[0].set(e, true);
+            p.set_source(0, e, 0).unwrap();
         }
         let h = uniform_hotness(10);
         let est = estimate_extraction_time(&p, &h, &prof, 512, 1e6);

@@ -35,4 +35,4 @@ pub mod types;
 pub use blocks::{build_blocks, Block, BlockConfig};
 pub use estimate::{estimate_extraction_time, TimeEstimate};
 pub use solver::{SolverConfig, UGacheSolver};
-pub use types::{Hotness, Placement, SourceIdx};
+pub use types::{Access, BitRow, Bits, Hotness, Placement, RowTableFull, SourceIdx};

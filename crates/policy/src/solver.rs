@@ -14,7 +14,7 @@
 
 use crate::blocks::{build_blocks, Block, BlockConfig};
 use crate::patterns::{generate_patterns, Pattern, Rotation};
-use crate::types::{Hotness, Placement};
+use crate::types::{Hotness, Placement, RowTableFull, SourceIdx};
 use gpu_platform::{DedicationConfig, Location, Platform, Profile};
 use milp::{ConstraintSense, LinExpr, Model};
 use std::borrow::Cow;
@@ -183,8 +183,11 @@ impl UGacheSolver {
             })
             .collect();
 
-        let mut placement = self.realize(hotness, &blocks, &patterns, &y, cap_entries);
-        self.fill_spare_capacity(&mut placement, cap_entries, hotness, &blocks);
+        let mut placement = self
+            .realize(hotness, &blocks, &patterns, &y, cap_entries)
+            .map_err(|e| e.to_string())?;
+        self.fill_spare_capacity(&mut placement, cap_entries, hotness, &blocks)
+            .map_err(|e| e.to_string())?;
         debug_assert!(placement.validate().is_ok());
         Ok(SolvedPolicy {
             placement,
@@ -290,6 +293,11 @@ impl UGacheSolver {
     }
 
     /// Realizes fractional pattern weights into an entry-level placement.
+    ///
+    /// # Errors
+    ///
+    /// Fails if the placement's source table overflows (a platform whose
+    /// round-robins lay entries out more than 65 536 ways).
     fn realize(
         &self,
         hotness: &Hotness,
@@ -297,7 +305,7 @@ impl UGacheSolver {
         patterns: &[Pattern],
         y: &[Vec<f64>],
         cap_entries: &[usize],
-    ) -> Placement {
+    ) -> Result<Placement, RowTableFull> {
         let g = self.platform.num_gpus();
         let mut placement = Placement::all_host(g, hotness.len());
         // One slice's entries, listed only for a caching pattern.
@@ -361,23 +369,17 @@ impl UGacheSolver {
                     && slice
                         .windows(2)
                         .all(|w| u64::from(w[0]) + 1 == u64::from(w[1]));
-                for (offset, &entry) in slice.iter().enumerate() {
-                    let entry = entry as usize;
-                    let position = if by_key { entry } else { *dealt + offset };
-                    let (holders, access) = rotation.at(position);
-                    for &h in holders {
-                        placement.stored[h][entry] = true;
-                    }
-                    for (row, &src) in placement.access.iter_mut().zip(access) {
-                        row[entry] = src;
-                    }
-                }
+                let first = match slice.first() {
+                    Some(&key) if by_key => key as usize,
+                    _ => *dealt,
+                };
+                rotation.deal(first, &slice, &mut placement)?;
                 *dealt += slice.len();
             }
         }
 
-        self.trim_overflow(&mut placement, cap_entries);
-        placement
+        self.trim_overflow(&mut placement, cap_entries)?;
+        Ok(placement)
     }
 
     /// Fills any leftover per-GPU capacity with extra replicas of that
@@ -389,13 +391,17 @@ impl UGacheSolver {
     /// The blocks' entries, block after block, are the hotness ranking
     /// ([`build_blocks`]), so the solve sorts once; the zero tail is
     /// listed only as far as the walk reaches into it.
+    ///
+    /// # Errors
+    ///
+    /// Fails if the placement's source table overflows.
     fn fill_spare_capacity(
         &self,
         placement: &mut Placement,
         cap_entries: &[usize],
         hotness: &Hotness,
         blocks: &[Block],
-    ) {
+    ) -> Result<(), RowTableFull> {
         for j in 0..placement.num_gpus {
             let mut spare = cap_entries[j].saturating_sub(placement.cached_count(j));
             for e in blocks.iter().flat_map(|blk| blk.entries(hotness)) {
@@ -403,13 +409,14 @@ impl UGacheSolver {
                     break;
                 }
                 let e = e as usize;
-                if !placement.stored[j][e] {
-                    placement.stored[j][e] = true;
-                    placement.access[j][e] = j as u8;
+                if !placement.stored[j].get(e) {
+                    placement.stored[j].set(e, true);
+                    placement.set_source(j, e, j as SourceIdx)?;
                     spare -= 1;
                 }
             }
         }
+        Ok(())
     }
 
     /// Evicts the overflow on any over-capacity GPU — the stored entries
@@ -418,30 +425,34 @@ impl UGacheSolver {
     /// the mismatch is tolerated because largest-remainder rounding
     /// overshoots by at most one entry per block, and evicting by
     /// hotness instead would move pinned placements.
-    fn trim_overflow(&self, placement: &mut Placement, cap_entries: &[usize]) {
+    fn trim_overflow(
+        &self,
+        placement: &mut Placement,
+        cap_entries: &[usize],
+    ) -> Result<(), RowTableFull> {
         let g = placement.num_gpus;
         for j in 0..g {
             if placement.cached_count(j) <= cap_entries[j] {
                 continue;
             }
             // `held` is in entry-id order, so this drops the highest ids.
-            let held: Vec<usize> = (0..placement.num_entries)
-                .filter(|&e| placement.stored[j][e])
-                .collect();
+            let held: Vec<usize> = placement.stored[j].ones().collect();
             for &e in &held[cap_entries[j]..] {
-                placement.stored[j][e] = false;
+                placement.stored[j].set(e, false);
                 for i in 0..g {
-                    if placement.access[i][e] as usize == j {
+                    if placement.source(i, e) as usize == j {
                         // Re-route: another reachable holder, else host.
                         let alt = (0..g).find(|&h| {
-                            placement.stored[h][e]
+                            placement.stored[h].get(e)
                                 && (h == i || self.platform.connected(i, Location::Gpu(h)))
                         });
-                        placement.access[i][e] = alt.map_or(placement.host_idx(), |h| h as u8);
+                        let src = alt.map_or(placement.host_idx(), |h| h as SourceIdx);
+                        placement.set_source(i, e, src)?;
                     }
                 }
             }
         }
+        Ok(())
     }
 }
 
@@ -599,7 +610,7 @@ mod tests {
         // storage side; check routing against the platform too).
         for i in 0..8 {
             for e in 0..20_000 {
-                let src = sp.placement.access[i][e];
+                let src = sp.placement.source(i, e);
                 if src != sp.placement.host_idx() && src as usize != i {
                     assert!(s.platform().connected(i, Location::Gpu(src as usize)));
                 }
@@ -628,8 +639,8 @@ mod tests {
 
     /// FNV-1a over a placement's access and storage tables.
     fn placement_hash(p: &Placement) -> u64 {
-        let access = p.access.iter().flatten().copied();
-        let stored = p.stored.iter().flatten().map(|&s| u8::from(s));
+        let access = (0..p.num_gpus).flat_map(|i| (0..p.num_entries).map(move |e| p.source(i, e)));
+        let stored = p.stored.iter().flatten().map(u8::from);
         test_support::fnv1a(test_support::FNV_OFFSET, access.chain(stored))
     }
 
@@ -784,11 +795,11 @@ mod tests {
                 .placement;
             let mut partitioned = 0;
             for key in 0..n {
-                let mut holders = (0..g).filter(|&j| p.stored[j][key]);
+                let mut holders = (0..g).filter(|&j| p.stored[j].get(key));
                 if let (Some(only), None) = (holders.next(), holders.next()) {
                     let home = gpu_platform::home_gpu(key, g);
                     assert_eq!(only, home, "{name}: key {key} is stored off its home");
-                    assert_eq!(p.access[home][key] as usize, home, "{name}: key {key}");
+                    assert_eq!(p.source(home, key) as usize, home, "{name}: key {key}");
                     partitioned += 1;
                 }
             }
@@ -815,7 +826,7 @@ mod tests {
         y[0] = vec![f64::NAN; patterns.len()];
         y[1][2] = f64::NAN;
         let caps = [300usize; 8];
-        let p = s.realize(&h, &blocks, &patterns, &y, &caps);
+        let p = s.realize(&h, &blocks, &patterns, &y, &caps).unwrap();
         p.validate().unwrap();
         for (j, &cap) in caps.iter().enumerate() {
             assert!(p.cached_count(j) <= cap, "GPU{j}");
@@ -857,12 +868,12 @@ mod tests {
                     .collect();
                 let zeros_cached = |p: &Placement| {
                     h.zero_entries(0..h.len() - h.nonzero_count())
-                        .filter(|&e| (0..p.num_gpus).any(|j| p.stored[j][e as usize]))
+                        .filter(|&e| (0..p.num_gpus).any(|j| p.stored[j].get(e as usize)))
                         .count()
                 };
-                let mut p = s.realize(&h, &blocks, &patterns, &y, caps);
+                let mut p = s.realize(&h, &blocks, &patterns, &y, caps).unwrap();
                 let dealt = zeros_cached(&p);
-                s.fill_spare_capacity(&mut p, caps, &h, &blocks);
+                s.fill_spare_capacity(&mut p, caps, &h, &blocks).unwrap();
                 let what = format!("{name}, {}", platform.name);
                 if dealt > 0 {
                     by_lp.push(what.clone());

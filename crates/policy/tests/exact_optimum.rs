@@ -136,9 +136,9 @@ fn exact_optimum(
     let mut placement = Placement::all_host(g, h.len());
     for (e, row) in oracle.best_choice.chunks(g).enumerate() {
         for (i, &j) in row.iter().enumerate() {
-            placement.access[i][e] = j as u8;
+            placement.set_source(i, e, j as u8).unwrap();
             if j < g {
-                placement.stored[j][e] = true;
+                placement.stored[j].set(e, true);
             }
         }
     }

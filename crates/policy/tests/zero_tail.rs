@@ -100,8 +100,8 @@ fn u32_bytes(v: &[u32]) -> impl Iterator<Item = u8> + '_ {
 
 /// FNV-1a over a placement's access and storage tables.
 fn placement_hash(p: &Placement) -> u64 {
-    let access = p.access.iter().flatten().copied();
-    let stored = p.stored.iter().flatten().map(|&s| u8::from(s));
+    let access = (0..p.num_gpus).flat_map(|i| (0..p.num_entries).map(move |e| p.source(i, e)));
+    let stored = p.stored.iter().flatten().map(u8::from);
     fnv1a(FNV_OFFSET, access.chain(stored))
 }
 

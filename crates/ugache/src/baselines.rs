@@ -406,7 +406,7 @@ mod tests {
         s.placement.validate().unwrap();
         // GPU0 must never read from the other clique.
         for e in 0..N {
-            let src = s.placement.access[0][e];
+            let src = s.placement.source(0, e);
             assert!(src == s.placement.host_idx() || src < 4);
         }
     }

@@ -246,7 +246,7 @@ fn tiers_by_hand(placement: &Placement, keys_per_gpu: &[Vec<u32>]) -> [u64; 3] {
     let mut tiers = [0u64; 3];
     for (gpu, keys) in keys_per_gpu.iter().enumerate() {
         for &k in keys {
-            let src = placement.access[gpu][k as usize];
+            let src = placement.source(gpu, k as usize);
             let tier = if src == placement.host_idx() {
                 2
             } else if src as usize == gpu {

@@ -574,8 +574,9 @@ fn estimate_over_every_entry(
     let scale = accesses_per_iter * entry_bytes as f64;
     let mut per_source = vec![vec![0.0f64; g + 1]; g];
     for i in 0..g {
+        let access = placement.access(i);
         for (e, &w) in norm.iter().enumerate() {
-            per_source[i][placement.access[i][e] as usize] += w;
+            per_source[i][access[e] as usize] += w;
         }
         for j in 0..=g {
             if per_source[i][j] > 0.0 {
