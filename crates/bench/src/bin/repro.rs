@@ -7,9 +7,10 @@
 //!
 //! Every command handler returns `Result<(), Failure>` and `main` is
 //! the only place that prints a failure and exits; the three exit codes
-//! are the constants below.
+//! are the constants below. Everything for stdout goes through `emit`.
 
 use std::fmt::Display;
+use std::io::Write as _;
 use std::path::Path;
 use ugache_bench::artifact::{check_dir_schema, diff_dirs, trace_header, trace_line, Artifact};
 use ugache_bench::cli::{self, Command, RunSpec};
@@ -37,6 +38,21 @@ fn fail<E: Display>(code: i32, context: impl Display) -> impl FnOnce(E) -> Failu
     move |e| (code, format!("{context}: {e}"))
 }
 
+/// Writes `text` to stdout: the one place `repro` prints anything but a
+/// failure. A stdout whose reader has gone (`repro list | head -1`) ends
+/// the command with `USAGE_OR_IO` and no message, where `print!` would
+/// panic.
+fn emit(text: &str) -> Result<(), Failure> {
+    let mut stdout = std::io::stdout().lock();
+    stdout
+        .write_all(text.as_bytes())
+        .and_then(|()| stdout.flush())
+        .map_err(|e| match e.kind() {
+            std::io::ErrorKind::BrokenPipe => (USAGE_OR_IO, String::new()),
+            _ => (USAGE_OR_IO, format!("cannot write to stdout: {e}")),
+        })
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let outcome = cli::parse(&args)
@@ -52,10 +68,7 @@ fn main() {
 
 fn execute(cmd: Command) -> Result<(), Failure> {
     match cmd {
-        Command::List => {
-            print!("{}", cli::usage());
-            Ok(())
-        }
+        Command::List => emit(&cli::usage()),
         Command::Diff { a, b } => diff(&a, &b),
         Command::Compare { baseline, new } => compare(&baseline, &new),
         Command::CheckTrace { path } => check_trace(&path),
@@ -69,7 +82,7 @@ fn execute(cmd: Command) -> Result<(), Failure> {
         } => {
             set_pool_width(threads)?;
             let report = explain_report(&input, &knobs)?;
-            explain::render(&report);
+            emit(&explain::render(&report))?;
             out.map_or(Ok(()), |path| {
                 write("explain report", &path, json::to_document(&report), "")
             })
@@ -107,18 +120,17 @@ fn execute(cmd: Command) -> Result<(), Failure> {
                 .map_err(fail(UNUSABLE_INPUT, trace.display()))?;
             let report = replay::replay_trace(&decoded, policy, platform)
                 .map_err(fail(UNUSABLE_INPUT, "cannot replay"))?;
-            println!(
-                "replayed {}: {}, {} records on {} under {}",
+            emit(&format!(
+                "replayed {}: {}, {} records on {} under {}\n  totals: local {} | remote {} | host {}\n",
                 trace.display(),
                 report.scenario,
                 report.records,
                 report.platform,
-                report.policy
-            );
-            println!(
-                "  totals: local {} | remote {} | host {}",
-                report.totals.local, report.totals.remote, report.totals.host
-            );
+                report.policy,
+                report.totals.local,
+                report.totals.remote,
+                report.totals.host
+            ))?;
             out.map_or(Ok(()), |path| {
                 write("replay report", &path, json::to_document(&report), "")
             })
@@ -144,8 +156,7 @@ fn read(path: &Path) -> Result<String, Failure> {
 fn write(what: &str, path: &Path, contents: impl AsRef<[u8]>, note: &str) -> Result<(), Failure> {
     let context = format!("failed to write {what} {}", path.display());
     std::fs::write(path, contents).map_err(fail(USAGE_OR_IO, context))?;
-    println!("wrote {}{note}", path.display());
-    Ok(())
+    emit(&format!("wrote {}{note}\n", path.display()))
 }
 
 /// Resolves the worker-pool width from the `--threads` flag and the
@@ -161,11 +172,10 @@ fn set_pool_width(flag: Option<usize>) -> Result<(), Failure> {
 /// when there are findings, exit 1 with `failed`.
 fn verdict(findings: &[String], passed: &str, failed: String) -> Result<(), Failure> {
     for line in findings {
-        println!("{line}");
+        emit(&format!("{line}\n"))?;
     }
     if findings.is_empty() {
-        println!("{passed}");
-        return Ok(());
+        return emit(&format!("{passed}\n"));
     }
     Err((GATE_FAILED, failed))
 }
@@ -198,31 +208,32 @@ fn check_trace(path: &Path) -> Result<(), Failure> {
 
 fn scenarios(md: bool, check: bool, file: &Path) -> Result<(), Failure> {
     if md {
-        print!("{}", catalog::render_markdown(registry()));
+        emit(&catalog::render_markdown(registry()))
     } else if check {
         catalog::check(registry(), &read(file)?).map_err(|drift| (GATE_FAILED, drift))?;
-        println!("{} matches the registry", file.display());
+        emit(&format!("{} matches the registry\n", file.display()))
     } else {
+        let mut text = String::new();
         for def in registry().defs() {
-            println!(
-                "{:<28} {:<28} [{}]",
+            text += &format!(
+                "{:<28} {:<28} [{}]\n",
                 def.name,
                 def.workload.label(),
                 def.consumers.join(" ")
             );
         }
-        println!(
+        text += &format!(
             "{} scenarios; `repro record <name> --out TRACE` captures one \
-             (catalog: SCENARIOS.md)",
+             (catalog: SCENARIOS.md)\n",
             registry().defs().len()
         );
+        emit(&text)
     }
-    Ok(())
 }
 
 fn metrics(md: bool, check: bool, file: &Path) -> Result<(), Failure> {
     if md {
-        print!("{}", metrics_catalog::render_markdown());
+        emit(&metrics_catalog::render_markdown())
     } else if check {
         metrics_catalog::check_file(&read(file)?).map_err(|drift| (GATE_FAILED, drift))?;
         let recorded = metrics_catalog::recorded_names();
@@ -230,22 +241,23 @@ fn metrics(md: bool, check: bool, file: &Path) -> Result<(), Failure> {
         if !drift.is_empty() {
             return Err((GATE_FAILED, drift.join("\n")));
         }
-        println!(
-            "{} matches the catalog; {} recorded names covered",
+        emit(&format!(
+            "{} matches the catalog; {} recorded names covered\n",
             file.display(),
             recorded.len()
-        );
+        ))
     } else {
+        let mut text = String::new();
         for d in metrics_catalog::CATALOG {
-            println!("{:<36} {:<9} {}", d.name, d.kind.label(), d.description);
+            text += &format!("{:<36} {:<9} {}\n", d.name, d.kind.label(), d.description);
         }
-        println!(
+        text += &format!(
             "{} catalogued names (catalog: METRICS.md; `repro metrics --check` \
-             gates drift against a full quick run)",
+             gates drift against a full quick run)\n",
             metrics_catalog::CATALOG.len()
         );
+        emit(&text)
     }
-    Ok(())
 }
 
 /// Builds the explain-tail report from a registered serving scenario
@@ -305,9 +317,9 @@ fn run(spec: &RunSpec) -> Result<(), Failure> {
             );
             let context = format!("failed to write artifact for {target}");
             let path = artifact.write(dir).map_err(fail(USAGE_OR_IO, context))?;
-            println!("wrote {}", path.display());
+            emit(&format!("wrote {}\n", path.display()))?;
         } else {
-            figures::render(target, &spec.scenario, &result.data);
+            emit(&figures::render(target, &spec.scenario, &result.data))?;
         }
     }
     if let Some(path) = spec.trace.as_deref() {

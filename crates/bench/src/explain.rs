@@ -363,14 +363,23 @@ fn report_from_metrics(metrics: &Value) -> Result<ExplainReport, String> {
     assemble(rows)
 }
 
-/// Renders the report as the human-readable tail-driver table.
-pub fn render(report: &ExplainReport) {
-    println!(
+/// The report as the human-readable tail-driver table.
+pub fn render(report: &ExplainReport) -> String {
+    let mut out = String::new();
+    write_table(&mut out, report).expect("a String takes any text");
+    out
+}
+
+fn write_table(out: &mut String, report: &ExplainReport) -> std::fmt::Result {
+    use std::fmt::Write as _;
+    writeln!(
+        out,
         "explain-tail: top {} requests of `{}` (max_batch {})",
         report.summary.requests, report.histogram, report.max_batch
-    );
-    println!("  {}", report.summary.headline);
-    println!(
+    )?;
+    writeln!(out, "  {}", report.summary.headline)?;
+    writeln!(
+        out,
         "{:>4} {:>12} {:>6} {:>10} {:>10} {:>10} {:>10} {:>10} {:>10} {:>6} {:<14}",
         "rank",
         "req",
@@ -383,10 +392,11 @@ pub fn render(report: &ExplainReport) {
         "xhost(ms)",
         "batch",
         "dominant"
-    );
+    )?;
     for r in &report.requests {
         let ms = |ns: u64| ns as f64 / 1e6;
-        println!(
+        writeln!(
+            out,
             "{:>4} {:>12} {:>6} {:>10.3} {:>10.3} {:>10.3} {:>10.3} {:>10.3} {:>10.3} {:>5}{} {:<14}",
             r.rank,
             format!("{}.{}", r.point, r.request_index),
@@ -400,9 +410,13 @@ pub fn render(report: &ExplainReport) {
             r.batch_requests,
             if r.underfull { "*" } else { " " },
             r.dominant
-        );
+        )?;
     }
-    println!("  (* = underfull batch, dispatched by window timeout below max_batch)");
+    writeln!(
+        out,
+        "  (* = underfull batch, dispatched by window timeout below max_batch)"
+    )?;
+    Ok(())
 }
 
 #[cfg(test)]

@@ -7,7 +7,8 @@
 //! * `compute(&Scenario)` returns the figure's structured,
 //!   serde-serializable result with no printing — this is the canonical
 //!   API for shape tests, JSON artifacts, and the parallel runner;
-//! * `render(..)` prints the paper-style rows from a precomputed result.
+//! * `render(..)` writes the paper-style rows of a precomputed result
+//!   into a `String`; `repro` prints it.
 //!
 //! Shape tests assert on the structured results (who wins, by roughly
 //! what factor, where crossovers fall) — never on the rendered text.
@@ -36,9 +37,10 @@ pub mod serve;
 pub mod table1;
 pub mod table3;
 
-/// Prints a section header.
-fn header(title: &str) {
-    println!("\n=== {title} ===");
+/// Writes a section header.
+fn header(out: &mut String, title: &str) -> std::fmt::Result {
+    use std::fmt::Write as _;
+    writeln!(out, "\n=== {title} ===")
 }
 
 /// Formats seconds as milliseconds with 3 decimals.
@@ -51,8 +53,8 @@ fn ms(secs: f64) -> String {
 /// ```text
 /// /// doc
 /// Variant(PayloadType) = compute_fn {
-///     "name" | "cli-alias" => |scenario, payload| render,
-///     "second-name-sharing-the-computation" => |scenario, payload| render,
+///     "name" | "cli-alias" => |out, scenario, payload| render,
+///     "second-name-sharing-the-computation" => |out, scenario, payload| render,
 /// }
 /// ```
 ///
@@ -128,19 +130,23 @@ macro_rules! targets {
             }
         }
 
-        /// Pretty-prints `data` the way the (canonical) `target` shows it.
+        /// `data` as text, the way the (canonical) `target` shows it.
         ///
         /// # Panics
         ///
         /// Panics when `data` is not the payload of `target`'s unit.
-        pub fn render(target: &str, s: &Scenario, data: &TargetData) {
-            match (target, data) {
+        pub fn render(target: &str, s: &Scenario, data: &TargetData) -> String {
+            let mut out = String::new();
+            let written = match (target, data) {
                 $($( ($name, TargetData::$unit(v)) => {
-                    let render: fn(&Scenario, &$payload) = $render;
-                    render(s, v)
+                    let render: fn(&mut String, &Scenario, &$payload) -> std::fmt::Result =
+                        $render;
+                    render(&mut out, s, v)
                 } )+)+
                 (t, _) => unreachable!("target `{t}` paired with wrong data variant"),
-            }
+            };
+            written.expect("a String takes any text");
+            out
         }
     };
 }
@@ -148,65 +154,65 @@ macro_rules! targets {
 targets! {
     /// Table 1 breakdown.
     Table1(table1::Breakdown) = table1::compute {
-        "table1" => |_, v| table1::render(v),
+        "table1" => |out, _, v| table1::render(out, v),
     }
     /// Table 3 rows.
     Table3(Vec<table3::Row>) = table3::compute {
-        "table3" => |s, v| table3::render(s, v),
+        "table3" => |out, s, v| table3::render(out, s, v),
     }
     /// Figure 2 points.
     Fig2(Vec<fig02::Point>) = fig02::compute {
-        "fig2" => |_, v| fig02::render(v),
+        "fig2" => |out, _, v| fig02::render(out, v),
     }
     /// Figure 4 bar groups.
     Fig4(Vec<fig04::Bars>) = fig04::compute {
-        "fig4" => |_, v| fig04::render(v),
+        "fig4" => |out, _, v| fig04::render(out, v),
     }
     /// Figure 6 series.
     Fig6(Vec<fig06::Series>) = fig06::compute {
-        "fig6" => |_, v| fig06::render(v),
+        "fig6" => |out, _, v| fig06::render(out, v),
     }
     /// Figure 8 dedication sweep.
     Fig8(Vec<fig08::Dedication>) = fig08::compute {
-        "fig8" => |_, v| fig08::render(v),
+        "fig8" => |out, _, v| fig08::render(out, v),
     }
     /// Figure 9 block-count study.
     Fig9(fig09::Fig09Data) = fig09::compute {
-        "fig9" => |_, v| fig09::render(v),
+        "fig9" => |out, _, v| fig09::render(out, v),
     }
     /// Figures 10 and 11 (one computation serves both; each artifact
     /// carries the combined payload).
     Fig10And11(fig10::Data) = fig10::compute {
-        "fig10" => |_, v| fig10::render_fig10(v),
-        "fig11" => |_, v| fig10::render_fig11(v),
+        "fig10" => |out, _, v| fig10::render_fig10(out, v),
+        "fig11" => |out, _, v| fig10::render_fig11(out, v),
     }
     /// Figure 12 points.
     Fig12(Vec<fig12::Point>) = fig12::compute {
-        "fig12" => |_, v| fig12::render(v),
+        "fig12" => |out, _, v| fig12::render(out, v),
     }
     /// Figure 13 utilizations.
     Fig13(Vec<fig13::Util>) = fig13::compute {
-        "fig13" => |_, v| fig13::render(v),
+        "fig13" => |out, _, v| fig13::render(out, v),
     }
     /// Figures 14/15 access splits (one combined module).
     Fig14(Vec<fig14::Split>) = fig14::compute {
-        "fig14" | "fig15" => |_, v| fig14::render(v),
+        "fig14" | "fig15" => |out, _, v| fig14::render(out, v),
     }
     /// Figure 16 gaps.
     Fig16(Vec<fig16::Gap>) = fig16::compute {
-        "fig16" => |_, v| fig16::render(v),
+        "fig16" => |out, _, v| fig16::render(out, v),
     }
     /// Figure 17 refresh timeline.
     Fig17(fig17::Fig17Data) = fig17::compute {
-        "fig17" => |_, v| fig17::render(v),
+        "fig17" => |out, _, v| fig17::render(out, v),
     }
     /// Hotness-source study rows.
     Hotness(Vec<hotness_sources::SourceRow>) = hotness_sources::compute {
-        "hotness" => |_, v| hotness_sources::render(v),
+        "hotness" => |out, _, v| hotness_sources::render(out, v),
     }
     /// Online serving sweep (throughput / latency tails).
     Serve(serve::ServeData) = serve::compute {
-        "serve" => |_, v| serve::render(v),
+        "serve" => |out, _, v| serve::render(out, v),
     }
 }
 

@@ -5,6 +5,7 @@ use super::{header, ms};
 use crate::scenario::{PlatformId, Scenario};
 use emb_workload::{GnnDatasetId, GnnModel};
 use serde::Serialize;
+use std::fmt::{self, Write as _};
 use ugache::baselines::{build_system, SystemKind};
 
 /// One cache-ratio data point.
@@ -66,15 +67,20 @@ pub fn compute(s: &Scenario) -> Vec<Point> {
     out
 }
 
-/// Prints Figure 2 from precomputed points.
-pub fn render(points: &[Point]) {
-    header("Figure 2: hit rate & extraction time vs cache ratio (SAGE sup., PA, Server C)");
-    println!(
+/// Writes Figure 2 from precomputed points.
+pub fn render(out: &mut String, points: &[Point]) -> fmt::Result {
+    header(
+        out,
+        "Figure 2: hit rate & extraction time vs cache ratio (SAGE sup., PA, Server C)",
+    )?;
+    writeln!(
+        out,
         "{:>6} {:>10} {:>11} {:>12} {:>9} {:>9} {:>10}",
         "ratio", "rep.local", "part.local", "part.global", "rep(ms)", "part(ms)", "ugache(ms)"
-    );
+    )?;
     for p in points {
-        println!(
+        writeln!(
+            out,
             "{:>5}% {:>9.1}% {:>10.1}% {:>11.1}% {:>9} {:>9} {:>10}",
             p.ratio_pct,
             p.rep_local * 100.0,
@@ -83,6 +89,7 @@ pub fn render(points: &[Point]) {
             ms(p.rep_ms / 1e3),
             ms(p.part_ms / 1e3),
             ms(p.ugache_ms / 1e3)
-        );
+        )?;
     }
+    Ok(())
 }

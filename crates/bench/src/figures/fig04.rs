@@ -6,6 +6,7 @@ use super::{header, ms};
 use crate::scenario::{PlatformId, Scenario};
 use emb_workload::DlrDatasetId;
 use serde::Serialize;
+use std::fmt::{self, Write as _};
 use ugache::apps::dlr::dlr_cache_capacity;
 use ugache::baselines::{build_system, SystemKind};
 
@@ -52,21 +53,27 @@ pub fn compute(s: &Scenario) -> Vec<Bars> {
     out
 }
 
-/// Prints Figure 4 from precomputed bars.
-pub fn render(bars: &[Bars]) {
-    header("Figure 4: extraction mechanism comparison (DLR inference)");
-    println!(
+/// Writes Figure 4 from precomputed bars.
+pub fn render(out: &mut String, bars: &[Bars]) -> fmt::Result {
+    header(
+        out,
+        "Figure 4: extraction mechanism comparison (DLR inference)",
+    )?;
+    writeln!(
+        out,
         "{:<16} {:<8} {:>12} {:>10} {:>12}",
         "server", "dataset", "message(ms)", "peer(ms)", "ugache(ms)"
-    );
+    )?;
     for b in bars {
-        println!(
+        writeln!(
+            out,
             "{:<16} {:<8} {:>12} {:>10} {:>12}",
             b.server,
             b.dataset,
             ms(b.message_ms / 1e3),
             ms(b.peer_ms / 1e3),
             ms(b.ugache_ms / 1e3)
-        );
+        )?;
     }
+    Ok(())
 }

@@ -7,6 +7,7 @@ use crate::scenario::Scenario;
 use gpu_memsim::{microbench, CongestionModel};
 use gpu_platform::{Location, Platform};
 use serde::Serialize;
+use std::fmt::{self, Write as _};
 
 /// Number of Server A series at the head of the result (the remainder
 /// belong to Server C).
@@ -21,19 +22,20 @@ pub struct Series {
     pub points: Vec<(usize, f64)>,
 }
 
-fn print_series(series: &[Series]) {
-    print!("{:>6}", "cores");
+fn print_series(out: &mut String, series: &[Series]) -> fmt::Result {
+    write!(out, "{:>6}", "cores")?;
     for s in series {
-        print!(" {:>20}", s.label);
+        write!(out, " {:>20}", s.label)?;
     }
-    println!();
+    writeln!(out)?;
     for (i, &(c, _)) in series[0].points.iter().enumerate() {
-        print!("{c:>6}");
+        write!(out, "{c:>6}")?;
         for s in series {
-            print!(" {:>20.1}", s.points[i].1 / 1e9);
+            write!(out, " {:>20.1}", s.points[i].1 / 1e9)?;
         }
-        println!();
+        writeln!(out)?;
     }
+    Ok(())
 }
 
 /// Computes all Figure 6 series (no printing): Server A first
@@ -87,10 +89,17 @@ pub fn compute(_s: &Scenario) -> Vec<Series> {
     out
 }
 
-/// Prints Figure 6 from precomputed series.
-pub fn render(series: &[Series]) {
-    header("Figure 6a: bandwidth vs cores (Server A, 4×V100, hard-wired)");
-    print_series(&series[..SERVER_A_SERIES]);
-    header("Figure 6b: bandwidth vs cores (Server C, 8×A100, NVSwitch)");
-    print_series(&series[SERVER_A_SERIES..]);
+/// Writes Figure 6 from precomputed series.
+pub fn render(out: &mut String, series: &[Series]) -> fmt::Result {
+    header(
+        out,
+        "Figure 6a: bandwidth vs cores (Server A, 4×V100, hard-wired)",
+    )?;
+    print_series(out, &series[..SERVER_A_SERIES])?;
+    header(
+        out,
+        "Figure 6b: bandwidth vs cores (Server C, 8×A100, NVSwitch)",
+    )?;
+    print_series(out, &series[SERVER_A_SERIES..])?;
+    Ok(())
 }

@@ -8,6 +8,7 @@ use super::header;
 use crate::scenario::Scenario;
 use gpu_platform::{DedicationConfig, Location, Platform, Profile};
 use serde::Serialize;
+use std::fmt::{self, Write as _};
 
 /// Dedication summary for one destination GPU.
 #[derive(Debug, Clone, PartialEq, Serialize)]
@@ -64,25 +65,26 @@ pub fn compute(_s: &Scenario) -> Vec<Dedication> {
     out
 }
 
-/// Prints the dedication tables from precomputed data.
-pub fn render(dedications: &[Dedication]) {
+/// Writes the dedication tables from precomputed data.
+pub fn render(out: &mut String, dedications: &[Dedication]) -> fmt::Result {
     let mut last_server: Option<&str> = None;
     for d in dedications {
         if last_server != Some(d.server.as_str()) {
-            header(&format!(
-                "Figure 8: factored core dedication on {}",
-                d.server
-            ));
+            header(
+                out,
+                &format!("Figure 8: factored core dedication on {}", d.server),
+            )?;
             last_server = Some(d.server.as_str());
         }
-        println!("GPU{} ({} SMs):", d.gpu, d.sm_count);
+        writeln!(out, "GPU{} ({} SMs):", d.gpu, d.sm_count)?;
         for (label, cores, tol) in &d.groups {
             if label == "Host" {
-                println!("  ← Host: {cores:>2} cores (PCIe tolerates ~{tol})");
-                println!("  local extraction pads all cores at low priority");
+                writeln!(out, "  ← Host: {cores:>2} cores (PCIe tolerates ~{tol})")?;
+                writeln!(out, "  local extraction pads all cores at low priority")?;
             } else {
-                println!("  ← {label}: {cores:>3} cores (link tolerates ~{tol})");
+                writeln!(out, "  ← {label}: {cores:>3} cores (link tolerates ~{tol})")?;
             }
         }
     }
+    Ok(())
 }

@@ -5,6 +5,7 @@ use crate::scenario::{PlatformId, Scenario};
 use cache_policy::{build_blocks, BlockConfig};
 use emb_workload::{GnnDatasetId, GnnModel};
 use serde::Serialize;
+use std::fmt::{self, Write as _};
 
 /// Per-hotness-level blocking statistics.
 #[derive(Debug, Clone, PartialEq, Serialize)]
@@ -68,28 +69,36 @@ pub fn compute(s: &Scenario) -> Fig09Data {
     }
 }
 
-/// Prints Figure 9 from precomputed data.
-pub fn render(data: &Fig09Data) {
-    header("Figure 9: hotness-block batching (PA profile, log-scale levels)");
-    println!(
+/// Writes Figure 9 from precomputed data.
+pub fn render(out: &mut String, data: &Fig09Data) -> fmt::Result {
+    header(
+        out,
+        "Figure 9: hotness-block batching (PA profile, log-scale levels)",
+    )?;
+    writeln!(
+        out,
         "coarse cap: {} entries/block; fine: ≥{} blocks/level",
         data.coarse_cap_entries, data.min_splits
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "{:>6} {:>10} {:>8} {:>10}",
         "level", "entries", "blocks", "max.block"
-    );
+    )?;
     for r in data.rows.iter().take(14) {
-        println!(
+        writeln!(
+            out,
             "{:>6} {:>10} {:>8} {:>10}",
             r.level, r.entries, r.blocks, r.max_block
-        );
+        )?;
     }
     if data.rows.len() > 14 {
-        println!(
+        writeln!(
+            out,
             "  ... {} more levels, {} blocks total",
             data.rows.len() - 14,
             data.total_blocks
-        );
+        )?;
     }
+    Ok(())
 }

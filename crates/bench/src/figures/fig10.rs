@@ -10,6 +10,7 @@ use super::header;
 use crate::scenario::{PlatformId, Scenario};
 use emb_workload::{DlrDatasetId, GnnDatasetId, GnnModel};
 use serde::Serialize;
+use std::fmt::{self, Write as _};
 use ugache::apps::dlr::{dlr_cache_capacity, run_dlr_iterations};
 use ugache::apps::gnn::{gnn_cache_capacity, run_gnn_epoch};
 use ugache::apps::{DlrModel, GnnAppConfig};
@@ -155,14 +156,20 @@ fn rows<K: PartialEq>(keys: impl Iterator<Item = K>) -> Vec<K> {
     rows
 }
 
-/// Prints one GNN table: a row per (server, model, dataset), `secs` of
+/// Writes one GNN table: a row per (server, model, dataset), `secs` of
 /// each system's cell in milliseconds.
-fn render_gnn(data: &Data, title: &str, secs: fn(&GnnCell) -> Option<f64>) {
-    header(title);
-    println!(
+fn render_gnn(
+    out: &mut String,
+    data: &Data,
+    title: &str,
+    secs: fn(&GnnCell) -> Option<f64>,
+) -> fmt::Result {
+    header(out, title)?;
+    writeln!(
+        out,
         "{:<16} {:<12} {:<5} {:>10} {:>10} {:>10}",
         "server", "model", "data", "GNNLab", "PartU", "UGache"
-    );
+    )?;
     let gnn = data.gnn.iter();
     for (srv, model, ds) in
         rows(gnn.map(|c| (c.server.clone(), c.model.clone(), c.dataset.clone())))
@@ -174,7 +181,8 @@ fn render_gnn(data: &Data, title: &str, secs: fn(&GnnCell) -> Option<f64>) {
                 .and_then(secs)
                 .map_or("n/a".to_string(), |x| format!("{:.3}", x * 1e3))
         };
-        println!(
+        writeln!(
+            out,
             "{:<16} {:<12} {:<5} {:>10} {:>10} {:>10}",
             srv,
             model,
@@ -182,20 +190,22 @@ fn render_gnn(data: &Data, title: &str, secs: fn(&GnnCell) -> Option<f64>) {
             get("GNNLab"),
             get("PartU"),
             get("UGache")
-        );
+        )?;
     }
+    Ok(())
 }
 
-/// Prints Figure 10 from precomputed data.
-pub fn render_fig10(data: &Data) {
+/// Writes Figure 10 from precomputed data.
+pub fn render_fig10(out: &mut String, data: &Data) -> fmt::Result {
     let title = "Figure 10 (GNN): end-to-end epoch milliseconds (scaled datasets)";
-    render_gnn(data, title, |c| c.epoch_secs);
+    render_gnn(out, data, title, |c| c.epoch_secs)?;
 
-    header("Figure 10 (DLR): end-to-end iteration milliseconds");
-    println!(
+    header(out, "Figure 10 (DLR): end-to-end iteration milliseconds")?;
+    writeln!(
+        out,
         "{:<16} {:<6} {:<6} {:>9} {:>9} {:>9} {:>9} {:>9}",
         "server", "model", "data", "HPS", "SOK", "RepU", "PartU", "UGache"
-    );
+    )?;
     let dlr = data.dlr.iter();
     for (srv, model, ds) in
         rows(dlr.map(|c| (c.server.clone(), c.model.clone(), c.dataset.clone())))
@@ -206,7 +216,8 @@ pub fn render_fig10(data: &Data) {
                 .find(|c| c.server == srv && c.model == model && c.dataset == ds && c.system == sys)
                 .map_or("n/a".to_string(), |c| format!("{:.3}", c.iter_ms))
         };
-        println!(
+        writeln!(
+            out,
             "{:<16} {:<6} {:<6} {:>9} {:>9} {:>9} {:>9} {:>9}",
             srv,
             model,
@@ -216,20 +227,25 @@ pub fn render_fig10(data: &Data) {
             get("RepU"),
             get("PartU"),
             get("UGache")
-        );
+        )?;
     }
+    Ok(())
 }
 
-/// Prints Figure 11 from the same precomputed data.
-pub fn render_fig11(data: &Data) {
+/// Writes Figure 11 from the same precomputed data.
+pub fn render_fig11(out: &mut String, data: &Data) -> fmt::Result {
     let title = "Figure 11 (GNN): embedding extraction ms per iteration";
-    render_gnn(data, title, |c| c.extract_per_iter_secs);
+    render_gnn(out, data, title, |c| c.extract_per_iter_secs)?;
 
-    header("Figure 11 (DLR): embedding extraction ms per iteration");
-    println!(
+    header(
+        out,
+        "Figure 11 (DLR): embedding extraction ms per iteration",
+    )?;
+    writeln!(
+        out,
         "{:<16} {:<6} {:>9} {:>9} {:>9} {:>9} {:>9}",
         "server", "data", "HPS", "SOK", "RepU", "PartU", "UGache"
-    );
+    )?;
     for (srv, ds) in rows(
         data.dlr
             .iter()
@@ -241,7 +257,8 @@ pub fn render_fig11(data: &Data) {
                 .find(|c| c.server == srv && c.dataset == ds && c.system == sys)
                 .map_or("n/a".to_string(), |c| format!("{:.3}", c.extract_ms))
         };
-        println!(
+        writeln!(
+            out,
             "{:<16} {:<6} {:>9} {:>9} {:>9} {:>9} {:>9}",
             srv,
             ds,
@@ -250,6 +267,7 @@ pub fn render_fig11(data: &Data) {
             get("RepU"),
             get("PartU"),
             get("UGache")
-        );
+        )?;
     }
+    Ok(())
 }

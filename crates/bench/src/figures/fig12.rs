@@ -6,6 +6,7 @@ use super::header;
 use crate::scenario::{PlatformId, Scenario};
 use emb_workload::{GnnDatasetId, GnnModel};
 use serde::Serialize;
+use std::fmt::{self, Write as _};
 use ugache::baselines::{build_system, SystemKind};
 
 /// One (dataset, ratio) data point.
@@ -55,17 +56,23 @@ pub fn compute(s: &Scenario) -> Vec<Point> {
     out
 }
 
-/// Prints Figure 12 from precomputed points.
-pub fn render(points: &[Point]) {
-    header("Figure 12: techniques applied incrementally (SAGE sup., Server C)");
-    println!(
+/// Writes Figure 12 from precomputed points.
+pub fn render(out: &mut String, points: &[Point]) -> fmt::Result {
+    header(
+        out,
+        "Figure 12: techniques applied incrementally (SAGE sup., Server C)",
+    )?;
+    writeln!(
+        out,
         "{:<5} {:>6} {:>10} {:>10} {:>11} {:>11}",
         "data", "ratio", "RepU(ms)", "PartU(ms)", "+Policy(ms)", "UGache(ms)"
-    );
+    )?;
     for p in points {
-        println!(
+        writeln!(
+            out,
             "{:<5} {:>5}% {:>10.3} {:>10.3} {:>11.3} {:>11.3}",
             p.dataset, p.ratio_pct, p.repu_ms, p.partu_ms, p.policy_ms, p.ugache_ms
-        );
+        )?;
     }
+    Ok(())
 }

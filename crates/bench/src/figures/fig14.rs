@@ -9,6 +9,7 @@ use super::header;
 use crate::scenario::{PlatformId, Scenario};
 use emb_workload::{GnnDatasetId, GnnModel};
 use serde::Serialize;
+use std::fmt::{self, Write as _};
 use ugache::baselines::{SystemInstance, SystemKind};
 
 /// One (dataset, ratio, system) measurement.
@@ -65,15 +66,20 @@ pub fn compute(s: &Scenario) -> Vec<Split> {
     out
 }
 
-/// Prints Figures 14/15 from precomputed measurements.
-pub fn render(splits: &[Split]) {
-    header("Figures 14/15: access split and per-source time vs cache ratio (Server C)");
-    println!(
+/// Writes Figures 14/15 from precomputed measurements.
+pub fn render(out: &mut String, splits: &[Split]) -> fmt::Result {
+    header(
+        out,
+        "Figures 14/15: access split and per-source time vs cache ratio (Server C)",
+    )?;
+    writeln!(
+        out,
         "{:<5} {:>6} {:<7} {:>8} {:>8} {:>8} {:>12}",
         "data", "ratio", "system", "local", "remote", "host", "extract(ms)"
-    );
+    )?;
     for sp in splits {
-        println!(
+        writeln!(
+            out,
             "{:<5} {:>5}% {:<7} {:>7.1}% {:>7.1}% {:>7.1}% {:>12.3}",
             sp.dataset,
             sp.ratio_pct,
@@ -82,6 +88,7 @@ pub fn render(splits: &[Split]) {
             sp.remote * 100.0,
             sp.host * 100.0,
             sp.extract_ms
-        );
+        )?;
     }
+    Ok(())
 }

@@ -12,6 +12,7 @@ use cache_policy::{BlockConfig, SolverConfig, UGacheSolver};
 use emb_workload::{DlrDatasetId, GnnDatasetId, GnnModel};
 use gpu_platform::{DedicationConfig, Platform};
 use serde::Serialize;
+use std::fmt::{self, Write as _};
 use ugache::baselines::{SystemInstance, SystemKind};
 
 /// One comparison row.
@@ -129,22 +130,28 @@ pub fn compute(s: &Scenario) -> Vec<Gap> {
     out
 }
 
-/// Prints Figure 16 from precomputed gaps.
-pub fn render(gaps: &[Gap]) {
-    header("Figure 16: UGache vs theoretically-optimal cache policy");
-    println!(
+/// Writes Figure 16 from precomputed gaps.
+pub fn render(out: &mut String, gaps: &[Gap]) -> fmt::Result {
+    header(
+        out,
+        "Figure 16: UGache vs theoretically-optimal cache policy",
+    )?;
+    writeln!(
+        out,
         "{:<28} {:>11} {:>12} {:>7}",
         "workload", "ugache(ms)", "optimal(ms)", "gap"
-    );
+    )?;
     for g in gaps {
-        println!(
+        writeln!(
+            out,
             "{:<28} {:>11.3} {:>12.3} {:>6.1}%",
             g.workload,
             g.ugache_ms,
             g.optimal_ms,
             g.rel_gap() * 100.0
-        );
+        )?;
     }
     let mean_gap: f64 = gaps.iter().map(Gap::rel_gap).sum::<f64>() / gaps.len().max(1) as f64;
-    println!("mean gap: {:.1}%", mean_gap * 100.0);
+    writeln!(out, "mean gap: {:.1}%", mean_gap * 100.0)?;
+    Ok(())
 }

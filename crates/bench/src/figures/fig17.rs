@@ -11,6 +11,7 @@ use crate::scenario::{PlatformId, Scenario};
 use emb_cache::HostTable;
 use emb_workload::DlrDatasetId;
 use serde::Serialize;
+use std::fmt::{self, Write as _};
 use ugache::apps::dlr::dlr_cache_capacity;
 use ugache::{UGache, UGacheConfig};
 
@@ -122,19 +123,28 @@ pub fn compute(s: &Scenario) -> Fig17Data {
     }
 }
 
-/// Prints the timeline from precomputed data.
-pub fn render(data: &Fig17Data) {
-    header("Figure 17: inference timeline across cache refreshes (DLRM, CR, Server C)");
-    println!("{:>8} {:>14} {:>9}", "t(s)", "inference(ms)", "refresh");
+/// Writes the timeline from precomputed data.
+pub fn render(out: &mut String, data: &Fig17Data) -> fmt::Result {
+    header(
+        out,
+        "Figure 17: inference timeline across cache refreshes (DLRM, CR, Server C)",
+    )?;
+    writeln!(
+        out,
+        "{:>8} {:>14} {:>9}",
+        "t(s)", "inference(ms)", "refresh"
+    )?;
     for sample in &data.samples {
-        println!(
+        writeln!(
+            out,
             "{:>8.1} {:>14.3} {:>9}",
             sample.t,
             sample.inference_ms,
             if sample.refresh_active { "ACTIVE" } else { "-" }
-        );
+        )?;
     }
     for (i, d) in data.refresh_durations.iter().enumerate() {
-        println!("refresh {} took {:.2}s of virtual time", i + 1, d);
+        writeln!(out, "refresh {} took {:.2}s of virtual time", i + 1, d)?;
     }
+    Ok(())
 }

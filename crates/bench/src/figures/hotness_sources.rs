@@ -8,6 +8,7 @@ use crate::scenario::{PlatformId, Scenario};
 use cache_policy::Hotness;
 use emb_workload::{GnnDatasetId, GnnModel};
 use serde::Serialize;
+use std::fmt::{self, Write as _};
 use ugache::baselines::{build_system, SystemKind};
 
 /// Result for one hotness source.
@@ -75,19 +76,25 @@ pub fn compute(s: &Scenario) -> Vec<SourceRow> {
     out
 }
 
-/// Prints the study from precomputed rows.
-pub fn render(rows: &[SourceRow]) {
-    header("Hotness sources (§6.1): pre-sampling vs degree vs short profile");
-    println!(
+/// Writes the study from precomputed rows.
+pub fn render(out: &mut String, rows: &[SourceRow]) -> fmt::Result {
+    header(
+        out,
+        "Hotness sources (§6.1): pre-sampling vs degree vs short profile",
+    )?;
+    writeln!(
+        out,
         "{:<24} {:>12} {:>16}",
         "source", "extract(ms)", "top-1k overlap"
-    );
+    )?;
     for r in rows {
-        println!(
+        writeln!(
+            out,
             "{:<24} {:>12.3} {:>15.1}%",
             r.source,
             r.extract_ms,
             r.oracle_overlap * 100.0
-        );
+        )?;
     }
+    Ok(())
 }

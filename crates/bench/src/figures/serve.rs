@@ -19,6 +19,7 @@ use emb_serve::{estimate_capacity_rps, run_load_point, ClientPopulation, LoadSam
 use emb_util::zipf::powerlaw_hotness;
 use emb_util::{split_seed, SimTime};
 use serde::Serialize;
+use std::fmt::{self, Write as _};
 use ugache::{UGache, UGacheConfig};
 
 /// Offered-load multiples of the probed capacity, low to overload.
@@ -135,20 +136,26 @@ pub fn compute(s: &Scenario) -> ServeData {
     }
 }
 
-/// Prints the sweep from precomputed data.
-pub fn render(data: &ServeData) {
-    header("Serving: throughput and latency tail vs offered load (Server A)");
-    println!(
+/// Writes the sweep from precomputed data.
+pub fn render(out: &mut String, data: &ServeData) -> fmt::Result {
+    header(
+        out,
+        "Serving: throughput and latency tail vs offered load (Server A)",
+    )?;
+    writeln!(
+        out,
         "{} keys, {} users, capacity ~{:.0} req/s",
         data.num_keys, data.num_users, data.capacity_rps
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "{:>6} {:>12} {:>12} {:>7} {:>9} {:>9} {:>9} {:>8}",
         "load", "offered/s", "achieved/s", "batch", "p50(ms)", "p99(ms)", "p999(ms)", "host%"
-    );
+    )?;
     for p in &data.points {
         let s = &p.sample;
-        println!(
+        writeln!(
+            out,
             "{:>5.2}x {:>12.0} {:>12.0} {:>7.1} {:>9.3} {:>9.3} {:>9.3} {:>8.1}",
             p.factor,
             s.offered_rps,
@@ -158,6 +165,7 @@ pub fn render(data: &ServeData) {
             s.p99_ms,
             s.p999_ms,
             s.host_frac * 100.0
-        );
+        )?;
     }
+    Ok(())
 }

@@ -9,6 +9,7 @@ use cache_policy::baselines;
 use emb_util::fmt;
 use emb_workload::{GnnDatasetId, GnnModel};
 use serde::Serialize;
+use std::fmt::Write as _;
 use ugache::apps::MlpCostModel;
 use ugache::baselines::{SystemInstance, SystemKind};
 
@@ -87,14 +88,19 @@ pub fn compute(s: &Scenario) -> Breakdown {
     }
 }
 
-/// Prints Table 1 from a precomputed breakdown.
-pub fn render(b: &Breakdown) {
-    header("Table 1: single-GPU breakdown (unsup. GraphSAGE, MAG, 1×A100-80GB)");
-    println!(
+/// Writes Table 1 from a precomputed breakdown.
+pub fn render(out: &mut String, b: &Breakdown) -> std::fmt::Result {
+    header(
+        out,
+        "Table 1: single-GPU breakdown (unsup. GraphSAGE, MAG, 1×A100-80GB)",
+    )?;
+    writeln!(
+        out,
         "{:<26} {:>10} {:>16} {:>16}",
         "", "MLP", "EMT (w/ $)", "Total (w/ $)"
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "{:<26} {:>10} {:>16} {:>16}",
         "Execution Time (ms)",
         ms(b.mlp_ms / 1e3),
@@ -104,8 +110,9 @@ pub fn render(b: &Breakdown) {
             ms((b.mlp_ms + b.emt_ms) / 1e3),
             ms((b.mlp_ms + b.emt_cached_ms) / 1e3)
         )
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "{:<26} {:>10} {:>16} {:>16}",
         "Data Size",
         "~0",
@@ -115,12 +122,14 @@ pub fn render(b: &Breakdown) {
             fmt::bytes(b.cached_bytes)
         ),
         fmt::bytes(b.volume_e)
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "{:<26} {:>10} {:>16} {:>16}",
         "Access Gmem Ratio",
         "100%",
         format!("0% ({})", fmt::pct(b.gmem_ratio)),
         format!("0% ({})", fmt::pct(b.gmem_ratio))
-    );
+    )?;
+    Ok(())
 }

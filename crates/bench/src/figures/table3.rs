@@ -5,6 +5,7 @@ use crate::scenario::{Scenario, SEED};
 use emb_util::fmt;
 use emb_workload::{dlr_preset, gnn_preset, DlrDatasetId, GnnDatasetId};
 use serde::Serialize;
+use std::fmt::Write as _;
 
 /// One row of the table.
 #[derive(Debug, Clone, PartialEq, Serialize)]
@@ -55,18 +56,23 @@ pub fn compute(s: &Scenario) -> Vec<Row> {
     rows
 }
 
-/// Prints Table 3 from precomputed rows.
-pub fn render(s: &Scenario, rows: &[Row]) {
-    header(&format!(
-        "Table 3: datasets (GNN scale 1/{}, DLR scale 1/{})",
-        s.gnn_scale, s.dlr_scale
-    ));
-    println!(
+/// Writes Table 3 from precomputed rows.
+pub fn render(out: &mut String, s: &Scenario, rows: &[Row]) -> std::fmt::Result {
+    header(
+        out,
+        &format!(
+            "Table 3: datasets (GNN scale 1/{}, DLR scale 1/{})",
+            s.gnn_scale, s.dlr_scale
+        ),
+    )?;
+    writeln!(
+        out,
         "{:<8} {:>12} {:>14} {:>6} {:>10} {:>10}",
         "Dataset", "#Vertex", "#Edge", "Dim", "VolumeG", "VolumeE"
-    );
+    )?;
     for row in rows.iter().filter(|r| r.volume_g.is_some()) {
-        println!(
+        writeln!(
+            out,
             "{:<8} {:>12} {:>14} {:>6} {:>10} {:>10}",
             row.name,
             fmt::count(row.entities),
@@ -74,14 +80,16 @@ pub fn render(s: &Scenario, rows: &[Row]) {
             row.dim,
             fmt::bytes(row.volume_g.unwrap()),
             fmt::bytes(row.volume_e)
-        );
+        )?;
     }
-    println!(
+    writeln!(
+        out,
         "{:<8} {:>12} {:>14} {:>6} {:>10} {:>10}",
         "Dataset", "#Entry", "#Table", "Dim", "Skew", "VolumeE"
-    );
+    )?;
     for row in rows.iter().filter(|r| r.volume_g.is_none()) {
-        println!(
+        writeln!(
+            out,
             "{:<8} {:>12} {:>14} {:>6} {:>10} {:>10}",
             row.name,
             fmt::count(row.entities),
@@ -89,6 +97,7 @@ pub fn render(s: &Scenario, rows: &[Row]) {
             row.dim,
             format!("{:.1}", row.alpha.unwrap_or(0.0)),
             fmt::bytes(row.volume_e)
-        );
+        )?;
     }
+    Ok(())
 }

@@ -104,6 +104,32 @@ fn parse_threads_flag() {
 }
 
 #[test]
+fn a_closed_stdout_ends_the_command_quietly_with_exit_2() {
+    // `repro scenarios | head -1`: the reader is gone before `repro`
+    // writes. The read end is closed before the process starts, so every
+    // write fails, and `print!` would panic (exit 101).
+    let exe = env!("CARGO_BIN_EXE_repro");
+    for invocation in [
+        &["list"][..],
+        &["scenarios"],
+        &["scenarios", "--md"],
+        &["metrics"],
+        &["fig2"],
+    ] {
+        let (reader, writer) = std::io::pipe().expect("a pipe");
+        drop(reader);
+        let run = std::process::Command::new(exe)
+            .args(invocation)
+            .stdout(writer)
+            .stderr(std::process::Stdio::piped())
+            .output()
+            .expect("repro runs");
+        assert_eq!(run.status.code(), Some(2), "{invocation:?}");
+        assert_eq!(String::from_utf8_lossy(&run.stderr), "", "{invocation:?}");
+    }
+}
+
+#[test]
 fn threads_zero_is_rejected_by_every_subcommand_that_takes_it() {
     // One `--threads` parser: record / replay / explain-tail used to
     // clamp 0 to 1 silently while the target run rejected it.
@@ -325,7 +351,7 @@ fn every_target_name_and_alias_parses_computes_round_trips_and_renders() {
         let v = json::parse(&text).expect("artifact parses");
         assert_eq!(v.get("target"), Some(&json::Value::Str(canon.clone())));
         // Panics if the table pairs the name with another row's payload.
-        figures::render(canon, &s, data);
+        assert!(!figures::render(canon, &s, data).is_empty(), "{name}");
     }
 }
 
