@@ -1,9 +1,9 @@
 //! The composed multi-GPU cache and its filler.
 
-use crate::arena::GpuArena;
+use crate::arena::{GpuArena, SlotIndex};
 use crate::plan::GatherPlan;
 use crate::table::HostTable;
-use cache_policy::{Placement, SourceIdx};
+use cache_policy::{BitRow, Placement, SourceIdx};
 use gpu_platform::Location;
 use std::cell::RefCell;
 
@@ -44,11 +44,12 @@ impl GatherStats {
 ///
 /// A key is resolved in two steps: the placement's access (the entry's
 /// row id, then the destination's column of the source table) says which
-/// GPU the destination reads it from, and that GPU's arena index says
-/// which slot holds it. Together they are the paper's `<GPU_i, Offset>`
-/// location hashtable (§4), kept nowhere else. A miss at either load
-/// reads the host table. Gathers report per-source counts that the
-/// timing layer can turn into simulated extraction times.
+/// GPU the destination reads it from, and that GPU's arena finds the slot
+/// by rank over the placement's stored bits for the GPU. Together they
+/// are the paper's `<GPU_i, Offset>` location hashtable (§4), kept
+/// nowhere else. A miss at either step reads the host table. Gathers
+/// report per-source counts that the timing layer can turn into
+/// simulated extraction times.
 #[derive(Debug, Clone)]
 pub struct MultiGpuCache {
     host: HostTable,
@@ -60,11 +61,13 @@ pub struct MultiGpuCache {
 }
 
 /// Panics unless GPU `gpu`'s read of `entry` from `src` reaches a row:
-/// `src` is the host or a GPU whose arena holds `entry`.
-fn assert_reachable(arenas: &[GpuArena], gpu: usize, entry: usize, src: SourceIdx) {
-    if let Some(arena) = arenas.get(src as usize) {
+/// `src` is the host or a GPU that `stored` says holds `entry` (an arena
+/// holds a row for every entry its stored row sets, and for no other that
+/// a read can reach).
+fn assert_reachable(stored: &[BitRow], gpu: usize, entry: usize, src: SourceIdx) {
+    if let Some(row) = stored.get(src as usize) {
         assert!(
-            arena.offset_of(entry as u32).is_some(),
+            row.get(entry),
             "GPU{gpu} reads entry {entry} from GPU{src}, whose arena lacks it"
         );
     }
@@ -89,30 +92,17 @@ impl MultiGpuCache {
             cap_entries.len(),
             "one capacity per GPU"
         );
-        let g = placement.num_gpus;
-        let dim = host.dim();
-        let mut arenas: Vec<GpuArena> =
-            cap_entries.iter().map(|&c| GpuArena::new(c, dim)).collect();
+        // Each GPU's stored rows, read from host straight into their slots.
+        let arenas: Vec<GpuArena> = cap_entries
+            .iter()
+            .zip(&placement.stored)
+            .map(|(&cap, stored)| GpuArena::filled(cap, stored, &host))
+            .collect();
 
-        // Fill arenas per the storage arrangement: materialize each GPU's
-        // resident rows in entry order, then bulk-insert so the arena's
-        // run-coalesced copy path turns the fill into block copies.
-        let mut entries: Vec<u32> = Vec::new();
-        let mut rows: Vec<f32> = Vec::new();
-        for j in 0..g {
-            entries.clear();
-            entries.extend(placement.stored[j].ones().map(|e| e as u32));
-            rows.resize(entries.len() * dim, 0.0);
-            for (i, &e) in entries.iter().enumerate() {
-                host.read_into(e, &mut rows[i * dim..(i + 1) * dim]);
-            }
-            arenas[j].insert_many(&entries, &rows);
-        }
-
-        for i in 0..g {
+        for i in 0..placement.num_gpus {
             let access = placement.access(i);
             for e in 0..access.len() {
-                assert_reachable(&arenas, i, e, access[e]);
+                assert_reachable(&placement.stored, i, e, access[e]);
             }
         }
 
@@ -144,15 +134,28 @@ impl MultiGpuCache {
         &self.placement
     }
 
+    /// The slot of `entry`'s row on GPU `src`, if `src` is a GPU that
+    /// stores it under the placement and has not evicted it.
+    #[inline]
+    fn slot_of(&self, src: usize, entry: u32) -> Option<u32> {
+        let arena = self.arenas.get(src)?;
+        arena.index(&self.placement.stored[src]).slot(entry)
+    }
+
     /// Checks the cache against its own invariants and returns the first
     /// violation found:
     ///
+    /// * every slot of every arena is in exactly one place (a stored
+    ///   entry's, a pending row's or free), and each arena's slot table has
+    ///   one place per entry the placement stores on it;
     /// * every access that names a GPU whose arena holds the entry reaches
-    ///   a row equal to [`HostTable::read`]'s;
+    ///   a row equal to [`HostTable::read`]'s, and so does every pending
+    ///   row (one written mid-refresh for an entry the placement does not
+    ///   store on that GPU yet, so no read reaches it);
     /// * at rest — no arena row moved since the placement was installed (a
     ///   refresh between its first update batch and its swap moves rows) —
-    ///   every access that names a GPU reaches a row there, and every
-    ///   arena holds exactly the entries the placement stores on it.
+    ///   every access that names a GPU reaches a row there, and no arena
+    ///   has an evicted or a pending row.
     ///
     /// A pass over every access row and every arena row it reaches: for
     /// tests.
@@ -164,6 +167,28 @@ impl MultiGpuCache {
         let (g, dim) = (self.num_gpus(), self.dim());
         let host_idx = self.placement.host_idx();
         let mut truth = vec![0.0f32; dim];
+        let differs = |slab: &[f32], slot: u32, truth: &[f32]| {
+            let row = &slab[slot as usize * dim..(slot as usize + 1) * dim];
+            row.iter()
+                .zip(truth)
+                .any(|(a, b)| a.to_bits() != b.to_bits())
+        };
+        for (j, arena) in self.arenas.iter().enumerate() {
+            arena
+                .check_slots(&self.placement.stored[j])
+                .map_err(|e| format!("GPU{j}: {e}"))?;
+            for &(e, slot) in arena.pending() {
+                if !self.migrating {
+                    return Err(format!("GPU{j} holds entry {e} pending at rest"));
+                }
+                self.host.read_into(e, &mut truth);
+                if differs(arena.slab(), slot, &truth) {
+                    return Err(format!(
+                        "GPU{j}: pending slot {slot} holds no row of entry {e}"
+                    ));
+                }
+            }
+        }
         for i in 0..g {
             let access = self.placement.access(i);
             for e in 0..access.len() {
@@ -174,7 +199,7 @@ impl MultiGpuCache {
                 if src >= g {
                     return Err(format!("GPU{i} entry {e}: source {src} is no GPU"));
                 }
-                let Some(off) = self.arenas[src].offset_of(e) else {
+                let Some(off) = self.slot_of(src, e) else {
                     if self.migrating {
                         continue;
                     }
@@ -182,14 +207,8 @@ impl MultiGpuCache {
                         "GPU{i} reads entry {e} from GPU{src}, whose arena lacks it"
                     ));
                 };
-                let base = off as usize * dim;
-                let row = &self.arenas[src].slab()[base..base + dim];
                 self.host.read_into(e, &mut truth);
-                if row
-                    .iter()
-                    .zip(&truth)
-                    .any(|(a, b)| a.to_bits() != b.to_bits())
-                {
+                if differs(self.arenas[src].slab(), off, &truth) {
                     return Err(format!(
                         "GPU{i} entry {e}: slot {off} of GPU{src} holds another row"
                     ));
@@ -204,10 +223,6 @@ impl MultiGpuCache {
                         arena.len(),
                         self.placement.cached_count(j)
                     ));
-                }
-                let stored = &self.placement.stored[j];
-                if let Some(e) = stored.ones().find(|&e| arena.offset_of(e as u32).is_none()) {
-                    return Err(format!("GPU{j} stores entry {e} but holds no row for it"));
                 }
             }
         }
@@ -228,13 +243,16 @@ impl MultiGpuCache {
         plan.reset(g);
         plan.slots.resize(keys.len(), 0);
         let host_tag = (g as u64) << 32;
+        let index: Vec<SlotIndex> = (self.arenas.iter().zip(&self.placement.stored))
+            .map(|(arena, stored)| arena.index(stored))
+            .collect();
         let chunk_counts =
             emb_util::pool::par_chunks_mut(&mut plan.slots, PLAN_CHUNK_KEYS, |ci, slots| {
                 let mut counts = vec![0u64; g + 1];
                 for (slot, &key) in slots.iter_mut().zip(&keys[ci * PLAN_CHUNK_KEYS..]) {
                     assert!((key as usize) < access.len(), "entry {key} out of range");
                     let src = access[key as usize] as usize;
-                    *slot = match self.arenas.get(src).and_then(|a| a.offset_of(key)) {
+                    *slot = match index.get(src).and_then(|t| t.slot(key)) {
                         Some(off) => (src as u64) << 32 | off as u64,
                         None => host_tag | key as u64,
                     };
@@ -343,47 +361,48 @@ impl MultiGpuCache {
     /// Applies a single incremental update on one GPU: evict `evict` then
     /// insert `insert`, each host row read straight into the slot it
     /// claims. Reads keep following the placement until
-    /// [`MultiGpuCache::swap_placement`]: an evicted entry has no slot, so
-    /// its readers read host, and a reused slot is reached only under the
-    /// entry now in it.
+    /// [`MultiGpuCache::swap_placement`]: an evicted entry's slot is
+    /// vacant, so its readers read host, and an entry the placement does
+    /// not store on `gpu` is written to a pending slot that no read
+    /// reaches. `evict` names entries the placement stores on `gpu` (any
+    /// other is skipped), and an entry it does not store is inserted at
+    /// most once before the swap.
     pub fn update_arena(&mut self, gpu: usize, evict: &[u32], insert: &[u32]) {
         self.migrating = true;
-        let arena = &mut self.arenas[gpu];
+        let (arena, stored) = (&mut self.arenas[gpu], &self.placement.stored[gpu]);
         for &e in evict {
-            arena.evict(e);
+            arena.evict(stored, e);
         }
         for &e in insert {
-            self.host.read_into(e, arena.insert_row(e));
+            self.host.read_into(e, arena.insert_row(stored, e));
         }
     }
 
     /// Installs a new placement (the swap step of a refresh): gathers
     /// follow it from the next call.
     ///
-    /// Arena rows must already sit where `placement` reads them, as
-    /// [`crate::Refresher`] moves them. Only the accesses that differ from
-    /// the current placement's are checked
-    /// ([`Placement::changed_accesses`] compares row ids, and reads
-    /// sources only where they differ): an unchanged access to a GPU names
-    /// an entry that GPU stores under both placements, which no update
-    /// batch evicted.
+    /// Arena rows must already sit where `placement` stores them, as
+    /// [`crate::Refresher`] moves them. Each arena is re-indexed in one
+    /// merge pass over its old slot table: a kept entry keeps its slot, an
+    /// inserted one takes its pending row. Then every arena holds a row
+    /// for exactly the entries `placement` stores on it, so every read a
+    /// valid placement makes ([`Placement::validate`]) reaches one, with
+    /// no pass over the entries' accesses.
     ///
     /// # Panics
     ///
-    /// Panics if the placement's shape differs from the cache's, or a
-    /// changed access reads an entry from a GPU whose arena does not hold
-    /// it.
+    /// Panics if the placement's shape differs from the cache's, or an
+    /// arena does not hold exactly the entries `placement` stores on it
+    /// (naming the GPU and the entry).
     pub fn swap_placement(&mut self, placement: Placement) {
         assert_eq!(placement.num_gpus, self.num_gpus(), "GPU count mismatch");
         assert_eq!(
             placement.num_entries, self.placement.num_entries,
             "table size mismatch"
         );
-        let arenas = &self.arenas;
-        self.placement
-            .changed_accesses(&placement, |gpu, entry, src| {
-                assert_reachable(arenas, gpu, entry, src)
-            });
+        for (j, arena) in self.arenas.iter_mut().enumerate() {
+            arena.restack(j, &self.placement.stored[j], &placement.stored[j]);
+        }
         self.placement = placement;
         self.migrating = false;
     }
@@ -409,9 +428,11 @@ mod tests {
     }
 
     impl MultiGpuCache {
-        /// Whether GPU `gpu`'s arena holds a row for `entry`.
+        /// Whether GPU `gpu`'s arena holds a row for `entry`, reachable or
+        /// pending.
         pub(crate) fn holds(&self, gpu: usize, entry: u32) -> bool {
-            self.arenas[gpu].offset_of(entry).is_some()
+            self.slot_of(gpu, entry).is_some()
+                || self.arenas[gpu].pending().iter().any(|p| p.0 == entry)
         }
     }
 
@@ -495,7 +516,7 @@ mod tests {
         let cold = 499u32;
         let victim = 0u32;
         assert_eq!(placement.source(0, cold as usize), placement.host_idx());
-        assert!(cache.arenas[0].offset_of(victim).is_some());
+        assert!(cache.holds(0, victim));
         cache.update_arena(0, &[victim], &[cold]);
         let mut p2 = placement.clone();
         p2.stored[0].set(victim as usize, false);
@@ -521,11 +542,12 @@ mod tests {
         // inserting 499 takes that same slot (the free list is LIFO), with
         // no other call in between and no swap after.
         let (evicted, inserted) = (0u32, 499u32);
-        let slot = cache.arenas[0].offset_of(evicted);
+        let slot = cache.slot_of(0, evicted).unwrap();
         assert!((0..4).all(|i| placement.source(i, evicted as usize) == 0));
         assert_eq!(placement.source(0, inserted as usize), placement.host_idx());
         cache.update_arena(0, &[evicted], &[inserted]);
-        assert_eq!(cache.arenas[0].offset_of(inserted), slot);
+        assert_eq!(cache.arenas[0].pending(), [(inserted, slot)]);
+        assert_eq!(cache.slot_of(0, evicted), None);
         let truth = HostTable::procedural(N, DIM);
         for i in 0..4 {
             let mut out = vec![f32::NAN; 2 * DIM];
@@ -552,7 +574,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "GPU2 reads entry 499 from GPU1, whose arena lacks it")]
+    #[should_panic(expected = "GPU1 stores entry 499 but holds no row for it")]
     fn swap_refuses_a_read_from_an_arena_lacking_the_entry() {
         let (mut cache, placement) = setup(50);
         // A valid placement on its own, but no update moved the row.

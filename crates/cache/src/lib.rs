@@ -7,12 +7,14 @@
 //! * [`HostTable`] — the full embedding table in host memory, each row
 //!   computed from its entry id rather than stored;
 //! * [`MultiGpuCache`] — the composed cache: one arena per GPU (a flat
-//!   slot array, a LIFO free list and a dense entry→slot index), filled
-//!   from a placement by [`MultiGpuCache::build`] (the Filler, §4), and a
+//!   slot array, a LIFO free list, and a slot per cached row found by
+//!   rank over the placement's stored bits), filled from a placement by
+//!   [`MultiGpuCache::build`] (the Filler, §4), and a
 //!   [`MultiGpuCache::gather`] that returns both values and per-source
 //!   hit statistics. The paper's per-GPU `<GPU_i, Offset>` hashtable is
 //!   not stored: a key resolves through the placement's access (a row id
-//!   an entry), then the source arena's index (design notes in [`plan`]);
+//!   an entry), then the source arena's rank and slot (design notes in
+//!   [`plan`]);
 //! * [`HotnessSampler`] — foreground request sampling for hotness
 //!   tracking (§7.2);
 //! * [`Refresher`] — the background refresh: one due time and a queue of

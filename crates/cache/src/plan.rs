@@ -9,12 +9,12 @@
 //! serial variant to keep equal):
 //!
 //! 1. **resolve** ([`crate::MultiGpuCache::plan_gather`]) — chunks of
-//!    `PLAN_CHUNK_KEYS` keys. Each key is two loads from flat arrays
-//!    indexed by entry id and one from a few bytes that stay in L1: the
-//!    placement's row id and the destination GPU's column of the source
-//!    table give the source GPU ([`cache_policy::Placement::access`]),
-//!    that GPU's arena index gives the slot (together the paper's
-//!    `<GPU_i, Offset>` hashtable, §4). The packed slot is
+//!    `PLAN_CHUNK_KEYS` keys. The placement's row id and the destination
+//!    GPU's column of the source table (a few bytes that stay in L1) give
+//!    the source GPU ([`cache_policy::Placement::access`]); the source's
+//!    stored word, its rank prefix (a `u32` per 64 entries) and a popcount
+//!    give the entry's rank, and the arena's slot table the slot (together
+//!    the paper's `<GPU_i, Offset>` hashtable, §4). The packed slot is
 //!    `source << 32 | offset`; a host access or a source arena without
 //!    the entry (evicted mid-refresh) becomes `host << 32 | key`.
 //!    Chunks fill disjoint slot ranges and count keys per source; the

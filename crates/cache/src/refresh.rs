@@ -18,8 +18,8 @@
 //!
 //! An update batch only moves arena rows; gathers keep following the old
 //! placement until the swap installs the target, and the cache's
-//! two-load resolve keeps them correct in between
-//! ([`MultiGpuCache::update_arena`]).
+//! resolve (the access row, then the source arena's rank and slot) keeps
+//! them correct in between ([`MultiGpuCache::update_arena`]).
 //!
 //! While a refresh is active, foreground extraction is slowed by
 //! `FOREGROUND_IMPACT` (solver threads and copy engines compete with
@@ -28,6 +28,7 @@
 use crate::cache::MultiGpuCache;
 use cache_policy::Placement;
 use std::collections::VecDeque;
+use std::ops::Range;
 
 /// Fractional slowdown of foreground requests while a refresh is active.
 const FOREGROUND_IMPACT: f64 = 0.10;
@@ -56,11 +57,12 @@ impl Default for RefreshConfig {
     }
 }
 
+/// One throttled update: ranges of GPU `gpu`'s evict and insert lists.
 #[derive(Debug, Clone)]
 struct UpdateBatch {
     gpu: usize,
-    evict: Vec<u32>,
-    insert: Vec<u32>,
+    evict: Range<usize>,
+    insert: Range<usize>,
 }
 
 /// A refresh in flight: the placement it moves toward and the update
@@ -71,6 +73,10 @@ struct Migration {
     started_at: f64,
     /// When the next batch, or the swap once none is left, is due.
     due: f64,
+    /// `evict[gpu]`, `insert[gpu]`: the entries GPU `gpu` drops and
+    /// gains, ascending; the batches name ranges of them.
+    evict: Vec<Vec<u32>>,
+    insert: Vec<Vec<u32>>,
     batches: VecDeque<UpdateBatch>,
 }
 
@@ -122,46 +128,56 @@ impl Refresher {
         assert_eq!(current.num_entries, target.num_entries);
         assert_eq!(current.num_gpus, target.num_gpus);
 
-        // Diff: per GPU, entries to drop and entries to add.
-        let mut batches = VecDeque::new();
-        for gpu in 0..current.num_gpus {
-            let mut evict: Vec<u32> = Vec::new();
-            let mut insert: Vec<u32> = Vec::new();
-            // A refresh moves few of the entries: compare the stored bits
-            // a word (64 entries) at a time, and in a word that differs
-            // visit only the bits that changed, in entry order. Bits past
-            // the last entry are clear on both sides.
+        // Diff: per GPU, entries to drop and entries to add. A refresh
+        // moves few of the entries: compare the stored bits a word (64
+        // entries) at a time, and in a word that differs visit only the
+        // bits that changed, in entry order. Bits past the last entry are
+        // clear on both sides. One counting pass sizes each list, so the
+        // whole diff is O(G) allocations.
+        let g = current.num_gpus;
+        let changed = |gpu: usize| {
             let was_words = current.stored[gpu].words();
             let will_words = target.stored[gpu].words();
-            for (w, (&was, &will)) in was_words.iter().zip(will_words).enumerate() {
-                if was != will {
-                    let first = w * u64::BITS as usize;
-                    push_set_bits(&mut evict, first, was & !will);
-                    push_set_bits(&mut insert, first, will & !was);
-                }
+            (was_words.iter().zip(will_words).enumerate()).filter(|(_, (was, will))| was != will)
+        };
+        let (mut evict, mut insert) = (Vec::with_capacity(g), Vec::with_capacity(g));
+        for gpu in 0..g {
+            let (mut ev, mut ins) = (0, 0);
+            for (_, (&was, &will)) in changed(gpu) {
+                ev += (was & !will).count_ones() as usize;
+                ins += (will & !was).count_ones() as usize;
             }
-            // Split into throttled batches, evictions first within each
-            // batch so capacity never overshoots.
-            let per = self.cfg.entries_per_batch.max(1);
-            let mut ei = 0usize;
-            let mut ii = 0usize;
-            while ei < evict.len() || ii < insert.len() {
-                let ev: Vec<u32> = evict[ei..(ei + per).min(evict.len())].to_vec();
-                let ins: Vec<u32> = insert[ii..(ii + per).min(insert.len())].to_vec();
-                ei = (ei + per).min(evict.len());
-                ii = (ii + per).min(insert.len());
-                batches.push_back(UpdateBatch {
-                    gpu,
-                    evict: ev,
-                    insert: ins,
-                });
+            let (mut ev, mut ins) = (Vec::with_capacity(ev), Vec::with_capacity(ins));
+            for (w, (&was, &will)) in changed(gpu) {
+                let first = w * u64::BITS as usize;
+                push_set_bits(&mut ev, first, was & !will);
+                push_set_bits(&mut ins, first, will & !was);
             }
+            evict.push(ev);
+            insert.push(ins);
+        }
+        // Split into throttled batches, evictions first within each batch
+        // so capacity never overshoots.
+        let per = self.cfg.entries_per_batch.max(1);
+        let cut = |len: usize, k: usize| (k * per).min(len)..((k + 1) * per).min(len);
+        let counts: Vec<usize> = (evict.iter().zip(&insert))
+            .map(|(ev, ins)| ev.len().max(ins.len()).div_ceil(per))
+            .collect();
+        let mut batches = VecDeque::with_capacity(counts.iter().sum());
+        for (gpu, &count) in counts.iter().enumerate() {
+            batches.extend((0..count).map(|k| UpdateBatch {
+                gpu,
+                evict: cut(evict[gpu].len(), k),
+                insert: cut(insert[gpu].len(), k),
+            }));
         }
 
         self.migration = Some(Migration {
             target,
             started_at: now,
             due: now + self.cfg.solve_secs,
+            evict,
+            insert,
             batches,
         });
     }
@@ -179,7 +195,7 @@ impl Refresher {
             let Some(b) = m.batches.pop_front() else {
                 break;
             };
-            cache.update_arena(b.gpu, &b.evict, &b.insert);
+            cache.update_arena(b.gpu, &m.evict[b.gpu][b.evict], &m.insert[b.gpu][b.insert]);
             m.due += self.cfg.batch_interval_secs;
         }
         // All content moved: install the target and finish.
@@ -243,9 +259,16 @@ mod tests {
         assert!(r.should_refresh(1.2, 1.0));
     }
 
-    /// The batches a begun refresh still has queued.
-    fn queued(r: &Refresher) -> &VecDeque<UpdateBatch> {
-        &r.migration.as_ref().expect("a refresh began").batches
+    /// The batches a begun refresh still has queued, as `(gpu, evict,
+    /// insert)`.
+    fn queued(r: &Refresher) -> Vec<(usize, Vec<u32>, Vec<u32>)> {
+        let m = r.migration.as_ref().expect("a refresh began");
+        (m.batches.iter())
+            .map(|b| {
+                let evict = m.evict[b.gpu][b.evict.clone()].to_vec();
+                (b.gpu, evict, m.insert[b.gpu][b.insert.clone()].to_vec())
+            })
+            .collect()
     }
 
     #[test]
@@ -320,7 +343,7 @@ mod tests {
         let cfg = small_cfg();
         let mut r = Refresher::new(cfg);
         r.begin(0.0, &p1, p2.clone());
-        let batches: Vec<UpdateBatch> = queued(&r).iter().cloned().collect();
+        let batches = queued(&r);
         let n = batches.len();
         assert!(n >= 8, "only {n} batches");
         let due = |k: usize| cfg.solve_secs + k as f64 * cfg.batch_interval_secs;
@@ -334,18 +357,18 @@ mod tests {
             let landed = (0..n).filter(|&k| now >= due(k)).count();
             let swapped = now >= due(n);
             let finished = r.tick(now, &mut cache);
-            for (k, b) in batches.iter().enumerate() {
+            for (k, (gpu, evict, insert)) in batches.iter().enumerate() {
                 let applied = k < landed;
-                for &e in &b.evict {
+                for &e in evict {
                     assert_eq!(
-                        cache.holds(b.gpu, e),
+                        cache.holds(*gpu, e),
                         !applied,
                         "{now} s: batch {k} evicts {e}"
                     );
                 }
-                for &e in &b.insert {
+                for &e in insert {
                     assert_eq!(
-                        cache.holds(b.gpu, e),
+                        cache.holds(*gpu, e),
                         applied,
                         "{now} s: batch {k} inserts {e}"
                     );
@@ -432,10 +455,7 @@ mod tests {
                     ..small_cfg()
                 });
                 r.begin(0.0, &current, target.clone());
-                let got: Vec<_> = queued(&r)
-                    .iter()
-                    .map(|b| (b.gpu, b.evict.clone(), b.insert.clone()))
-                    .collect();
+                let got = queued(&r);
                 let want = per_entry_batches(&current, &target, per);
                 assert_eq!(got, want, "n {n}, per {per}");
             }
@@ -486,9 +506,9 @@ mod tests {
                     ..RefreshConfig::default()
                 });
                 r.begin(0.0, current, placements[(k + 1) % placements.len()].clone());
-                for b in queued(&r) {
-                    hash = fnv1a(hash, (b.gpu as u64).to_le_bytes());
-                    for side in [&b.evict, &b.insert] {
+                for (gpu, evict, insert) in queued(&r) {
+                    hash = fnv1a(hash, (gpu as u64).to_le_bytes());
+                    for side in [&evict, &insert] {
                         hash = fnv1a(hash, (side.len() as u64).to_le_bytes());
                         hash = fnv1a(hash, side.iter().flat_map(|e| e.to_le_bytes()));
                     }

@@ -13,9 +13,12 @@ use cache_policy::Hotness;
 /// the last reset, so [`HotnessSampler::snapshot`] and
 /// [`HotnessSampler::reset`] cost those entries, not the key space: a
 /// refresh's snapshot holds a few percent of it.
+///
+/// Counts are `u32`, saturating at `u32::MAX`: 4 bytes an entry, and a
+/// count that high already ranks its entry first.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HotnessSampler {
-    counts: Vec<u64>,
+    counts: Vec<u32>,
     /// The entries whose count is not zero, in the order they were first
     /// counted.
     touched: Vec<u32>,
@@ -55,7 +58,7 @@ impl HotnessSampler {
             if *count == 0 {
                 self.touched.push(k);
             }
-            *count += 1;
+            *count = count.saturating_add(1);
         }
         self.cursor = (self.cursor + keys.len()) % self.stride;
     }
@@ -67,7 +70,7 @@ impl HotnessSampler {
         entries.sort_unstable();
         let weights: Vec<f64> = entries
             .iter()
-            .map(|&e| self.counts[e as usize] as f64)
+            .map(|&e| f64::from(self.counts[e as usize]))
             .collect();
         Hotness::sparse(self.counts.len(), &entries, &weights)
     }
@@ -130,9 +133,10 @@ mod tests {
     #[test]
     fn snapshots_after_a_reset_equal_dense_counts() {
         // Two rounds of observations, a reset between them: each snapshot
-        // must be the one dense counts of the same round give, to the bit,
-        // at every stride — the second round revisits some entries of the
-        // first and leaves others at zero.
+        // must be the one dense `u64` counts of the same round give, to
+        // the bit, at every stride — the second round revisits some entries
+        // of the first and leaves others at zero. No count nears the `u32`
+        // ceiling, so saturating `u32` counts read as the `u64` model.
         let n = 5_000u64;
         let zipf = ZipfSampler::new(n, 1.1);
         let mut rng = seed_rng(9);
@@ -168,6 +172,17 @@ mod tests {
                 assert_eq!(s, HotnessSampler::new(n as usize, stride));
             }
         }
+    }
+
+    #[test]
+    fn counts_saturate_at_the_top_of_a_u32() {
+        let mut s = HotnessSampler::new(3, 1);
+        s.observe(&[2, 1]);
+        s.counts[2] = u32::MAX - 2;
+        s.observe(&[2, 2, 2, 2, 0, 2]);
+        let w = s.snapshot().dense_weights();
+        assert_eq!(w, [1.0, 1.0, f64::from(u32::MAX)]);
+        assert_eq!(s.touched, [2, 1, 0]);
     }
 
     #[test]

@@ -806,15 +806,10 @@ impl Placement {
         self.rows[entry] = row;
     }
 
-    /// Calls `visit(e)` for each entry `other` reads otherwise than `self`
-    /// does, ascending, until `visit` returns `false`; returns whether it
-    /// ran to the end. Each of `other`'s row ids is translated into
-    /// `self`'s numbering and compared with `self`'s id.
-    fn visit_entries_read_otherwise(
-        &self,
-        other: &Placement,
-        mut visit: impl FnMut(usize) -> bool,
-    ) -> bool {
+    /// Whether `other` reads every entry from the sources `self` does.
+    /// Each of `other`'s row ids is translated into `self`'s numbering
+    /// and compared with `self`'s id.
+    fn reads_as(&self, other: &Placement) -> bool {
         // `other`'s rows by id, each to the id of the same sources in
         // `self`'s table, or to no id at all.
         let mut sources = vec![0; self.num_gpus];
@@ -828,35 +823,8 @@ impl Placement {
                     .map_or(u32::MAX, |&id| u32::from(id))
             })
             .collect();
-        let rows = self.rows.iter().zip(&other.rows);
-        rows.enumerate()
-            .all(|(e, (&was, &will))| ids[usize::from(will)] == u32::from(was) || visit(e))
-    }
-
-    /// Calls `each(gpu, entry, source)` for every read `target` makes
-    /// from another source than `self` does, with `target`'s source:
-    /// entries ascending, GPUs ascending within one. Entries are compared
-    /// by row id; only one whose row differs is read GPU by GPU.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two placements differ in shape.
-    pub fn changed_accesses(
-        &self,
-        target: &Placement,
-        mut each: impl FnMut(usize, usize, SourceIdx),
-    ) {
-        assert_eq!(self.num_gpus, target.num_gpus, "GPU count mismatch");
-        assert_eq!(self.rows.len(), target.rows.len(), "table size mismatch");
-        self.visit_entries_read_otherwise(target, |e| {
-            let (was, will) = (usize::from(self.rows[e]), usize::from(target.rows[e]));
-            for (i, (was_col, will_col)) in self.sources.iter().zip(&target.sources).enumerate() {
-                if was_col[was] != will_col[will] {
-                    each(i, e, will_col[will]);
-                }
-            }
-            true
-        });
+        (self.rows.iter().zip(&other.rows))
+            .all(|(&was, &will)| ids[usize::from(will)] == u32::from(was))
     }
 
     /// Validates the storage/access invariants; returns the first problem:
@@ -1004,7 +972,7 @@ impl PartialEq for Placement {
         {
             return false;
         }
-        self.visit_entries_read_otherwise(other, |_| false)
+        self.reads_as(other)
     }
 }
 

@@ -2,17 +2,18 @@
 //! iterations, functional gathers, forced refreshes and idle time —
 //! with the cache audited (`UGache::audit`) after every one of them.
 //!
-//! Every iteration and every idle step ticks the refresher once, and the
-//! refresh's batches are spaced wider than most steps, so the audit sees
-//! the cache between single update batches, when gathers still follow
-//! the old placement, at the placement swap and at rest. Hot keys drift as the sequence goes, so each refresh
-//! moves rows.
+//! Every iteration ticks the refresher once and idle time ticks it every
+//! `IDLE_TICK_SECS`, half the refresh's batch interval, so no tick applies
+//! more than one update batch: the audit sees the cache after every
+//! batch, when gathers still follow the old placement (less what was
+//! evicted, which reads host), at the placement swap and at rest. Hot
+//! keys drift as the sequence goes, so each refresh moves rows.
 
 use cache_policy::Hotness;
 use emb_cache::{HostTable, RefreshConfig};
 use emb_util::zipf::powerlaw_hotness;
 use emb_util::{seed_rng, ZipfSampler};
-use gpu_platform::Platform;
+use gpu_platform::{Location, Platform};
 use rand::Rng;
 use ugache::{UGache, UGacheConfig};
 
@@ -20,6 +21,9 @@ use ugache::{UGache, UGacheConfig};
 const N: usize = 3_003;
 const DIM: usize = 4;
 const STEPS: usize = 400;
+/// The refresh's batch interval, and the longest tick of idle time.
+const BATCH_INTERVAL_SECS: f64 = 0.02;
+const IDLE_TICK_SECS: f64 = BATCH_INTERVAL_SECS / 2.0;
 
 /// `len` Zipf keys, the ranks shifted by `shift` entries.
 fn draw(rng: &mut impl Rng, zipf: &ZipfSampler, shift: usize, len: usize) -> Vec<u32> {
@@ -40,7 +44,7 @@ fn run(platform: Platform, seed: u64) -> (usize, usize) {
     cfg.refresh = RefreshConfig {
         solve_secs: 0.05,
         entries_per_batch: 32,
-        batch_interval_secs: 0.02,
+        batch_interval_secs: BATCH_INTERVAL_SECS,
     };
     let hotness = Hotness::new(powerlaw_hotness(N, 1.1));
     let mut u = UGache::build(
@@ -75,7 +79,28 @@ fn run(platform: Platform, seed: u64) -> (usize, usize) {
                 let keys = draw(&mut rng, &zipf, shift, 150);
                 let mut out = vec![f32::NAN; keys.len() * DIM];
                 let stats = u.gather(gpu, &keys, &mut out);
+                // The placement's split, but for the keys read from a GPU
+                // that has evicted them mid-refresh, which read host.
+                let (mut local, mut remote, mut host) = (0, 0, 0);
+                for (loc, count) in u.placement().split_keys(gpu, &keys) {
+                    match loc {
+                        Location::Gpu(j) if j == gpu => local += count,
+                        Location::Gpu(_) => remote += count,
+                        Location::Host => host += count,
+                    }
+                }
                 assert_eq!(stats.total(), keys.len() as u64);
+                if u.refresh_active() {
+                    assert!(
+                        stats.local <= local && stats.remote <= remote && stats.host >= host,
+                        "{name}, step {step}: {stats:?} against {local}/{remote}/{host}"
+                    );
+                } else {
+                    assert_eq!(
+                        (stats.local, stats.remote, stats.host),
+                        (local, remote, host)
+                    );
+                }
                 for (k, &key) in keys.iter().enumerate() {
                     assert_eq!(
                         &out[k * DIM..(k + 1) * DIM],
@@ -91,7 +116,14 @@ fn run(platform: Platform, seed: u64) -> (usize, usize) {
                 "consider_refresh"
             }
             _ => {
-                u.advance_clock(rng.gen_range(0.01..0.12));
+                let mut left: f64 = rng.gen_range(0.01..0.12);
+                while left > 0.0 {
+                    let secs = left.min(IDLE_TICK_SECS);
+                    u.advance_clock(secs);
+                    left -= secs;
+                    u.audit()
+                        .unwrap_or_else(|e| panic!("{name}, step {step}, idle tick: {e}"));
+                }
                 "advance_clock"
             }
         };
