@@ -55,8 +55,8 @@ pub struct MultiGpuCache {
     host: HostTable,
     arenas: Vec<GpuArena>,
     placement: Placement,
-    /// Whether arena rows have moved since they last matched `placement`
-    /// (a refresh between its first update and its swap).
+    /// Whether arena rows have been evicted since `placement` was
+    /// installed (a refresh between its first update and its swap).
     migrating: bool,
 }
 
@@ -146,16 +146,14 @@ impl MultiGpuCache {
     /// violation found:
     ///
     /// * every slot of every arena is in exactly one place (a stored
-    ///   entry's, a pending row's or free), and each arena's slot table has
-    ///   one place per entry the placement stores on it;
+    ///   entry's or free), and each arena's slot table has one place per
+    ///   entry the placement stores on it;
     /// * every access that names a GPU whose arena holds the entry reaches
-    ///   a row equal to [`HostTable::read`]'s, and so does every pending
-    ///   row (one written mid-refresh for an entry the placement does not
-    ///   store on that GPU yet, so no read reaches it);
-    /// * at rest — no arena row moved since the placement was installed (a
-    ///   refresh between its first update batch and its swap moves rows) —
+    ///   a row equal to [`HostTable::read`]'s;
+    /// * at rest — no row evicted since the placement was installed (a
+    ///   refresh between its first update batch and its swap evicts) —
     ///   every access that names a GPU reaches a row there, and no arena
-    ///   has an evicted or a pending row.
+    ///   has an evicted row.
     ///
     /// A pass over every access row and every arena row it reaches: for
     /// tests.
@@ -167,27 +165,10 @@ impl MultiGpuCache {
         let (g, dim) = (self.num_gpus(), self.dim());
         let host_idx = self.placement.host_idx();
         let mut truth = vec![0.0f32; dim];
-        let differs = |slab: &[f32], slot: u32, truth: &[f32]| {
-            let row = &slab[slot as usize * dim..(slot as usize + 1) * dim];
-            row.iter()
-                .zip(truth)
-                .any(|(a, b)| a.to_bits() != b.to_bits())
-        };
         for (j, arena) in self.arenas.iter().enumerate() {
             arena
                 .check_slots(&self.placement.stored[j])
                 .map_err(|e| format!("GPU{j}: {e}"))?;
-            for &(e, slot) in arena.pending() {
-                if !self.migrating {
-                    return Err(format!("GPU{j} holds entry {e} pending at rest"));
-                }
-                self.host.read_into(e, &mut truth);
-                if differs(arena.slab(), slot, &truth) {
-                    return Err(format!(
-                        "GPU{j}: pending slot {slot} holds no row of entry {e}"
-                    ));
-                }
-            }
         }
         for i in 0..g {
             let access = self.placement.access(i);
@@ -208,7 +189,12 @@ impl MultiGpuCache {
                     ));
                 };
                 self.host.read_into(e, &mut truth);
-                if differs(self.arenas[src].slab(), off, &truth) {
+                let row = &self.arenas[src].slab()[off as usize * dim..][..dim];
+                if row
+                    .iter()
+                    .zip(&truth)
+                    .any(|(a, b)| a.to_bits() != b.to_bits())
+                {
                     return Err(format!(
                         "GPU{i} entry {e}: slot {off} of GPU{src} holds another row"
                     ));
@@ -358,42 +344,36 @@ impl MultiGpuCache {
         })
     }
 
-    /// Applies a single incremental update on one GPU: evict `evict` then
-    /// insert `insert`, each host row read straight into the slot it
-    /// claims. Reads keep following the placement until
-    /// [`MultiGpuCache::swap_placement`]: an evicted entry's slot is
-    /// vacant, so its readers read host, and an entry the placement does
-    /// not store on `gpu` is written to a pending slot that no read
-    /// reaches. `evict` names entries the placement stores on `gpu` (any
-    /// other is skipped), and an entry it does not store is inserted at
-    /// most once before the swap.
-    pub fn update_arena(&mut self, gpu: usize, evict: &[u32], insert: &[u32]) {
+    /// Applies a single incremental update on one GPU: evicts `evict`,
+    /// entries the placement stores on `gpu` (any other is skipped). Reads
+    /// keep following the placement until
+    /// [`MultiGpuCache::swap_placement`], and an evicted entry's slot is
+    /// vacant, so its readers read host.
+    pub fn update_arena(&mut self, gpu: usize, evict: &[u32]) {
         self.migrating = true;
         let (arena, stored) = (&mut self.arenas[gpu], &self.placement.stored[gpu]);
         for &e in evict {
             arena.evict(stored, e);
-        }
-        for &e in insert {
-            self.host.read_into(e, arena.insert_row(stored, e));
         }
     }
 
     /// Installs a new placement (the swap step of a refresh): gathers
     /// follow it from the next call.
     ///
-    /// Arena rows must already sit where `placement` stores them, as
-    /// [`crate::Refresher`] moves them. Each arena is re-indexed in one
-    /// merge pass over its old slot table: a kept entry keeps its slot, an
-    /// inserted one takes its pending row. Then every arena holds a row
-    /// for exactly the entries `placement` stores on it, so every read a
-    /// valid placement makes ([`Placement::validate`]) reaches one, with
-    /// no pass over the entries' accesses.
+    /// Every entry the old placement stores on a GPU and `placement` does
+    /// not must already be evicted, as [`crate::Refresher`] does. Each
+    /// arena is re-indexed in one pass over the two stored rows: a kept
+    /// entry keeps its slot, and an added one claims a free slot and reads
+    /// its host row into it. Then every arena holds a row for exactly the
+    /// entries `placement` stores on it, so every read a valid placement
+    /// makes ([`Placement::validate`]) reaches one, with no pass over the
+    /// entries' accesses.
     ///
     /// # Panics
     ///
-    /// Panics if the placement's shape differs from the cache's, or an
-    /// arena does not hold exactly the entries `placement` stores on it
-    /// (naming the GPU and the entry).
+    /// Panics if the placement's shape differs from the cache's, an arena
+    /// still holds an entry `placement` drops or lacks one it keeps
+    /// (naming the GPU and the entry), or the added rows do not fit.
     pub fn swap_placement(&mut self, placement: Placement) {
         assert_eq!(placement.num_gpus, self.num_gpus(), "GPU count mismatch");
         assert_eq!(
@@ -401,7 +381,12 @@ impl MultiGpuCache {
             "table size mismatch"
         );
         for (j, arena) in self.arenas.iter_mut().enumerate() {
-            arena.restack(j, &self.placement.stored[j], &placement.stored[j]);
+            arena.restack(
+                j,
+                &self.placement.stored[j],
+                &placement.stored[j],
+                &self.host,
+            );
         }
         self.placement = placement;
         self.migrating = false;
@@ -428,11 +413,9 @@ mod tests {
     }
 
     impl MultiGpuCache {
-        /// Whether GPU `gpu`'s arena holds a row for `entry`, reachable or
-        /// pending.
+        /// Whether GPU `gpu`'s arena holds a row for `entry`.
         pub(crate) fn holds(&self, gpu: usize, entry: u32) -> bool {
             self.slot_of(gpu, entry).is_some()
-                || self.arenas[gpu].pending().iter().any(|p| p.0 == entry)
         }
     }
 
@@ -517,7 +500,7 @@ mod tests {
         let victim = 0u32;
         assert_eq!(placement.source(0, cold as usize), placement.host_idx());
         assert!(cache.holds(0, victim));
-        cache.update_arena(0, &[victim], &[cold]);
+        cache.update_arena(0, &[victim]);
         let mut p2 = placement.clone();
         p2.stored[0].set(victim as usize, false);
         p2.stored[0].set(cold as usize, true);
@@ -538,23 +521,41 @@ mod tests {
     fn a_reused_slot_is_reached_only_under_its_new_entry() {
         let (mut cache, placement) = setup(50);
         // Entry 0 is stored on GPU0 under partition and every GPU reads it
-        // from there; entry 499 is cold. Evicting 0 frees its slot and
-        // inserting 499 takes that same slot (the free list is LIFO), with
-        // no other call in between and no swap after.
-        let (evicted, inserted) = (0u32, 499u32);
+        // from there; entry 499 is cold. Evicting 0 frees its slot, and a
+        // swap that drops 0 and adds 499 on GPU0 gives 499 that same slot
+        // (the free list is LIFO).
+        let (evicted, added) = (0u32, 499u32);
         let slot = cache.slot_of(0, evicted).unwrap();
         assert!((0..4).all(|i| placement.source(i, evicted as usize) == 0));
-        assert_eq!(placement.source(0, inserted as usize), placement.host_idx());
-        cache.update_arena(0, &[evicted], &[inserted]);
-        assert_eq!(cache.arenas[0].pending(), [(inserted, slot)]);
+        assert_eq!(placement.source(0, added as usize), placement.host_idx());
+        cache.update_arena(0, &[evicted]);
         assert_eq!(cache.slot_of(0, evicted), None);
         let truth = HostTable::procedural(N, DIM);
         for i in 0..4 {
             let mut out = vec![f32::NAN; 2 * DIM];
-            let stats = cache.gather(i, &[evicted, inserted], &mut out);
+            let stats = cache.gather(i, &[evicted, added], &mut out);
             assert_eq!(stats.host, 2, "GPU{i} reads both entries from host");
             assert_eq!(&out[..DIM], truth.read(evicted).as_slice(), "GPU{i}");
-            assert_eq!(&out[DIM..], truth.read(inserted).as_slice(), "GPU{i}");
+            assert_eq!(&out[DIM..], truth.read(added).as_slice(), "GPU{i}");
+        }
+        cache.audit().unwrap();
+        let mut target = placement.clone();
+        target.stored[0].set(evicted as usize, false);
+        target.stored[0].set(added as usize, true);
+        for i in 0..4 {
+            target
+                .set_source(i, evicted as usize, target.host_idx())
+                .unwrap();
+            target.set_source(i, added as usize, 0).unwrap();
+        }
+        cache.swap_placement(target);
+        assert_eq!(cache.slot_of(0, added), Some(slot));
+        for i in 0..4 {
+            let mut out = vec![f32::NAN; 2 * DIM];
+            let stats = cache.gather(i, &[evicted, added], &mut out);
+            assert_eq!((stats.host, stats.total()), (1, 2), "GPU{i}");
+            assert_eq!(&out[..DIM], truth.read(evicted).as_slice(), "GPU{i}");
+            assert_eq!(&out[DIM..], truth.read(added).as_slice(), "GPU{i}");
         }
         // Entry 1 lives on GPU1 — untouched.
         let after = cache.gather(1, &[1], &mut [0.0f32; DIM]);
@@ -574,15 +575,21 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "GPU1 stores entry 499 but holds no row for it")]
-    fn swap_refuses_a_read_from_an_arena_lacking_the_entry() {
-        let (mut cache, placement) = setup(50);
-        // A valid placement on its own, but no update moved the row.
+    fn a_swap_writes_the_row_of_an_entry_it_adds() {
+        let (_, placement) = setup(50);
+        let host = HostTable::procedural(N, DIM);
+        let mut cache = MultiGpuCache::build(host, &placement, &[51; 4]);
+        // A valid placement on its own, reached with no update batch.
         let mut target = placement.clone();
         target.stored[1].set(499, true);
         target.set_source(2, 499, 1).unwrap();
         target.validate().unwrap();
         cache.swap_placement(target);
+        let mut out = vec![f32::NAN; DIM];
+        let stats = cache.gather(2, &[499], &mut out);
+        assert_eq!(stats.remote, 1);
+        assert_eq!(out, HostTable::procedural(N, DIM).read(499));
+        cache.audit().unwrap();
     }
 
     #[test]

@@ -18,8 +18,9 @@
 //! * [`HotnessSampler`] — foreground request sampling for hotness
 //!   tracking (§7.2);
 //! * [`Refresher`] — the background refresh: one due time and a queue of
-//!   small update batches after the solve, then the placement swap, with
-//!   bounded foreground impact (Figure 17);
+//!   small eviction batches after the solve, then the placement swap,
+//!   which writes the inserted rows, with bounded foreground impact
+//!   (Figure 17);
 //! * [`LruCache`] — an online LRU cache (the HPS baseline's eviction
 //!   design), kept so the static-vs-LRU comparison of §7.2 is measured
 //!   against a real implementation.

@@ -16,10 +16,13 @@
 //! begin → [solve: cfg.solve_secs] → [update batch] ─ interval ─ [batch] … ─ interval ─ placement swap
 //! ```
 //!
-//! An update batch only moves arena rows; gathers keep following the old
-//! placement until the swap installs the target, and the cache's
-//! resolve (the access row, then the source arena's rank and slot) keeps
-//! them correct in between ([`MultiGpuCache::update_arena`]).
+//! An update batch only evicts arena rows: gathers keep following the
+//! old placement until the swap, reading an evicted entry from host
+//! ([`MultiGpuCache::update_arena`]). The swap installs the target and
+//! writes the rows it adds, which no read could reach before it. A GPU
+//! takes as many batches as its larger side needs, evictions or
+//! insertions, `entries_per_batch` at a time, so the schedule still paces
+//! the insertions it does not run.
 //!
 //! While a refresh is active, foreground extraction is slowed by
 //! `FOREGROUND_IMPACT` (solver threads and copy engines compete with
@@ -57,12 +60,11 @@ impl Default for RefreshConfig {
     }
 }
 
-/// One throttled update: ranges of GPU `gpu`'s evict and insert lists.
+/// One throttled update: a range of GPU `gpu`'s evict list.
 #[derive(Debug, Clone)]
 struct UpdateBatch {
     gpu: usize,
     evict: Range<usize>,
-    insert: Range<usize>,
 }
 
 /// A refresh in flight: the placement it moves toward and the update
@@ -73,10 +75,9 @@ struct Migration {
     started_at: f64,
     /// When the next batch, or the swap once none is left, is due.
     due: f64,
-    /// `evict[gpu]`, `insert[gpu]`: the entries GPU `gpu` drops and
-    /// gains, ascending; the batches name ranges of them.
+    /// `evict[gpu]`: the entries GPU `gpu` drops, ascending; the batches
+    /// name ranges of it.
     evict: Vec<Vec<u32>>,
-    insert: Vec<Vec<u32>>,
     batches: VecDeque<UpdateBatch>,
 }
 
@@ -128,47 +129,39 @@ impl Refresher {
         assert_eq!(current.num_entries, target.num_entries);
         assert_eq!(current.num_gpus, target.num_gpus);
 
-        // Diff: per GPU, entries to drop and entries to add. A refresh
-        // moves few of the entries: compare the stored bits a word (64
-        // entries) at a time, and in a word that differs visit only the
-        // bits that changed, in entry order. Bits past the last entry are
-        // clear on both sides. One counting pass sizes each list, so the
-        // whole diff is O(G) allocations.
+        // Diff: per GPU, the entries it drops, and how many it adds. A
+        // refresh moves few of the entries: compare the stored bits a word
+        // (64 entries) at a time, and in a word that differs visit only
+        // the bits that changed, in entry order. Bits past the last entry
+        // are clear on both sides. One counting pass sizes each list, so
+        // the whole diff is O(G) allocations.
         let g = current.num_gpus;
-        let changed = |gpu: usize| {
+        let per = self.cfg.entries_per_batch.max(1);
+        let mut evict = Vec::with_capacity(g);
+        let mut counts = Vec::with_capacity(g);
+        for gpu in 0..g {
             let was_words = current.stored[gpu].words();
             let will_words = target.stored[gpu].words();
-            (was_words.iter().zip(will_words).enumerate()).filter(|(_, (was, will))| was != will)
-        };
-        let (mut evict, mut insert) = (Vec::with_capacity(g), Vec::with_capacity(g));
-        for gpu in 0..g {
+            let changed = (was_words.iter().zip(will_words).enumerate())
+                .filter(|(_, (was, will))| was != will);
             let (mut ev, mut ins) = (0, 0);
-            for (_, (&was, &will)) in changed(gpu) {
+            for (_, (&was, &will)) in changed.clone() {
                 ev += (was & !will).count_ones() as usize;
                 ins += (will & !was).count_ones() as usize;
             }
-            let (mut ev, mut ins) = (Vec::with_capacity(ev), Vec::with_capacity(ins));
-            for (w, (&was, &will)) in changed(gpu) {
-                let first = w * u64::BITS as usize;
-                push_set_bits(&mut ev, first, was & !will);
-                push_set_bits(&mut ins, first, will & !was);
+            let mut list = Vec::with_capacity(ev);
+            for (w, (&was, &will)) in changed {
+                push_set_bits(&mut list, w * u64::BITS as usize, was & !will);
             }
-            evict.push(ev);
-            insert.push(ins);
+            evict.push(list);
+            counts.push(ev.max(ins).div_ceil(per));
         }
-        // Split into throttled batches, evictions first within each batch
-        // so capacity never overshoots.
-        let per = self.cfg.entries_per_batch.max(1);
-        let cut = |len: usize, k: usize| (k * per).min(len)..((k + 1) * per).min(len);
-        let counts: Vec<usize> = (evict.iter().zip(&insert))
-            .map(|(ev, ins)| ev.len().max(ins.len()).div_ceil(per))
-            .collect();
         let mut batches = VecDeque::with_capacity(counts.iter().sum());
         for (gpu, &count) in counts.iter().enumerate() {
+            let len = evict[gpu].len();
             batches.extend((0..count).map(|k| UpdateBatch {
                 gpu,
-                evict: cut(evict[gpu].len(), k),
-                insert: cut(insert[gpu].len(), k),
+                evict: (k * per).min(len)..((k + 1) * per).min(len),
             }));
         }
 
@@ -177,7 +170,6 @@ impl Refresher {
             started_at: now,
             due: now + self.cfg.solve_secs,
             evict,
-            insert,
             batches,
         });
     }
@@ -195,10 +187,10 @@ impl Refresher {
             let Some(b) = m.batches.pop_front() else {
                 break;
             };
-            cache.update_arena(b.gpu, &m.evict[b.gpu][b.evict], &m.insert[b.gpu][b.insert]);
+            cache.update_arena(b.gpu, &m.evict[b.gpu][b.evict]);
             m.due += self.cfg.batch_interval_secs;
         }
-        // All content moved: install the target and finish.
+        // Every drop evicted: install the target, writing what it adds.
         let Migration {
             target,
             started_at,
@@ -259,14 +251,25 @@ mod tests {
         assert!(r.should_refresh(1.2, 1.0));
     }
 
-    /// The batches a begun refresh still has queued, as `(gpu, evict,
-    /// insert)`.
-    fn queued(r: &Refresher) -> Vec<(usize, Vec<u32>, Vec<u32>)> {
+    /// The batches a refresh begun from `current` still has queued, as
+    /// `(gpu, evict, insert)`: the insert half of a GPU's `k`-th batch is
+    /// the `k`-th run of `entries_per_batch` entries its target stores and
+    /// `current` does not, the insertions the swap writes.
+    fn queued(r: &Refresher, current: &Placement) -> Vec<(usize, Vec<u32>, Vec<u32>)> {
         let m = r.migration.as_ref().expect("a refresh began");
+        let per = r.cfg.entries_per_batch.max(1);
+        let mut k = vec![0; current.num_gpus];
         (m.batches.iter())
             .map(|b| {
-                let evict = m.evict[b.gpu][b.evict.clone()].to_vec();
-                (b.gpu, evict, m.insert[b.gpu][b.insert.clone()].to_vec())
+                let (was, will) = (&current.stored[b.gpu], &m.target.stored[b.gpu]);
+                let insert = (will.ones())
+                    .filter(|&e| !was.get(e))
+                    .skip(k[b.gpu] * per)
+                    .take(per)
+                    .map(|e| e as u32)
+                    .collect();
+                k[b.gpu] += 1;
+                (b.gpu, m.evict[b.gpu][b.evict.clone()].to_vec(), insert)
             })
             .collect()
     }
@@ -343,7 +346,7 @@ mod tests {
         let cfg = small_cfg();
         let mut r = Refresher::new(cfg);
         r.begin(0.0, &p1, p2.clone());
-        let batches = queued(&r);
+        let batches = queued(&r, &p1);
         let n = batches.len();
         assert!(n >= 8, "only {n} batches");
         let due = |k: usize| cfg.solve_secs + k as f64 * cfg.batch_interval_secs;
@@ -369,7 +372,7 @@ mod tests {
                 for &e in insert {
                     assert_eq!(
                         cache.holds(*gpu, e),
-                        applied,
+                        swapped,
                         "{now} s: batch {k} inserts {e}"
                     );
                 }
@@ -455,14 +458,14 @@ mod tests {
                     ..small_cfg()
                 });
                 r.begin(0.0, &current, target.clone());
-                let got = queued(&r);
+                let got = queued(&r, &current);
                 let want = per_entry_batches(&current, &target, per);
                 assert_eq!(got, want, "n {n}, per {per}");
             }
             // Equal placements: no batch at all.
             let mut r = Refresher::new(small_cfg());
             r.begin(0.0, &target, target.clone());
-            assert!(queued(&r).is_empty(), "n {n}");
+            assert!(queued(&r, &target).is_empty(), "n {n}");
         }
     }
 
@@ -506,7 +509,7 @@ mod tests {
                     ..RefreshConfig::default()
                 });
                 r.begin(0.0, current, placements[(k + 1) % placements.len()].clone());
-                for (gpu, evict, insert) in queued(&r) {
+                for (gpu, evict, insert) in queued(&r, current) {
                     hash = fnv1a(hash, (gpu as u64).to_le_bytes());
                     for side in [&evict, &insert] {
                         hash = fnv1a(hash, (side.len() as u64).to_le_bytes());

@@ -103,12 +103,13 @@ fn batches(
 }
 
 /// Walks `cache` from its placement to `target` one GPU at a time the way
-/// the Refresher does — batches of evictions, then insertions into the
-/// freed slots — gathering and auditing after every batch, while reads
-/// still follow the old placement minus the evicted entries: an evicted
-/// entry reads host, a kept one its slot, and an inserted one is not
-/// reached where it was written. The last insertion is held back until a
-/// swap has been refused for lacking its row; then swaps and gathers again.
+/// the Refresher does — batches of evictions, as many as the larger of a
+/// GPU's evictions and insertions needs — gathering and auditing after
+/// every batch, while reads still follow the old placement minus the
+/// evicted entries: an evicted entry reads host, a kept one its slot, and
+/// an inserted one whatever the old placement says. Then a swap is refused
+/// on a copy where a batch also evicted an entry the target keeps, and the
+/// swap proper writes the insertions; gathers again.
 fn check_through_refresh(
     rng: &mut impl Rng,
     cache: &mut MultiGpuCache,
@@ -120,7 +121,6 @@ fn check_through_refresh(
     let per = rng.gen_range(cap / 4..cap).max(1);
     // What the reads follow: the old placement, less what was evicted.
     let mut reads = cache.placement().clone();
-    let mut held_back = None;
     for j in 0..g {
         let old = cache.placement().stored[j].clone();
         let moved = |from: &BitRow, to: &BitRow| -> Vec<u32> {
@@ -129,24 +129,18 @@ fn check_through_refresh(
                 .collect()
         };
         let evict = moved(&old, &target.stored[j]);
-        let mut insert = moved(&target.stored[j], &old);
-        if j == g - 1 {
-            held_back = insert.pop().map(|e| (j, e));
-        }
+        let insert = moved(&target.stored[j], &old);
         // The moved entries first — a stale `<GPU, Offset>` would serve
-        // an inserted entry's bytes for an evicted key — then a ragged
+        // another entry's bytes for an evicted key — then a ragged
         // two-chunk tail.
         let mut keys = evict.clone();
         keys.extend(&insert);
         keys.extend(mixed_keys(rng, n, cap, COPY_CHUNK_ROWS + 1));
         let batches = evict.len().max(insert.len()).div_ceil(per);
         for k in 0..batches {
-            let cut = |side: &[u32]| {
-                side[(k * per).min(side.len())..((k + 1) * per).min(side.len())].to_vec()
-            };
-            let (ev, ins) = (cut(&evict), cut(&insert));
-            cache.update_arena(j, &ev, &ins);
-            for &e in &ev {
+            let ev = &evict[(k * per).min(evict.len())..((k + 1) * per).min(evict.len())];
+            cache.update_arena(j, ev);
+            for &e in ev {
                 for i in 0..g {
                     if reads.source(i, e as usize) as usize == j {
                         reads.set_source(i, e as usize, g as u8).unwrap();
@@ -163,17 +157,22 @@ fn check_through_refresh(
             );
         }
     }
-    if let Some((j, e)) = held_back {
-        let mut early = cache.clone();
-        let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            early.swap_placement(target.clone())
-        }))
-        .expect_err("a swap to a placement storing an entry no batch inserted");
-        let message = refused.downcast_ref::<String>().expect("a formatted panic");
-        let want = format!("GPU{j} stores entry {e} but holds no row for it");
-        assert!(message.contains(&want), "{what}: {message}");
-        cache.update_arena(j, &[], &[e]);
-    }
+    let (j, e) = (0..g)
+        .find_map(|j| {
+            let (old, new) = (&cache.placement().stored[j], &target.stored[j]);
+            let kept = (0..n).find(|&e| old.get(e) && new.get(e));
+            kept.map(|e| (j, e as u32))
+        })
+        .expect("some GPU keeps an entry");
+    let mut early = cache.clone();
+    early.update_arena(j, &[e]);
+    let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        early.swap_placement(target.clone())
+    }))
+    .expect_err("a swap to a placement storing an entry a batch evicted");
+    let message = refused.downcast_ref::<String>().expect("a formatted panic");
+    let want = format!("GPU{j} stores entry {e} but holds no row for it");
+    assert!(message.contains(&want), "{what}: {message}");
     cache.swap_placement(target.clone());
     let keys = mixed_keys(rng, n, cap, COPY_CHUNK_ROWS + 1);
     check(

@@ -27,7 +27,8 @@
 //!   [`SystemInstance::under`] (Fig. 12's "+Policy" is
 //!   `ugache.under(SystemKind::PartU, seed)`).
 
-use cache_policy::{baselines as policies, Hotness, Placement, SolverConfig, UGacheSolver};
+use crate::system::UGacheConfig;
+use cache_policy::{baselines as policies, Hotness, Placement, UGacheSolver};
 use emb_workload::BatchSource;
 use extractor::{ExtractOutcome, Extractor, Mechanism};
 use gpu_memsim::SimConfig;
@@ -107,10 +108,9 @@ impl SystemKind {
         let g = platform.num_gpus();
         match self {
             SystemKind::UGache => {
-                let solver = UGacheSolver::new(platform.clone(), DedicationConfig::default());
-                let mut cfg = SolverConfig::new(entry_bytes, accesses_per_iter);
-                cfg.dedup_adjust = true;
-                let solved = solver.solve(hotness, &vec![cap_entries; g], &cfg)?;
+                let cfg = UGacheConfig::new(entry_bytes, accesses_per_iter);
+                let solver = UGacheSolver::new(platform.clone(), cfg.dedication);
+                let solved = solver.solve(hotness, &vec![cap_entries; g], &cfg.solver)?;
                 Ok(solved.placement)
             }
             SystemKind::GnnLab | SystemKind::RepU | SystemKind::Hps => {
