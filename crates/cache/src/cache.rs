@@ -1,6 +1,6 @@
 //! The composed multi-GPU cache and its filler.
 
-use crate::arena::{GpuArena, SlotIndex};
+use crate::arena::{GpuArena, RowPool, SlotIndex};
 use crate::plan::GatherPlan;
 use crate::table::HostTable;
 use cache_policy::{BitRow, Placement, SourceIdx};
@@ -47,12 +47,14 @@ impl GatherStats {
 /// GPU the destination reads it from, and that GPU's arena finds the slot
 /// by rank over the placement's stored bits for the GPU. Together they
 /// are the paper's `<GPU_i, Offset>` location hashtable (§4), kept
-/// nowhere else. A miss at either step reads the host table. Gathers
-/// report per-source counts that the timing layer can turn into
-/// simulated extraction times.
+/// nowhere else. A miss at either step reads the host table. The slot
+/// indexes one row pool that all GPUs share, so an entry several GPUs
+/// hold is stored once. Gathers report per-source counts that the timing
+/// layer can turn into simulated extraction times.
 #[derive(Debug, Clone)]
 pub struct MultiGpuCache {
     host: HostTable,
+    pool: RowPool,
     arenas: Vec<GpuArena>,
     placement: Placement,
     /// Whether arena rows have been evicted since `placement` was
@@ -92,12 +94,9 @@ impl MultiGpuCache {
             cap_entries.len(),
             "one capacity per GPU"
         );
-        // Each GPU's stored rows, read from host straight into their slots.
-        let arenas: Vec<GpuArena> = cap_entries
-            .iter()
-            .zip(&placement.stored)
-            .map(|(&cap, stored)| GpuArena::filled(cap, stored, &host))
-            .collect();
+        // Each distinct stored entry's row, read from host straight into
+        // its pool slot once.
+        let (pool, arenas) = RowPool::filled(cap_entries, &placement.stored, &host);
 
         for i in 0..placement.num_gpus {
             let access = placement.access(i);
@@ -108,6 +107,7 @@ impl MultiGpuCache {
 
         MultiGpuCache {
             host,
+            pool,
             arenas,
             placement: placement.clone(),
             migrating: false,
@@ -145,31 +145,26 @@ impl MultiGpuCache {
     /// Checks the cache against its own invariants and returns the first
     /// violation found:
     ///
-    /// * every slot of every arena is in exactly one place (a stored
-    ///   entry's or free), and each arena's slot table has one place per
-    ///   entry the placement stores on it;
-    /// * every access that names a GPU whose arena holds the entry reaches
-    ///   a row equal to [`HostTable::read`]'s;
-    /// * at rest — no row evicted since the placement was installed (a
-    ///   refresh between its first update batch and its swap evicts) —
-    ///   every access that names a GPU reaches a row there, and no arena
-    ///   has an evicted row.
+    /// * each arena's slot table has one place per entry the placement
+    ///   stores on it, and holds no more rows than its capacity;
+    /// * every pool slot is either referenced by at least one arena or
+    ///   free, never both; a referenced slot holds one entry, the same
+    ///   slot in every arena that holds it, and a row equal to
+    ///   [`HostTable::read`]'s — so at most one row per distinct entry;
+    /// * every access that names a GPU reaches a row there, except, mid
+    ///   refresh (rows evicted since the placement was installed), one
+    ///   whose row the GPU evicted; at rest no arena has an evicted row.
     ///
-    /// A pass over every access row and every arena row it reaches: for
-    /// tests.
+    /// A pass over every access row and every pool row: for tests.
     ///
     /// # Errors
     ///
     /// Describes the first violation.
     pub fn audit(&self) -> Result<(), String> {
-        let (g, dim) = (self.num_gpus(), self.dim());
+        let g = self.num_gpus();
         let host_idx = self.placement.host_idx();
-        let mut truth = vec![0.0f32; dim];
-        for (j, arena) in self.arenas.iter().enumerate() {
-            arena
-                .check_slots(&self.placement.stored[j])
-                .map_err(|e| format!("GPU{j}: {e}"))?;
-        }
+        self.pool
+            .check(&self.arenas, &self.placement.stored, &self.host)?;
         for i in 0..g {
             let access = self.placement.access(i);
             for e in 0..access.len() {
@@ -180,23 +175,9 @@ impl MultiGpuCache {
                 if src >= g {
                     return Err(format!("GPU{i} entry {e}: source {src} is no GPU"));
                 }
-                let Some(off) = self.slot_of(src, e) else {
-                    if self.migrating {
-                        continue;
-                    }
+                if self.slot_of(src, e).is_none() && !self.migrating {
                     return Err(format!(
                         "GPU{i} reads entry {e} from GPU{src}, whose arena lacks it"
-                    ));
-                };
-                self.host.read_into(e, &mut truth);
-                let row = &self.arenas[src].slab()[off as usize * dim..][..dim];
-                if row
-                    .iter()
-                    .zip(&truth)
-                    .any(|(a, b)| a.to_bits() != b.to_bits())
-                {
-                    return Err(format!(
-                        "GPU{i} entry {e}: slot {off} of GPU{src} holds another row"
                     ));
                 }
             }
@@ -255,7 +236,7 @@ impl MultiGpuCache {
 
     /// Copies every planned row into `out` (the second gather pass):
     /// chunks of `COPY_CHUNK_ROWS` output rows run on `emb_util::pool`,
-    /// each walking its rows once and copying from the arena slab or the
+    /// each walking its rows once and copying from the pool slab or the
     /// host table its slot names. Every row is written exactly once, so
     /// the bytes are the same at every pool width.
     ///
@@ -268,7 +249,7 @@ impl MultiGpuCache {
         if out.is_empty() {
             return;
         }
-        let g = self.num_gpus();
+        let (g, slab) = (self.num_gpus(), self.pool.slab());
         emb_util::pool::par_chunks_mut(out, COPY_CHUNK_ROWS * dim, |ci, chunk| {
             let slots = &plan.slots[ci * COPY_CHUNK_ROWS..];
             for (row, &packed) in chunk.chunks_exact_mut(dim).zip(slots) {
@@ -278,7 +259,7 @@ impl MultiGpuCache {
                     self.host.read_into(payload as u32, row);
                 } else {
                     let base = payload * dim;
-                    row.copy_from_slice(&self.arenas[src].slab()[base..base + dim]);
+                    row.copy_from_slice(&slab[base..base + dim]);
                 }
             }
         });
@@ -348,13 +329,12 @@ impl MultiGpuCache {
     /// entries the placement stores on `gpu` (any other is skipped). Reads
     /// keep following the placement until
     /// [`MultiGpuCache::swap_placement`], and an evicted entry's slot is
-    /// vacant, so its readers read host.
+    /// vacant on `gpu`, so its readers there read host. The pool row is
+    /// freed once no GPU holds the entry.
     pub fn update_arena(&mut self, gpu: usize, evict: &[u32]) {
         self.migrating = true;
-        let (arena, stored) = (&mut self.arenas[gpu], &self.placement.stored[gpu]);
-        for &e in evict {
-            arena.evict(stored, e);
-        }
+        self.pool
+            .evict(&mut self.arenas, &self.placement.stored, gpu, evict);
     }
 
     /// Installs a new placement (the swap step of a refresh): gathers
@@ -362,11 +342,13 @@ impl MultiGpuCache {
     ///
     /// Every entry the old placement stores on a GPU and `placement` does
     /// not must already be evicted, as [`crate::Refresher`] does. Each
-    /// arena is re-indexed in one pass over the two stored rows: a kept
-    /// entry keeps its slot, and an added one claims a free slot and reads
-    /// its host row into it. Then every arena holds a row for exactly the
-    /// entries `placement` stores on it, so every read a valid placement
-    /// makes ([`Placement::validate`]) reaches one, with no pass over the
+    /// arena is re-indexed in one pass over its two stored rows, GPU by
+    /// GPU: a kept entry keeps its pool slot, and an added one takes the
+    /// slot of a GPU that holds it after the swap, else claims a free slot
+    /// and reads its host row into it, once for every GPU that adds it.
+    /// Then every arena holds a row for exactly the entries `placement`
+    /// stores on it, so every read a valid placement makes
+    /// ([`Placement::validate`]) reaches one, with no pass over the
     /// entries' accesses.
     ///
     /// # Panics
@@ -380,14 +362,12 @@ impl MultiGpuCache {
             placement.num_entries, self.placement.num_entries,
             "table size mismatch"
         );
-        for (j, arena) in self.arenas.iter_mut().enumerate() {
-            arena.restack(
-                j,
-                &self.placement.stored[j],
-                &placement.stored[j],
-                &self.host,
-            );
-        }
+        self.pool.restack(
+            &mut self.arenas,
+            &self.placement.stored,
+            &placement.stored,
+            &self.host,
+        );
         self.placement = placement;
         self.migrating = false;
     }
@@ -523,7 +503,7 @@ mod tests {
         // Entry 0 is stored on GPU0 under partition and every GPU reads it
         // from there; entry 499 is cold. Evicting 0 frees its slot, and a
         // swap that drops 0 and adds 499 on GPU0 gives 499 that same slot
-        // (the free list is LIFO).
+        // (the lowest free).
         let (evicted, added) = (0u32, 499u32);
         let slot = cache.slot_of(0, evicted).unwrap();
         assert!((0..4).all(|i| placement.source(i, evicted as usize) == 0));

@@ -6,14 +6,16 @@
 //!
 //! * [`HostTable`] — the full embedding table in host memory, each row
 //!   computed from its entry id rather than stored;
-//! * [`MultiGpuCache`] — the composed cache: one arena per GPU (a flat
-//!   slot array, a LIFO free list, and a slot per cached row found by
-//!   rank over the placement's stored bits), filled from a placement by
-//!   [`MultiGpuCache::build`] (the Filler, §4), and a
+//! * [`MultiGpuCache`] — the composed cache: one row pool that every GPU
+//!   shares, so an entry several GPUs hold is stored, filled and
+//!   refreshed once, and per GPU a slot table over it (a pool slot per
+//!   cached entry, found by rank over the placement's stored bits),
+//!   filled from a placement by [`MultiGpuCache::build`] (the Filler,
+//!   §4), and a
 //!   [`MultiGpuCache::gather`] that returns both values and per-source
 //!   hit statistics. The paper's per-GPU `<GPU_i, Offset>` hashtable is
 //!   not stored: a key resolves through the placement's access (a row id
-//!   an entry), then the source arena's rank and slot (design notes in
+//!   an entry), then the source GPU's rank and slot (design notes in
 //!   [`plan`]);
 //! * [`HotnessSampler`] — foreground request sampling for hotness
 //!   tracking (§7.2);

@@ -13,16 +13,18 @@
 //!    GPU's column of the source table (a few bytes that stay in L1) give
 //!    the source GPU ([`cache_policy::Placement::access`]); the source's
 //!    stored word, its rank prefix (a `u32` per 64 entries) and a popcount
-//!    give the entry's rank, and the arena's slot table the slot (together
-//!    the paper's `<GPU_i, Offset>` hashtable, §4). The packed slot is
-//!    `source << 32 | offset`; a host access or a source arena without
-//!    the entry (evicted mid-refresh) becomes `host << 32 | key`.
+//!    give the entry's rank, and the source's slot table the pool slot
+//!    (together the paper's `<GPU_i, Offset>` hashtable, §4). The packed
+//!    slot is `source << 32 | slot`, the source feeding the counts; a host
+//!    access or a source without the entry (evicted mid-refresh) becomes
+//!    `host << 32 | key`.
 //!    Chunks fill disjoint slot ranges and count keys per source; the
 //!    per-chunk counts are summed in chunk order (`u64`, exact).
 //! 2. **copy** ([`crate::MultiGpuCache::execute_plan`]) — chunks of
 //!    `COPY_CHUNK_ROWS` output rows. A chunk walks its rows once, in key
-//!    order; each row is one `copy_from_slice` out of the arena slab its
-//!    slot names, or one `HostTable::read_into` for the host source.
+//!    order; each row is one `copy_from_slice` out of the row pool that
+//!    all GPUs share (an entry several GPUs hold is one row there), or
+//!    one `HostTable::read_into` for the host source.
 //!    Rows are written exactly once, to disjoint output slices.
 //!
 //! Chunk boundaries are a function of the batch length only, so the plan,
@@ -46,13 +48,13 @@ use gpu_platform::Location;
 
 /// A resolved gather: one packed slot per key plus per-source counts.
 ///
-/// Each slot packs `source << 32 | payload` where `payload` is the arena
-/// offset for GPU sources and the entry id for the host source (index
+/// Each slot packs `source << 32 | payload` where `payload` is the row
+/// pool slot for GPU sources and the entry id for the host source (index
 /// `num_gpus`), so the copy pass never re-probes any table.
 #[derive(Debug, Clone, Default)]
 pub struct GatherPlan {
     pub(crate) num_gpus: usize,
-    /// Packed `(source, offset-or-key)` per key, in key order.
+    /// Packed `(source, slot-or-key)` per key, in key order.
     pub(crate) slots: Vec<u64>,
     /// Keys per source; index `num_gpus` is the host.
     pub(crate) counts: Vec<u64>,

@@ -102,6 +102,55 @@ fn batches(
     out
 }
 
+/// `placement` with the holder sets of many cached entries changed in
+/// part: some entries lose a holder (their readers there turn to another,
+/// or to host if none is left), then some still held gain a holder where
+/// that made room (which reads them locally), so across the swap some GPUs
+/// keep an entry, some drop it and some add it.
+fn partly_moved(rng: &mut impl Rng, placement: &Placement, cap: usize) -> Placement {
+    let (g, n) = (placement.num_gpus, placement.num_entries);
+    let was = |j: usize, e: usize| placement.stored[j].get(e);
+    let mut out = placement.clone();
+    let mut held: Vec<usize> = (0..g).map(|j| out.cached_count(j)).collect();
+    for e in 0..n {
+        let holders: Vec<usize> = (0..g).filter(|&j| was(j, e)).collect();
+        if holders.is_empty() || rng.gen_bool(0.5) {
+            continue;
+        }
+        let gone = holders[rng.gen_range(0..holders.len())];
+        let stays = holders.iter().find(|&&j| j != gone);
+        let stays = stays.map_or(out.host_idx(), |&j| j as u8);
+        out.stored[gone].set(e, false);
+        held[gone] -= 1;
+        for i in 0..g {
+            if out.source(i, e) as usize == gone {
+                out.set_source(i, e, stays).unwrap();
+            }
+        }
+    }
+    for e in 0..n {
+        let room: Vec<usize> = (0..g).filter(|&j| !was(j, e) && held[j] < cap).collect();
+        let still_held = (0..g).any(|j| out.stored[j].get(e));
+        if room.is_empty() || !still_held || rng.gen_bool(0.5) {
+            continue;
+        }
+        let gains = room[rng.gen_range(0..room.len())];
+        out.stored[gains].set(e, true);
+        held[gains] += 1;
+        out.set_source(gains, e, gains as u8).unwrap();
+    }
+    out.validate().unwrap();
+    let will = |j: usize, e: usize| out.stored[j].get(e);
+    let kept_and_added = (0..n).filter(|&e| {
+        (0..g).any(|j| was(j, e) && will(j, e)) && (0..g).any(|j| !was(j, e) && will(j, e))
+    });
+    assert!(
+        kept_and_added.count() > 0,
+        "some entry is kept on one GPU and added on another"
+    );
+    out
+}
+
 /// Walks `cache` from its placement to `target` one GPU at a time the way
 /// the Refresher does — batches of evictions, as many as the larger of a
 /// GPU's evictions and insertions needs — gathering and auditing after
@@ -249,7 +298,9 @@ proptest! {
     /// Every placement kind on a hard-wired and a switched server, every
     /// batch shape, every pool width; then the same cache caught between
     /// `update_arena` and `swap_placement` on its way to another placement,
-    /// and a `Refresher` run the whole way there against a fresh build.
+    /// and a `Refresher` run the whole way there against a fresh build;
+    /// last, both again toward a placement that moves only some of each
+    /// entry's holders.
     #[test]
     fn gather_matches_host_table_and_split_keys(seed in 0u64..10_000) {
         let mut rng = emb_util::seed_rng(seed);
@@ -286,6 +337,13 @@ proptest! {
                 check_through_refresh(&mut rng, &mut cache, target, cap, &what);
                 check_refresher_lands_on_a_fresh_build(placement, target, dim, cap, &what);
             }
+            // Then a refresh that moves only some of each entry's holders.
+            let moved = partly_moved(&mut rng, &solved, cap);
+            let what = format!("{} solver dim {dim} seed {seed} -> partly moved", platform.name);
+            let mut cache =
+                MultiGpuCache::build(HostTable::procedural(n, dim), &solved, &vec![cap; g]);
+            check_through_refresh(&mut rng, &mut cache, &moved, cap, &what);
+            check_refresher_lands_on_a_fresh_build(&solved, &moved, dim, cap, &what);
         }
     }
 }

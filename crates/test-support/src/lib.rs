@@ -59,6 +59,12 @@ unsafe impl GlobalAlloc for CountingAlloc {
         System.alloc(layout)
     }
 
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        // `System`'s own, so a large zeroed block stays untouched pages.
+        grew(layout.size());
+        System.alloc_zeroed(layout)
+    }
+
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         shrank(layout.size());
         System.dealloc(ptr, layout)

@@ -78,9 +78,9 @@ impl UGache {
     ///
     /// # Errors
     ///
-    /// Fails when `hotness` and `host` count different entries or
-    /// `cap_entries` does not hold one capacity per GPU, and propagates
-    /// solver failures.
+    /// Fails when `hotness` and `host` count different entries,
+    /// `cap_entries` does not hold one capacity per GPU or
+    /// `cfg.sample_stride` is 0, and propagates solver failures.
     pub fn build(
         platform: Platform,
         host: HostTable,
@@ -101,6 +101,9 @@ impl UGache {
                 cap_entries.len(),
                 platform.num_gpus()
             ));
+        }
+        if cfg.sample_stride == 0 {
+            return Err("sample stride 0: the sampler records one key in every stride".to_string());
         }
         let solver = UGacheSolver::new(platform.clone(), cfg.dedication);
         let solved = solver.solve(hotness, &cap_entries, &cfg.solver)?;
@@ -370,6 +373,20 @@ mod tests {
         assert_eq!(
             build(N, vec![200; 3]).as_deref(),
             Some("3 capacities for 4 GPUs")
+        );
+    }
+
+    #[test]
+    fn build_refuses_a_zero_sample_stride() {
+        // It used to solve and fill, then panic building the sampler.
+        let mut cfg = UGacheConfig::new(DIM * 4, 500.0);
+        cfg.sample_stride = 0;
+        let hotness = Hotness::new(powerlaw_hotness(N, 1.2));
+        let host = HostTable::procedural(N, DIM);
+        let err = UGache::build(Platform::server_a(), host, &hotness, vec![200; 4], cfg).err();
+        assert_eq!(
+            err.as_deref(),
+            Some("sample stride 0: the sampler records one key in every stride")
         );
     }
 
