@@ -24,6 +24,11 @@ const WORD_BITS: usize = u64::BITS as usize;
 /// free slot, so the slots ever handed out are as few as the most entries
 /// held at once, and the slab's other pages are never resident.
 ///
+/// The rows are the functional layer's check data, which no simulated
+/// number reads: a pool starts unfilled, dealing slots and reading no
+/// host row, until [`RowPool::fill`] writes the held ones, so a cache
+/// that is only timed never writes its slab.
+///
 /// Free slots are a bit a slot, not a list. After `serve_online`'s first
 /// refresh, from a partition to a replication, 149 131 of the 199 131
 /// slots in use are free for good: a LIFO `Vec<u32>` of them read
@@ -41,6 +46,9 @@ pub struct RowPool {
     free: Vec<u64>,
     /// No slot below `lowest` is free.
     lowest: usize,
+    /// Whether every held slot holds its entry's row: set by
+    /// [`RowPool::fill`], after which a restack reads each row it adds.
+    filled: bool,
 }
 
 /// One GPU's view of the pool: the pool slot of every entry the placement
@@ -80,7 +88,7 @@ fn word(rows: &[BitRow], j: usize, w: usize) -> u64 {
 }
 
 impl RowPool {
-    /// A pool and one arena per capacity in `caps`, holding the rows of the
+    /// An unfilled pool and one arena per capacity in `caps`, holding the
     /// entries `stored` sets on each GPU: the restack of empty arenas, so
     /// slots are dealt GPU by GPU in entry order, one per distinct entry.
     /// The pool has room for `min(Σ caps, entries)` rows, as many distinct
@@ -89,7 +97,7 @@ impl RowPool {
     /// # Panics
     ///
     /// Panics if `stored` sets more entries on a GPU than its capacity.
-    pub fn filled(caps: &[usize], stored: &[BitRow], host: &HostTable) -> (Self, Vec<GpuArena>) {
+    pub fn new(caps: &[usize], stored: &[BitRow], host: &HostTable) -> (Self, Vec<GpuArena>) {
         let rows = caps.iter().sum::<usize>().min(host.num_entries());
         let mut free = vec![!0u64; rows.div_ceil(WORD_BITS)];
         if let Some(last) = free.last_mut().filter(|_| rows % WORD_BITS != 0) {
@@ -101,6 +109,7 @@ impl RowPool {
             rows,
             free,
             lowest: 0,
+            filled: false,
         };
         let mut arenas: Vec<GpuArena> = caps.iter().map(|&c| GpuArena::new(c)).collect();
         // From no rows nothing is dropped or kept. It allocates nothing
@@ -108,6 +117,37 @@ impl RowPool {
         // under later gathers, which ran measurably slower.
         pool.restack(&mut arenas, &[], stored, host);
         (pool, arenas)
+    }
+
+    /// Whether every held slot holds its entry's row.
+    pub fn is_filled(&self) -> bool {
+        self.filled
+    }
+
+    /// Writes every held slot's row from `host`, once each, and marks the
+    /// pool filled; returns how many rows it wrote, none once filled. It
+    /// walks the GPUs and each one's slot table in entry order, and writes
+    /// a slot at the first GPU that holds its entry: up to G − 1 rank
+    /// lookups an entry, as an eviction makes, and no scratch the size of
+    /// the pool.
+    pub fn fill(&mut self, arenas: &[GpuArena], stored: &[BitRow], host: &HostTable) -> usize {
+        if std::mem::replace(&mut self.filled, true) {
+            return 0;
+        }
+        let (dim, mut written) = (self.dim, 0);
+        for (j, (arena, row)) in arenas.iter().zip(stored).enumerate() {
+            for (e, &s) in row.ones().zip(&arena.slots) {
+                let e = e as u32;
+                let mut before = arenas[..j].iter().zip(stored);
+                if s == VACANT || before.any(|(a, r)| a.index(r).slot(e).is_some()) {
+                    continue;
+                }
+                let base = s as usize * dim;
+                host.read_into(e, &mut self.data[base..base + dim]);
+                written += 1;
+            }
+        }
+        written
     }
 
     /// The slab: `rows × dim` floats, slot-major. Row `s` occupies
@@ -176,12 +216,13 @@ impl RowPool {
     /// in entry order: an entry a GPU keeps keeps its slot; an entry it
     /// drops must have been evicted; an entry it adds takes the slot of
     /// another GPU that holds it after the swap — one already re-indexed,
-    /// or one after it that keeps the entry — else claims a free slot and
-    /// reads its row from `host` straight into it, once for all the GPUs
-    /// that add it. A GPU's old slot table is dropped as soon as its new
-    /// one is built: a pass word by word over all GPUs held every old
-    /// table beside every new one, and read 0.3 MB more `serve_online`
-    /// peak RSS. A GPU past the end of `old` holds nothing.
+    /// or one after it that keeps the entry — else claims a free slot and,
+    /// once the pool is filled, reads its row from `host` straight into
+    /// it, once for all the GPUs that add it. A GPU's old slot table is
+    /// dropped as soon as its new one is built: a pass word by word over
+    /// all GPUs held every old table beside every new one, and read
+    /// 0.3 MB more `serve_online` peak RSS. A GPU past the end of `old`
+    /// holds nothing.
     ///
     /// # Panics
     ///
@@ -241,8 +282,10 @@ impl RowPool {
                         arenas[j].hold();
                         shared_slot(arenas, old, new, j, w, bit).unwrap_or_else(|| {
                             let slot = self.claim();
-                            let base = slot as usize * dim;
-                            host.read_into(e as u32, &mut self.data[base..base + dim]);
+                            if self.filled {
+                                let base = slot as usize * dim;
+                                host.read_into(e as u32, &mut self.data[base..base + dim]);
+                            }
                             slot
                         })
                     };
@@ -257,9 +300,10 @@ impl RowPool {
     /// Checks that every slot is either referenced by at least one arena
     /// or free, never both, that no slot below `lowest` is free and no bit
     /// past the last row set; that a referenced slot holds one entry, in
-    /// every arena that holds it, and that entry's host row; and each
-    /// arena's own slot table ([`GpuArena::check_slots`]). A pass over
-    /// every slot table and every row: for tests.
+    /// every arena that holds it, and, once the pool is filled, that
+    /// entry's host row; and each arena's own slot table
+    /// ([`GpuArena::check_slots`]). A pass over every slot table and every
+    /// row: for tests.
     ///
     /// # Errors
     ///
@@ -305,6 +349,7 @@ impl RowPool {
                 (true, true) => continue,
                 (true, false) => return Err(format!("pool slot {s} is neither held nor free")),
                 (false, true) => return Err(format!("pool slot {s} is both held and free")),
+                (false, false) if !self.filled => continue,
                 (false, false) => {}
             }
             host.read_into(e, &mut truth);
@@ -472,6 +517,13 @@ mod tests {
             .collect()
     }
 
+    /// A pool built and filled, as `MultiGpuCache::build` makes one.
+    fn filled(caps: &[usize], stored: &[BitRow], host: &HostTable) -> (RowPool, Vec<GpuArena>) {
+        let (mut pool, arenas) = RowPool::new(caps, stored, host);
+        pool.fill(&arenas, stored, host);
+        (pool, arenas)
+    }
+
     /// A `len`-entry stored row holding `entries`.
     fn stored_row(len: usize, entries: impl IntoIterator<Item = u32>) -> BitRow {
         let mut row = BitRow::new(len);
@@ -482,13 +534,18 @@ mod tests {
     }
 
     #[test]
-    fn a_fill_deals_one_slot_per_distinct_entry_gpu_by_gpu() {
+    fn a_build_deals_one_slot_per_distinct_entry_gpu_by_gpu_and_a_fill_writes_each_once() {
         let host = HostTable::procedural(200, 3);
         let stored = [
             stored_row(200, [3, 64, 65, 127, 128, 199]),
             stored_row(200, [3, 5, 65, 128, 130]),
         ];
-        let (pool, arenas) = RowPool::filled(&[8, 8], &stored, &host);
+        let (mut pool, arenas) = RowPool::new(&[8, 8], &stored, &host);
+        // The slots are dealt and no row is written until the fill, which
+        // writes each of the 8 distinct entries' rows once.
+        assert!(pool.slab().iter().all(|&x| x == 0.0));
+        pool.check(&arenas, &stored, &host).unwrap();
+        assert_eq!(pool.fill(&arenas, &stored, &host), 8);
         // GPU0 claims a slot per entry, in entry order; GPU1 shares 3, 65
         // and 128 and claims 5 and 130.
         assert_eq!(arenas[0].slots, [0, 1, 2, 3, 4, 5]);
@@ -514,7 +571,7 @@ mod tests {
             [stored_row(10, [1, 2]), stored_row(10, [2, 9])],
             HostTable::procedural(10, 3),
         );
-        let (pool, arenas) = RowPool::filled(&[8, 8], &few, &host);
+        let (pool, arenas) = filled(&[8, 8], &few, &host);
         assert_eq!((pool.rows, free_slots(&pool)), (10, (3..10).collect()));
         pool.check(&arenas, &few, &host).unwrap();
     }
@@ -524,7 +581,7 @@ mod tests {
     fn an_overfull_fill_panics() {
         let host = HostTable::procedural(9, 1);
         let stored = [stored_row(9, [1]), stored_row(9, [1, 4, 8])];
-        let _ = RowPool::filled(&[4, 2], &stored, &host);
+        let _ = filled(&[4, 2], &stored, &host);
     }
 
     #[test]
@@ -532,7 +589,7 @@ mod tests {
         let host = HostTable::procedural(9, 3);
         let old = [stored_row(9, [1, 2, 5]), stored_row(9, [5])];
         let new = [stored_row(9, [2, 6, 7]), stored_row(9, [7, 8])];
-        let (mut pool, mut arenas) = RowPool::filled(&[3, 2], &old, &host);
+        let (mut pool, mut arenas) = filled(&[3, 2], &old, &host);
         assert_eq!(
             (arenas[0].slots.as_slice(), arenas[1].slots.as_slice()),
             (&[0, 1, 2][..], &[2][..])
@@ -577,7 +634,7 @@ mod tests {
     fn an_eviction_on_a_gpu_past_the_last_panics() {
         let host = HostTable::procedural(9, 1);
         let stored = [stored_row(9, [1]), stored_row(9, [1, 4])];
-        let (mut pool, mut arenas) = RowPool::filled(&[2, 2], &stored, &host);
+        let (mut pool, mut arenas) = filled(&[2, 2], &stored, &host);
         // GPU2 would be the third; GPU3 and beyond fail the same way, and
         // so does an empty batch.
         pool.evict(&mut arenas, &stored, 2, &[]);
@@ -588,7 +645,7 @@ mod tests {
     fn a_restack_past_capacity_panics() {
         let host = HostTable::procedural(9, 1);
         let stored = [stored_row(9, [1, 4, 8])];
-        let (mut pool, mut arenas) = RowPool::filled(&[3], &stored, &host);
+        let (mut pool, mut arenas) = filled(&[3], &stored, &host);
         pool.restack(&mut arenas, &stored, &[stored_row(9, [1, 2, 4, 8])], &host);
     }
 
@@ -603,7 +660,7 @@ mod tests {
             stored_row(130, []),
         ];
         old.push(stored_row(130, [1, 70]));
-        let (mut pool, mut arenas) = RowPool::filled(&[4; 4], &old, &host);
+        let (mut pool, mut arenas) = filled(&[4; 4], &old, &host);
         pool.evict(&mut arenas, &old, 3, &[70]);
         let mut new = old.clone();
         new[3].set(71, true);
@@ -619,7 +676,7 @@ mod tests {
             stored_row(130, [64, 70]),
             stored_row(130, [1, 64, 70, 100, 127]),
         ];
-        let (mut pool, mut arenas) = RowPool::filled(&[8, 8], &old, &host);
+        let (mut pool, mut arenas) = filled(&[8, 8], &old, &host);
         pool.evict(&mut arenas, &old, 1, &[70]);
         pool.restack(&mut arenas, &old, &old, &host);
     }
@@ -633,7 +690,7 @@ mod tests {
             stored_row(130, []),
             stored_row(130, [1, 70]),
         ];
-        let (mut pool, mut arenas) = RowPool::filled(&[4; 3], &old, &host);
+        let (mut pool, mut arenas) = filled(&[4; 3], &old, &host);
         let mut new = old.clone();
         new[2].set(70, false);
         pool.restack(&mut arenas, &old, &new, &host);
@@ -719,6 +776,43 @@ mod tests {
                 }
             }
         }
+
+        /// Checks `pool` against the model slot for slot, free slot for
+        /// free slot and, once `pool` is filled, held row for held row; an
+        /// unfilled pool's slab must still be all zero.
+        fn matches(&self, pool: &RowPool, arenas: &[GpuArena], stored: &[BitRow], what: &str) {
+            for (k, (arena, row)) in arenas.iter().zip(stored).enumerate() {
+                assert_eq!(arena.len(), self.maps[k].len(), "{what}: GPU{k}");
+                for e in 0..row.len() as u32 {
+                    let want = self.maps[k].get(&e).copied();
+                    assert_eq!(arena.index(row).slot(e), want, "{what}: GPU{k} {e}");
+                }
+            }
+            let free: Vec<u32> = self.free.iter().copied().collect();
+            assert_eq!(free_slots(pool), free, "{what}: free slots");
+            if !pool.is_filled() {
+                assert!(
+                    pool.slab().iter().all(|&x| x == 0.0),
+                    "{what}: slab written"
+                );
+                return;
+            }
+            for &s in self.maps.iter().flat_map(|m| m.values()) {
+                let (held, want) = (row(pool, s), &self.data[s as usize * self.dim..]);
+                assert!(
+                    held.iter()
+                        .zip(want)
+                        .all(|(a, m)| a.to_bits() == m.to_bits()),
+                    "{what}: pool slot {s}"
+                );
+            }
+        }
+
+        /// The distinct entries the GPUs hold.
+        fn distinct(&self) -> usize {
+            let held = self.maps.iter().flat_map(|m| m.keys());
+            held.collect::<BTreeSet<_>>().len()
+        }
     }
 
     #[test]
@@ -730,7 +824,9 @@ mod tests {
         // lacks — some another GPU keeps, some another adds in the same
         // restack, some whose last holder evicted them. Now and then one
         // adds more than a GPU's capacity; it is refused, and that ends
-        // its sequence.
+        // its sequence. Beside the filled pool an unfilled one runs the
+        // same sequence, dealing the same slots with its slab all zero,
+        // until it is filled at a step the seed picks, or after the last.
         const CAP: usize = 10;
         const DIM: usize = 3;
         const N: usize = 200;
@@ -744,7 +840,9 @@ mod tests {
             let mut stored: Vec<BitRow> = (0..g)
                 .map(|_| stored_row(N, (0..rng.gen_range(0..CAP)).map(|_| pick(&mut rng))))
                 .collect();
-            let (mut pool, mut arenas) = RowPool::filled(&vec![CAP; g], &stored, &host);
+            let (mut pool, mut arenas) = filled(&vec![CAP; g], &stored, &host);
+            let (mut lazy, mut lazy_arenas) = RowPool::new(&vec![CAP; g], &stored, &host);
+            let fill_at = [0, 1, 57, 200, 399, usize::MAX][seed as usize % 6];
             let mut model = Model::new(g, pool.rows, DIM, N);
             model.restack(&vec![BitRow::new(N); g], &stored, &host);
             for step in 0..400 {
@@ -758,6 +856,8 @@ mod tests {
                     for k in gpus {
                         let evicted = pool.evict(&mut arenas, &stored, k, &[e]) == 1;
                         assert_eq!(evicted, model.evict(k, e), "{what}: GPU{k} evicts {e}");
+                        let lazily = lazy.evict(&mut lazy_arenas, &stored, k, &[e]) == 1;
+                        assert_eq!(lazily, evicted, "{what}: GPU{k} evicts {e} lazily");
                     }
                 } else {
                     // What each GPU holds, plus up to five entries its
@@ -791,24 +891,36 @@ mod tests {
                         break;
                     }
                     pool.restack(&mut arenas, &stored, &next, &host);
+                    lazy.restack(&mut lazy_arenas, &stored, &next, &host);
                     model.restack(&stored, &next, &host);
                     stored = next;
                 }
                 pool.check(&arenas, &stored, &host)
                     .unwrap_or_else(|err| panic!("{what}: {err}"));
-                for (k, arena) in arenas.iter().enumerate() {
-                    assert_eq!(arena.len(), model.maps[k].len(), "{what}: GPU{k}");
-                    for &e in &ids {
-                        let want = model.maps[k].get(&e).copied();
-                        assert_eq!(arena.index(&stored[k]).slot(e), want, "{what}: GPU{k} {e}");
-                    }
-                }
-                // The same free slots, and the slab bit for bit.
-                let free: Vec<u32> = model.free.iter().copied().collect();
-                assert_eq!(free_slots(&pool), free, "{what}: free slots");
+                model.matches(&pool, &arenas, &stored, &what);
+                // The whole slab bit for bit, free slots' stale rows too.
                 for (i, (a, m)) in pool.slab().iter().zip(&model.data).enumerate() {
                     assert_eq!(a.to_bits(), m.to_bits(), "{what}: slab element {i}");
                 }
+                if step == fill_at {
+                    assert_eq!(lazy.fill(&lazy_arenas, &stored, &host), model.distinct());
+                    assert_eq!(lazy.fill(&lazy_arenas, &stored, &host), 0, "{what}: refill");
+                }
+                lazy.check(&lazy_arenas, &stored, &host)
+                    .unwrap_or_else(|err| panic!("{what}, lazily: {err}"));
+                model.matches(&lazy, &lazy_arenas, &stored, &format!("{what}, lazily"));
+            }
+            // A pool filled after its last step holds the rows of the
+            // eager one's last good step.
+            if !lazy.is_filled() {
+                assert_eq!(lazy.fill(&lazy_arenas, &stored, &host), model.distinct());
+                lazy.check(&lazy_arenas, &stored, &host).unwrap();
+                model.matches(
+                    &lazy,
+                    &lazy_arenas,
+                    &stored,
+                    &format!("seed {seed}, lazily"),
+                );
             }
             (shared, reused) = (shared + model.shared, reused + model.reused);
             re_added += model.re_added;

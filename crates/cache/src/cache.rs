@@ -76,14 +76,29 @@ fn assert_reachable(stored: &[BitRow], gpu: usize, entry: usize, src: SourceIdx)
 }
 
 impl MultiGpuCache {
-    /// Builds and fills the cache from a placement (the Filler, §4).
+    /// Builds and fills the cache from a placement (the Filler, §4):
+    /// [`MultiGpuCache::build_unfilled`], then [`MultiGpuCache::fill`].
+    ///
+    /// # Panics
+    ///
+    /// As [`MultiGpuCache::build_unfilled`].
+    pub fn build(host: HostTable, placement: &Placement, cap_entries: &[usize]) -> Self {
+        let mut cache = Self::build_unfilled(host, placement, cap_entries);
+        cache.fill();
+        cache
+    }
+
+    /// Builds the cache from a placement without writing a row: every
+    /// slot is dealt as [`MultiGpuCache::build`] deals it, and the rows
+    /// wait for [`MultiGpuCache::fill`]. Splits, swaps and audits work
+    /// on an unfilled cache; gathers need the rows.
     ///
     /// # Panics
     ///
     /// Panics if the placement references more entries than the host
     /// table holds, a GPU stores more entries than `cap_entries`, or an
     /// access reads an entry from a GPU that does not store it.
-    pub fn build(host: HostTable, placement: &Placement, cap_entries: &[usize]) -> Self {
+    pub fn build_unfilled(host: HostTable, placement: &Placement, cap_entries: &[usize]) -> Self {
         assert_eq!(
             placement.num_entries,
             host.num_entries(),
@@ -94,9 +109,7 @@ impl MultiGpuCache {
             cap_entries.len(),
             "one capacity per GPU"
         );
-        // Each distinct stored entry's row, read from host straight into
-        // its pool slot once.
-        let (pool, arenas) = RowPool::filled(cap_entries, &placement.stored, &host);
+        let (pool, arenas) = RowPool::new(cap_entries, &placement.stored, &host);
 
         for i in 0..placement.num_gpus {
             let access = placement.access(i);
@@ -112,6 +125,13 @@ impl MultiGpuCache {
             placement: placement.clone(),
             migrating: false,
         }
+    }
+
+    /// Reads each distinct held entry's row from host into its pool slot,
+    /// once, if the cache is not filled yet; from then on a swap reads
+    /// the rows it adds. Returns the rows written: none on a filled cache.
+    pub fn fill(&mut self) -> usize {
+        (self.pool).fill(&self.arenas, &self.placement.stored, &self.host)
     }
 
     /// Number of GPUs.
@@ -149,8 +169,9 @@ impl MultiGpuCache {
     ///   stores on it, and holds no more rows than its capacity;
     /// * every pool slot is either referenced by at least one arena or
     ///   free, never both; a referenced slot holds one entry, the same
-    ///   slot in every arena that holds it, and a row equal to
-    ///   [`HostTable::read`]'s — so at most one row per distinct entry;
+    ///   slot in every arena that holds it — so at most one row per
+    ///   distinct entry — and, once the cache is filled, a row equal to
+    ///   [`HostTable::read`]'s;
     /// * every access that names a GPU reaches a row there, except, mid
     ///   refresh (rows evicted since the placement was installed), one
     ///   whose row the GPU evicted; at rest no arena has an evicted row.
@@ -242,10 +263,12 @@ impl MultiGpuCache {
     ///
     /// # Panics
     ///
-    /// Panics if `out` is not `plan.len() × dim` floats long.
+    /// Panics if `out` is not `plan.len() × dim` floats long, or if the
+    /// cache is not filled.
     pub fn execute_plan(&self, plan: &GatherPlan, out: &mut [f32]) {
         let dim = self.dim();
         assert_eq!(out.len(), plan.len() * dim, "output buffer length mismatch");
+        assert!(self.pool.is_filled(), "a gather from an unfilled cache");
         if out.is_empty() {
             return;
         }
@@ -271,7 +294,8 @@ impl MultiGpuCache {
     ///
     /// # Panics
     ///
-    /// Panics if `out` has the wrong length or a key is out of range.
+    /// Panics if `out` has the wrong length, a key is out of range or the
+    /// cache is not filled.
     pub fn gather(&self, gpu: usize, keys: &[u32], out: &mut [f32]) -> GatherStats {
         assert_eq!(
             out.len(),
@@ -345,7 +369,8 @@ impl MultiGpuCache {
     /// arena is re-indexed in one pass over its two stored rows, GPU by
     /// GPU: a kept entry keeps its pool slot, and an added one takes the
     /// slot of a GPU that holds it after the swap, else claims a free slot
-    /// and reads its host row into it, once for every GPU that adds it.
+    /// and, on a filled cache, reads its host row into it, once for every
+    /// GPU that adds it.
     /// Then every arena holds a row for exactly the entries `placement`
     /// stores on it, so every read a valid placement makes
     /// ([`Placement::validate`]) reaches one, with no pass over the
@@ -570,6 +595,54 @@ mod tests {
         assert_eq!(stats.remote, 1);
         assert_eq!(out, HostTable::procedural(N, DIM).read(499));
         cache.audit().unwrap();
+    }
+
+    #[test]
+    fn an_unfilled_cache_audits_swaps_and_fills_the_rows_it_then_holds() {
+        let (_, placement) = setup(50);
+        let host = HostTable::procedural(N, DIM);
+        let mut cache = MultiGpuCache::build_unfilled(host, &placement, &[51; 4]);
+        cache.audit().unwrap();
+        assert!(cache.pool.slab().iter().all(|&x| x == 0.0));
+        // A refresh's eviction and swap write nothing either.
+        cache.update_arena(0, &[0]);
+        cache.audit().unwrap();
+        let mut target = placement.clone();
+        target.stored[0].set(0, false);
+        target.stored[1].set(499, true);
+        for i in 0..4 {
+            target.set_source(i, 0, target.host_idx()).unwrap();
+        }
+        target.set_source(2, 499, 1).unwrap();
+        target.validate().unwrap();
+        cache.swap_placement(target.clone());
+        cache.audit().unwrap();
+        assert!(cache.pool.slab().iter().all(|&x| x == 0.0));
+        let distinct = (0..N).filter(|&e| target.stored.iter().any(|r| r.get(e)));
+        assert_eq!(cache.fill(), distinct.count());
+        assert_eq!(cache.fill(), 0, "filled once");
+        cache.audit().unwrap();
+        let all: Vec<u32> = (0..N as u32).collect();
+        let mut out = vec![f32::NAN; N * DIM];
+        let stats = cache.gather(2, &all, &mut out);
+        let remote = target
+            .split_keys(2, &all)
+            .into_iter()
+            .filter_map(|(l, c)| (l != Location::Gpu(2) && l != Location::Host).then_some(c));
+        assert_eq!(stats.remote, remote.sum::<u64>());
+        let truth = HostTable::procedural(N, DIM);
+        for (k, row) in out.chunks_exact(DIM).enumerate() {
+            assert_eq!(row, truth.read(k as u32).as_slice(), "entry {k}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "a gather from an unfilled cache")]
+    fn a_gather_from_an_unfilled_cache_panics() {
+        let (_, placement) = setup(10);
+        let host = HostTable::procedural(N, DIM);
+        let cache = MultiGpuCache::build_unfilled(host, &placement, &[10; 4]);
+        let _ = cache.gather(0, &[1, 2], &mut [0.0; 2 * DIM]);
     }
 
     #[test]

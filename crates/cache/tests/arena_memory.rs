@@ -1,12 +1,14 @@
 //! What the cache's bookkeeping costs: the bytes of the arenas' index
-//! beside the row pool, the resident row bytes of a replicated cache, and
-//! the allocations of a build, a swap and a refresh's diff.
+//! beside the row pool, the resident row bytes of a replicated cache and
+//! of a `UGache` before and after its first gather, and the allocations
+//! of a build, a swap and a refresh's diff.
 
 use cache_policy::{baselines, Hotness, Placement, SolverConfig, UGacheSolver};
 use emb_cache::{HostTable, MultiGpuCache, RefreshConfig, Refresher};
 use emb_util::zipf::powerlaw_hotness;
 use gpu_platform::{DedicationConfig, Platform};
 use test_support::{allocations, peak_of, CountingAlloc};
+use ugache::{UGache, UGacheConfig};
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
@@ -78,12 +80,13 @@ fn resident_bytes() -> usize {
 
 #[test]
 #[cfg(target_os = "linux")]
-fn a_replicated_cache_holds_the_rows_of_its_distinct_entries_only() {
+fn a_replicated_cache_writes_the_rows_of_its_distinct_entries_only_when_filled() {
     // Every GPU caches the same 4 096 entries: 4 MB of distinct rows,
     // which one copy per GPU made 32 MB. The pool's slab has room for
-    // 32 MB, but only the slots handed out are ever written, and the
-    // pages of the rest are not resident. Index, placement and slack stay
-    // far under the 28 MB a second copy of the rows would add.
+    // 32 MB, but an unfilled build writes none of it, the fill writes one
+    // row per distinct entry into the slots handed out, and the pages of
+    // the rest are never resident. Index, placement and slack stay far
+    // under the 28 MB a second copy of the rows would add.
     let _guard = one_at_a_time();
     let (n, dim, cap) = (1 << 16, 256, 1 << 12);
     let platform = Platform::server_c();
@@ -91,14 +94,59 @@ fn a_replicated_cache_holds_the_rows_of_its_distinct_entries_only() {
     let distinct_bytes = cap * dim * std::mem::size_of::<f32>();
     let host = HostTable::procedural(n, dim);
     let before = resident_bytes();
-    let cache = MultiGpuCache::build(host, &placement, &[cap; 8]);
-    let grew = resident_bytes().saturating_sub(before);
+    let mut cache = MultiGpuCache::build_unfilled(host, &placement, &[cap; 8]);
+    let built = resident_bytes().saturating_sub(before);
     assert!(
-        grew < distinct_bytes * 3 / 2,
-        "a cache of {} distinct rows grew the resident set by {grew} bytes",
-        distinct_bytes
+        built < distinct_bytes / 8,
+        "an unfilled build grew the resident set by {built} bytes"
     );
     cache.audit().unwrap();
+    assert_eq!(cache.fill(), cap, "one row per distinct entry");
+    assert_eq!(cache.fill(), 0, "filled once");
+    let grew = resident_bytes().saturating_sub(before);
+    assert!(
+        (distinct_bytes / 2..distinct_bytes * 3 / 2).contains(&grew),
+        "a cache of {distinct_bytes} bytes of distinct rows grew the resident set by {grew} bytes"
+    );
+    cache.audit().unwrap();
+}
+
+#[test]
+#[cfg(target_os = "linux")]
+fn a_ugache_build_writes_no_row_and_its_first_gather_writes_them() {
+    // A UGache that is only timed reads no row from host: its build deals
+    // the slots, and the first gather fills them.
+    let _guard = one_at_a_time();
+    let (n, dim, cap) = (1 << 16, 512, 1 << 12);
+    let hotness = Hotness::new(powerlaw_hotness(n, 1.2));
+    let build = || {
+        let cfg = UGacheConfig::new(dim * std::mem::size_of::<f32>(), 40_000.0);
+        let host = HostTable::procedural(n, dim);
+        UGache::build(Platform::server_c(), host, &hotness, vec![cap; 8], cfg).unwrap()
+    };
+    // A first build leaves the heap the second one's solve reuses.
+    drop(build());
+    let before = resident_bytes();
+    let mut u = build();
+    let built = resident_bytes().saturating_sub(before);
+    let stored = &u.placement().stored;
+    let distinct = (0..n).filter(|&e| stored.iter().any(|r| r.get(e))).count();
+    let row_bytes = distinct * dim * std::mem::size_of::<f32>();
+    assert!(distinct >= cap, "{distinct} distinct entries cached");
+    assert!(
+        built < row_bytes / 4,
+        "a build holding {row_bytes} bytes of rows grew the resident set by {built} bytes"
+    );
+    u.audit().unwrap();
+    let mut out = vec![0.0; dim];
+    u.gather(0, &[0], &mut out);
+    assert_eq!(out, HostTable::procedural(n, dim).read(0));
+    let grew = resident_bytes().saturating_sub(before);
+    assert!(
+        grew > row_bytes / 2,
+        "the first gather filled {row_bytes} bytes of rows, the resident set grew by {grew}"
+    );
+    u.audit().unwrap();
 }
 
 #[test]

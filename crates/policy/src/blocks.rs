@@ -114,8 +114,11 @@ pub fn build_blocks(hotness: &Hotness, cfg: &BlockConfig) -> Vec<Block> {
         return Vec::new();
     }
     let total = hotness.total();
-    let ranked = hotness.ranked_nonzeros();
-    let h_max = ranked.first().map_or(0.0, |&(_, w)| w);
+    // Positions of the non-zero weights, hottest first: each `(id,
+    // weight)` is read through the hotness, with no ranked copy of them.
+    let ranked = hotness.rank_positions();
+    let at = |k: u32| hotness.nonzero_at(k);
+    let h_max = ranked.first().map_or(0.0, |&k| at(k).1);
     // Levels on a log2 scale relative to the hottest entry.
     let level_of = |w: f64| -> u32 { (h_max / w).log2().floor().clamp(0.0, 60.0) as u32 };
 
@@ -128,16 +131,16 @@ pub fn build_blocks(hotness: &Hotness, cfg: &BlockConfig) -> Vec<Block> {
     let mut blocks: Vec<Block> = Vec::new();
     let mut i = 0usize;
     while i < ranked.len() {
-        let level = level_of(ranked[i].1);
+        let level = level_of(at(ranked[i]).1);
         let mut j = i + 1;
-        while j < ranked.len() && level_of(ranked[j].1) == level {
+        while j < ranked.len() && level_of(at(ranked[j]).1) == level {
             j += 1;
         }
         for part in ranked[i..j].chunks(per_block(j - i)) {
             blocks.push(Block {
-                hot: part.iter().map(|&(id, _)| id).collect(),
+                hot: part.iter().map(|&k| at(k).0).collect(),
                 zeros: 0..0,
-                weight: part.iter().map(|&(_, w)| w / total).sum(),
+                weight: part.iter().map(|&k| at(k).1 / total).sum(),
                 level,
             });
         }

@@ -211,11 +211,15 @@ impl Hotness {
         let appears = |lambda: f64, p: f64| 1.0 - (-lambda * p).exp();
         let adjusted = match group_by_bits(&self.weights, terms / GROUPED_ENTRIES_PER_DISTINCT) {
             None => {
-                let p: Vec<f64> = self.weights.iter().map(|w| w / total).collect();
+                let mut p: Vec<f64> = self.weights.iter().map(|w| w / total).collect();
                 let lambda = calibrate_lambda(target, terms, |lambda| {
                     p.iter().fold(0.0, |sum, &pi| sum + appears(lambda, pi))
                 });
-                p.iter().map(|&pi| appears(lambda, pi)).collect()
+                // In place: no second full-length vector beside `p`.
+                for pi in &mut p {
+                    *pi = appears(lambda, *pi);
+                }
+                p
             }
             Some((values, group_of)) => {
                 let p: Vec<f64> = values.iter().map(|w| w / total).collect();
@@ -232,28 +236,25 @@ impl Hotness {
         self.reweighted(adjusted)
     }
 
-    /// Positions in `weights`, hottest first, ties in entry order.
-    fn rank_positions(&self) -> Vec<u32> {
+    /// Positions of the non-zero weights, hottest first, ties in entry
+    /// order: read through [`Hotness::nonzero_at`], the head of
+    /// [`Hotness::ranking`].
+    pub(crate) fn rank_positions(&self) -> Vec<u32> {
         // Every weight is positive and finite, so its bit pattern rises
-        // with its value: comparing integer keys read from one array, not
-        // weights through `partial_cmp`, is what makes the sort fast on
-        // input without long sorted runs (vertex degrees, all-distinct
-        // masses).
-        let keys: Vec<u64> = self.weights.iter().map(|w| !w.to_bits()).collect();
-        let mut positions: Vec<u32> = (0..keys.len() as u32).collect();
+        // with its value: comparing integer keys, not weights through
+        // `partial_cmp`, is what makes the sort fast on input without
+        // long sorted runs (vertex degrees, all-distinct masses). Each
+        // comparison reads its keys from the weights: no full-length copy.
+        let mut positions: Vec<u32> = (0..self.weights.len() as u32).collect();
         // Stable, so equal keys keep entry order.
-        positions.sort_by_key(|&k| keys[k as usize]);
+        positions.sort_by_key(|&k| !self.weights[k as usize].to_bits());
         positions
     }
 
-    /// The non-zero `(entry, weight)` pairs, hottest first, ties in entry
-    /// order: the head of [`Hotness::ranking`].
-    pub fn ranked_nonzeros(&self) -> Vec<(u32, f64)> {
-        let ids = |k: u32| self.ids.get(k as usize).map_or(k, |&e| e);
-        self.rank_positions()
-            .into_iter()
-            .map(|k| (ids(k), self.weights[k as usize]))
-            .collect()
+    /// The `(entry, weight)` pair at position `k` of the non-zero weights.
+    pub(crate) fn nonzero_at(&self, k: u32) -> (u32, f64) {
+        let e = self.ids.get(k as usize).map_or(k, |&e| e);
+        (e, self.weights[k as usize])
     }
 
     /// Entry indices sorted hottest-first (ties by index for determinism):

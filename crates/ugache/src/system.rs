@@ -73,8 +73,10 @@ pub struct UGache {
 }
 
 impl UGache {
-    /// Builds a UGache: solves the policy for `hotness`, fills the cache,
-    /// and stands up the factored extractor.
+    /// Builds a UGache: solves the policy for `hotness`, deals the
+    /// cache's slots, and stands up the factored extractor. The cache's
+    /// rows are read from host on the first [`UGache::gather`]: a UGache
+    /// that is only timed never writes them.
     ///
     /// # Errors
     ///
@@ -107,7 +109,7 @@ impl UGache {
         }
         let solver = UGacheSolver::new(platform.clone(), cfg.dedication);
         let solved = solver.solve(hotness, &cap_entries, &cfg.solver)?;
-        let cache = MultiGpuCache::build(host, &solved.placement, &cap_entries);
+        let cache = MultiGpuCache::build_unfilled(host, &solved.placement, &cap_entries);
         let extractor = Extractor::new(
             platform.clone(),
             cfg.sim,
@@ -158,9 +160,11 @@ impl UGache {
     }
 
     /// Functional gather for one GPU: fills `out` with real embedding
-    /// values and feeds the hotness sampler.
+    /// values and feeds the hotness sampler. The first one fills the
+    /// cache's rows ([`MultiGpuCache::fill`]).
     pub fn gather(&mut self, gpu: usize, keys: &[u32], out: &mut [f32]) -> emb_cache::GatherStats {
         self.sampler.observe(keys);
+        self.cache.fill();
         self.cache.gather(gpu, keys, out)
     }
 
@@ -274,19 +278,18 @@ impl UGache {
         let solved = self
             .solver
             .solve_adjusted(&fresh, &self.cap_entries, &self.cfg.solver)?;
-        let current = cache_policy::estimate_extraction_time(
-            self.cache.placement(),
-            &fresh,
-            self.solver.profile(),
-            self.cfg.solver.entry_bytes,
-            self.cfg.solver.accesses_per_iter,
-        )
-        .makespan;
-        if force
-            || self
-                .refresher
-                .should_refresh(current, solved.predicted_secs)
-        {
+        // Forced, the current placement's estimate has no reader.
+        let worth = || {
+            let current = cache_policy::estimate_extraction_time(
+                self.cache.placement(),
+                &fresh,
+                self.solver.profile(),
+                self.cfg.solver.entry_bytes,
+                self.cfg.solver.accesses_per_iter,
+            );
+            (self.refresher).should_refresh(current.makespan, solved.predicted_secs)
+        };
+        if force || worth() {
             self.refresher
                 .begin(self.clock, self.cache.placement(), solved.placement);
             self.predicted_secs = solved.predicted_secs;
@@ -315,8 +318,9 @@ impl UGache {
     }
 
     /// Checks the cache against its invariants ([`MultiGpuCache::audit`]):
-    /// every row a GPU reads holds the entry's host value, and at rest the
-    /// arenas hold what the placement stores.
+    /// once a gather has filled the rows, every row a GPU reads holds the
+    /// entry's host value, and at rest the arenas hold what the placement
+    /// stores.
     ///
     /// # Errors
     ///
