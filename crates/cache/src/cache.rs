@@ -1,6 +1,6 @@
 //! The composed multi-GPU cache and its filler.
 
-use crate::arena::{GpuArena, RowPool, SlotIndex};
+use crate::arena::RowPool;
 use crate::plan::GatherPlan;
 use crate::table::HostTable;
 use cache_policy::{BitRow, Placement, SourceIdx};
@@ -44,28 +44,29 @@ impl GatherStats {
 ///
 /// A key is resolved in two steps: the placement's access (the entry's
 /// row id, then the destination's column of the source table) says which
-/// GPU the destination reads it from, and that GPU's arena finds the slot
-/// by rank over the placement's stored bits for the GPU. Together they
-/// are the paper's `<GPU_i, Offset>` location hashtable (§4), kept
-/// nowhere else. A miss at either step reads the host table. The slot
-/// indexes one row pool that all GPUs share, so an entry several GPUs
-/// hold is stored once. Gathers report per-source counts that the timing
-/// layer can turn into simulated extraction times.
+/// GPU the destination reads it from, and, if that GPU stores the entry
+/// and has not evicted it, one slot table finds its slot by rank over the
+/// union of the placement's stored bits. Together they are the paper's
+/// `<GPU_i, Offset>` location hashtable (§4), kept once for all GPUs,
+/// since every GPU holding an entry holds it at the same offset. A miss
+/// at either step reads the host table. The slot indexes one row pool
+/// that all GPUs share, so an entry several GPUs hold is stored once.
+/// Gathers report per-source counts that the timing layer can turn into
+/// simulated extraction times.
 #[derive(Debug, Clone)]
 pub struct MultiGpuCache {
     host: HostTable,
     pool: RowPool,
-    arenas: Vec<GpuArena>,
     placement: Placement,
-    /// Whether arena rows have been evicted since `placement` was
-    /// installed (a refresh between its first update and its swap).
+    /// Whether an update batch has run since `placement` was installed
+    /// (a refresh between its first update and its swap).
     migrating: bool,
 }
 
 /// Panics unless GPU `gpu`'s read of `entry` from `src` reaches a row:
-/// `src` is the host or a GPU that `stored` says holds `entry` (an arena
-/// holds a row for every entry its stored row sets, and for no other that
-/// a read can reach).
+/// `src` is the host or a GPU that `stored` says holds `entry` (the pool
+/// holds a row for every entry a stored row sets, and for no other that a
+/// read can reach).
 fn assert_reachable(stored: &[BitRow], gpu: usize, entry: usize, src: SourceIdx) {
     if let Some(row) = stored.get(src as usize) {
         assert!(
@@ -109,7 +110,7 @@ impl MultiGpuCache {
             cap_entries.len(),
             "one capacity per GPU"
         );
-        let (pool, arenas) = RowPool::new(cap_entries, &placement.stored, &host);
+        let pool = RowPool::new(cap_entries, &placement.stored, &host);
 
         for i in 0..placement.num_gpus {
             let access = placement.access(i);
@@ -121,22 +122,22 @@ impl MultiGpuCache {
         MultiGpuCache {
             host,
             pool,
-            arenas,
             placement: placement.clone(),
             migrating: false,
         }
     }
 
-    /// Reads each distinct held entry's row from host into its pool slot,
-    /// once, if the cache is not filled yet; from then on a swap reads
-    /// the rows it adds. Returns the rows written: none on a filled cache.
+    /// Reads the row of each entry some GPU stores from host into its
+    /// pool slot, once, if the cache is not filled yet; from then on a
+    /// swap reads the rows it adds. Returns the rows written: none on a
+    /// filled cache.
     pub fn fill(&mut self) -> usize {
-        (self.pool).fill(&self.arenas, &self.placement.stored, &self.host)
+        self.pool.fill(&self.host)
     }
 
     /// Number of GPUs.
     pub fn num_gpus(&self) -> usize {
-        self.arenas.len()
+        self.placement.num_gpus
     }
 
     /// Embedding dimension.
@@ -154,27 +155,20 @@ impl MultiGpuCache {
         &self.placement
     }
 
-    /// The slot of `entry`'s row on GPU `src`, if `src` is a GPU that
-    /// stores it under the placement and has not evicted it.
-    #[inline]
-    fn slot_of(&self, src: usize, entry: u32) -> Option<u32> {
-        let arena = self.arenas.get(src)?;
-        arena.index(&self.placement.stored[src]).slot(entry)
-    }
-
     /// Checks the cache against its own invariants and returns the first
     /// violation found:
     ///
-    /// * each arena's slot table has one place per entry the placement
-    ///   stores on it, and holds no more rows than its capacity;
-    /// * every pool slot is either referenced by at least one arena or
-    ///   free, never both; a referenced slot holds one entry, the same
-    ///   slot in every arena that holds it — so at most one row per
-    ///   distinct entry — and, once the cache is filled, a row equal to
+    /// * the slot table's union is the OR of the placement's stored rows;
+    ///   each union entry has one slot, below the pool's rows — so one
+    ///   row per distinct entry — and every slot is an entry's or free,
+    ///   never both; once the cache is filled, every slot's row equals
     ///   [`HostTable::read`]'s;
-    /// * every access that names a GPU reaches a row there, except, mid
-    ///   refresh (rows evicted since the placement was installed), one
-    ///   whose row the GPU evicted; at rest no arena has an evicted row.
+    /// * each GPU stores no more entries than its capacity, and evicted
+    ///   only entries it stores; at rest (no update batch since the
+    ///   placement was installed) no GPU has evicted a row;
+    /// * every access that names a GPU names one that stores the entry,
+    ///   so it reaches a row there unless, mid-refresh, the GPU evicted
+    ///   it.
     ///
     /// A pass over every access row and every pool row: for tests.
     ///
@@ -182,34 +176,25 @@ impl MultiGpuCache {
     ///
     /// Describes the first violation.
     pub fn audit(&self) -> Result<(), String> {
-        let g = self.num_gpus();
+        let (g, stored) = (self.num_gpus(), &self.placement.stored);
         let host_idx = self.placement.host_idx();
-        self.pool
-            .check(&self.arenas, &self.placement.stored, &self.host)?;
+        self.pool.check(stored, &self.host)?;
+        if !self.migrating && self.pool.is_open() {
+            return Err("a GPU has evicted rows with no update batch run".into());
+        }
         for i in 0..g {
             let access = self.placement.access(i);
             for e in 0..access.len() {
-                let (e, src) = (e as u32, access[e] as usize);
+                let src = access[e] as usize;
                 if src == host_idx as usize {
                     continue;
                 }
                 if src >= g {
                     return Err(format!("GPU{i} entry {e}: source {src} is no GPU"));
                 }
-                if self.slot_of(src, e).is_none() && !self.migrating {
+                if !stored[src].get(e) {
                     return Err(format!(
                         "GPU{i} reads entry {e} from GPU{src}, whose arena lacks it"
-                    ));
-                }
-            }
-        }
-        if !self.migrating {
-            for (j, arena) in self.arenas.iter().enumerate() {
-                if arena.len() != self.placement.cached_count(j) {
-                    return Err(format!(
-                        "GPU{j} holds {} rows, its placement stores {}",
-                        arena.len(),
-                        self.placement.cached_count(j)
                     ));
                 }
             }
@@ -231,16 +216,14 @@ impl MultiGpuCache {
         plan.reset(g);
         plan.slots.resize(keys.len(), 0);
         let host_tag = (g as u64) << 32;
-        let index: Vec<SlotIndex> = (self.arenas.iter().zip(&self.placement.stored))
-            .map(|(arena, stored)| arena.index(stored))
-            .collect();
+        let index = self.pool.index(&self.placement.stored);
         let chunk_counts =
             emb_util::pool::par_chunks_mut(&mut plan.slots, PLAN_CHUNK_KEYS, |ci, slots| {
                 let mut counts = vec![0u64; g + 1];
                 for (slot, &key) in slots.iter_mut().zip(&keys[ci * PLAN_CHUNK_KEYS..]) {
                     assert!((key as usize) < access.len(), "entry {key} out of range");
                     let src = access[key as usize] as usize;
-                    *slot = match index.get(src).and_then(|t| t.slot(key)) {
+                    *slot = match index.slot(src, key) {
                         Some(off) => (src as u64) << 32 | off as u64,
                         None => host_tag | key as u64,
                     };
@@ -321,8 +304,8 @@ impl MultiGpuCache {
     /// This is the plan-based replacement for calling
     /// `Placement::split_keys` per GPU (identical output), reusing the
     /// thread-local plan's counting buffers. It deliberately skips the
-    /// arena load of the gather's resolve: mid-refresh, a read whose
-    /// source arena has evicted the entry goes to host, and the timing
+    /// slot lookup of the gather's resolve: mid-refresh, a read whose
+    /// source GPU has evicted the entry goes to host, and the timing
     /// layer must keep pricing the arrangement it was given.
     ///
     /// # Panics
@@ -352,47 +335,49 @@ impl MultiGpuCache {
     /// Applies a single incremental update on one GPU: evicts `evict`,
     /// entries the placement stores on `gpu` (any other is skipped). Reads
     /// keep following the placement until
-    /// [`MultiGpuCache::swap_placement`], and an evicted entry's slot is
-    /// vacant on `gpu`, so its readers there read host. The pool row is
-    /// freed once no GPU holds the entry.
+    /// [`MultiGpuCache::swap_placement`], and an evicted entry is marked
+    /// vacant on `gpu` alone, so its readers there read host. No slot
+    /// moves: the swap frees the slots of entries no GPU stores any more.
+    ///
+    /// # Panics
+    ///
+    /// Panics, before evicting anything, if `gpu` is past the last GPU.
     pub fn update_arena(&mut self, gpu: usize, evict: &[u32]) {
+        let g = self.num_gpus();
+        assert!(gpu < g, "no GPU{gpu} to evict from: the cache has {g} GPUs");
         self.migrating = true;
-        self.pool
-            .evict(&mut self.arenas, &self.placement.stored, gpu, evict);
+        self.pool.evict(&self.placement.stored, gpu, evict);
     }
 
     /// Installs a new placement (the swap step of a refresh): gathers
     /// follow it from the next call.
     ///
     /// Every entry the old placement stores on a GPU and `placement` does
-    /// not must already be evicted, as [`crate::Refresher`] does. Each
-    /// arena is re-indexed in one pass over its two stored rows, GPU by
-    /// GPU: a kept entry keeps its pool slot, and an added one takes the
-    /// slot of a GPU that holds it after the swap, else claims a free slot
-    /// and, on a filled cache, reads its host row into it, once for every
-    /// GPU that adds it.
-    /// Then every arena holds a row for exactly the entries `placement`
+    /// not must already be evicted, as [`crate::Refresher`] does, and no
+    /// entry it keeps may be. After word-wide checks of that per GPU, one
+    /// pass over the old and new unions of the stored rows re-indexes the
+    /// slot table: an entry some GPU still stores keeps its slot and its
+    /// row, an entry no GPU stores any more frees its slot, and an entry
+    /// no GPU stored claims a free slot and, on a filled cache, reads its
+    /// host row into it, once for every GPU that adds it.
+    /// Then every GPU holds a row for exactly the entries `placement`
     /// stores on it, so every read a valid placement makes
     /// ([`Placement::validate`]) reaches one, with no pass over the
     /// entries' accesses.
     ///
     /// # Panics
     ///
-    /// Panics if the placement's shape differs from the cache's, an arena
+    /// Panics if the placement's shape differs from the cache's, a GPU
     /// still holds an entry `placement` drops or lacks one it keeps
-    /// (naming the GPU and the entry), or the added rows do not fit.
+    /// (naming the first GPU and its first such entry), or a GPU's new
+    /// stored row does not fit its capacity.
     pub fn swap_placement(&mut self, placement: Placement) {
         assert_eq!(placement.num_gpus, self.num_gpus(), "GPU count mismatch");
         assert_eq!(
             placement.num_entries, self.placement.num_entries,
             "table size mismatch"
         );
-        self.pool.restack(
-            &mut self.arenas,
-            &self.placement.stored,
-            &placement.stored,
-            &self.host,
-        );
+        (self.pool).restack(&self.placement.stored, &placement.stored, &self.host);
         self.placement = placement;
         self.migrating = false;
     }
@@ -418,7 +403,13 @@ mod tests {
     }
 
     impl MultiGpuCache {
-        /// Whether GPU `gpu`'s arena holds a row for `entry`.
+        /// The slot of `entry`'s row on GPU `src`, if `src` is a GPU that
+        /// stores it under the placement and has not evicted it.
+        fn slot_of(&self, src: usize, entry: u32) -> Option<u32> {
+            self.pool.index(&self.placement.stored).slot(src, entry)
+        }
+
+        /// Whether GPU `gpu` holds a row for `entry`.
         pub(crate) fn holds(&self, gpu: usize, entry: u32) -> bool {
             self.slot_of(gpu, entry).is_some()
         }
@@ -477,8 +468,9 @@ mod tests {
     fn filler_respects_capacity() {
         let (cache, placement) = setup(50);
         for j in 0..4 {
-            assert_eq!(cache.arenas[j].len(), placement.cached_count(j));
-            assert!(cache.arenas[j].len() <= 50);
+            let held = (0..N as u32).filter(|&e| cache.holds(j, e)).count();
+            assert_eq!(held, placement.cached_count(j));
+            assert!(held <= 50);
         }
     }
 
@@ -643,6 +635,15 @@ mod tests {
         let host = HostTable::procedural(N, DIM);
         let cache = MultiGpuCache::build_unfilled(host, &placement, &[10; 4]);
         let _ = cache.gather(0, &[1, 2], &mut [0.0; 2 * DIM]);
+    }
+
+    #[test]
+    #[should_panic(expected = "no GPU4 to evict from: the cache has 4 GPUs")]
+    fn an_eviction_on_a_gpu_past_the_last_panics() {
+        let (mut cache, _) = setup(10);
+        // GPU4 would be the fifth; GPU5 and beyond fail the same way, and
+        // so does an empty batch.
+        cache.update_arena(4, &[]);
     }
 
     #[test]

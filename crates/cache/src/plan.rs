@@ -12,12 +12,13 @@
 //!    `PLAN_CHUNK_KEYS` keys. The placement's row id and the destination
 //!    GPU's column of the source table (a few bytes that stay in L1) give
 //!    the source GPU ([`cache_policy::Placement::access`]); the source's
-//!    stored word, its rank prefix (a `u32` per 64 entries) and a popcount
-//!    give the entry's rank, and the source's slot table the pool slot
-//!    (together the paper's `<GPU_i, Offset>` hashtable, §4). The packed
-//!    slot is `source << 32 | slot`, the source feeding the counts; a host
-//!    access or a source without the entry (evicted mid-refresh) becomes
-//!    `host << 32 | key`.
+//!    stored word (and, mid-refresh, its vacancy word) says it holds the
+//!    row, the union's word, its rank prefix (a `u32` per 64 entries) and
+//!    a popcount give the entry's rank, and the one slot table the pool
+//!    slot (together the paper's `<GPU_i, Offset>` hashtable, §4). The
+//!    packed slot is `source << 32 | slot`, the source feeding the
+//!    counts; a host access or a source without the entry (evicted
+//!    mid-refresh) becomes `host << 32 | key`.
 //!    Chunks fill disjoint slot ranges and count keys per source; the
 //!    per-chunk counts are summed in chunk order (`u64`, exact).
 //! 2. **copy** ([`crate::MultiGpuCache::execute_plan`]) — chunks of

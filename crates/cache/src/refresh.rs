@@ -16,10 +16,11 @@
 //! begin → [solve: cfg.solve_secs] → [update batch] ─ interval ─ [batch] … ─ interval ─ placement swap
 //! ```
 //!
-//! An update batch only evicts arena rows: gathers keep following the
-//! old placement until the swap, reading an evicted entry from host
-//! ([`MultiGpuCache::update_arena`]). The swap installs the target and
-//! writes the rows it adds, which no read could reach before it. A GPU
+//! An update batch only evicts, a vacancy bit an entry on its GPU:
+//! gathers keep following the old placement until the swap, reading an
+//! evicted entry from host ([`MultiGpuCache::update_arena`]). The swap
+//! installs the target and writes the rows it adds, which no read could
+//! reach before it. A GPU
 //! takes as many batches as its larger side needs, evictions or
 //! insertions, `entries_per_batch` at a time, so the schedule still paces
 //! the insertions it does not run.
