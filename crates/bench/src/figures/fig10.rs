@@ -8,7 +8,7 @@
 
 use super::header;
 use crate::scenario::{PlatformId, Scenario};
-use emb_workload::{DlrDatasetId, GnnDatasetId, GnnModel};
+use emb_workload::{BatchSource, DlrDatasetId, GnnDatasetId, GnnModel};
 use serde::Serialize;
 use std::fmt::{self, Write as _};
 use ugache::apps::dlr::{dlr_cache_capacity, run_dlr_iterations};
@@ -68,6 +68,30 @@ const DLR_SYSTEMS: [SystemKind; 5] = [
     SystemKind::UGache,
 ];
 
+/// A cell's batches, drawn once from `w` (a clone of the cell's
+/// workload): `max(2, iters)` of them, and the mean keys per GPU of the
+/// first two, as `measure_accesses_per_iter(2)` reads them from its own
+/// clone. Every system then replays the first `iters` through a
+/// [`Replay`].
+fn draw(mut w: impl BatchSource, iters: usize) -> (Vec<Vec<Vec<u32>>>, f64) {
+    let batches: Vec<_> = (0..iters.max(2)).map(|_| w.next_batch()).collect();
+    let keys: usize = batches[..2].iter().flatten().map(Vec::len).sum();
+    let accesses = keys as f64 / (2 * batches[0].len()) as f64;
+    (batches, accesses)
+}
+
+/// A cell's drawn batches, replayed in order: the stream a fresh clone of
+/// the cell's workload would give.
+struct Replay<'a>(std::slice::Iter<'a, Vec<Vec<u32>>>);
+
+impl BatchSource for Replay<'_> {
+    fn next_batch(&mut self) -> Vec<Vec<u32>> {
+        let next = self.0.next();
+        next.expect("a system reads no more batches than its cell drew")
+            .clone()
+    }
+}
+
 /// Computes the GNN half of Figure 10 (no printing).
 pub fn compute_gnn(s: &Scenario) -> Vec<GnnCell> {
     let mut cells = Vec::new();
@@ -83,13 +107,14 @@ pub fn compute_gnn(s: &Scenario) -> Vec<GnnCell> {
                 let (w, hotness) = s.gnn(ds, model, &plat);
                 let entry_bytes = w.dataset().entry_bytes;
                 // A few iterations' key volume scales the solver.
-                let accesses = w.clone().measure_accesses_per_iter(2);
+                let (batches, accesses) = draw(w.clone(), s.iters);
+                let replay = || Replay(batches.iter());
                 for kind in GNN_SYSTEMS {
                     let cap = gnn_cache_capacity(&plat, w.dataset(), kind);
                     let report =
                         build_system(kind, &plat, &hotness, cap, entry_bytes, accesses, 0xE9)
                             .ok()
-                            .map(|system| run_gnn_epoch(&system, &mut w.clone(), &cfg));
+                            .map(|system| run_gnn_epoch(&system, &w, &mut replay(), &cfg));
                     cells.push(GnnCell {
                         server: plat.name.clone(),
                         model: model.name().to_string(),
@@ -115,13 +140,14 @@ pub fn compute_dlr(s: &Scenario) -> Vec<DlrCell> {
             let (w, hotness) = s.dlr(ds, &plat);
             let entry_bytes = w.dataset().entry_bytes;
             let cap = dlr_cache_capacity(&plat, w.dataset());
-            let accesses = w.clone().measure_accesses_per_iter(2);
+            let (batches, accesses) = draw(w.clone(), iters);
+            let replay = || Replay(batches.iter());
             // Each system is built and measured once; the dense model only
             // prices the MLP on top of the same extraction means.
             let per_system = DLR_SYSTEMS.map(|kind| {
                 let system = build_system(kind, &plat, &hotness, cap, entry_bytes, accesses, 0xD7)
                     .expect("all DLR systems launch");
-                run_dlr_iterations(&system, &mut w.clone(), &DlrModel::ALL, batch, iters)
+                run_dlr_iterations(&system, &mut replay(), &DlrModel::ALL, batch, iters)
             });
             for (m, model) in DlrModel::ALL.into_iter().enumerate() {
                 for (kind, per_model) in DLR_SYSTEMS.into_iter().zip(&per_system) {

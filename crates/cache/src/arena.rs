@@ -8,8 +8,8 @@ const WORD_BITS: usize = u64::BITS as usize;
 
 /// The cache's rows and the one table that finds them.
 ///
-/// The rows are one zeroed `rows × dim` f32 slab that stands in for the
-/// GPUs' HBM: every GPU's copy of a row holds the same bytes
+/// The rows are one `rows × dim` f32 slab that stands in for the GPUs'
+/// HBM: every GPU's copy of a row holds the same bytes
 /// ([`HostTable::read`]), so an entry several GPUs hold is stored, filled
 /// and refreshed once. What is per GPU — which entries it stores, its
 /// capacity, the links a read crosses — lives in the placement's stored
@@ -30,12 +30,15 @@ const WORD_BITS: usize = u64::BITS as usize;
 /// row, even if every old holder evicted it; an entry that leaves it
 /// frees its slot, and one that joins it takes the lowest free slot. So
 /// the slots ever handed out are as few as the most distinct entries
-/// stored at once, and the slab's other pages are never resident.
+/// stored at once.
 ///
 /// The rows are the functional layer's check data, which no simulated
-/// number reads: a pool starts unfilled, dealing slots and reading no
-/// host row, until [`RowPool::fill`] writes them, so a cache that is only
-/// timed never writes its slab.
+/// number reads: a pool starts unfilled, dealing slots and holding an
+/// empty slab, until [`RowPool::fill`] allocates the slab and writes the
+/// rows, so a cache that is only timed holds no row bytes. A slab
+/// allocated at build was not free either: once a freed mmapped block has
+/// raised glibc's mmap threshold, a zeroed block of that size comes from
+/// the heap and `calloc` writes every page of it.
 ///
 /// Free slots are a bit a slot, not a list. After `serve_online`'s first
 /// refresh, from a partition to a replication, 149 131 of the 199 131
@@ -46,7 +49,7 @@ const WORD_BITS: usize = u64::BITS as usize;
 #[derive(Debug, Clone)]
 pub struct RowPool {
     dim: usize,
-    /// `rows × dim` floats, zeroed.
+    /// `rows × dim` floats once filled, empty until then.
     data: Vec<f32>,
     rows: usize,
     /// Bit `s` set: slot `s` is free, freed by a swap or never handed
@@ -93,7 +96,8 @@ impl RowPool {
     /// entries `stored` sets on each GPU: the restack of an empty pool, so
     /// slots are dealt in entry order, one per distinct entry. The pool
     /// has room for `min(Σ caps, entries)` rows, as many distinct entries
-    /// as GPUs within their capacities can store.
+    /// as GPUs within their capacities can store; its slab stays empty
+    /// until [`RowPool::fill`].
     ///
     /// # Panics
     ///
@@ -106,7 +110,7 @@ impl RowPool {
         }
         let mut pool = RowPool {
             dim: host.dim(),
-            data: vec![0.0; rows * host.dim()],
+            data: Vec::new(),
             rows,
             free,
             lowest: 0,
@@ -126,23 +130,26 @@ impl RowPool {
         self.filled
     }
 
-    /// Writes every union entry's row from `host` into its slot, once
-    /// each, in one walk of the union, and marks the pool filled; returns
-    /// how many rows it wrote, none once filled.
+    /// Allocates the zeroed `rows × dim` slab and writes every union
+    /// entry's row from `host` into its slot, once each, in one walk of
+    /// the union, and marks the pool filled; returns how many rows it
+    /// wrote, none once filled.
     pub fn fill(&mut self, host: &HostTable) -> usize {
         if std::mem::replace(&mut self.filled, true) {
             return 0;
         }
         let dim = self.dim;
+        self.data = vec![0.0; self.rows * dim];
         for (e, &s) in ones(&self.union).zip(&self.slots) {
             host.read_into(e as u32, &mut self.data[s as usize * dim..][..dim]);
         }
         self.slots.len()
     }
 
-    /// The slab: `rows × dim` floats, slot-major. Row `s` occupies
-    /// `slab()[s * dim .. (s + 1) * dim]`; exposed so gathers stream many
-    /// rows out of it without a bounds-checked call per row.
+    /// The slab: `rows × dim` floats, slot-major, once filled; empty
+    /// before. Row `s` occupies `slab()[s * dim .. (s + 1) * dim]`;
+    /// exposed so gathers stream many rows out of it without a
+    /// bounds-checked call per row.
     pub fn slab(&self) -> &[f32] {
         &self.data
     }
@@ -306,7 +313,8 @@ impl RowPool {
     /// rows, and every slot is either an entry's or free, never both, with
     /// none below `lowest` free and no bit past the last row set; that
     /// each GPU's vacancy words set only entries it stores and its stored
-    /// row fits its capacity; and, once the pool is filled, that every
+    /// row fits its capacity; that the slab is empty until the pool is
+    /// filled and `rows × dim` floats after; and, once filled, that every
     /// entry's slot holds its host row. A pass over every stored row and
     /// every slot: for tests.
     ///
@@ -365,6 +373,13 @@ impl RowPool {
         if let Some(s) = past.or_else(|| (0..self.lowest.min(rows)).find(|&s| self.is_free(s))) {
             return Err(format!(
                 "pool slot {s} is free, past the last row or below the lowest"
+            ));
+        }
+        let slab = if self.filled { rows * self.dim } else { 0 };
+        if self.data.len() != slab {
+            return Err(format!(
+                "the slab holds {} floats, not {slab}",
+                self.data.len()
             ));
         }
         let mut truth = vec![0.0f32; self.dim];
@@ -458,9 +473,10 @@ mod tests {
             stored_row(200, [3, 5, 65, 128, 130]),
         ];
         let mut pool = RowPool::new(&[8, 8], &stored, &host);
-        // The slots are dealt and no row is written until the fill, which
-        // writes each of the 8 distinct entries' rows once.
-        assert!(pool.slab().iter().all(|&x| x == 0.0));
+        // The slots are dealt and the slab stays empty until the fill,
+        // which allocates it and writes each of the 8 distinct entries'
+        // rows once.
+        assert!(pool.slab().is_empty());
         pool.check(&stored, &host).unwrap();
         assert_eq!(pool.fill(&host), 8);
         // The union 3, 5, 64, 65, 127, 128, 130, 199 takes a slot an
@@ -725,7 +741,7 @@ mod tests {
 
         /// Checks `pool` against the model slot for slot, free slot for
         /// free slot and, once `pool` is filled, union row for union row;
-        /// an unfilled pool's slab must still be all zero.
+        /// an unfilled pool's slab must still be empty.
         fn matches(&self, pool: &RowPool, stored: &[BitRow], what: &str) {
             let index = pool.index(stored);
             for (k, row) in stored.iter().enumerate() {
@@ -743,10 +759,7 @@ mod tests {
             let free: Vec<u32> = self.free.iter().copied().collect();
             assert_eq!(free_slots(pool), free, "{what}: free slots");
             if !pool.is_filled() {
-                assert!(
-                    pool.slab().iter().all(|&x| x == 0.0),
-                    "{what}: slab written"
-                );
+                assert!(pool.slab().is_empty(), "{what}: slab allocated");
                 return;
             }
             for &s in self.slot.values() {
@@ -770,7 +783,7 @@ mod tests {
         // holder evicted. Now and then one adds more than a GPU's
         // capacity; it is refused, and that ends its sequence. Beside the
         // filled pool an unfilled one runs the same sequence, dealing the
-        // same slots with its slab all zero, until it is filled at a step
+        // same slots with its slab empty, until it is filled at a step
         // the seed picks, or after the last.
         const CAP: usize = 10;
         const DIM: usize = 3;
@@ -844,6 +857,7 @@ mod tests {
                     .unwrap_or_else(|err| panic!("{what}: {err}"));
                 model.matches(&pool, &stored, &what);
                 // The whole slab bit for bit, free slots' stale rows too.
+                assert_eq!(pool.slab().len(), model.data.len(), "{what}: slab");
                 for (i, (a, m)) in pool.slab().iter().zip(&model.data).enumerate() {
                     assert_eq!(a.to_bits(), m.to_bits(), "{what}: slab element {i}");
                 }

@@ -89,10 +89,11 @@ impl MultiGpuCache {
         cache
     }
 
-    /// Builds the cache from a placement without writing a row: every
-    /// slot is dealt as [`MultiGpuCache::build`] deals it, and the rows
-    /// wait for [`MultiGpuCache::fill`]. Splits, swaps and audits work
-    /// on an unfilled cache; gathers need the rows.
+    /// Builds the cache from a placement without a row: every slot is
+    /// dealt as [`MultiGpuCache::build`] deals it, and the pool's slab
+    /// stays empty until [`MultiGpuCache::fill`], so a cache that is only
+    /// timed holds no row bytes. Splits, swaps and audits work on an
+    /// unfilled cache; gathers need the rows.
     ///
     /// # Panics
     ///
@@ -127,10 +128,10 @@ impl MultiGpuCache {
         }
     }
 
-    /// Reads the row of each entry some GPU stores from host into its
-    /// pool slot, once, if the cache is not filled yet; from then on a
-    /// swap reads the rows it adds. Returns the rows written: none on a
-    /// filled cache.
+    /// Allocates the pool's slab and reads the row of each entry some GPU
+    /// stores from host into its slot, once, if the cache is not filled
+    /// yet; from then on a swap reads the rows it adds. Returns the rows
+    /// written: none on a filled cache.
     pub fn fill(&mut self) -> usize {
         self.pool.fill(&self.host)
     }
@@ -595,7 +596,7 @@ mod tests {
         let host = HostTable::procedural(N, DIM);
         let mut cache = MultiGpuCache::build_unfilled(host, &placement, &[51; 4]);
         cache.audit().unwrap();
-        assert!(cache.pool.slab().iter().all(|&x| x == 0.0));
+        assert!(cache.pool.slab().is_empty());
         // A refresh's eviction and swap write nothing either.
         cache.update_arena(0, &[0]);
         cache.audit().unwrap();
@@ -609,7 +610,7 @@ mod tests {
         target.validate().unwrap();
         cache.swap_placement(target.clone());
         cache.audit().unwrap();
-        assert!(cache.pool.slab().iter().all(|&x| x == 0.0));
+        assert!(cache.pool.slab().is_empty());
         let distinct = (0..N).filter(|&e| target.stored.iter().any(|r| r.get(e)));
         assert_eq!(cache.fill(), distinct.count());
         assert_eq!(cache.fill(), 0, "filled once");

@@ -1,12 +1,14 @@
 //! What the cache's bookkeeping costs: the bytes of the slot table
-//! beside the row pool, the resident row bytes of a replicated cache and
-//! of a `UGache` before and after its first gather, and the allocations
-//! of a build, a swap and a refresh's diff.
+//! beside the row pool, the bytes a build and a fill allocate, the
+//! resident row bytes of a `UGache` before and after its first gather,
+//! and the allocations of a build, a swap and a refresh's diff.
 
 use cache_policy::{baselines, Hotness, Placement, SolverConfig, UGacheSolver};
 use emb_cache::{HostTable, MultiGpuCache, RefreshConfig, Refresher};
 use emb_util::zipf::powerlaw_hotness;
 use gpu_platform::{DedicationConfig, Platform};
+#[cfg(target_os = "linux")]
+use test_support::resident_bytes;
 use test_support::{allocations, peak_of, CountingAlloc};
 use ugache::{UGache, UGacheConfig};
 
@@ -71,46 +73,31 @@ fn a_solved_server_c_cache_indexes_its_rows_in_three_sixteenths_of_a_byte_an_ent
     copy.audit().unwrap();
 }
 
-/// This process's resident set, in bytes.
-#[cfg(target_os = "linux")]
-fn resident_bytes() -> usize {
-    let status = std::fs::read_to_string("/proc/self/status").unwrap();
-    let line = status.lines().find_map(|l| l.strip_prefix("VmRSS:"));
-    let kb: usize = line
-        .and_then(|l| l.trim().strip_suffix("kB")?.trim().parse().ok())
-        .unwrap();
-    kb * 1024
-}
-
 #[test]
-#[cfg(target_os = "linux")]
-fn a_replicated_cache_writes_the_rows_of_its_distinct_entries_only_when_filled() {
-    // Every GPU caches the same 4 096 entries: 4 MB of distinct rows,
-    // which one copy per GPU made 32 MB. The pool's slab has room for
-    // 32 MB, but an unfilled build writes none of it, the fill writes one
-    // row per distinct entry into the slots handed out, and the pages of
-    // the rest are never resident. Index, placement and slack stay far
-    // under the 28 MB a second copy of the rows would add.
+fn an_unfilled_build_allocates_no_slab_and_the_fill_allocates_it() {
+    // Every GPU caches the same 4 096 entries. The pool has room for
+    // `min(Σ cap, n)` rows, a 32 MB slab: an unfilled build allocates the
+    // slot table and the free bits but not the slab, and the fill
+    // allocates the whole slab as it writes the distinct entries' rows.
+    // Bytes allocated, not resident: glibc may serve the slab from pages
+    // an earlier allocation left resident.
     let _guard = one_at_a_time();
     let (n, dim, cap) = (1 << 16, 256, 1 << 12);
     let platform = Platform::server_c();
     let placement = baselines::replication(&platform, &Hotness::new(powerlaw_hotness(n, 1.2)), cap);
-    let distinct_bytes = cap * dim * std::mem::size_of::<f32>();
+    let slab = (8 * cap).min(n) * dim * std::mem::size_of::<f32>();
     let host = HostTable::procedural(n, dim);
-    let before = resident_bytes();
-    let mut cache = MultiGpuCache::build_unfilled(host, &placement, &[cap; 8]);
-    let built = resident_bytes().saturating_sub(before);
+    let (mut cache, built) = peak_of(|| MultiGpuCache::build_unfilled(host, &placement, &[cap; 8]));
     assert!(
-        built < distinct_bytes / 8,
-        "an unfilled build grew the resident set by {built} bytes"
+        built < slab / 8,
+        "an unfilled build allocated {built} bytes beside a {slab}-byte slab"
     );
     cache.audit().unwrap();
-    assert_eq!(cache.fill(), cap, "one row per distinct entry");
-    assert_eq!(cache.fill(), 0, "filled once");
-    let grew = resident_bytes().saturating_sub(before);
+    let (rows, filled) = peak_of(|| cache.fill());
+    assert_eq!(rows, cap, "one row per distinct entry");
     assert!(
-        (distinct_bytes / 2..distinct_bytes * 3 / 2).contains(&grew),
-        "a cache of {distinct_bytes} bytes of distinct rows grew the resident set by {grew} bytes"
+        filled >= slab,
+        "the fill allocated {filled} bytes for a {slab}-byte slab"
     );
     cache.audit().unwrap();
 }
@@ -119,9 +106,12 @@ fn a_replicated_cache_writes_the_rows_of_its_distinct_entries_only_when_filled()
 #[cfg(target_os = "linux")]
 fn a_ugache_build_writes_no_row_and_its_first_gather_writes_them() {
     // A UGache that is only timed reads no row from host: its build deals
-    // the slots, and the first gather fills them.
+    // the slots and allocates no slab, and the first gather allocates the
+    // slab and fills the rows.
     let _guard = one_at_a_time();
-    let (n, dim, cap) = (1 << 16, 512, 1 << 12);
+    // Rows of 4 KB, so the slab outweighs the solve's own buffers.
+    let (n, dim, cap) = (1 << 16, 1024, 1 << 12);
+    let slab = (8 * cap).min(n) * dim * std::mem::size_of::<f32>();
     let hotness = Hotness::new(powerlaw_hotness(n, 1.2));
     let build = || {
         let cfg = UGacheConfig::new(dim * std::mem::size_of::<f32>(), 40_000.0);
@@ -131,8 +121,12 @@ fn a_ugache_build_writes_no_row_and_its_first_gather_writes_them() {
     // A first build leaves the heap the second one's solve reuses.
     drop(build());
     let before = resident_bytes();
-    let mut u = build();
+    let (mut u, allocated) = peak_of(build);
     let built = resident_bytes().saturating_sub(before);
+    assert!(
+        allocated < slab / 8,
+        "a build allocated {allocated} bytes beside a {slab}-byte slab"
+    );
     let stored = &u.placement().stored;
     let distinct = (0..n).filter(|&e| stored.iter().any(|r| r.get(e))).count();
     let row_bytes = distinct * dim * std::mem::size_of::<f32>();
@@ -143,7 +137,11 @@ fn a_ugache_build_writes_no_row_and_its_first_gather_writes_them() {
     );
     u.audit().unwrap();
     let mut out = vec![0.0; dim];
-    u.gather(0, &[0], &mut out);
+    let (_, gathered) = peak_of(|| u.gather(0, &[0], &mut out));
+    assert!(
+        gathered >= slab,
+        "the first gather allocated {gathered} bytes for a {slab}-byte slab"
+    );
     assert_eq!(out, HostTable::procedural(n, dim).read(0));
     let grew = resident_bytes().saturating_sub(before);
     assert!(

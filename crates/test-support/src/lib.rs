@@ -6,7 +6,8 @@
 //!   `#[global_allocator] static GLOBAL: CountingAlloc = CountingAlloc;`
 //!   and measures with [`allocations`] (calls made) or [`peak_of`] (bytes
 //!   held), both on the current thread only, so tests running side by
-//!   side in one binary do not see each other.
+//!   side in one binary do not see each other. [`resident_bytes`] reads
+//!   the whole process's resident set instead.
 //! * [`fnv1a`] — the hash the pinned-stream and pinned-placement tests
 //!   record their golden values with.
 //! * [`sampled_counts`] — access counts shaped like a hotness sampler's
@@ -96,6 +97,22 @@ pub fn peak_of<R>(f: impl FnOnce() -> R) -> (R, usize) {
     let result = f();
     let peak = PEAK.with(Cell::get);
     (result, peak.saturating_sub(before).max(0) as usize)
+}
+
+/// This process's resident set, in bytes, as `/proc/self/status` reports
+/// it: every thread's pages, and pages the allocator freed but kept.
+///
+/// # Panics
+///
+/// Panics if the status file has no readable `VmRSS` line.
+#[cfg(target_os = "linux")]
+pub fn resident_bytes() -> usize {
+    let status = std::fs::read_to_string("/proc/self/status").unwrap();
+    let line = status.lines().find_map(|l| l.strip_prefix("VmRSS:"));
+    let kb: usize = line
+        .and_then(|l| l.trim().strip_suffix("kB")?.trim().parse().ok())
+        .unwrap();
+    kb * 1024
 }
 
 /// FNV-1a's 64-bit offset basis: the `hash` to start [`fnv1a`] from.

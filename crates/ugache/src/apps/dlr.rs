@@ -2,7 +2,7 @@
 
 use crate::apps::cost::{DlrModel, MlpCostModel};
 use crate::baselines::SystemInstance;
-use emb_workload::{DlrDataset, DlrWorkload};
+use emb_workload::{BatchSource, DlrDataset};
 use gpu_platform::Platform;
 
 /// End-to-end numbers for DLR inference.
@@ -28,17 +28,18 @@ pub fn dlr_cache_capacity(platform: &Platform, dataset: &DlrDataset) -> usize {
 }
 
 /// Measures a built system's mean per-iteration time over `iters`
-/// batches, once, and prices each of `models` from the same means: one
-/// report per model, in order (the model only moves the dense part).
+/// batches of `source`, once, and prices each of `models` from the same
+/// means: one report per model, in order (the model only moves the dense
+/// part).
 pub fn run_dlr_iterations(
     system: &SystemInstance,
-    workload: &mut DlrWorkload,
+    source: &mut impl BatchSource,
     models: &[DlrModel],
     batch_size: usize,
     iters: usize,
 ) -> Vec<DlrIterationReport> {
     let gpu = &system.extractor.platform().gpus[0];
-    let (extract_secs, keys_per_iter) = system.mean_extract(workload, iters);
+    let (extract_secs, keys_per_iter) = system.mean_extract(source, iters);
     let price = |&model| {
         let mlp_secs = MlpCostModel::default().dlr_infer_secs(gpu, batch_size, model);
         DlrIterationReport {
@@ -58,7 +59,7 @@ mod tests {
     use crate::baselines::{build_system, SystemKind};
     use cache_policy::Hotness;
     use emb_workload::dlr::DlrHotness;
-    use emb_workload::{dlr_preset, DlrDatasetId};
+    use emb_workload::{dlr_preset, DlrDatasetId, DlrWorkload};
 
     fn setup(platform: &Platform, id: DlrDatasetId) -> (DlrWorkload, Hotness) {
         let d = dlr_preset(id, 8192);

@@ -2,7 +2,7 @@
 
 use crate::apps::cost::{MlpCostModel, SamplingCostModel};
 use crate::baselines::{SystemInstance, SystemKind};
-use emb_workload::{GnnDataset, GnnWorkload};
+use emb_workload::{BatchSource, GnnDataset, GnnWorkload};
 use gpu_platform::Platform;
 
 /// App-level configuration for GNN epoch runs.
@@ -87,16 +87,18 @@ fn expected_visits(workload: &GnnWorkload, batch_size: usize) -> f64 {
 }
 
 /// Runs (a sampled estimate of) one training epoch on a built system
-/// (sized by [`gnn_cache_capacity`] for `system.kind`).
+/// (sized by [`gnn_cache_capacity`] for `system.kind`): `source` gives the
+/// measured batches, `workload` the dataset and model they come from.
 pub fn run_gnn_epoch(
     system: &SystemInstance,
-    workload: &mut GnnWorkload,
+    workload: &GnnWorkload,
+    source: &mut impl BatchSource,
     cfg: &GnnAppConfig,
 ) -> EpochReport {
     let kind = system.kind;
     let platform = system.extractor.platform();
     let g = platform.num_gpus();
-    let (extract_per_iter, keys_per_iter) = system.mean_extract(workload, cfg.measure_iters);
+    let (extract_per_iter, keys_per_iter) = system.mean_extract(source, cfg.measure_iters);
     let dataset = workload.dataset();
 
     let visits = expected_visits(workload, cfg.batch_size);
@@ -182,7 +184,7 @@ mod tests {
         let cap = gnn_cache_capacity(plat, d, kind);
         let accesses = w.clone().measure_accesses_per_iter(2);
         let system = build_system(kind, plat, h, cap, d.entry_bytes, accesses, 0xE9).unwrap();
-        run_gnn_epoch(&system, &mut w.clone(), &cfg())
+        run_gnn_epoch(&system, w, &mut w.clone(), &cfg())
     }
 
     fn cfg() -> GnnAppConfig {
@@ -254,12 +256,12 @@ mod tests {
             0xE9,
         )
         .unwrap();
-        let gnnlab = run_gnn_epoch(&system, &mut w.clone(), &cfg());
+        let gnnlab = run_gnn_epoch(&system, &w, &mut w.clone(), &cfg());
         assert!(gnnlab.epoch_secs.is_finite(), "{}", gnnlab.epoch_secs);
         // The same system read as a co-located row: GNNLab's placement
         // and mechanism, WholeGraph's name.
         system.kind = SystemKind::WholeGraph;
-        let co_located = run_gnn_epoch(&system, &mut w.clone(), &cfg());
+        let co_located = run_gnn_epoch(&system, &w, &mut w.clone(), &cfg());
         assert_eq!(
             EpochReport {
                 system: co_located.system.clone(),

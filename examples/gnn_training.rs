@@ -54,7 +54,7 @@ fn main() {
                 accesses,
                 0xE9,
             );
-            match built.map(|system| run_gnn_epoch(&system, &mut workload.clone(), &cfg)) {
+            match built.map(|system| run_gnn_epoch(&system, &workload, &mut workload.clone(), &cfg)) {
                 Ok(r) => println!(
                     "{:<11} epoch {:>8.3}s  (extract {:>7.3}s, sample {:>7.3}s, train {:>7.3}s, other {:>6.3}s; {} iters)",
                     r.system, r.epoch_secs, r.extract_secs, r.sample_secs, r.train_secs, r.other_secs, r.iters
