@@ -30,6 +30,12 @@ pub const TOLERANCES: &[(&str, f64)] = &[
     ("timeline.extent_ns", 0.05),
 ];
 
+/// Absolute ceilings on the new side, whatever the baseline reads. A
+/// primal residual is ~1e-11 on a sound solve; a bad pivot leaves one
+/// orders of magnitude above it, which a relative tolerance on a
+/// near-zero baseline catches only by accident.
+pub const CEILINGS: &[(&str, f64)] = &[("metrics.histograms.policy.lp.residual.max", 1e-9)];
+
 /// Fallback relative tolerance for metrics without a table entry.
 pub const DEFAULT_TOLERANCE: f64 = 0.01;
 
@@ -117,7 +123,8 @@ fn comparison_points(artifact: &Value) -> Vec<(String, f64)> {
 ///
 /// Every artifact present in `baseline` must exist in `new`; each of its
 /// comparison points must exist on both sides and agree within
-/// [`tolerance_for`] its path. Artifacts only in `new` are ignored (new
+/// [`tolerance_for`] its path, and the new side must stay under the
+/// [`CEILINGS`] it reaches. Artifacts only in `new` are ignored (new
 /// targets are not regressions). A baseline holding no artifact envelope
 /// is itself a violation: a gate that compared nothing must not pass.
 /// Returns one human-readable line per violation; empty means the
@@ -185,6 +192,15 @@ pub fn compare_dirs(baseline: &Path, new: &Path) -> io::Result<Vec<String>> {
                     diff * 100.0,
                     tol * 100.0
                 ));
+            }
+        }
+        for (path, ceiling) in CEILINGS {
+            for (_, new_val) in new_points.iter().filter(|(p, _)| p == path) {
+                if *new_val > *ceiling {
+                    failures.push(format!(
+                        "{file}: {path} is {new_val:e}, above its ceiling {ceiling:e}"
+                    ));
+                }
             }
         }
     }
@@ -273,6 +289,39 @@ mod tests {
                 .iter()
                 .any(|f| f.starts_with("e.json:") && f.contains("baseline unparseable")),
             "{failures:?}"
+        );
+    }
+
+    #[test]
+    fn a_residual_above_its_ceiling_fails_even_against_itself() {
+        // The committed `hotness` artifact with its largest LP residual
+        // set to 1e-6 on both sides: no drift, and still a failure.
+        let committed = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../baselines/quick/hotness.json"
+        );
+        let text = std::fs::read_to_string(committed).unwrap();
+        let max = "\"max\": 0.000000000032741809263825417";
+        assert_eq!(text.matches(max).count(), 1, "the recorded residual moved");
+        let base = std::env::temp_dir().join(format!("repro-ceiling-{}", std::process::id()));
+        let (b, n) = (base.join("baseline"), base.join("new"));
+        std::fs::create_dir_all(&b).unwrap();
+        std::fs::create_dir_all(&n).unwrap();
+        std::fs::write(b.join("hotness.json"), &text).unwrap();
+        std::fs::write(n.join("hotness.json"), &text).unwrap();
+        let clean = compare_dirs(&b, &n).unwrap();
+        let bad = text.replace(max, "\"max\": 0.000001");
+        std::fs::write(b.join("hotness.json"), &bad).unwrap();
+        std::fs::write(n.join("hotness.json"), &bad).unwrap();
+        let failures = compare_dirs(&b, &n).unwrap();
+        std::fs::remove_dir_all(&base).unwrap();
+        assert!(clean.is_empty(), "{clean:?}");
+        assert_eq!(
+            failures,
+            [
+                "hotness.json: metrics.histograms.policy.lp.residual.max is 1e-6, \
+              above its ceiling 1e-9"
+            ]
         );
     }
 

@@ -32,9 +32,8 @@
 //! in — and each GPU's `core_busy` still gets one `+= dt` per busy core,
 //! so its bits do not move. Per-group active-core and per-GPU busy-core
 //! counts are maintained on these transitions instead of being recounted.
-//! The pre-optimization loop is preserved in [`crate::reference`] as the
-//! differential tests' oracle; both produce bit-identical results and
-//! telemetry.
+//! The differential tests hold the engine to an independent per-core
+//! event loop written from this discipline alone.
 
 use crate::bandwidth::{effective_bw, CongestionModel};
 use crate::trace::{ExtractionTrace, TraceEvent};
@@ -144,38 +143,38 @@ pub struct ExtractionResult {
 }
 
 #[derive(Debug, Clone)]
-pub(crate) struct Group {
-    pub(crate) gpu: usize,
-    pub(crate) src: Location,
+struct Group {
+    gpu: usize,
+    src: Location,
     /// This link's index in the per-topology tables.
     slot: usize,
-    pub(crate) path: PathSpec,
-    pub(crate) chunks_left: u64,
-    pub(crate) chunk_size: f64,
-    pub(crate) bytes_done: f64,
-    pub(crate) busy: f64,
+    path: PathSpec,
+    chunks_left: u64,
+    chunk_size: f64,
+    bytes_done: f64,
+    busy: f64,
     /// Scratch: number of cores currently on this group.
-    pub(crate) active: usize,
+    active: usize,
     /// Scratch: allocated aggregate rate for this instant.
-    pub(crate) rate: f64,
-    /// Optimized loop, under a scope: steps this link was congested /
-    /// egress-capped so far, and its busy interval in progress.
+    rate: f64,
+    /// Under a scope: steps this link was congested / egress-capped so
+    /// far, and its busy interval in progress.
     congested: u64,
     egress_capped: u64,
     open: Option<OpenXfer>,
 }
 
 #[derive(Debug, Clone)]
-pub(crate) struct Core {
-    pub(crate) gpu: usize,
+struct Core {
+    gpu: usize,
     /// Index of this core within its GPU.
-    pub(crate) local_idx: usize,
+    local_idx: usize,
     /// Group this core is dedicated to (Factored mode), by global index.
     dedicated: Option<usize>,
-    /// Current chunk: (group index, remaining bytes). Only the initial
-    /// dispatch and the reference loop write it; the optimized loop keeps
-    /// a busy core's remaining bytes in its cohort.
-    pub(crate) job: Option<(usize, f64)>,
+    /// First chunk: (group index, remaining bytes). Only the initial
+    /// dispatch writes it; the event loop keeps a busy core's remaining
+    /// bytes in its cohort.
+    job: Option<(usize, f64)>,
 }
 
 /// The engine's metrics under fixed names (all names in EXPERIMENTS.md).
@@ -203,7 +202,7 @@ struct LinkNames {
 /// `format!`ted: a one-shot simulator under a scope builds some sixty of
 /// them per call.)
 #[derive(Debug, Clone)]
-pub(crate) struct Names {
+struct Names {
     num_gpus: usize,
     /// Indexed by [`Group::slot`].
     links: Vec<Option<LinkNames>>,
@@ -250,22 +249,20 @@ impl Names {
     }
 }
 
-/// One call's state, built by [`Simulator::build_state`] and shared by
-/// the optimized loop and the frozen reference loop. The vectors are
-/// refilled, not reallocated, from call to call.
+/// One call's state, built by [`Simulator::build_state`] and advanced by
+/// the event loop. The vectors are refilled, not reallocated, from call
+/// to call.
 #[derive(Debug, Clone, Default)]
-pub(crate) struct SimState {
-    pub(crate) groups: Vec<Group>,
+struct SimState {
+    groups: Vec<Group>,
     /// Per GPU: the index range of its groups.
     gpu_groups: Vec<Range<usize>>,
     /// The cores that were offered work, ascending by `(gpu, local_idx)`,
     /// after the initial dispatch.
-    pub(crate) cores: Vec<Core>,
-    /// Per core (kept out of [`Core`], which the reference loop scans
-    /// every step):
-    /// start instant of its current chunk, and — RandomShared — the
-    /// position of its next token in its GPU's token list (it owns every
-    /// `sm`-th token from `local_idx`).
+    cores: Vec<Core>,
+    /// Per core: start instant of its current chunk, and — RandomShared —
+    /// the position of its next token in its GPU's token list (it owns
+    /// every `sm`-th token from `local_idx`).
     job_start: Vec<f64>,
     cursor: Vec<usize>,
     /// RandomShared: per-GPU shuffled chunk tokens. Chunks are dealt
@@ -276,9 +273,9 @@ pub(crate) struct SimState {
     /// Factored: per-GPU local group.
     local: Vec<Option<usize>>,
     /// Per GPU: instant its last chunk completed (engine seconds).
-    pub(crate) gpu_finish: Vec<f64>,
+    gpu_finish: Vec<f64>,
     /// Per GPU: aggregate core-busy seconds.
-    pub(crate) core_busy: Vec<f64>,
+    core_busy: Vec<f64>,
     /// Build scratch: per-GPU merged `(source, bytes)` totals.
     totals: Vec<Vec<(Location, f64)>>,
     /// Build scratch: Factored `(group, dedicated cores)` of one GPU.
@@ -348,7 +345,7 @@ impl Cohorts {
     }
 }
 
-/// The optimized event loop's reused active sets.
+/// The event loop's reused active sets.
 #[derive(Debug, Clone, Default)]
 struct LoopScratch {
     cohorts: Cohorts,
@@ -377,8 +374,8 @@ pub struct Simulator {
     egress_cap: Vec<Option<f64>>,
     /// Factored mode: the core-dedication profile.
     profile: Option<Profile>,
-    pub(crate) names: Names,
-    pub(crate) st: SimState,
+    names: Names,
+    st: SimState,
     scratch: LoopScratch,
 }
 
@@ -486,7 +483,7 @@ impl Simulator {
     /// core its first chunk. A GPU's remaining cores are not even
     /// constructed once its groups have no chunks left: no chunk ever
     /// returns to a queue, so they would be offered nothing, now or later.
-    pub(crate) fn build_state(&mut self, works: &[GpuWork]) {
+    fn build_state(&mut self, works: &[GpuWork]) {
         let num_gpus = self.sm.len();
         // Collect per-(gpu, src) byte totals (merging duplicate sources).
         self.st.totals.iter_mut().for_each(Vec::clear);
@@ -636,21 +633,17 @@ impl Simulator {
                 });
                 st.job_start.push(0.0);
                 st.cursor.push(local_idx);
-                let job = self.dispatch(ci);
+                let job = dispatch(self.mode, &self.sm, st, ci);
                 chunks_left -= u64::from(job.is_some());
-                self.st.cores[ci].job = job;
+                st.cores[ci].job = job;
             }
         }
     }
-
-    /// Next chunk for core `ci` under its GPU's queue discipline, or `None`.
-    pub(crate) fn dispatch(&mut self, ci: usize) -> Option<(usize, f64)> {
-        dispatch(self.mode, &self.sm, &mut self.st, ci)
-    }
 }
 
-/// [`Simulator::dispatch`] over the fields it reads, so that the event
-/// loop can call it while it holds the simulator's other fields.
+/// Next chunk for core `ci` under its GPU's queue discipline, or `None`.
+/// It takes the simulator's fields it reads, so that the event loop can
+/// call it while it holds the others.
 fn dispatch(
     mode: DispatchMode,
     sm: &[usize],
@@ -945,9 +938,8 @@ impl Simulator {
 
     /// Assembles the [`ExtractionResult`] and, under a telemetry scope
     /// (`scope` = its clock at call start), records the counters, emits
-    /// the per-GPU `extract` spans and advances the scope clock. Shared by
-    /// the optimized loop and the frozen reference loop.
-    pub(crate) fn finalize(
+    /// the per-GPU `extract` spans and advances the scope clock.
+    fn finalize(
         &mut self,
         works: &[GpuWork],
         congestion_hits: u64,
@@ -1071,24 +1063,24 @@ impl Simulator {
 
 /// Per-link busy interval being accumulated for a span.
 #[derive(Debug, Clone)]
-pub(crate) struct OpenXfer {
+struct OpenXfer {
     /// Interval start (engine seconds).
-    pub(crate) start: f64,
+    start: f64,
     /// `bytes_done` of the group at interval start.
-    pub(crate) bytes0: f64,
+    bytes0: f64,
     /// Group congestion-activation count at interval start.
-    pub(crate) congest0: u64,
+    congest0: u64,
     /// Group egress-cap count at interval start.
-    pub(crate) egress0: u64,
+    egress0: u64,
 }
 
 /// Per-GPU partial-stall window being accumulated for a span.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct OpenStall {
+struct OpenStall {
     /// Window start (engine seconds).
-    pub(crate) start: f64,
+    start: f64,
     /// Idle core-seconds accumulated inside the window.
-    pub(crate) idle_core_secs: f64,
+    idle_core_secs: f64,
 }
 
 /// Engine seconds → scope-clock nanoseconds.
@@ -1097,7 +1089,7 @@ fn secs_to_scope_ns(base_ns: u64, t: f64) -> u64 {
 }
 
 /// Emits one `xfer` span for a closed per-link busy interval.
-pub(crate) fn emit_xfer_span(
+fn emit_xfer_span(
     names: &mut Names,
     base_ns: u64,
     g: &Group,
@@ -1133,13 +1125,7 @@ pub(crate) fn emit_xfer_span(
 }
 
 /// Emits one `stall` span for a closed per-GPU partial-stall window.
-pub(crate) fn emit_stall_span(
-    names: &mut Names,
-    base_ns: u64,
-    gpu: usize,
-    open: &OpenStall,
-    end: f64,
-) {
+fn emit_stall_span(names: &mut Names, base_ns: u64, gpu: usize, open: &OpenStall, end: f64) {
     emb_telemetry::span(
         names.gpu(gpu).1,
         "stall",

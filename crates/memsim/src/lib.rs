@@ -22,13 +22,17 @@
 //! [`DispatchMode::RandomShared`] (naive peer access, random key
 //! dispatch) and [`DispatchMode::Factored`] (UGache's core dedication with
 //! local-extraction padding).
+//!
+//! `tests/differential.rs` holds the engine to an independent per-core
+//! event loop, written from the dispatch discipline and the transfer
+//! function alone, which checks the caps and byte conservation at every
+//! event.
 
 #![deny(missing_docs)]
 
 pub mod bandwidth;
 pub mod engine;
 pub mod microbench;
-pub mod reference;
 pub mod trace;
 
 pub use bandwidth::{effective_bw, CongestionModel};
@@ -36,5 +40,4 @@ pub use engine::{
     simulate, simulate_traced, DispatchMode, ExtractionResult, GpuExtraction, GpuWork, LinkUse,
     SimConfig, Simulator, SourceDemand,
 };
-pub use reference::{simulate_reference, simulate_reference_traced};
 pub use trace::{ExtractionTrace, TraceEvent};

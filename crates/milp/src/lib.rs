@@ -20,8 +20,8 @@
 //!   a bound flip. Every skipped operation is one whose outcome is
 //!   already known — a `±0.0` term, a column nothing reads, a sum whose
 //!   terms did not move — so the solver follows the original dense solver
-//!   pivot for pivot; that solver survives as [`dense::solve_lp_dense`],
-//!   the frozen yardstick for differential tests.
+//!   pivot for pivot. `tests/optimality.rs` checks its answers with an LP
+//!   duality certificate, computed in the test from the model.
 //!
 //! Scale note: block batching keeps instances at hundreds-to-thousands of
 //! variables, which a dense simplex handles in seconds. No integer
@@ -30,10 +30,8 @@
 
 #![deny(missing_docs)]
 
-pub mod dense;
 pub mod model;
 pub mod simplex;
 
-pub use dense::solve_lp_dense;
 pub use model::{ConstraintSense, LinExpr, Model, VarId};
 pub use simplex::{solve_lp, LpResult, LpStatus};

@@ -7,10 +7,13 @@
 //! Anti-cycling falls back to Bland's rule after a run of degenerate
 //! pivots.
 //!
-//! The solver follows the frozen dense copy in [`crate::dense`] pivot for
-//! pivot and returns its solution (up to the sign of a zero); the
-//! differential tests assert that. What it adds is only ever *not doing*
-//! work whose outcome is already known, in four ways.
+//! The solver takes the pivots of the plain dense simplex it was derived
+//! from and returns its solution (up to the sign of a zero); the pinned
+//! placement hashes and pivot counts in `cache-policy` and
+//! `baselines/quick` hold that path fixed, and `tests/optimality.rs`
+//! proves each answer optimal with a duality certificate. What it adds
+//! over the plain solver is only ever *not doing* work whose outcome is
+//! already known, in four ways.
 //!
 //! # Row supports, one bit per cache line
 //!
@@ -28,7 +31,7 @@
 //! next packed). That is safe because a listed zero only ever
 //! contributes a `±0.0` term, and adding or subtracting `±0.0` never
 //! changes a nonzero value bitwise nor any comparison the solver makes:
-//! the multiply-subtracts done are the dense solver's minus some of its
+//! the multiply-subtracts done are a full dense update's minus some of its
 //! exact-zero terms.
 //!
 //! # Retired columns
@@ -62,9 +65,9 @@
 //!
 //! `sign[j]` is `+1` for a nonbasic column at its upper bound, `−1` at
 //! its lower, `0` for basic, retired and padding columns; the violation
-//! the dense solver computes by cases is `sign[j] · d[j]` exactly. Free
+//! a full scan computes by cases is `sign[j] · d[j]` exactly. Free
 //! columns (violation `|d[j]|`) are rare and listed apart, then merged by
-//! the dense scan's rule: the largest violation wins, the lowest column
+//! a full scan's rule: the largest violation wins, the lowest column
 //! among equals; in Bland's mode the lowest column over the tolerance.
 
 use crate::model::{ConstraintSense, Model};
@@ -259,7 +262,7 @@ impl Tableau {
 
             // The residual decides the artificial's sign: a row with a
             // negative residual is negated so artificials stay ≥ 0. Terms
-            // in column order, as the dense solver subtracts them (its
+            // in column order, as a full dense row subtracts them (its
             // other columns, slack included, subtract exact zeros).
             let mut r = c.rhs;
             for &j in &cols {
